@@ -4,8 +4,9 @@ The generalized eigenproblem K y = lambda M y is symmetrized through the
 diagonal mass matrix; eigenvalues below a relative tolerance span the
 harmonic space, the first one above it is the spectral gap.  Poisson
 solves combine the raising-steps sweep with a deflated conjugate
-gradient on the gap; decompositions are certified by reconstruction
-residuals and orthogonality tables.
+gradient on the gap; dual solves apply the mass adjoint of that
+operator through adjoint gluing sweeps; decompositions are certified by
+reconstruction residuals and orthogonality tables.
 """
 
 from __future__ import annotations
@@ -223,79 +224,31 @@ def poisson_solve(m: SimplicialManifold, cov: AdmissibleCovering,
     return u, diags
 
 
-# -- dense pipeline operators (for adjoint solves) ----------------------
-
-
-def _step_matrix(m: SimplicialManifold, cov: AdmissibleCovering,
-                 p: int) -> np.ndarray:
-    """Dense matrix of one gluing sweep omega -> v0.
-
-    Assembled ball by ball from the small interior inverses; feasible
-    because the analysis meshes keep N_p well below the dense limit.
-    """
-    N = m.num_simplices(p)
-    if N > DENSE_LIMIT:
-        raise AnalysisError("degree too large for dense pipeline assembly")
-    patches = rsm.cached_patches(m, cov)
-    chi = rsm._chi_dense(cov)
-    T = np.zeros((N, N))
-    for j, patch in enumerate(patches):
-        I, K_II, M_I = rsm.local_solver._interior_system(patch, p)
-        inv = np.linalg.inv(K_II.toarray()) * M_I[None, :]
-        chi_s = rsm.simplex_average(m, p, chi[:, j])
-        T[np.ix_(I, I)] += chi_s[I, None] * inv
-    return T
-
-
-def pipeline_matrix(m: SimplicialManifold, cov: AdmissibleCovering,
-                    rep: SpectrumReport, p: int, k: int) -> np.ndarray:
-    """Dense matrix G of the full solve omega -> u = v - f.
-
-    G composes k alternating gluing sweeps with the harmonic-deflated
-    pseudoinverse applied to the final residual.
-    """
-    N = m.num_simplices(p)
-    L = dec.hodge_laplacian(m, p).matrix.toarray()
-    T1 = _step_matrix(m, cov, p)
-    A = L @ T1 - np.eye(N)          # omega_j -> omega_{j+1}
-    T = np.zeros((N, N))
-    R = np.eye(N)                   # omega -> omega_j
-    sign = 1.0
-    for _ in range(max(k, 1)):
-        T += sign * T1 @ R
-        R = A @ R
-        sign = -sign
-    om_t = -R if max(k, 1) % 2 == 0 else R
-    # deflated pseudoinverse of the Laplacian
-    Mw = dec.mass_diagonal(m, p)
-    H = rep.harmonic_basis
-    P = np.eye(N) - (H @ (H.T * Mw[None, :]) if rep.harmonic_dim else 0.0)
-    Lp = np.linalg.pinv(L, rcond=1e-12)
-    C = Lp @ P @ om_t
-    return T - C
-
-
 def dual_poisson_solve(m: SimplicialManifold, cov: AdmissibleCovering,
                        rf: RadiusField, rep: SpectrumReport,
                        phi: dec.Cochain, r: float, k: int = 1,
                        report_w2r: bool = False):
-    """Solve by adjoint: u = (T - C)* phi in the mass inner products.
+    """Solve by adjoint: u = G* phi, G the solve operator of poisson_solve.
 
-    The composite solve operator of poisson_solve is assembled densely
-    and transposed; for gap-orthogonal phi the result again satisfies
-    Delta u = phi (finite-dimensional adjoint identity).
+    With T the gluing sweep, A = Delta T - I and L+ the gap inverse, G =
+    sum_{i<k} (-1)^i T A^i - (-1)^(k-1) L+ A^k.  Delta and L+ are
+    self-adjoint in the mass inner product, so G* phi = sum_{i<k} (-1)^i
+    (A*)^i T* phi - (-1)^(k-1) (A*)^k L+ phi with A* = T* Delta - I.
+    Horner's rule turns this into k adjoint sweeps (rsm.sweep_adjoint)
+    from u = L+ phi: u <- u + T*(phi - Delta u).  The harmonic part of u
+    is removed; for gap-orthogonal phi, Delta u = phi (finite-dimensional
+    adjoint identity).
     """
     p = phi.degree
     h = harmonic_projection(m, rep, phi)
     nrm = dec.norm_l2(phi)
     if nrm > 0 and dec.norm_l2(h) > 1e-8 * nrm:
         raise AnalysisError("dual_poisson_solve: project first")
-    G = pipeline_matrix(m, cov, rep, p, k)
-    Mw = dec.mass_diagonal(m, p)
-    u_vals = (G.T @ (Mw * phi.values)) / Mw
-    u = dec.Cochain(m, p, u_vals)
-    u = u - harmonic_projection(m, rep, u)
     lap = dec.hodge_laplacian(m, p)
+    u = gap_solve(m, rep, phi)
+    for _ in range(max(k, 1)):
+        u = u + rsm.sweep_adjoint(m, cov, phi - lap(u))
+    u = u - harmonic_projection(m, rep, u)
     resid = dec.norm_l2(lap(u) - phi) / (nrm + 1e-300)
     rp = r / (r - 1.0)
     w0 = rf.values ** -2.0

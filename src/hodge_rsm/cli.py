@@ -29,7 +29,6 @@ DEFAULTS = {
     "s": 2.0,
     "k": None,
     "weight_power": 0,
-    "alpha_q": 0.0,
     "degrees": [1],
     "harmonic_tol": 1e-8,
     "num_forms": 3,
@@ -105,20 +104,9 @@ def build_covering(m, cfg):
     return rf, cov
 
 
-def worker_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("HODGE_RSM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 class Report:
     def __init__(self, cfg):
-        self.payload = {
-            "config": cfg,
-            "threads": worker_cap(),
-            "checks": [],
-        }
+        self.payload = {"config": cfg, "checks": []}
 
     def check(self, name, passed, **details):
         self.payload["checks"].append(
@@ -216,7 +204,7 @@ def solve(config_path, r_, s_, k_, degrees, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     for p in cfg["degrees"]:
         om = dec.random_cochain(m, p, rng)
-        config = rsm.RsmConfig(cfg["r"], cfg["s"], k=cfg["k"] or 1)
+        config = rsm.RsmConfig(cfg["r"], cfg["s"], k=cfg["k"])
         v, om_t, trace = rsm.raising_steps(m, cov, rf, om, config)
         lap = dec.hodge_laplacian(m, p)
         resid = dec.norm_l2(lap(v) - om - om_t) / dec.norm_l2(om)

@@ -9,7 +9,6 @@ below epsilon).  Core balls of radius R/divisor are packed greedily; their
 from __future__ import annotations
 
 import json
-import logging
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -18,8 +17,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import ChartFrame, SimplicialManifold, all_geodesic_distances
-
-log = logging.getLogger(__name__)
 
 RADIUS_FLOOR_EDGES = 2.0   # R_min = this many mean edge lengths
 MIN_DIVISOR = 5.0          # below this the 5r dilation stops making sense
@@ -61,6 +58,7 @@ class AdmissibleCovering:
     overlap_measured: int = 0
     chi: sp.csr_matrix | None = None            # vertices x balls
     chi_gradients: np.ndarray | None = None     # per-ball max edge gradient
+    patches: list | None = None                 # rsm.cached_patches
 
     def __len__(self):
         return len(self.balls)
@@ -102,9 +100,10 @@ def compute_radius_field(m: SimplicialManifold, eps: float,
                          divisor: float = 120.0) -> RadiusField:
     """Admissible radius at every vertex plus the effective Vitali divisor.
 
-    The divisor is reduced (never below MIN_DIVISOR, with a warning) when
-    R/divisor would fall under the mesh resolution; core balls smaller
-    than an edge cannot pack meaningfully.
+    The divisor is reduced (never below MIN_DIVISOR) when R/divisor
+    would fall under the mesh resolution, since core balls smaller than
+    an edge cannot pack meaningfully; the divisor used is recorded in
+    divisor_effective.
     """
     if divisor < 8:
         raise ValueError("Vitali divisor must be at least 8")
@@ -113,10 +112,6 @@ def compute_radius_field(m: SimplicialManifold, eps: float,
     mean_edge = m.mean_edge_length()
     resolvable = values.min() / mean_edge
     div_eff = float(min(divisor, max(MIN_DIVISOR, resolvable)))
-    if div_eff < divisor:
-        log.warning("Vitali divisor reduced from %g to %g: core radius "
-                    "R/%g would be below mesh resolution", divisor, div_eff,
-                    divisor)
     return RadiusField(values, eps, divisor, div_eff)
 
 

@@ -73,10 +73,6 @@ class FormOperator:
             )
         return Cochain(c.manifold, self.target_degree, self.matrix @ c.values)
 
-    def to_triplets(self):
-        coo = sp.coo_matrix(self.matrix)
-        return list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
-
 
 @dataclass
 class NormSpec:

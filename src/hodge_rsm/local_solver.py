@@ -3,9 +3,12 @@
 A patch collects the n-cells whose vertices all lie in one covering ball.
 Degree-p unknowns live on the interior p-simplices (those not touching
 the patch boundary); homogeneous Dirichlet data is imposed on the
-boundary simplices.  Two solvers are provided: a direct factorization of
-the restricted global stiffness, and a flat/curved Neumann series that
-splits the patch Laplacian around the chart's identity metric.
+boundary simplices.  The patch operator is the interior block of the
+patch submesh stiffness, not of the global one (they differ near the
+boundary through the boundary-face masses).  Two solvers are provided: a
+direct factorization of it, cached per degree on the patch, and a
+flat/curved Neumann series that splits the patch Laplacian around the
+chart's identity metric.
 """
 
 from __future__ import annotations
@@ -23,11 +26,20 @@ from .geometry import ChartFrame, SimplicialManifold, all_geodesic_distances
 
 log = logging.getLogger(__name__)
 
-DIRECT_SOLVE_LIMIT = 20000
-
 
 class PatchError(RuntimeError):
     """Degenerate patch: no interior simplex at the requested degree."""
+
+
+@dataclass
+class PatchFactor:
+    """Interior block of the submesh stiffness and mass at one degree,
+    with the global simplex indices of its rows and its LU factors."""
+
+    interior: np.ndarray
+    K_II: sp.csc_matrix
+    M_I: np.ndarray
+    lu: spla.SuperLU
 
 
 @dataclass
@@ -42,6 +54,7 @@ class Patch:
     boundary: dict = field(default_factory=dict)
     _frame: ChartFrame | None = None
     _sub: tuple | None = None
+    _factors: dict = field(default_factory=dict)   # degree -> PatchFactor
 
     def patch_simplices(self, p: int) -> np.ndarray:
         return np.sort(np.concatenate([self.interior[p], self.boundary[p]]))
@@ -93,6 +106,21 @@ class Patch:
                                    dtype=int)
             self._sub = (sub, verts, rows)
         return self._sub
+
+    def factor(self, p: int) -> PatchFactor:
+        """The factored interior system at degree p, built on first use."""
+        if p not in self._factors:
+            I = self.interior[p]
+            if I.size == 0:
+                raise PatchError(
+                    f"ball {self.ball.index}: no interior {p}-simplex")
+            sub, _, rows = self.submesh()
+            r = rows[p]
+            K_II = dec.stiffness_matrix(sub, p)[np.ix_(r, r)].tocsc()
+            self._factors[p] = PatchFactor(I, K_II,
+                                           dec.mass_diagonal(sub, p)[r],
+                                           spla.splu(K_II))
+        return self._factors[p]
 
 
 def extract_patch(m: SimplicialManifold, cov, j: int,
@@ -160,35 +188,19 @@ class SolveDiagnostics:
     iterations: int = 1
 
 
-def _interior_system(patch: Patch, p: int):
-    """Interior rows/cols of the patch complex stiffness and mass."""
-    I = patch.interior[p]
-    if I.size == 0:
-        raise PatchError(f"ball {patch.ball.index}: no interior {p}-simplex")
-    sub, _, rows = patch.submesh()
-    r = rows[p]
-    K_II = dec.stiffness_matrix(sub, p)[np.ix_(r, r)].tocsc()
-    M_I = dec.mass_diagonal(sub, p)[r]
-    return I, K_II, M_I
-
-
 def solve_local_dirichlet(patch: Patch, omega: dec.Cochain,
                           r: float = 2.0) -> tuple[dec.Cochain, SolveDiagnostics]:
     """Solve the patch Hodge-Laplace problem with zero boundary values.
 
-    The system is the restriction of the global stiffness to interior
-    simplices, so Delta u = omega holds on the interior to machine
-    precision; u is zero-extended outside.
+    Solves K_II u_I = M_I omega_I with the patch submesh stiffness K_II
+    and mass M_I on the interior simplices (Patch.factor, factored once
+    per degree), so the submesh Laplacian of u equals omega on the
+    interior to machine precision; u is zero-extended outside.
     """
     m, p = patch.manifold, omega.degree
-    I, K_II, M_I = _interior_system(patch, p)
-    rhs = M_I * omega.values[I]
-    if I.size <= DIRECT_SOLVE_LIMIT:
-        u_I = spla.splu(K_II).solve(rhs)
-    else:
-        u_I, info = spla.cg(K_II, rhs, rtol=1e-12, maxiter=20 * I.size)
-        if info != 0:
-            raise PatchError(f"ball {patch.ball.index}: CG failed ({info})")
+    f = patch.factor(p)
+    I, K_II, M_I = f.interior, f.K_II, f.M_I
+    u_I = f.lu.solve(M_I * omega.values[I])
     u = patch.extend(p, u_I)
 
     num = np.linalg.norm((K_II @ u_I) / M_I - omega.values[I])
@@ -211,21 +223,14 @@ def _flat_stiffness(patch: Patch, p: int,
     edge override), on the same combinatorics as the curved patch.
     """
     m = patch.manifold
-    _, verts, rows = patch.submesh()
-    local = {v: i for i, v in enumerate(verts)}
-    lcells = np.vectorize(local.get)(m.simplices[m.n][patch.cells])
-    coords = patch.frame.coordinates[verts]
-    if flat_edge_lengths is None:
-        flat = SimplicialManifold(m.n, coords, lcells,
-                                  normalize=False, validate=False)
-    else:
-        shape_only = SimplicialManifold(m.n, coords, lcells,
-                                        normalize=False, validate=False)
-        glob_edges = [m.simplex_index(1, verts[e])
-                      for e in shape_only.simplices[1]]
-        flat = SimplicialManifold(m.n, coords, lcells,
-                                  edge_lengths=flat_edge_lengths[glob_edges],
-                                  normalize=False, validate=False)
+    sub, verts, rows = patch.submesh()
+    lengths = None
+    if flat_edge_lengths is not None:
+        lengths = flat_edge_lengths[[m.simplex_index(1, verts[e])
+                                     for e in sub.simplices[1]]]
+    flat = SimplicialManifold(m.n, sub.vertices, sub.oriented_cells,
+                              edge_lengths=lengths, normalize=False,
+                              validate=False)
     r = rows[p]
     K_II = dec.stiffness_matrix(flat, p)[np.ix_(r, r)].tocsc()
     return K_II, dec.mass_diagonal(flat, p)[r]
@@ -242,7 +247,8 @@ def neumann_series_solve(patch: Patch, omega: dec.Cochain,
     v_k, and summing with alternating signs; returns (u, diagnostics).
     """
     m, p = patch.manifold, omega.degree
-    I, K_II, M_I = _interior_system(patch, p)
+    f = patch.factor(p)
+    I, K_II, M_I = f.interior, f.K_II, f.M_I
     Kf_II, Mf_I = _flat_stiffness(patch, p, flat_edge_lengths)
     lu = spla.splu(Kf_II)
 

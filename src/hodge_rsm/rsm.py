@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import dec, local_solver
 from .covering import (AdmissibleCovering, RadiusField, WeightField,
@@ -213,10 +212,12 @@ def commutator_pointwise_bound(m: SimplicialManifold,
 
 
 def cached_patches(m: SimplicialManifold, cov: AdmissibleCovering) -> list:
-    if not hasattr(cov, "_patches"):
-        cov._patches = [local_solver.extract_patch(m, cov, j)
-                        for j in range(len(cov.balls))]
-    return cov._patches
+    """Patches of all balls, extracted once per covering; each factors
+    its interior system on first use (Patch.factor), not here."""
+    if cov.patches is None:
+        cov.patches = [local_solver.extract_patch(m, cov, j)
+                       for j in range(len(cov.balls))]
+    return cov.patches
 
 
 def _whole_manifold_solve(m: SimplicialManifold, omega: dec.Cochain):
@@ -224,7 +225,8 @@ def _whole_manifold_solve(m: SimplicialManifold, omega: dec.Cochain):
 
     A covering ball equal to the whole closed manifold leaves nothing to
     pin a Dirichlet condition on; the minimum-norm solution of the
-    singular system replaces it.
+    singular system replaces it.  The map omega -> u is self-adjoint in
+    the mass inner product, so the adjoint sweep reuses it.
     """
     p = omega.degree
     N = m.num_simplices(p)
@@ -241,13 +243,80 @@ def _whole_manifold_solve(m: SimplicialManifold, omega: dec.Cochain):
         0, p, N, 0.0)
 
 
+# -- the gluing sweep and its adjoint -----------------------------------
+
+
+def _whole_manifold_cover(patches: list, p: int) -> bool:
+    return len(patches) == 1 and patches[0].boundary[p].size == 0
+
+
+def _chi_vertex(chi, j: int, num_vertices: int) -> np.ndarray:
+    """Vertex values of partition function j from the CSC matrix chi."""
+    out = np.zeros(num_vertices)
+    lo, hi = chi.indptr[j], chi.indptr[j + 1]
+    out[chi.indices[lo:hi]] = chi.data[lo:hi]
+    return out
+
+
+def sweep(m: SimplicialManifold, cov: AdmissibleCovering,
+          omega: dec.Cochain, r: float = 2.0):
+    """One gluing sweep T omega = sum_j E_j chi_j K_j^-1 (M_j omega|I_j).
+
+    K_j, M_j: interior submesh stiffness and mass of patch j (Patch.
+    factor) on its interior p-simplices I_j; E_j: zero extension; chi_j:
+    simplex average of partition function j.  Returns (v0, us, solves):
+    T omega, the local solutions u_j and their diagnostics.  A cover by
+    one boundaryless ball uses the whole-manifold pseudoinverse.
+    """
+    p = omega.degree
+    patches = cached_patches(m, cov)
+    whole = _whole_manifold_cover(patches, p)
+    chi = cov.chi.tocsc()
+    v0 = np.zeros(m.num_simplices(p))
+    us, solves = [], []
+    for j, patch in enumerate(patches):
+        I = patch.interior[p]
+        if whole:
+            u_j, diag = _whole_manifold_solve(m, omega)
+        else:
+            loc = np.zeros(m.num_simplices(p))
+            loc[I] = omega.values[I]
+            u_j, diag = local_solver.solve_local_dirichlet(
+                patch, dec.Cochain(m, p, loc), r)
+        chi_j = _chi_vertex(chi, j, m.num_vertices)
+        v0[I] += chi_j[m.simplices[p][I]].mean(axis=1) * u_j.values[I]
+        us.append(u_j)
+        solves.append(diag)
+    return dec.Cochain(m, p, v0), us, solves
+
+
+def sweep_adjoint(m: SimplicialManifold, cov: AdmissibleCovering,
+                  phi: dec.Cochain) -> dec.Cochain:
+    """Mass adjoint of sweep: <T x, y>_M = <x, T* y>_M.
+
+    T* phi = sum_j E_j (M_j / M|I_j) K_j^-T (chi_j M phi)|I_j with M the
+    global mass diagonal; it reuses the factors of the forward sweep.
+    """
+    p = phi.degree
+    patches = cached_patches(m, cov)
+    chi = cov.chi.tocsc()
+    if _whole_manifold_cover(patches, p):
+        chi_s = simplex_average(m, p, _chi_vertex(chi, 0, m.num_vertices))
+        u, _ = _whole_manifold_solve(m, dec.Cochain(m, p, chi_s * phi.values))
+        return u
+    Mw = dec.mass_diagonal(m, p)
+    Mphi = Mw * phi.values
+    out = np.zeros(m.num_simplices(p))
+    for j, patch in enumerate(patches):
+        f = patch.factor(p)
+        I = f.interior
+        chi_j = _chi_vertex(chi, j, m.num_vertices)
+        rhs = chi_j[m.simplices[p][I]].mean(axis=1) * Mphi[I]
+        out[I] += f.M_I / Mw[I] * f.lu.solve(rhs, trans="T")
+    return dec.Cochain(m, p, out)
+
+
 # -- ledger inequalities ------------------------------------------------
-
-
-def _chi_dense(cov: AdmissibleCovering) -> np.ndarray:
-    if not hasattr(cov, "_chi_dense"):
-        cov._chi_dense = np.asarray(cov.chi.todense())
-    return cov._chi_dense
 
 
 def _gluing_bound(m, cov, w: WeightField, parts, s: float, order: int) -> dict:
@@ -362,8 +431,7 @@ def _leibniz_diagnostic(m, cov, w, us, s: float, eps: float) -> dict:
 
 def rsm_step(m: SimplicialManifold, cov: AdmissibleCovering,
              rf: RadiusField, omega: dec.Cochain, r: float,
-             w: WeightField, step_index: int = 0,
-             chi_localize: bool = False):
+             w: WeightField, step_index: int = 0):
     """One gluing sweep: local solves, partition gluing, exact residual.
 
     Returns (v0, omega1, StepDiagnostics) with omega1 = Delta v0 - omega
@@ -373,33 +441,18 @@ def rsm_step(m: SimplicialManifold, cov: AdmissibleCovering,
     if w.ball_means is None:
         from .covering import check_weight_relative
         check_weight_relative(w, cov, m)
-    chi = _chi_dense(cov)
-    patches = cached_patches(m, cov)
+    v0, us, solves = sweep(m, cov, omega, r)
+    chi = cov.chi.tocsc()
     lap = dec.hodge_laplacian(m, p)
 
-    parts, us, solves = [], [], []
+    parts = []
     defect_sum = np.zeros(m.num_simplices(p))
     chi_lap_sum = np.zeros(m.num_simplices(p))
-    for j, patch in enumerate(patches):
-        if patch.boundary[p].size == 0 and len(patches) == 1:
-            u_j, diag = _whole_manifold_solve(m, omega)
-        else:
-            loc = np.zeros(m.num_simplices(p))
-            loc[patch.interior[p]] = omega.values[patch.interior[p]]
-            if chi_localize:
-                loc *= simplex_average(m, p, chi[:, j])
-            u_j, diag = local_solver.solve_local_dirichlet(
-                patch, dec.Cochain(m, p, loc), r)
-        part = multiply_scalar(m, chi[:, j], u_j)
-        parts.append(part)
-        us.append(u_j)
-        solves.append(diag)
-        defect_sum += commutator_defect(m, chi[:, j], u_j).values
-        chi_lap_sum += multiply_scalar(m, chi[:, j], lap(u_j)).values
-
-    v0 = parts[0].copy()
-    for pc in parts[1:]:
-        v0 = v0 + pc
+    for j, u_j in enumerate(us):
+        chi_j = _chi_vertex(chi, j, m.num_vertices)
+        parts.append(multiply_scalar(m, chi_j, u_j))
+        defect_sum += commutator_defect(m, chi_j, u_j).values
+        chi_lap_sum += multiply_scalar(m, chi_j, lap(u_j)).values
     omega1 = lap(v0) - omega
 
     s = max(r, min(2.0, dec.sobolev_exponent(r, 2, m.n)))

@@ -159,6 +159,17 @@ def test_dual_poisson_residual_and_agreement(torus16, cover16, spec16_p1,
     assert dec.norm_l2(lap(ud - up)) <= 1e-7 * dec.norm_l2(phi)
 
 
+def test_dual_poisson_above_dense_limit(torus32, cover32, spec32_p1, rng):
+    # N = 3072 edges exceeds analysis.DENSE_LIMIT
+    rf, cov = cover32
+    phi = dec.random_cochain(torus32, 1, rng)
+    phi = phi - harmonic_projection(torus32, spec32_p1, phi)
+    phi = phi - harmonic_projection(torus32, spec32_p1, phi)
+    u, diags = dual_poisson_solve(torus32, cov, rf, spec32_p1, phi, 1.5)
+    assert torus32.num_simplices(1) > analysis.DENSE_LIMIT
+    assert diags["residual"] <= 1e-8
+
+
 def test_strong_decomposition_harmonic_input(torus16, cover16, spec16_p1):
     rf, cov = cover16
     h = dec.Cochain(torus16, 1, spec16_p1.harmonic_basis[:, 1])

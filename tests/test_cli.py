@@ -75,10 +75,24 @@ def test_solve_report(runner, tmp_path):
     out = Path(json.loads(Path(cfg).read_text())["out_dir"])
     rep = json.loads((out / "solve_report.json").read_text())
     assert rep["all_passed"]
+    assert "threads" not in rep and "alpha_q" not in rep["config"]
     names = {c["name"] for c in rep["checks"]}
     assert "rsm_identity_p1" in names and "rsm_ledger_p1" in names
     assert (out / "trace_p1.json").exists()
     assert (out / "trace_p1.csv").exists()
+
+
+@pytest.mark.parametrize("k,expected", [(None, 2), (1, 1)])
+def test_solve_steps_from_threshold(runner, tmp_path, k, expected):
+    # r = 1.5, n = 2: S_1 = 6 < s = 8 <= S_2, so k = null runs two steps;
+    # a leftover alpha_q key still loads
+    cfg = _cfg(tmp_path, mesh={"kind": "flat_torus", "resolution": 12},
+               r=1.5, s=8.0, k=k, alpha_q=0.0)
+    res = runner.invoke(main, ["solve", "--config", cfg])
+    assert res.exit_code == 0, res.output
+    out = Path(json.loads(Path(cfg).read_text())["out_dir"])
+    trace = json.loads((out / "trace_p1.json").read_text())
+    assert trace["k"] == expected
 
 
 def test_decompose_pass_and_report(runner, tmp_path):

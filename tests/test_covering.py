@@ -1,4 +1,5 @@
 import json
+import logging
 import warnings
 
 import numpy as np
@@ -21,6 +22,13 @@ def test_flat_torus_radius_homogeneous(torus16, cover16):
     assert rf.values.max() - rf.values.min() < 1e-6
     assert rf.values.min() >= 2.0 * torus16.mean_edge_length() - 1e-12
     assert rf.values.max() <= 1.0
+
+
+def test_divisor_clamp_recorded_without_warning(torus16, caplog):
+    with caplog.at_level(logging.DEBUG):
+        rf = compute_radius_field(torus16, 0.1)
+    assert rf.divisor_effective == 5
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 def test_admissible_radius_matches_field(torus16, cover16):

@@ -87,6 +87,24 @@ def test_dirichlet_residual_and_linearity(torus16, patch16, rng):
     assert d1.c_j > 0 and np.isfinite(d1.c_j)
 
 
+def test_patch_operator_is_submesh_stiffness(torus16, patch16, rng):
+    sub, _, rows = patch16.submesh()
+    for p in (0, 1):
+        f = patch16.factor(p)
+        r = rows[p]
+        assert (f.K_II != dec.stiffness_matrix(sub, p)[np.ix_(r, r)]).nnz == 0
+        assert np.array_equal(f.M_I, dec.mass_diagonal(sub, p)[r])
+        omega = dec.random_cochain(torus16, p, rng)
+        u, _ = solve_local_dirichlet(patch16, omega)
+        rhs = f.M_I * omega.values[f.interior]
+        res = f.K_II @ u.values[f.interior] - rhs
+        assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
+    # not the interior block of the global stiffness
+    I = patch16.interior[1]
+    K_glob = dec.stiffness_matrix(torus16, 1)[np.ix_(I, I)]
+    assert abs(K_glob - patch16.factor(1).K_II).max() > 0
+
+
 def test_neumann_flat_override_one_step(torus16, patch16, rng):
     # metric perturbation A = 0: series terminates immediately
     omega = dec.random_cochain(torus16, 1, rng)

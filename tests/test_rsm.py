@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from hodge_rsm import covering, dec, rsm
+from hodge_rsm import covering, dec, local_solver, rsm
 from hodge_rsm.covering import RadiusField, partition_of_unity, vitali_cover
 from hodge_rsm.rsm import (RsmConfig, commutator_defect,
                            commutator_pointwise_bound, compact_support_check,
@@ -134,6 +136,42 @@ def test_single_ball_cover_gap_route(torus8):
     # omega1 is harmonic: Delta omega1 = 0 and it kills the stiffness form
     assert dec.norm_l2(lap(omega1)) < 1e-8 * dec.norm_l2(omega)
     assert dec.norm_l2(lap(v0) - omega - omega1) < 1e-10 * dec.norm_l2(omega)
+
+
+def _single_ball_cover(m):
+    rf = RadiusField(np.ones(m.num_vertices), 0.1, 120, 0.4)
+    cov = vitali_cover(m, rf)
+    partition_of_unity(m, cov)
+    return cov
+
+
+@pytest.mark.parametrize("mesh,p", [("torus16", 0), ("torus16", 1),
+                                    ("torus8", 1)])
+def test_sweep_adjoint_identity(request, cover16, mesh, p):
+    m = request.getfixturevalue(mesh)
+    cov = cover16[1] if mesh == "torus16" else _single_ball_cover(m)
+    rng = np.random.default_rng(11)
+    x = dec.random_cochain(m, p, rng)
+    y = dec.random_cochain(m, p, rng)
+    Tx = rsm.sweep(m, cov, x)[0]
+    Ty = rsm.sweep_adjoint(m, cov, y)
+    scale = dec.norm_l2(Tx) * dec.norm_l2(y) + dec.norm_l2(x) * dec.norm_l2(Ty)
+    assert abs(dec.inner(Tx, y) - dec.inner(x, Ty)) <= 1e-12 * scale
+
+
+def test_sweeps_factor_each_patch_once(torus16, cover16, monkeypatch, rng):
+    cov = dataclasses.replace(cover16[1], patches=None)
+    calls = []
+    splu = local_solver.spla.splu
+    monkeypatch.setattr(local_solver.spla, "splu",
+                        lambda A: calls.append(1) or splu(A))
+    rsm.cached_patches(torus16, cov)
+    assert not calls
+    omega = dec.random_cochain(torus16, 1, rng)
+    for _ in range(2):
+        rsm.sweep(torus16, cov, omega)
+    rsm.sweep_adjoint(torus16, cov, omega)
+    assert len(calls) == len(cov.balls)
 
 
 def test_localized_source_recovery(torus16, cover16, rng):
