@@ -5,6 +5,10 @@ p-simplex).  The coboundary d is the transpose of the signed incidence,
 the codifferential is its adjoint for diagonal lumped mass matrices, and
 all L^r / Sobolev norms integrate pointwise densities |omega|(sigma) =
 |omega_sigma| / vol_p(sigma) against the per-simplex support n-volume.
+
+The operator functions (mass, d, d*, Laplacian, stiffness) read only n,
+num_simplices, boundary, volumes, support_volumes and _op_cache of the
+complex, so they also run on local_solver.PatchComplex.
 """
 
 from __future__ import annotations
@@ -102,13 +106,10 @@ class NormSpec:
 
 
 def _cached(m: SimplicialManifold, key: str, p: int, build):
-    # cache lives on the manifold so it cannot outlive (or alias) it
-    cache = getattr(m, "_op_cache", None)
-    if cache is None:
-        cache = m._op_cache = {}
-    out = cache.get((key, p))
+    # cache lives on the complex so it cannot outlive (or alias) it
+    out = m._op_cache.get((key, p))
     if out is None:
-        out = cache[(key, p)] = build()
+        out = m._op_cache[(key, p)] = build()
     return out
 
 

@@ -90,6 +90,7 @@ class SimplicialManifold:
             self._normalize_diameter()
         self._dist_cache: dict[int, np.ndarray] = {}
         self._all_dist = None
+        self._op_cache: dict = {}    # dec operators, keyed (name, degree)
 
     # -- construction ---------------------------------------------------
 

@@ -6,9 +6,16 @@ the patch boundary); homogeneous Dirichlet data is imposed on the
 boundary simplices.  The patch operator is the interior block of the
 patch submesh stiffness, not of the global one (they differ near the
 boundary through the boundary-face masses).  Two solvers are provided: a
-direct factorization of it, cached per degree on the patch, and a
+direct factorization of it, kept per degree on the patch, and a
 flat/curved Neumann series that splits the patch Laplacian around the
 chart's identity metric.
+
+The direct systems of all patches are assembled at once, on the first
+sweep at a degree (factor_patches): dec builds the stiffness and mass
+one time on the disjoint union of the patch subcomplexes, sliced from
+the global complex (PatchComplex), and each patch keeps its interior
+block with its own LU factors.  The blocks equal those of each patch's
+submesh stiffness bit for bit, with no per-patch manifold or chart.
 """
 
 from __future__ import annotations
@@ -82,6 +89,8 @@ class Patch:
     def submesh(self):
         """Patch cells as a standalone complex with the true edge lengths.
 
+        Only the Neumann-series flat operator builds it; the direct
+        solver's blocks come from factor_patches and equal its own.
         Returns (sub, verts, rows) where rows[p] maps this patch's global
         interior p-simplices to submesh row indices.
         """
@@ -108,19 +117,99 @@ class Patch:
         return self._sub
 
     def factor(self, p: int) -> PatchFactor:
-        """The factored interior system at degree p, built on first use."""
-        if p not in self._factors:
-            I = self.interior[p]
-            if I.size == 0:
-                raise PatchError(
-                    f"ball {self.ball.index}: no interior {p}-simplex")
-            sub, _, rows = self.submesh()
-            r = rows[p]
-            K_II = dec.stiffness_matrix(sub, p)[np.ix_(r, r)].tocsc()
-            self._factors[p] = PatchFactor(I, K_II,
-                                           dec.mass_diagonal(sub, p)[r],
-                                           spla.splu(K_II))
+        """The factored interior system at degree p, built on first use
+        by factor_patches (the sweeps build those of all patches at once)."""
+        factor_patches([self], p)
         return self._factors[p]
+
+
+@dataclass
+class PatchComplex:
+    """Disjoint union of patch subcomplexes, sliced from the global complex.
+
+    Row i at degree q is the global q-simplex simplices[q][i].  The rows
+    of patch j are starts[q][j] to starts[q][j + 1], sorted by global
+    index as in its submesh.  The metric fields are those dec's operator
+    functions read.
+    """
+
+    n: int
+    simplices: list          # degree -> global simplex index of each row
+    starts: list             # degree -> first row of each patch, then total
+    boundary: list
+    volumes: list
+    support_volumes: list
+    _op_cache: dict = field(default_factory=dict)
+
+    def num_simplices(self, p: int) -> int:
+        return self.simplices[p].shape[0]
+
+
+def _patch_complex(patches: list) -> PatchComplex:
+    """The PatchComplex of patches sharing one manifold.
+
+    Rows are found through the sorted keys j * N_q + global index, so no
+    dense patches x simplices table is built.  Support volumes sum each
+    patch's own cells in cell order, as a submesh of those cells does.
+    """
+    m = patches[0].manifold
+    n = m.n
+    simplices, owner, starts, keys = [], [], [], []
+    for q in range(n + 1):
+        parts = [pt.patch_simplices(q) for pt in patches]
+        sizes = [x.size for x in parts]
+        simplices.append(np.concatenate(parts))
+        owner.append(np.repeat(np.arange(len(patches)), sizes))
+        starts.append(np.concatenate([[0], np.cumsum(sizes)]))
+        keys.append(owner[q] * m.num_simplices(q) + simplices[q])
+
+    def rows(q, own, glob):
+        return np.searchsorted(keys[q], own * m.num_simplices(q) + glob)
+
+    boundary = [None] * (n + 1)
+    for q in range(1, n + 1):
+        B = m.boundary[q].tocsc()[:, simplices[q]].tocoo()
+        boundary[q] = sp.csr_matrix(
+            (B.data, (rows(q - 1, owner[q][B.col], B.row), B.col)),
+            shape=(simplices[q - 1].size, simplices[q].size))
+
+    cells, cell_owner = simplices[n], owner[n][:, None]
+    support = []
+    for q in range(n + 1):
+        faces = rows(q, cell_owner, m._cell_faces[q][cells])
+        share = m.volumes[n][cells] / math.comb(n + 1, q + 1)
+        sv = np.zeros(simplices[q].size)
+        np.add.at(sv, faces.ravel(), np.repeat(share, faces.shape[1]))
+        support.append(sv)
+    return PatchComplex(n, simplices, starts, boundary,
+                        [m.volumes[q][simplices[q]] for q in range(n + 1)],
+                        support)
+
+
+def factor_patches(patches: list, p: int) -> None:
+    """Factor the degree-p interior system of every patch lacking one.
+
+    The stiffness and mass are assembled once, on the PatchComplex of
+    those patches; each patch keeps its interior block, equal bit for
+    bit to that of its submesh stiffness and mass, and its own splu
+    factors.  A no-op when every patch is already factored at p.
+    """
+    todo = [pt for pt in patches if p not in pt._factors]
+    if not todo:
+        return
+    for pt in todo:
+        if pt.interior[p].size == 0:
+            raise PatchError(f"ball {pt.ball.index}: no interior {p}-simplex")
+    union = _patch_complex(todo)
+    K = dec.stiffness_matrix(union, p)
+    M = dec.mass_diagonal(union, p)
+    start = union.starts[p]
+    for j, pt in enumerate(todo):
+        lo, hi = start[j], start[j + 1]
+        I = pt.interior[p]
+        r = np.searchsorted(union.simplices[p][lo:hi], I)
+        K_II = K[lo:hi, lo:hi][np.ix_(r, r)].tocsc()
+        pt._factors[p] = PatchFactor(I, K_II, M[lo:hi][r], spla.splu(K_II))
 
 
 def extract_patch(m: SimplicialManifold, cov, j: int,
@@ -128,8 +217,9 @@ def extract_patch(m: SimplicialManifold, cov, j: int,
     """Build the patch over ball j (or its doubled ball).
 
     Boundary (n-1)-faces are those lying in exactly one patch n-cell;
-    boundary p-simplices are their p-faces.  Every face of an interior
-    simplex is again a patch simplex.
+    boundary p-simplices are their p-faces, found top down through the
+    unsigned incidence: the faces of boundary (p+1)-simplices.  Every
+    face of an interior simplex is again a patch simplex.
     """
     ball = cov.balls[j]
     n = m.n
@@ -149,28 +239,11 @@ def extract_patch(m: SimplicialManifold, cov, j: int,
     for p in range(n):
         in_patch[p][m._cell_faces[p][cells].ravel()] = True
 
-    # boundary (n-1)-faces: exactly one incident patch cell
-    adj = abs(m.boundary[n])               # (n-1)-faces x n-cells
-    inc = np.asarray(adj[:, cells].sum(axis=1)).ravel()
-    bfaces = np.flatnonzero(in_patch[n - 1] & (inc == 1))
-
-    bnd = [np.zeros(m.num_simplices(p), dtype=bool) for p in range(n + 1)]
-    bnd[n - 1][bfaces] = True
-    simp_nm1 = m.simplices[n - 1]
-    bverts = np.zeros(m.num_vertices, dtype=bool)
-    if bfaces.size:
-        bverts[simp_nm1[bfaces].ravel()] = True
-    for p in range(n - 1):
-        sub = m.simplices[p]
-        # p-faces of boundary (n-1)-faces: all vertices on some boundary face
-        cand = np.flatnonzero(in_patch[p])
-        for s in cand:
-            if bverts[sub[s]].all():
-                # verify the simplex is inside a boundary (n-1)-face
-                for bf in bfaces:
-                    if np.isin(sub[s], simp_nm1[bf]).all():
-                        bnd[p][s] = True
-                        break
+    bnd = [None] * (n + 1)
+    bnd[n] = np.zeros(m.num_simplices(n), dtype=bool)
+    bnd[n - 1] = abs(m.boundary[n]) @ cell_mask.astype(np.int64) == 1
+    for p in range(n - 2, -1, -1):
+        bnd[p] = abs(m.boundary[p + 1]) @ bnd[p + 1].astype(np.int64) > 0
     for p in range(n + 1):
         patch.interior[p] = np.flatnonzero(in_patch[p] & ~bnd[p])
         patch.boundary[p] = np.flatnonzero(bnd[p])
@@ -193,9 +266,11 @@ def solve_local_dirichlet(patch: Patch, omega: dec.Cochain,
     """Solve the patch Hodge-Laplace problem with zero boundary values.
 
     Solves K_II u_I = M_I omega_I with the patch submesh stiffness K_II
-    and mass M_I on the interior simplices (Patch.factor, factored once
-    per degree), so the submesh Laplacian of u equals omega on the
-    interior to machine precision; u is zero-extended outside.
+    and mass M_I on the interior simplices, so the submesh Laplacian of
+    u equals omega on the interior to machine precision; u is
+    zero-extended outside.  K_II is factored once per degree (Patch.
+    factor); the sweeps assemble the factors of all patches at once, on
+    the first sweep at a degree (factor_patches).
     """
     m, p = patch.manifold, omega.degree
     f = patch.factor(p)

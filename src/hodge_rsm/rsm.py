@@ -212,8 +212,8 @@ def commutator_pointwise_bound(m: SimplicialManifold,
 
 
 def cached_patches(m: SimplicialManifold, cov: AdmissibleCovering) -> list:
-    """Patches of all balls, extracted once per covering; each factors
-    its interior system on first use (Patch.factor), not here."""
+    """Patches of all balls, extracted once per covering; their interior
+    systems are factored on the first sweep at a degree, not here."""
     if cov.patches is None:
         cov.patches = [local_solver.extract_patch(m, cov, j)
                        for j in range(len(cov.balls))]
@@ -262,15 +262,19 @@ def sweep(m: SimplicialManifold, cov: AdmissibleCovering,
           omega: dec.Cochain, r: float = 2.0):
     """One gluing sweep T omega = sum_j E_j chi_j K_j^-1 (M_j omega|I_j).
 
-    K_j, M_j: interior submesh stiffness and mass of patch j (Patch.
-    factor) on its interior p-simplices I_j; E_j: zero extension; chi_j:
-    simplex average of partition function j.  Returns (v0, us, solves):
-    T omega, the local solutions u_j and their diagnostics.  A cover by
-    one boundaryless ball uses the whole-manifold pseudoinverse.
+    K_j, M_j: interior submesh stiffness and mass of patch j on its
+    interior p-simplices I_j; E_j: zero extension; chi_j: simplex average
+    of partition function j.  The first sweep at a degree assembles and
+    factors K_j for all patches at once (local_solver.factor_patches);
+    later sweeps reuse the factors.  Returns (v0, us, solves): T omega,
+    the local solutions u_j and their diagnostics.  A cover by one
+    boundaryless ball uses the whole-manifold pseudoinverse.
     """
     p = omega.degree
     patches = cached_patches(m, cov)
     whole = _whole_manifold_cover(patches, p)
+    if not whole:
+        local_solver.factor_patches(patches, p)
     chi = cov.chi.tocsc()
     v0 = np.zeros(m.num_simplices(p))
     us, solves = [], []
@@ -304,6 +308,7 @@ def sweep_adjoint(m: SimplicialManifold, cov: AdmissibleCovering,
         chi_s = simplex_average(m, p, _chi_vertex(chi, 0, m.num_vertices))
         u, _ = _whole_manifold_solve(m, dec.Cochain(m, p, chi_s * phi.values))
         return u
+    local_solver.factor_patches(patches, p)
     Mw = dec.mass_diagonal(m, p)
     Mphi = Mw * phi.values
     out = np.zeros(m.num_simplices(p))

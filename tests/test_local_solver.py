@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from hodge_rsm import covering, dec, local_solver
+from hodge_rsm import covering, dec, geometry, local_solver
 from hodge_rsm.covering import RadiusField, vitali_cover, partition_of_unity
 from hodge_rsm.local_solver import (PatchError, extract_patch,
                                     local_czi_check, neumann_series_solve,
@@ -87,13 +89,33 @@ def test_dirichlet_residual_and_linearity(torus16, patch16, rng):
     assert d1.c_j > 0 and np.isfinite(d1.c_j)
 
 
-def test_patch_operator_is_submesh_stiffness(torus16, patch16, rng):
-    sub, _, rows = patch16.submesh()
+@pytest.fixture(scope="module")
+def cover3d5():
+    m = geometry.generate_flat_torus_3d(5)
+    rf = covering.compute_radius_field(m, 0.1)
+    cov = covering.vitali_cover(m, rf)
+    covering.partition_of_unity(m, cov)
+    return m, cov
+
+
+def _assert_submesh_blocks(patches, degrees):
+    # the batched assembly against each patch's own submesh complex
+    for p in degrees:
+        local_solver.factor_patches(patches, p)
+        for patch in patches:
+            sub, _, rows = patch.submesh()
+            r = rows[p]
+            f = patch.factor(p)
+            assert np.array_equal(f.interior, patch.interior[p])
+            K_sub = dec.stiffness_matrix(sub, p)[np.ix_(r, r)]
+            assert (f.K_II != K_sub).nnz == 0
+            assert np.array_equal(f.M_I, dec.mass_diagonal(sub, p)[r])
+
+
+def test_patch_operator_is_submesh_stiffness(torus16, cover16, patch16, rng):
+    _assert_submesh_blocks(cached_patches(torus16, cover16[1]), (0, 1, 2))
     for p in (0, 1):
         f = patch16.factor(p)
-        r = rows[p]
-        assert (f.K_II != dec.stiffness_matrix(sub, p)[np.ix_(r, r)]).nnz == 0
-        assert np.array_equal(f.M_I, dec.mass_diagonal(sub, p)[r])
         omega = dec.random_cochain(torus16, p, rng)
         u, _ = solve_local_dirichlet(patch16, omega)
         rhs = f.M_I * omega.values[f.interior]
@@ -103,6 +125,25 @@ def test_patch_operator_is_submesh_stiffness(torus16, patch16, rng):
     I = patch16.interior[1]
     K_glob = dec.stiffness_matrix(torus16, 1)[np.ix_(I, I)]
     assert abs(K_glob - patch16.factor(1).K_II).max() > 0
+
+
+def test_patch_operator_is_submesh_stiffness_3d(cover3d5):
+    m, cov = cover3d5
+    _assert_submesh_blocks(cached_patches(m, cov), (0, 1, 2, 3))
+
+
+def test_factor_patches_names_ball_without_interior(torus16, cover16):
+    # a hand-built ball holding one triangle: every vertex and edge of
+    # the patch lies on its boundary
+    cell = torus16.simplices[2][0]
+    ball = SimpleNamespace(index=99, center=int(cell[0]), members=cell,
+                           doubled_members=cell)
+    lone = extract_patch(torus16, SimpleNamespace(balls=[ball]), 0)
+    assert lone.interior[1].size == 0
+    good = extract_patch(torus16, cover16[1], 3)
+    for p in (0, 1):
+        with pytest.raises(PatchError, match=f"ball 99: no interior {p}-"):
+            local_solver.factor_patches([good, lone], p)
 
 
 def test_neumann_flat_override_one_step(torus16, patch16, rng):

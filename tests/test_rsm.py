@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hodge_rsm import covering, dec, local_solver, rsm
+from hodge_rsm import covering, dec, geometry, local_solver, rsm
 from hodge_rsm.covering import RadiusField, partition_of_unity, vitali_cover
 from hodge_rsm.rsm import (RsmConfig, commutator_defect,
                            commutator_pointwise_bound, compact_support_check,
@@ -172,6 +172,24 @@ def test_sweeps_factor_each_patch_once(torus16, cover16, monkeypatch, rng):
         rsm.sweep(torus16, cov, omega)
     rsm.sweep_adjoint(torus16, cov, omega)
     assert len(calls) == len(cov.balls)
+
+
+def test_first_sweep_builds_no_manifold_or_chart(torus16, cover16,
+                                                monkeypatch, rng):
+    cov = dataclasses.replace(cover16[1], patches=None)
+    built = []
+    for cls in (geometry.SimplicialManifold, geometry.ChartFrame):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    omega = dec.random_cochain(torus16, 1, rng)
+    rsm.sweep(torus16, cov, omega)
+    assert built == []
+    # every patch is factored: a second batch is a no-op
+    factors = [patch.factor(1) for patch in cov.patches]
+    local_solver.factor_patches(cov.patches, 1)
+    assert all(patch.factor(1) is f for patch, f in zip(cov.patches, factors))
 
 
 def test_localized_source_recovery(torus16, cover16, rng):
