@@ -23,7 +23,7 @@ from scipy.optimize import linprog
 from . import dec, rsm
 from .covering import AdmissibleCovering, RadiusField, WeightField, \
     constant_weight
-from .geometry import SimplicialManifold, geodesic_distance
+from .geometry import SimplicialManifold
 
 DENSE_LIMIT = 3000
 HARMONIC_TOL_REL = 1e-8

@@ -87,18 +87,35 @@ class WeightField:
 
 
 def admissible_radius(m: SimplicialManifold, x: int, eps: float) -> float:
-    """Largest R in [R_min, 1] whose chart at x stays within eps."""
+    """Largest R in [R_min, 1] whose chart at x stays within eps.
+
+    The chart frame is fitted only on a ball around x.  Its reach starts
+    at R_min, because a distortion exceeding eps below the floor gives
+    R_min anyway, and doubles, up to the clamp 1, while the first
+    exceedance lies beyond it.  The result is that of a whole-mesh
+    frame, min(1, max(R, R_min)) with R = ChartFrame(m, x)
+    .largest_radius_within(eps), up to the frame's Tikhonov weight,
+    which averages over the fitted ball.
+    """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     r_min = RADIUS_FLOOR_EDGES * m.mean_edge_length()
-    frame = ChartFrame(m, x)
-    r = frame.largest_radius_within(eps)
-    return float(min(1.0, max(r, r_min)))
+    reach = r_min
+    while True:
+        r = ChartFrame(m, x, reach).largest_radius_within(eps)
+        if r < math.inf or reach >= 1.0:
+            return float(min(1.0, max(r, r_min)))
+        reach = min(2.0 * reach, 1.0)
 
 
 def compute_radius_field(m: SimplicialManifold, eps: float,
                          divisor: float = 120.0) -> RadiusField:
     """Admissible radius at every vertex plus the effective Vitali divisor.
+
+    Each radius comes from chart frames fitted on balls around its vertex
+    (see admissible_radius).  Where radii stay within a few multiples of
+    the floor R_min, a vertex costs one or two bounded Dijkstra searches
+    and fits on the edges of a small ball, not a whole-mesh frame.
 
     The divisor is reduced (never below MIN_DIVISOR) when R/divisor
     would fall under the mesh resolution, since core balls smaller than

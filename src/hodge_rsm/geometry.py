@@ -60,6 +60,8 @@ class SimplicialManifold:
         volumes: per-degree p-volumes (from edge lengths, Cayley-Menger).
         support_volumes: per-degree array; entry sigma is the share of
             total n-volume supported on sigma (barycentric lumping).
+        graph: symmetric sparse V x V matrix of edge lengths, built once
+            from the final (normalized) metric.
     """
 
     def __init__(self, dimension, vertices, cells, edge_lengths=None,
@@ -84,11 +86,15 @@ class SimplicialManifold:
         if edge_lengths is not None:
             self._supplied_lengths = np.asarray(edge_lengths, dtype=float)
         self._build_metric()
+        # weighted edge graph of the metric so far; rebuilt once if the
+        # diameter normalization rescales it
+        graph = _edge_graph(self)
         if validate:
-            self._validate()
+            self._validate(graph)
         if normalize:
-            self._normalize_diameter()
-        self._dist_cache: dict[int, np.ndarray] = {}
+            self._normalize_diameter(graph)
+            graph = _edge_graph(self)
+        self.graph: sp.csr_matrix = graph
         self._all_dist = None
         self._op_cache: dict = {}    # dec operators, keyed (name, degree)
 
@@ -183,7 +189,7 @@ class SimplicialManifold:
                       np.repeat(share, self._cell_faces[p].shape[1]))
             self.support_volumes[p] = sv
 
-    def _validate(self):
+    def _validate(self, graph):
         n = self.n
         # boundary of boundary vanishes
         for p in range(2, n + 1):
@@ -214,8 +220,7 @@ class SimplicialManifold:
         # consistent orientation of the as-given cells
         self._check_orientation()
         # connectivity
-        g = self.edge_graph()
-        ncomp, _ = connected_components(g, directed=False)
+        ncomp, _ = connected_components(graph, directed=False)
         if ncomp != 1:
             raise MeshError("mesh is not connected")
 
@@ -233,16 +238,16 @@ class SimplicialManifold:
             if len(signs) != 2 or signs[0] + signs[1] != 0:
                 raise MeshError(f"inconsistent orientation across face {face}")
 
-    def _normalize_diameter(self):
-        diam = self._approx_diameter()
+    def _normalize_diameter(self, graph):
+        diam = self._approx_diameter(graph)
         scale = 2.0 / diam
         self.vertices = self.vertices * scale
         if self._supplied_lengths is not None:
             self._supplied_lengths = self._supplied_lengths * scale
         self._build_metric()
 
-    def _approx_diameter(self) -> float:
-        g = self.edge_graph()
+    @staticmethod
+    def _approx_diameter(g) -> float:
         d0 = dijkstra(g, directed=False, indices=0)
         u = int(np.argmax(d0))
         d1 = dijkstra(g, directed=False, indices=u)
@@ -270,12 +275,8 @@ class SimplicialManifold:
         return self.support_volumes[0]
 
     def edge_graph(self) -> sp.csr_matrix:
-        edges = self.simplices[1]
-        V = self.num_vertices
-        g = sp.csr_matrix(
-            (self.edge_lengths, (edges[:, 0], edges[:, 1])), shape=(V, V)
-        )
-        return g + g.T
+        """Symmetric sparse V x V matrix of edge lengths, built once."""
+        return self.graph
 
     def mean_edge_length(self) -> float:
         return float(self.edge_lengths.mean())
@@ -288,24 +289,34 @@ class SimplicialManifold:
         return vmask[self.simplices[p]].all(axis=1)
 
 
-def geodesic_distance(m: SimplicialManifold, source: int) -> np.ndarray:
-    """Single-source shortest-path distance along weighted edges."""
+def _edge_graph(m: SimplicialManifold) -> sp.csr_matrix:
+    edges = m.simplices[1]
+    V = m.num_vertices
+    g = sp.csr_matrix((m.edge_lengths, (edges[:, 0], edges[:, 1])),
+                      shape=(V, V))
+    return g + g.T
+
+
+def geodesic_distance(m: SimplicialManifold, source: int,
+                      limit: float | None = None) -> np.ndarray:
+    """Single-source shortest-path distance along weighted edges.
+
+    With a limit, the search stops there: vertices farther than `limit`
+    get inf, and only the ball of that radius is explored.  Nothing is
+    cached; each call runs one Dijkstra search on `m.graph`.
+    """
     if not 0 <= source < m.num_vertices:
         raise ValueError(f"invalid vertex {source}")
-    cached = m._dist_cache.get(source)
-    if cached is None:
-        if m._all_dist is not None:
-            cached = m._all_dist[source]
-        else:
-            cached = dijkstra(m.edge_graph(), directed=False, indices=source)
-        m._dist_cache[source] = cached
-    return cached
+    # m.graph holds both directions of every edge, so a directed search
+    # is the undirected one without scipy transposing the graph each call
+    return dijkstra(m.graph, directed=True, indices=source,
+                    limit=np.inf if limit is None else limit)
 
 
 def all_geodesic_distances(m: SimplicialManifold) -> np.ndarray:
     """Full pairwise distance matrix (cached on the manifold)."""
     if m._all_dist is None:
-        m._all_dist = dijkstra(m.edge_graph(), directed=False)
+        m._all_dist = dijkstra(m.graph, directed=False)
     return m._all_dist
 
 
@@ -364,49 +375,90 @@ _IDENTITY_PACKED = {2: np.array([1.0, 0.0, 1.0]),
 
 
 class ChartFrame:
-    """Chart scaffolding for one center: coordinates and fitted metric at
-    every vertex of the mesh, plus per-edge first differences.
+    """Chart scaffolding for one center, fitted on its ball of radius
+    `reach` (the whole mesh by default).
 
-    Charts of any radius around the same center are slices of this frame,
-    which makes enlarging a chart monotone in both distortion measures.
+    Each vertex within the reach gets a metric, least-squares fitted to
+    the squared lengths of all its incident edges, and that metric's
+    largest eigen-deviation from the identity; each edge between two
+    such vertices gets the first difference of the fit across it.
+    Charts of any radius up to the reach are slices of one frame, which
+    makes enlarging a chart monotone in both distortion measures.  A
+    frame costs one Dijkstra search stopped at the reach plus work on
+    the edges incident to the ball.
+
+    Attributes:
+        distances: (V,) geodesic distance from the center, inf beyond
+            the reach.
+        fitted: the vertices within the reach, ascending.
+        coordinates: (V, n) chart coordinates; NaN for vertices more
+            than one edge beyond the reach.
+        metric, vertex_deviation: per fitted vertex, rows as in fitted.
+        edges, edge_difference: the edges with both ends fitted, and the
+            largest change of a packed metric entry across each.
+        foldover_distance: distance at which two fitted vertices first
+            share chart coordinates (inf if never).
+
+    The fit pulls toward the identity with a Tikhonov weight of 1e-8
+    times the mean trace of the normal matrices of the fitted vertices,
+    so a vertex's fit depends on the reach only through that weight.
     """
 
-    def __init__(self, m: SimplicialManifold, center: int):
+    def __init__(self, m: SimplicialManifold, center: int,
+                 reach: float = math.inf):
         self.m = m
         self.center = center
+        self.reach = float(reach)
         n = m.n
-        self.distances = geodesic_distance(m, center)
-        self.coordinates = self._build_coordinates()
-        self.metric_packed = self._fit_metric(self.coordinates)
-        gc = _unpack_metric(self.metric_packed[center], n)
+        self.distances = geodesic_distance(m, center, limit=reach)
+        self.fitted = np.flatnonzero(np.isfinite(self.distances))
+        nf = self.fitted.size
+        # edges with a fitted end, ascending: each fitted vertex sums its
+        # normal equations in the same order as on the whole mesh
+        eids = np.unique(_csr_rows(m.boundary[1], self.fitted))
+        ends = m.simplices[1][eids]
+        touched = np.unique(ends)
+        loc = np.searchsorted(touched, ends)
+        row = np.searchsorted(self.fitted, ends)
+        fitted_end = self.fitted[np.minimum(row, nf - 1)] == ends
+        row[~fitted_end] = nf    # scratch row for ends beyond the reach
+        target = m.edge_lengths[eids] ** 2
+
+        coords = self._build_coordinates(touched)
+        packed = _fit_metric(coords, loc, row, nf, target, n)
+        c = np.searchsorted(self.fitted, center)
         # normalize so the fitted metric at the center is the identity
         try:
-            L = np.linalg.cholesky(gc)
-            self.coordinates = self.coordinates @ L
-            self.metric_packed = self._fit_metric(self.coordinates)
+            L = np.linalg.cholesky(_unpack_metric(packed[c], n))
+            coords = coords @ L
+            packed = _fit_metric(coords, loc, row, nf, target, n)
         except np.linalg.LinAlgError:
             pass  # wildly folded chart; distortions will report it
-        self.metric_packed[center] = _IDENTITY_PACKED[n]
-        self.metric = _unpack_metric(self.metric_packed, n)
+        packed[c] = _IDENTITY_PACKED[n]
+        self.metric = _unpack_metric(packed, n)
         eigs = np.linalg.eigvalsh(self.metric)
         self.vertex_deviation = np.abs(eigs - 1.0).max(axis=1)
         spd = eigs[:, 0] > 0
         self.vertex_deviation[~spd] = np.inf
 
-        edges = m.simplices[1]
         # raw first difference across an edge (no division by length):
         # the mesh analogue of the sup-derivative bound on g_ij
-        dg = np.abs(self.metric_packed[edges[:, 1]]
-                    - self.metric_packed[edges[:, 0]])
+        both = fitted_end.all(axis=1)
+        self.edges = eids[both]
+        dg = np.abs(packed[row[both, 1]] - packed[row[both, 0]])
         self.edge_difference = dg.max(axis=1)
-        self.foldover_distance = self._foldover_distance()
+        self.coordinates = np.full((m.num_vertices, n), np.nan)
+        self.coordinates[touched] = coords
+        self.foldover_distance = _foldover_distance(
+            self.coordinates[self.fitted], self.distances[self.fitted])
 
-    def _build_coordinates(self) -> np.ndarray:
+    def _build_coordinates(self, verts: np.ndarray) -> np.ndarray:
         m, c = self.m, self.center
-        disp = m.vertices - m.vertices[c]
         nbrs = _vertex_neighbors(m, c)
-        _, _, vt = np.linalg.svd(disp[nbrs], full_matrices=False)
+        _, _, vt = np.linalg.svd(m.vertices[nbrs] - m.vertices[c],
+                                 full_matrices=False)
         basis = vt[: m.n]
+        disp = m.vertices[verts] - m.vertices[c]
         proj = disp @ basis.T
         chord = np.linalg.norm(disp, axis=1)
         pnorm = np.linalg.norm(proj, axis=1)
@@ -415,52 +467,25 @@ class ChartFrame:
         unit[safe] = proj[safe] / pnorm[safe, None]
         return chord[:, None] * unit
 
-    def _fit_metric(self, coords: np.ndarray) -> np.ndarray:
-        m = self.m
-        n = m.n
-        k = 3 if n == 2 else 6
-        edges = m.simplices[1]
-        diff = coords[edges[:, 1]] - coords[edges[:, 0]]
-        feat = _metric_feature(diff, n)
-        target = m.edge_lengths**2
-        V = m.num_vertices
-        ata = np.zeros((V, k, k))
-        atb = np.zeros((V, k))
-        outer = feat[:, :, None] * feat[:, None, :]
-        fb = feat * target[:, None]
-        for col in (0, 1):
-            np.add.at(ata, edges[:, col], outer)
-            np.add.at(atb, edges[:, col], fb)
-        # tiny Tikhonov pull toward the identity guards low-degree vertices
-        lam = 1e-8 * max(np.trace(ata.mean(axis=0)), 1e-300)
-        ata += lam * np.eye(k)
-        atb += lam * _IDENTITY_PACKED[n]
-        return np.linalg.solve(ata, atb[:, :, None])[:, :, 0]
-
-    def _foldover_distance(self) -> float:
-        """Distance at which two chart points first collide (inf if never)."""
-        coords = np.round(self.coordinates / FOLDOVER_TOL).astype(np.int64)
-        seen: dict[tuple, int] = {}
-        worst = np.inf
-        for i, key in enumerate(map(tuple, coords)):
-            j = seen.get(key)
-            if j is not None:
-                d = max(self.distances[i], self.distances[j])
-                worst = min(worst, d)
-            else:
-                seen[key] = i
-        return worst
-
     def chart(self, radius: float) -> Chart:
-        m = self.m
-        member_mask = self.distances < radius
-        member_mask[self.center] = True
-        members = np.flatnonzero(member_mask)
-        order = np.argsort(self.distances[members], kind="stable")
-        members = members[order]
-        eps_metric = float(self.vertex_deviation[members].max())
-        edges = m.simplices[1]
-        emask = member_mask[edges].all(axis=1)
+        """The chart of the vertices at distance < radius, center first.
+
+        Raises ValueError when radius exceeds the reach, where the
+        frame has no fit.
+        """
+        if radius > self.reach:
+            raise ValueError(f"chart radius {radius} exceeds the frame's "
+                             f"reach {self.reach}")
+        dist = self.distances[self.fitted]
+        member = dist < radius
+        member[np.searchsorted(self.fitted, self.center)] = True
+        rows = np.flatnonzero(member)
+        rows = rows[np.argsort(dist[rows], kind="stable")]
+        members = self.fitted[rows]
+        eps_metric = float(self.vertex_deviation[rows].max())
+        ends = self.m.simplices[1][self.edges]
+        emask = ((self.distances[ends] < radius)
+                 | (ends == self.center)).all(axis=1)
         eps_deriv = float(self.edge_difference[emask].max()) if emask.any() else 0.0
         if self.foldover_distance < radius:
             eps_metric = np.inf
@@ -470,43 +495,92 @@ class ChartFrame:
             radius=radius,
             members=members,
             coordinates=self.coordinates[members],
-            metric=self.metric[members],
+            metric=self.metric[rows],
             eps_metric=eps_metric,
             eps_deriv=eps_deriv,
         )
 
     def largest_radius_within(self, eps: float) -> float:
-        """Largest chart radius whose distortions stay within eps."""
-        m = self.m
-        events = [(self.distances[v], self.vertex_deviation[v])
-                  for v in range(m.num_vertices) if v != self.center]
-        edges = m.simplices[1]
-        etrig = np.maximum(self.distances[edges[:, 0]],
-                           self.distances[edges[:, 1]])
-        events.extend(zip(etrig, self.edge_difference))
-        if np.isfinite(self.foldover_distance):
-            events.append((self.foldover_distance, np.inf))
-        events.sort(key=lambda t: t[0])
-        running = 0.0
-        for dist, val in events:
-            running = max(running, val)
-            if running > eps:
-                return float(dist)
-        return float(self.distances.max())
+        """Largest chart radius whose distortions stay within eps.
+
+        That is the smallest distance at which a distortion exceeds eps:
+        a vertex deviation (at the vertex's distance), an edge difference
+        (at its farther end's distance) or the foldover.  The answer is
+        exact whenever that distance is at most the reach.  If no
+        distortion within the reach exceeds eps, it returns the largest
+        distance from the center when the frame holds the whole mesh,
+        and inf otherwise: the answer then lies beyond the reach.
+        """
+        ends = self.distances[self.m.simplices[1][self.edges]].max(axis=1)
+        first = min(
+            self.distances[self.fitted][self.vertex_deviation > eps].min(
+                initial=np.inf),
+            ends[self.edge_difference > eps].min(initial=np.inf),
+            self.foldover_distance)
+        if np.isfinite(first):
+            return float(first)
+        if self.fitted.size == self.m.num_vertices:
+            return float(self.distances.max())
+        return np.inf
+
+
+def _fit_metric(coords, loc, row, nrows, target, n) -> np.ndarray:
+    """Packed least-squares metric at rows 0..nrows-1 of the fit.
+
+    Edge e joins coordinate rows loc[e] and fit rows row[e] (nrows marks
+    an end whose fit is not wanted); target[e] is its squared length.
+    """
+    k = 3 if n == 2 else 6
+    diff = coords[loc[:, 1]] - coords[loc[:, 0]]
+    feat = _metric_feature(diff, n)
+    ata = np.zeros((nrows + 1, k, k))
+    atb = np.zeros((nrows + 1, k))
+    outer = feat[:, :, None] * feat[:, None, :]
+    fb = feat * target[:, None]
+    # first ends, then second ends, each in edge order
+    np.add.at(ata, row.T.ravel(), np.concatenate([outer, outer]))
+    np.add.at(atb, row.T.ravel(), np.concatenate([fb, fb]))
+    ata, atb = ata[:nrows], atb[:nrows]
+    # tiny Tikhonov pull toward the identity guards low-degree vertices
+    lam = 1e-8 * max(np.trace(ata.mean(axis=0)), 1e-300)
+    ata += lam * np.eye(k)
+    atb += lam * _IDENTITY_PACKED[n]
+    return np.linalg.solve(ata, atb[:, :, None])[:, :, 0]
+
+
+def _foldover_distance(coordinates: np.ndarray,
+                       distances: np.ndarray) -> float:
+    """Distance at which two chart points first collide (inf if never).
+
+    Points collide when their coordinates agree to FOLDOVER_TOL.  A
+    group of colliding points first holds two of them at its second
+    smallest distance; the answer is the least of these over groups.
+    """
+    keys = np.round(coordinates / FOLDOVER_TOL).astype(np.int64)
+    order = np.lexsort((distances, *keys.T))   # by key, then distance
+    keys, dist = keys[order], distances[order]
+    same = (keys[1:] == keys[:-1]).all(axis=1)
+    return float(dist[1:][same].min(initial=np.inf))
+
+
+def _csr_rows(a: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
+    """Column indices of the given rows of a, concatenated."""
+    lo, hi = a.indptr[rows], a.indptr[rows + 1]
+    size = hi - lo
+    start = np.repeat(lo - np.cumsum(size) + size, size)
+    return a.indices[start + np.arange(size.sum())]
 
 
 def _vertex_neighbors(m: SimplicialManifold, v: int) -> np.ndarray:
-    edges = m.simplices[1]
-    out = np.concatenate([edges[edges[:, 0] == v, 1],
-                          edges[edges[:, 1] == v, 0]])
-    return np.unique(out)
+    g = m.graph
+    return np.sort(g.indices[g.indptr[v]:g.indptr[v + 1]])
 
 
 def normal_chart(m: SimplicialManifold, center: int, radius: float) -> Chart:
     """Chart around `center` containing vertices at distance < radius."""
     if radius > 2.0 + 1e-9:
         raise ValueError("chart radius exceeds mesh diameter")
-    return ChartFrame(m, center).chart(radius)
+    return ChartFrame(m, center, reach=radius).chart(radius)
 
 
 # -- generators ---------------------------------------------------------

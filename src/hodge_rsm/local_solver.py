@@ -82,8 +82,11 @@ class Patch:
 
     @property
     def frame(self) -> ChartFrame:
+        """Chart frame at the ball's center, fitted out to the doubled
+        covering radius, which holds every vertex of either patch."""
         if self._frame is None:
-            self._frame = ChartFrame(self.manifold, self.ball.center)
+            self._frame = ChartFrame(self.manifold, self.ball.center,
+                                     2.0 * self.ball.covering_radius)
         return self._frame
 
     def submesh(self):

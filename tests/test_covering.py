@@ -4,8 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hodge_rsm import covering, dec
+from hodge_rsm import covering, dec, geometry
 from hodge_rsm.covering import (CoverageError, RadiusField, WeightField,
                                 admissible_radius, check_radius_lipschitz,
                                 check_weight_relative, chi_gradient_constant,
@@ -34,6 +36,46 @@ def test_divisor_clamp_recorded_without_warning(torus16, caplog):
 def test_admissible_radius_matches_field(torus16, cover16):
     rf, _ = cover16
     assert admissible_radius(torus16, 0, 0.1) == pytest.approx(rf.values[0])
+
+
+@pytest.fixture(scope="module")
+def radius_meshes(bumpy16):
+    return {"torus16_d02": geometry.generate_test_manifold(
+                "bumpy_torus", 16, 0.2),
+            "bumpy16": bumpy16,
+            "sphere8": geometry.generate_test_manifold("sphere", 8),
+            "torus3d5": geometry.generate_flat_torus_3d(5)}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(),
+       name=st.sampled_from(["torus16_d02", "bumpy16", "sphere8",
+                             "torus3d5"]),
+       eps=st.floats(min_value=0.03, max_value=0.4))
+def test_local_radius_matches_whole_mesh_frame(radius_meshes, data, name,
+                                               eps):
+    m = radius_meshes[name]
+    x = data.draw(st.integers(0, m.num_vertices - 1))
+    r_min = covering.RADIUS_FLOOR_EDGES * m.mean_edge_length()
+    whole = geometry.ChartFrame(m, x).largest_radius_within(eps)
+    assert admissible_radius(m, x, eps) == min(1.0, max(whole, r_min))
+
+
+def test_radius_field_searches_only_balls(torus16, monkeypatch):
+    limits, builds = [], []
+    dijkstra = geometry.dijkstra
+
+    def bounded(*args, **kwargs):
+        limits.append(kwargs.get("limit", np.inf))
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "dijkstra", bounded)
+    monkeypatch.setattr(geometry, "_edge_graph",
+                        lambda m: builds.append(m))
+    compute_radius_field(torus16, 0.1)
+    assert len(limits) >= torus16.num_vertices
+    assert np.isfinite(limits).all()
+    assert builds == []
 
 
 def test_bumpy_radius_nonconstant(bumpy16):

@@ -167,6 +167,36 @@ def test_largest_radius_monotone(torus16):
     assert 0 <= r_tight <= r_loose <= 1.0 + 1e-12
 
 
+def test_foldover_three_way_collision():
+    # three points collide; the first two of them (by distance) meet at 0.2
+    coords = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    dist = np.array([5.0, 0.1, 0.2, 0.0])
+    assert geometry._foldover_distance(coords, dist) == 0.2
+    assert geometry._foldover_distance(coords[1:], dist[1:]) == 0.2
+    assert geometry._foldover_distance(coords[2:], dist[2:]) == np.inf
+
+
+def test_local_frame_matches_whole_mesh(bumpy16):
+    whole = ChartFrame(bumpy16, 9)
+    # a reach past the diameter fits every vertex: the same frame
+    big = ChartFrame(bumpy16, 9, reach=4.0)
+    for attr in ("distances", "fitted", "coordinates", "metric",
+                 "vertex_deviation", "edges", "edge_difference"):
+        assert np.array_equal(getattr(big, attr), getattr(whole, attr))
+    r = 2.5 * bumpy16.mean_edge_length()
+    local = ChartFrame(bumpy16, 9, reach=r)
+    assert np.array_equal(local.fitted,
+                          np.flatnonzero(whole.distances <= r))
+    a, b = local.chart(r), whole.chart(r)
+    assert np.array_equal(a.members, b.members)
+    assert np.allclose(a.coordinates, b.coordinates, rtol=0, atol=1e-12)
+    # the Tikhonov weight averages over the fitted ball only
+    assert a.eps_metric == pytest.approx(b.eps_metric, rel=1e-3)
+    assert a.eps_deriv == pytest.approx(b.eps_deriv, rel=1e-3)
+    with pytest.raises(ValueError):
+        local.chart(1.01 * r)
+
+
 @settings(max_examples=20, deadline=None)
 @given(res=st.integers(min_value=4, max_value=10))
 def test_torus_euler_characteristic_property(res):
