@@ -23,9 +23,9 @@ from scipy.optimize import linprog
 from . import dec, rsm
 from .covering import AdmissibleCovering, RadiusField, WeightField, \
     constant_weight
+from .dec import DENSE_LIMIT
 from .geometry import SimplicialManifold
 
-DENSE_LIMIT = 3000
 HARMONIC_TOL_REL = 1e-8
 CZI_HEADROOM = 1.25
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import analysis, covering, dec, geometry, rsm
+from . import analysis, covering, dec, geometry, local_solver, rsm
 
 DEFAULTS = {
     "mesh": {"kind": "flat_torus", "resolution": 16, "distortion": 0.0,
@@ -85,7 +85,7 @@ def build_mesh(cfg) -> geometry.SimplicialManifold:
     if mesh.get("path"):
         try:
             return geometry.load_mesh(mesh["path"])
-        except OSError as e:
+        except (OSError, geometry.MeshError) as e:
             raise click.UsageError(f"cannot read mesh: {e}")
     kind = mesh["kind"]
     if kind == "flat_torus_3d":
@@ -128,7 +128,17 @@ def _round(x, nd=12):
     return x
 
 
-@click.group()
+class _Commands(click.Group):
+    def invoke(self, ctx):
+        # a covering or patch the input cannot support is a usage error
+        # (exit 2), not a failed check (exit 1) or a traceback
+        try:
+            return super().invoke(ctx)
+        except (covering.CoverageError, local_solver.PatchError) as e:
+            raise click.UsageError(str(e))
+
+
+@click.group(cls=_Commands)
 def main():
     """Discrete Hodge-theory toolkit: coverings, raising steps,
     spectral decompositions."""
@@ -215,7 +225,6 @@ def solve(config_path, r_, s_, k_, degrees, out_dir):
                                               "5s4_iii", "5s6"))
         rep.check(f"rsm_ledger_p{p}", ledger_ok)
         if cfg["neumann_series"]:
-            from . import local_solver
             patch = rsm.cached_patches(m, cov)[0]
             loc = np.zeros(m.num_simplices(p))
             loc[patch.interior[p]] = om.values[patch.interior[p]]

@@ -59,15 +59,25 @@ class AdmissibleCovering:
     chi: sp.csr_matrix | None = None            # vertices x balls
     chi_gradients: np.ndarray | None = None     # per-ball max edge gradient
     patches: list | None = None                 # rsm.cached_patches
+    systems: dict | None = None                 # rsm.patch_system, per degree
 
     def __len__(self):
         return len(self.balls)
 
+    def membership(self, num_vertices: int) -> sp.csc_matrix:
+        """Vertices x balls matrix, 1.0 where the vertex is a ball member."""
+        members = [b.members for b in self.balls]
+        starts = np.concatenate([[0], np.cumsum([x.size for x in members])])
+        return sp.csc_matrix((np.ones(starts[-1]), np.concatenate(members),
+                              starts), shape=(num_vertices, len(self.balls)))
+
     def membership_counts(self, num_vertices: int) -> np.ndarray:
-        counts = np.zeros(num_vertices, dtype=int)
-        for b in self.balls:
-            counts[b.members] += 1
-        return counts
+        return np.asarray(self.membership(num_vertices).sum(axis=1),
+                          dtype=int).ravel()
+
+    def radii(self) -> np.ndarray:
+        """Covering radius of each ball."""
+        return np.array([b.covering_radius for b in self.balls])
 
 
 @dataclass
@@ -225,8 +235,7 @@ def partition_of_unity(m: SimplicialManifold,
 
 def chi_gradient_constant(cov: AdmissibleCovering) -> float:
     """Measured C_chi: sup over balls of (edge gradient of chi_j) * R_j."""
-    Rs = np.array([b.covering_radius for b in cov.balls])
-    return float((cov.chi_gradients * Rs).max())
+    return float((cov.chi_gradients * cov.radii()).max())
 
 
 def weight_from_radius(rf: RadiusField, k: int) -> WeightField:

@@ -22,6 +22,8 @@ import scipy.sparse as sp
 from .geometry import Chart, SimplicialManifold
 
 INF = math.inf
+# largest number of unknowns for which a dense matrix is formed
+DENSE_LIMIT = 3000
 
 
 class DegreeError(ValueError):
@@ -190,7 +192,47 @@ def stiffness_matrix(m: SimplicialManifold, p: int) -> sp.csr_matrix:
 
 def density(u: Cochain) -> np.ndarray:
     """Pointwise density |u|(sigma) = |u_sigma| / vol_p(sigma)."""
-    return np.abs(u.values) / u.manifold.volumes[u.degree]
+    return densities(u.manifold, u.degree, u.values, 0)
+
+
+def gradient_density(u: Cochain) -> np.ndarray:
+    """First-order surrogate density (|du|^2 + |d*u|^2)^(1/2) per p-simplex."""
+    return densities(u.manifold, u.degree, u.values, 1)
+
+
+def hessian_density(u: Cochain) -> np.ndarray:
+    """Second-order surrogate density (|Lap u|^2 + |dd*u|^2 + |d*du|^2)^(1/2)."""
+    return densities(u.manifold, u.degree, u.values, 2)
+
+
+def densities(m: SimplicialManifold, p: int, values, order: int):
+    """Density of order 0, 1 or 2 of p-cochain values: one cochain (a
+    vector) or a sparse matrix of cochains, one per column, giving the
+    same form.  Orders 1 and 2 are root sums of squares of densities."""
+    def dens(q, x):
+        if not sp.issparse(x):
+            return np.abs(x) / m.volumes[q]
+        x = abs(x).tocsr()
+        x.data /= np.repeat(m.volumes[q], np.diff(x.indptr))
+        return x
+
+    if order == 0:
+        return dens(p, values)
+    # order 1: face average of |d*u|, coface average of |du|;
+    # order 2: |Lap u|, |dd*u|, |d*du|
+    terms = [dens(p, hodge_laplacian(m, p).matrix @ values)] \
+        if order == 2 else []
+    if p > 0:
+        dsu = codifferential(m, p).matrix @ values
+        terms.append(_face_average(m, p) @ dens(p - 1, dsu) if order == 1
+                     else dens(p, exterior_derivative(m, p - 1).matrix @ dsu))
+    if p < m.n:
+        du = exterior_derivative(m, p).matrix @ values
+        terms.append(_coface_average(m, p) @ dens(p + 1, du) if order == 1
+                     else dens(p, codifferential(m, p + 1).matrix @ du))
+    if sp.issparse(terms[0]):
+        return sum(t.multiply(t) for t in terms).sqrt()
+    return np.sqrt(sum(t * t for t in terms))
 
 
 def _coface_average(m: SimplicialManifold, p: int) -> sp.csr_matrix:
@@ -215,31 +257,14 @@ def _face_average(m: SimplicialManifold, p: int) -> sp.csr_matrix:
     return _cached(m, "face_avg", p, build)
 
 
-def gradient_density(u: Cochain) -> np.ndarray:
-    """First-order surrogate density (|du|^2 + |d*u|^2)^(1/2) per p-simplex."""
-    m, p = u.manifold, u.degree
-    total = np.zeros(m.num_simplices(p))
-    if p < m.n:
-        du = exterior_derivative(m, p)(u)
-        total += (_coface_average(m, p) @ density(du)) ** 2
-    if p > 0:
-        dsu = codifferential(m, p)(u)
-        total += (_face_average(m, p) @ density(dsu)) ** 2
-    return np.sqrt(total)
-
-
-def hessian_density(u: Cochain) -> np.ndarray:
-    """Second-order surrogate density (|Lap u|^2 + |dd*u|^2 + |d*du|^2)^(1/2)."""
-    m, p = u.manifold, u.degree
-    lap = hodge_laplacian(m, p)(u)
-    total = density(lap) ** 2
-    if p > 0:
-        ddsu = exterior_derivative(m, p - 1)(codifferential(m, p)(u))
-        total += density(ddsu) ** 2
-    if p < m.n:
-        dsdu = codifferential(m, p + 1)(exterior_derivative(m, p)(u))
-        total += density(dsdu) ** 2
-    return np.sqrt(total)
+def column_norms(m: SimplicialManifold, p: int, dens, r: float,
+                 mask=None) -> np.ndarray:
+    """Unweighted L^r norm of each column of a sparse matrix of p-simplex
+    densities, over the rows of a sparse mask of its shape if given."""
+    if mask is not None:
+        dens = dens.multiply(mask)
+    return np.asarray(dens.power(r).T @ m.support_volumes[p]).ravel() \
+        ** (1 / r)
 
 
 def _simplex_weight(m: SimplicialManifold, p: int, spec: NormSpec) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Poisson solves on single covering balls.
+"""Poisson solves on covering balls.
 
 A patch collects the n-cells whose vertices all lie in one covering ball.
 Degree-p unknowns live on the interior p-simplices (those not touching
@@ -6,16 +6,16 @@ the patch boundary); homogeneous Dirichlet data is imposed on the
 boundary simplices.  The patch operator is the interior block of the
 patch submesh stiffness, not of the global one (they differ near the
 boundary through the boundary-face masses).  Two solvers are provided: a
-direct factorization of it, kept per degree on the patch, and a
-flat/curved Neumann series that splits the patch Laplacian around the
-chart's identity metric.
+direct factorization of it and a flat/curved Neumann series that splits
+the patch Laplacian around the chart's identity metric.
 
-The direct systems of all patches are assembled at once, on the first
-sweep at a degree (factor_patches): dec builds the stiffness and mass
-one time on the disjoint union of the patch subcomplexes, sliced from
-the global complex (PatchComplex), and each patch keeps its interior
-block with its own LU factors.  The blocks equal those of each patch's
-submesh stiffness bit for bit, with no per-patch manifold or chart.
+The direct systems of a list of patches form one PatchSystem per degree
+(stack_patches): dec assembles the stiffness and mass once, on the
+disjoint union of the patch subcomplexes sliced from the global complex
+(PatchComplex); the interior unknowns of all patches form one stacked
+vector, with one splu factor of the block-diagonal stiffness.  Each
+block equals its patch's submesh stiffness bit for bit, with no
+per-patch manifold or chart.
 """
 
 from __future__ import annotations
@@ -39,14 +39,54 @@ class PatchError(RuntimeError):
 
 
 @dataclass
-class PatchFactor:
-    """Interior block of the submesh stiffness and mass at one degree,
-    with the global simplex indices of its rows and its LU factors."""
+class PatchSystem:
+    """Interior systems of a list of patches at one degree, stacked.
 
-    interior: np.ndarray
-    K_II: sp.csc_matrix
-    M_I: np.ndarray
+    Entry e of the stacked vector is the global p-simplex index[e] of
+    ball owner[e]; patch j owns entries offsets[j] to offsets[j + 1], its
+    interior simplices in increasing order.  K is the block-diagonal
+    stiffness (blocks: the patches' submesh interior stiffness), M its
+    mass diagonal, lu its splu factor.  support is the simplices x
+    patches mask of the patch simplices.
+    """
+
+    index: np.ndarray
+    offsets: np.ndarray
+    owner: np.ndarray
+    K: sp.csc_matrix
+    M: np.ndarray
     lu: spla.SuperLU
+    support: sp.csc_matrix
+
+    def columns(self, x: np.ndarray) -> sp.csc_matrix:
+        """Global simplices x patches matrix whose column j is patch j's
+        part of the stacked vector x, zero-extended."""
+        return sp.csc_matrix((x, self.index, self.offsets),
+                             shape=self.support.shape)
+
+    def scatter(self, x: np.ndarray) -> np.ndarray:
+        """Sum over patches of the zero-extended parts of x."""
+        return np.bincount(self.index, x, minlength=self.support.shape[0])
+
+    def diagnostics(self, omega: dec.Cochain, u: np.ndarray,
+                    r: float) -> list:
+        """SolveDiagnostics of each patch for the solution u of K u =
+        M omega[index]: residual |K_II u_I / M_I - omega_I| / |omega_I|
+        and c_j = |u_j|_{W^{2,r}} / |omega_I|_{L^r} over the patch."""
+        m, p = omega.manifold, omega.degree
+        om = omega.values[self.index]
+        start = self.offsets[:-1]
+        res = np.sqrt(np.add.reduceat((self.K @ u / self.M - om) ** 2, start))
+        res /= np.sqrt(np.add.reduceat(om**2, start)) + 1e-300
+        lr = dec.column_norms(m, p, dec.densities(m, p, self.columns(om), 0),
+                              r)
+        U = self.columns(u)
+        w2 = sum(dec.column_norms(m, p, dec.densities(m, p, U, k), r,
+                                  self.support) for k in range(3))
+        c = np.divide(w2, lr, out=np.zeros_like(w2), where=lr > 0)
+        return [SolveDiagnostics(int(self.owner[e]), p, int(n), float(x),
+                                 float(cj))
+                for e, n, x, cj in zip(start, np.diff(self.offsets), res, c)]
 
 
 @dataclass
@@ -55,45 +95,21 @@ class Patch:
 
     manifold: SimplicialManifold
     ball: object
-    doubled: bool
     cells: np.ndarray                      # patch n-cell indices
     interior: dict = field(default_factory=dict)   # degree -> simplex idx
     boundary: dict = field(default_factory=dict)
-    _frame: ChartFrame | None = None
     _sub: tuple | None = None
-    _factors: dict = field(default_factory=dict)   # degree -> PatchFactor
 
     def patch_simplices(self, p: int) -> np.ndarray:
         return np.sort(np.concatenate([self.interior[p], self.boundary[p]]))
 
-    def restrict(self, c: dec.Cochain) -> np.ndarray:
-        return c.values[self.interior[c.degree]]
-
-    def extend(self, p: int, vals: np.ndarray) -> dec.Cochain:
-        out = np.zeros(self.manifold.num_simplices(p))
-        out[self.interior[p]] = vals
-        return dec.Cochain(self.manifold, p, out)
-
-    def vertex_mask(self) -> np.ndarray:
-        mask = np.zeros(self.manifold.num_vertices, dtype=bool)
-        members = self.ball.doubled_members if self.doubled else self.ball.members
-        mask[members] = True
-        return mask
-
-    @property
-    def frame(self) -> ChartFrame:
-        """Chart frame at the ball's center, fitted out to the doubled
-        covering radius, which holds every vertex of either patch."""
-        if self._frame is None:
-            self._frame = ChartFrame(self.manifold, self.ball.center,
-                                     2.0 * self.ball.covering_radius)
-        return self._frame
-
     def submesh(self):
-        """Patch cells as a standalone complex with the true edge lengths.
+        """Patch cells as a standalone complex with the true edge lengths,
+        placed by the chart frame at the ball's center fitted out to the
+        doubled covering radius, which holds every patch vertex.
 
         Only the Neumann-series flat operator builds it; the direct
-        solver's blocks come from factor_patches and equal its own.
+        solver's blocks come from stack_patches and equal its own.
         Returns (sub, verts, rows) where rows[p] maps this patch's global
         interior p-simplices to submesh row indices.
         """
@@ -102,7 +118,8 @@ class Patch:
             verts = np.unique(m.simplices[m.n][self.cells])
             local = {v: i for i, v in enumerate(verts)}
             lcells = np.vectorize(local.get)(m.simplices[m.n][self.cells])
-            coords = self.frame.coordinates[verts]
+            coords = ChartFrame(m, self.ball.center, 2.0 * self.ball
+                                .covering_radius).coordinates[verts]
             shape_only = SimplicialManifold(m.n, coords, lcells,
                                             normalize=False, validate=False)
             glob_edges = [m.simplex_index(1, verts[e])
@@ -118,12 +135,6 @@ class Patch:
                                    dtype=int)
             self._sub = (sub, verts, rows)
         return self._sub
-
-    def factor(self, p: int) -> PatchFactor:
-        """The factored interior system at degree p, built on first use
-        by factor_patches (the sweeps build those of all patches at once)."""
-        factor_patches([self], p)
-        return self._factors[p]
 
 
 @dataclass
@@ -189,35 +200,38 @@ def _patch_complex(patches: list) -> PatchComplex:
                         support)
 
 
-def factor_patches(patches: list, p: int) -> None:
-    """Factor the degree-p interior system of every patch lacking one.
+def stack_patches(patches: list, p: int) -> PatchSystem:
+    """The degree-p PatchSystem of patches sharing one manifold.
 
-    The stiffness and mass are assembled once, on the PatchComplex of
-    those patches; each patch keeps its interior block, equal bit for
-    bit to that of its submesh stiffness and mass, and its own splu
-    factors.  A no-op when every patch is already factored at p.
+    The stacked unknowns are the interior rows of the PatchComplex of
+    the patches, taken patch by patch; no stiffness entry couples two
+    patches.  Raises PatchError, naming the ball, when a patch has no
+    interior p-simplex.
     """
-    todo = [pt for pt in patches if p not in pt._factors]
-    if not todo:
-        return
-    for pt in todo:
-        if pt.interior[p].size == 0:
-            raise PatchError(f"ball {pt.ball.index}: no interior {p}-simplex")
-    union = _patch_complex(todo)
-    K = dec.stiffness_matrix(union, p)
-    M = dec.mass_diagonal(union, p)
-    start = union.starts[p]
-    for j, pt in enumerate(todo):
-        lo, hi = start[j], start[j + 1]
-        I = pt.interior[p]
-        r = np.searchsorted(union.simplices[p][lo:hi], I)
-        K_II = K[lo:hi, lo:hi][np.ix_(r, r)].tocsc()
-        pt._factors[p] = PatchFactor(I, K_II, M[lo:hi][r], spla.splu(K_II))
+    sizes = np.array([pt.interior[p].size for pt in patches])
+    if not sizes.all():
+        ball = patches[int(np.argmin(sizes))].ball.index
+        raise PatchError(f"ball {ball}: no interior {p}-simplex")
+    union = _patch_complex(patches)
+    pos = np.repeat(np.arange(len(patches)), sizes)
+    glob = np.concatenate([pt.interior[p] for pt in patches])
+    # union rows are sorted by (patch, global index): look the keys up
+    N = patches[0].manifold.num_simplices(p)
+    keys = np.repeat(np.arange(len(patches)), np.diff(union.starts[p])) * N \
+        + union.simplices[p]
+    rows = np.searchsorted(keys, pos * N + glob)
+    K = dec.stiffness_matrix(union, p)[rows][:, rows].tocsc()
+    support = sp.csc_matrix((np.ones(keys.size, dtype=bool),
+                             union.simplices[p], union.starts[p]),
+                            shape=(N, len(patches)))
+    balls = np.array([pt.ball.index for pt in patches])
+    return PatchSystem(glob, np.concatenate([[0], np.cumsum(sizes)]),
+                       balls[pos], K, dec.mass_diagonal(union, p)[rows],
+                       spla.splu(K), support)
 
 
-def extract_patch(m: SimplicialManifold, cov, j: int,
-                  doubled: bool = False) -> Patch:
-    """Build the patch over ball j (or its doubled ball).
+def extract_patch(m: SimplicialManifold, cov, j: int) -> Patch:
+    """Build the patch over ball j.
 
     Boundary (n-1)-faces are those lying in exactly one patch n-cell;
     boundary p-simplices are their p-faces, found top down through the
@@ -226,15 +240,14 @@ def extract_patch(m: SimplicialManifold, cov, j: int,
     """
     ball = cov.balls[j]
     n = m.n
-    members = ball.doubled_members if doubled else ball.members
     vmask = np.zeros(m.num_vertices, dtype=bool)
-    vmask[members] = True
+    vmask[ball.members] = True
     cell_mask = m.vertex_mask_to_simplex_mask(n, vmask)
     cells = np.flatnonzero(cell_mask)
     if cells.size == 0:
         raise PatchError(f"ball {j} contains no full n-cell")
 
-    patch = Patch(m, ball, doubled, cells)
+    patch = Patch(m, ball, cells)
 
     # faces of patch cells, per degree
     in_patch = [np.zeros(m.num_simplices(p), dtype=bool) for p in range(n + 1)]
@@ -271,25 +284,14 @@ def solve_local_dirichlet(patch: Patch, omega: dec.Cochain,
     Solves K_II u_I = M_I omega_I with the patch submesh stiffness K_II
     and mass M_I on the interior simplices, so the submesh Laplacian of
     u equals omega on the interior to machine precision; u is
-    zero-extended outside.  K_II is factored once per degree (Patch.
-    factor); the sweeps assemble the factors of all patches at once, on
-    the first sweep at a degree (factor_patches).
+    zero-extended outside.  The system is the PatchSystem of this one
+    patch, built and factored on each call; the diagnostics are those
+    the sweeps record (PatchSystem.diagnostics).
     """
-    m, p = patch.manifold, omega.degree
-    f = patch.factor(p)
-    I, K_II, M_I = f.interior, f.K_II, f.M_I
-    u_I = f.lu.solve(M_I * omega.values[I])
-    u = patch.extend(p, u_I)
-
-    num = np.linalg.norm((K_II @ u_I) / M_I - omega.values[I])
-    den = np.linalg.norm(omega.values[I]) + 1e-300
-    mask = np.zeros(m.num_simplices(p), dtype=bool)
-    mask[patch.patch_simplices(p)] = True
-    w2 = dec.sobolev_norm(m, u, dec.NormSpec(r, order=2), mask)
-    lr = dec.lr_norm(m, omega, dec.NormSpec(r), mask)
-    c_j = w2 / lr if lr > 0 else 0.0
-    return u, SolveDiagnostics(patch.ball.index, p, int(I.size),
-                               num / den, c_j)
+    f = stack_patches([patch], omega.degree)
+    u_I = f.lu.solve(f.M * omega.values[f.index])
+    return (dec.Cochain(patch.manifold, omega.degree, f.scatter(u_I)),
+            f.diagnostics(omega, u_I, r)[0])
 
 
 def _flat_stiffness(patch: Patch, p: int,
@@ -325,16 +327,14 @@ def neumann_series_solve(patch: Patch, omega: dec.Cochain,
     v_k, and summing with alternating signs; returns (u, diagnostics).
     """
     m, p = patch.manifold, omega.degree
-    f = patch.factor(p)
-    I, K_II, M_I = f.interior, f.K_II, f.M_I
+    f = stack_patches([patch], p)
+    I, K_II, M_I = f.index, f.K, f.M
     Kf_II, Mf_I = _flat_stiffness(patch, p, flat_edge_lengths)
     lu = spla.splu(Kf_II)
+    mu, vol = m.support_volumes[p][I], m.volumes[p][I]
 
     def lr_of(vals):
-        c = patch.extend(p, vals)
-        mask = np.zeros(m.num_simplices(p), dtype=bool)
-        mask[I] = True
-        return dec.lr_norm(m, c, dec.NormSpec(r), mask)
+        return float(np.sum(mu * (np.abs(vals) / vol) ** r)) ** (1 / r)
 
     gamma = omega.values[I].copy()
     norm0 = lr_of(gamma)
@@ -365,7 +365,7 @@ def neumann_series_solve(patch: Patch, omega: dec.Cochain,
     if eta >= 0.5:
         log.warning("ball %d: Neumann contraction eta=%.3f >= 0.5",
                     patch.ball.index, eta)
-    u = patch.extend(p, v)
+    u = dec.Cochain(m, p, f.scatter(v))
     return u, SolveDiagnostics(patch.ball.index, p, int(I.size),
                                prev / max(norm0, 1e-300), eta=eta,
                                iterations=k)

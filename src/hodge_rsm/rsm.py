@@ -6,6 +6,12 @@ residual.  Iterating k times raises the residual's integrability
 exponent along the ladder S_j(r); the final residual is handed to the
 spectral gap inverse by the analysis layer.  Every step evaluates the
 gluing and weight-summation inequalities with measured constants.
+
+The sweep is one linear operator on the stacked interior unknowns of all
+patches (local_solver.PatchSystem), factored once per covering and
+degree and shared with its adjoint.  The ledger and the per-solve
+diagnostics are column reductions over the sparse simplices x balls
+matrix U of local solutions, column j the solution u_j of ball j.
 """
 
 from __future__ import annotations
@@ -16,10 +22,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import dec, local_solver
 from .covering import (AdmissibleCovering, RadiusField, WeightField,
-                       chi_gradient_constant, constant_weight)
+                       check_weight_relative, chi_gradient_constant,
+                       constant_weight)
 from .geometry import SimplicialManifold
 
 K_CAP = 8
@@ -119,9 +127,12 @@ def threshold_steps(r: float, s: float, n: int) -> int:
         k += 1
 
 
-def simplex_average(m: SimplicialManifold, p: int,
-                    vertex_values: np.ndarray) -> np.ndarray:
-    return vertex_values[m.simplices[p]].mean(axis=1)
+def simplex_average(m: SimplicialManifold, p: int, vertex_values):
+    """Mean of the vertex values over each p-simplex; vertex_values is a
+    vector or a (sparse) matrix with one field per column."""
+    verts = m.simplices[p]
+    return sum((vertex_values[verts[:, k]] for k in range(1, p + 1)),
+               vertex_values[verts[:, 0]]) / (p + 1)
 
 
 def multiply_scalar(m: SimplicialManifold, chi_vertex: np.ndarray,
@@ -139,18 +150,21 @@ def commutator_defect(m: SimplicialManifold, chi_vertex: np.ndarray,
         - multiply_scalar(m, chi_vertex, lap(u))
 
 
+def _row_max(pattern: sp.spmatrix, vals: np.ndarray) -> np.ndarray:
+    """Max of vals >= 0 over the columns of each row of pattern (0 for
+    an empty row)."""
+    A = pattern.tocsr()
+    A = sp.csr_matrix((vals[A.indices], A.indices, A.indptr), shape=A.shape)
+    return A.max(axis=1).toarray().ravel()
+
+
 def _stencil_max(m: SimplicialManifold, p: int, vals: np.ndarray,
                  rings: int = 2) -> np.ndarray:
     """Max of vals over the Laplacian stencil neighborhood, iterated."""
-    A = (abs(dec.hodge_laplacian(m, p).matrix) > 0).astype(np.int8).tocsr()
+    A = abs(dec.hodge_laplacian(m, p).matrix) > 0
     out = np.asarray(vals, dtype=float)
     for _ in range(rings):
-        nxt = out.copy()
-        for i in range(len(out)):
-            cols = A.indices[A.indptr[i]:A.indptr[i + 1]]
-            if cols.size:
-                nxt[i] = max(nxt[i], out[cols].max())
-        out = nxt
+        out = np.maximum(out, _row_max(A, out))
     return out
 
 
@@ -161,25 +175,13 @@ def _sharp_gradient(m: SimplicialManifold, u: dec.Cochain) -> np.ndarray:
     an in-star mean would underestimate the local variation.
     """
     p = u.degree
-    N = m.num_simplices(p)
-    g1 = np.zeros(N)
-    g2 = np.zeros(N)
+    g1 = g2 = np.zeros(m.num_simplices(p))
     if p < m.n:
         du = dec.exterior_derivative(m, p)(u)
-        dens = np.abs(du.values) / m.volumes[p + 1]
-        inc = abs(m.boundary[p + 1]).tocsr()  # rows: p-simplices
-        for i in range(N):
-            cols = inc.indices[inc.indptr[i]:inc.indptr[i + 1]]
-            if cols.size:
-                g1[i] = dens[cols].max()
+        g1 = _row_max(m.boundary[p + 1], dec.density(du))
     if p > 0:
         ds = dec.codifferential(m, p)(u)
-        dens = np.abs(ds.values) / m.volumes[p - 1]
-        inc = abs(m.boundary[p]).tocsc().T.tocsr()  # p-simplex -> faces
-        for i in range(N):
-            cols = inc.indices[inc.indptr[i]:inc.indptr[i + 1]]
-            if cols.size:
-                g2[i] = dens[cols].max()
+        g2 = _row_max(m.boundary[p].T, dec.density(ds))
     return np.hypot(g1, g2)
 
 
@@ -213,11 +215,30 @@ def commutator_pointwise_bound(m: SimplicialManifold,
 
 def cached_patches(m: SimplicialManifold, cov: AdmissibleCovering) -> list:
     """Patches of all balls, extracted once per covering; their interior
-    systems are factored on the first sweep at a degree, not here."""
+    systems are stacked on the first sweep at a degree, not here."""
     if cov.patches is None:
         cov.patches = [local_solver.extract_patch(m, cov, j)
                        for j in range(len(cov.balls))]
+        cov.systems = {}
     return cov.patches
+
+
+def patch_system(m: SimplicialManifold, cov: AdmissibleCovering, p: int):
+    """(system, chi): the degree-p PatchSystem of all patches and the
+    stacked partition weights, chi_j averaged over the simplex of each
+    entry of patch j; built on first use per covering and degree.  A
+    cover by one boundaryless ball has no Dirichlet system: (None, the
+    simplex weights of that ball)."""
+    patches = cached_patches(m, cov)
+    if p not in cov.systems:
+        chi = simplex_average(m, p, cov.chi.tocsr())
+        if len(patches) == 1 and patches[0].boundary[p].size == 0:
+            cov.systems[p] = (None, chi.toarray()[:, 0])
+        else:
+            system = local_solver.stack_patches(patches, p)
+            cov.systems[p] = (system, np.asarray(
+                chi[system.index, system.owner]).ravel())
+    return cov.systems[p]
 
 
 def _whole_manifold_solve(m: SimplicialManifold, omega: dec.Cochain):
@@ -229,8 +250,7 @@ def _whole_manifold_solve(m: SimplicialManifold, omega: dec.Cochain):
     the mass inner product, so the adjoint sweep reuses it.
     """
     p = omega.degree
-    N = m.num_simplices(p)
-    if N > 3000:
+    if m.num_simplices(p) > dec.DENSE_LIMIT:
         raise local_solver.PatchError("whole-manifold ball too large for "
                                       "dense pseudoinverse solve")
     K = dec.stiffness_matrix(m, p).toarray()
@@ -239,163 +259,115 @@ def _whole_manifold_solve(m: SimplicialManifold, omega: dec.Cochain):
     # mass-symmetrized pseudoinverse: the unresolved residual is exactly
     # the harmonic component, as the gap solve would leave it
     u = np.linalg.pinv((S + S.T) / 2.0, hermitian=True) @ (root * omega.values)
-    return dec.Cochain(m, p, u / root), local_solver.SolveDiagnostics(
-        0, p, N, 0.0)
+    return u / root
 
 
 # -- the gluing sweep and its adjoint -----------------------------------
 
 
-def _whole_manifold_cover(patches: list, p: int) -> bool:
-    return len(patches) == 1 and patches[0].boundary[p].size == 0
-
-
-def _chi_vertex(chi, j: int, num_vertices: int) -> np.ndarray:
-    """Vertex values of partition function j from the CSC matrix chi."""
-    out = np.zeros(num_vertices)
-    lo, hi = chi.indptr[j], chi.indptr[j + 1]
-    out[chi.indices[lo:hi]] = chi.data[lo:hi]
-    return out
-
-
 def sweep(m: SimplicialManifold, cov: AdmissibleCovering,
-          omega: dec.Cochain, r: float = 2.0):
-    """One gluing sweep T omega = sum_j E_j chi_j K_j^-1 (M_j omega|I_j).
+          omega: dec.Cochain):
+    """One gluing sweep T omega = scatter(chi K^-1 (M omega[G])).
 
-    K_j, M_j: interior submesh stiffness and mass of patch j on its
-    interior p-simplices I_j; E_j: zero extension; chi_j: simplex average
-    of partition function j.  The first sweep at a degree assembles and
-    factors K_j for all patches at once (local_solver.factor_patches);
-    later sweeps reuse the factors.  Returns (v0, us, solves): T omega,
-    the local solutions u_j and their diagnostics.  A cover by one
-    boundaryless ball uses the whole-manifold pseudoinverse.
+    On the stacked unknowns of patch_system: K, M the block-diagonal
+    interior stiffness and mass, G the global simplex of each entry, chi
+    the partition weights.  Returns (v0, U): T omega and the simplices x
+    balls matrix of the local solutions u_j, whose stored values are the
+    stacked solution.  A cover by one boundaryless ball uses the
+    whole-manifold pseudoinverse.
     """
     p = omega.degree
-    patches = cached_patches(m, cov)
-    whole = _whole_manifold_cover(patches, p)
-    if not whole:
-        local_solver.factor_patches(patches, p)
-    chi = cov.chi.tocsc()
-    v0 = np.zeros(m.num_simplices(p))
-    us, solves = [], []
-    for j, patch in enumerate(patches):
-        I = patch.interior[p]
-        if whole:
-            u_j, diag = _whole_manifold_solve(m, omega)
-        else:
-            loc = np.zeros(m.num_simplices(p))
-            loc[I] = omega.values[I]
-            u_j, diag = local_solver.solve_local_dirichlet(
-                patch, dec.Cochain(m, p, loc), r)
-        chi_j = _chi_vertex(chi, j, m.num_vertices)
-        v0[I] += chi_j[m.simplices[p][I]].mean(axis=1) * u_j.values[I]
-        us.append(u_j)
-        solves.append(diag)
-    return dec.Cochain(m, p, v0), us, solves
+    system, chi = patch_system(m, cov, p)
+    if system is None:
+        u = _whole_manifold_solve(m, omega)
+        return dec.Cochain(m, p, chi * u), sp.csc_matrix(u[:, None])
+    u = system.lu.solve(system.M * omega.values[system.index])
+    return dec.Cochain(m, p, system.scatter(chi * u)), system.columns(u)
 
 
 def sweep_adjoint(m: SimplicialManifold, cov: AdmissibleCovering,
                   phi: dec.Cochain) -> dec.Cochain:
     """Mass adjoint of sweep: <T x, y>_M = <x, T* y>_M.
 
-    T* phi = sum_j E_j (M_j / M|I_j) K_j^-T (chi_j M phi)|I_j with M the
-    global mass diagonal; it reuses the factors of the forward sweep.
+    T* phi = scatter((M / Mg[G]) K^-T (chi (Mg phi)[G])) with Mg the
+    global mass diagonal; it reuses the factor of the forward sweep.
     """
     p = phi.degree
-    patches = cached_patches(m, cov)
-    chi = cov.chi.tocsc()
-    if _whole_manifold_cover(patches, p):
-        chi_s = simplex_average(m, p, _chi_vertex(chi, 0, m.num_vertices))
-        u, _ = _whole_manifold_solve(m, dec.Cochain(m, p, chi_s * phi.values))
-        return u
-    local_solver.factor_patches(patches, p)
-    Mw = dec.mass_diagonal(m, p)
-    Mphi = Mw * phi.values
-    out = np.zeros(m.num_simplices(p))
-    for j, patch in enumerate(patches):
-        f = patch.factor(p)
-        I = f.interior
-        chi_j = _chi_vertex(chi, j, m.num_vertices)
-        rhs = chi_j[m.simplices[p][I]].mean(axis=1) * Mphi[I]
-        out[I] += f.M_I / Mw[I] * f.lu.solve(rhs, trans="T")
-    return dec.Cochain(m, p, out)
+    system, chi = patch_system(m, cov, p)
+    if system is None:
+        return dec.Cochain(m, p, _whole_manifold_solve(
+            m, dec.Cochain(m, p, chi * phi.values)))
+    Mg = dec.mass_diagonal(m, p)[system.index]
+    x = system.lu.solve(chi * (Mg * phi.values[system.index]), trans="T")
+    return dec.Cochain(m, p, system.scatter(system.M / Mg * x))
 
 
 # -- ledger inequalities ------------------------------------------------
+#
+# The pieces chi_j u_j and the local solutions u_j are the columns of
+# sparse simplices x balls matrices; per-ball norms are column norms of
+# their densities (dec.densities, dec.column_norms).
 
 
-def _gluing_bound(m, cov, w: WeightField, parts, s: float, order: int) -> dict:
+def _margin(lhs: float, rhs: float) -> float:
+    """rhs - lhs; the inequalities are exact, so a negative within 1e-9
+    relative is summation roundoff and counts as 0."""
+    margin = rhs - lhs
+    return 0.0 if -1e-9 * max(lhs, rhs) <= margin < 0 else margin
+
+
+def _gluing_bound(m, w: WeightField, v0: dec.Cochain, parts, s: float,
+                  order: int) -> dict:
     """One part of the gluing inequality, in discretely rigorous form.
 
-    parts are the glued pieces chi_j u_j.  The left side is the weighted
-    L^s norm of the relevant surrogate density of their sum; the right
-    side uses the measured effective overlap of the density supports and
-    the weight-comparability constant measured over those supports, with
-    the per-ball norms of the pieces themselves (the continuum proof's
-    Leibniz split is reported separately by the caller).
+    parts holds the glued pieces chi_j u_j, one per column; v0 is their
+    sum.  The left side is the weighted L^s norm of the relevant
+    surrogate density of v0; the right side uses the measured effective
+    overlap of the density supports and the weight-comparability
+    constant measured over those supports, with the per-ball norms of
+    the pieces themselves (the continuum proof's Leibniz split is
+    reported separately by the caller).
     """
-    p = parts[0].degree
-    dens_fn = {0: dec.density, 1: dec.gradient_density,
-               2: dec.hessian_density}[order]
-    total = parts[0].copy()
-    for pc in parts[1:]:
-        total = total + pc
+    p = v0.degree
     w_simp = simplex_average(m, p, w.values)
     mu = m.support_volumes[p]
-
-    lhs_s = float(np.sum(mu * w_simp**s * dens_fn(total) ** s))
-
-    counts = np.zeros(m.num_simplices(p), dtype=int)
-    rhs_sum = 0.0
-    c_sw_eff = 1.0
+    lhs_s = float(np.sum(mu * w_simp**s
+                         * dec.densities(m, p, v0.values, order) ** s))
+    g = dec.densities(m, p, parts, order).tocoo()
+    supp = g.data > 1e-300
+    rows, cols, g = g.row[supp], g.col[supp], g.data[supp]
+    T_eff = int(np.bincount(rows, minlength=mu.size).max())
     w_means = w.ball_means
-    for j, pc in enumerate(parts):
-        g = dens_fn(pc)
-        supp = g > 1e-300
-        if not supp.any():
-            continue
-        counts[supp] += 1
-        c_sw_eff = max(c_sw_eff, (w_simp[supp] / w_means[j]).max())
-        rhs_sum += w_means[j] ** s * float(np.sum(mu[supp] * g[supp] ** s))
-    T_eff = int(counts.max()) if counts.size else 1
-    rhs_s = max(T_eff, 1) ** (s - 1) * c_sw_eff**s * rhs_sum
+    c_sw_eff = float(np.max(w_simp[rows] / w_means[cols], initial=1.0))
+    per_ball = np.bincount(cols, mu[rows] * g**s, minlength=w_means.size)
+    rhs_s = max(T_eff, 1) ** (s - 1) * c_sw_eff**s \
+        * float(np.sum(w_means**s * per_ball))
     lhs, rhs = lhs_s ** (1 / s), rhs_s ** (1 / s)
-    margin = rhs - lhs
-    # the inequality is exact; tiny negatives are summation roundoff
-    if margin < 0 and abs(margin) <= 1e-9 * max(lhs, rhs):
-        margin = 0.0
-    return {"lhs": lhs, "rhs": rhs,
-            "T_eff": T_eff, "c_sw_eff": c_sw_eff,
-            "margin": margin}
+    return {"lhs": lhs, "rhs": rhs, "T_eff": T_eff, "c_sw_eff": c_sw_eff,
+            "margin": _margin(lhs, rhs)}
 
 
 def _weight_summation_bound(m, cov, rf: RadiusField, w: WeightField,
                             parts, omega: dec.Cochain, r: float,
-                            s: float) -> dict:
+                            s: float, balls) -> dict:
     """Weight-summation inequality I <= c_w T^(s/r) |omega|_{L^r(wtilde^r)}.
 
     All constants are measured: the per-ball comparison constant C from
     the hypothesis, the radius-comparability factor rho (the continuum
-    value is 96 for divisor 120), and the tightest c_iw over the balls.
-    gamma = GAMMA = 2 throughout.
+    value is 96 for divisor 120), and the tightest c_iw over the balls
+    (that of check_weight_relative).  gamma = GAMMA = 2 throughout.
+    parts holds the pieces chi_j u_j; balls is rsm_step's ball mask.
     """
     p = omega.degree
-    w_means = w.ball_means
-    a = np.zeros(len(parts))
-    b = np.zeros(len(parts))
-    rho = 1.0
-    c_iw = 1.0
-    for j, pc in enumerate(parts):
-        ball = cov.balls[j]
-        vmask = np.zeros(m.num_vertices, dtype=bool)
-        vmask[ball.members] = True
-        mask = m.vertex_mask_to_simplex_mask(p, vmask)
-        a[j] = w_means[j] * dec.lr_norm(m, pc, dec.NormSpec(s), mask)
-        b[j] = w_means[j] * ball.covering_radius ** (-GAMMA) \
-            * dec.lr_norm(m, omega, dec.NormSpec(r), mask)
-        rho = max(rho, (rf.values[ball.members].max()
-                        / ball.covering_radius))
-        c_iw = min(c_iw, (w.values[ball.members] / w_means[j]).min())
+    R, w_means = cov.radii(), w.ball_means
+    a = w_means * dec.column_norms(m, p, dec.densities(m, p, parts, 0), s,
+                                   balls)
+    b = w_means * R ** (-GAMMA) * dec.column_norms(
+        m, p, balls.multiply(dec.density(omega)[:, None]), r)
+    rf_max = cov.membership(m.num_vertices).multiply(rf.values[:, None])
+    rho = float(np.max(rf_max.max(axis=0).toarray().ravel() / R,
+                       initial=1.0))
+    c_iw = min(1.0, w.c_iw)
     nz = b > 1e-300
     C = float((a[nz] / b[nz]).max()) if nz.any() else 0.0
     I = float(np.sum(a**s)) ** (1 / s)
@@ -403,31 +375,22 @@ def _weight_summation_bound(m, cov, rf: RadiusField, w: WeightField,
     om_norm = dec.lr_norm(m, omega, dec.NormSpec(r, weight=w_tilde, power=r))
     T = cov.overlap_measured
     rhs = rho**GAMMA / c_iw * C * T ** (s / r) * om_norm
-    margin = rhs - I
-    if margin < 0 and abs(margin) <= 1e-9 * max(I, rhs):
-        margin = 0.0
     return {"lhs": I, "rhs": rhs, "C": C, "rho": rho, "c_iw_eff": c_iw,
-            "margin": margin}
+            "margin": _margin(I, rhs)}
 
 
-def _leibniz_diagnostic(m, cov, w, us, s: float, eps: float) -> dict:
-    """Continuum-form right side of the gluing bound (reported, not asserted)."""
+def _leibniz_diagnostic(m, cov, w, U, p: int, s: float, eps: float,
+                        balls) -> dict:
+    """Continuum-form right side of the gluing bound (reported, not
+    asserted); U holds the local solutions, balls is rsm_step's mask."""
     T = cov.overlap_measured
     c_sw = w.c_sw if w.c_sw is not None else 1.0
-    w_means = w.ball_means
-    total = 0.0
-    for j, u in enumerate(us):
-        ball = cov.balls[j]
-        vmask = np.zeros(m.num_vertices, dtype=bool)
-        vmask[ball.members] = True
-        mask = m.vertex_mask_to_simplex_mask(u.degree, vmask)
-        R = ball.covering_radius
-        lr = dec.lr_norm(m, u, dec.NormSpec(s), mask)
-        gr = float(np.sum(m.support_volumes[u.degree][mask]
-                          * dec.gradient_density(u)[mask] ** s)) ** (1 / s)
-        total += w_means[j] ** s * (R**-s * lr**s + gr**s)
-    sp = s / (s - 1)
-    return {"rhs_paper": (2 ** (s / sp) * (1 + eps) * T**s * c_sw**s
+    lr, gr = (dec.column_norms(m, p, dec.densities(m, p, U, k), s, balls)
+              for k in (0, 1))
+    total = float(np.sum(w.ball_means**s * (cov.radii()**-s * lr**s
+                                            + gr**s)))
+    conj = s / (s - 1)
+    return {"rhs_paper": (2 ** (s / conj) * (1 + eps) * T**s * c_sw**s
                           * total) ** (1 / s)}
 
 
@@ -444,35 +407,35 @@ def rsm_step(m: SimplicialManifold, cov: AdmissibleCovering,
     """
     p = omega.degree
     if w.ball_means is None:
-        from .covering import check_weight_relative
         check_weight_relative(w, cov, m)
-    v0, us, solves = sweep(m, cov, omega, r)
-    chi = cov.chi.tocsc()
+    v0, U = sweep(m, cov, omega)
+    system = patch_system(m, cov, p)[0]
+    solves = [local_solver.SolveDiagnostics(0, p, U.shape[0], 0.0)] \
+        if system is None else system.diagnostics(omega, U.data, r)
+    chi = simplex_average(m, p, cov.chi.tocsr())
+    parts = U.multiply(chi).tocsc()
     lap = dec.hodge_laplacian(m, p)
-
-    parts = []
-    defect_sum = np.zeros(m.num_simplices(p))
-    chi_lap_sum = np.zeros(m.num_simplices(p))
-    for j, u_j in enumerate(us):
-        chi_j = _chi_vertex(chi, j, m.num_vertices)
-        parts.append(multiply_scalar(m, chi_j, u_j))
-        defect_sum += commutator_defect(m, chi_j, u_j).values
-        chi_lap_sum += multiply_scalar(m, chi_j, lap(u_j)).values
-    omega1 = lap(v0) - omega
+    chi_lap = np.asarray(chi.multiply(lap.matrix @ U).sum(axis=1)).ravel()
+    lap_v0 = lap(v0)
 
     s = max(r, min(2.0, dec.sobolev_exponent(r, 2, m.n)))
+    # simplices x balls: all vertices of the simplex are ball members
+    balls = simplex_average(m, p, cov.membership(m.num_vertices).tocsr()) \
+        >= 1.0
     ledger = {
-        "5s4_i": _gluing_bound(m, cov, w, parts, s, 0),
-        "5s4_ii": _gluing_bound(m, cov, w, parts, s, 1),
-        "5s4_iii": _gluing_bound(m, cov, w, parts, s, 2),
-        "5s6": _weight_summation_bound(m, cov, rf, w, parts, omega, r, s),
-        "leibniz": _leibniz_diagnostic(m, cov, w, us, s, cov.eps),
+        "5s4_i": _gluing_bound(m, w, v0, parts, s, 0),
+        "5s4_ii": _gluing_bound(m, w, v0, parts, s, 1),
+        "5s4_iii": _gluing_bound(m, w, v0, parts, s, 2),
+        "5s6": _weight_summation_bound(m, cov, rf, w, parts, omega, r, s,
+                                       balls),
+        "leibniz": _leibniz_diagnostic(m, cov, w, U, p, s, cov.eps, balls),
     }
-    dev = chi_lap_sum - omega.values
+    # sum_j B(chi_j, u_j) = Delta v0 - sum_j chi_j Delta u_j
     diag = StepDiagnostics(step_index, solves,
-                           float(np.linalg.norm(defect_sum)),
-                           float(np.linalg.norm(dev)), ledger)
-    return v0, omega1, diag
+                           float(np.linalg.norm(lap_v0.values - chi_lap)),
+                           float(np.linalg.norm(chi_lap - omega.values)),
+                           ledger)
+    return v0, lap_v0 - omega, diag
 
 
 def raising_steps(m: SimplicialManifold, cov: AdmissibleCovering,
@@ -540,22 +503,14 @@ def compact_support_check(omega: dec.Cochain, v: dec.Cochain,
     dilated by one covering layer; vacuously true for global omega.
     """
     m = omega.manifold
-    sverts = np.unique(
-        m.simplices[omega.degree][np.abs(omega.values) > tol].ravel())
-    if sverts.size == 0:
+    members = cov.membership(m.num_vertices)
+    smask = np.zeros(m.num_vertices)
+    smask[m.simplices[omega.degree][np.abs(omega.values) > tol]] = 1.0
+    first = members.T @ smask > 0
+    if not smask.any() or first.all():
         return True
-    smask = np.zeros(m.num_vertices, dtype=bool)
-    smask[sverts] = True
-    first = [b for b in cov.balls if smask[b.members].any()]
-    if len(first) == len(cov.balls):
-        return True
-    core = np.zeros(m.num_vertices, dtype=bool)
-    for b in first:
-        core[b.members] = True
-    allowed = np.zeros(m.num_vertices, dtype=bool)
-    for b in cov.balls:
-        if core[b.members].any():
-            allowed[b.members] = True
+    core = members @ first.astype(float) > 0
+    allowed = members @ (members.T @ core.astype(float) > 0) > 0
     for c in (v, omega_tilde):
         simp = m.simplices[c.degree][np.abs(c.values) > tol]
         # every support simplex must touch the allowed region

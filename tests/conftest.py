@@ -81,6 +81,12 @@ def cover_bumpy(bumpy16):
 
 
 @pytest.fixture(scope="session")
+def cover3d5():
+    m = geometry.generate_flat_torus_3d(5)
+    return m, _cover_bundle(m)[1]
+
+
+@pytest.fixture(scope="session")
 def weight16(torus16, cover16):
     rf, cov = cover16
     w = covering.weight_from_radius(rf, 1)
@@ -110,3 +116,26 @@ def rng():
 
 def unit_form(m, p, rng):
     return dec.random_cochain(m, p, rng)
+
+
+@pytest.fixture(scope="session")
+def glued_oracle():
+    return _glued_oracle
+
+
+def _glued_oracle(m, cov, patches, omega):
+    """T omega patch by patch, independent of the stacked system: a
+    dense solve of each patch's submesh interior block K_II u = M_I
+    omega_I, weighted by the vertex mean of chi_j and summed."""
+    p = omega.degree
+    out = np.zeros(m.num_simplices(p))
+    chi = cov.chi.toarray()
+    for j, patch in enumerate(patches):
+        sub, _, rows = patch.submesh()
+        r = rows[p]
+        K_II = dec.stiffness_matrix(sub, p).toarray()[np.ix_(r, r)]
+        M_I = dec.mass_diagonal(sub, p)[r]
+        I = patch.interior[p]
+        u = np.linalg.solve(K_II, M_I * omega.values[I])
+        out[I] += chi[m.simplices[p][I], j].mean(axis=1) * u
+    return out

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from hodge_rsm import geometry
 from hodge_rsm.cli import main
 
 
@@ -171,3 +172,25 @@ def test_bad_config_file(runner, tmp_path):
     bad.write_text("{not json")
     res = runner.invoke(main, ["cover", "--config", str(bad)])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("text", [
+    "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",   # one open triangle
+    "OFF\nxx\n",                                   # unreadable header
+])
+def test_cover_malformed_mesh_is_usage_error(runner, tmp_path, text):
+    path = tmp_path / "bad.off"
+    path.write_text(text)
+    res = runner.invoke(main, ["cover", "--mesh-path", str(path),
+                               "--out", str(tmp_path / "cov.json")])
+    assert res.exit_code == 2
+    assert "cannot read mesh" in res.output
+    assert not isinstance(res.exception, geometry.MeshError)
+
+
+def test_degenerate_covering_is_usage_error(runner, tmp_path):
+    # every 1-simplex of some patch lies on its boundary
+    cfg = _cfg(tmp_path, mesh={"kind": "flat_torus_3d", "resolution": 4})
+    res = runner.invoke(main, ["solve", "--config", cfg])
+    assert res.exit_code == 2
+    assert "no interior 1-simplex" in res.output

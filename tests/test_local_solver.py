@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hodge_rsm import covering, dec, geometry, local_solver
+from hodge_rsm import dec, local_solver
 from hodge_rsm.covering import RadiusField, vitali_cover, partition_of_unity
 from hodge_rsm.local_solver import (PatchError, extract_patch,
                                     local_czi_check, neumann_series_solve,
@@ -38,10 +38,10 @@ def test_interior_ball_patch(torus16, patch16):
         assert np.array_equal(got, np.sort(patch16.patch_simplices(p)))
 
 
-def test_restrict_extend_round_trip(torus16, patch16, rng):
+def test_restrict_scatter_round_trip(torus16, patch16, rng):
     u = dec.random_cochain(torus16, 1, rng)
-    vals = patch16.restrict(u)
-    back = patch16.extend(1, vals)
+    system = local_solver.stack_patches([patch16], 1)
+    back = dec.Cochain(torus16, 1, system.scatter(u.values[system.index]))
     idx = patch16.interior[1]
     assert np.allclose(back.values[idx], u.values[idx])
     mask = np.ones(torus16.num_simplices(1), dtype=bool)
@@ -89,42 +89,39 @@ def test_dirichlet_residual_and_linearity(torus16, patch16, rng):
     assert d1.c_j > 0 and np.isfinite(d1.c_j)
 
 
-@pytest.fixture(scope="module")
-def cover3d5():
-    m = geometry.generate_flat_torus_3d(5)
-    rf = covering.compute_radius_field(m, 0.1)
-    cov = covering.vitali_cover(m, rf)
-    covering.partition_of_unity(m, cov)
-    return m, cov
-
-
 def _assert_submesh_blocks(patches, degrees):
-    # the batched assembly against each patch's own submesh complex
+    # the stacked assembly against each patch's own submesh complex
     for p in degrees:
-        local_solver.factor_patches(patches, p)
-        for patch in patches:
+        system = local_solver.stack_patches(patches, p)
+        off_block = system.K.tolil()
+        for j, patch in enumerate(patches):
             sub, _, rows = patch.submesh()
             r = rows[p]
-            f = patch.factor(p)
-            assert np.array_equal(f.interior, patch.interior[p])
+            lo, hi = system.offsets[j], system.offsets[j + 1]
+            assert np.array_equal(system.index[lo:hi], patch.interior[p])
+            assert np.all(system.owner[lo:hi] == patch.ball.index)
             K_sub = dec.stiffness_matrix(sub, p)[np.ix_(r, r)]
-            assert (f.K_II != K_sub).nnz == 0
-            assert np.array_equal(f.M_I, dec.mass_diagonal(sub, p)[r])
+            assert (system.K[lo:hi, lo:hi] != K_sub).nnz == 0
+            assert np.array_equal(system.M[lo:hi],
+                                  dec.mass_diagonal(sub, p)[r])
+            off_block[lo:hi, lo:hi] = 0
+        # block diagonal: no entry couples two patches
+        assert off_block.tocsr().count_nonzero() == 0
 
 
 def test_patch_operator_is_submesh_stiffness(torus16, cover16, patch16, rng):
     _assert_submesh_blocks(cached_patches(torus16, cover16[1]), (0, 1, 2))
     for p in (0, 1):
-        f = patch16.factor(p)
+        f = local_solver.stack_patches([patch16], p)
         omega = dec.random_cochain(torus16, p, rng)
         u, _ = solve_local_dirichlet(patch16, omega)
-        rhs = f.M_I * omega.values[f.interior]
-        res = f.K_II @ u.values[f.interior] - rhs
+        rhs = f.M * omega.values[f.index]
+        res = f.K @ u.values[f.index] - rhs
         assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
     # not the interior block of the global stiffness
     I = patch16.interior[1]
     K_glob = dec.stiffness_matrix(torus16, 1)[np.ix_(I, I)]
-    assert abs(K_glob - patch16.factor(1).K_II).max() > 0
+    assert abs(K_glob - local_solver.stack_patches([patch16], 1).K).max() > 0
 
 
 def test_patch_operator_is_submesh_stiffness_3d(cover3d5):
@@ -132,7 +129,7 @@ def test_patch_operator_is_submesh_stiffness_3d(cover3d5):
     _assert_submesh_blocks(cached_patches(m, cov), (0, 1, 2, 3))
 
 
-def test_factor_patches_names_ball_without_interior(torus16, cover16):
+def test_stack_patches_names_ball_without_interior(torus16, cover16):
     # a hand-built ball holding one triangle: every vertex and edge of
     # the patch lies on its boundary
     cell = torus16.simplices[2][0]
@@ -143,7 +140,7 @@ def test_factor_patches_names_ball_without_interior(torus16, cover16):
     good = extract_patch(torus16, cover16[1], 3)
     for p in (0, 1):
         with pytest.raises(PatchError, match=f"ball 99: no interior {p}-"):
-            local_solver.factor_patches([good, lone], p)
+            local_solver.stack_patches([good, lone], p)
 
 
 def test_neumann_flat_override_one_step(torus16, patch16, rng):

@@ -159,19 +159,23 @@ def test_sweep_adjoint_identity(request, cover16, mesh, p):
     assert abs(dec.inner(Tx, y) - dec.inner(x, Ty)) <= 1e-12 * scale
 
 
-def test_sweeps_factor_each_patch_once(torus16, cover16, monkeypatch, rng):
+def test_sweeps_factor_once_per_degree(torus16, cover16, monkeypatch, rng):
     cov = dataclasses.replace(cover16[1], patches=None)
     calls = []
     splu = local_solver.spla.splu
     monkeypatch.setattr(local_solver.spla, "splu",
-                        lambda A: calls.append(1) or splu(A))
+                        lambda A: calls.append(A.shape) or splu(A))
     rsm.cached_patches(torus16, cov)
     assert not calls
-    omega = dec.random_cochain(torus16, 1, rng)
-    for _ in range(2):
-        rsm.sweep(torus16, cov, omega)
-    rsm.sweep_adjoint(torus16, cov, omega)
-    assert len(calls) == len(cov.balls)
+    for p in (0, 1):
+        omega = dec.random_cochain(torus16, p, rng)
+        for _ in range(2):
+            rsm.sweep(torus16, cov, omega)
+        rsm.sweep_adjoint(torus16, cov, omega)
+    # one factorisation of the stacked system of all patches per degree
+    system = {p: rsm.patch_system(torus16, cov, p)[0] for p in (0, 1)}
+    assert calls == [system[0].K.shape, system[1].K.shape]
+    assert system[1].offsets.size == len(cov.balls) + 1
 
 
 def test_first_sweep_builds_no_manifold_or_chart(torus16, cover16,
@@ -186,10 +190,74 @@ def test_first_sweep_builds_no_manifold_or_chart(torus16, cover16,
     omega = dec.random_cochain(torus16, 1, rng)
     rsm.sweep(torus16, cov, omega)
     assert built == []
-    # every patch is factored: a second batch is a no-op
-    factors = [patch.factor(1) for patch in cov.patches]
-    local_solver.factor_patches(cov.patches, 1)
-    assert all(patch.factor(1) is f for patch, f in zip(cov.patches, factors))
+    # the stacked system is built once: a second request is a no-op
+    system = rsm.patch_system(torus16, cov, 1)
+    assert rsm.patch_system(torus16, cov, 1) is system
+
+
+@pytest.mark.parametrize("mesh,p", [("torus16", 0), ("torus16", 1),
+                                    ("torus16", 2), ("bumpy16", 0),
+                                    ("bumpy16", 1), ("bumpy16", 2),
+                                    ("torus3d5", 1)])
+def test_sweep_matches_per_patch_oracle(request, glued_oracle, mesh, p):
+    if mesh == "torus3d5":
+        m, cov = request.getfixturevalue("cover3d5")
+    else:
+        m = request.getfixturevalue(mesh)
+        cov = request.getfixturevalue(
+            "cover16" if mesh == "torus16" else "cover_bumpy")[1]
+    omega = dec.random_cochain(m, p, np.random.default_rng(5))
+    v0, U = rsm.sweep(m, cov, omega)
+    ref = glued_oracle(m, cov, rsm.cached_patches(m, cov), omega)
+    assert np.linalg.norm(v0.values - ref) <= 1e-12 * np.linalg.norm(ref)
+    # the columns of U are the local solutions, zero outside the interior
+    for j in (0, len(cov.balls) // 2):
+        patch = cov.patches[j]
+        col = U[:, j].toarray().ravel()
+        outside = np.ones(col.size, dtype=bool)
+        outside[patch.interior[p]] = False
+        assert not col[outside].any()
+
+
+def test_gluing_ledger_matches_per_patch_definition(torus16, cover16,
+                                                    weight16, rng):
+    # the 5s4 bounds from the stacked columns against their definition
+    # on one full-length Cochain per piece chi_j u_j
+    rf, cov = cover16
+    m, p, s = torus16, 1, 2.0
+    omega = dec.random_cochain(m, p, rng)
+    _, _, diag = rsm_step(m, cov, rf, omega, 1.5, weight16)
+    _, U = rsm.sweep(m, cov, omega)
+    chi = cov.chi.toarray()
+    parts = [rsm.multiply_scalar(m, chi[:, j], dec.Cochain(
+        m, p, U[:, j].toarray().ravel())) for j in range(U.shape[1])]
+    total = parts[0]
+    for pc in parts[1:]:
+        total = total + pc
+    w_simp = rsm.simplex_average(m, p, weight16.values)
+    mu = m.support_volumes[p]
+    for key, dens in (("5s4_i", dec.density),
+                      ("5s4_ii", dec.gradient_density),
+                      ("5s4_iii", dec.hessian_density)):
+        lhs = float(np.sum(mu * w_simp**s * dens(total) ** s)) ** (1 / s)
+        counts = np.zeros(m.num_simplices(p), dtype=int)
+        rhs_sum, c_sw = 0.0, 1.0
+        for j, pc in enumerate(parts):
+            g = dens(pc)
+            supp = g > 1e-300
+            counts += supp
+            if supp.any():
+                c_sw = max(c_sw, (w_simp[supp]
+                                  / weight16.ball_means[j]).max())
+            rhs_sum += weight16.ball_means[j] ** s * np.sum(
+                mu[supp] * g[supp] ** s)
+        T_eff = int(counts.max())
+        rhs = (T_eff ** (s - 1) * c_sw**s * rhs_sum) ** (1 / s)
+        led = diag.ledger[key]
+        assert led["T_eff"] == T_eff
+        assert led["c_sw_eff"] == c_sw
+        assert abs(led["lhs"] - lhs) <= 1e-12 * lhs
+        assert abs(led["rhs"] - rhs) <= 1e-12 * rhs
 
 
 def test_localized_source_recovery(torus16, cover16, rng):
