@@ -104,6 +104,22 @@ def build_covering(m, cfg):
     return rf, cov
 
 
+def load_or_build_covering(m, cfg):
+    """(rf, cov) from the covering.json `cover` wrote to out_dir, when its
+    key says it was built from this mesh, epsilon and divisor; a fresh
+    build_covering when the file is missing, unparsable or keyed to
+    other inputs."""
+    key = covering.covering_key(m, cfg["epsilon"], cfg["divisor"])
+    try:
+        rf, cov, saved = covering.load_covering(
+            Path(cfg["out_dir"]) / "covering.json")
+    except (FileNotFoundError, json.JSONDecodeError):
+        saved = None
+    if saved != key:
+        return build_covering(m, cfg)
+    return rf, cov
+
+
 class Report:
     def __init__(self, cfg):
         self.payload = {"config": cfg, "checks": []}
@@ -185,7 +201,8 @@ def cover(config_path, epsilon, divisor, mesh_path, out_path):
     bound = covering.overlap_bound(cfg["epsilon"], m.n)
     out = out_path or str(Path(cfg["out_dir"]) / "covering.json")
     Path(out).parent.mkdir(parents=True, exist_ok=True)
-    covering.save_covering(cov, out)
+    covering.save_covering(cov, out, rf, covering.covering_key(
+        m, cfg["epsilon"], cfg["divisor"]))
     click.echo(f"balls: {len(cov)}  T_meas: {cov.overlap_measured}  "
                f"overlap bound: {bound:g}")
     if cov.overlap_measured > bound:
@@ -207,7 +224,7 @@ def solve(config_path, r_, s_, k_, degrees, out_dir):
     if degrees:
         cfg["degrees"] = list(degrees)
     m = build_mesh(cfg)
-    rf, cov = build_covering(m, cfg)
+    rf, cov = load_or_build_covering(m, cfg)
     rng = np.random.default_rng(cfg["seed"])
     rep = Report(cfg)
     out = Path(cfg["out_dir"])
@@ -261,7 +278,7 @@ def decompose(config_path, r_, degrees, harmonic_tol, mode, seed, out_dir):
     if mode:
         cfg["d_dstar"] = mode == "d_dstar"
     m = build_mesh(cfg)
-    rf, cov = build_covering(m, cfg)
+    rf, cov = load_or_build_covering(m, cfg)
     rng = np.random.default_rng(cfg["seed"])
     rep = Report(cfg)
     out = Path(cfg["out_dir"])
@@ -308,7 +325,7 @@ def verify(config_path, r_, degrees, out_dir):
     if degrees:
         cfg["degrees"] = list(degrees)
     m = build_mesh(cfg)
-    rf, cov = build_covering(m, cfg)
+    rf, cov = load_or_build_covering(m, cfg)
     rng = np.random.default_rng(cfg["seed"])
     rep = Report(cfg)
     out = Path(cfg["out_dir"])

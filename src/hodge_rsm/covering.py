@@ -8,6 +8,7 @@ below epsilon).  Core balls of radius R/divisor are packed greedily; their
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import warnings
@@ -208,7 +209,8 @@ def partition_of_unity(m: SimplicialManifold,
     """Normalized C^2 bumps chi_j = phi_j / sum phi, stored into cov.
 
     phi_j(x) = (1 - (d/R_j)^2)^3 inside the ball, zero outside; the
-    discrete per-edge gradient of each column is measured and recorded.
+    discrete gradient of each column, max over edges ab of
+    |chi_j(a) - chi_j(b)| / |ab|, is recorded in cov.chi_gradients.
     """
     D = all_geodesic_distances(m)
     V, J = m.num_vertices, len(cov.balls)
@@ -223,11 +225,10 @@ def partition_of_unity(m: SimplicialManifold,
         raise CoverageError("vertex with zero bump mass (coverage gap)")
     chi = sp.diags(1.0 / total) @ phi
 
-    edges = m.simplices[1]
-    lengths = m.edge_lengths
-    dense_cols = np.asarray(chi.todense())
-    diff = np.abs(dense_cols[edges[:, 0]] - dense_cols[edges[:, 1]])
-    grads = (diff / lengths[:, None]).max(axis=0)
+    # |d0 chi| as a sparse edges x balls matrix; d0 = boundary[1]^T
+    grad = abs(m.boundary[1].T @ chi).tocoo()
+    grad.data /= m.edge_lengths[grad.row]
+    grads = grad.max(axis=0).toarray().ravel()
     cov.chi = chi
     cov.chi_gradients = grads
     return chi
@@ -299,7 +300,22 @@ def weight_integrability(m: SimplicialManifold, w: WeightField,
 # -- serialization ------------------------------------------------------
 
 
-def covering_to_dict(cov: AdmissibleCovering) -> dict:
+def covering_key(m: SimplicialManifold, eps: float, divisor: float) -> str:
+    """SHA-256 over what a covering is built from: the mesh's vertices,
+    oriented cells and edge lengths (with their dtypes and shapes), eps
+    and the requested divisor.  Equal keys mean compute_radius_field,
+    vitali_cover and partition_of_unity of this program version would
+    build the saved covering again."""
+    h = hashlib.sha256()
+    for a in (m.vertices, m.oriented_cells, m.edge_lengths,
+              np.array([eps, divisor], dtype=float)):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def covering_to_dict(cov: AdmissibleCovering, rf: RadiusField,
+                     key: str) -> dict:
     chi = sp.coo_matrix(cov.chi) if cov.chi is not None else None
     return {
         "eps": cov.eps,
@@ -317,15 +333,26 @@ def covering_to_dict(cov: AdmissibleCovering) -> dict:
              for i, j, v in zip(chi.row, chi.col, chi.data)],
         "chi_gradients": None if cov.chi_gradients is None
             else cov.chi_gradients.tolist(),
+        "radius_field": {"values": rf.values.tolist(), "eps": rf.eps,
+                         "divisor": rf.divisor,
+                         "divisor_effective": rf.divisor_effective},
+        "key": key,
     }
 
 
-def save_covering(cov: AdmissibleCovering, path) -> None:
+def save_covering(cov: AdmissibleCovering, path, rf: RadiusField,
+                  key: str) -> None:
+    """Write cov, the radius field it was built from and its covering_key
+    as JSON; floats round-trip exactly through load_covering."""
     with open(path, "w") as f:
-        json.dump(covering_to_dict(cov), f, indent=1, sort_keys=True)
+        json.dump(covering_to_dict(cov, rf, key), f, indent=1,
+                  sort_keys=True)
 
 
-def load_covering(path) -> AdmissibleCovering:
+def load_covering(path) -> tuple[RadiusField | None, AdmissibleCovering,
+                                 str | None]:
+    """(rf, cov, key) as save_covering wrote them; rf and key are None
+    for a file written without them."""
     with open(path) as f:
         d = json.load(f)
     balls = [CoveringBall(i, bd["center"], bd["core_radius"],
@@ -341,4 +368,8 @@ def load_covering(path) -> AdmissibleCovering:
             (trip[:, 2], (trip[:, 0].astype(int), trip[:, 1].astype(int))),
             shape=(int(V), len(balls)))
         cov.chi_gradients = np.array(d["chi_gradients"])
-    return cov
+    rd = d.get("radius_field")
+    rf = None if rd is None else RadiusField(
+        np.array(rd["values"], dtype=float), rd["eps"], rd["divisor"],
+        rd["divisor_effective"])
+    return rf, cov, d.get("key")

@@ -46,8 +46,9 @@ class PatchSystem:
     ball owner[e]; patch j owns entries offsets[j] to offsets[j + 1], its
     interior simplices in increasing order.  K is the block-diagonal
     stiffness (blocks: the patches' submesh interior stiffness), M its
-    mass diagonal, lu its splu factor.  support is the simplices x
-    patches mask of the patch simplices.
+    mass diagonal.  support is the simplices x patches mask of the patch
+    simplices.  lu is the splu factor of K, None until stack_patches
+    factors it.
     """
 
     index: np.ndarray
@@ -55,8 +56,8 @@ class PatchSystem:
     owner: np.ndarray
     K: sp.csc_matrix
     M: np.ndarray
-    lu: spla.SuperLU
     support: sp.csc_matrix
+    lu: spla.SuperLU | None = None
 
     def columns(self, x: np.ndarray) -> sp.csc_matrix:
         """Global simplices x patches matrix whose column j is patch j's
@@ -69,10 +70,11 @@ class PatchSystem:
         return np.bincount(self.index, x, minlength=self.support.shape[0])
 
     def diagnostics(self, omega: dec.Cochain, u: np.ndarray,
-                    r: float) -> list:
+                    dens: list, r: float) -> list:
         """SolveDiagnostics of each patch for the solution u of K u =
         M omega[index]: residual |K_II u_I / M_I - omega_I| / |omega_I|
-        and c_j = |u_j|_{W^{2,r}} / |omega_I|_{L^r} over the patch."""
+        and c_j = |u_j|_{W^{2,r}} / |omega_I|_{L^r} over the patch.
+        dens holds the densities of order 0, 1 and 2 of columns(u)."""
         m, p = omega.manifold, omega.degree
         om = omega.values[self.index]
         start = self.offsets[:-1]
@@ -80,9 +82,7 @@ class PatchSystem:
         res /= np.sqrt(np.add.reduceat(om**2, start)) + 1e-300
         lr = dec.column_norms(m, p, dec.densities(m, p, self.columns(om), 0),
                               r)
-        U = self.columns(u)
-        w2 = sum(dec.column_norms(m, p, dec.densities(m, p, U, k), r,
-                                  self.support) for k in range(3))
+        w2 = sum(dec.column_norms(m, p, d, r, self.support) for d in dens)
         c = np.divide(w2, lr, out=np.zeros_like(w2), where=lr > 0)
         return [SolveDiagnostics(int(self.owner[e]), p, int(n), float(x),
                                  float(cj))
@@ -200,8 +200,9 @@ def _patch_complex(patches: list) -> PatchComplex:
                         support)
 
 
-def stack_patches(patches: list, p: int) -> PatchSystem:
-    """The degree-p PatchSystem of patches sharing one manifold.
+def _assemble(patches: list, p: int) -> PatchSystem:
+    """The degree-p PatchSystem of patches sharing one manifold, not yet
+    factored.
 
     The stacked unknowns are the interior rows of the PatchComplex of
     the patches, taken patch by patch; no stiffness entry couples two
@@ -227,7 +228,15 @@ def stack_patches(patches: list, p: int) -> PatchSystem:
     balls = np.array([pt.ball.index for pt in patches])
     return PatchSystem(glob, np.concatenate([[0], np.cumsum(sizes)]),
                        balls[pos], K, dec.mass_diagonal(union, p)[rows],
-                       spla.splu(K), support)
+                       support)
+
+
+def stack_patches(patches: list, p: int) -> PatchSystem:
+    """The degree-p PatchSystem of patches sharing one manifold, with the
+    one splu factor of its block-diagonal stiffness (see _assemble)."""
+    system = _assemble(patches, p)
+    system.lu = spla.splu(system.K)
+    return system
 
 
 def extract_patch(m: SimplicialManifold, cov, j: int) -> Patch:
@@ -288,10 +297,13 @@ def solve_local_dirichlet(patch: Patch, omega: dec.Cochain,
     patch, built and factored on each call; the diagnostics are those
     the sweeps record (PatchSystem.diagnostics).
     """
-    f = stack_patches([patch], omega.degree)
+    m, p = patch.manifold, omega.degree
+    f = stack_patches([patch], p)
     u_I = f.lu.solve(f.M * omega.values[f.index])
-    return (dec.Cochain(patch.manifold, omega.degree, f.scatter(u_I)),
-            f.diagnostics(omega, u_I, r)[0])
+    U = f.columns(u_I)
+    dens = [dec.densities(m, p, U, k) for k in range(3)]
+    return (dec.Cochain(m, p, f.scatter(u_I)),
+            f.diagnostics(omega, u_I, dens, r)[0])
 
 
 def _flat_stiffness(patch: Patch, p: int,
@@ -327,7 +339,7 @@ def neumann_series_solve(patch: Patch, omega: dec.Cochain,
     v_k, and summing with alternating signs; returns (u, diagnostics).
     """
     m, p = patch.manifold, omega.degree
-    f = stack_patches([patch], p)
+    f = _assemble([patch], p)
     I, K_II, M_I = f.index, f.K, f.M
     Kf_II, Mf_I = _flat_stiffness(patch, p, flat_edge_lengths)
     lu = spla.splu(Kf_II)

@@ -316,24 +316,24 @@ def _margin(lhs: float, rhs: float) -> float:
     return 0.0 if -1e-9 * max(lhs, rhs) <= margin < 0 else margin
 
 
-def _gluing_bound(m, w: WeightField, v0: dec.Cochain, parts, s: float,
-                  order: int) -> dict:
+def _gluing_bound(m, w: WeightField, v0: dec.Cochain, parts_dens,
+                  s: float, order: int) -> dict:
     """One part of the gluing inequality, in discretely rigorous form.
 
-    parts holds the glued pieces chi_j u_j, one per column; v0 is their
-    sum.  The left side is the weighted L^s norm of the relevant
-    surrogate density of v0; the right side uses the measured effective
-    overlap of the density supports and the weight-comparability
-    constant measured over those supports, with the per-ball norms of
-    the pieces themselves (the continuum proof's Leibniz split is
-    reported separately by the caller).
+    parts_dens holds the order-`order` densities of the glued pieces
+    chi_j u_j, one per column; v0 is their sum.  The left side is the
+    weighted L^s norm of the relevant surrogate density of v0; the right
+    side uses the measured effective overlap of the density supports and
+    the weight-comparability constant measured over those supports, with
+    the per-ball norms of the pieces themselves (the continuum proof's
+    Leibniz split is reported separately by the caller).
     """
     p = v0.degree
     w_simp = simplex_average(m, p, w.values)
     mu = m.support_volumes[p]
     lhs_s = float(np.sum(mu * w_simp**s
                          * dec.densities(m, p, v0.values, order) ** s))
-    g = dec.densities(m, p, parts, order).tocoo()
+    g = parts_dens.tocoo()
     supp = g.data > 1e-300
     rows, cols, g = g.row[supp], g.col[supp], g.data[supp]
     T_eff = int(np.bincount(rows, minlength=mu.size).max())
@@ -348,7 +348,7 @@ def _gluing_bound(m, w: WeightField, v0: dec.Cochain, parts, s: float,
 
 
 def _weight_summation_bound(m, cov, rf: RadiusField, w: WeightField,
-                            parts, omega: dec.Cochain, r: float,
+                            parts_dens, omega: dec.Cochain, r: float,
                             s: float, balls) -> dict:
     """Weight-summation inequality I <= c_w T^(s/r) |omega|_{L^r(wtilde^r)}.
 
@@ -356,12 +356,12 @@ def _weight_summation_bound(m, cov, rf: RadiusField, w: WeightField,
     the hypothesis, the radius-comparability factor rho (the continuum
     value is 96 for divisor 120), and the tightest c_iw over the balls
     (that of check_weight_relative).  gamma = GAMMA = 2 throughout.
-    parts holds the pieces chi_j u_j; balls is rsm_step's ball mask.
+    parts_dens holds the order-0 densities of the pieces chi_j u_j;
+    balls is rsm_step's ball mask.
     """
     p = omega.degree
     R, w_means = cov.radii(), w.ball_means
-    a = w_means * dec.column_norms(m, p, dec.densities(m, p, parts, 0), s,
-                                   balls)
+    a = w_means * dec.column_norms(m, p, parts_dens, s, balls)
     b = w_means * R ** (-GAMMA) * dec.column_norms(
         m, p, balls.multiply(dec.density(omega)[:, None]), r)
     rf_max = cov.membership(m.num_vertices).multiply(rf.values[:, None])
@@ -379,14 +379,14 @@ def _weight_summation_bound(m, cov, rf: RadiusField, w: WeightField,
             "margin": _margin(I, rhs)}
 
 
-def _leibniz_diagnostic(m, cov, w, U, p: int, s: float, eps: float,
+def _leibniz_diagnostic(m, cov, w, U_dens, p: int, s: float, eps: float,
                         balls) -> dict:
     """Continuum-form right side of the gluing bound (reported, not
-    asserted); U holds the local solutions, balls is rsm_step's mask."""
+    asserted); U_dens holds the order-0 and order-1 densities of the
+    local solutions, balls is rsm_step's mask."""
     T = cov.overlap_measured
     c_sw = w.c_sw if w.c_sw is not None else 1.0
-    lr, gr = (dec.column_norms(m, p, dec.densities(m, p, U, k), s, balls)
-              for k in (0, 1))
+    lr, gr = (dec.column_norms(m, p, d, s, balls) for d in U_dens)
     total = float(np.sum(w.ball_means**s * (cov.radii()**-s * lr**s
                                             + gr**s)))
     conj = s / (s - 1)
@@ -409,11 +409,16 @@ def rsm_step(m: SimplicialManifold, cov: AdmissibleCovering,
     if w.ball_means is None:
         check_weight_relative(w, cov, m)
     v0, U = sweep(m, cov, omega)
+    # densities used twice are computed once: U's of orders 0 and 1 (the
+    # c_j and the Leibniz diagnostic), the pieces' of order 0 (5s4_i, 5s6)
+    U_dens = [dec.densities(m, p, U, k) for k in (0, 1)]
     system = patch_system(m, cov, p)[0]
     solves = [local_solver.SolveDiagnostics(0, p, U.shape[0], 0.0)] \
-        if system is None else system.diagnostics(omega, U.data, r)
+        if system is None else system.diagnostics(
+            omega, U.data, U_dens + [dec.densities(m, p, U, 2)], r)
     chi = simplex_average(m, p, cov.chi.tocsr())
     parts = U.multiply(chi).tocsc()
+    parts_dens0 = dec.densities(m, p, parts, 0)
     lap = dec.hodge_laplacian(m, p)
     chi_lap = np.asarray(chi.multiply(lap.matrix @ U).sum(axis=1)).ravel()
     lap_v0 = lap(v0)
@@ -423,12 +428,15 @@ def rsm_step(m: SimplicialManifold, cov: AdmissibleCovering,
     balls = simplex_average(m, p, cov.membership(m.num_vertices).tocsr()) \
         >= 1.0
     ledger = {
-        "5s4_i": _gluing_bound(m, w, v0, parts, s, 0),
-        "5s4_ii": _gluing_bound(m, w, v0, parts, s, 1),
-        "5s4_iii": _gluing_bound(m, w, v0, parts, s, 2),
-        "5s6": _weight_summation_bound(m, cov, rf, w, parts, omega, r, s,
+        "5s4_i": _gluing_bound(m, w, v0, parts_dens0, s, 0),
+        "5s4_ii": _gluing_bound(m, w, v0, dec.densities(m, p, parts, 1),
+                                s, 1),
+        "5s4_iii": _gluing_bound(m, w, v0, dec.densities(m, p, parts, 2),
+                                 s, 2),
+        "5s6": _weight_summation_bound(m, cov, rf, w, parts_dens0, omega, r,
+                                       s, balls),
+        "leibniz": _leibniz_diagnostic(m, cov, w, U_dens, p, s, cov.eps,
                                        balls),
-        "leibniz": _leibniz_diagnostic(m, cov, w, U, p, s, cov.eps, balls),
     }
     # sum_j B(chi_j, u_j) = Delta v0 - sum_j chi_j Delta u_j
     diag = StepDiagnostics(step_index, solves,

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from hodge_rsm import geometry
+from hodge_rsm import covering, geometry
 from hodge_rsm.cli import main
 
 
@@ -194,3 +194,83 @@ def test_degenerate_covering_is_usage_error(runner, tmp_path):
     res = runner.invoke(main, ["solve", "--config", cfg])
     assert res.exit_code == 2
     assert "no interior 1-simplex" in res.output
+
+
+# -- the covering `cover` saves and later commands reuse ----------------
+
+_SMALL = {"mesh": {"kind": "flat_torus", "resolution": 12}, "r": 1.5,
+          "degrees": [1], "num_forms": 1}
+_OUTPUTS = ("solve_report.json", "decompose_report.json",
+            "verify_report.json", "trace_p1.json", "trace_p1.csv",
+            "spectrum_p1.json")
+
+
+@pytest.fixture()
+def radius_fields(monkeypatch):
+    """Counts the calls of covering.compute_radius_field."""
+    calls = []
+    real = covering.compute_radius_field
+    monkeypatch.setattr(covering, "compute_radius_field",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def _run(runner, cfg, *commands):
+    for cmd in commands:
+        res = runner.invoke(main, [*cmd.split(), "--config", cfg])
+        assert res.exit_code == 0, res.output
+    return Path(json.loads(Path(cfg).read_text())["out_dir"])
+
+
+def _output(out, name):
+    """An output file; reports without their timestamp and out_dir."""
+    if not name.endswith("_report.json"):
+        return (out / name).read_bytes()
+    rep = json.loads((out / name).read_text())
+    rep.pop("timestamp")
+    rep["config"].pop("out_dir")
+    return rep
+
+
+def test_commands_reuse_saved_covering(runner, tmp_path, radius_fields):
+    saved = _run(runner, _cfg(tmp_path / "saved", **_SMALL), "cover")
+    fresh = _run(runner, _cfg(tmp_path / "fresh", **_SMALL), "cover")
+    (fresh / "covering.json").unlink()
+    radius_fields.clear()
+    _run(runner, str(tmp_path / "saved" / "config.json"),
+         "solve", "decompose", "verify")
+    assert radius_fields == []
+    _run(runner, str(tmp_path / "fresh" / "config.json"),
+         "solve", "decompose", "verify")
+    assert len(radius_fields) == 3
+    for name in _OUTPUTS:
+        assert _output(saved, name) == _output(fresh, name), name
+
+
+def _truncate(path):
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+
+
+def _drop_key(path):
+    data = json.loads(path.read_text())
+    del data["key"]
+    path.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize("cover,spoil", [
+    ("cover --epsilon 0.2", None),
+    ("cover", _truncate),
+    ("cover", _drop_key),
+])
+def test_unusable_saved_covering_is_rebuilt(runner, tmp_path, radius_fields,
+                                            cover, spoil):
+    out = _run(runner, _cfg(tmp_path / "stale", **_SMALL), cover)
+    if spoil:
+        spoil(out / "covering.json")
+    radius_fields.clear()
+    _run(runner, str(tmp_path / "stale" / "config.json"), "solve")
+    assert len(radius_fields) == 1
+    fresh = _run(runner, _cfg(tmp_path / "fresh", **_SMALL), "solve")
+    for name in ("solve_report.json", "trace_p1.json"):
+        assert _output(out, name) == _output(fresh, name), name

@@ -12,9 +12,10 @@ from hodge_rsm.covering import (CoverageError, RadiusField, WeightField,
                                 admissible_radius, check_radius_lipschitz,
                                 check_weight_relative, chi_gradient_constant,
                                 compute_radius_field, constant_weight,
-                                covering_to_dict, load_covering,
-                                overlap_bound, partition_of_unity,
-                                save_covering, smoothed_radius, vitali_cover,
+                                covering_key, covering_to_dict,
+                                load_covering, overlap_bound,
+                                partition_of_unity, save_covering,
+                                smoothed_radius, vitali_cover,
                                 weight_from_radius, weight_integrability)
 from hodge_rsm.geometry import all_geodesic_distances
 
@@ -253,17 +254,28 @@ def test_smoothed_radius_range(torus16, cover16):
 
 
 def test_covering_serialization_round_trip(tmp_path, torus16, cover16):
-    _, cov = cover16
+    rf, cov = cover16
+    key = covering_key(torus16, 0.1, 120.0)
+    assert key != covering_key(torus16, 0.2, 120.0)
+    assert key != covering_key(torus16, 0.1, 60.0)
     path = tmp_path / "cov.json"
-    save_covering(cov, path)
-    cov2 = load_covering(path)
+    save_covering(cov, path, rf, key)
+    rf2, cov2, key2 = load_covering(path)
+    assert key2 == key
     assert len(cov2) == len(cov)
     assert cov2.overlap_measured == cov.overlap_measured
     for a, b in zip(cov.balls, cov2.balls):
         assert a.center == b.center
-        assert np.array_equal(np.sort(a.members), np.sort(b.members))
-    assert np.max(np.abs((cov.chi - cov2.chi).toarray())) < 1e-15
+        assert np.array_equal(a.members, b.members)
+        assert np.array_equal(a.doubled_members, b.doubled_members)
+        assert a.covering_radius == b.covering_radius
+    # JSON floats round-trip exactly
+    assert np.array_equal(cov.chi.toarray(), cov2.chi.toarray())
+    assert np.array_equal(cov.chi_gradients, cov2.chi_gradients)
+    assert np.array_equal(rf.values, rf2.values)
+    assert (rf2.eps, rf2.divisor, rf2.divisor_effective) == \
+        (rf.eps, rf.divisor, rf.divisor_effective)
     # a second save is byte-identical (determinism)
     path2 = tmp_path / "cov2.json"
-    save_covering(cov, path2)
+    save_covering(cov, path2, rf, key)
     assert path.read_bytes() == path2.read_bytes()

@@ -166,6 +166,19 @@ def test_neumann_agrees_with_direct(bumpy16, cover_bumpy, rng):
     assert num <= 1e-8 * np.linalg.norm(ud.values[idx])
 
 
+def test_neumann_solve_factors_once(bumpy16, cover_bumpy, rng,
+                                    monkeypatch):
+    # only the flat operator is factored; the curved K_II is only applied
+    import scipy.sparse.linalg as spla
+    calls = []
+    real = spla.splu
+    monkeypatch.setattr(spla, "splu",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    patch = extract_patch(bumpy16, cover_bumpy[1], 0)
+    neumann_series_solve(patch, dec.random_cochain(bumpy16, 1, rng))
+    assert len(calls) == 1
+
+
 def test_local_czi_constant(torus16, patch16):
     c = dec.Cochain(torus16, 0, np.ones(torus16.num_vertices))
     lhs, t1, t2 = local_czi_check(patch16, c, 1.5)
