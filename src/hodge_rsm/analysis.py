@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import linprog
+from scipy.sparse.csgraph import connected_components
 
 from . import dec, rsm
 from .covering import AdmissibleCovering, RadiusField, WeightField, \
@@ -535,12 +536,24 @@ def harmonic_embedding_check(m: SimplicialManifold, rep: SpectrumReport,
     return {"s": s, "ratios": ratios, "C_s": cs}
 
 
+def derivative_rank(m: SimplicialManifold, q: int) -> int:
+    """Rank of d_q, exact on a closed oriented mesh for q = 0 (V minus the
+    components of the edge graph) and q = n-1 (N_n minus the components
+    of the cell-adjacency graph); d_1 of a 3-manifold takes matrix_rank."""
+    if q == 0:
+        return m.num_vertices - connected_components(m.graph,
+                                                     directed=False)[0]
+    if q == m.n - 1:
+        B = abs(m.boundary[m.n])
+        return m.num_simplices(m.n) - connected_components(
+            B.T @ B, directed=False)[0]
+    return int(np.linalg.matrix_rank(
+        dec.exterior_derivative(m, q).matrix.toarray()))
+
+
 def rank_identity_check(m: SimplicialManifold, p: int,
                         harmonic_dim: int) -> bool:
-    """harmonic + rank(d_{p-1}) + rank(d_{p+1}) must equal dim C^p."""
-    N = m.num_simplices(p)
-    r_dn = np.linalg.matrix_rank(
-        dec.exterior_derivative(m, p - 1).matrix.toarray()) if p > 0 else 0
-    r_up = np.linalg.matrix_rank(
-        dec.exterior_derivative(m, p).matrix.toarray()) if p < m.n else 0
-    return harmonic_dim + r_dn + r_up == N
+    """harmonic + rank(d_{p-1}) + rank(d_p) must equal dim C^p."""
+    r_dn = derivative_rank(m, p - 1) if p > 0 else 0
+    r_up = derivative_rank(m, p) if p < m.n else 0
+    return harmonic_dim + r_dn + r_up == m.num_simplices(p)

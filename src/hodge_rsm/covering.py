@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import ChartFrame, SimplicialManifold, all_geodesic_distances
+from .geometry import ChartFrame, SimplicialManifold, geodesic_distance
 
 RADIUS_FLOOR_EDGES = 2.0   # R_min = this many mean edge lengths
 MIN_DIVISOR = 5.0          # below this the 5r dilation stops making sense
@@ -147,15 +147,18 @@ def check_radius_lipschitz(m: SimplicialManifold, rf: RadiusField,
                            tol: float = 1e-9) -> list:
     """Pairs violating the Harnack-type radius bound R(x) <= 4 R(y).
 
-    Scans all pairs with d(x, y) <= (R(x) + R(y))/4; an empty list means
-    the comparability of nearby admissible radii holds on this field.
+    Pairs (x, y), sorted, with d(x, y) <= (R(x) + R(y))/4; an empty list
+    means nearby admissible radii are comparable on this field.  For
+    tol >= 0, R(y) < R(x)/4, so a search to (R(x) + R(x)/4)/4 finds y.
     """
-    D = all_geodesic_distances(m)
     R = rf.values
-    close = D <= (R[:, None] + R[None, :]) / 4.0
-    bad = close & (R[:, None] > 4.0 * R[None, :] * (1.0 + tol))
-    xs, ys = np.nonzero(bad)
-    return [(int(x), int(y)) for x, y in zip(xs, ys) if x != y]
+    bad = []
+    for x in np.flatnonzero(R > 4.0 * R.min() * (1.0 + tol)):
+        d = geodesic_distance(m, int(x), limit=(R[x] + R[x] / 4.0) / 4.0)
+        ys = np.flatnonzero((d <= (R[x] + R) / 4.0)
+                            & (R[x] > 4.0 * R * (1.0 + tol)))
+        bad += [(int(x), int(y)) for y in ys]
+    return bad
 
 
 def overlap_bound(eps: float, n: int) -> float:
@@ -170,28 +173,24 @@ def vitali_cover(m: SimplicialManifold, rf: RadiusField) -> AdmissibleCovering:
 
     Centers are taken in decreasing core-radius order (ties by index);
     a center is accepted when its core ball is disjoint from all accepted
-    cores.  The 5-fold dilations then cover every vertex.
+    cores.  The 5-fold dilations then cover every vertex.  Each accepted
+    x searches to 2 R_x = 10 core(x), reaching every later candidate y
+    it blocks (core(y) <= core(x)).
     """
-    D = all_geodesic_distances(m)
     core = rf.core
     order = np.lexsort((np.arange(m.num_vertices), -core))
-    accepted: list[int] = []
-    for x in order:
-        ok = True
-        for j in accepted:
-            if D[x, j] <= core[x] + core[j]:
-                ok = False
-                break
-        if ok:
-            accepted.append(int(x))
-
+    blocked = np.zeros(m.num_vertices, dtype=bool)
     balls = []
-    for idx, c in enumerate(accepted):
-        R_j = 5.0 * core[c]
-        members = np.flatnonzero(D[c] <= R_j)
-        doubled = np.flatnonzero(D[c] <= 2.0 * R_j)
-        balls.append(CoveringBall(idx, c, float(core[c]), float(R_j),
-                                  float(rf.values[c]), members, doubled))
+    for x in order:
+        if blocked[x]:
+            continue
+        R_x = 5.0 * core[x]
+        d = geodesic_distance(m, int(x), limit=2.0 * R_x)
+        blocked |= d <= core + core[x]
+        balls.append(CoveringBall(len(balls), int(x), float(core[x]),
+                                  float(R_x), float(rf.values[x]),
+                                  np.flatnonzero(d <= R_x),
+                                  np.flatnonzero(d <= 2.0 * R_x)))
 
     cov = AdmissibleCovering(balls, rf.eps)
     counts = cov.membership_counts(m.num_vertices)
@@ -208,18 +207,19 @@ def partition_of_unity(m: SimplicialManifold,
                        cov: AdmissibleCovering) -> sp.csr_matrix:
     """Normalized C^2 bumps chi_j = phi_j / sum phi, stored into cov.
 
-    phi_j(x) = (1 - (d/R_j)^2)^3 inside the ball, zero outside; the
-    discrete gradient of each column, max over edges ab of
-    |chi_j(a) - chi_j(b)| / |ab|, is recorded in cov.chi_gradients.
+    phi_j(x) = (1 - (d/R_j)^2)^3 inside the ball, zero outside, with d
+    from one search per ball bounded by R_j; the discrete gradient of
+    each column, max over edges ab of |chi_j(a) - chi_j(b)| / |ab|, is
+    recorded in cov.chi_gradients.
     """
-    D = all_geodesic_distances(m)
-    V, J = m.num_vertices, len(cov.balls)
-    phi = sp.lil_matrix((V, J))
-    for b in cov.balls:
-        t = D[b.center, b.members] / b.covering_radius
-        vals = np.maximum(1.0 - t**2, 0.0) ** 3
-        phi[b.members, b.index] = vals
-    phi = phi.tocsr()
+    members = [b.members for b in cov.balls]
+    t = np.concatenate([geodesic_distance(m, b.center, b.covering_radius)
+                        [b.members] / b.covering_radius for b in cov.balls])
+    cols = np.repeat(np.arange(len(members)), [x.size for x in members])
+    phi = sp.csr_matrix((np.maximum(1.0 - t**2, 0.0) ** 3,
+                         (np.concatenate(members), cols)),
+                        shape=(m.num_vertices, len(members)))
+    phi.eliminate_zeros()
     total = np.asarray(phi.sum(axis=1)).ravel()
     if np.any(total <= 0):
         raise CoverageError("vertex with zero bump mass (coverage gap)")

@@ -95,7 +95,6 @@ class SimplicialManifold:
             self._normalize_diameter(graph)
             graph = _edge_graph(self)
         self.graph: sp.csr_matrix = graph
-        self._all_dist = None
         self._op_cache: dict = {}    # dec operators, keyed (name, degree)
 
     # -- construction ---------------------------------------------------
@@ -274,10 +273,6 @@ class SimplicialManifold:
         """Lumped n-volume per vertex."""
         return self.support_volumes[0]
 
-    def edge_graph(self) -> sp.csr_matrix:
-        """Symmetric sparse V x V matrix of edge lengths, built once."""
-        return self.graph
-
     def mean_edge_length(self) -> float:
         return float(self.edge_lengths.mean())
 
@@ -311,13 +306,6 @@ def geodesic_distance(m: SimplicialManifold, source: int,
     # is the undirected one without scipy transposing the graph each call
     return dijkstra(m.graph, directed=True, indices=source,
                     limit=np.inf if limit is None else limit)
-
-
-def all_geodesic_distances(m: SimplicialManifold) -> np.ndarray:
-    """Full pairwise distance matrix (cached on the manifold)."""
-    if m._all_dist is None:
-        m._all_dist = dijkstra(m.graph, directed=False)
-    return m._all_dist
 
 
 # -- charts -------------------------------------------------------------

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import dec
-from .geometry import ChartFrame, SimplicialManifold, all_geodesic_distances
+from .geometry import ChartFrame, SimplicialManifold, geodesic_distance
 
 log = logging.getLogger(__name__)
 
@@ -392,10 +392,8 @@ def local_czi_check(patch: Patch, u: dec.Cochain, r: float):
     """
     m, p = patch.manifold, u.degree
     ball = patch.ball
-    D = all_geodesic_distances(m)
     R = ball.covering_radius
-    half = np.zeros(m.num_vertices, dtype=bool)
-    half[np.flatnonzero(D[ball.center] <= R / 2.0)] = True
+    half = geodesic_distance(m, ball.center, limit=R / 2.0) <= R / 2.0
     hmask = m.vertex_mask_to_simplex_mask(p, half)
     if not hmask.any():
         raise PatchError("empty half-radius sub-ball")

@@ -5,9 +5,11 @@ live on the fixture objects, so later tests reuse earlier work.
 """
 
 import sys
+import weakref
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from hodge_rsm import analysis, covering, dec, geometry
 
@@ -21,6 +23,18 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+_DENSE_DISTANCES = weakref.WeakKeyDictionary()
+
+
+def all_geodesic_distances(m):
+    """Dense V x V geodesic distance oracle, one all-pairs search per
+    mesh, cached for the mesh's lifetime.  Tests only: the library
+    searches single sources within a bound."""
+    if m not in _DENSE_DISTANCES:
+        _DENSE_DISTANCES[m] = dijkstra(m.graph, directed=False)
+    return _DENSE_DISTANCES[m]
 
 
 @pytest.fixture(scope="session")
@@ -81,9 +95,13 @@ def cover_bumpy(bumpy16):
 
 
 @pytest.fixture(scope="session")
-def cover3d5():
-    m = geometry.generate_flat_torus_3d(5)
-    return m, _cover_bundle(m)[1]
+def torus3d5():
+    return geometry.generate_flat_torus_3d(5)
+
+
+@pytest.fixture(scope="session")
+def cover3d5(torus3d5):
+    return _cover_bundle(torus3d5)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from hodge_rsm import analysis, covering, dec, rsm
-from hodge_rsm.geometry import all_geodesic_distances
+
+from conftest import all_geodesic_distances
 
 RESULTS = {}
 LINES = []
@@ -110,8 +111,7 @@ def test_criterion_03_harmonic_dimensions(torus16, sphere16, spec16_p0,
     # sphere degree 1 exceeds the dense limit: independent topological
     # oracle b1 = b0 + b2 - Euler characteristic
     import scipy.sparse.csgraph as csgraph
-    b0 = csgraph.connected_components(sphere16.edge_graph(),
-                                      directed=False)[0]
+    b0 = csgraph.connected_components(sphere16.graph, directed=False)[0]
     b1_top = b0 + b0 - sphere16.euler_characteristic()
     ok &= b1_top == dims[("sphere", 1)] == 0
     dt = time.perf_counter() - t0

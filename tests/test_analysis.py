@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from hodge_rsm import analysis, covering, dec
-from hodge_rsm.analysis import (AnalysisError, dual_poisson_solve, gap_solve,
+from hodge_rsm import analysis, covering, dec, geometry
+from hodge_rsm.analysis import (AnalysisError, derivative_rank,
+                                dual_poisson_solve, gap_solve,
                                 harmonic_embedding_check, harmonic_projection,
                                 orthogonality_check, poisson_solve,
                                 rank_identity_check, spectrum,
@@ -229,6 +230,18 @@ def test_rank_identity(torus16, sphere4, spec16_p0, spec16_p1):
     assert rank_identity_check(torus16, 1, spec16_p1.harmonic_dim)
     assert rank_identity_check(torus16, 2, 1)
     assert rank_identity_check(sphere4, 1, 0)
+
+
+def test_exact_ranks_match_dense(torus8, sphere4, bumpy16):
+    torus3d3 = geometry.generate_flat_torus_3d(3)
+    for m in (torus8, sphere4, bumpy16, torus3d3):
+        for q in range(m.n):
+            dense = np.linalg.matrix_rank(
+                dec.exterior_derivative(m, q).matrix.toarray())
+            assert derivative_rank(m, q) == dense, (m.num_vertices, q)
+    # Betti numbers of the 3-torus: 1, 3, 3, 1
+    for p, b in enumerate((1, 3, 3, 1)):
+        assert rank_identity_check(torus3d3, p, b)
 
 
 def test_weak_decomposition_harmonic(torus16, cover16, spec16_p1):

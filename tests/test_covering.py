@@ -4,10 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodge_rsm import covering, dec, geometry
+from hodge_rsm import cli, covering, dec, geometry, local_solver
 from hodge_rsm.covering import (CoverageError, RadiusField, WeightField,
                                 admissible_radius, check_radius_lipschitz,
                                 check_weight_relative, chi_gradient_constant,
@@ -17,7 +18,7 @@ from hodge_rsm.covering import (CoverageError, RadiusField, WeightField,
                                 partition_of_unity, save_covering,
                                 smoothed_radius, vitali_cover,
                                 weight_from_radius, weight_integrability)
-from hodge_rsm.geometry import all_geodesic_distances
+from conftest import all_geodesic_distances
 
 
 def test_flat_torus_radius_homogeneous(torus16, cover16):
@@ -40,12 +41,12 @@ def test_admissible_radius_matches_field(torus16, cover16):
 
 
 @pytest.fixture(scope="module")
-def radius_meshes(bumpy16):
+def radius_meshes(bumpy16, torus3d5):
     return {"torus16_d02": geometry.generate_test_manifold(
                 "bumpy_torus", 16, 0.2),
             "bumpy16": bumpy16,
             "sphere8": geometry.generate_test_manifold("sphere", 8),
-            "torus3d5": geometry.generate_flat_torus_3d(5)}
+            "torus3d5": torus3d5}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -100,13 +101,38 @@ def test_lipschitz_empty_on_computed_fields(torus16, cover16):
     assert check_radius_lipschitz(torus16, rf) == []
 
 
-def test_lipschitz_planted_violation(torus16):
+def _dense_lipschitz(m, rf, tol=1e-9):
+    """check_radius_lipschitz as a scan of all pairs of the dense oracle."""
+    D = all_geodesic_distances(m)
+    R = rf.values
+    close = D <= (R[:, None] + R[None, :]) / 4.0
+    bad = close & (R[:, None] > 4.0 * R[None, :] * (1.0 + tol))
+    return [(int(x), int(y)) for x, y in zip(*np.nonzero(bad)) if x != y]
+
+
+def test_lipschitz_planted_violation(torus16, cover16, bumpy16):
     vals = np.full(torus16.num_vertices, 1.0)
     e = torus16.simplices[1][0]
     vals[e[1]] = 0.1  # adjacent vertex with a 10x radius drop
     rf = RadiusField(vals, 0.1, 120, 5.0)
     bad = check_radius_lipschitz(torus16, rf)
     assert any(set(pair) == {int(e[0]), int(e[1])} for pair in bad)
+    assert bad == _dense_lipschitz(torus16, rf)
+    for m, rf in ((torus16, cover16[0]),
+                  (bumpy16, compute_radius_field(bumpy16, 0.3))):
+        # radii of a few edges, so that neighbours lie within the scan
+        vals = 4.0 * rf.values
+        drops = np.random.default_rng(7).choice(m.num_vertices, 12,
+                                                replace=False)
+        vals[drops[:6]] /= 10.0
+        vals[drops[6:10]] /= 3.0
+        # just past and just inside the bound 4 (1 + tol)
+        vals[drops[10]] /= 4.0 * (1.0 + 2e-9)
+        vals[drops[11]] /= 4.0 * (1.0 + 0.5e-9)
+        planted = RadiusField(vals, rf.eps, 120, rf.divisor_effective)
+        bad = check_radius_lipschitz(m, planted)
+        assert len(bad) > 6 * 3
+        assert bad == _dense_lipschitz(m, planted)
 
 
 def test_overlap_bound_values():
@@ -115,21 +141,60 @@ def test_overlap_bound_values():
     assert overlap_bound(0.0, 3) == pytest.approx(1728000.0)
 
 
-def test_vitali_cores_disjoint_cover_complete(torus16, cover16):
-    rf, cov = cover16
-    D = all_geodesic_distances(torus16)
-    centers = [b.center for b in cov.balls]
-    cores = rf.core
-    for i, bi in enumerate(cov.balls):
-        for bj in cov.balls[i + 1:]:
-            assert D[bi.center, bj.center] > \
-                cores[bi.center] + cores[bj.center] - 1e-12
-    covered = np.zeros(torus16.num_vertices, dtype=bool)
-    for b in cov.balls:
-        covered[b.members] = True
-    assert covered.all()
-    assert cov.overlap_measured <= overlap_bound(0.1, 2)
-    assert cov.overlap_measured <= 30  # far below the theoretical bound
+def test_vitali_cores_disjoint_cover_complete(torus16, cover16, bumpy16,
+                                              cover_bumpy, torus3d5,
+                                              cover3d5):
+    for m, (rf, cov) in ((torus16, cover16), (bumpy16, cover_bumpy),
+                         (torus3d5, cover3d5)):
+        D = all_geodesic_distances(m)
+        cores = rf.core
+        for i, bi in enumerate(cov.balls):
+            for bj in cov.balls[i + 1:]:
+                assert D[bi.center, bj.center] > \
+                    cores[bi.center] + cores[bj.center] - 1e-12
+        covered = np.zeros(m.num_vertices, dtype=bool)
+        for b in cov.balls:
+            covered[b.members] = True
+        assert covered.all()
+        assert cov.overlap_measured <= overlap_bound(0.1, m.n)
+        # the bounded searches give the oracle rows' balls and bumps
+        phi = np.zeros((m.num_vertices, len(cov)))
+        for b in cov.balls:
+            row = D[b.center]
+            assert np.array_equal(b.members,
+                                  np.flatnonzero(row <= b.covering_radius))
+            assert np.array_equal(b.doubled_members, np.flatnonzero(
+                row <= 2.0 * b.covering_radius))
+            t = row[b.members] / b.covering_radius
+            phi[b.members, b.index] = np.maximum(1.0 - t**2, 0.0) ** 3
+        phi = sp.csr_matrix(phi)
+        chi = sp.diags(1.0 / np.asarray(phi.sum(axis=1)).ravel()) @ phi
+        assert (cov.chi != chi).nnz == 0
+    assert cover16[1].overlap_measured <= 30  # far below the bound
+
+
+def test_covering_and_checks_search_single_sources(bumpy16, monkeypatch):
+    calls = []
+    dijkstra = geometry.dijkstra
+
+    def single_source(*args, **kwargs):
+        calls.append(kwargs.get("indices"))
+        assert kwargs.get("indices") is not None, "all-pairs search"
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "dijkstra", single_source)
+    rf, cov = cli.build_covering(bumpy16, {"epsilon": 0.1, "divisor": 120})
+    n_build = len(calls)
+    vals = rf.values.copy()
+    vals[0] /= 10.0  # every other vertex then has a partner to search
+    check_radius_lipschitz(bumpy16, RadiusField(vals, 0.1, 120, 5.0))
+    n_lip = len(calls) - n_build
+    patch = local_solver.extract_patch(bumpy16, cov, 0)
+    local_solver.local_czi_check(
+        patch, dec.Cochain(bumpy16, 0, np.ones(bumpy16.num_vertices)), 1.5)
+    assert n_build > bumpy16.num_vertices
+    assert n_lip == bumpy16.num_vertices - 1
+    assert len(calls) == n_build + n_lip + 1
 
 
 def test_vitali_single_ball_cover(torus8):

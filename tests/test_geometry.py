@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodge_rsm import geometry
-from hodge_rsm.geometry import (MeshError, SimplicialManifold,
-                                all_geodesic_distances, ChartFrame,
+from hodge_rsm.geometry import (MeshError, SimplicialManifold, ChartFrame,
                                 generate_test_manifold, geodesic_distance,
                                 load_mesh, normal_chart, save_mesh)
+
+from conftest import all_geodesic_distances
 
 TET_OFF = """OFF
 4 4 0

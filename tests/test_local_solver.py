@@ -124,9 +124,9 @@ def test_patch_operator_is_submesh_stiffness(torus16, cover16, patch16, rng):
     assert abs(K_glob - local_solver.stack_patches([patch16], 1).K).max() > 0
 
 
-def test_patch_operator_is_submesh_stiffness_3d(cover3d5):
-    m, cov = cover3d5
-    _assert_submesh_blocks(cached_patches(m, cov), (0, 1, 2, 3))
+def test_patch_operator_is_submesh_stiffness_3d(torus3d5, cover3d5):
+    _assert_submesh_blocks(cached_patches(torus3d5, cover3d5[1]),
+                           (0, 1, 2, 3))
 
 
 def test_stack_patches_names_ball_without_interior(torus16, cover16):

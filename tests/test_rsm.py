@@ -9,6 +9,8 @@ from hodge_rsm.rsm import (RsmConfig, commutator_defect,
                            commutator_pointwise_bound, compact_support_check,
                            raising_steps, rsm_step, threshold_steps)
 
+from conftest import all_geodesic_distances
+
 
 def test_threshold_steps_values():
     assert threshold_steps(2.0, 2.0, 3) == 0
@@ -200,12 +202,10 @@ def test_first_sweep_builds_no_manifold_or_chart(torus16, cover16,
                                     ("bumpy16", 1), ("bumpy16", 2),
                                     ("torus3d5", 1)])
 def test_sweep_matches_per_patch_oracle(request, glued_oracle, mesh, p):
-    if mesh == "torus3d5":
-        m, cov = request.getfixturevalue("cover3d5")
-    else:
-        m = request.getfixturevalue(mesh)
-        cov = request.getfixturevalue(
-            "cover16" if mesh == "torus16" else "cover_bumpy")[1]
+    m = request.getfixturevalue(mesh)
+    cov = request.getfixturevalue({"torus16": "cover16",
+                                   "bumpy16": "cover_bumpy",
+                                   "torus3d5": "cover3d5"}[mesh])[1]
     omega = dec.random_cochain(m, p, np.random.default_rng(5))
     v0, U = rsm.sweep(m, cov, omega)
     ref = glued_oracle(m, cov, rsm.cached_patches(m, cov), omega)
@@ -265,7 +265,6 @@ def test_localized_source_recovery(torus16, cover16, rng):
     # the glued solution reproduces psi near the support
     rf, cov = cover16
     ball = cov.balls[0]
-    from hodge_rsm.geometry import all_geodesic_distances
     D = all_geodesic_distances(torus16)
     deep = D[ball.center] <= ball.covering_radius / 4.0
     psi_vals = np.zeros(torus16.num_simplices(1))
