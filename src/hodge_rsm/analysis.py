@@ -536,10 +536,12 @@ def harmonic_embedding_check(m: SimplicialManifold, rep: SpectrumReport,
     return {"s": s, "ratios": ratios, "C_s": cs}
 
 
-def derivative_rank(m: SimplicialManifold, q: int) -> int:
+def derivative_rank(m: SimplicialManifold, q: int) -> int | None:
     """Rank of d_q, exact on a closed oriented mesh for q = 0 (V minus the
     components of the edge graph) and q = n-1 (N_n minus the components
-    of the cell-adjacency graph); d_1 of a 3-manifold takes matrix_rank."""
+    of the cell-adjacency graph).  d_1 of a 3-manifold takes a dense
+    matrix_rank, cubic in its size, so above DENSE_LIMIT edges it is not
+    computed and the result is None."""
     if q == 0:
         return m.num_vertices - connected_components(m.graph,
                                                      directed=False)[0]
@@ -547,13 +549,18 @@ def derivative_rank(m: SimplicialManifold, q: int) -> int:
         B = abs(m.boundary[m.n])
         return m.num_simplices(m.n) - connected_components(
             B.T @ B, directed=False)[0]
+    if m.num_simplices(q) > DENSE_LIMIT:
+        return None
     return int(np.linalg.matrix_rank(
         dec.exterior_derivative(m, q).matrix.toarray()))
 
 
 def rank_identity_check(m: SimplicialManifold, p: int,
-                        harmonic_dim: int) -> bool:
-    """harmonic + rank(d_{p-1}) + rank(d_p) must equal dim C^p."""
+                        harmonic_dim: int) -> bool | None:
+    """harmonic + rank(d_{p-1}) + rank(d_p) must equal dim C^p; None when
+    derivative_rank does not compute a rank the identity needs."""
     r_dn = derivative_rank(m, p - 1) if p > 0 else 0
     r_up = derivative_rank(m, p) if p < m.n else 0
+    if r_dn is None or r_up is None:
+        return None
     return harmonic_dim + r_dn + r_up == m.num_simplices(p)

@@ -128,8 +128,14 @@ class Report:
         self.payload["checks"].append(
             {"name": name, "passed": bool(passed), "details": details})
 
+    def not_run(self, name, reason):
+        """Record a check that was not run: passed is null, and
+        all_passed is taken over the checks that ran."""
+        self.payload["checks"].append(
+            {"name": name, "passed": None, "details": {"not_run": reason}})
+
     def finish(self, path):
-        ok = all(c["passed"] for c in self.payload["checks"])
+        ok = all(c["passed"] is not False for c in self.payload["checks"])
         self.payload["all_passed"] = ok
         out = dict(self.payload)
         out["timestamp"] = datetime.datetime.now(
@@ -288,8 +294,13 @@ def decompose(config_path, r_, degrees, harmonic_tol, mode, seed, out_dir):
         rep.check(f"spectrum_p{p}", not sp.cluster_flag,
                   harmonic_dim=sp.harmonic_dim, gap=_round(sp.gap),
                   cluster_flag=sp.cluster_flag)
-        rep.check(f"rank_identity_p{p}",
-                  analysis.rank_identity_check(m, p, sp.harmonic_dim))
+        ranks_ok = analysis.rank_identity_check(m, p, sp.harmonic_dim)
+        if ranks_ok is None:
+            rep.not_run(f"rank_identity_p{p}",
+                        f"dense rank of d_1 above {analysis.DENSE_LIMIT} "
+                        "edges")
+        else:
+            rep.check(f"rank_identity_p{p}", ranks_ok)
         if sp.cluster_flag:
             continue
         for i in range(cfg["num_forms"]):
@@ -377,7 +388,9 @@ def report(config_path, out_dir):
         click.echo(f"{path.name}: {'PASS' if ok else 'FAIL'} "
                    f"({len(data.get('checks', []))} checks)")
         for c in data.get("checks", []):
-            if not c["passed"]:
+            if c["passed"] is None:
+                click.echo(f"  NOT RUN {c['name']}: {c['details']}")
+            elif not c["passed"]:
                 click.echo(f"  FAILED {c['name']}: {c['details']}")
     if not found:
         click.echo("no reports found")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,26 +25,22 @@ class MeshError(ValueError):
     """Invalid or non-manifold mesh data."""
 
 
-def _perm_sign(seq) -> int:
-    """Sign of the permutation sorting `seq` (distinct entries)."""
-    seq = list(seq)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
+def _simplex_keys(rows: np.ndarray, base: int) -> np.ndarray:
+    """One int64 per row of vertex indices below `base`: the row's digits
+    in that base (Horner), so ascending keys order sorted rows
+    lexicographically, as np.unique(..., axis=0) does."""
+    keys = np.zeros(rows.shape[0], dtype=np.int64)
+    for col in rows.T:
+        keys = keys * base + col
+    return keys
 
 
-def _cayley_menger_volume_sq(d2: np.ndarray) -> float:
-    """Squared p-volume from the (p+1)x(p+1) squared-distance matrix."""
-    k = d2.shape[0]
-    p = k - 1
-    B = np.ones((k + 1, k + 1))
-    B[0, 0] = 0.0
-    B[1:, 1:] = d2
-    coeff = (-1) ** (p + 1) / (2**p * math.factorial(p) ** 2)
-    return coeff * np.linalg.det(B)
+def _permutation_signs(rows: np.ndarray) -> np.ndarray:
+    """Sign of the permutation sorting each row (distinct entries), from
+    the parity of its inversion count."""
+    inversions = sum((rows[:, a] > rows[:, b]).astype(np.int64)
+                     for a, b in combinations(range(rows.shape[1]), 2))
+    return 1 - 2 * (inversions % 2)
 
 
 class SimplicialManifold:
@@ -54,7 +50,8 @@ class SimplicialManifold:
         n: intrinsic dimension (2 or 3).
         vertices: (V, m) ambient coordinates.
         simplices: list indexed by degree p of (N_p, p+1) int arrays with
-            sorted vertex rows (canonical orientation).
+            sorted vertex rows (canonical orientation), in lexicographic
+            order.
         boundary: list of sparse signed incidence matrices; boundary[p]
             maps p-chains to (p-1)-chains, p = 1..n.
         volumes: per-degree p-volumes (from edge lengths, Cayley-Menger).
@@ -62,6 +59,13 @@ class SimplicialManifold:
             total n-volume supported on sigma (barycentric lumping).
         graph: symmetric sparse V x V matrix of edge lengths, built once
             from the final (normalized) metric.
+
+    Simplices are looked up by key: row r of simplices[p] has the int64
+    key sum_i r[i] V^(p-i), and _keys[p] holds these keys ascending, so
+    np.searchsorted finds the index of any batch of sorted rows (see
+    simplex_index).  Keys must fit in int64: V^(n+1) <= 2^63, that is up
+    to 2097152 vertices for a surface and 55108 for a 3-manifold.
+    The whole construction is array operations, one batch per degree.
     """
 
     def __init__(self, dimension, vertices, cells, edge_lengths=None,
@@ -76,12 +80,17 @@ class SimplicialManifold:
         V = self.vertices.shape[0]
         if cells.min(initial=0) < 0 or cells.max(initial=-1) >= V:
             raise MeshError("cell references a missing vertex")
-        for row in cells:
-            if len(set(row.tolist())) != self.n + 1:
-                raise MeshError(f"degenerate cell with repeated vertex: {row}")
+        if V ** (self.n + 1) > 2**63:
+            raise MeshError(f"{V} vertices exceed the int64 simplex keys "
+                            f"of a {self.n}-manifold")
+        ordered = np.sort(cells, axis=1)
+        repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        if repeated.any():
+            raise MeshError("degenerate cell with repeated vertex: "
+                            f"{cells[np.argmax(repeated)]}")
         self.oriented_cells = cells.copy()
 
-        self._build_complex(cells)
+        self._build_complex(ordered)
         self._supplied_lengths = None
         if edge_lengths is not None:
             self._supplied_lengths = np.asarray(edge_lengths, dtype=float)
@@ -99,55 +108,65 @@ class SimplicialManifold:
 
     # -- construction ---------------------------------------------------
 
-    def _build_complex(self, cells):
-        n = self.n
+    def _build_complex(self, ordered):
+        """Simplices, keys, boundary operators and cell-face tables from
+        the (N, n+1) cell rows, each row sorted."""
+        n, V = self.n, self.vertices.shape[0]
         simplices: list[np.ndarray] = [None] * (n + 1)
-        simplices[n] = np.unique(np.sort(cells, axis=1), axis=0)
-        if simplices[n].shape[0] != cells.shape[0]:
-            raise MeshError("duplicate cells")
+        self._keys: list[np.ndarray] = [None] * (n + 1)
+        rows = ordered
         for p in range(n, 0, -1):
-            faces = []
-            for drop in range(p + 1):
-                fc = np.delete(simplices[p], drop, axis=1)
-                faces.append(fc)
-            faces = np.vstack(faces)
-            simplices[p - 1] = np.unique(faces, axis=0)
+            self._keys[p], first = np.unique(_simplex_keys(rows, V),
+                                             return_index=True)
+            simplices[p] = rows[first]
+            # dropping a column keeps each row sorted
+            rows = np.concatenate([np.delete(simplices[p], i, axis=1)
+                                   for i in range(p + 1)])
+        if simplices[n].shape[0] != ordered.shape[0]:
+            raise MeshError("duplicate cells")
         # 0-simplices must be single vertices in index order
-        simplices[0] = np.arange(self.vertices.shape[0], dtype=np.int64)[:, None]
+        self._keys[0] = np.arange(V, dtype=np.int64)
+        simplices[0] = self._keys[0][:, None].copy()
         self.simplices = simplices
-        self._index = [
-            {tuple(row): i for i, row in enumerate(simplices[p])}
-            for p in range(n + 1)
-        ]
 
-        # signed boundary operators (canonical sorted orientation)
+        # signed boundary operators (canonical sorted orientation); the
+        # CSR form does not depend on the order of the triplets
         self.boundary = [None] * (n + 1)
         for p in range(1, n + 1):
-            rows, cols, vals = [], [], []
-            lower = self._index[p - 1]
-            for j, simp in enumerate(simplices[p]):
-                for i in range(p + 1):
-                    face = tuple(np.delete(simp, i))
-                    rows.append(lower[face])
-                    cols.append(j)
-                    vals.append((-1) ** i)
+            N = simplices[p].shape[0]
+            faces = [self._find(p - 1, np.delete(simplices[p], i, axis=1))
+                     for i in range(p + 1)]
             self.boundary[p] = sp.csr_matrix(
-                (vals, (rows, cols)),
-                shape=(simplices[p - 1].shape[0], simplices[p].shape[0]),
+                (np.repeat((-1) ** np.arange(p + 1), N),
+                 (np.concatenate(faces), np.tile(np.arange(N), p + 1))),
+                shape=(simplices[p - 1].shape[0], N),
                 dtype=np.int64,
             )
 
-        # cell -> p-face index table (for support volumes)
-        self._cell_faces = [None] * (n + 1)
-        for p in range(n + 1):
-            idx = self._index[p]
-            table = np.empty(
-                (simplices[n].shape[0], math.comb(n + 1, p + 1)), dtype=np.int64
-            )
-            for c, cell in enumerate(simplices[n]):
-                for k, sub in enumerate(combinations(cell.tolist(), p + 1)):
-                    table[c, k] = idx[sub]
-            self._cell_faces[p] = table
+        # cell -> p-face index table (for support volumes), faces in the
+        # lexicographic order of their vertex positions in the cell
+        self._cell_faces = [
+            np.stack([self._find(p, simplices[n][:, list(sub)])
+                      for sub in combinations(range(n + 1), p + 1)], axis=1)
+            for p in range(n + 1)
+        ]
+
+    def _find(self, p: int, rows: np.ndarray) -> np.ndarray:
+        """Index of each sorted vertex row among the p-simplices, -1 where
+        the row is no p-simplex.  Entries must lie in [0, V)."""
+        table = self._keys[p]
+        keys = _simplex_keys(rows, self.vertices.shape[0])
+        idx = np.searchsorted(table, keys)
+        found = idx < table.size
+        found[found] = table[idx[found]] == keys[found]
+        return np.where(found, idx, -1)
+
+    def _simplex_edges(self, p: int) -> np.ndarray:
+        """(N_p, C(p+1, 2)) edge indices of each p-simplex, vertex pairs
+        in lexicographic order of their positions."""
+        simp = self.simplices[p]
+        return np.stack([self._find(1, simp[:, [a, b]])
+                         for a, b in combinations(range(p + 1), 2)], axis=1)
 
     def _build_metric(self):
         n = self.n
@@ -159,26 +178,25 @@ class SimplicialManifold:
         else:
             d = self.vertices[edges[:, 1]] - self.vertices[edges[:, 0]]
             self.edge_lengths = np.linalg.norm(d, axis=1)
-        if np.any(self.edge_lengths <= 0):
-            raise MeshError("non-positive edge length")
+        if not np.all(np.isfinite(self.edge_lengths)
+                      & (self.edge_lengths > 0)):
+            raise MeshError("non-positive or non-finite edge length")
 
-        len_of = {tuple(e): l for e, l in zip(map(tuple, edges), self.edge_lengths)}
         self.volumes = [None] * (n + 1)
         self.volumes[0] = np.ones(self.vertices.shape[0])
         self.volumes[1] = self.edge_lengths.copy()
         for p in range(2, n + 1):
-            simp = self.simplices[p]
-            vols = np.empty(simp.shape[0])
-            for i, s in enumerate(simp):
-                k = p + 1
-                d2 = np.zeros((k, k))
-                for a in range(k):
-                    for b in range(a + 1, k):
-                        l = len_of[(s[a], s[b])]
-                        d2[a, b] = d2[b, a] = l * l
-                v2 = _cayley_menger_volume_sq(d2)
-                vols[i] = math.sqrt(max(v2, 0.0))
-            self.volumes[p] = vols
+            # squared p-volume from the bordered squared-distance
+            # (Cayley-Menger) matrices, one batched determinant
+            k = p + 1
+            a, b = np.array(list(combinations(range(1, k + 1), 2))).T
+            l2 = self.edge_lengths[self._simplex_edges(p)] ** 2
+            cm = np.ones((l2.shape[0], k + 1, k + 1))
+            cm[:, np.arange(k + 1), np.arange(k + 1)] = 0.0
+            cm[:, a, b] = cm[:, b, a] = l2
+            coeff = (-1) ** (p + 1) / (2**p * math.factorial(p) ** 2)
+            self.volumes[p] = np.sqrt(np.maximum(
+                coeff * np.linalg.det(cm), 0.0))
 
         self.support_volumes = [None] * (n + 1)
         for p in range(n + 1):
@@ -203,15 +221,13 @@ class SimplicialManifold:
                 f"non-manifold or open mesh: face {bad} lies in "
                 f"{int(face_count[bad])} cells"
             )
-        # triangle inequality on every 2-simplex
-        len_of = {tuple(e): l for e, l in
-                  zip(map(tuple, self.simplices[1]), self.edge_lengths)}
-        for s in self.simplices[2]:
-            a = len_of[(s[0], s[1])]
-            b = len_of[(s[1], s[2])]
-            c = len_of[(s[0], s[2])]
-            if a + b <= c or a + c <= b or b + c <= a:
-                raise MeshError(f"triangle inequality fails on simplex {s}")
+        # triangle inequality on every 2-simplex; columns are the edges
+        # (s0, s1), (s0, s2), (s1, s2)
+        l01, l02, l12 = self.edge_lengths[self._simplex_edges(2)].T
+        bad = (l01 + l12 <= l02) | (l01 + l02 <= l12) | (l12 + l02 <= l01)
+        if bad.any():
+            raise MeshError("triangle inequality fails on simplex "
+                            f"{self.simplices[2][np.argmax(bad)]}")
         # degenerate cells
         mean_vol = self.volumes[n].mean()
         if np.any(self.volumes[n] < DEGENERATE_VOLUME_FRACTION * mean_vol):
@@ -224,18 +240,18 @@ class SimplicialManifold:
             raise MeshError("mesh is not connected")
 
     def _check_orientation(self):
+        """Each (n-1)-face must get opposite orientations from its two
+        cells: with each sorted cell signed by the permutation that sorts
+        its as-given row, the signed incidence sums to zero on a face."""
         n = self.n
-        induced: dict[tuple, list[int]] = {}
-        for cell in self.oriented_cells:
-            order = np.argsort(cell)
-            sign_cell = _perm_sign(cell.tolist())
-            scell = np.sort(cell)
-            for i in range(n + 1):
-                face = tuple(np.delete(scell, i))
-                induced.setdefault(face, []).append(sign_cell * (-1) ** i)
-        for face, signs in induced.items():
-            if len(signs) != 2 or signs[0] + signs[1] != 0:
-                raise MeshError(f"inconsistent orientation across face {face}")
+        cells = self.oriented_cells
+        sign = np.zeros(self.simplices[n].shape[0], dtype=np.int64)
+        sign[self._find(n, np.sort(cells, axis=1))] = _permutation_signs(cells)
+        induced = self.boundary[n] @ sign
+        if induced.any():
+            face = self.simplices[n - 1][np.argmax(induced != 0)]
+            raise MeshError("inconsistent orientation across face "
+                            f"{tuple(face.tolist())}")
 
     def _normalize_diameter(self, graph):
         diam = self._approx_diameter(graph)
@@ -277,7 +293,16 @@ class SimplicialManifold:
         return float(self.edge_lengths.mean())
 
     def simplex_index(self, p: int, vertices) -> int:
-        return self._index[p][tuple(sorted(vertices))]
+        """Index of the p-simplex with these vertices (any order); raises
+        KeyError when they span no p-simplex."""
+        row = np.sort(np.asarray(vertices, dtype=np.int64))
+        i = -1
+        if row.shape == (p + 1,) and 0 <= row[0] \
+                and row[-1] < self.num_vertices:
+            i = int(self._find(p, row[None])[0])
+        if i < 0:
+            raise KeyError(tuple(row.tolist()))
+        return i
 
     def vertex_mask_to_simplex_mask(self, p: int, vmask: np.ndarray) -> np.ndarray:
         """Simplices of degree p with all vertices inside the vertex mask."""
@@ -575,16 +600,14 @@ def normal_chart(m: SimplicialManifold, center: int, radius: float) -> Chart:
 
 
 def _torus_cells(N: int) -> np.ndarray:
-    cells = []
-    for i in range(N):
-        for j in range(N):
-            a = i * N + j
-            b = ((i + 1) % N) * N + j
-            c = ((i + 1) % N) * N + (j + 1) % N
-            d = i * N + (j + 1) % N
-            cells.append((a, b, c))
-            cells.append((a, c, d))
-    return np.array(cells, dtype=np.int64)
+    """Two triangles (a, b, c), (a, c, d) per grid square, squares in
+    row-major order."""
+    i, j = np.divmod(np.arange(N * N), N)
+    a = i * N + j
+    b = (i + 1) % N * N + j
+    c = (i + 1) % N * N + (j + 1) % N
+    d = i * N + (j + 1) % N
+    return np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
 
 
 def _flat_torus(N: int, distortion: float = 0.0, bump_freq: int = 2):
@@ -674,28 +697,18 @@ def generate_flat_torus_3d(resolution: int) -> SimplicialManifold:
         [np.cos(grid), np.sin(grid)], axis=1
     )[:, [0, 3, 1, 4, 2, 5]]
 
-    def vid(i, j, k):
-        return ((i % N) * N + j % N) * N + k % N
-
-    # Kuhn split: six tets per cube along vertex-order paths
-    from itertools import permutations
-
-    cells = []
-    for i in range(N):
-        for j in range(N):
-            for k in range(N):
-                for perm in permutations(range(3)):
-                    path = [(i, j, k)]
-                    cur = [i, j, k]
-                    for ax in perm:
-                        cur = cur.copy()
-                        cur[ax] += 1
-                        path.append(tuple(cur))
-                    tet = [vid(*p) for p in path]
-                    if _perm_sign(perm) < 0:
-                        tet[0], tet[1] = tet[1], tet[0]
-                    cells.append(tet)
-    return SimplicialManifold(3, verts, np.array(cells, dtype=np.int64))
+    # Kuhn split: six tets per cube, one per monotone lattice path through
+    # it, paths in lexicographic order of their axis permutations; a path
+    # of odd permutation swaps its first two vertices for orientation
+    perms = np.array(list(permutations(range(3))))
+    steps = np.cumsum(np.eye(3, dtype=np.int64)[perms], axis=1)
+    steps = np.concatenate([np.zeros((6, 1, 3), dtype=np.int64), steps], axis=1)
+    odd = _permutation_signs(perms) < 0
+    steps[odd, :2] = steps[odd, 1::-1]
+    corner = np.stack(np.unravel_index(np.arange(N**3), (N, N, N)), axis=1)
+    path = (corner[:, None, None, :] + steps) % N
+    cells = (path[..., 0] * N + path[..., 1]) * N + path[..., 2]
+    return SimplicialManifold(3, verts, cells.reshape(-1, 4))
 
 
 # -- OFF file I/O -------------------------------------------------------
@@ -709,12 +722,12 @@ def load_mesh(path) -> SimplicialManifold:
     three coordinates (higher ambient dimension), inferred from the first
     vertex line.
     """
-    with open(path) as fh:
-        lines = []
-        for raw in fh:
-            raw = raw.split("#", 1)[0].strip()
-            if raw:
-                lines.append(raw)
+    try:
+        with open(path) as fh:
+            lines = [raw for raw in (ln.split("#", 1)[0].strip() for ln in fh)
+                     if raw]
+    except UnicodeDecodeError as exc:
+        raise MeshError(f"{path}: not a text file ({exc})") from exc
     if not lines or lines[0] != "OFF":
         raise MeshError(f"{path}: not an OFF file")
     try:
@@ -741,12 +754,13 @@ def load_mesh(path) -> SimplicialManifold:
             if len(toks) != k + 1:
                 raise MeshError(f"{path}: malformed face line {ln!r}")
             cells.append([int(t) for t in toks[1:]])
+        cells = np.array(cells, dtype=np.int64)
     except MeshError:
         raise
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, OverflowError) as exc:
         raise MeshError(f"{path}: parse failure ({exc})") from exc
     dim = 2 if arity == 3 else 3
-    return SimplicialManifold(dim, coords, np.array(cells, dtype=np.int64))
+    return SimplicialManifold(dim, coords, cells)
 
 
 def save_mesh(m: SimplicialManifold, path) -> None:

@@ -115,24 +115,20 @@ class Patch:
         """
         if self._sub is None:
             m = self.manifold
-            verts = np.unique(m.simplices[m.n][self.cells])
-            local = {v: i for i, v in enumerate(verts)}
-            lcells = np.vectorize(local.get)(m.simplices[m.n][self.cells])
+            cells = m.simplices[m.n][self.cells]
+            verts = np.unique(cells)
             coords = ChartFrame(m, self.ball.center, 2.0 * self.ball
                                 .covering_radius).coordinates[verts]
-            shape_only = SimplicialManifold(m.n, coords, lcells,
-                                            normalize=False, validate=False)
-            glob_edges = [m.simplex_index(1, verts[e])
-                          for e in shape_only.simplices[1]]
-            sub = SimplicialManifold(m.n, coords, lcells,
-                                     edge_lengths=m.edge_lengths[glob_edges],
+            # numbering the patch vertices by rank keeps the lexicographic
+            # order of simplices: the submesh's p-simplices are the
+            # patch's, in increasing global index
+            sub = SimplicialManifold(m.n, coords, np.searchsorted(verts, cells),
+                                     edge_lengths=m.edge_lengths[
+                                         self.patch_simplices(1)],
                                      normalize=False, validate=False)
-            rows = {}
-            for p in range(m.n + 1):
-                order = {m.simplex_index(p, verts[s]): i
-                         for i, s in enumerate(sub.simplices[p])}
-                rows[p] = np.array([order[g] for g in self.interior[p]],
-                                   dtype=int)
+            rows = {p: np.searchsorted(self.patch_simplices(p),
+                                       self.interior[p])
+                    for p in range(m.n + 1)}
             self._sub = (sub, verts, rows)
         return self._sub
 
@@ -314,13 +310,11 @@ def _flat_stiffness(patch: Patch, p: int,
     identity metric in chart coordinates (or by an explicit per-global-
     edge override), on the same combinatorics as the curved patch.
     """
-    m = patch.manifold
-    sub, verts, rows = patch.submesh()
+    sub, _, rows = patch.submesh()
     lengths = None
     if flat_edge_lengths is not None:
-        lengths = flat_edge_lengths[[m.simplex_index(1, verts[e])
-                                     for e in sub.simplices[1]]]
-    flat = SimplicialManifold(m.n, sub.vertices, sub.oriented_cells,
+        lengths = flat_edge_lengths[patch.patch_simplices(1)]
+    flat = SimplicialManifold(sub.n, sub.vertices, sub.oriented_cells,
                               edge_lengths=lengths, normalize=False,
                               validate=False)
     r = rows[p]

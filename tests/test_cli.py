@@ -1,8 +1,11 @@
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hodge_rsm import covering, geometry
 from hodge_rsm.cli import main
@@ -121,6 +124,22 @@ def test_decompose_injected_failure(runner, tmp_path):
     assert checks["spectrum_p1"]["details"]["cluster_flag"]
 
 
+def test_decompose_rank_check_not_run_on_torus3d8(runner, tmp_path):
+    cfg = _cfg(tmp_path, mesh={"kind": "flat_torus_3d", "resolution": 8},
+               degrees=[1], num_forms=0)
+    res = runner.invoke(main, ["decompose", "--config", cfg])
+    assert res.exit_code == 0, res.output
+    out = Path(json.loads(Path(cfg).read_text())["out_dir"])
+    rep = json.loads((out / "decompose_report.json").read_text())
+    checks = {c["name"]: c for c in rep["checks"]}
+    assert checks["rank_identity_p1"]["passed"] is None
+    assert "not_run" in checks["rank_identity_p1"]["details"]
+    assert rep["all_passed"]
+    res = runner.invoke(main, ["report", "--config", cfg])
+    assert res.exit_code == 0
+    assert "NOT RUN rank_identity_p1" in res.output
+
+
 def test_decompose_deterministic(runner, tmp_path):
     reports = []
     for sub in ("one", "two"):
@@ -186,6 +205,62 @@ def test_cover_malformed_mesh_is_usage_error(runner, tmp_path, text):
     assert res.exit_code == 2
     assert "cannot read mesh" in res.output
     assert not isinstance(res.exception, geometry.MeshError)
+
+
+_TET_LINES = ["OFF", "4 4 0", "0 0 0", "1 0 0", "0 1 0", "0 0 1",
+              "3 0 2 1", "3 0 1 3", "3 1 2 3", "3 0 3 2"]
+_OFF_TOKENS = st.sampled_from(
+    ["OFF", "0", "1", "2", "3", "4", "5", "-1", "0.5", "1e999", "nan",
+     "-inf", "x", "#", "99999999999999999999", "3 0 1"])
+
+
+@st.composite
+def _malformed_off(draw):
+    """A closed tetrahedron's OFF text with lines dropped or duplicated
+    and tokens dropped, replaced or inserted, UTF-8 encoded; or arbitrary
+    bytes after the OFF header."""
+    if draw(st.booleans()):
+        return b"OFF\n" + draw(st.binary(max_size=60))
+    lines = [ln.split() for ln in _TET_LINES]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines[i])))
+        edit = draw(st.sampled_from(["drop", "duplicate", "token"]))
+        if edit == "drop" and len(lines) > 1:
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, list(lines[i]))
+        elif j < len(lines[i]) and draw(st.booleans()):
+            lines[i][j] = draw(_OFF_TOKENS)
+        else:
+            lines[i].insert(j, draw(_OFF_TOKENS))
+    return ("\n".join(" ".join(ln) for ln in lines) + "\n").encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_malformed_off())
+@example(data="\n".join(_TET_LINES[:6] + ["3 0 2 99999999999999999999"]
+                         + _TET_LINES[7:]).encode())
+@example(data="\n".join(_TET_LINES[:2] + ["nan 0 0"]
+                         + _TET_LINES[3:]).encode())
+@example(data=("\n".join(_TET_LINES) + "\n# caf\u00e9\n").encode("latin-1"))
+def test_load_mesh_fuzz(data):
+    # malformed OFF data is a MeshError, and CLI cover exits 2 on it
+    # without a traceback; data that still describes a closed oriented
+    # mesh loads
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.off"
+        path.write_bytes(data)
+        try:
+            m = geometry.load_mesh(path)
+        except geometry.MeshError:
+            res = CliRunner().invoke(main, ["cover", "--mesh-path", str(path),
+                                            "--out", str(Path(tmp) / "c.json")])
+            assert res.exit_code == 2, res.output
+            assert isinstance(res.exception, SystemExit)
+            assert "cannot read mesh" in res.output
+        else:
+            assert m.euler_characteristic() == 2
 
 
 def test_degenerate_covering_is_usage_error(runner, tmp_path):

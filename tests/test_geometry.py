@@ -1,4 +1,5 @@
 import heapq
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hodge_rsm.geometry import (MeshError, SimplicialManifold, ChartFrame,
                                 generate_test_manifold, geodesic_distance,
                                 load_mesh, normal_chart, save_mesh)
 
-from conftest import all_geodesic_distances
+from conftest import (LoopManifold, all_geodesic_distances,
+                      loop_kuhn_cells, loop_torus_cells)
 
 TET_OFF = """OFF
 4 4 0
@@ -209,3 +211,178 @@ def test_torus_euler_characteristic_property(res):
 def test_bad_generator_kind():
     with pytest.raises(ValueError):
         generate_test_manifold("klein_bottle", 8)
+
+
+# -- the array construction against the loop oracle ---------------------
+
+
+def _recorded_build(monkeypatch, make):
+    """The manifold make() returns and the arguments of the one
+    SimplicialManifold it constructs."""
+    calls = []
+    real = geometry.SimplicialManifold
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(geometry, "SimplicialManifold", record)
+        m = make()
+    (args, kwargs), = calls
+    return m, args, kwargs
+
+
+def _bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+def _assert_same_mesh(m, o):
+    assert _bitwise(m.vertices, o.vertices)
+    assert _bitwise(m.oriented_cells, o.oriented_cells)
+    assert _bitwise(m.edge_lengths, o.edge_lengths)
+    for p in range(m.n + 1):
+        assert _bitwise(m.simplices[p], o.simplices[p]), p
+        assert _bitwise(m._cell_faces[p], o._cell_faces[p]), p
+        assert _bitwise(m.volumes[p], o.volumes[p]), p
+        assert _bitwise(m.support_volumes[p], o.support_volumes[p]), p
+    for a, b in [(m.boundary[p], o.boundary[p]) for p in range(1, m.n + 1)] \
+            + [(m.graph, o.graph)]:
+        for attr in ("data", "indices", "indptr"):
+            assert _bitwise(getattr(a, attr), getattr(b, attr)), attr
+
+
+def _tetrahedron(tmp_path):
+    path = tmp_path / "tet.off"
+    path.write_text(TET_OFF)
+    return load_mesh(path)
+
+
+@pytest.mark.parametrize("make, loop_cells", [
+    (lambda _: generate_test_manifold("flat_torus", 12),
+     lambda: loop_torus_cells(12)),
+    (lambda _: generate_test_manifold("bumpy_torus", 16, 0.3),
+     lambda: loop_torus_cells(16)),
+    (lambda _: generate_test_manifold("sphere", 8), None),
+    (lambda _: geometry.generate_flat_torus_3d(5),
+     lambda: loop_kuhn_cells(5)),
+    (_tetrahedron, None),
+], ids=["torus12", "bumpy16", "sphere8", "torus3d5", "tetrahedron"])
+def test_construction_matches_loop_oracle(monkeypatch, tmp_path, make,
+                                          loop_cells):
+    m, args, kwargs = _recorded_build(monkeypatch, lambda: make(tmp_path))
+    if loop_cells is not None:
+        # the generators' cell arrays are byte-identical to the loops'
+        assert _bitwise(args[2], loop_cells())
+    _assert_same_mesh(m, LoopManifold(*args, **kwargs))
+    for p in range(m.n + 1):
+        for i in (0, m.num_simplices(p) // 2, m.num_simplices(p) - 1):
+            row = m.simplices[p][i]
+            assert m.simplex_index(p, row[::-1]) == i
+
+
+def test_construction_matches_loop_oracle_supplied_lengths(bumpy16):
+    # scaled, perturbed lengths on the mesh's own combinatorics, unchecked
+    lengths = bumpy16.edge_lengths * np.linspace(0.9, 1.1,
+                                                 bumpy16.num_simplices(1))
+    for normalize in (False, True):
+        args = (2, bumpy16.vertices, bumpy16.oriented_cells)
+        kwargs = dict(edge_lengths=lengths, normalize=normalize,
+                      validate=False)
+        _assert_same_mesh(SimplicialManifold(*args, **kwargs),
+                          LoopManifold(*args, **kwargs))
+
+
+def test_simplex_index_rejects_non_simplices(torus8):
+    a, b, c = torus8.simplices[2][0]
+    assert torus8.simplex_index(2, (c, a, b)) == 0
+    far = int(np.argmax(geodesic_distance(torus8, int(a))))
+    for p, verts in [(1, (a, far)), (2, (a, b, far)), (1, (a, a)),
+                     (1, (a, -1)), (1, (a, torus8.num_vertices)),
+                     (0, (torus8.num_vertices,)), (2, (a, b))]:
+        with pytest.raises(KeyError):
+            torus8.simplex_index(p, verts)
+
+
+# -- every MeshError branch on a hand-built mesh -------------------------
+
+_TET_CELLS = np.array([[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]])
+_TET_VERTS = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def _four_simplex_boundary():
+    """The five tetrahedra of the boundary of a 4-simplex, oriented."""
+    cells = []
+    for i in range(5):
+        face = [v for v in range(5) if v != i]
+        if i % 2:
+            face[0], face[1] = face[1], face[0]
+        cells.append(face)
+    return np.array(cells)
+
+
+_BAD_MESHES = {
+    "repeated vertex": (2, _TET_VERTS, np.vstack([_TET_CELLS[:3], [0, 3, 3]]),
+                        None),
+    "duplicate cells": (2, _TET_VERTS,
+                        np.vstack([_TET_CELLS, _TET_CELLS[[2]]]), None),
+    "non-manifold or open": (2, _TET_VERTS, _TET_CELLS[:3], None),
+    # edge (2, 3) of the edges (0,1) (0,2) (0,3) (1,2) (1,3) (2,3) is
+    # longer than the other two sides of triangles (0, 2, 3), (1, 2, 3)
+    "triangle inequality": (2, _TET_VERTS, _TET_CELLS,
+                            np.array([1.0, 1, 1, 1, 1, 2.5])),
+    # the first tetrahedron spans the flat unit square
+    "degenerate cell": (3, np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0],
+                                     [0, 1, 0], [0.3, 0.2, 0.7]]),
+                        _four_simplex_boundary(), None),
+    "inconsistent orientation": (2, _TET_VERTS,
+                                 np.vstack([_TET_CELLS[:3],
+                                            _TET_CELLS[3, ::-1]]), None),
+    "not connected": (2, np.vstack([_TET_VERTS, _TET_VERTS + 5.0]),
+                      np.vstack([_TET_CELLS, _TET_CELLS + 4]), None),
+}
+
+
+@pytest.mark.parametrize("message", list(_BAD_MESHES))
+def test_each_mesh_error_branch(message):
+    dim, verts, cells, lengths = _BAD_MESHES[message]
+    for cls in (SimplicialManifold, LoopManifold):
+        with pytest.raises(MeshError, match=message):
+            cls(dim, verts, cells, edge_lengths=lengths)
+
+
+def test_good_counterparts_of_bad_meshes_build():
+    # each bad mesh differs from one of these in its one defect
+    SimplicialManifold(2, _TET_VERTS, _TET_CELLS)
+    SimplicialManifold(2, _TET_VERTS, _TET_CELLS,
+                       edge_lengths=np.array([1.0, 1, 1, 1, 1, 1.5]))
+    SimplicialManifold(3, np.eye(5), _four_simplex_boundary())
+
+
+def _induced_signs(cells, face):
+    """Orientation each cell containing `face` induces on it, relative
+    to the sorted face: the sign of the permutation sorting the cell,
+    times (-1)^(position of the missing vertex in the sorted cell)."""
+    signs = []
+    for cell in cells:
+        if set(face) <= set(cell.tolist()):
+            s = sorted(cell.tolist())
+            inversions = sum(x > y for i, x in enumerate(cell.tolist())
+                             for y in cell.tolist()[i + 1:])
+            missing = s.index((set(cell.tolist()) - set(face)).pop())
+            signs.append((-1) ** inversions * (-1) ** missing)
+    return signs
+
+
+@pytest.mark.parametrize("flip", [0, 77, 127])
+def test_orientation_error_names_disagreeing_face(torus8, flip):
+    cells = torus8.oriented_cells.copy()
+    cells[flip] = cells[flip, [1, 0, 2]]
+    with pytest.raises(MeshError, match="inconsistent orientation") as err:
+        SimplicialManifold(2, torus8.vertices, cells)
+    face = tuple(int(v) for v in re.findall(r"\d+", str(err.value)))
+    signs = _induced_signs(cells, face)
+    assert len(signs) == 2 and signs[0] == signs[1]
+    assert set(face) < set(cells[flip].tolist())
