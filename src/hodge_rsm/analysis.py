@@ -227,8 +227,7 @@ def poisson_solve(m: SimplicialManifold, cov: AdmissibleCovering,
 
 def dual_poisson_solve(m: SimplicialManifold, cov: AdmissibleCovering,
                        rf: RadiusField, rep: SpectrumReport,
-                       phi: dec.Cochain, r: float, k: int = 1,
-                       report_w2r: bool = False):
+                       phi: dec.Cochain, r: float, k: int = 1):
     """Solve by adjoint: u = G* phi, G the solve operator of poisson_solve.
 
     With T the gluing sweep, A = Delta T - I and L+ the gap inverse, G =
@@ -256,8 +255,6 @@ def dual_poisson_solve(m: SimplicialManifold, cov: AdmissibleCovering,
     diags = {"residual": resid,
              "lrp_norm": dec.lr_norm(m, u, dec.NormSpec(rp, weight=w0,
                                                         power=r))}
-    if report_w2r:
-        diags["w2rp_norm"] = dec.sobolev_norm(m, u, dec.NormSpec(rp, order=2))
     return u, diags
 
 
@@ -275,6 +272,18 @@ def orthogonality_check(m: SimplicialManifold, h: dec.Cochain,
     return {"h_exact": entry(h, exact),
             "h_coexact": entry(h, coexact),
             "exact_coexact": entry(exact, coexact)}
+
+
+def _d_dstar_split(m: SimplicialManifold, u: dec.Cochain):
+    """(mu, nu, exact, coexact): mu = d*u and nu = du (None at degree 0
+    and n), and the parts d mu and d* nu of Delta u (zero there)."""
+    p = u.degree
+    zero = dec.Cochain(m, p, np.zeros(m.num_simplices(p)))
+    mu = dec.codifferential(m, p)(u) if p > 0 else None
+    nu = dec.exterior_derivative(m, p)(u) if p < m.n else None
+    ex = zero if mu is None else dec.exterior_derivative(m, p - 1)(mu)
+    co = zero if nu is None else dec.codifferential(m, p + 1)(nu)
+    return mu, nu, ex, co
 
 
 def strong_decomposition(m: SimplicialManifold, cov: AdmissibleCovering,
@@ -313,13 +322,7 @@ def strong_decomposition(m: SimplicialManifold, cov: AdmissibleCovering,
         result.orthogonality = orthogonality_check(m, h, delta_u,
                                                    result.coexact)
     else:
-        mu = dec.codifferential(m, p)(u) if p > 0 else None
-        nu = dec.exterior_derivative(m, p)(u) if p < m.n else None
-        ex = dec.exterior_derivative(m, p - 1)(mu) if mu is not None \
-            else dec.Cochain(m, p, np.zeros(m.num_simplices(p)))
-        co = dec.codifferential(m, p + 1)(nu) if nu is not None \
-            else dec.Cochain(m, p, np.zeros(m.num_simplices(p)))
-        result.mu, result.nu = mu, nu
+        result.mu, result.nu, ex, co = _d_dstar_split(m, u)
         result.exact, result.coexact = ex, co
         result.residual = dec.norm_l2(omega - h - ex - co) \
             / (dec.norm_l2(omega) + 1e-300)
@@ -379,12 +382,7 @@ def weak_decomposition(m: SimplicialManifold, cov: AdmissibleCovering,
         co = dec.Cochain(m, p, np.zeros(m.num_simplices(p)))
         mu = nu = None
     else:
-        mu = dec.codifferential(m, p)(u) if p > 0 else None
-        nu = dec.exterior_derivative(m, p)(u) if p < m.n else None
-        ex = dec.exterior_derivative(m, p - 1)(mu) if mu is not None \
-            else dec.Cochain(m, p, np.zeros(m.num_simplices(p)))
-        co = dec.codifferential(m, p + 1)(nu) if nu is not None \
-            else dec.Cochain(m, p, np.zeros(m.num_simplices(p)))
+        mu, nu, ex, co = _d_dstar_split(m, u)
     e_eps = omega - h - ex - co
     result = HodgeDecompositionResult(omega, f"weak_{mode}", h,
                                       exact=ex, coexact=co, u=u, mu=mu,

@@ -350,7 +350,6 @@ def verify(config_path, r_, degrees, out_dir):
     rep.check("partition_sums", float(np.abs(sums - 1).max()) <= 1e-12)
 
     w = covering.weight_from_radius(rf, cfg["weight_power"])
-    covering.check_weight_relative(w, cov, m)
     for p in cfg["degrees"]:
         om = dec.random_cochain(m, p, rng)
         _, _, diag = rsm.rsm_step(m, cov, rf, om, cfg["r"], w)

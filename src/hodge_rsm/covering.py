@@ -49,7 +49,6 @@ class CoveringBall:
     covering_radius: float
     admissible_radius: float
     members: np.ndarray          # vertices within the covering radius
-    doubled_members: np.ndarray  # vertices within twice the covering radius
 
 
 @dataclass
@@ -83,13 +82,9 @@ class AdmissibleCovering:
 
 @dataclass
 class WeightField:
-    """Positive per-vertex weight with covering-comparability constants."""
+    """Positive per-vertex weight."""
 
     values: np.ndarray
-    kind: str = "user"
-    ball_means: np.ndarray | None = None
-    c_iw: float | None = None
-    c_sw: float | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -189,8 +184,7 @@ def vitali_cover(m: SimplicialManifold, rf: RadiusField) -> AdmissibleCovering:
         blocked |= d <= core + core[x]
         balls.append(CoveringBall(len(balls), int(x), float(core[x]),
                                   float(R_x), float(rf.values[x]),
-                                  np.flatnonzero(d <= R_x),
-                                  np.flatnonzero(d <= 2.0 * R_x)))
+                                  np.flatnonzero(d <= R_x)))
 
     cov = AdmissibleCovering(balls, rf.eps)
     counts = cov.membership_counts(m.num_vertices)
@@ -243,11 +237,11 @@ def weight_from_radius(rf: RadiusField, k: int) -> WeightField:
     """w(x) = R(x)^(-2k); k = 0 gives the constant weight."""
     if k < 0:
         raise ValueError("power k must be nonnegative")
-    return WeightField(rf.values ** (-2 * k), kind=f"radius_power {k}")
+    return WeightField(rf.values ** (-2 * k))
 
 
 def constant_weight(num_vertices: int) -> WeightField:
-    return WeightField(np.ones(num_vertices), kind="constant")
+    return WeightField(np.ones(num_vertices))
 
 
 def smoothed_radius(m: SimplicialManifold, cov: AdmissibleCovering,
@@ -258,24 +252,16 @@ def smoothed_radius(m: SimplicialManifold, cov: AdmissibleCovering,
 
 
 def check_weight_relative(w: WeightField, cov: AdmissibleCovering,
-                          m: SimplicialManifold) -> tuple[float, float]:
-    """Tightest comparability constants of w over the covering balls.
-
-    Ball means are volume-weighted (dual vertex volumes); returns
-    (c_iw, c_sw) with c_iw * w_j <= w(x) <= c_sw * w_j on every ball.
-    """
+                          m: SimplicialManifold) -> tuple:
+    """(means, c_iw, c_sw): the mean w_j of w over each covering ball,
+    weighted by dual vertex volumes, and the tightest constants with
+    c_iw * w_j <= w(x) <= c_sw * w_j on every ball; sparse products over
+    the membership matrix, stored nowhere."""
+    A = cov.membership(m.num_vertices)
     dv = m.dual_volumes()
-    means = np.empty(len(cov.balls))
-    c_iw, c_sw = math.inf, -math.inf
-    for b in cov.balls:
-        wv = w.values[b.members]
-        means[b.index] = np.average(wv, weights=dv[b.members])
-        ratios = wv / means[b.index]
-        c_iw = min(c_iw, ratios.min())
-        c_sw = max(c_sw, ratios.max())
-    w.ball_means = means
-    w.c_iw, w.c_sw = float(c_iw), float(c_sw)
-    return w.c_iw, w.c_sw
+    means = (A.T @ (w.values * dv)) / (A.T @ dv)
+    ratios = w.values[A.indices] / np.repeat(means, np.diff(A.indptr))
+    return means, float(ratios.min()), float(ratios.max())
 
 
 EXPONENT_CAP = 1e6
@@ -326,7 +312,6 @@ def covering_to_dict(cov: AdmissibleCovering, rf: RadiusField,
             "covering_radius": b.covering_radius,
             "admissible_radius": b.admissible_radius,
             "members": b.members.tolist(),
-            "doubled_members": b.doubled_members.tolist(),
         } for b in cov.balls],
         "partition_triplets": None if chi is None else
             [[int(i), int(j), float(v)]
@@ -352,13 +337,13 @@ def save_covering(cov: AdmissibleCovering, path, rf: RadiusField,
 def load_covering(path) -> tuple[RadiusField | None, AdmissibleCovering,
                                  str | None]:
     """(rf, cov, key) as save_covering wrote them; rf and key are None
-    for a file written without them."""
+    for a file written without them.  Older files' doubled_members are
+    ignored."""
     with open(path) as f:
         d = json.load(f)
     balls = [CoveringBall(i, bd["center"], bd["core_radius"],
                           bd["covering_radius"], bd["admissible_radius"],
-                          np.array(bd["members"], dtype=int),
-                          np.array(bd["doubled_members"], dtype=int))
+                          np.array(bd["members"], dtype=int))
              for i, bd in enumerate(d["balls"])]
     cov = AdmissibleCovering(balls, d["eps"], d["overlap_measured"])
     if d["partition_triplets"] is not None:

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import Chart, SimplicialManifold
+from .geometry import (Chart, SimplicialManifold, chord_lengths,
+                       lumped_supports, simplex_average, simplex_volumes)
 
 INF = math.inf
 # largest number of unknowns for which a dense matrix is formed
@@ -267,17 +268,11 @@ def column_norms(m: SimplicialManifold, p: int, dens, r: float,
         ** (1 / r)
 
 
-def _simplex_weight(m: SimplicialManifold, p: int, spec: NormSpec) -> np.ndarray:
-    if spec.weight is None:
-        return np.ones(m.num_simplices(p))
-    w_simp = spec.weight[m.simplices[p]].mean(axis=1)
-    return w_simp**spec.power
-
-
 def _integrate(m, p, dens, spec: NormSpec, mask=None) -> float:
     mu = m.support_volumes[p]
-    w = _simplex_weight(m, p, spec)
-    term = mu * w * dens**spec.r
+    if spec.weight is not None:
+        mu = mu * simplex_average(m, p, spec.weight) ** spec.power
+    term = mu * dens**spec.r
     if mask is not None:
         term = term[mask]
     return float(term.sum()) ** (1.0 / spec.r)
@@ -352,38 +347,28 @@ def chart_norm_comparison(m: SimplicialManifold, chart: Chart, u: Cochain,
                           r: float) -> tuple[float, float]:
     """Intrinsic vs chart-coordinate L^r norm of u over the chart members.
 
-    The chart norm replaces every simplex measure by its Euclidean volume
-    in chart coordinates; the pair quantifies the pullback comparison.
+    The chart norm takes every volume and lumped support by the mesh's
+    own rules from the Euclidean edge lengths in chart coordinates; the
+    pair quantifies the pullback comparison.
     """
-    p = u.degree
+    p, n = u.degree, m.n
     vmask = np.zeros(m.num_vertices, dtype=bool)
     vmask[chart.members] = True
     mask = m.vertex_mask_to_simplex_mask(p, vmask)
     intrinsic = lr_norm(m, u, NormSpec(r), mask)
 
-    coord_of = dict(zip(chart.members.tolist(), chart.coordinates))
-    n = m.n
-    flat_cell = np.zeros(m.num_simplices(n))
-    cmask = m.vertex_mask_to_simplex_mask(n, vmask)
-    for ci in np.flatnonzero(cmask):
-        pts = np.array([coord_of[v] for v in m.simplices[n][ci]])
-        flat_cell[ci] = abs(np.linalg.det(pts[1:] - pts[0])) / math.factorial(n)
-    flat_p = np.zeros(m.num_simplices(p))
-    share = flat_cell / math.comb(n + 1, p + 1)
-    np.add.at(flat_p, m._cell_faces[p].ravel(),
-              np.repeat(share, m._cell_faces[p].shape[1]))
-
-    flat_vol_p = np.ones(m.num_simplices(p))
-    if p >= 1:
-        for si in np.flatnonzero(mask):
-            pts = np.array([coord_of[v] for v in m.simplices[p][si]])
-            edges = pts[1:] - pts[0]
-            gram = edges @ edges.T
-            flat_vol_p[si] = math.sqrt(max(np.linalg.det(gram), 1e-300)) \
-                / math.factorial(p)
-    dens = np.abs(u.values) / flat_vol_p
+    coords = np.full((m.num_vertices, n), np.nan)
+    coords[chart.members] = chart.coordinates
+    lengths = chord_lengths(coords, m.simplices[1])
+    cells = m.vertex_mask_to_simplex_mask(n, vmask)
+    support = lumped_supports(
+        simplex_volumes(lengths[m._simplex_edges(m.simplices[n][cells])], n),
+        m._cell_faces[p][cells], m.num_simplices(p))
     idx = np.flatnonzero(mask)
-    chart_norm = float((flat_p[idx] * dens[idx] ** r).sum()) ** (1.0 / r)
+    vol = 1.0 if p == 0 else lengths[idx] if p == 1 else simplex_volumes(
+        lengths[m._simplex_edges(m.simplices[p][idx])], p)
+    chart_norm = float((support[idx] * (np.abs(u.values[idx]) / vol) ** r)
+                       .sum()) ** (1.0 / r)
     return intrinsic, chart_norm
 
 

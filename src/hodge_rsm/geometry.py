@@ -161,12 +161,12 @@ class SimplicialManifold:
         found[found] = table[idx[found]] == keys[found]
         return np.where(found, idx, -1)
 
-    def _simplex_edges(self, p: int) -> np.ndarray:
-        """(N_p, C(p+1, 2)) edge indices of each p-simplex, vertex pairs
-        in lexicographic order of their positions."""
-        simp = self.simplices[p]
-        return np.stack([self._find(1, simp[:, [a, b]])
-                         for a, b in combinations(range(p + 1), 2)], axis=1)
+    def _simplex_edges(self, rows: np.ndarray) -> np.ndarray:
+        """(N, C(k, 2)) edge indices of sorted vertex rows of width k,
+        vertex pairs in lexicographic order of their positions."""
+        return np.stack([self._find(1, rows[:, [a, b]])
+                         for a, b in combinations(range(rows.shape[1]), 2)],
+                        axis=1)
 
     def _build_metric(self):
         n = self.n
@@ -176,35 +176,18 @@ class SimplicialManifold:
                 raise MeshError("edge length array has wrong size")
             self.edge_lengths = self._supplied_lengths.copy()
         else:
-            d = self.vertices[edges[:, 1]] - self.vertices[edges[:, 0]]
-            self.edge_lengths = np.linalg.norm(d, axis=1)
+            self.edge_lengths = chord_lengths(self.vertices, edges)
         if not np.all(np.isfinite(self.edge_lengths)
                       & (self.edge_lengths > 0)):
             raise MeshError("non-positive or non-finite edge length")
-
-        self.volumes = [None] * (n + 1)
-        self.volumes[0] = np.ones(self.vertices.shape[0])
-        self.volumes[1] = self.edge_lengths.copy()
-        for p in range(2, n + 1):
-            # squared p-volume from the bordered squared-distance
-            # (Cayley-Menger) matrices, one batched determinant
-            k = p + 1
-            a, b = np.array(list(combinations(range(1, k + 1), 2))).T
-            l2 = self.edge_lengths[self._simplex_edges(p)] ** 2
-            cm = np.ones((l2.shape[0], k + 1, k + 1))
-            cm[:, np.arange(k + 1), np.arange(k + 1)] = 0.0
-            cm[:, a, b] = cm[:, b, a] = l2
-            coeff = (-1) ** (p + 1) / (2**p * math.factorial(p) ** 2)
-            self.volumes[p] = np.sqrt(np.maximum(
-                coeff * np.linalg.det(cm), 0.0))
-
-        self.support_volumes = [None] * (n + 1)
-        for p in range(n + 1):
-            sv = np.zeros(self.simplices[p].shape[0])
-            share = self.volumes[n] / math.comb(n + 1, p + 1)
-            np.add.at(sv, self._cell_faces[p].ravel(),
-                      np.repeat(share, self._cell_faces[p].shape[1]))
-            self.support_volumes[p] = sv
+        self.volumes = [np.ones(self.vertices.shape[0]),
+                        self.edge_lengths.copy()]
+        self.volumes += [simplex_volumes(self.edge_lengths[
+            self._simplex_edges(self.simplices[p])], p)
+            for p in range(2, n + 1)]
+        self.support_volumes = [
+            lumped_supports(self.volumes[n], self._cell_faces[p],
+                            self.num_simplices(p)) for p in range(n + 1)]
 
     def _validate(self, graph):
         n = self.n
@@ -223,7 +206,8 @@ class SimplicialManifold:
             )
         # triangle inequality on every 2-simplex; columns are the edges
         # (s0, s1), (s0, s2), (s1, s2)
-        l01, l02, l12 = self.edge_lengths[self._simplex_edges(2)].T
+        l01, l02, l12 = self.edge_lengths[
+            self._simplex_edges(self.simplices[2])].T
         bad = (l01 + l12 <= l02) | (l01 + l02 <= l12) | (l12 + l02 <= l01)
         if bad.any():
             raise MeshError("triangle inequality fails on simplex "
@@ -307,6 +291,48 @@ class SimplicialManifold:
     def vertex_mask_to_simplex_mask(self, p: int, vmask: np.ndarray) -> np.ndarray:
         """Simplices of degree p with all vertices inside the vertex mask."""
         return vmask[self.simplices[p]].all(axis=1)
+
+
+# -- metric rules shared by every layer ----------------------------------
+
+
+def chord_lengths(coordinates: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of the edges (rows of two vertex indices)."""
+    return np.linalg.norm(coordinates[edges[:, 1]] - coordinates[edges[:, 0]],
+                          axis=1)
+
+
+def simplex_volumes(lengths: np.ndarray, p: int) -> np.ndarray:
+    """p-volumes (p >= 2) from edge lengths by one batched Cayley-Menger
+    determinant, 0 where the lengths span no Euclidean simplex.  Row i of
+    lengths holds simplex i's C(p+1, 2) edge lengths, vertex pairs in
+    lexicographic order of their positions."""
+    k = p + 1
+    a, b = np.array(list(combinations(range(1, k + 1), 2))).T
+    cm = np.ones((lengths.shape[0], k + 1, k + 1))
+    cm[:, np.arange(k + 1), np.arange(k + 1)] = 0.0
+    cm[:, a, b] = cm[:, b, a] = lengths ** 2
+    coeff = (-1) ** (p + 1) / (2**p * math.factorial(p) ** 2)
+    return np.sqrt(np.maximum(coeff * np.linalg.det(cm), 0.0))
+
+
+def lumped_supports(cell_volumes: np.ndarray, cell_faces: np.ndarray,
+                    size: int) -> np.ndarray:
+    """Barycentric lumping: each cell's volume split equally among its
+    q-faces (row i of cell_faces: cell i's face indices in [0, size)),
+    summed per face in cell order."""
+    k = cell_faces.shape[1]
+    sv = np.zeros(size)
+    np.add.at(sv, cell_faces.ravel(), np.repeat(cell_volumes / k, k))
+    return sv
+
+
+def simplex_average(m: SimplicialManifold, p: int, vertex_values):
+    """Mean of the vertex values over each p-simplex; vertex_values is a
+    vector or a (sparse) matrix with one field per column."""
+    verts = m.simplices[p]
+    return sum((vertex_values[verts[:, k]] for k in range(1, p + 1)),
+               vertex_values[verts[:, 0]]) / (p + 1)
 
 
 def _edge_graph(m: SimplicialManifold) -> sp.csr_matrix:
@@ -610,12 +636,12 @@ def _torus_cells(N: int) -> np.ndarray:
     return np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
 
 
-def _flat_torus(N: int, distortion: float = 0.0, bump_freq: int = 2):
+def _flat_torus(N: int, distortion: float = 0.0):
     u = 2 * np.pi * np.arange(N) / N
     uu, vv = np.meshgrid(u, u, indexing="ij")
     uu, vv = uu.ravel(), vv.ravel()
     base = np.stack([np.cos(uu), np.sin(uu), np.cos(vv), np.sin(vv)], axis=1)
-    scale = 1.0 + distortion * np.sin(bump_freq * uu) * np.sin(bump_freq * vv)
+    scale = 1.0 + distortion * np.sin(2 * uu) * np.sin(2 * vv)
     verts = base * scale[:, None]
     return SimplicialManifold(2, verts, _torus_cells(N))
 

@@ -15,13 +15,13 @@ disjoint union of the patch subcomplexes sliced from the global complex
 (PatchComplex); the interior unknowns of all patches form one stacked
 vector, with one splu factor of the block-diagonal stiffness.  Each
 block equals its patch's submesh stiffness bit for bit, with no
-per-patch manifold or chart.
+per-patch manifold or chart.  The Neumann series assembles its flat
+operator the same way, with the edge lengths of the ball's chart.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +29,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import dec
-from .geometry import ChartFrame, SimplicialManifold, geodesic_distance
+from .geometry import (ChartFrame, SimplicialManifold, chord_lengths,
+                       geodesic_distance, lumped_supports, simplex_volumes)
 
 log = logging.getLogger(__name__)
 
@@ -108,8 +109,8 @@ class Patch:
         placed by the chart frame at the ball's center fitted out to the
         doubled covering radius, which holds every patch vertex.
 
-        Only the Neumann-series flat operator builds it; the direct
-        solver's blocks come from stack_patches and equal its own.
+        The library does not build it: every patch system comes from
+        _assemble, and the submesh is its independent reference.
         Returns (sub, verts, rows) where rows[p] maps this patch's global
         interior p-simplices to submesh row indices.
         """
@@ -155,12 +156,15 @@ class PatchComplex:
         return self.simplices[p].shape[0]
 
 
-def _patch_complex(patches: list) -> PatchComplex:
+def _patch_complex(patches: list,
+                   lengths: np.ndarray | None = None) -> PatchComplex:
     """The PatchComplex of patches sharing one manifold.
 
     Rows are found through the sorted keys j * N_q + global index, so no
-    dense patches x simplices table is built.  Support volumes sum each
-    patch's own cells in cell order, as a submesh of those cells does.
+    dense patches x simplices table is built.  The volumes are sliced
+    from the manifold's, or computed from lengths, one per edge row of
+    the union; support volumes lump each patch's own cells in cell
+    order, as a submesh of those cells does.
     """
     m = patches[0].manifold
     n = m.n
@@ -183,22 +187,25 @@ def _patch_complex(patches: list) -> PatchComplex:
             (B.data, (rows(q - 1, owner[q][B.col], B.row), B.col)),
             shape=(simplices[q - 1].size, simplices[q].size))
 
+    if lengths is None:
+        volumes = [m.volumes[q][simplices[q]] for q in range(n + 1)]
+    else:
+        volumes = [np.ones(simplices[0].size), lengths]
+        volumes += [simplex_volumes(lengths[rows(
+            1, owner[q][:, None],
+            m._simplex_edges(m.simplices[q][simplices[q]]))], q)
+            for q in range(2, n + 1)]
     cells, cell_owner = simplices[n], owner[n][:, None]
-    support = []
-    for q in range(n + 1):
-        faces = rows(q, cell_owner, m._cell_faces[q][cells])
-        share = m.volumes[n][cells] / math.comb(n + 1, q + 1)
-        sv = np.zeros(simplices[q].size)
-        np.add.at(sv, faces.ravel(), np.repeat(share, faces.shape[1]))
-        support.append(sv)
-    return PatchComplex(n, simplices, starts, boundary,
-                        [m.volumes[q][simplices[q]] for q in range(n + 1)],
-                        support)
+    support = [lumped_supports(volumes[n],
+                               rows(q, cell_owner, m._cell_faces[q][cells]),
+                               simplices[q].size) for q in range(n + 1)]
+    return PatchComplex(n, simplices, starts, boundary, volumes, support)
 
 
-def _assemble(patches: list, p: int) -> PatchSystem:
+def _assemble(patches: list, p: int,
+              lengths: np.ndarray | None = None) -> PatchSystem:
     """The degree-p PatchSystem of patches sharing one manifold, not yet
-    factored.
+    factored; with lengths, in the metric they give (see _patch_complex).
 
     The stacked unknowns are the interior rows of the PatchComplex of
     the patches, taken patch by patch; no stiffness entry couples two
@@ -209,7 +216,7 @@ def _assemble(patches: list, p: int) -> PatchSystem:
     if not sizes.all():
         ball = patches[int(np.argmin(sizes))].ball.index
         raise PatchError(f"ball {ball}: no interior {p}-simplex")
-    union = _patch_complex(patches)
+    union = _patch_complex(patches, lengths)
     pos = np.repeat(np.arange(len(patches)), sizes)
     glob = np.concatenate([pt.interior[p] for pt in patches])
     # union rows are sorted by (patch, global index): look the keys up
@@ -302,24 +309,14 @@ def solve_local_dirichlet(patch: Patch, omega: dec.Cochain,
             f.diagnostics(omega, u_I, dens, r)[0])
 
 
-def _flat_stiffness(patch: Patch, p: int,
-                    flat_edge_lengths: np.ndarray | None = None):
-    """Interior stiffness of the patch assembled with the chart metric.
-
-    The patch complex is rebuilt with edge lengths induced by the
-    identity metric in chart coordinates (or by an explicit per-global-
-    edge override), on the same combinatorics as the curved patch.
-    """
-    sub, _, rows = patch.submesh()
-    lengths = None
-    if flat_edge_lengths is not None:
-        lengths = flat_edge_lengths[patch.patch_simplices(1)]
-    flat = SimplicialManifold(sub.n, sub.vertices, sub.oriented_cells,
-                              edge_lengths=lengths, normalize=False,
-                              validate=False)
-    r = rows[p]
-    K_II = dec.stiffness_matrix(flat, p)[np.ix_(r, r)].tocsc()
-    return K_II, dec.mass_diagonal(flat, p)[r]
+def _chart_lengths(patch: Patch) -> np.ndarray:
+    """Lengths of the patch edges, ascending, in the chart of its ball:
+    the frame at the ball's center fitted out to the doubled covering
+    radius, which holds every patch vertex."""
+    m, ball = patch.manifold, patch.ball
+    frame = ChartFrame(m, ball.center, 2.0 * ball.covering_radius)
+    return chord_lengths(frame.coordinates,
+                         m.simplices[1][patch.patch_simplices(1)])
 
 
 def neumann_series_solve(patch: Patch, omega: dec.Cochain,
@@ -331,11 +328,25 @@ def neumann_series_solve(patch: Patch, omega: dec.Cochain,
     Solves the same interior system as the direct mode by iterating
     v_k from Delta_flat v_k = gamma_k, gamma_{k+1} = (Delta - Delta_flat)
     v_k, and summing with alternating signs; returns (u, diagnostics).
+    Delta_flat has the edge lengths of the ball's chart, or those of
+    flat_edge_lengths (one per global edge).  Raises PatchError, naming
+    the ball, when a zero chart volume leaves the flat interior system
+    non-finite or its mass not positive.
     """
     m, p = patch.manifold, omega.degree
     f = _assemble([patch], p)
     I, K_II, M_I = f.index, f.K, f.M
-    Kf_II, Mf_I = _flat_stiffness(patch, p, flat_edge_lengths)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a zero chart volume is reported below, not as a warning
+        flat = _assemble([patch], p, _chart_lengths(patch)
+                         if flat_edge_lengths is None
+                         else flat_edge_lengths[patch.patch_simplices(1)])
+    Kf_II, Mf_I = flat.K, flat.M
+    if not (np.isfinite(Kf_II.data).all() and np.isfinite(Mf_I).all()
+            and (Mf_I > 0).all()):
+        raise PatchError(f"ball {patch.ball.index}: the chart metric "
+                         f"degenerates on the patch at degree {p} "
+                         "(zero chart volume)")
     lu = spla.splu(Kf_II)
     mu, vol = m.support_volumes[p][I], m.volumes[p][I]
 

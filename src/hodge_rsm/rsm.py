@@ -28,7 +28,7 @@ from . import dec, local_solver
 from .covering import (AdmissibleCovering, RadiusField, WeightField,
                        check_weight_relative, chi_gradient_constant,
                        constant_weight)
-from .geometry import SimplicialManifold
+from .geometry import SimplicialManifold, simplex_average
 
 K_CAP = 8
 GAMMA = 2.0  # weight-summation exponent used in the ledger
@@ -125,14 +125,6 @@ def threshold_steps(r: float, s: float, n: int) -> int:
         if t >= s:
             return k
         k += 1
-
-
-def simplex_average(m: SimplicialManifold, p: int, vertex_values):
-    """Mean of the vertex values over each p-simplex; vertex_values is a
-    vector or a (sparse) matrix with one field per column."""
-    verts = m.simplices[p]
-    return sum((vertex_values[verts[:, k]] for k in range(1, p + 1)),
-               vertex_values[verts[:, 0]]) / (p + 1)
 
 
 def multiply_scalar(m: SimplicialManifold, chi_vertex: np.ndarray,
@@ -316,7 +308,7 @@ def _margin(lhs: float, rhs: float) -> float:
     return 0.0 if -1e-9 * max(lhs, rhs) <= margin < 0 else margin
 
 
-def _gluing_bound(m, w: WeightField, v0: dec.Cochain, parts_dens,
+def _gluing_bound(m, w: WeightField, w_means, v0: dec.Cochain, parts_dens,
                   s: float, order: int) -> dict:
     """One part of the gluing inequality, in discretely rigorous form.
 
@@ -326,7 +318,8 @@ def _gluing_bound(m, w: WeightField, v0: dec.Cochain, parts_dens,
     side uses the measured effective overlap of the density supports and
     the weight-comparability constant measured over those supports, with
     the per-ball norms of the pieces themselves (the continuum proof's
-    Leibniz split is reported separately by the caller).
+    Leibniz split is reported separately by the caller).  w_means are
+    w's ball means.
     """
     p = v0.degree
     w_simp = simplex_average(m, p, w.values)
@@ -337,7 +330,6 @@ def _gluing_bound(m, w: WeightField, v0: dec.Cochain, parts_dens,
     supp = g.data > 1e-300
     rows, cols, g = g.row[supp], g.col[supp], g.data[supp]
     T_eff = int(np.bincount(rows, minlength=mu.size).max())
-    w_means = w.ball_means
     c_sw_eff = float(np.max(w_simp[rows] / w_means[cols], initial=1.0))
     per_ball = np.bincount(cols, mu[rows] * g**s, minlength=w_means.size)
     rhs_s = max(T_eff, 1) ** (s - 1) * c_sw_eff**s \
@@ -348,26 +340,27 @@ def _gluing_bound(m, w: WeightField, v0: dec.Cochain, parts_dens,
 
 
 def _weight_summation_bound(m, cov, rf: RadiusField, w: WeightField,
-                            parts_dens, omega: dec.Cochain, r: float,
-                            s: float, balls) -> dict:
+                            w_means, c_iw: float, parts_dens,
+                            omega: dec.Cochain, r: float, s: float,
+                            balls) -> dict:
     """Weight-summation inequality I <= c_w T^(s/r) |omega|_{L^r(wtilde^r)}.
 
     All constants are measured: the per-ball comparison constant C from
     the hypothesis, the radius-comparability factor rho (the continuum
-    value is 96 for divisor 120), and the tightest c_iw over the balls
-    (that of check_weight_relative).  gamma = GAMMA = 2 throughout.
-    parts_dens holds the order-0 densities of the pieces chi_j u_j;
-    balls is rsm_step's ball mask.
+    value is 96 for divisor 120), and the tightest c_iw over the balls,
+    which check_weight_relative gives with the ball means w_means.
+    gamma = GAMMA = 2 throughout.  parts_dens holds the order-0 densities
+    of the pieces chi_j u_j; balls is rsm_step's ball mask.
     """
     p = omega.degree
-    R, w_means = cov.radii(), w.ball_means
+    R = cov.radii()
     a = w_means * dec.column_norms(m, p, parts_dens, s, balls)
     b = w_means * R ** (-GAMMA) * dec.column_norms(
         m, p, balls.multiply(dec.density(omega)[:, None]), r)
     rf_max = cov.membership(m.num_vertices).multiply(rf.values[:, None])
     rho = float(np.max(rf_max.max(axis=0).toarray().ravel() / R,
                        initial=1.0))
-    c_iw = min(1.0, w.c_iw)
+    c_iw = min(1.0, c_iw)
     nz = b > 1e-300
     C = float((a[nz] / b[nz]).max()) if nz.any() else 0.0
     I = float(np.sum(a**s)) ** (1 / s)
@@ -379,16 +372,15 @@ def _weight_summation_bound(m, cov, rf: RadiusField, w: WeightField,
             "margin": _margin(I, rhs)}
 
 
-def _leibniz_diagnostic(m, cov, w, U_dens, p: int, s: float, eps: float,
-                        balls) -> dict:
+def _leibniz_diagnostic(m, cov, w_means, c_sw: float, U_dens, p: int,
+                        s: float, eps: float, balls) -> dict:
     """Continuum-form right side of the gluing bound (reported, not
-    asserted); U_dens holds the order-0 and order-1 densities of the
-    local solutions, balls is rsm_step's mask."""
+    asserted); w_means and c_sw are the weight's ball means and upper
+    comparability constant, U_dens holds the order-0 and order-1
+    densities of the local solutions, balls is rsm_step's mask."""
     T = cov.overlap_measured
-    c_sw = w.c_sw if w.c_sw is not None else 1.0
     lr, gr = (dec.column_norms(m, p, d, s, balls) for d in U_dens)
-    total = float(np.sum(w.ball_means**s * (cov.radii()**-s * lr**s
-                                            + gr**s)))
+    total = float(np.sum(w_means**s * (cov.radii()**-s * lr**s + gr**s)))
     conj = s / (s - 1)
     return {"rhs_paper": (2 ** (s / conj) * (1 + eps) * T**s * c_sw**s
                           * total) ** (1 / s)}
@@ -406,8 +398,7 @@ def rsm_step(m: SimplicialManifold, cov: AdmissibleCovering,
     computed globally, so the step identity is exact bookkeeping.
     """
     p = omega.degree
-    if w.ball_means is None:
-        check_weight_relative(w, cov, m)
+    w_means, c_iw, c_sw = check_weight_relative(w, cov, m)
     v0, U = sweep(m, cov, omega)
     # densities used twice are computed once: U's of orders 0 and 1 (the
     # c_j and the Leibniz diagnostic), the pieces' of order 0 (5s4_i, 5s6)
@@ -428,15 +419,15 @@ def rsm_step(m: SimplicialManifold, cov: AdmissibleCovering,
     balls = simplex_average(m, p, cov.membership(m.num_vertices).tocsr()) \
         >= 1.0
     ledger = {
-        "5s4_i": _gluing_bound(m, w, v0, parts_dens0, s, 0),
-        "5s4_ii": _gluing_bound(m, w, v0, dec.densities(m, p, parts, 1),
-                                s, 1),
-        "5s4_iii": _gluing_bound(m, w, v0, dec.densities(m, p, parts, 2),
-                                 s, 2),
-        "5s6": _weight_summation_bound(m, cov, rf, w, parts_dens0, omega, r,
-                                       s, balls),
-        "leibniz": _leibniz_diagnostic(m, cov, w, U_dens, p, s, cov.eps,
-                                       balls),
+        "5s4_i": _gluing_bound(m, w, w_means, v0, parts_dens0, s, 0),
+        "5s4_ii": _gluing_bound(m, w, w_means, v0,
+                                dec.densities(m, p, parts, 1), s, 1),
+        "5s4_iii": _gluing_bound(m, w, w_means, v0,
+                                 dec.densities(m, p, parts, 2), s, 2),
+        "5s6": _weight_summation_bound(m, cov, rf, w, w_means, c_iw,
+                                       parts_dens0, omega, r, s, balls),
+        "leibniz": _leibniz_diagnostic(m, cov, w_means, c_sw, U_dens, p, s,
+                                       cov.eps, balls),
     }
     # sum_j B(chi_j, u_j) = Delta v0 - sum_j chi_j Delta u_j
     diag = StepDiagnostics(step_index, solves,

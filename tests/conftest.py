@@ -321,11 +321,8 @@ def cover3d5(torus3d5):
 
 
 @pytest.fixture(scope="session")
-def weight16(torus16, cover16):
-    rf, cov = cover16
-    w = covering.weight_from_radius(rf, 1)
-    covering.check_weight_relative(w, cov, torus16)
-    return w
+def weight16(cover16):
+    return covering.weight_from_radius(cover16[0], 1)
 
 
 @pytest.fixture(scope="session")
@@ -350,6 +347,25 @@ def rng():
 
 def unit_form(m, p, rng):
     return dec.random_cochain(m, p, rng)
+
+
+def flat_stiffness_oracle(patch, p, flat_edge_lengths=None):
+    """(K_II, M_I): the interior stiffness and mass of the patch in the
+    chart metric, from a manifold rebuilt on the patch submesh with the
+    edge lengths of its chart coordinates (or of a per-global-edge
+    override).  Tests only: the library assembles the same system on the
+    patch union (local_solver._assemble with lengths)."""
+    sub, _, rows = patch.submesh()
+    lengths = None
+    if flat_edge_lengths is not None:
+        lengths = flat_edge_lengths[patch.patch_simplices(1)]
+    flat = geometry.SimplicialManifold(sub.n, sub.vertices,
+                                       sub.oriented_cells,
+                                       edge_lengths=lengths, normalize=False,
+                                       validate=False)
+    r = rows[p]
+    K_II = dec.stiffness_matrix(flat, p)[np.ix_(r, r)].tocsc()
+    return K_II, dec.mass_diagonal(flat, p)[r]
 
 
 @pytest.fixture(scope="session")

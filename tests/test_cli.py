@@ -86,6 +86,32 @@ def test_solve_report(runner, tmp_path):
     assert (out / "trace_p1.csv").exists()
 
 
+def test_solve_neumann_series(runner, tmp_path):
+    # the flat/curved series agrees with the direct patch solve
+    cfg = _cfg(tmp_path, mesh={"kind": "bumpy_torus", "resolution": 12,
+                               "distortion": 0.3},
+               degrees=[0, 1, 2], neumann_series=True)
+    res = runner.invoke(main, ["solve", "--config", cfg])
+    assert res.exit_code == 0, res.output
+    out = Path(json.loads(Path(cfg).read_text())["out_dir"])
+    checks = {c["name"]: c for c in json.loads(
+        (out / "solve_report.json").read_text())["checks"]}
+    for p in (0, 1, 2):
+        check = checks[f"neumann_agreement_p{p}"]
+        assert check["passed"]
+        assert check["details"]["agreement"] <= 1e-12
+
+
+def test_solve_neumann_degenerate_chart_is_usage_error(runner, tmp_path):
+    # cells of ball 0 have zero volume in its chart, which leaves the
+    # flat operator at degree 2 undefined
+    cfg = _cfg(tmp_path, mesh={"kind": "flat_torus_3d", "resolution": 5},
+               degrees=[2], neumann_series=True)
+    res = runner.invoke(main, ["solve", "--config", cfg])
+    assert res.exit_code == 2, res.output
+    assert "ball 0: the chart metric degenerates" in res.output
+
+
 @pytest.mark.parametrize("k,expected", [(None, 2), (1, 1)])
 def test_solve_steps_from_threshold(runner, tmp_path, k, expected):
     # r = 1.5, n = 2: S_1 = 6 < s = 8 <= S_2, so k = null runs two steps;

@@ -10,6 +10,8 @@ from hodge_rsm.local_solver import (PatchError, extract_patch,
                                     solve_local_dirichlet)
 from hodge_rsm.rsm import cached_patches
 
+from conftest import flat_stiffness_oracle
+
 
 @pytest.fixture(scope="module")
 def patch16(torus16, cover16):
@@ -133,8 +135,7 @@ def test_stack_patches_names_ball_without_interior(torus16, cover16):
     # a hand-built ball holding one triangle: every vertex and edge of
     # the patch lies on its boundary
     cell = torus16.simplices[2][0]
-    ball = SimpleNamespace(index=99, center=int(cell[0]), members=cell,
-                           doubled_members=cell)
+    ball = SimpleNamespace(index=99, center=int(cell[0]), members=cell)
     lone = extract_patch(torus16, SimpleNamespace(balls=[ball]), 0)
     assert lone.interior[1].size == 0
     good = extract_patch(torus16, cover16[1], 3)
@@ -151,6 +152,38 @@ def test_neumann_flat_override_one_step(torus16, patch16, rng):
                                    flat_edge_lengths=torus16.edge_lengths)
     assert diag.eta == 0.0
     assert diag.iterations == 1
+
+
+def test_flat_assembly_matches_submesh_oracle(bumpy16, cover_bumpy,
+                                              torus3d5, cover3d5):
+    # the flat system from the patch union, with chart lengths or an
+    # override, equals the one of a manifold rebuilt on the submesh bit
+    # for bit, NaN entries of degenerate chart cells included
+    for m, cov, balls, degrees in (
+            (bumpy16, cover_bumpy[1], (0, 3, 112), range(3)),
+            (torus3d5, cover3d5[1], (0, 3, 62), range(4))):
+        override = m.edge_lengths * (1.0 + 0.01 * np.sin(
+            np.arange(m.num_simplices(1))))
+        for j in balls:
+            patch = extract_patch(m, cov, j)
+            for lengths, flat in (
+                    (local_solver._chart_lengths(patch), None),
+                    (override[patch.patch_simplices(1)], override)):
+                for p in degrees:
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        K, M = flat_stiffness_oracle(patch, p, flat)
+                        f = local_solver._assemble([patch], p, lengths)
+                    assert np.array_equal(f.K.toarray(), K.toarray(),
+                                          equal_nan=True)
+                    assert np.array_equal(f.M, M, equal_nan=True)
+
+
+def test_neumann_degenerate_chart_names_ball(torus3d5, cover3d5, rng):
+    patch = extract_patch(torus3d5, cover3d5[1], 0)
+    for p in (2, 3):
+        omega = dec.random_cochain(torus3d5, p, rng)
+        with pytest.raises(PatchError, match="ball 0: the chart metric"):
+            neumann_series_solve(patch, omega)
 
 
 def test_neumann_agrees_with_direct(bumpy16, cover_bumpy, rng):

@@ -235,6 +235,7 @@ def test_gluing_ledger_matches_per_patch_definition(torus16, cover16,
     for pc in parts[1:]:
         total = total + pc
     w_simp = rsm.simplex_average(m, p, weight16.values)
+    w_means = covering.check_weight_relative(weight16, cov, m)[0]
     mu = m.support_volumes[p]
     for key, dens in (("5s4_i", dec.density),
                       ("5s4_ii", dec.gradient_density),
@@ -247,9 +248,8 @@ def test_gluing_ledger_matches_per_patch_definition(torus16, cover16,
             supp = g > 1e-300
             counts += supp
             if supp.any():
-                c_sw = max(c_sw, (w_simp[supp]
-                                  / weight16.ball_means[j]).max())
-            rhs_sum += weight16.ball_means[j] ** s * np.sum(
+                c_sw = max(c_sw, (w_simp[supp] / w_means[j]).max())
+            rhs_sum += w_means[j] ** s * np.sum(
                 mu[supp] * g[supp] ** s)
         T_eff = int(counts.max())
         rhs = (T_eff ** (s - 1) * c_sw**s * rhs_sum) ** (1 / s)
@@ -258,6 +258,22 @@ def test_gluing_ledger_matches_per_patch_definition(torus16, cover16,
         assert led["c_sw_eff"] == c_sw
         assert abs(led["lhs"] - lhs) <= 1e-12 * lhs
         assert abs(led["rhs"] - rhs) <= 1e-12 * rhs
+
+
+def test_one_weight_serves_two_coverings(torus16, cover16, rng):
+    # the ball means are measured for the covering of each step, so one
+    # weight serves coverings with different numbers of balls
+    rf, cov = cover16
+    rf3 = covering.compute_radius_field(torus16, 0.3)
+    cov3 = vitali_cover(torus16, rf3)
+    partition_of_unity(torus16, cov3)
+    assert len(cov3) != len(cov)
+    w = covering.weight_from_radius(rf, 1)
+    omega = dec.random_cochain(torus16, 1, rng)
+    for c, r in ((cov, rf), (cov3, rf3), (cov, rf)):
+        fresh = covering.WeightField(w.values.copy())
+        want = rsm_step(torus16, c, r, omega, 1.5, fresh)[2].ledger
+        assert rsm_step(torus16, c, r, omega, 1.5, w)[2].ledger == want
 
 
 def test_localized_source_recovery(torus16, cover16, rng):
