@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import ChartFrame, SimplicialManifold, geodesic_distance
+from .geometry import SimplicialManifold, chart_radii, geodesic_distance
 
 RADIUS_FLOOR_EDGES = 2.0   # R_min = this many mean edge lengths
 MIN_DIVISOR = 5.0          # below this the 5r dilation stops making sense
@@ -92,36 +91,49 @@ class WeightField:
             raise ValueError("weight must be strictly positive")
 
 
-def admissible_radius(m: SimplicialManifold, x: int, eps: float) -> float:
-    """Largest R in [R_min, 1] whose chart at x stays within eps.
+def _admissible_radii(m: SimplicialManifold, centers: np.ndarray,
+                      eps: float) -> np.ndarray:
+    """Largest R in [R_min, 1] whose chart at each center stays within
+    eps, in rounds of batched frame fits (geometry.chart_radii).
 
-    The chart frame is fitted only on a ball around x.  Its reach starts
-    at R_min, because a distortion exceeding eps below the floor gives
-    R_min anyway, and doubles, up to the clamp 1, while the first
-    exceedance lies beyond it.  The result is that of a whole-mesh
-    frame, min(1, max(R, R_min)) with R = ChartFrame(m, x)
-    .largest_radius_within(eps), up to the frame's Tikhonov weight,
-    which averages over the fitted ball.
+    The first round fits every center's frame on its ball of radius
+    R_min, because a distortion exceeding eps below the floor gives R_min
+    anyway.  A center whose first exceedance lies beyond the reach goes
+    to the next round at twice the reach, up to the clamp 1.  The result
+    is that of a whole-mesh frame, min(1, max(R, R_min)) with
+    R = ChartFrame(m, x).largest_radius_within(eps), up to the frame's
+    Tikhonov weight, which averages over the fitted ball.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     r_min = RADIUS_FLOOR_EDGES * m.mean_edge_length()
+    values = np.empty(centers.size)
+    pending = np.arange(centers.size)
     reach = r_min
-    while True:
-        r = ChartFrame(m, x, reach).largest_radius_within(eps)
-        if r < math.inf or reach >= 1.0:
-            return float(min(1.0, max(r, r_min)))
+    while pending.size:
+        r = chart_radii(m, centers[pending], reach, eps)
+        done = np.isfinite(r) | (reach >= 1.0)
+        values[pending[done]] = np.minimum(1.0, np.maximum(r[done], r_min))
+        pending = pending[~done]
         reach = min(2.0 * reach, 1.0)
+    return values
+
+
+def admissible_radius(m: SimplicialManifold, x: int, eps: float) -> float:
+    """Largest R in [R_min, 1] whose chart at x stays within eps: the
+    one-vertex case of the batched rounds of compute_radius_field."""
+    return float(_admissible_radii(m, np.array([x]), eps)[0])
 
 
 def compute_radius_field(m: SimplicialManifold, eps: float,
                          divisor: float = 120.0) -> RadiusField:
     """Admissible radius at every vertex plus the effective Vitali divisor.
 
-    Each radius comes from chart frames fitted on balls around its vertex
-    (see admissible_radius).  Where radii stay within a few multiples of
-    the floor R_min, a vertex costs one or two bounded Dijkstra searches
-    and fits on the edges of a small ball, not a whole-mesh frame.
+    The radii come in rounds (see _admissible_radii): each round makes
+    one bounded Dijkstra search per pending vertex and fits all their
+    chart frames in batched passes (geometry.ChartFrames), so where radii
+    stay within a few multiples of the floor R_min a vertex costs one or
+    two searches and a share of a fit on the edges of small balls.
 
     The divisor is reduced (never below MIN_DIVISOR) when R/divisor
     would fall under the mesh resolution, since core balls smaller than
@@ -130,8 +142,7 @@ def compute_radius_field(m: SimplicialManifold, eps: float,
     """
     if divisor < 8:
         raise ValueError("Vitali divisor must be at least 8")
-    values = np.array([admissible_radius(m, x, eps)
-                       for x in range(m.num_vertices)])
+    values = _admissible_radii(m, np.arange(m.num_vertices), eps)
     mean_edge = m.mean_edge_length()
     resolvable = values.min() / mean_edge
     div_eff = float(min(divisor, max(MIN_DIVISOR, resolvable)))
@@ -195,6 +206,46 @@ def vitali_cover(m: SimplicialManifold, rf: RadiusField) -> AdmissibleCovering:
             "below mesh resolution")
     cov.overlap_measured = int(counts.max())
     return cov
+
+
+def check_interior_vertices(m: SimplicialManifold,
+                            cov: AdmissibleCovering) -> None:
+    """Raise CoverageError unless every ball holds some vertex together
+    with all its neighbours.
+
+    Such a vertex and every simplex containing it are interior to the
+    ball's patch, so each local problem has unknowns at every degree.
+    Balls at the radius clamp 1 on meshes whose floor R_min lies above
+    it can fail this (the 3-torus at resolution 4).
+    """
+    g, V = m.graph, m.num_vertices
+    members = [b.members for b in cov.balls]
+    keys = np.repeat(np.arange(len(members)), [x.size for x in members]) * V \
+        + np.concatenate(members)                    # ascending
+
+    def whole_star(balls, x):
+        """Per pair, whether every neighbour of vertex x lies in the ball."""
+        rows = g[x]
+        nbr = np.repeat(balls, np.diff(rows.indptr)) * V + rows.indices
+        pos = np.minimum(np.searchsorted(keys, nbr), keys.size - 1)
+        return np.logical_and.reduceat(keys[pos] == nbr, rows.indptr[:-1])
+
+    # each ball's center first, all members only of a ball where it
+    # fails: a center nearly always passes, and testing every member of
+    # every ball at once would hold a key per member and neighbour
+    ok = whole_star(np.arange(len(members)), [b.center for b in cov.balls])
+    for j in np.flatnonzero(~ok):
+        ok[j] = whole_star(np.full(members[j].size, j), members[j]).any()
+    empty = np.flatnonzero(~ok)
+    if empty.size:
+        b = cov.balls[empty[0]]
+        r_min = RADIUS_FLOOR_EDGES * m.mean_edge_length()
+        raise CoverageError(
+            f"ball {b.index} (center {b.center}, radius "
+            f"{b.covering_radius:.4g}) holds no vertex with all its "
+            f"neighbours, so its patch has no interior vertex; radius floor "
+            f"R_min = {r_min:.4g} ({RADIUS_FLOOR_EDGES:g} mean edges), radius "
+            "clamp 1: the mesh is too coarse for its covering")
 
 
 def partition_of_unity(m: SimplicialManifold,

@@ -413,14 +413,230 @@ _IDENTITY_PACKED = {2: np.array([1.0, 0.0, 1.0]),
                     3: np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])}
 
 
+FRAME_BATCH_VERTICES = 1 << 10   # fitted vertices per batched frame fit
+
+
+class ChartFrames:
+    """Chart frames of several centers at one reach, fitted in one
+    batched pass on arrays keyed by frame.
+
+    Frame f belongs to centers[f] and is fitted on the vertices within
+    the reach of it: searches[f] = (fitted, distances), the ascending
+    vertex indices of that ball and their distances from the center.
+    Each fitted vertex gets a metric, least-squares fitted to the
+    squared lengths of all its incident edges, and that metric's largest
+    eigen-deviation from the identity; each edge between two fitted
+    vertices of a frame gets the first difference of the fit across it.
+    The chart coordinates project the ambient displacement from the
+    center onto the tangent plane of the center's star (its SVD) and
+    rescale it to the chord length; the frame is then normalized so the
+    fitted metric at the center is the identity.  The fit pulls toward
+    the identity with a Tikhonov weight of 1e-8 times the mean trace of
+    the normal matrices over the frame's fitted vertices, so a vertex's
+    fit depends on the reach only through that weight.
+
+    Each frame's arithmetic is that of a frame fitted alone: normal
+    equations are summed per vertex with np.bincount in edge order
+    (first ends, then second ends), and the per-frame products (tangent
+    projection, center normalization) are made one frame at a time.
+    The work is O(sum of the balls and their incident edges).
+
+    Attributes (rows of one frame are contiguous, frames in order):
+        centers: (F,) center vertices.
+        starts: (F+1,) offsets of each frame's rows in fitted.
+        fitted, distances, frame: per fitted row, its vertex, distance
+            from the center and frame.
+        touched, coordinates: the vertices with an edge to a fitted
+            vertex of the frame (ascending within a frame, offsets
+            touched_starts) and their chart coordinates.
+        metric, vertex_deviation: per fitted row.
+        edges, edge_frame, edge_difference, edge_distance: the edges
+            with both ends fitted in a frame, the largest change of a
+            packed metric entry across each, and its farther end's
+            distance from the center.
+        foldover_distance: (F,) distance at which two fitted vertices
+            first share chart coordinates (inf if never).
+    """
+
+    def __init__(self, m: SimplicialManifold, centers, searches):
+        n, V, E = m.n, m.num_vertices, m.num_simplices(1)
+        self.m = m
+        self.centers = np.asarray(centers, dtype=np.int64)
+        F = self.centers.size
+        sizes = np.array([f.size for f, _ in searches], dtype=np.int64)
+        self.starts = np.concatenate([[0], np.cumsum(sizes)])
+        self.fitted = np.concatenate([f for f, _ in searches])
+        self.distances = np.concatenate([d for _, d in searches])
+        self.frame = np.repeat(np.arange(F), sizes)
+        R = self.fitted.size
+        fkey = self.frame * V + self.fitted           # ascending
+
+        # edges with a fitted end, ascending within each frame
+        inc = m.boundary[1]
+        degree = np.diff(inc.indptr)[self.fitted]
+        ekey = _sorted_unique(np.repeat(self.frame, degree) * E
+                              + _csr_rows(inc, self.fitted))
+        eframe, eids = np.divmod(ekey, E)
+        ends = eframe[:, None] * V + m.simplices[1][eids]
+        tkey = _sorted_unique(ends.ravel())
+        tframe, self.touched = np.divmod(tkey, V)
+        self.touched_starts = np.searchsorted(tframe, np.arange(F + 1))
+        loc = np.searchsorted(tkey, ends)
+        row = np.searchsorted(fkey, ends)
+        fitted_end = fkey[np.minimum(row, R - 1)] == ends
+        row[~fitted_end] = R     # scratch row for ends beyond the reach
+        target = m.edge_lengths[eids] ** 2
+
+        coords = self._tangent_coordinates(tframe)
+        center_row = np.searchsorted(fkey, np.arange(F) * V + self.centers)
+        packed = self._fit(coords, loc, row, target)
+        # normalize so the fitted metric at each center is the identity;
+        # a center metric with no Cholesky factor means a wildly folded
+        # chart, which the distortions report
+        for f, g in enumerate(_unpack_metric(packed[center_row], n)):
+            try:
+                L = np.linalg.cholesky(g)
+            except np.linalg.LinAlgError:
+                continue
+            rows = slice(*self.touched_starts[f:f + 2])
+            coords[rows] = coords[rows] @ L
+        packed = self._fit(coords, loc, row, target)
+        packed[center_row] = _IDENTITY_PACKED[n]
+        self.coordinates = coords
+        self.metric = _unpack_metric(packed, n)
+        eigs = np.linalg.eigvalsh(self.metric)
+        self.vertex_deviation = np.abs(eigs - 1.0).max(axis=1)
+        self.vertex_deviation[~(eigs[:, 0] > 0)] = np.inf
+
+        # raw first difference across an edge (no division by length):
+        # the mesh analogue of the sup-derivative bound on g_ij
+        both = fitted_end.all(axis=1)
+        r0, r1 = row[both].T
+        self.edges, self.edge_frame = eids[both], eframe[both]
+        self.edge_difference = np.abs(packed[r1] - packed[r0]).max(axis=1)
+        self.edge_distance = np.maximum(self.distances[r0],
+                                        self.distances[r1])
+        self.foldover_distance = _foldover_distances(
+            coords[np.searchsorted(tkey, fkey)], self.distances,
+            self.frame, F)
+
+    def _tangent_coordinates(self, tframe: np.ndarray) -> np.ndarray:
+        """Chord length times the unit projection of each touched
+        vertex's displacement onto its center's star plane."""
+        m, centers = self.m, self.centers
+        # the star planes by one batched SVD per vertex degree
+        g = m.graph
+        degree = np.diff(g.indptr)[centers]
+        basis = np.empty((centers.size, m.n, m.vertices.shape[1]))
+        for d in np.unique(degree):
+            group = np.flatnonzero(degree == d)
+            star = np.sort(_csr_rows(g, centers[group]).reshape(-1, d), axis=1)
+            _, _, vt = np.linalg.svd(
+                m.vertices[star] - m.vertices[centers[group], None],
+                full_matrices=False)
+            basis[group] = vt[:, : m.n]
+        disp = m.vertices[self.touched] - m.vertices[centers[tframe]]
+        proj = np.empty((disp.shape[0], m.n))
+        for f in range(centers.size):
+            rows = slice(*self.touched_starts[f:f + 2])
+            proj[rows] = disp[rows] @ basis[f].T
+        chord = np.linalg.norm(disp, axis=1)
+        pnorm = np.linalg.norm(proj, axis=1)
+        safe = pnorm > 1e-300
+        unit = np.zeros_like(proj)
+        unit[safe] = proj[safe] / pnorm[safe, None]
+        return chord[:, None] * unit
+
+    def _fit(self, coords, loc, row, target) -> np.ndarray:
+        """Packed least-squares metric at every fitted row.
+
+        Edge e joins coordinate rows loc[e] and fitted rows row[e] (the
+        scratch row len(fitted) marks an end whose fit is not wanted);
+        target[e] is its squared length.
+        """
+        n, R = self.m.n, self.fitted.size
+        k = 3 if n == 2 else 6
+        feat = _metric_feature(coords[loc[:, 1]] - coords[loc[:, 0]], n)
+        ends = row.T.ravel()     # first ends, then second ends
+
+        def sums(w):
+            return np.bincount(ends, np.concatenate([w, w]), R + 1)[:R]
+
+        ata, atb = np.empty((R, k, k)), np.empty((R, k))
+        for a in range(k):
+            for b in range(a, k):
+                ata[:, a, b] = ata[:, b, a] = sums(feat[:, a] * feat[:, b])
+            atb[:, a] = sums(feat[:, a] * target)
+        # tiny Tikhonov pull toward the identity guards low-degree
+        # vertices: the trace of each frame's mean normal matrix
+        F = self.centers.size
+        diagonal_sums = np.stack([np.bincount(self.frame, ata[:, a, a], F)
+                                  for a in range(k)], axis=1)
+        counts = np.diff(self.starts)[:, None]
+        lam = 1e-8 * np.maximum((diagonal_sums / counts).sum(axis=1),
+                                1e-300)[self.frame]
+        ata += lam[:, None, None] * np.eye(k)
+        atb += lam[:, None] * _IDENTITY_PACKED[n]
+        return np.linalg.solve(ata, atb[:, :, None])[:, :, 0]
+
+    def largest_radii_within(self, eps: float) -> np.ndarray:
+        """Per frame, the largest chart radius whose distortions stay
+        within eps.
+
+        That is the smallest distance at which a distortion exceeds eps:
+        a vertex deviation (at the vertex's distance), an edge difference
+        (at its farther end's distance) or the foldover.  The answer is
+        exact whenever that distance is at most the reach.  If no
+        distortion within the reach exceeds eps, it is the largest
+        distance from the center when the frame holds the whole mesh,
+        and inf otherwise: the answer then lies beyond the reach.
+        """
+        first = self.foldover_distance.copy()
+        bad = self.vertex_deviation > eps
+        np.minimum.at(first, self.frame[bad], self.distances[bad])
+        bad = self.edge_difference > eps
+        np.minimum.at(first, self.edge_frame[bad], self.edge_distance[bad])
+        whole = np.isinf(first) & (np.diff(self.starts)
+                                   == self.m.num_vertices)
+        for f in np.flatnonzero(whole):
+            first[f] = self.distances[self.starts[f]:self.starts[f + 1]].max()
+        return first
+
+
+def chart_radii(m: SimplicialManifold, centers, reach: float,
+                eps: float) -> np.ndarray:
+    """ChartFrame(m, c, reach).largest_radius_within(eps) for each center.
+
+    One bounded search per center; the frames are fitted by ChartFrames
+    in batches of consecutive centers whose balls together hold at most
+    FRAME_BATCH_VERTICES vertices (a larger ball is a batch of its own),
+    which bounds the memory of a fit.
+    """
+    radii, batch, size = [], [], 0
+
+    def fit():
+        frames = ChartFrames(m, [c for c, _ in batch],
+                             [s for _, s in batch])
+        radii.append(frames.largest_radii_within(eps))
+
+    for c in centers:
+        d = geodesic_distance(m, int(c), limit=reach)
+        fitted = np.flatnonzero(np.isfinite(d))
+        if batch and size + fitted.size > FRAME_BATCH_VERTICES:
+            fit()
+            batch, size = [], 0
+        batch.append((int(c), (fitted, d[fitted])))
+        size += fitted.size
+    if batch:
+        fit()
+    return np.concatenate(radii) if radii else np.empty(0)
+
+
 class ChartFrame:
     """Chart scaffolding for one center, fitted on its ball of radius
-    `reach` (the whole mesh by default).
+    `reach` (the whole mesh by default): the one-frame case of
+    ChartFrames, whose docstring gives the fit.
 
-    Each vertex within the reach gets a metric, least-squares fitted to
-    the squared lengths of all its incident edges, and that metric's
-    largest eigen-deviation from the identity; each edge between two
-    such vertices gets the first difference of the fit across it.
     Charts of any radius up to the reach are slices of one frame, which
     makes enlarging a chart monotone in both distortion measures.  A
     frame costs one Dijkstra search stopped at the reach plus work on
@@ -437,10 +653,6 @@ class ChartFrame:
             largest change of a packed metric entry across each.
         foldover_distance: distance at which two fitted vertices first
             share chart coordinates (inf if never).
-
-    The fit pulls toward the identity with a Tikhonov weight of 1e-8
-    times the mean trace of the normal matrices of the fitted vertices,
-    so a vertex's fit depends on the reach only through that weight.
     """
 
     def __init__(self, m: SimplicialManifold, center: int,
@@ -448,63 +660,17 @@ class ChartFrame:
         self.m = m
         self.center = center
         self.reach = float(reach)
-        n = m.n
         self.distances = geodesic_distance(m, center, limit=reach)
         self.fitted = np.flatnonzero(np.isfinite(self.distances))
-        nf = self.fitted.size
-        # edges with a fitted end, ascending: each fitted vertex sums its
-        # normal equations in the same order as on the whole mesh
-        eids = np.unique(_csr_rows(m.boundary[1], self.fitted))
-        ends = m.simplices[1][eids]
-        touched = np.unique(ends)
-        loc = np.searchsorted(touched, ends)
-        row = np.searchsorted(self.fitted, ends)
-        fitted_end = self.fitted[np.minimum(row, nf - 1)] == ends
-        row[~fitted_end] = nf    # scratch row for ends beyond the reach
-        target = m.edge_lengths[eids] ** 2
-
-        coords = self._build_coordinates(touched)
-        packed = _fit_metric(coords, loc, row, nf, target, n)
-        c = np.searchsorted(self.fitted, center)
-        # normalize so the fitted metric at the center is the identity
-        try:
-            L = np.linalg.cholesky(_unpack_metric(packed[c], n))
-            coords = coords @ L
-            packed = _fit_metric(coords, loc, row, nf, target, n)
-        except np.linalg.LinAlgError:
-            pass  # wildly folded chart; distortions will report it
-        packed[c] = _IDENTITY_PACKED[n]
-        self.metric = _unpack_metric(packed, n)
-        eigs = np.linalg.eigvalsh(self.metric)
-        self.vertex_deviation = np.abs(eigs - 1.0).max(axis=1)
-        spd = eigs[:, 0] > 0
-        self.vertex_deviation[~spd] = np.inf
-
-        # raw first difference across an edge (no division by length):
-        # the mesh analogue of the sup-derivative bound on g_ij
-        both = fitted_end.all(axis=1)
-        self.edges = eids[both]
-        dg = np.abs(packed[row[both, 1]] - packed[row[both, 0]])
-        self.edge_difference = dg.max(axis=1)
-        self.coordinates = np.full((m.num_vertices, n), np.nan)
-        self.coordinates[touched] = coords
-        self.foldover_distance = _foldover_distance(
-            self.coordinates[self.fitted], self.distances[self.fitted])
-
-    def _build_coordinates(self, verts: np.ndarray) -> np.ndarray:
-        m, c = self.m, self.center
-        nbrs = _vertex_neighbors(m, c)
-        _, _, vt = np.linalg.svd(m.vertices[nbrs] - m.vertices[c],
-                                 full_matrices=False)
-        basis = vt[: m.n]
-        disp = m.vertices[verts] - m.vertices[c]
-        proj = disp @ basis.T
-        chord = np.linalg.norm(disp, axis=1)
-        pnorm = np.linalg.norm(proj, axis=1)
-        safe = pnorm > 1e-300
-        unit = np.zeros_like(proj)
-        unit[safe] = proj[safe] / pnorm[safe, None]
-        return chord[:, None] * unit
+        self._frames = frames = ChartFrames(
+            m, [center], [(self.fitted, self.distances[self.fitted])])
+        self.metric = frames.metric
+        self.vertex_deviation = frames.vertex_deviation
+        self.edges = frames.edges
+        self.edge_difference = frames.edge_difference
+        self.coordinates = np.full((m.num_vertices, m.n), np.nan)
+        self.coordinates[frames.touched] = frames.coordinates
+        self.foldover_distance = float(frames.foldover_distance[0])
 
     def chart(self, radius: float) -> Chart:
         """The chart of the vertices at distance < radius, center first.
@@ -540,66 +706,34 @@ class ChartFrame:
         )
 
     def largest_radius_within(self, eps: float) -> float:
-        """Largest chart radius whose distortions stay within eps.
-
-        That is the smallest distance at which a distortion exceeds eps:
-        a vertex deviation (at the vertex's distance), an edge difference
-        (at its farther end's distance) or the foldover.  The answer is
-        exact whenever that distance is at most the reach.  If no
-        distortion within the reach exceeds eps, it returns the largest
-        distance from the center when the frame holds the whole mesh,
-        and inf otherwise: the answer then lies beyond the reach.
-        """
-        ends = self.distances[self.m.simplices[1][self.edges]].max(axis=1)
-        first = min(
-            self.distances[self.fitted][self.vertex_deviation > eps].min(
-                initial=np.inf),
-            ends[self.edge_difference > eps].min(initial=np.inf),
-            self.foldover_distance)
-        if np.isfinite(first):
-            return float(first)
-        if self.fitted.size == self.m.num_vertices:
-            return float(self.distances.max())
-        return np.inf
+        """ChartFrames.largest_radii_within for this one frame."""
+        return float(self._frames.largest_radii_within(eps)[0])
 
 
-def _fit_metric(coords, loc, row, nrows, target, n) -> np.ndarray:
-    """Packed least-squares metric at rows 0..nrows-1 of the fit.
-
-    Edge e joins coordinate rows loc[e] and fit rows row[e] (nrows marks
-    an end whose fit is not wanted); target[e] is its squared length.
-    """
-    k = 3 if n == 2 else 6
-    diff = coords[loc[:, 1]] - coords[loc[:, 0]]
-    feat = _metric_feature(diff, n)
-    ata = np.zeros((nrows + 1, k, k))
-    atb = np.zeros((nrows + 1, k))
-    outer = feat[:, :, None] * feat[:, None, :]
-    fb = feat * target[:, None]
-    # first ends, then second ends, each in edge order
-    np.add.at(ata, row.T.ravel(), np.concatenate([outer, outer]))
-    np.add.at(atb, row.T.ravel(), np.concatenate([fb, fb]))
-    ata, atb = ata[:nrows], atb[:nrows]
-    # tiny Tikhonov pull toward the identity guards low-degree vertices
-    lam = 1e-8 * max(np.trace(ata.mean(axis=0)), 1e-300)
-    ata += lam * np.eye(k)
-    atb += lam * _IDENTITY_PACKED[n]
-    return np.linalg.solve(ata, atb[:, :, None])[:, :, 0]
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D integer array by one sort and a mask, several
+    times faster than np.unique, which hashes before it sorts."""
+    keys = np.sort(keys)
+    return keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
 
 
-def _foldover_distance(coordinates: np.ndarray,
-                       distances: np.ndarray) -> float:
-    """Distance at which two chart points first collide (inf if never).
+def _foldover_distances(coordinates: np.ndarray, distances: np.ndarray,
+                        frame: np.ndarray, nframes: int) -> np.ndarray:
+    """Per frame, the distance at which two of its chart points first
+    collide (inf if never); row i is a point of frame frame[i].
 
     Points collide when their coordinates agree to FOLDOVER_TOL.  A
     group of colliding points first holds two of them at its second
     smallest distance; the answer is the least of these over groups.
     """
     keys = np.round(coordinates / FOLDOVER_TOL).astype(np.int64)
-    order = np.lexsort((distances, *keys.T))   # by key, then distance
-    keys, dist = keys[order], distances[order]
-    same = (keys[1:] == keys[:-1]).all(axis=1)
-    return float(dist[1:][same].min(initial=np.inf))
+    # by frame, then key, then distance
+    order = np.lexsort((distances, *keys.T, frame))
+    keys, dist, frame = keys[order], distances[order], frame[order]
+    same = (keys[1:] == keys[:-1]).all(axis=1) & (frame[1:] == frame[:-1])
+    first = np.full(nframes, np.inf)
+    np.minimum.at(first, frame[1:][same], dist[1:][same])
+    return first
 
 
 def _csr_rows(a: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
@@ -608,11 +742,6 @@ def _csr_rows(a: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
     size = hi - lo
     start = np.repeat(lo - np.cumsum(size) + size, size)
     return a.indices[start + np.arange(size.sum())]
-
-
-def _vertex_neighbors(m: SimplicialManifold, v: int) -> np.ndarray:
-    g = m.graph
-    return np.sort(g.indices[g.indptr[v]:g.indptr[v + 1]])
 
 
 def normal_chart(m: SimplicialManifold, center: int, radius: float) -> Chart:
@@ -660,36 +789,49 @@ _ICO_FACES = np.array([
 ], dtype=np.int64)
 
 
+def _sphere_arrays(f: int) -> tuple[np.ndarray, np.ndarray]:
+    """(vertices, cells) of the icosahedron subdivided at frequency f and
+    projected to the unit sphere.
+
+    Face by face, grid point (i, j) of face (A, B, C) lies at
+    (i A + j B + k C)/f with k = f - i - j, points in row order; points
+    that agree to 9 decimals after projection are one vertex, numbered
+    in order of first appearance.  Each grid square (i, j), i + j < f,
+    gives the triangle (ij, i+1 j, i j+1), followed by
+    (i+1 j, i+1 j+1, i j+1) when i + j < f - 1.
+    """
+    def grid(a, b):
+        """Position of grid point (a, b) in row order."""
+        return a * (f + 1) - a * (a - 1) // 2 + b
+
+    i = np.repeat(np.arange(f + 1), np.arange(f + 1, 0, -1))
+    j = np.arange(i.size) - grid(i, 0)
+    A, B, C = (_ICO_VERTS[_ICO_FACES[:, c], None, :] for c in range(3))
+    p = (i[:, None] * A + j[:, None] * B + (f - i - j)[:, None] * C) / f
+    # sqrt of a dot product, rounded as np.linalg.norm of one point
+    p = (p / np.sqrt(np.vecdot(p, p))[..., None]).reshape(-1, 3)
+    # a vertex per point rounded to 9 decimals, in order of first
+    # appearance
+    keys = np.rint(p * 1e9).astype(np.int64)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    index = rank[inverse.ravel()].reshape(len(_ICO_FACES), -1)
+    up = np.stack([grid(i, j), grid(i + 1, j), grid(i, j + 1)], axis=1)
+    down = np.stack([grid(i + 1, j), grid(i + 1, j + 1), grid(i, j + 1)],
+                    axis=1)
+    square = i + j < f
+    pair = np.stack([up, down], axis=1)[square].reshape(-1, 3)
+    keep = np.stack([square, i + j < f - 1], axis=1)[square].ravel()
+    cells = index[:, pair[keep]].reshape(-1, 3)
+    return p[first[order]], cells
+
+
 def _subdivided_sphere(f: int) -> SimplicialManifold:
     """Icosahedron subdivided at frequency f, projected to the unit sphere."""
-    verts: list[np.ndarray] = []
-    vert_index: dict[tuple, int] = {}
-
-    def point(p: np.ndarray) -> int:
-        p = p / np.linalg.norm(p)
-        key = tuple(np.round(p, 9))
-        idx = vert_index.get(key)
-        if idx is None:
-            idx = len(verts)
-            vert_index[key] = idx
-            verts.append(p)
-        return idx
-
-    cells = []
-    for fa, fb, fc in _ICO_FACES:
-        A, B, C = _ICO_VERTS[fa], _ICO_VERTS[fb], _ICO_VERTS[fc]
-        grid = {}
-        for i in range(f + 1):
-            for j in range(f + 1 - i):
-                k = f - i - j
-                grid[(i, j)] = point((i * A + j * B + k * C) / f)
-        for i in range(f):
-            for j in range(f - i):
-                cells.append((grid[(i, j)], grid[(i + 1, j)], grid[(i, j + 1)]))
-                if i + j < f - 1:
-                    cells.append((grid[(i + 1, j)], grid[(i + 1, j + 1)],
-                                  grid[(i, j + 1)]))
-    return SimplicialManifold(2, np.array(verts), np.array(cells, dtype=np.int64))
+    return SimplicialManifold(2, *_sphere_arrays(f))
 
 
 def generate_test_manifold(kind: str, resolution: int,

@@ -12,6 +12,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from hodge_rsm import analysis, covering, dec, geometry
@@ -389,3 +390,182 @@ def _glued_oracle(m, cov, patches, omega):
         u = np.linalg.solve(K_II, M_I * omega.values[I])
         out[I] += chi[m.simplices[p][I], j].mean(axis=1) * u
     return out
+
+
+class LoopChartFrame:
+    """Chart frame oracle: geometry.ChartFrame fitted one frame at a
+    time, its normal equations summed with np.add.at into a length-V
+    frame.  Tests only: the library fits the frames of many centers in
+    one batched pass (geometry.ChartFrames)."""
+
+    def __init__(self, m, center, reach=math.inf):
+        self.m = m
+        self.center = center
+        self.reach = float(reach)
+        n = m.n
+        self.distances = geometry.geodesic_distance(m, center, limit=reach)
+        self.fitted = np.flatnonzero(np.isfinite(self.distances))
+        nf = self.fitted.size
+        eids = np.unique(geometry._csr_rows(m.boundary[1], self.fitted))
+        ends = m.simplices[1][eids]
+        touched = np.unique(ends)
+        loc = np.searchsorted(touched, ends)
+        row = np.searchsorted(self.fitted, ends)
+        fitted_end = self.fitted[np.minimum(row, nf - 1)] == ends
+        row[~fitted_end] = nf
+        target = m.edge_lengths[eids] ** 2
+
+        coords = self._build_coordinates(touched)
+        packed = _loop_fit_metric(coords, loc, row, nf, target, n)
+        c = np.searchsorted(self.fitted, center)
+        try:
+            L = np.linalg.cholesky(geometry._unpack_metric(packed[c], n))
+            coords = coords @ L
+            packed = _loop_fit_metric(coords, loc, row, nf, target, n)
+        except np.linalg.LinAlgError:
+            pass
+        packed[c] = geometry._IDENTITY_PACKED[n]
+        self.metric = geometry._unpack_metric(packed, n)
+        eigs = np.linalg.eigvalsh(self.metric)
+        self.vertex_deviation = np.abs(eigs - 1.0).max(axis=1)
+        self.vertex_deviation[~(eigs[:, 0] > 0)] = np.inf
+        both = fitted_end.all(axis=1)
+        self.edges = eids[both]
+        dg = np.abs(packed[row[both, 1]] - packed[row[both, 0]])
+        self.edge_difference = dg.max(axis=1)
+        self.coordinates = np.full((m.num_vertices, n), np.nan)
+        self.coordinates[touched] = coords
+        self.foldover_distance = _loop_foldover_distance(
+            self.coordinates[self.fitted], self.distances[self.fitted])
+
+    def _build_coordinates(self, verts):
+        m, c = self.m, self.center
+        g = m.graph
+        nbrs = np.sort(g.indices[g.indptr[c]:g.indptr[c + 1]])
+        _, _, vt = np.linalg.svd(m.vertices[nbrs] - m.vertices[c],
+                                 full_matrices=False)
+        basis = vt[: m.n]
+        disp = m.vertices[verts] - m.vertices[c]
+        proj = disp @ basis.T
+        chord = np.linalg.norm(disp, axis=1)
+        pnorm = np.linalg.norm(proj, axis=1)
+        safe = pnorm > 1e-300
+        unit = np.zeros_like(proj)
+        unit[safe] = proj[safe] / pnorm[safe, None]
+        return chord[:, None] * unit
+
+    def largest_radius_within(self, eps):
+        ends = self.distances[self.m.simplices[1][self.edges]].max(axis=1)
+        first = min(
+            self.distances[self.fitted][self.vertex_deviation > eps].min(
+                initial=np.inf),
+            ends[self.edge_difference > eps].min(initial=np.inf),
+            self.foldover_distance)
+        if np.isfinite(first):
+            return float(first)
+        if self.fitted.size == self.m.num_vertices:
+            return float(self.distances.max())
+        return np.inf
+
+
+def _loop_fit_metric(coords, loc, row, nrows, target, n):
+    k = 3 if n == 2 else 6
+    diff = coords[loc[:, 1]] - coords[loc[:, 0]]
+    feat = geometry._metric_feature(diff, n)
+    ata = np.zeros((nrows + 1, k, k))
+    atb = np.zeros((nrows + 1, k))
+    outer = feat[:, :, None] * feat[:, None, :]
+    fb = feat * target[:, None]
+    np.add.at(ata, row.T.ravel(), np.concatenate([outer, outer]))
+    np.add.at(atb, row.T.ravel(), np.concatenate([fb, fb]))
+    ata, atb = ata[:nrows], atb[:nrows]
+    lam = 1e-8 * max(np.trace(ata.mean(axis=0)), 1e-300)
+    ata += lam * np.eye(k)
+    atb += lam * geometry._IDENTITY_PACKED[n]
+    return np.linalg.solve(ata, atb[:, :, None])[:, :, 0]
+
+
+def _loop_foldover_distance(coordinates, distances):
+    keys = np.round(coordinates / geometry.FOLDOVER_TOL).astype(np.int64)
+    order = np.lexsort((distances, *keys.T))
+    keys, dist = keys[order], distances[order]
+    same = (keys[1:] == keys[:-1]).all(axis=1)
+    return float(dist[1:][same].min(initial=np.inf))
+
+
+def loop_admissible_radius(m, x, eps):
+    """covering.admissible_radius one vertex at a time: a LoopChartFrame
+    per reach, the reach doubling from R_min while the answer lies
+    beyond it."""
+    r_min = covering.RADIUS_FLOOR_EDGES * m.mean_edge_length()
+    reach = r_min
+    while True:
+        r = LoopChartFrame(m, x, reach).largest_radius_within(eps)
+        if r < math.inf or reach >= 1.0:
+            return float(min(1.0, max(r, r_min)))
+        reach = min(2.0 * reach, 1.0)
+
+
+def loop_sphere_arrays(f):
+    """(vertices, cells) of geometry._sphere_arrays, point by point with
+    a dict of rounded coordinates."""
+    ico_v, ico_f = geometry._ICO_VERTS, geometry._ICO_FACES
+    verts, vert_index = [], {}
+
+    def point(p):
+        p = p / np.linalg.norm(p)
+        key = tuple(np.round(p, 9))
+        idx = vert_index.get(key)
+        if idx is None:
+            idx = len(verts)
+            vert_index[key] = idx
+            verts.append(p)
+        return idx
+
+    cells = []
+    for fa, fb, fc in ico_f:
+        A, B, C = ico_v[fa], ico_v[fb], ico_v[fc]
+        grid = {}
+        for i in range(f + 1):
+            for j in range(f + 1 - i):
+                k = f - i - j
+                grid[(i, j)] = point((i * A + j * B + k * C) / f)
+        for i in range(f):
+            for j in range(f - i):
+                cells.append((grid[(i, j)], grid[(i + 1, j)],
+                              grid[(i, j + 1)]))
+                if i + j < f - 1:
+                    cells.append((grid[(i + 1, j)], grid[(i + 1, j + 1)],
+                                  grid[(i, j + 1)]))
+    return np.array(verts), np.array(cells, dtype=np.int64)
+
+
+# perturbed_mesh arguments: a generator and resolution, a seed and an
+# amplitude (in mean edges) small enough to keep every cell valid
+PERTURBED_MESHES = dict(
+    mesh=st.one_of(st.tuples(st.just("flat_torus"), st.integers(4, 9)),
+                   st.tuples(st.just("sphere"), st.integers(4, 5)),
+                   st.tuples(st.just("3-torus"), st.integers(3, 4))),
+    seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.0, 0.2))
+
+
+def perturbed_mesh(kind, resolution, seed, amplitude):
+    """A random closed mesh: a generator mesh whose vertices are moved by
+    up to `amplitude` mean edges, relabelled at random, with its cells
+    shuffled and each cell's first three vertices rotated (an even
+    permutation, so the orientation is kept)."""
+    m = geometry.generate_flat_torus_3d(resolution) if kind == "3-torus" \
+        else geometry.generate_test_manifold(kind, resolution)
+    rng = np.random.default_rng(seed)
+    V = m.num_vertices
+    moved = m.vertices + amplitude * m.mean_edge_length() \
+        * rng.uniform(-1.0, 1.0, m.vertices.shape)
+    label = rng.permutation(V)
+    vertices = np.empty_like(moved)
+    vertices[label] = moved
+    cells = label[m.oriented_cells[rng.permutation(len(m.oriented_cells))]]
+    shift = rng.integers(0, 3, len(cells))
+    head = np.take_along_axis(cells[:, :3],
+                              (np.arange(3) + shift[:, None]) % 3, axis=1)
+    cells = np.concatenate([head, cells[:, 3:]], axis=1)
+    return geometry.SimplicialManifold(m.n, vertices, cells)

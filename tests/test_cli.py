@@ -297,6 +297,17 @@ def test_degenerate_covering_is_usage_error(runner, tmp_path):
     assert "no interior 1-simplex" in res.output
 
 
+def test_cover_rejects_mesh_too_coarse_for_the_floor(runner, tmp_path):
+    # the 3-torus 4 fails in cover, naming the radius floor, not later
+    # in the local solver
+    cfg = _cfg(tmp_path, mesh={"kind": "flat_torus_3d", "resolution": 4})
+    res = runner.invoke(main, ["cover", "--config", cfg])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "radius floor R_min = 1.48" in res.output
+    assert not (tmp_path / "runs" / "covering.json").exists()
+
+
 # -- the covering `cover` saves and later commands reuse ----------------
 
 _SMALL = {"mesh": {"kind": "flat_torus", "resolution": 12}, "r": 1.5,

@@ -18,7 +18,7 @@ from hodge_rsm.covering import (CoverageError, RadiusField, WeightField,
                                 partition_of_unity, save_covering,
                                 smoothed_radius, vitali_cover,
                                 weight_from_radius, weight_integrability)
-from conftest import all_geodesic_distances
+from conftest import all_geodesic_distances, loop_admissible_radius
 
 
 def test_flat_torus_radius_homogeneous(torus16, cover16):
@@ -78,6 +78,69 @@ def test_radius_field_searches_only_balls(torus16, monkeypatch):
     assert len(limits) >= torus16.num_vertices
     assert np.isfinite(limits).all()
     assert builds == []
+
+
+_ORACLE_MESHES = {
+    "torus12": lambda: geometry.generate_test_manifold("flat_torus", 12),
+    "torus16": lambda: geometry.generate_test_manifold("flat_torus", 16),
+    "bumpy16": lambda: geometry.generate_test_manifold("bumpy_torus", 16,
+                                                       0.3),
+    "sphere8": lambda: geometry.generate_test_manifold("sphere", 8),
+    "torus3d5": lambda: geometry.generate_flat_torus_3d(5),
+    "torus32": lambda: geometry.generate_test_manifold("flat_torus", 32),
+}
+
+
+@pytest.mark.parametrize("name,eps", [
+    ("torus12", 0.1), ("torus16", 0.1), ("torus16", 0.3), ("bumpy16", 0.1),
+    ("bumpy16", 0.3), ("sphere8", 0.1), ("sphere8", 0.3), ("torus3d5", 0.1),
+    ("torus32", 0.1)])
+def test_radius_field_matches_per_vertex_oracle(name, eps):
+    # the batched rounds give the radii of one frame per vertex and reach
+    m = _ORACLE_MESHES[name]()
+    want = [loop_admissible_radius(m, x, eps) for x in range(m.num_vertices)]
+    got = compute_radius_field(m, eps).values
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_radius_batches_stay_under_the_vertex_bound(bumpy16, monkeypatch):
+    # batches of any size give the same radii; a batch exceeds the
+    # bound only when one ball alone does
+    want = compute_radius_field(bumpy16, 0.3).values
+    real = geometry.ChartFrames
+    for bound in (1, 40, 700):
+        sizes = []
+
+        def counted(m, centers, searches):
+            sizes.append(sum(f.size for f, _ in searches))
+            if sizes[-1] > bound:
+                assert len(centers) == 1
+            return real(m, centers, searches)
+
+        monkeypatch.setattr(geometry, "FRAME_BATCH_VERTICES", bound)
+        monkeypatch.setattr(geometry, "ChartFrames", counted)
+        got = compute_radius_field(bumpy16, 0.3).values
+        assert got.tobytes() == want.tobytes()
+        assert len(sizes) > 1
+
+
+def test_coarse_covering_names_the_radius_floor():
+    # on the 3-torus 4 the floor, 2 mean edges, lies above the clamp 1,
+    # and balls of radius 1 hold no vertex with its whole star
+    m = geometry.generate_flat_torus_3d(4)
+    cov = vitali_cover(m, compute_radius_field(m, 0.1))
+    with pytest.raises(CoverageError, match="R_min = 1.48") as info:
+        covering.check_interior_vertices(m, cov)
+    ball = int(str(info.value).split()[1])
+    assert local_solver.extract_patch(m, cov, ball).interior[0].size == 0
+
+
+def test_interior_vertices_on_working_coverings(cover16, cover_bumpy,
+                                                cover3d5, torus16, bumpy16,
+                                                torus3d5):
+    for m, (_, cov) in ((torus16, cover16), (bumpy16, cover_bumpy),
+                        (torus3d5, cover3d5)):
+        covering.check_interior_vertices(m, cov)
 
 
 def test_bumpy_radius_nonconstant(bumpy16):

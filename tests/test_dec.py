@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hodge_rsm import covering, dec
 from hodge_rsm.dec import (Cochain, DegreeError, NormSpec, codifferential,
                            exterior_derivative, hodge_laplacian, inner,
                            lr_norm, mass_diagonal, norm_l2, random_cochain,
                            sobolev_exponent, sobolev_norm, stiffness_matrix)
+
+from conftest import PERTURBED_MESHES, perturbed_mesh
 
 INF = dec.INF
 
@@ -213,3 +216,33 @@ def test_normspec_validation():
         NormSpec(1.0)
     with pytest.raises(ValueError):
         NormSpec(2.0, order=3)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(**PERTURBED_MESHES)
+def test_dd_zero_on_perturbed_meshes(mesh, seed, amplitude):
+    m = perturbed_mesh(*mesh, seed, amplitude)
+    rng = np.random.default_rng(seed)
+    for p in range(m.n - 1):
+        # incidence entries are integers: the composition is exactly zero
+        dd = exterior_derivative(m, p + 1).matrix \
+            @ exterior_derivative(m, p).matrix
+        assert not np.any(dd.toarray())
+        # the codifferentials compose to zero up to rounding
+        v = random_cochain(m, p + 2, rng)
+        w = codifferential(m, p + 1)(codifferential(m, p + 2)(v))
+        scale = np.abs(codifferential(m, p + 2)(v).values).max()
+        assert np.abs(w.values).max() <= 1e-12 * scale / m.mean_edge_length()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(**PERTURBED_MESHES)
+def test_adjointness_on_perturbed_meshes(mesh, seed, amplitude):
+    m = perturbed_mesh(*mesh, seed, amplitude)
+    rng = np.random.default_rng(seed)
+    for p in range(m.n):
+        u = random_cochain(m, p, rng)
+        v = random_cochain(m, p + 1, rng)
+        a = inner(exterior_derivative(m, p)(u), v)
+        b = inner(u, codifferential(m, p + 1)(v))
+        assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1e-30)

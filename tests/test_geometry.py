@@ -11,8 +11,9 @@ from hodge_rsm.geometry import (MeshError, SimplicialManifold, ChartFrame,
                                 generate_test_manifold, geodesic_distance,
                                 load_mesh, normal_chart, save_mesh)
 
-from conftest import (LoopManifold, all_geodesic_distances,
-                      loop_kuhn_cells, loop_torus_cells)
+from conftest import (PERTURBED_MESHES, LoopChartFrame, LoopManifold,
+                      all_geodesic_distances, loop_kuhn_cells,
+                      loop_sphere_arrays, loop_torus_cells, perturbed_mesh)
 
 TET_OFF = """OFF
 4 4 0
@@ -174,9 +175,17 @@ def test_foldover_three_way_collision():
     # three points collide; the first two of them (by distance) meet at 0.2
     coords = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
     dist = np.array([5.0, 0.1, 0.2, 0.0])
-    assert geometry._foldover_distance(coords, dist) == 0.2
-    assert geometry._foldover_distance(coords[1:], dist[1:]) == 0.2
-    assert geometry._foldover_distance(coords[2:], dist[2:]) == np.inf
+
+    def foldover(coords, dist, frame=None):
+        frame = np.zeros(len(dist), dtype=int) if frame is None else frame
+        return geometry._foldover_distances(coords, dist, frame, 2)
+
+    assert foldover(coords, dist)[0] == 0.2
+    assert foldover(coords[1:], dist[1:])[0] == 0.2
+    assert foldover(coords[2:], dist[2:])[0] == np.inf
+    # points of different frames never collide
+    assert foldover(coords, dist, np.array([0, 1, 0, 1])).tolist() == \
+        [5.0, np.inf]
 
 
 def test_local_frame_matches_whole_mesh(bumpy16):
@@ -386,3 +395,79 @@ def test_orientation_error_names_disagreeing_face(torus8, flip):
     signs = _induced_signs(cells, face)
     assert len(signs) == 2 and signs[0] == signs[1]
     assert set(face) < set(cells[flip].tolist())
+
+
+@pytest.mark.parametrize("f", [1, 2, 8, 16, 32])
+def test_sphere_arrays_match_loop_oracle(f):
+    vertices, cells = geometry._sphere_arrays(f)
+    want_vertices, want_cells = loop_sphere_arrays(f)
+    assert _bitwise(vertices, want_vertices)
+    assert _bitwise(cells, want_cells)
+
+
+_FRAME_FIELDS = ("distances", "coordinates", "metric", "vertex_deviation",
+                 "edge_difference")
+
+
+@pytest.mark.parametrize("mesh", ["torus16", "bumpy16", "sphere4",
+                                  "torus3d5"])
+def test_chart_frame_matches_loop_oracle(request, mesh):
+    m = request.getfixturevalue(mesh)
+    edge = m.mean_edge_length()
+    for x in (0, 7, m.num_vertices - 1):
+        for reach in (0.0, 2.0 * edge, 5.0 * edge, np.inf):
+            frame, want = ChartFrame(m, x, reach), LoopChartFrame(m, x, reach)
+            # index arrays by value (edges were int32 CSR indices)
+            assert np.array_equal(frame.fitted, want.fitted)
+            assert np.array_equal(frame.edges, want.edges)
+            for attr in _FRAME_FIELDS:
+                assert _bitwise(getattr(frame, attr), getattr(want, attr)), \
+                    (x, reach, attr)
+            assert frame.foldover_distance == want.foldover_distance
+            for eps in (0.02, 0.1, 0.3):
+                assert frame.largest_radius_within(eps) \
+                    == want.largest_radius_within(eps)
+
+
+def test_chart_frames_batch_equals_single_frames(bumpy16):
+    # one batched fit of several centers: each frame is the frame alone
+    reach = 3.0 * bumpy16.mean_edge_length()
+    centers = [5, 0, 200, 5]
+    searches = []
+    for c in centers:
+        d = geodesic_distance(bumpy16, c, limit=reach)
+        fitted = np.flatnonzero(np.isfinite(d))
+        searches.append((fitted, d[fitted]))
+    frames = geometry.ChartFrames(bumpy16, centers, searches)
+    radii = frames.largest_radii_within(0.1)
+    for f, c in enumerate(centers):
+        one = ChartFrame(bumpy16, c, reach)
+        rows = slice(*frames.starts[f:f + 2])
+        assert np.array_equal(frames.fitted[rows], one.fitted)
+        assert _bitwise(frames.metric[rows], one.metric)
+        assert _bitwise(frames.vertex_deviation[rows], one.vertex_deviation)
+        edges = frames.edge_frame == f
+        assert np.array_equal(frames.edges[edges], one.edges)
+        assert _bitwise(frames.edge_difference[edges], one.edge_difference)
+        touched = slice(*frames.touched_starts[f:f + 2])
+        assert _bitwise(frames.coordinates[touched],
+                        one.coordinates[frames.touched[touched]])
+        assert frames.foldover_distance[f] == one.foldover_distance
+        assert radii[f] == one.largest_radius_within(0.1)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(**PERTURBED_MESHES)
+def test_off_round_trip_property(tmp_path_factory, mesh, seed, amplitude):
+    # OFF I/O is lossless: the loaded mesh is the one built from the
+    # arrays save_mesh wrote (vertices as repr floats, as-given cells)
+    m = perturbed_mesh(*mesh, seed, amplitude)
+    path = tmp_path_factory.mktemp("off") / "mesh.off"
+    save_mesh(m, path)
+    loaded = load_mesh(path)
+    _assert_same_mesh(loaded,
+                      SimplicialManifold(m.n, m.vertices, m.oriented_cells))
+    assert _bitwise(loaded.oriented_cells, m.oriented_cells)
+    for p in range(m.n + 1):
+        assert _bitwise(loaded.simplices[p], m.simplices[p])
+    assert np.allclose(loaded.vertices, m.vertices, rtol=1e-15, atol=0)
