@@ -106,14 +106,15 @@ def build_covering(m, cfg):
 
 def load_or_build_covering(m, cfg):
     """(rf, cov) from the covering.json `cover` wrote to out_dir, when its
-    key says it was built from this mesh, epsilon and divisor; a fresh
-    build_covering when the file is missing, unparsable or keyed to
-    other inputs."""
+    key says this program version built it from this mesh, epsilon and
+    divisor; a fresh build_covering when the file is missing, unparsable,
+    lacks a field or is keyed to other inputs."""
     key = covering.covering_key(m, cfg["epsilon"], cfg["divisor"])
     try:
         rf, cov, saved = covering.load_covering(
             Path(cfg["out_dir"]) / "covering.json")
-    except (FileNotFoundError, json.JSONDecodeError):
+    except (FileNotFoundError, ValueError, LookupError, TypeError):
+        # unparsable JSON, or JSON without the fields of a covering
         saved = None
     if saved != key:
         return build_covering(m, cfg)
@@ -250,8 +251,9 @@ def solve(config_path, r_, s_, k_, degrees, out_dir):
         rep.check(f"rsm_ledger_p{p}", ledger_ok)
         if cfg["neumann_series"]:
             patch = rsm.cached_patches(m, cov)[0]
+            interior = patch.interior[p].indices
             loc = np.zeros(m.num_simplices(p))
-            loc[patch.interior[p]] = om.values[patch.interior[p]]
+            loc[interior] = om.values[interior]
             loc_c = dec.Cochain(m, p, loc)
             ud, _ = local_solver.solve_local_dirichlet(patch, loc_c, cfg["r"])
             un, nd = local_solver.neumann_series_solve(patch, loc_c,

@@ -16,10 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from . import __version__
 from .geometry import SimplicialManifold, chart_radii, geodesic_distance
 
 RADIUS_FLOOR_EDGES = 2.0   # R_min = this many mean edge lengths
 MIN_DIVISOR = 5.0          # below this the 5r dilation stops making sense
+# hashed by covering_key: bump it with any change that can alter the
+# covering built from some mesh, eps and divisor, so saved ones rebuild
+COVERING_RULE = 1
 
 
 class CoverageError(RuntimeError):
@@ -57,7 +61,7 @@ class AdmissibleCovering:
     overlap_measured: int = 0
     chi: sp.csr_matrix | None = None            # vertices x balls
     chi_gradients: np.ndarray | None = None     # per-ball max edge gradient
-    patches: list | None = None                 # rsm.cached_patches
+    patches: object | None = None   # rsm.cached_patches: a Patches
     systems: dict | None = None                 # rsm.patch_system, per degree
 
     def __len__(self):
@@ -338,12 +342,15 @@ def weight_integrability(m: SimplicialManifold, w: WeightField,
 
 
 def covering_key(m: SimplicialManifold, eps: float, divisor: float) -> str:
-    """SHA-256 over what a covering is built from: the mesh's vertices,
-    oriented cells and edge lengths (with their dtypes and shapes), eps
-    and the requested divisor.  Equal keys mean compute_radius_field,
-    vitali_cover and partition_of_unity of this program version would
-    build the saved covering again."""
+    """SHA-256 over what a covering is built from: the program version
+    and COVERING_RULE, the mesh's vertices, oriented cells and edge
+    lengths (with their dtypes and shapes), eps and the requested
+    divisor.  Equal keys mean compute_radius_field, vitali_cover and
+    partition_of_unity of this program version would build the saved
+    covering again."""
     h = hashlib.sha256()
+    h.update(f"hodge_rsm {__version__} covering rule {COVERING_RULE}"
+             .encode())
     for a in (m.vertices, m.oriented_cells, m.edge_lengths,
               np.array([eps, divisor], dtype=float)):
         h.update(f"{a.dtype.str}{a.shape}".encode())

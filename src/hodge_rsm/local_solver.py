@@ -9,14 +9,18 @@ boundary through the boundary-face masses).  Two solvers are provided: a
 direct factorization of it and a flat/curved Neumann series that splits
 the patch Laplacian around the chart's identity metric.
 
-The direct systems of a list of patches form one PatchSystem per degree
-(stack_patches): dec assembles the stiffness and mass once, on the
-disjoint union of the patch subcomplexes sliced from the global complex
-(PatchComplex); the interior unknowns of all patches form one stacked
-vector, with one splu factor of the block-diagonal stiffness.  Each
-block equals its patch's submesh stiffness bit for bit, with no
-per-patch manifold or chart.  The Neumann series assembles its flat
-operator the same way, with the edge lengths of the ball's chart.
+The patches of a covering are extracted together (Patches.extract), as
+simplices x balls sparse matrices from one sparse product per degree;
+patches[j] is the one-ball Patches the single-ball solvers take.  Their
+direct systems form one PatchSystem per degree (stack_patches): dec
+assembles the stiffness and mass once, on the disjoint union of the
+patch subcomplexes sliced from the global complex (PatchComplex, whose
+rows are the entries of those matrices); the interior unknowns of all
+patches form one stacked vector, with one splu factor of the
+block-diagonal stiffness.  Each block equals its patch's submesh
+stiffness bit for bit, with no per-patch manifold or chart.  The
+Neumann series assembles its flat operator the same way, with the edge
+lengths of the ball's chart.
 """
 
 from __future__ import annotations
@@ -91,91 +95,114 @@ class PatchSystem:
 
 
 @dataclass
-class Patch:
-    """Simplices of one covering ball with interior/boundary split."""
+class Patches:
+    """The patches of a list of covering balls, column j ball j.
+
+    simplices[q], interior[q] and boundary[q] are q-simplices x balls
+    boolean CSC matrices with sorted indices: column j holds patch j's
+    q-simplices in increasing order, split into interior and boundary.
+    simplices[n] holds the patch cells.  patches[j] is the one-ball
+    Patches of ball j.
+    """
 
     manifold: SimplicialManifold
-    ball: object
-    cells: np.ndarray                      # patch n-cell indices
-    interior: dict = field(default_factory=dict)   # degree -> simplex idx
-    boundary: dict = field(default_factory=dict)
-    _sub: tuple | None = None
+    balls: list
+    simplices: list
+    interior: list
+    boundary: list
 
-    def patch_simplices(self, p: int) -> np.ndarray:
-        return np.sort(np.concatenate([self.interior[p], self.boundary[p]]))
+    def __len__(self) -> int:
+        return len(self.balls)
 
-    def submesh(self):
-        """Patch cells as a standalone complex with the true edge lengths,
-        placed by the chart frame at the ball's center fitted out to the
-        doubled covering radius, which holds every patch vertex.
+    def __getitem__(self, j: int) -> Patches:
+        return Patches(self.manifold, [self.balls[j]],
+                       *([A[:, [j]] for A in mats] for mats in
+                         (self.simplices, self.interior, self.boundary)))
 
-        The library does not build it: every patch system comes from
-        _assemble, and the submesh is its independent reference.
-        Returns (sub, verts, rows) where rows[p] maps this patch's global
-        interior p-simplices to submesh row indices.
+    @classmethod
+    def extract(cls, m: SimplicialManifold, cov) -> Patches:
+        """The patches of every ball of cov, one sparse product per degree.
+
+        The patch cells are the n-cells with all n + 1 vertices in the
+        ball; the patch q-simplices are their q-faces.  Boundary
+        (n-1)-faces lie in exactly one patch cell; boundary q-simplices
+        are found top down through the unsigned incidence, as the faces
+        of boundary (q+1)-simplices.  Raises PatchError naming the first
+        ball that holds no full n-cell.
         """
-        if self._sub is None:
-            m = self.manifold
-            cells = m.simplices[m.n][self.cells]
-            verts = np.unique(cells)
-            coords = ChartFrame(m, self.ball.center, 2.0 * self.ball
-                                .covering_radius).coordinates[verts]
-            # numbering the patch vertices by rank keeps the lexicographic
-            # order of simplices: the submesh's p-simplices are the
-            # patch's, in increasing global index
-            sub = SimplicialManifold(m.n, coords, np.searchsorted(verts, cells),
-                                     edge_lengths=m.edge_lengths[
-                                         self.patch_simplices(1)],
-                                     normalize=False, validate=False)
-            rows = {p: np.searchsorted(self.patch_simplices(p),
-                                       self.interior[p])
-                    for p in range(m.n + 1)}
-            self._sub = (sub, verts, rows)
-        return self._sub
+        n = m.n
+
+        def faces(q):
+            """Cells x q-simplices incidence (vertices at q = 0)."""
+            table = m._cell_faces[q]
+            indptr = np.arange(0, table.size + 1, table.shape[1])
+            return sp.csr_matrix((np.ones(table.size), table.ravel(), indptr),
+                                 shape=(table.shape[0], m.num_simplices(q)))
+
+        def canonical(A):
+            return A.tocsc().sorted_indices()
+
+        cells = canonical(faces(0) @ cov.membership(m.num_vertices) == n + 1)
+        empty = np.flatnonzero(np.diff(cells.indptr) == 0)
+        if empty.size:
+            raise PatchError(f"ball {cov.balls[empty[0]].index} contains "
+                             "no full n-cell")
+        # patch cells holding each q-face; an (n-1)-face in one of them
+        # lies on the boundary
+        counts = [faces(q).T @ cells for q in range(n)]
+        simplices = [canonical(c > 0) for c in counts] + [cells]
+        boundary = [None] * (n - 1) + [canonical(counts[n - 1] == 1),
+                                       sp.csc_matrix(cells.shape, dtype=bool)]
+        for q in range(n - 2, -1, -1):
+            boundary[q] = canonical(abs(m.boundary[q + 1]) @ boundary[q + 1]
+                                    > 0)
+        interior = [canonical(s > b) for s, b in zip(simplices, boundary)]
+        return cls(m, list(cov.balls), simplices, interior, boundary)
+
+
+class Patch:
+    """Empty: perfbench/layers.py wraps Patch.submesh in traced runs."""
+    submesh = None
 
 
 @dataclass
 class PatchComplex:
     """Disjoint union of patch subcomplexes, sliced from the global complex.
 
-    Row i at degree q is the global q-simplex simplices[q][i].  The rows
-    of patch j are starts[q][j] to starts[q][j + 1], sorted by global
-    index as in its submesh.  The metric fields are those dec's operator
-    functions read.
+    Its degree-q rows are the stored entries of patches.simplices[q],
+    column by column: patch j's q-simplices sorted by global index, as in
+    its submesh.  keys[q] holds j * N_q + global index of each row,
+    ascending.  The metric fields are those dec's operator functions read.
     """
 
     n: int
-    simplices: list          # degree -> global simplex index of each row
-    starts: list             # degree -> first row of each patch, then total
+    keys: list
     boundary: list
     volumes: list
     support_volumes: list
     _op_cache: dict = field(default_factory=dict)
 
     def num_simplices(self, p: int) -> int:
-        return self.simplices[p].shape[0]
+        return self.keys[p].shape[0]
 
 
-def _patch_complex(patches: list,
+def _patch_complex(patches: Patches,
                    lengths: np.ndarray | None = None) -> PatchComplex:
-    """The PatchComplex of patches sharing one manifold.
+    """The PatchComplex of patches.
 
-    Rows are found through the sorted keys j * N_q + global index, so no
-    dense patches x simplices table is built.  The volumes are sliced
+    Rows are found through the sorted keys, so no dense patches x
+    simplices table is built.  The volumes are sliced
     from the manifold's, or computed from lengths, one per edge row of
     the union; support volumes lump each patch's own cells in cell
     order, as a submesh of those cells does.
     """
-    m = patches[0].manifold
+    m = patches.manifold
     n = m.n
-    simplices, owner, starts, keys = [], [], [], []
-    for q in range(n + 1):
-        parts = [pt.patch_simplices(q) for pt in patches]
-        sizes = [x.size for x in parts]
-        simplices.append(np.concatenate(parts))
-        owner.append(np.repeat(np.arange(len(patches)), sizes))
-        starts.append(np.concatenate([[0], np.cumsum(sizes)]))
-        keys.append(owner[q] * m.num_simplices(q) + simplices[q])
+    simplices = [S.indices for S in patches.simplices]
+    owner = [np.repeat(np.arange(len(patches)), np.diff(S.indptr))
+             for S in patches.simplices]
+    keys = [owner[q] * m.num_simplices(q) + simplices[q]
+            for q in range(n + 1)]
 
     def rows(q, own, glob):
         return np.searchsorted(keys[q], own * m.num_simplices(q) + glob)
@@ -199,83 +226,42 @@ def _patch_complex(patches: list,
     support = [lumped_supports(volumes[n],
                                rows(q, cell_owner, m._cell_faces[q][cells]),
                                simplices[q].size) for q in range(n + 1)]
-    return PatchComplex(n, simplices, starts, boundary, volumes, support)
+    return PatchComplex(n, keys, boundary, volumes, support)
 
 
-def _assemble(patches: list, p: int,
+def _assemble(patches: Patches, p: int,
               lengths: np.ndarray | None = None) -> PatchSystem:
-    """The degree-p PatchSystem of patches sharing one manifold, not yet
-    factored; with lengths, in the metric they give (see _patch_complex).
+    """The degree-p PatchSystem of patches, not yet factored; with
+    lengths, in the metric they give (see _patch_complex).
 
     The stacked unknowns are the interior rows of the PatchComplex of
     the patches, taken patch by patch; no stiffness entry couples two
     patches.  Raises PatchError, naming the ball, when a patch has no
     interior p-simplex.
     """
-    sizes = np.array([pt.interior[p].size for pt in patches])
+    interior = patches.interior[p]
+    sizes = np.diff(interior.indptr)
     if not sizes.all():
-        ball = patches[int(np.argmin(sizes))].ball.index
+        ball = patches.balls[int(np.argmin(sizes))].index
         raise PatchError(f"ball {ball}: no interior {p}-simplex")
     union = _patch_complex(patches, lengths)
     pos = np.repeat(np.arange(len(patches)), sizes)
-    glob = np.concatenate([pt.interior[p] for pt in patches])
-    # union rows are sorted by (patch, global index): look the keys up
-    N = patches[0].manifold.num_simplices(p)
-    keys = np.repeat(np.arange(len(patches)), np.diff(union.starts[p])) * N \
-        + union.simplices[p]
-    rows = np.searchsorted(keys, pos * N + glob)
+    glob = interior.indices.astype(np.int64)
+    N = patches.manifold.num_simplices(p)
+    rows = np.searchsorted(union.keys[p], pos * N + glob)
     K = dec.stiffness_matrix(union, p)[rows][:, rows].tocsc()
-    support = sp.csc_matrix((np.ones(keys.size, dtype=bool),
-                             union.simplices[p], union.starts[p]),
-                            shape=(N, len(patches)))
-    balls = np.array([pt.ball.index for pt in patches])
-    return PatchSystem(glob, np.concatenate([[0], np.cumsum(sizes)]),
-                       balls[pos], K, dec.mass_diagonal(union, p)[rows],
-                       support)
+    balls = np.array([b.index for b in patches.balls])
+    return PatchSystem(glob, interior.indptr.astype(np.int64), balls[pos], K,
+                       dec.mass_diagonal(union, p)[rows],
+                       patches.simplices[p])
 
 
-def stack_patches(patches: list, p: int) -> PatchSystem:
-    """The degree-p PatchSystem of patches sharing one manifold, with the
-    one splu factor of its block-diagonal stiffness (see _assemble)."""
+def stack_patches(patches: Patches, p: int) -> PatchSystem:
+    """The degree-p PatchSystem of patches, with the one splu factor of
+    its block-diagonal stiffness (see _assemble)."""
     system = _assemble(patches, p)
     system.lu = spla.splu(system.K)
     return system
-
-
-def extract_patch(m: SimplicialManifold, cov, j: int) -> Patch:
-    """Build the patch over ball j.
-
-    Boundary (n-1)-faces are those lying in exactly one patch n-cell;
-    boundary p-simplices are their p-faces, found top down through the
-    unsigned incidence: the faces of boundary (p+1)-simplices.  Every
-    face of an interior simplex is again a patch simplex.
-    """
-    ball = cov.balls[j]
-    n = m.n
-    vmask = np.zeros(m.num_vertices, dtype=bool)
-    vmask[ball.members] = True
-    cell_mask = m.vertex_mask_to_simplex_mask(n, vmask)
-    cells = np.flatnonzero(cell_mask)
-    if cells.size == 0:
-        raise PatchError(f"ball {j} contains no full n-cell")
-
-    patch = Patch(m, ball, cells)
-
-    # faces of patch cells, per degree
-    in_patch = [np.zeros(m.num_simplices(p), dtype=bool) for p in range(n + 1)]
-    in_patch[n][cells] = True
-    for p in range(n):
-        in_patch[p][m._cell_faces[p][cells].ravel()] = True
-
-    bnd = [None] * (n + 1)
-    bnd[n] = np.zeros(m.num_simplices(n), dtype=bool)
-    bnd[n - 1] = abs(m.boundary[n]) @ cell_mask.astype(np.int64) == 1
-    for p in range(n - 2, -1, -1):
-        bnd[p] = abs(m.boundary[p + 1]) @ bnd[p + 1].astype(np.int64) > 0
-    for p in range(n + 1):
-        patch.interior[p] = np.flatnonzero(in_patch[p] & ~bnd[p])
-        patch.boundary[p] = np.flatnonzero(bnd[p])
-    return patch
 
 
 @dataclass
@@ -289,19 +275,19 @@ class SolveDiagnostics:
     iterations: int = 1
 
 
-def solve_local_dirichlet(patch: Patch, omega: dec.Cochain,
+def solve_local_dirichlet(patch: Patches, omega: dec.Cochain,
                           r: float = 2.0) -> tuple[dec.Cochain, SolveDiagnostics]:
     """Solve the patch Hodge-Laplace problem with zero boundary values.
 
     Solves K_II u_I = M_I omega_I with the patch submesh stiffness K_II
     and mass M_I on the interior simplices, so the submesh Laplacian of
     u equals omega on the interior to machine precision; u is
-    zero-extended outside.  The system is the PatchSystem of this one
-    patch, built and factored on each call; the diagnostics are those
-    the sweeps record (PatchSystem.diagnostics).
+    zero-extended outside.  patch is a one-ball Patches; the system is
+    its PatchSystem, built and factored on each call, and the
+    diagnostics are those the sweeps record (PatchSystem.diagnostics).
     """
     m, p = patch.manifold, omega.degree
-    f = stack_patches([patch], p)
+    f = stack_patches(patch, p)
     u_I = f.lu.solve(f.M * omega.values[f.index])
     U = f.columns(u_I)
     dens = [dec.densities(m, p, U, k) for k in range(3)]
@@ -309,17 +295,17 @@ def solve_local_dirichlet(patch: Patch, omega: dec.Cochain,
             f.diagnostics(omega, u_I, dens, r)[0])
 
 
-def _chart_lengths(patch: Patch) -> np.ndarray:
-    """Lengths of the patch edges, ascending, in the chart of its ball:
-    the frame at the ball's center fitted out to the doubled covering
-    radius, which holds every patch vertex."""
-    m, ball = patch.manifold, patch.ball
+def _chart_lengths(patch: Patches) -> np.ndarray:
+    """Lengths of the edges of a one-ball patch, ascending, in the chart
+    of its ball: the frame at the ball's center fitted out to the
+    doubled covering radius, which holds every patch vertex."""
+    m, ball = patch.manifold, patch.balls[0]
     frame = ChartFrame(m, ball.center, 2.0 * ball.covering_radius)
     return chord_lengths(frame.coordinates,
-                         m.simplices[1][patch.patch_simplices(1)])
+                         m.simplices[1][patch.simplices[1].indices])
 
 
-def neumann_series_solve(patch: Patch, omega: dec.Cochain,
+def neumann_series_solve(patch: Patches, omega: dec.Cochain,
                          max_iter: int = 50, tol: float = 1e-12,
                          flat_edge_lengths: np.ndarray | None = None,
                          r: float = 2.0):
@@ -328,23 +314,23 @@ def neumann_series_solve(patch: Patch, omega: dec.Cochain,
     Solves the same interior system as the direct mode by iterating
     v_k from Delta_flat v_k = gamma_k, gamma_{k+1} = (Delta - Delta_flat)
     v_k, and summing with alternating signs; returns (u, diagnostics).
-    Delta_flat has the edge lengths of the ball's chart, or those of
-    flat_edge_lengths (one per global edge).  Raises PatchError, naming
-    the ball, when a zero chart volume leaves the flat interior system
-    non-finite or its mass not positive.
+    patch is a one-ball Patches.  Delta_flat has the edge lengths of the
+    ball's chart, or those of flat_edge_lengths (one per global edge).
+    Raises PatchError, naming the ball, when a zero chart volume leaves
+    the flat interior system non-finite or its mass not positive.
     """
-    m, p = patch.manifold, omega.degree
-    f = _assemble([patch], p)
+    m, p, ball = patch.manifold, omega.degree, patch.balls[0].index
+    f = _assemble(patch, p)
     I, K_II, M_I = f.index, f.K, f.M
     with np.errstate(divide="ignore", invalid="ignore"):
         # a zero chart volume is reported below, not as a warning
-        flat = _assemble([patch], p, _chart_lengths(patch)
+        flat = _assemble(patch, p, _chart_lengths(patch)
                          if flat_edge_lengths is None
-                         else flat_edge_lengths[patch.patch_simplices(1)])
+                         else flat_edge_lengths[patch.simplices[1].indices])
     Kf_II, Mf_I = flat.K, flat.M
     if not (np.isfinite(Kf_II.data).all() and np.isfinite(Mf_I).all()
             and (Mf_I > 0).all()):
-        raise PatchError(f"ball {patch.ball.index}: the chart metric "
+        raise PatchError(f"ball {ball}: the chart metric "
                          f"degenerates on the patch at degree {p} "
                          "(zero chart volume)")
     lu = spla.splu(Kf_II)
@@ -373,30 +359,30 @@ def neumann_series_solve(patch: Patch, omega: dec.Cochain,
         grow = grow + 1 if cur > prev else 0
         if eta >= 1.0 and grow >= 3:
             raise PatchError(
-                f"ball {patch.ball.index}: Neumann series diverging "
+                f"ball {ball}: Neumann series diverging "
                 "(eta >= 1); use a smaller eps")
         prev = cur
         if cur <= tol * max(norm0, 1e-300):
             break
         sign = -sign
     if eta >= 0.5:
-        log.warning("ball %d: Neumann contraction eta=%.3f >= 0.5",
-                    patch.ball.index, eta)
+        log.warning("ball %d: Neumann contraction eta=%.3f >= 0.5", ball, eta)
     u = dec.Cochain(m, p, f.scatter(v))
-    return u, SolveDiagnostics(patch.ball.index, p, int(I.size),
+    return u, SolveDiagnostics(ball, p, int(I.size),
                                prev / max(norm0, 1e-300), eta=eta,
                                iterations=k)
 
 
-def local_czi_check(patch: Patch, u: dec.Cochain, r: float):
+def local_czi_check(patch: Patches, u: dec.Cochain, r: float):
     """Interior regularity triplet of the local Calderon-Zygmund bound.
 
     lhs is the W^{2,r} norm on the half-radius sub-ball; the two right
     hand terms are R^-2 times the L^r norm of u, and the L^r norm of
-    Delta u, both over the full ball.  Callers fit (c1, c2) over samples.
+    Delta u, both over the full ball of the one-ball patch.  Callers fit
+    (c1, c2) over samples.
     """
     m, p = patch.manifold, u.degree
-    ball = patch.ball
+    ball = patch.balls[0]
     R = ball.covering_radius
     half = geodesic_distance(m, ball.center, limit=R / 2.0) <= R / 2.0
     hmask = m.vertex_mask_to_simplex_mask(p, half)

@@ -205,31 +205,36 @@ def commutator_pointwise_bound(m: SimplicialManifold,
     return lhs, rhs
 
 
-def cached_patches(m: SimplicialManifold, cov: AdmissibleCovering) -> list:
-    """Patches of all balls, extracted once per covering; their interior
-    systems are stacked on the first sweep at a degree, not here."""
+def cached_patches(m: SimplicialManifold,
+                   cov: AdmissibleCovering) -> local_solver.Patches:
+    """The Patches of all balls, extracted once per covering in one
+    batched pass; their interior systems are stacked on the first sweep
+    at a degree, not here."""
     if cov.patches is None:
-        cov.patches = [local_solver.extract_patch(m, cov, j)
-                       for j in range(len(cov.balls))]
+        cov.patches = local_solver.Patches.extract(m, cov)
         cov.systems = {}
     return cov.patches
 
 
 def patch_system(m: SimplicialManifold, cov: AdmissibleCovering, p: int):
-    """(system, chi): the degree-p PatchSystem of all patches and the
-    stacked partition weights, chi_j averaged over the simplex of each
-    entry of patch j; built on first use per covering and degree.  A
-    cover by one boundaryless ball has no Dirichlet system: (None, the
-    simplex weights of that ball)."""
+    """(system, chi, chi_simplices, balls) of cov at degree p, built on
+    first use per covering and degree: the PatchSystem of all patches,
+    the stacked partition weights (chi_j averaged over the simplex of
+    each entry of patch j), the simplices x balls partition so averaged,
+    and the simplices x balls mask of simplices with all vertices in the
+    ball.  A cover by one boundaryless ball has no Dirichlet system:
+    system is None and chi holds the simplex weights of that ball."""
     patches = cached_patches(m, cov)
     if p not in cov.systems:
         chi = simplex_average(m, p, cov.chi.tocsr())
-        if len(patches) == 1 and patches[0].boundary[p].size == 0:
-            cov.systems[p] = (None, chi.toarray()[:, 0])
+        balls = simplex_average(
+            m, p, cov.membership(m.num_vertices).tocsr()) >= 1.0
+        if len(patches) == 1 and patches.boundary[p].nnz == 0:
+            cov.systems[p] = (None, chi.toarray()[:, 0], chi, balls)
         else:
             system = local_solver.stack_patches(patches, p)
             cov.systems[p] = (system, np.asarray(
-                chi[system.index, system.owner]).ravel())
+                chi[system.index, system.owner]).ravel(), chi, balls)
     return cov.systems[p]
 
 
@@ -269,7 +274,7 @@ def sweep(m: SimplicialManifold, cov: AdmissibleCovering,
     whole-manifold pseudoinverse.
     """
     p = omega.degree
-    system, chi = patch_system(m, cov, p)
+    system, chi = patch_system(m, cov, p)[:2]
     if system is None:
         u = _whole_manifold_solve(m, omega)
         return dec.Cochain(m, p, chi * u), sp.csc_matrix(u[:, None])
@@ -285,7 +290,7 @@ def sweep_adjoint(m: SimplicialManifold, cov: AdmissibleCovering,
     global mass diagonal; it reuses the factor of the forward sweep.
     """
     p = phi.degree
-    system, chi = patch_system(m, cov, p)
+    system, chi = patch_system(m, cov, p)[:2]
     if system is None:
         return dec.Cochain(m, p, _whole_manifold_solve(
             m, dec.Cochain(m, p, chi * phi.values)))
@@ -350,7 +355,7 @@ def _weight_summation_bound(m, cov, rf: RadiusField, w: WeightField,
     value is 96 for divisor 120), and the tightest c_iw over the balls,
     which check_weight_relative gives with the ball means w_means.
     gamma = GAMMA = 2 throughout.  parts_dens holds the order-0 densities
-    of the pieces chi_j u_j; balls is rsm_step's ball mask.
+    of the pieces chi_j u_j; balls is patch_system's ball mask.
     """
     p = omega.degree
     R = cov.radii()
@@ -377,7 +382,7 @@ def _leibniz_diagnostic(m, cov, w_means, c_sw: float, U_dens, p: int,
     """Continuum-form right side of the gluing bound (reported, not
     asserted); w_means and c_sw are the weight's ball means and upper
     comparability constant, U_dens holds the order-0 and order-1
-    densities of the local solutions, balls is rsm_step's mask."""
+    densities of the local solutions, balls is patch_system's mask."""
     T = cov.overlap_measured
     lr, gr = (dec.column_norms(m, p, d, s, balls) for d in U_dens)
     total = float(np.sum(w_means**s * (cov.radii()**-s * lr**s + gr**s)))
@@ -403,11 +408,10 @@ def rsm_step(m: SimplicialManifold, cov: AdmissibleCovering,
     # densities used twice are computed once: U's of orders 0 and 1 (the
     # c_j and the Leibniz diagnostic), the pieces' of order 0 (5s4_i, 5s6)
     U_dens = [dec.densities(m, p, U, k) for k in (0, 1)]
-    system = patch_system(m, cov, p)[0]
+    system, _, chi, balls = patch_system(m, cov, p)
     solves = [local_solver.SolveDiagnostics(0, p, U.shape[0], 0.0)] \
         if system is None else system.diagnostics(
             omega, U.data, U_dens + [dec.densities(m, p, U, 2)], r)
-    chi = simplex_average(m, p, cov.chi.tocsr())
     parts = U.multiply(chi).tocsc()
     parts_dens0 = dec.densities(m, p, parts, 0)
     lap = dec.hodge_laplacian(m, p)
@@ -415,9 +419,6 @@ def rsm_step(m: SimplicialManifold, cov: AdmissibleCovering,
     lap_v0 = lap(v0)
 
     s = max(r, min(2.0, dec.sobolev_exponent(r, 2, m.n)))
-    # simplices x balls: all vertices of the simplex are ball members
-    balls = simplex_average(m, p, cov.membership(m.num_vertices).tocsr()) \
-        >= 1.0
     ledger = {
         "5s4_i": _gluing_bound(m, w, w_means, v0, parts_dens0, s, 0),
         "5s4_ii": _gluing_bound(m, w, w_means, v0,

@@ -1,12 +1,15 @@
 """Shared fixtures: meshes, coverings, and spectra reused across modules.
 
 Everything heavy is session-scoped; patch extraction and operator caches
-live on the fixture objects, so later tests reuse earlier work.
+live on the fixture objects, so later tests reuse earlier work.  The
+per-item oracles the batched library code is checked against live here
+too.
 """
 
 import math
 import sys
 import weakref
+from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 import numpy as np
@@ -15,7 +18,7 @@ import scipy.sparse as sp
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from hodge_rsm import analysis, covering, dec, geometry
+from hodge_rsm import analysis, covering, dec, geometry, local_solver
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -348,6 +351,145 @@ def rng():
 
 def unit_form(m, p, rng):
     return dec.random_cochain(m, p, rng)
+
+
+@dataclass
+class Patch:
+    """Simplices of one covering ball with interior/boundary split, as
+    index lists.  Tests only: the library keeps the patches of all balls
+    as columns of sparse matrices (local_solver.Patches)."""
+
+    manifold: geometry.SimplicialManifold
+    ball: object
+    cells: np.ndarray                      # patch n-cell indices
+    interior: dict = field(default_factory=dict)   # degree -> simplex idx
+    boundary: dict = field(default_factory=dict)
+    _sub: tuple | None = None
+
+    def patch_simplices(self, p: int) -> np.ndarray:
+        return np.sort(np.concatenate([self.interior[p], self.boundary[p]]))
+
+    def submesh(self):
+        """Patch cells as a standalone complex with the true edge lengths,
+        placed by the chart frame at the ball's center fitted out to the
+        doubled covering radius, which holds every patch vertex.
+
+        The independent reference of the patch assembly
+        (local_solver._assemble).  Returns (sub, verts, rows) where
+        rows[p] maps this patch's global interior p-simplices to submesh
+        row indices.
+        """
+        if self._sub is None:
+            m = self.manifold
+            cells = m.simplices[m.n][self.cells]
+            verts = np.unique(cells)
+            coords = geometry.ChartFrame(
+                m, self.ball.center,
+                2.0 * self.ball.covering_radius).coordinates[verts]
+            # numbering the patch vertices by rank keeps the lexicographic
+            # order of simplices: the submesh's p-simplices are the
+            # patch's, in increasing global index
+            sub = geometry.SimplicialManifold(
+                m.n, coords, np.searchsorted(verts, cells),
+                edge_lengths=m.edge_lengths[self.patch_simplices(1)],
+                normalize=False, validate=False)
+            rows = {p: np.searchsorted(self.patch_simplices(p),
+                                       self.interior[p])
+                    for p in range(m.n + 1)}
+            self._sub = (sub, verts, rows)
+        return self._sub
+
+
+def extract_patch(m, cov, j):
+    """The Patch of ball j, built with length-N masks and full incidence
+    products for this one ball.  Tests only: the library extracts every
+    patch in one batched pass (local_solver.Patches.extract).
+
+    Boundary (n-1)-faces are those lying in exactly one patch n-cell;
+    boundary p-simplices are their p-faces, found top down through the
+    unsigned incidence: the faces of boundary (p+1)-simplices.
+    """
+    ball = cov.balls[j]
+    n = m.n
+    vmask = np.zeros(m.num_vertices, dtype=bool)
+    vmask[ball.members] = True
+    cell_mask = m.vertex_mask_to_simplex_mask(n, vmask)
+    cells = np.flatnonzero(cell_mask)
+    if cells.size == 0:
+        raise local_solver.PatchError(f"ball {j} contains no full n-cell")
+
+    patch = Patch(m, ball, cells)
+
+    # faces of patch cells, per degree
+    in_patch = [np.zeros(m.num_simplices(p), dtype=bool) for p in range(n + 1)]
+    in_patch[n][cells] = True
+    for p in range(n):
+        in_patch[p][m._cell_faces[p][cells].ravel()] = True
+
+    bnd = [None] * (n + 1)
+    bnd[n] = np.zeros(m.num_simplices(n), dtype=bool)
+    bnd[n - 1] = abs(m.boundary[n]) @ cell_mask.astype(np.int64) == 1
+    for p in range(n - 2, -1, -1):
+        bnd[p] = abs(m.boundary[p + 1]) @ bnd[p + 1].astype(np.int64) > 0
+    for p in range(n + 1):
+        patch.interior[p] = np.flatnonzero(in_patch[p] & ~bnd[p])
+        patch.boundary[p] = np.flatnonzero(bnd[p])
+    return patch
+
+
+def oracle_patches(m, cov):
+    """The extract_patch oracle of every ball of cov."""
+    return [extract_patch(m, cov, j) for j in range(len(cov.balls))]
+
+
+def assemble_oracle(patches, p):
+    """The PatchSystem of a list of oracle Patches, not factored, through
+    per-patch concatenations of their index lists into the PatchComplex.
+    Tests only: the library reads the rows off the indices of the
+    batched matrices (local_solver._assemble)."""
+    m = patches[0].manifold
+    n, J = m.n, len(patches)
+    simplices, owner, starts, keys = [], [], [], []
+    for q in range(n + 1):
+        parts = [pt.patch_simplices(q) for pt in patches]
+        sizes = [x.size for x in parts]
+        simplices.append(np.concatenate(parts))
+        owner.append(np.repeat(np.arange(J), sizes))
+        starts.append(np.concatenate([[0], np.cumsum(sizes)]))
+        keys.append(owner[q] * m.num_simplices(q) + simplices[q])
+
+    def rows(q, own, glob):
+        return np.searchsorted(keys[q], own * m.num_simplices(q) + glob)
+
+    boundary = [None] * (n + 1)
+    for q in range(1, n + 1):
+        B = m.boundary[q].tocsc()[:, simplices[q]].tocoo()
+        boundary[q] = sp.csr_matrix(
+            (B.data, (rows(q - 1, owner[q][B.col], B.row), B.col)),
+            shape=(simplices[q - 1].size, simplices[q].size))
+    volumes = [m.volumes[q][simplices[q]] for q in range(n + 1)]
+    cells = simplices[n]
+    support = [geometry.lumped_supports(
+        volumes[n], rows(q, owner[n][:, None], m._cell_faces[q][cells]),
+        simplices[q].size) for q in range(n + 1)]
+    union = local_solver.PatchComplex(n, keys, boundary, volumes, support)
+    sizes = np.array([pt.interior[p].size for pt in patches])
+    pos = np.repeat(np.arange(J), sizes)
+    glob = np.concatenate([pt.interior[p] for pt in patches])
+    r = rows(p, pos, glob)
+    K = dec.stiffness_matrix(union, p)[r][:, r].tocsc()
+    mask = sp.csc_matrix((np.ones(simplices[p].size, dtype=bool),
+                          simplices[p], starts[p]),
+                         shape=(m.num_simplices(p), J))
+    balls = np.array([pt.ball.index for pt in patches])
+    return local_solver.PatchSystem(
+        glob, np.concatenate([[0], np.cumsum(sizes)]), balls[pos], K,
+        dec.mass_diagonal(union, p)[r], mask)
+
+
+def column(A, j):
+    """The stored row indices of column j of a CSC matrix."""
+    return A.indices[A.indptr[j]:A.indptr[j + 1]]
 
 
 def flat_stiffness_oracle(patch, p, flat_edge_lengths=None):

@@ -386,3 +386,34 @@ def test_unusable_saved_covering_is_rebuilt(runner, tmp_path, radius_fields,
     fresh = _run(runner, _cfg(tmp_path / "fresh", **_SMALL), "solve")
     for name in ("solve_report.json", "trace_p1.json"):
         assert _output(out, name) == _output(fresh, name), name
+
+
+@pytest.mark.parametrize("body", ["{}", "[]", '{"balls": [], "eps": 0.1}'])
+def test_malformed_saved_covering_is_rebuilt(runner, tmp_path, radius_fields,
+                                             body):
+    # valid JSON without the fields of a covering reads as no covering
+    cfg = _cfg(tmp_path, mesh={"kind": "flat_torus", "resolution": 8})
+    out = tmp_path / "runs"
+    out.mkdir()
+    (out / "covering.json").write_text(body)
+    for cmd in ("solve", "decompose", "verify"):
+        res = runner.invoke(main, [cmd, "--config", cfg])
+        assert res.exit_code == 0, res.output
+    assert len(radius_fields) == 3
+
+
+def test_covering_of_another_rule_is_rebuilt(runner, tmp_path, radius_fields,
+                                             monkeypatch):
+    # a file keyed under another covering rule is not loaded, although
+    # its covering is the one this rule builds
+    with monkeypatch.context() as mp:
+        mp.setattr(covering, "COVERING_RULE", covering.COVERING_RULE + 1)
+        out = _run(runner, _cfg(tmp_path / "old", **_SMALL), "cover")
+    old = json.loads((out / "covering.json").read_text())
+    radius_fields.clear()
+    _run(runner, str(tmp_path / "old" / "config.json"), "solve")
+    assert len(radius_fields) == 1
+    new = _run(runner, _cfg(tmp_path / "new", **_SMALL), "cover")
+    current = json.loads((new / "covering.json").read_text())
+    assert old.pop("key") != current.pop("key")
+    assert old == current

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodge_rsm import cli, covering, dec, geometry, local_solver
+from hodge_rsm import cli, covering, dec, geometry, local_solver, rsm
 from hodge_rsm.covering import (CoverageError, RadiusField, WeightField,
                                 admissible_radius, check_radius_lipschitz,
                                 check_weight_relative, chi_gradient_constant,
@@ -18,7 +18,8 @@ from hodge_rsm.covering import (CoverageError, RadiusField, WeightField,
                                 partition_of_unity, save_covering,
                                 smoothed_radius, vitali_cover,
                                 weight_from_radius, weight_integrability)
-from conftest import all_geodesic_distances, loop_admissible_radius
+from conftest import (all_geodesic_distances, extract_patch,
+                      loop_admissible_radius)
 
 
 def test_flat_torus_radius_homogeneous(torus16, cover16):
@@ -132,7 +133,8 @@ def test_coarse_covering_names_the_radius_floor():
     with pytest.raises(CoverageError, match="R_min = 1.48") as info:
         covering.check_interior_vertices(m, cov)
     ball = int(str(info.value).split()[1])
-    assert local_solver.extract_patch(m, cov, ball).interior[0].size == 0
+    assert extract_patch(m, cov, ball).interior[0].size == 0
+    assert rsm.cached_patches(m, cov).interior[0][:, ball].nnz == 0
 
 
 def test_interior_vertices_on_working_coverings(cover16, cover_bumpy,
@@ -250,7 +252,7 @@ def test_covering_and_checks_search_single_sources(bumpy16, monkeypatch):
     vals[0] /= 10.0  # every other vertex then has a partner to search
     check_radius_lipschitz(bumpy16, RadiusField(vals, 0.1, 120, 5.0))
     n_lip = len(calls) - n_build
-    patch = local_solver.extract_patch(bumpy16, cov, 0)
+    patch = rsm.cached_patches(bumpy16, cov)[0]
     local_solver.local_czi_check(
         patch, dec.Cochain(bumpy16, 0, np.ones(bumpy16.num_vertices)), 1.5)
     assert n_build > bumpy16.num_vertices
@@ -437,3 +439,15 @@ def test_covering_serialization_round_trip(tmp_path, torus16, cover16):
     assert key3 == key
     for a, b in zip(cov.balls, cov3.balls):
         assert np.array_equal(a.members, b.members)
+
+
+def test_covering_key_hashes_version_and_rule(torus16, monkeypatch):
+    key = covering_key(torus16, 0.1, 120.0)
+    with monkeypatch.context() as mp:
+        mp.setattr(covering, "COVERING_RULE", covering.COVERING_RULE + 1)
+        assert covering_key(torus16, 0.1, 120.0) != key
+    with monkeypatch.context() as mp:
+        mp.setattr(covering, "__version__", covering.__version__ + ".1")
+        assert covering_key(torus16, 0.1, 120.0) != key
+    assert covering_key(torus16, 0.1, 120.0) == key
+

@@ -2,49 +2,153 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from hodge_rsm import dec, local_solver
-from hodge_rsm.covering import RadiusField, vitali_cover, partition_of_unity
-from hodge_rsm.local_solver import (PatchError, extract_patch,
-                                    local_czi_check, neumann_series_solve,
+from hodge_rsm import cli, dec, geometry, local_solver
+from hodge_rsm.covering import (AdmissibleCovering, RadiusField,
+                                partition_of_unity, vitali_cover)
+from hodge_rsm.local_solver import (Patches, PatchError, local_czi_check,
+                                    neumann_series_solve,
                                     solve_local_dirichlet)
 from hodge_rsm.rsm import cached_patches
 
-from conftest import flat_stiffness_oracle
+from conftest import (PERTURBED_MESHES, assemble_oracle, column,
+                      extract_patch, flat_stiffness_oracle, oracle_patches,
+                      perturbed_mesh)
 
 
 @pytest.fixture(scope="module")
 def patch16(torus16, cover16):
-    _, cov = cover16
-    return extract_patch(torus16, cov, 0)
+    return cached_patches(torus16, cover16[1])[0]
 
 
 def test_single_ball_patch_whole_manifold(torus8):
     rf = RadiusField(np.ones(torus8.num_vertices), 0.1, 120, 0.4)
     cov = vitali_cover(torus8, rf)
     partition_of_unity(torus8, cov)
-    patch = extract_patch(torus8, cov, 0)
-    assert len(patch.cells) == torus8.num_simplices(2)
+    patches = Patches.extract(torus8, cov)
+    assert len(patches) == 1
+    assert patches.simplices[2].nnz == torus8.num_simplices(2)
     for p in range(3):
-        assert len(patch.boundary[p]) == 0
-        assert len(patch.interior[p]) == torus8.num_simplices(p)
+        assert patches.boundary[p].nnz == 0
+        assert patches.interior[p].nnz == torus8.num_simplices(p)
 
 
 def test_interior_ball_patch(torus16, patch16):
-    assert len(patch16.boundary[1]) > 0
-    assert len(patch16.boundary[0]) > 0
+    assert patch16.boundary[1].nnz > 0
+    assert patch16.boundary[0].nnz > 0
     # interior/boundary partition the patch simplices
     for p in range(2):
-        got = np.sort(np.concatenate([patch16.interior[p],
-                                      patch16.boundary[p]]))
-        assert np.array_equal(got, np.sort(patch16.patch_simplices(p)))
+        assert patch16.interior[p].multiply(patch16.boundary[p]).nnz == 0
+        assert ((patch16.interior[p] + patch16.boundary[p])
+                != patch16.simplices[p]).nnz == 0
+
+
+def _assert_matches_oracle(m, cov, patches):
+    # every ball's lists, bitwise, against the one-ball oracle
+    for j in range(len(cov.balls)):
+        oracle = extract_patch(m, cov, j)
+        got = column(patches.simplices[m.n], j)
+        assert np.array_equal(got, oracle.cells)
+        for q in range(m.n + 1):
+            for mats, lists in ((patches.interior, oracle.interior),
+                                (patches.boundary, oracle.boundary)):
+                got = column(mats[q], j)
+                assert got.dtype.kind == lists[q].dtype.kind == "i"
+                assert np.array_equal(got, lists[q])
+            assert np.array_equal(column(patches.simplices[q], j),
+                                  oracle.patch_simplices(q))
+
+
+@pytest.fixture(scope="module")
+def torus12():
+    return geometry.generate_test_manifold("flat_torus", 12)
+
+
+@pytest.fixture(scope="module")
+def sphere8():
+    return geometry.generate_test_manifold("sphere", 8)
+
+
+@pytest.mark.parametrize("mesh", ["torus12", "bumpy16", "sphere8",
+                                  "torus3d5"])
+def test_batched_patches_match_oracle(request, mesh):
+    m = request.getfixturevalue(mesh)
+    _, cov = cli.build_covering(m, {"epsilon": 0.1, "divisor": 120.0})
+    patches = Patches.extract(m, cov)
+    assert len(patches) == len(cov.balls)
+    for mats in (patches.simplices, patches.interior, patches.boundary):
+        assert all(A.format == "csc" and A.has_sorted_indices
+                   and A.shape == (m.num_simplices(q), len(cov.balls))
+                   for q, A in enumerate(mats))
+    _assert_matches_oracle(m, cov, patches)
+    # a one-ball slice holds that ball's columns
+    j = len(cov.balls) // 2
+    one = patches[j]
+    assert one.balls == [cov.balls[j]]
+    for q in range(m.n + 1):
+        assert np.array_equal(one.interior[q].indices,
+                              column(patches.interior[q], j))
+
+
+@settings(max_examples=25, deadline=None)
+@given(**PERTURBED_MESHES)
+def test_batched_patches_match_oracle_on_perturbed_meshes(mesh, seed,
+                                                          amplitude):
+    # balls of random centers and radii (1 to 4 mean edges) on random
+    # meshes; a ball without a full n-cell is named by both
+    m = perturbed_mesh(*mesh, seed, amplitude)
+    rng = np.random.default_rng(seed)
+    centers = rng.choice(m.num_vertices, size=min(12, m.num_vertices),
+                         replace=False)
+    radii = rng.uniform(1.0, 4.0, centers.size) * m.mean_edge_length()
+    balls = [SimpleNamespace(index=j, center=int(c), covering_radius=R,
+                             members=np.flatnonzero(
+                                 geometry.geodesic_distance(m, int(c), R)
+                                 <= R))
+             for j, (c, R) in enumerate(zip(centers, radii))]
+    cov = AdmissibleCovering(balls, 0.1)
+    try:
+        expected = oracle_patches(m, cov)
+    except PatchError as e:
+        with pytest.raises(PatchError, match=f"^{e}$"):
+            Patches.extract(m, cov)
+        return
+    patches = Patches.extract(m, cov)
+    _assert_matches_oracle(m, cov, patches)
+    assert len(expected) == len(patches)
+
+
+@pytest.mark.parametrize("mesh,cover", [("torus16", "cover16"),
+                                        ("bumpy16", "cover_bumpy"),
+                                        ("torus3d5", "cover3d5")])
+def test_stacked_system_matches_oracle_assembly(request, mesh, cover):
+    # the system of the batched patches equals the one the per-patch
+    # concatenations of the oracle's index lists assemble, field by field
+    # and bit for bit
+    m = request.getfixturevalue(mesh)
+    cov = request.getfixturevalue(cover)[1]
+    patches = cached_patches(m, cov)
+    oracle = oracle_patches(m, cov)
+    for p in range(m.n + 1):
+        got = local_solver._assemble(patches, p)
+        want = assemble_oracle(oracle, p)
+        for a, b in ((got.index, want.index), (got.offsets, want.offsets),
+                     (got.owner, want.owner), (got.M, want.M)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        for a, b in ((got.K, want.K), (got.support, want.support)):
+            assert a.format == b.format and a.dtype == b.dtype
+            assert a.has_sorted_indices and b.has_sorted_indices
+            for attr in ("data", "indices", "indptr"):
+                x, y = getattr(a, attr), getattr(b, attr)
+                assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def test_restrict_scatter_round_trip(torus16, patch16, rng):
     u = dec.random_cochain(torus16, 1, rng)
-    system = local_solver.stack_patches([patch16], 1)
+    system = local_solver.stack_patches(patch16, 1)
     back = dec.Cochain(torus16, 1, system.scatter(u.values[system.index]))
-    idx = patch16.interior[1]
+    idx = patch16.interior[1].indices
     assert np.allclose(back.values[idx], u.values[idx])
     mask = np.ones(torus16.num_simplices(1), dtype=bool)
     mask[idx] = False
@@ -52,19 +156,18 @@ def test_restrict_scatter_round_trip(torus16, patch16, rng):
 
 
 def test_face_classification_exhaustive(torus16, cover16):
-    _, cov = cover16
-    for j in range(0, len(cov.balls), 37):
-        patch = extract_patch(torus16, cov, j)
-        cellset = set(patch.cells.tolist())
-        interior = set(patch.interior[1].tolist())
-        boundary = set(patch.boundary[1].tolist())
+    patches = cached_patches(torus16, cover16[1])
+    for j in range(0, len(patches), 37):
+        cells = column(patches.simplices[2], j)
+        interior = set(column(patches.interior[1], j).tolist())
+        boundary = set(column(patches.boundary[1], j).tolist())
         assert not interior & boundary
-        for ci in patch.cells:
+        for ci in cells:
             for e in torus16._cell_faces[1][ci]:
                 assert int(e) in interior or int(e) in boundary
         # boundary edges belong to exactly one patch cell
         edge_cells = {}
-        for ci in patch.cells:
+        for ci in cells:
             for e in torus16._cell_faces[1][ci]:
                 edge_cells[int(e)] = edge_cells.get(int(e), 0) + 1
         for e in boundary:
@@ -91,12 +194,13 @@ def test_dirichlet_residual_and_linearity(torus16, patch16, rng):
     assert d1.c_j > 0 and np.isfinite(d1.c_j)
 
 
-def _assert_submesh_blocks(patches, degrees):
+def _assert_submesh_blocks(m, cov, degrees):
     # the stacked assembly against each patch's own submesh complex
+    patches = cached_patches(m, cov)
     for p in degrees:
         system = local_solver.stack_patches(patches, p)
         off_block = system.K.tolil()
-        for j, patch in enumerate(patches):
+        for j, patch in enumerate(oracle_patches(m, cov)):
             sub, _, rows = patch.submesh()
             r = rows[p]
             lo, hi = system.offsets[j], system.offsets[j + 1]
@@ -112,23 +216,22 @@ def _assert_submesh_blocks(patches, degrees):
 
 
 def test_patch_operator_is_submesh_stiffness(torus16, cover16, patch16, rng):
-    _assert_submesh_blocks(cached_patches(torus16, cover16[1]), (0, 1, 2))
+    _assert_submesh_blocks(torus16, cover16[1], (0, 1, 2))
     for p in (0, 1):
-        f = local_solver.stack_patches([patch16], p)
+        f = local_solver.stack_patches(patch16, p)
         omega = dec.random_cochain(torus16, p, rng)
         u, _ = solve_local_dirichlet(patch16, omega)
         rhs = f.M * omega.values[f.index]
         res = f.K @ u.values[f.index] - rhs
         assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
     # not the interior block of the global stiffness
-    I = patch16.interior[1]
+    I = patch16.interior[1].indices
     K_glob = dec.stiffness_matrix(torus16, 1)[np.ix_(I, I)]
-    assert abs(K_glob - local_solver.stack_patches([patch16], 1).K).max() > 0
+    assert abs(K_glob - local_solver.stack_patches(patch16, 1).K).max() > 0
 
 
 def test_patch_operator_is_submesh_stiffness_3d(torus3d5, cover3d5):
-    _assert_submesh_blocks(cached_patches(torus3d5, cover3d5[1]),
-                           (0, 1, 2, 3))
+    _assert_submesh_blocks(torus3d5, cover3d5[1], (0, 1, 2, 3))
 
 
 def test_stack_patches_names_ball_without_interior(torus16, cover16):
@@ -136,18 +239,27 @@ def test_stack_patches_names_ball_without_interior(torus16, cover16):
     # the patch lies on its boundary
     cell = torus16.simplices[2][0]
     ball = SimpleNamespace(index=99, center=int(cell[0]), members=cell)
-    lone = extract_patch(torus16, SimpleNamespace(balls=[ball]), 0)
-    assert lone.interior[1].size == 0
-    good = extract_patch(torus16, cover16[1], 3)
+    patches = Patches.extract(torus16, AdmissibleCovering(
+        [cover16[1].balls[3], ball], 0.1))
+    assert np.diff(patches.interior[1].indptr).tolist()[1] == 0
     for p in (0, 1):
         with pytest.raises(PatchError, match=f"ball 99: no interior {p}-"):
-            local_solver.stack_patches([good, lone], p)
+            local_solver.stack_patches(patches, p)
+
+
+def test_extract_names_ball_without_full_cell(torus16, cover16):
+    # a hand-built ball holding one edge: no triangle has all its
+    # vertices in it
+    edge = torus16.simplices[1][0]
+    ball = SimpleNamespace(index=7, center=int(edge[0]), members=edge)
+    cov = AdmissibleCovering([cover16[1].balls[3], ball], 0.1)
+    with pytest.raises(PatchError, match="^ball 7 contains no full n-cell$"):
+        Patches.extract(torus16, cov)
 
 
 def test_neumann_flat_override_one_step(torus16, patch16, rng):
     # metric perturbation A = 0: series terminates immediately
     omega = dec.random_cochain(torus16, 1, rng)
-    sub, _, _ = patch16.submesh()
     u, diag = neumann_series_solve(patch16, omega,
                                    flat_edge_lengths=torus16.edge_lengths)
     assert diag.eta == 0.0
@@ -166,20 +278,21 @@ def test_flat_assembly_matches_submesh_oracle(bumpy16, cover_bumpy,
             np.arange(m.num_simplices(1))))
         for j in balls:
             patch = extract_patch(m, cov, j)
+            one = cached_patches(m, cov)[j]
             for lengths, flat in (
-                    (local_solver._chart_lengths(patch), None),
+                    (local_solver._chart_lengths(one), None),
                     (override[patch.patch_simplices(1)], override)):
                 for p in degrees:
                     with np.errstate(divide="ignore", invalid="ignore"):
                         K, M = flat_stiffness_oracle(patch, p, flat)
-                        f = local_solver._assemble([patch], p, lengths)
+                        f = local_solver._assemble(one, p, lengths)
                     assert np.array_equal(f.K.toarray(), K.toarray(),
                                           equal_nan=True)
                     assert np.array_equal(f.M, M, equal_nan=True)
 
 
 def test_neumann_degenerate_chart_names_ball(torus3d5, cover3d5, rng):
-    patch = extract_patch(torus3d5, cover3d5[1], 0)
+    patch = cached_patches(torus3d5, cover3d5[1])[0]
     for p in (2, 3):
         omega = dec.random_cochain(torus3d5, p, rng)
         with pytest.raises(PatchError, match="ball 0: the chart metric"):
@@ -187,14 +300,13 @@ def test_neumann_degenerate_chart_names_ball(torus3d5, cover3d5, rng):
 
 
 def test_neumann_agrees_with_direct(bumpy16, cover_bumpy, rng):
-    _, cov = cover_bumpy
-    patch = extract_patch(bumpy16, cov, 0)
+    patch = cached_patches(bumpy16, cover_bumpy[1])[0]
     omega = dec.random_cochain(bumpy16, 1, rng)
     ud, _ = solve_local_dirichlet(patch, omega)
     un, diag = neumann_series_solve(patch, omega)
     assert diag.eta < 1.0
     assert diag.residual <= 1e-10
-    idx = patch.interior[1]
+    idx = patch.interior[1].indices
     num = np.linalg.norm(un.values[idx] - ud.values[idx])
     assert num <= 1e-8 * np.linalg.norm(ud.values[idx])
 
@@ -207,7 +319,7 @@ def test_neumann_solve_factors_once(bumpy16, cover_bumpy, rng,
     real = spla.splu
     monkeypatch.setattr(spla, "splu",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
-    patch = extract_patch(bumpy16, cover_bumpy[1], 0)
+    patch = cached_patches(bumpy16, cover_bumpy[1])[0]
     neumann_series_solve(patch, dec.random_cochain(bumpy16, 1, rng))
     assert len(calls) == 1
 
@@ -218,7 +330,7 @@ def test_local_czi_constant(torus16, patch16):
     assert t2 < 1e-12
     # derivative terms vanish: lhs is the L^r norm on the sub-ball,
     # bounded by the volume-ratio times the full-ball term
-    assert lhs <= t1 * patch16.ball.covering_radius ** 2 * 1.0 + 1e-12
+    assert lhs <= t1 * patch16.balls[0].covering_radius ** 2 * 1.0 + 1e-12
 
 
 def test_local_czi_harmonic_interior(torus16, patch16, rng):
@@ -226,9 +338,9 @@ def test_local_czi_harmonic_interior(torus16, patch16, rng):
     import scipy.sparse.linalg as spla
     Kg = dec.stiffness_matrix(torus16, 0).tocsr()
     u = np.zeros(torus16.num_vertices)
-    bset = patch16.boundary[0]
+    bset = patch16.boundary[0].indices
     u[bset] = rng.standard_normal(len(bset))
-    I = patch16.interior[0]
+    I = patch16.interior[0].indices
     A = Kg[I][:, I].tocsc()
     b = -Kg[I][:, bset] @ u[bset]
     u[I] = spla.spsolve(A, b)
@@ -255,7 +367,7 @@ def test_local_czi_fit_refinement_stable(torus16, torus32, rng):
         rf = RadiusField(np.full(m.num_vertices, 0.4), 0.1, 120, 5.0)
         cov = vitali_cover(m, rf)
         partition_of_unity(m, cov)
-        patch = extract_patch(m, cov, 0)
+        patch = cached_patches(m, cov)[0]
         K = dec.stiffness_matrix(m, 1)
         M = dec.mass_diagonal(m, 1)
         lu = spla.splu((sp.diags(M) + 0.01 * K).tocsc())

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hodge_rsm import covering, dec, geometry, local_solver, rsm
 from hodge_rsm.covering import RadiusField, partition_of_unity, vitali_cover
@@ -9,7 +10,7 @@ from hodge_rsm.rsm import (RsmConfig, commutator_defect,
                            commutator_pointwise_bound, compact_support_check,
                            raising_steps, rsm_step, threshold_steps)
 
-from conftest import all_geodesic_distances
+from conftest import all_geodesic_distances, column, oracle_patches
 
 
 def test_threshold_steps_values():
@@ -208,14 +209,13 @@ def test_sweep_matches_per_patch_oracle(request, glued_oracle, mesh, p):
                                    "torus3d5": "cover3d5"}[mesh])[1]
     omega = dec.random_cochain(m, p, np.random.default_rng(5))
     v0, U = rsm.sweep(m, cov, omega)
-    ref = glued_oracle(m, cov, rsm.cached_patches(m, cov), omega)
+    ref = glued_oracle(m, cov, oracle_patches(m, cov), omega)
     assert np.linalg.norm(v0.values - ref) <= 1e-12 * np.linalg.norm(ref)
     # the columns of U are the local solutions, zero outside the interior
     for j in (0, len(cov.balls) // 2):
-        patch = cov.patches[j]
         col = U[:, j].toarray().ravel()
         outside = np.ones(col.size, dtype=bool)
-        outside[patch.interior[p]] = False
+        outside[column(cov.patches.interior[p], j)] = False
         assert not col[outside].any()
 
 
@@ -343,3 +343,24 @@ def test_trace_serialization(tmp_path, torus16, cover16, rng):
     assert data["k"] == 1
     assert len(data["steps"]) == 1
     assert cp.read_text().count("\n") >= 2
+
+
+def test_rsm_step_reuses_degree_constants(torus16, cover16, weight16, rng,
+                                          monkeypatch):
+    # the simplex-averaged partition and the ball mask are built with
+    # the degree's patch system, not on every step
+    rf, cov = cover16
+    omega = dec.random_cochain(torus16, 1, rng)
+    first = rsm_step(torus16, cov, rf, omega, 1.5, weight16)[2].ledger
+    averaged = []
+    real = rsm.simplex_average
+
+    def counted(m, p, values):
+        if sp.issparse(values):
+            averaged.append(p)
+        return real(m, p, values)
+
+    monkeypatch.setattr(rsm, "simplex_average", counted)
+    again = rsm_step(torus16, cov, rf, omega, 1.5, weight16)[2].ledger
+    assert averaged == []
+    assert again == first
