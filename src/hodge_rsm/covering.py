@@ -62,7 +62,7 @@ class AdmissibleCovering:
     chi: sp.csr_matrix | None = None            # vertices x balls
     chi_gradients: np.ndarray | None = None     # per-ball max edge gradient
     patches: object | None = None   # rsm.cached_patches: a Patches
-    systems: dict | None = None                 # rsm.patch_system, per degree
+    systems: dict | None = None   # rsm.patch_system: system and plan
 
     def __len__(self):
         return len(self.balls)

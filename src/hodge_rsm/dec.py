@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import (Chart, SimplicialManifold, chord_lengths,
-                       lumped_supports, simplex_average, simplex_volumes)
+from .geometry import (Chart, SimplicialManifold, _sorted_unique,
+                       chord_lengths, lumped_supports, simplex_average,
+                       simplex_volumes)
 
 INF = math.inf
 # largest number of unknowns for which a dense matrix is formed
@@ -206,34 +207,48 @@ def hessian_density(u: Cochain) -> np.ndarray:
     return densities(u.manifold, u.degree, u.values, 2)
 
 
-def densities(m: SimplicialManifold, p: int, values, order: int):
-    """Density of order 0, 1 or 2 of p-cochain values: one cochain (a
-    vector) or a sparse matrix of cochains, one per column, giving the
-    same form.  Orders 1 and 2 are root sums of squares of densities."""
-    def dens(q, x):
-        if not sp.issparse(x):
-            return np.abs(x) / m.volumes[q]
-        x = abs(x).tocsr()
-        x.data /= np.repeat(m.volumes[q], np.diff(x.indptr))
-        return x
-
+def density_terms(n: int, p: int, order: int) -> list:
+    """The terms of the density of order 0, 1 or 2 of p-cochains on an
+    n-manifold, as (chain, average) pairs: apply the operators of chain
+    in turn ("d", "dstar", "lap"), take |x| / vol over the simplices of
+    the degree reached, then average back onto p-simplices ("face",
+    "coface") or not (None).  Orders 1 and 2 are the root sums of squares
+    of their terms: order 1 the face average of |d*u| and the coface
+    average of |du|, order 2 |Lap u|, |dd*u| and |d*du|."""
     if order == 0:
-        return dens(p, values)
-    # order 1: face average of |d*u|, coface average of |du|;
-    # order 2: |Lap u|, |dd*u|, |d*du|
-    terms = [dens(p, hodge_laplacian(m, p).matrix @ values)] \
-        if order == 2 else []
-    if p > 0:
-        dsu = codifferential(m, p).matrix @ values
-        terms.append(_face_average(m, p) @ dens(p - 1, dsu) if order == 1
-                     else dens(p, exterior_derivative(m, p - 1).matrix @ dsu))
-    if p < m.n:
-        du = exterior_derivative(m, p).matrix @ values
-        terms.append(_coface_average(m, p) @ dens(p + 1, du) if order == 1
-                     else dens(p, codifferential(m, p + 1).matrix @ du))
-    if sp.issparse(terms[0]):
-        return sum(t.multiply(t) for t in terms).sqrt()
-    return np.sqrt(sum(t * t for t in terms))
+        return [((), None)]
+    low = [(("dstar",), "face") if order == 1 else (("dstar", "d"), None)]
+    high = [(("d",), "coface") if order == 1 else (("d", "dstar"), None)]
+    return ([(("lap",), None)] if order == 2 else []) \
+        + (low if p > 0 else []) + (high if p < n else [])
+
+
+def _chain_operator(m, q: int, name: str):
+    """(matrix, degree reached) of one step of a density term's chain,
+    applied to q-simplex data."""
+    if name == "face":
+        return _face_average(m, q + 1), q + 1
+    if name == "coface":
+        return _coface_average(m, q - 1), q - 1
+    op = {"d": exterior_derivative, "dstar": codifferential,
+          "lap": hodge_laplacian}[name](m, q)
+    return op.matrix, op.target_degree
+
+
+def densities(m: SimplicialManifold, p: int, values: np.ndarray,
+              order: int) -> np.ndarray:
+    """Density of order 0, 1 or 2 of the p-cochain values (see
+    density_terms); DensityPlan gives the same for many cochains."""
+    terms = []
+    for chain, average in density_terms(m.n, p, order):
+        x, q = values, p
+        for name in chain:
+            A, q = _chain_operator(m, q, name)
+            x = A @ x
+        t = np.abs(x) / m.volumes[q]
+        terms.append(t if average is None
+                     else _chain_operator(m, q, average)[0] @ t)
+    return terms[0] if order == 0 else np.sqrt(sum(t * t for t in terms))
 
 
 def _coface_average(m: SimplicialManifold, p: int) -> sp.csr_matrix:
@@ -258,14 +273,145 @@ def _face_average(m: SimplicialManifold, p: int) -> sp.csr_matrix:
     return _cached(m, "face_avg", p, build)
 
 
-def column_norms(m: SimplicialManifold, p: int, dens, r: float,
-                 mask=None) -> np.ndarray:
-    """Unweighted L^r norm of each column of a sparse matrix of p-simplex
-    densities, over the rows of a sparse mask of its shape if given."""
-    if mask is not None:
-        dens = dens.multiply(mask)
-    return np.asarray(dens.power(r).T @ m.support_volumes[p]).ravel() \
-        ** (1 / r)
+class DensityPlan:
+    """The densities of many p-cochains at once, from one stacked vector.
+
+    Entry e of a stacked vector x is the value of cochain col[e] on the
+    p-simplex index[e]; cochain j owns entries offsets[j] to offsets[j +
+    1], its simplices in increasing order.  patterns[key] = (col, row, q)
+    lists the entries of q-simplex data the cochains reach, keyed col *
+    N_q + row ascending, for key an order 0, 1, 2 or the chain ("lap",).
+    Each step of a chain of density_terms is one CSR matrix, steps[chain],
+    built once: it maps the values on the pattern before the step to
+    those after it, each row summing in the order of the operator's row
+    as a sparse product does.  So the densities equal, entry for entry,
+    those of the simplices x cochains matrix of x, but for the exact
+    zeros a sparse product drops.  support (a simplices x cochains mask)
+    is gathered onto the pattern of each order.
+    """
+
+    def __init__(self, m: SimplicialManifold, p: int, index: np.ndarray,
+                 offsets: np.ndarray, support: sp.spmatrix):
+        self.p = p
+        self.ncols = offsets.size - 1
+        col = np.repeat(np.arange(self.ncols), np.diff(offsets))
+        self.patterns = {(): (col, np.asarray(index, dtype=np.int64), p)}
+        self.steps, self.volumes, self.terms = {}, {}, []
+        N = m.num_simplices(p)
+        for order in range(3):
+            ends = []
+            for chain, average in density_terms(m.n, p, order):
+                end = chain if average is None else chain + (average,)
+                self._step(m, end)
+                _, row, q = self.patterns[chain]
+                self.volumes[chain] = m.volumes[q][row]
+                ends.append((chain, average, self._key(end, N)))
+            union = _sorted_unique(np.concatenate([k for *_, k in ends]))
+            self.patterns[order] = (union // N, union % N, p)
+            # a term that fills the union needs no scatter (at = None)
+            self.terms.append([(chain, average, None if k.size == union.size
+                                else np.searchsorted(union, k))
+                               for chain, average, k in ends])
+        self.patterns = {key: (col.astype(np.int32), row.astype(np.int32), q)
+                         for key, (col, row, q) in self.patterns.items()
+                         if key in (0, 1, 2, ("lap",))}
+        self.mu = [m.support_volumes[p][self.patterns[k][1]]
+                   for k in range(3)]
+        self.support = self.gather(support, range(3))
+
+    def _key(self, key, size: int) -> np.ndarray:
+        col, row, _ = self.patterns[key]
+        return col.astype(np.int64) * size + row
+
+    def _step(self, m: SimplicialManifold, chain: tuple) -> None:
+        """The matrices and patterns of every step of chain."""
+        if chain in self.patterns:
+            return
+        self._step(m, chain[:-1])
+        col, row, q = self.patterns[chain[:-1]]
+        A, reached = _chain_operator(m, q, chain[-1])
+        # operator entries t that read simplex row[e], for every entry e
+        by_col = np.argsort(A.indices, kind="stable")
+        starts = np.concatenate([[0], np.cumsum(np.bincount(
+            A.indices, minlength=A.shape[1]))])
+        counts = starts[row + 1] - starts[row]
+        src = np.repeat(np.arange(row.size), counts)
+        t = by_col[np.arange(src.size)
+                   + np.repeat(starts[row] - np.cumsum(counts) + counts,
+                               counts)]
+        a_row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        keys = col[src] * A.shape[0] + a_row[t]
+        # one matrix row per key, its entries in the operator row's order;
+        # one argsort of key * nnz + t is 5x faster than a lexsort
+        order = np.argsort(keys * A.nnz + t) \
+            if keys.max(initial=0) < np.iinfo(np.int64).max // A.nnz \
+            else np.lexsort((t, keys))
+        keys, src, t = keys[order], src[order], t[order]
+        first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        self.steps[chain] = sp.csr_matrix(
+            (A.data[t], src, np.append(first, keys.size)),
+            shape=(first.size, row.size))
+        keys = keys[first]
+        self.patterns[chain] = (keys // A.shape[0], keys % A.shape[0],
+                                reached)
+
+    def gather(self, A: sp.spmatrix, keys) -> list:
+        """Values of the sparse q-simplices x cochains matrix A on the
+        pattern of each key of keys, 0 where A stores none."""
+        A = A.tocsc(copy=True)
+        A.sum_duplicates()
+        # a last key past every other one stands for "not stored"
+        stored = np.append(np.repeat(np.arange(A.shape[1]), np.diff(
+            A.indptr)) * A.shape[0] + A.indices, np.iinfo(np.int64).max)
+        data = np.append(A.data, np.zeros(1, A.dtype))
+        out = []
+        for key in keys:
+            want = self._key(key, A.shape[0])
+            at = np.searchsorted(stored, want)
+            out.append(np.where(stored[at] == want, data[at], data[-1]))
+        return out
+
+    def densities(self, x: np.ndarray, orders=(0, 1, 2),
+                  values: dict | None = None) -> list:
+        """The densities of the given orders of the cochains of the
+        stacked vector x, each on the pattern of its order.  values, if
+        given, receives the values of every chain walked, by chain."""
+        values = {} if values is None else values
+        values[()] = x
+
+        def walk(chain):
+            if chain not in values:
+                values[chain] = self.steps[chain] @ walk(chain[:-1])
+            return values[chain]
+
+        out = []
+        for order in orders:
+            terms = []
+            for chain, average, at in self.terms[order]:
+                t = np.abs(walk(chain)) / self.volumes[chain]
+                terms.append((t if average is None
+                              else self.steps[chain + (average,)] @ t, at))
+            if order == 0:
+                out.append(terms[0][0])
+                continue
+            total = np.zeros(self.patterns[order][0].size)
+            for t, at in terms:
+                if at is None:
+                    total += t * t
+                else:
+                    total[at] += t * t
+            out.append(np.sqrt(total))
+        return out
+
+    def column_norms(self, order: int, dens: np.ndarray, r: float,
+                     mask: np.ndarray | None = None) -> np.ndarray:
+        """Unweighted L^r norm of each cochain's order-`order` density
+        (dens, on that order's pattern), over the entries of mask if
+        given."""
+        col, w = self.patterns[order][0], self.mu[order] * dens**r
+        if mask is not None:
+            col, w = col[mask], w[mask]
+        return np.bincount(col, w, minlength=self.ncols) ** (1 / r)
 
 
 def _integrate(m, p, dens, spec: NormSpec, mask=None) -> float:

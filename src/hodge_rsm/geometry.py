@@ -100,8 +100,7 @@ class SimplicialManifold:
         graph = _edge_graph(self)
         if validate:
             self._validate(graph)
-        if normalize:
-            self._normalize_diameter(graph)
+        if normalize and self._normalize_diameter(graph):
             graph = _edge_graph(self)
         self.graph: sp.csr_matrix = graph
         self._op_cache: dict = {}    # dec operators, keyed (name, degree)
@@ -237,13 +236,19 @@ class SimplicialManifold:
             raise MeshError("inconsistent orientation across face "
                             f"{tuple(face.tolist())}")
 
-    def _normalize_diameter(self, graph):
+    def _normalize_diameter(self, graph) -> bool:
+        """Rescale to diameter 2; False, with nothing changed, when the
+        measured diameter is 2 within a few ulps already, so that a
+        normalized mesh (saved and loaded, say) stays bit for bit."""
         diam = self._approx_diameter(graph)
+        if abs(diam - 2.0) <= 4 * np.spacing(2.0):
+            return False
         scale = 2.0 / diam
         self.vertices = self.vertices * scale
         if self._supplied_lengths is not None:
             self._supplied_lengths = self._supplied_lengths * scale
         self._build_metric()
+        return True
 
     @staticmethod
     def _approx_diameter(g) -> float:

@@ -75,19 +75,20 @@ class PatchSystem:
         return np.bincount(self.index, x, minlength=self.support.shape[0])
 
     def diagnostics(self, omega: dec.Cochain, u: np.ndarray,
-                    dens: list, r: float) -> list:
+                    plan: dec.DensityPlan, dens: list, r: float) -> list:
         """SolveDiagnostics of each patch for the solution u of K u =
         M omega[index]: residual |K_II u_I / M_I - omega_I| / |omega_I|
-        and c_j = |u_j|_{W^{2,r}} / |omega_I|_{L^r} over the patch.
-        dens holds the densities of order 0, 1 and 2 of columns(u)."""
-        m, p = omega.manifold, omega.degree
+        and c_j = |u_j|_{W^{2,r}} / |omega_I|_{L^r} over the patch.  plan
+        is the DensityPlan of the stacked vector, with the patch simplices
+        as support; dens holds its densities of order 0, 1 and 2 of u."""
+        p = omega.degree
         om = omega.values[self.index]
         start = self.offsets[:-1]
         res = np.sqrt(np.add.reduceat((self.K @ u / self.M - om) ** 2, start))
         res /= np.sqrt(np.add.reduceat(om**2, start)) + 1e-300
-        lr = dec.column_norms(m, p, dec.densities(m, p, self.columns(om), 0),
-                              r)
-        w2 = sum(dec.column_norms(m, p, d, r, self.support) for d in dens)
+        lr = plan.column_norms(0, plan.densities(om, (0,))[0], r)
+        w2 = sum(plan.column_norms(k, d, r, plan.support[k])
+                 for k, d in enumerate(dens))
         c = np.divide(w2, lr, out=np.zeros_like(w2), where=lr > 0)
         return [SolveDiagnostics(int(self.owner[e]), p, int(n), float(x),
                                  float(cj))
@@ -284,15 +285,15 @@ def solve_local_dirichlet(patch: Patches, omega: dec.Cochain,
     u equals omega on the interior to machine precision; u is
     zero-extended outside.  patch is a one-ball Patches; the system is
     its PatchSystem, built and factored on each call, and the
-    diagnostics are those the sweeps record (PatchSystem.diagnostics).
+    diagnostics are those the sweeps record (PatchSystem.diagnostics),
+    on the DensityPlan of its one column.
     """
     m, p = patch.manifold, omega.degree
     f = stack_patches(patch, p)
     u_I = f.lu.solve(f.M * omega.values[f.index])
-    U = f.columns(u_I)
-    dens = [dec.densities(m, p, U, k) for k in range(3)]
+    plan = dec.DensityPlan(m, p, f.index, f.offsets, f.support)
     return (dec.Cochain(m, p, f.scatter(u_I)),
-            f.diagnostics(omega, u_I, dens, r)[0])
+            f.diagnostics(omega, u_I, plan, plan.densities(u_I), r)[0])
 
 
 def _chart_lengths(patch: Patches) -> np.ndarray:

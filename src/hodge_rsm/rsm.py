@@ -10,8 +10,11 @@ gluing and weight-summation inequalities with measured constants.
 The sweep is one linear operator on the stacked interior unknowns of all
 patches (local_solver.PatchSystem), factored once per covering and
 degree and shared with its adjoint.  The ledger and the per-solve
-diagnostics are column reductions over the sparse simplices x balls
-matrix U of local solutions, column j the solution u_j of ball j.
+diagnostics read the stacked vector u of local solutions (the part of
+ball j is its solution u_j) through a LedgerPlan, built with the patch
+system: fixed patterns and one CSR matrix per step of each density term
+(dec.DensityPlan), so a step's densities are matrix-vector products and
+its per-ball norms bincounts over pattern columns.
 """
 
 from __future__ import annotations
@@ -153,7 +156,9 @@ def _row_max(pattern: sp.spmatrix, vals: np.ndarray) -> np.ndarray:
 def _stencil_max(m: SimplicialManifold, p: int, vals: np.ndarray,
                  rings: int = 2) -> np.ndarray:
     """Max of vals over the Laplacian stencil neighborhood, iterated."""
-    A = abs(dec.hodge_laplacian(m, p).matrix) > 0
+    # abs() sorts a matrix's indices in place: the copy keeps the cached
+    # Laplacian's order, and so the rounding of every later product
+    A = abs(dec.hodge_laplacian(m, p).matrix.copy()) > 0
     out = np.asarray(vals, dtype=float)
     for _ in range(rings):
         out = np.maximum(out, _row_max(A, out))
@@ -216,25 +221,56 @@ def cached_patches(m: SimplicialManifold,
     return cov.patches
 
 
+@dataclass
+class LedgerPlan:
+    """What the ledger of a step reads at one degree, besides the patch
+    system: the DensityPlan of the stacked local solutions (dens, one
+    column per ball, the patch simplices as support), the partition
+    weight chi_j averaged over the simplex of each entry of the stacked
+    vector (chi) and of the pattern of Lap U (chi_lap), the mask of
+    simplices with all vertices in the ball on the patterns of orders 0
+    and 1 (balls) and column by column (ball_rows, ball_cols), the
+    vertices x balls membership (CSC) and the ball radii."""
+
+    dens: dec.DensityPlan
+    chi: np.ndarray
+    chi_lap: np.ndarray
+    balls: list
+    ball_rows: np.ndarray
+    ball_cols: np.ndarray
+    members: sp.csc_matrix
+    radii: np.ndarray
+
+    @classmethod
+    def build(cls, m: SimplicialManifold, cov: AdmissibleCovering,
+              dens: dec.DensityPlan) -> LedgerPlan:
+        p = dens.p
+        members = cov.membership(m.num_vertices)
+        chi = simplex_average(m, p, cov.chi.tocsr())
+        balls = (simplex_average(m, p, members.tocsr()) >= 1.0).tocsc()
+        balls.sort_indices()
+        return cls(dens, *dens.gather(chi, (0, ("lap",))),
+                   dens.gather(balls, (0, 1)), balls.indices,
+                   np.repeat(np.arange(len(cov)), np.diff(balls.indptr)),
+                   members, cov.radii())
+
+
 def patch_system(m: SimplicialManifold, cov: AdmissibleCovering, p: int):
-    """(system, chi, chi_simplices, balls) of cov at degree p, built on
-    first use per covering and degree: the PatchSystem of all patches,
-    the stacked partition weights (chi_j averaged over the simplex of
-    each entry of patch j), the simplices x balls partition so averaged,
-    and the simplices x balls mask of simplices with all vertices in the
-    ball.  A cover by one boundaryless ball has no Dirichlet system:
-    system is None and chi holds the simplex weights of that ball."""
+    """(system, plan) of cov at degree p, built on first use per covering
+    and degree: the PatchSystem of all patches and the LedgerPlan of its
+    stacked vector.  A cover by one boundaryless ball has no Dirichlet
+    system: system is None and the stacked vector is one value per
+    p-simplex, the column of that ball."""
     patches = cached_patches(m, cov)
     if p not in cov.systems:
-        chi = simplex_average(m, p, cov.chi.tocsr())
-        balls = simplex_average(
-            m, p, cov.membership(m.num_vertices).tocsr()) >= 1.0
         if len(patches) == 1 and patches.boundary[p].nnz == 0:
-            cov.systems[p] = (None, chi.toarray()[:, 0], chi, balls)
+            N = m.num_simplices(p)
+            system, index, offsets = None, np.arange(N), np.array([0, N])
         else:
             system = local_solver.stack_patches(patches, p)
-            cov.systems[p] = (system, np.asarray(
-                chi[system.index, system.owner]).ravel(), chi, balls)
+            index, offsets = system.index, system.offsets
+        dens = dec.DensityPlan(m, p, index, offsets, patches.simplices[p])
+        cov.systems[p] = (system, LedgerPlan.build(m, cov, dens))
     return cov.systems[p]
 
 
@@ -274,12 +310,13 @@ def sweep(m: SimplicialManifold, cov: AdmissibleCovering,
     whole-manifold pseudoinverse.
     """
     p = omega.degree
-    system, chi = patch_system(m, cov, p)[:2]
+    system, plan = patch_system(m, cov, p)
     if system is None:
         u = _whole_manifold_solve(m, omega)
-        return dec.Cochain(m, p, chi * u), sp.csc_matrix(u[:, None])
+        return dec.Cochain(m, p, plan.chi * u), sp.csc_matrix(
+            (u, np.arange(u.size), [0, u.size]))
     u = system.lu.solve(system.M * omega.values[system.index])
-    return dec.Cochain(m, p, system.scatter(chi * u)), system.columns(u)
+    return dec.Cochain(m, p, system.scatter(plan.chi * u)), system.columns(u)
 
 
 def sweep_adjoint(m: SimplicialManifold, cov: AdmissibleCovering,
@@ -290,20 +327,21 @@ def sweep_adjoint(m: SimplicialManifold, cov: AdmissibleCovering,
     global mass diagonal; it reuses the factor of the forward sweep.
     """
     p = phi.degree
-    system, chi = patch_system(m, cov, p)[:2]
+    system, plan = patch_system(m, cov, p)
     if system is None:
         return dec.Cochain(m, p, _whole_manifold_solve(
-            m, dec.Cochain(m, p, chi * phi.values)))
+            m, dec.Cochain(m, p, plan.chi * phi.values)))
     Mg = dec.mass_diagonal(m, p)[system.index]
-    x = system.lu.solve(chi * (Mg * phi.values[system.index]), trans="T")
+    x = system.lu.solve(plan.chi * (Mg * phi.values[system.index]),
+                        trans="T")
     return dec.Cochain(m, p, system.scatter(system.M / Mg * x))
 
 
 # -- ledger inequalities ------------------------------------------------
 #
-# The pieces chi_j u_j and the local solutions u_j are the columns of
-# sparse simplices x balls matrices; per-ball norms are column norms of
-# their densities (dec.densities, dec.column_norms).
+# The pieces chi_j u_j and the local solutions u_j are the columns of the
+# stacked vectors chi u and u; per-ball norms are column norms of their
+# densities on the patterns of the degree's LedgerPlan.
 
 
 def _margin(lhs: float, rhs: float) -> float:
@@ -313,27 +351,28 @@ def _margin(lhs: float, rhs: float) -> float:
     return 0.0 if -1e-9 * max(lhs, rhs) <= margin < 0 else margin
 
 
-def _gluing_bound(m, w: WeightField, w_means, v0: dec.Cochain, parts_dens,
-                  s: float, order: int) -> dict:
+def _gluing_bound(m, w: WeightField, w_means, v0: dec.Cochain,
+                  plan: dec.DensityPlan, parts_dens, s: float,
+                  order: int) -> dict:
     """One part of the gluing inequality, in discretely rigorous form.
 
     parts_dens holds the order-`order` densities of the glued pieces
-    chi_j u_j, one per column; v0 is their sum.  The left side is the
-    weighted L^s norm of the relevant surrogate density of v0; the right
-    side uses the measured effective overlap of the density supports and
-    the weight-comparability constant measured over those supports, with
-    the per-ball norms of the pieces themselves (the continuum proof's
-    Leibniz split is reported separately by the caller).  w_means are
-    w's ball means.
+    chi_j u_j, on that order's pattern of plan; v0 is their sum.  The
+    left side is the weighted L^s norm of the relevant surrogate density
+    of v0; the right side uses the measured effective overlap of the
+    density supports and the weight-comparability constant measured over
+    those supports, with the per-ball norms of the pieces themselves (the
+    continuum proof's Leibniz split is reported separately by the
+    caller).  w_means are w's ball means.
     """
     p = v0.degree
     w_simp = simplex_average(m, p, w.values)
     mu = m.support_volumes[p]
     lhs_s = float(np.sum(mu * w_simp**s
                          * dec.densities(m, p, v0.values, order) ** s))
-    g = parts_dens.tocoo()
-    supp = g.data > 1e-300
-    rows, cols, g = g.row[supp], g.col[supp], g.data[supp]
+    cols, rows, _ = plan.patterns[order]
+    supp = parts_dens > 1e-300
+    rows, cols, g = rows[supp], cols[supp], parts_dens[supp]
     T_eff = int(np.bincount(rows, minlength=mu.size).max())
     c_sw_eff = float(np.max(w_simp[rows] / w_means[cols], initial=1.0))
     per_ball = np.bincount(cols, mu[rows] * g**s, minlength=w_means.size)
@@ -344,10 +383,10 @@ def _gluing_bound(m, w: WeightField, w_means, v0: dec.Cochain, parts_dens,
             "margin": _margin(lhs, rhs)}
 
 
-def _weight_summation_bound(m, cov, rf: RadiusField, w: WeightField,
-                            w_means, c_iw: float, parts_dens,
-                            omega: dec.Cochain, r: float, s: float,
-                            balls) -> dict:
+def _weight_summation_bound(m, cov, plan: LedgerPlan, rf: RadiusField,
+                            w: WeightField, w_means, c_iw: float,
+                            parts_dens, omega: dec.Cochain, r: float,
+                            s: float) -> dict:
     """Weight-summation inequality I <= c_w T^(s/r) |omega|_{L^r(wtilde^r)}.
 
     All constants are measured: the per-ball comparison constant C from
@@ -355,16 +394,18 @@ def _weight_summation_bound(m, cov, rf: RadiusField, w: WeightField,
     value is 96 for divisor 120), and the tightest c_iw over the balls,
     which check_weight_relative gives with the ball means w_means.
     gamma = GAMMA = 2 throughout.  parts_dens holds the order-0 densities
-    of the pieces chi_j u_j; balls is patch_system's ball mask.
+    of the pieces chi_j u_j.
     """
     p = omega.degree
-    R = cov.radii()
-    a = w_means * dec.column_norms(m, p, parts_dens, s, balls)
-    b = w_means * R ** (-GAMMA) * dec.column_norms(
-        m, p, balls.multiply(dec.density(omega)[:, None]), r)
-    rf_max = cov.membership(m.num_vertices).multiply(rf.values[:, None])
-    rho = float(np.max(rf_max.max(axis=0).toarray().ravel() / R,
-                       initial=1.0))
+    R = plan.radii
+    a = w_means * plan.dens.column_norms(0, parts_dens, s, plan.balls[0])
+    rows = plan.ball_rows
+    b = w_means * R ** (-GAMMA) * np.bincount(
+        plan.ball_cols, m.support_volumes[p][rows]
+        * dec.density(omega)[rows] ** r, minlength=R.size) ** (1 / r)
+    rf_max = np.maximum.reduceat(rf.values[plan.members.indices],
+                                 plan.members.indptr[:-1])
+    rho = float(np.max(rf_max / R, initial=1.0))
     c_iw = min(1.0, c_iw)
     nz = b > 1e-300
     C = float((a[nz] / b[nz]).max()) if nz.any() else 0.0
@@ -377,15 +418,16 @@ def _weight_summation_bound(m, cov, rf: RadiusField, w: WeightField,
             "margin": _margin(I, rhs)}
 
 
-def _leibniz_diagnostic(m, cov, w_means, c_sw: float, U_dens, p: int,
-                        s: float, eps: float, balls) -> dict:
+def _leibniz_diagnostic(cov, plan: LedgerPlan, w_means, c_sw: float,
+                        U_dens, s: float, eps: float) -> dict:
     """Continuum-form right side of the gluing bound (reported, not
     asserted); w_means and c_sw are the weight's ball means and upper
     comparability constant, U_dens holds the order-0 and order-1
-    densities of the local solutions, balls is patch_system's mask."""
+    densities of the local solutions."""
     T = cov.overlap_measured
-    lr, gr = (dec.column_norms(m, p, d, s, balls) for d in U_dens)
-    total = float(np.sum(w_means**s * (cov.radii()**-s * lr**s + gr**s)))
+    lr, gr = (plan.dens.column_norms(k, U_dens[k], s, plan.balls[k])
+              for k in (0, 1))
+    total = float(np.sum(w_means**s * (plan.radii**-s * lr**s + gr**s)))
     conj = s / (s - 1)
     return {"rhs_paper": (2 ** (s / conj) * (1 + eps) * T**s * c_sw**s
                           * total) ** (1 / s)}
@@ -405,30 +447,29 @@ def rsm_step(m: SimplicialManifold, cov: AdmissibleCovering,
     p = omega.degree
     w_means, c_iw, c_sw = check_weight_relative(w, cov, m)
     v0, U = sweep(m, cov, omega)
-    # densities used twice are computed once: U's of orders 0 and 1 (the
-    # c_j and the Leibniz diagnostic), the pieces' of order 0 (5s4_i, 5s6)
-    U_dens = [dec.densities(m, p, U, k) for k in (0, 1)]
-    system, _, chi, balls = patch_system(m, cov, p)
-    solves = [local_solver.SolveDiagnostics(0, p, U.shape[0], 0.0)] \
-        if system is None else system.diagnostics(
-            omega, U.data, U_dens + [dec.densities(m, p, U, 2)], r)
-    parts = U.multiply(chi).tocsc()
-    parts_dens0 = dec.densities(m, p, parts, 0)
-    lap = dec.hodge_laplacian(m, p)
-    chi_lap = np.asarray(chi.multiply(lap.matrix @ U).sum(axis=1)).ravel()
-    lap_v0 = lap(v0)
+    u = U.data
+    system, plan = patch_system(m, cov, p)
+    dens = plan.dens
+    # densities of orders 0-2 of U (the c_j, the Leibniz diagnostic) and
+    # of the pieces chi_j u_j (5s4, 5s6), on the plan's patterns
+    chains = {}
+    U_dens = dens.densities(u, values=chains)
+    parts_dens = dens.densities(plan.chi * u)
+    solves = [local_solver.SolveDiagnostics(0, p, u.size, 0.0)] \
+        if system is None else system.diagnostics(omega, u, dens, U_dens, r)
+    chi_lap = np.bincount(dens.patterns[("lap",)][1],
+                          plan.chi_lap * chains[("lap",)],
+                          minlength=m.num_simplices(p))
+    lap_v0 = dec.hodge_laplacian(m, p)(v0)
 
     s = max(r, min(2.0, dec.sobolev_exponent(r, 2, m.n)))
     ledger = {
-        "5s4_i": _gluing_bound(m, w, w_means, v0, parts_dens0, s, 0),
-        "5s4_ii": _gluing_bound(m, w, w_means, v0,
-                                dec.densities(m, p, parts, 1), s, 1),
-        "5s4_iii": _gluing_bound(m, w, w_means, v0,
-                                 dec.densities(m, p, parts, 2), s, 2),
-        "5s6": _weight_summation_bound(m, cov, rf, w, w_means, c_iw,
-                                       parts_dens0, omega, r, s, balls),
-        "leibniz": _leibniz_diagnostic(m, cov, w_means, c_sw, U_dens, p, s,
-                                       cov.eps, balls),
+        **{key: _gluing_bound(m, w, w_means, v0, dens, parts_dens[k], s, k)
+           for k, key in enumerate(("5s4_i", "5s4_ii", "5s4_iii"))},
+        "5s6": _weight_summation_bound(m, cov, plan, rf, w, w_means, c_iw,
+                                       parts_dens[0], omega, r, s),
+        "leibniz": _leibniz_diagnostic(cov, plan, w_means, c_sw, U_dens, s,
+                                       cov.eps),
     }
     # sum_j B(chi_j, u_j) = Delta v0 - sum_j chi_j Delta u_j
     diag = StepDiagnostics(step_index, solves,

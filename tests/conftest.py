@@ -95,8 +95,10 @@ class LoopManifold:
         graph = self._edge_graph()
         if validate:
             self._validate(graph)
-        if normalize:
-            diam = geometry.SimplicialManifold._approx_diameter(graph)
+        diam = geometry.SimplicialManifold._approx_diameter(graph) \
+            if normalize else 2.0
+        # a diameter of 2 within a few ulps is left as it is
+        if abs(diam - 2.0) > 4 * np.spacing(2.0):
             scale = 2.0 / diam
             self.vertices = self.vertices * scale
             if self._supplied_lengths is not None:
@@ -283,6 +285,11 @@ def sphere16():
 
 
 @pytest.fixture(scope="session")
+def sphere8():
+    return geometry.generate_test_manifold("sphere", 8)
+
+
+@pytest.fixture(scope="session")
 def bumpy16():
     return geometry.generate_test_manifold("bumpy_torus", 16, 0.3)
 
@@ -312,6 +319,11 @@ def cover32(torus32):
 @pytest.fixture(scope="session")
 def cover_bumpy(bumpy16):
     return _cover_bundle(bumpy16)
+
+
+@pytest.fixture(scope="session")
+def cover_sphere8(sphere8):
+    return _cover_bundle(sphere8)
 
 
 @pytest.fixture(scope="session")
@@ -509,6 +521,45 @@ def flat_stiffness_oracle(patch, p, flat_edge_lengths=None):
     r = rows[p]
     K_II = dec.stiffness_matrix(flat, p)[np.ix_(r, r)].tocsc()
     return K_II, dec.mass_diagonal(flat, p)[r]
+
+
+def oracle_densities(m, p, values, order):
+    """dec.densities of every column of a sparse simplices x cochains
+    matrix, by sparse products.  Tests only: the library evaluates them
+    on the stacked vector through a dec.DensityPlan."""
+    def dens(q, x):
+        x = abs(x).tocsr()
+        x.data /= np.repeat(m.volumes[q], np.diff(x.indptr))
+        return x
+
+    if order == 0:
+        return dens(p, values)
+    # order 1: face average of |d*u|, coface average of |du|;
+    # order 2: |Lap u|, |dd*u|, |d*du|
+    terms = [dens(p, dec.hodge_laplacian(m, p).matrix @ values)] \
+        if order == 2 else []
+    if p > 0:
+        dsu = dec.codifferential(m, p).matrix @ values
+        terms.append(dec._face_average(m, p) @ dens(p - 1, dsu)
+                     if order == 1 else
+                     dens(p, dec.exterior_derivative(m, p - 1).matrix @ dsu))
+    if p < m.n:
+        du = dec.exterior_derivative(m, p).matrix @ values
+        terms.append(dec._coface_average(m, p) @ dens(p + 1, du)
+                     if order == 1 else
+                     dens(p, dec.codifferential(m, p + 1).matrix @ du))
+    return sum(t.multiply(t) for t in terms).sqrt()
+
+
+def oracle_column_norms(m, p, dens, r, mask=None):
+    """Unweighted L^r norm of each column of a sparse matrix of p-simplex
+    densities, over the rows of a sparse mask of its shape if given.
+    Tests only: the library sums over pattern columns
+    (dec.DensityPlan.column_norms)."""
+    if mask is not None:
+        dens = dens.multiply(mask)
+    return np.asarray(dens.power(r).T @ m.support_volumes[p]).ravel() \
+        ** (1 / r)
 
 
 @pytest.fixture(scope="session")

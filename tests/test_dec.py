@@ -1,16 +1,20 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 
-from hodge_rsm import covering, dec
+from hodge_rsm import covering, dec, geometry, rsm
+from hodge_rsm.local_solver import Patches, PatchError
 from hodge_rsm.dec import (Cochain, DegreeError, NormSpec, codifferential,
                            exterior_derivative, hodge_laplacian, inner,
                            lr_norm, mass_diagonal, norm_l2, random_cochain,
                            sobolev_exponent, sobolev_norm, stiffness_matrix)
 
-from conftest import PERTURBED_MESHES, perturbed_mesh
+from conftest import (PERTURBED_MESHES, oracle_column_norms, oracle_densities,
+                      perturbed_mesh)
 
 INF = dec.INF
 
@@ -246,3 +250,82 @@ def test_adjointness_on_perturbed_meshes(mesh, seed, amplitude):
         a = inner(exterior_derivative(m, p)(u), v)
         b = inner(u, codifferential(m, p + 1)(v))
         assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1e-30)
+
+
+def _assert_plan_matches_oracle(m, p, plan, x, support):
+    # densities of every order on the plan's patterns against the sparse
+    # products of the oracle: bit for bit at orders 0 and 1, to 1e-13 of
+    # each column's largest entry at order 2; a plan entry off the
+    # oracle's pattern holds a zero the sparse product dropped.  The same
+    # for the column norms over the support.
+    shape = support.shape
+    cols = sp.csc_matrix((x, plan.patterns[0][1], np.concatenate(
+        [[0], np.cumsum(np.bincount(plan.patterns[0][0],
+                                    minlength=shape[1]))])), shape=shape)
+    for order, got in enumerate(plan.densities(x)):
+        col, row, q = plan.patterns[order]
+        assert q == p
+        assert np.unique(col * shape[0] + row).size == col.size
+        want = oracle_densities(m, p, cols, order)
+        got_m = sp.csc_matrix((got, (row, col)), shape=shape).toarray()
+        if order < 2:
+            assert np.array_equal(got_m, want.toarray()), order
+        else:
+            scale = np.abs(want.toarray()).max(axis=0)
+            assert np.all(np.abs(got_m - want.toarray()) <= 1e-13 * scale)
+        norms = plan.column_norms(order, got, 1.5, plan.support[order])
+        ref = oracle_column_norms(m, p, want, 1.5, support)
+        if order < 2:
+            assert np.array_equal(norms, ref), order
+        else:
+            assert np.allclose(norms, ref, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("mesh,cover", [("torus16", "cover16"),
+                                        ("bumpy16", "cover_bumpy"),
+                                        ("sphere8", "cover_sphere8"),
+                                        ("torus3d5", "cover3d5"),
+                                        ("torus8", None)])
+def test_density_plan_matches_sparse_oracle(request, mesh, cover):
+    # the plan of every degree of a covering (torus8: the single-ball
+    # cover, one column holding every simplex) against the oracle
+    m = request.getfixturevalue(mesh)
+    if cover is None:
+        rf = covering.RadiusField(np.ones(m.num_vertices), 0.1, 120, 0.4)
+        cov = covering.vitali_cover(m, rf)
+        covering.partition_of_unity(m, cov)
+    else:
+        cov = request.getfixturevalue(cover)[1]
+    rng = np.random.default_rng(17)
+    for p in range(m.n + 1):
+        plan = rsm.patch_system(m, cov, p)[1].dens
+        x = rng.standard_normal(plan.patterns[0][0].size)
+        _assert_plan_matches_oracle(m, p, plan, x, cov.patches.simplices[p])
+
+
+@settings(max_examples=20, deadline=None)
+@given(**PERTURBED_MESHES)
+def test_density_plan_on_perturbed_meshes(mesh, seed, amplitude):
+    # random balls (1 to 4 mean edges) on random meshes, as for the
+    # batched patches; the columns are the patches' interior simplices
+    m = perturbed_mesh(*mesh, seed, amplitude)
+    rng = np.random.default_rng(seed)
+    centers = rng.choice(m.num_vertices, size=min(12, m.num_vertices),
+                         replace=False)
+    radii = rng.uniform(1.0, 4.0, centers.size) * m.mean_edge_length()
+    balls = [SimpleNamespace(index=j, center=int(c), covering_radius=R,
+                             members=np.flatnonzero(
+                                 geometry.geodesic_distance(m, int(c), R)
+                                 <= R))
+             for j, (c, R) in enumerate(zip(centers, radii))]
+    try:
+        patches = Patches.extract(m, covering.AdmissibleCovering(balls, 0.1))
+    except PatchError:
+        return
+    for p in range(m.n + 1):
+        interior = patches.interior[p]
+        plan = dec.DensityPlan(m, p, interior.indices, interior.indptr,
+                               patches.simplices[p])
+        _assert_plan_matches_oracle(m, p, plan,
+                                    rng.standard_normal(interior.nnz),
+                                    patches.simplices[p])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodge_rsm import geometry
+from hodge_rsm.covering import covering_key
 from hodge_rsm.geometry import (MeshError, SimplicialManifold, ChartFrame,
                                 generate_test_manifold, geodesic_distance,
                                 load_mesh, normal_chart, save_mesh)
@@ -54,6 +55,21 @@ def test_save_load_round_trip(tmp_path, torus8):
     for p in range(torus8.n + 1):
         assert np.array_equal(torus8.simplices[p], m2.simplices[p])
         assert np.allclose(torus8.volumes[p], m2.volumes[p])
+
+
+@pytest.mark.parametrize("args", [("sphere", 4), ("sphere", 8),
+                                  ("bumpy_torus", 16, 0.3),
+                                  ("flat_torus", 8)])
+def test_saved_mesh_loads_bit_for_bit(tmp_path, args):
+    # a generated mesh measures diameter 2 only to the last ulp (sphere 4:
+    # 2.0000000000000004, sphere 8 and bumpy16: 1.9999999999999998);
+    # loading it must not rescale it again, so its covering key holds
+    m = generate_test_manifold(*args)
+    path = tmp_path / "mesh.off"
+    save_mesh(m, path)
+    loaded = load_mesh(path)
+    _assert_same_mesh(loaded, m)
+    assert covering_key(loaded, 0.1, 120.0) == covering_key(m, 0.1, 120.0)
 
 
 def test_flat_torus_counts(torus8):

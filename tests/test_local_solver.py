@@ -65,11 +65,6 @@ def torus12():
     return geometry.generate_test_manifold("flat_torus", 12)
 
 
-@pytest.fixture(scope="module")
-def sphere8():
-    return geometry.generate_test_manifold("sphere", 8)
-
-
 @pytest.mark.parametrize("mesh", ["torus12", "bumpy16", "sphere8",
                                   "torus3d5"])
 def test_batched_patches_match_oracle(request, mesh):

@@ -10,7 +10,8 @@ from hodge_rsm.rsm import (RsmConfig, commutator_defect,
                            commutator_pointwise_bound, compact_support_check,
                            raising_steps, rsm_step, threshold_steps)
 
-from conftest import all_geodesic_distances, column, oracle_patches
+from conftest import (all_geodesic_distances, column, oracle_column_norms,
+                      oracle_densities, oracle_patches)
 
 
 def test_threshold_steps_values():
@@ -364,3 +365,122 @@ def test_rsm_step_reuses_degree_constants(torus16, cover16, weight16, rng,
     again = rsm_step(torus16, cov, rf, omega, 1.5, weight16)[2].ledger
     assert averaged == []
     assert again == first
+
+
+def _sparse_product_counter(monkeypatch):
+    """Count scipy's sparse x sparse products and elementwise multiplies,
+    wrapped on every sparse class that defines them."""
+    calls = []
+    seen = set()
+    for fmt in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix, sp.dia_matrix,
+                sp.bsr_matrix, sp.csr_array, sp.csc_array, sp.coo_array):
+        for cls in fmt.__mro__:
+            for name in ("_matmul_sparse", "multiply"):
+                if name in vars(cls) and (cls, name) not in seen:
+                    seen.add((cls, name))
+
+                    def counted(self, *args, _f=vars(cls)[name], _n=name,
+                                **kwargs):
+                        calls.append(_n)
+                        return _f(self, *args, **kwargs)
+                    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_ledger_plan_built_once_at_first_sweep(torus16, cover16, weight16,
+                                               monkeypatch, rng):
+    # the plan of a degree is built with its patch system at the first
+    # sweep, never by the covering or cached_patches; a later step at
+    # that degree makes no sparse x sparse product and no multiply
+    rf = cover16[0]
+    built = []
+    init = dec.DensityPlan.__init__
+    monkeypatch.setattr(dec.DensityPlan, "__init__",
+                        lambda self, m, p, *a: built.append(p)
+                        or init(self, m, p, *a))
+    cov = vitali_cover(torus16, rf)
+    partition_of_unity(torus16, cov)
+    rsm.cached_patches(torus16, cov)
+    assert built == [] and cov.systems == {}
+    omega = dec.random_cochain(torus16, 1, rng)
+    first = rsm_step(torus16, cov, rf, omega, 1.5, weight16)[2]
+    assert built == [1]
+    calls = _sparse_product_counter(monkeypatch)
+    again = rsm_step(torus16, cov, rf, omega, 1.5, weight16)[2]
+    rsm.sweep_adjoint(torus16, cov, omega)
+    assert calls == [] and built == [1]
+    assert again.ledger == first.ledger
+    # the counter sees both kinds of call
+    sp.eye(2, format="csr") @ sp.eye(2, format="csc").multiply(2.0)
+    assert sorted(calls) == ["_matmul_sparse", "multiply"]
+    rsm_step(torus16, cov, rf, dec.random_cochain(torus16, 0, rng), 1.5,
+             weight16)
+    assert built == [1, 0]
+
+
+@pytest.mark.parametrize("mesh,p", [("torus16", 0), ("torus16", 1),
+                                    ("torus16", 2), ("bumpy16", 1),
+                                    ("torus3d5", 2)])
+def test_step_norms_match_sparse_oracle(request, mesh, p):
+    # c_j, 5s6, the Leibniz diagnostic and the two defect norms against
+    # their definitions on the sparse simplices x balls matrices
+    m = request.getfixturevalue(mesh)
+    rf, cov = request.getfixturevalue({"torus16": "cover16",
+                                       "bumpy16": "cover_bumpy",
+                                       "torus3d5": "cover3d5"}[mesh])
+    w = covering.weight_from_radius(rf, 1)
+    r = 1.5
+    omega = dec.random_cochain(m, p, np.random.default_rng(3))
+    _, _, diag = rsm_step(m, cov, rf, omega, r, w)
+    v0, U = rsm.sweep(m, cov, omega)
+    system = rsm.patch_system(m, cov, p)[0]
+    dens = [oracle_densities(m, p, U, k) for k in range(3)]
+    lr = oracle_column_norms(m, p, oracle_densities(
+        m, p, system.columns(omega.values[system.index]), 0), r)
+    w2 = sum(oracle_column_norms(m, p, d, r, system.support) for d in dens)
+    assert [d.c_j for d in diag.solves] == (w2 / lr).tolist()
+
+    chi = rsm.simplex_average(m, p, cov.chi.tocsr())
+    balls = rsm.simplex_average(m, p, cov.membership(
+        m.num_vertices).tocsr()) >= 1.0
+    w_means, _, c_sw = covering.check_weight_relative(w, cov, m)
+    s = max(r, min(2.0, dec.sobolev_exponent(r, 2, m.n)))
+    R = cov.radii()
+    parts0 = oracle_densities(m, p, U.multiply(chi).tocsc(), 0)
+    a = w_means * oracle_column_norms(m, p, parts0, s, balls)
+    b = w_means * R**-2.0 * oracle_column_norms(
+        m, p, balls.multiply(dec.density(omega)[:, None]), r)
+    rf_max = cov.membership(m.num_vertices).multiply(rf.values[:, None])
+    led = diag.ledger["5s6"]
+    assert led["rho"] == float(np.max(
+        rf_max.max(axis=0).toarray().ravel() / R, initial=1.0))
+    assert led["C"] == float((a[b > 1e-300] / b[b > 1e-300]).max())
+    assert led["lhs"] == float(np.sum(a**s)) ** (1 / s)
+
+    # sum_j chi_j Lap u_j: the plan sums each row over balls in another
+    # order than scipy's row sum, hence 1e-13 rather than bit for bit
+    lap = dec.hodge_laplacian(m, p)
+    chi_lap = np.asarray(chi.multiply(lap.matrix @ U).sum(axis=1)).ravel()
+    for got, want in ((diag.defect_sum_norm,
+                       np.linalg.norm(lap(v0).values - chi_lap)),
+                      (diag.localization_deviation,
+                       np.linalg.norm(chi_lap - omega.values))):
+        assert abs(got - want) <= 1e-13 * want
+
+    lr, gr = (oracle_column_norms(m, p, d, s, balls) for d in dens[:2])
+    total = float(np.sum(w_means**s * (R**-s * lr**s + gr**s)))
+    T, conj = cov.overlap_measured, s / (s - 1)
+    assert diag.ledger["leibniz"]["rhs_paper"] == (
+        2 ** (s / conj) * (1 + cov.eps) * T**s * c_sw**s * total) ** (1 / s)
+
+
+def test_pointwise_bound_keeps_cached_laplacian(torus16, cover16, rng):
+    # abs() of a scipy matrix sorts its indices in place; the bound must
+    # not do that to the cached Laplacian, whose storage order sets the
+    # rounding of every later product and of the ledger plans built on it
+    L = dec.hodge_laplacian(torus16, 1).matrix
+    indices, data = L.indices.copy(), L.data.copy()
+    commutator_pointwise_bound(torus16, cover16[1], 0,
+                               dec.random_cochain(torus16, 1, rng))
+    assert np.array_equal(L.indices, indices)
+    assert np.array_equal(L.data, data)
