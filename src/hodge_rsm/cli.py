@@ -40,7 +40,45 @@ DEFAULTS = {
 }
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+# the test each config value must pass, and its wording; mesh first, so
+# that the mesh keys are looked up in an object
+_VALID = {
+    "mesh": (lambda x: isinstance(x, dict), "an object"),
+    "epsilon": (lambda x: _is_real(x) and 0 < x < 1, "a number in (0, 1)"),
+    "divisor": (lambda x: _is_real(x) and x >= 8, "a number >= 8"),
+    "r": (lambda x: _is_real(x) and 1 < x <= 2, "a number in (1, 2]"),
+    "s": (_is_real, "a number"),
+    "k": (lambda x: x is None or _is_count(x), "null or an integer >= 0"),
+    "weight_power": (lambda x: _is_real(x) and x >= 0, "a number >= 0"),
+    "degrees": (lambda x: isinstance(x, list) and all(map(_is_count, x)),
+                "a list of integers >= 0"),
+    "harmonic_tol": (lambda x: _is_real(x) and x >= 0, "a number >= 0"),
+    "num_forms": (_is_count, "an integer >= 0"),
+    "seed": (_is_count, "an integer >= 0"),
+    "bounded_radius": (lambda x: x is None or isinstance(x, bool),
+                       "null, true or false"),
+    "neumann_series": (lambda x: isinstance(x, bool), "true or false"),
+    "d_dstar": (lambda x: isinstance(x, bool), "true or false"),
+    "out_dir": (lambda x: isinstance(x, str), "a string"),
+    "mesh.kind": (lambda x: isinstance(x, str), "a string"),
+    "mesh.resolution": (_is_count, "an integer >= 0"),
+    "mesh.distortion": (lambda x: _is_real(x) and x >= 0, "a number >= 0"),
+    "mesh.path": (lambda x: x is None or isinstance(x, str),
+                  "null or a string"),
+}
+
+
 def load_config(path, **overrides) -> dict:
+    """DEFAULTS updated by the JSON object at path, then by the overrides
+    that are not None; a usage error for a value of wrong type or range."""
     cfg = json.loads(json.dumps(DEFAULTS))  # deep copy
     if path:
         try:
@@ -50,18 +88,24 @@ def load_config(path, **overrides) -> dict:
             raise click.UsageError(f"cannot read config: {e}")
         except json.JSONDecodeError as e:
             raise click.UsageError(f"config is not valid JSON: {e}")
+        if not isinstance(user, dict):
+            raise click.UsageError("config must be a JSON object")
         for key, val in user.items():
-            if key == "mesh":
+            if key == "mesh" and isinstance(val, dict):
                 cfg["mesh"].update(val)
             else:
                 cfg[key] = val
     for key, val in overrides.items():
         if val is not None:
             cfg[key] = val
-    if not 0 < cfg["epsilon"] < 1:
-        raise click.UsageError("epsilon must lie in (0, 1)")
-    if cfg["r"] <= 1:
-        raise click.UsageError("r must exceed 1")
+    for key, (test, wanted) in _VALID.items():
+        section, _, name = key.rpartition(".")
+        value = (cfg[section] if section else cfg)[name]
+        if not test(value):
+            raise click.UsageError(f"config value {key} must be {wanted}, "
+                                   f"got {value!r}")
+    if cfg["s"] < cfg["r"]:
+        raise click.UsageError("config value s must be >= r")
     return cfg
 
 
@@ -81,20 +125,24 @@ def atomic_write_json(path, payload) -> None:
 
 
 def build_mesh(cfg) -> geometry.SimplicialManifold:
+    """The mesh of cfg; a usage error when it cannot be read or built,
+    or when a configured degree exceeds its dimension."""
     mesh = cfg["mesh"]
-    if mesh.get("path"):
-        try:
-            return geometry.load_mesh(mesh["path"])
-        except (OSError, geometry.MeshError) as e:
-            raise click.UsageError(f"cannot read mesh: {e}")
-    kind = mesh["kind"]
-    if kind == "flat_torus_3d":
-        return geometry.generate_flat_torus_3d(mesh["resolution"])
     try:
-        return geometry.generate_test_manifold(kind, mesh["resolution"],
-                                               mesh.get("distortion", 0.0))
-    except ValueError as e:
-        raise click.UsageError(str(e))
+        if mesh["path"]:
+            m = geometry.load_mesh(mesh["path"])
+        elif mesh["kind"] == "flat_torus_3d":
+            m = geometry.generate_flat_torus_3d(mesh["resolution"])
+        else:
+            m = geometry.generate_test_manifold(
+                mesh["kind"], mesh["resolution"], mesh["distortion"])
+    except (OSError, ValueError) as e:   # MeshError is a ValueError
+        raise click.UsageError(f"cannot read mesh: {e}" if mesh["path"]
+                               else str(e))
+    if max(cfg["degrees"], default=0) > m.n:
+        raise click.UsageError(f"config value degrees must lie in "
+                               f"[0, {m.n}] on this mesh")
+    return m
 
 
 def build_covering(m, cfg):
@@ -228,9 +276,7 @@ def cover(config_path, epsilon, divisor, mesh_path, out_path):
 def solve(config_path, r_, s_, k_, degrees, out_dir):
     """Run the raising-steps sweep on seeded random test forms."""
     cfg = load_config(config_path, r=r_, s=s_, k=k_,
-                      out_dir=out_dir)
-    if degrees:
-        cfg["degrees"] = list(degrees)
+                      degrees=list(degrees) or None, out_dir=out_dir)
     m = build_mesh(cfg)
     rf, cov = load_or_build_covering(m, cfg)
     rng = np.random.default_rng(cfg["seed"])
@@ -281,9 +327,8 @@ def solve(config_path, r_, s_, k_, degrees, out_dir):
 def decompose(config_path, r_, degrees, harmonic_tol, mode, seed, out_dir):
     """Full decomposition pipeline with pass/fail report."""
     cfg = load_config(config_path, r=r_, harmonic_tol=harmonic_tol,
-                      seed=seed, out_dir=out_dir)
-    if degrees:
-        cfg["degrees"] = list(degrees)
+                      seed=seed, degrees=list(degrees) or None,
+                      out_dir=out_dir)
     if mode:
         cfg["d_dstar"] = mode == "d_dstar"
     m = build_mesh(cfg)
@@ -335,9 +380,8 @@ def decompose(config_path, r_, degrees, harmonic_tol, mode, seed, out_dir):
 @click.option("--out-dir", default=None, type=click.Path())
 def verify(config_path, r_, degrees, out_dir):
     """Run the inequality suite with measured constants."""
-    cfg = load_config(config_path, r=r_, out_dir=out_dir)
-    if degrees:
-        cfg["degrees"] = list(degrees)
+    cfg = load_config(config_path, r=r_, degrees=list(degrees) or None,
+                      out_dir=out_dir)
     m = build_mesh(cfg)
     rf, cov = load_or_build_covering(m, cfg)
     rng = np.random.default_rng(cfg["seed"])

@@ -104,9 +104,9 @@ def _admissible_radii(m: SimplicialManifold, centers: np.ndarray,
     R_min, because a distortion exceeding eps below the floor gives R_min
     anyway.  A center whose first exceedance lies beyond the reach goes
     to the next round at twice the reach, up to the clamp 1.  The result
-    is that of a whole-mesh frame, min(1, max(R, R_min)) with
-    R = ChartFrame(m, x).largest_radius_within(eps), up to the frame's
-    Tikhonov weight, which averages over the fitted ball.
+    is that of a whole-mesh frame, min(1, max(R, R_min)) with R the
+    largest_radii_within(eps) of x's frame fitted on every vertex, up to
+    the frame's Tikhonov weight, which averages over the fitted ball.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
@@ -360,7 +360,7 @@ def covering_key(m: SimplicialManifold, eps: float, divisor: float) -> str:
 
 def covering_to_dict(cov: AdmissibleCovering, rf: RadiusField,
                      key: str) -> dict:
-    chi = sp.coo_matrix(cov.chi) if cov.chi is not None else None
+    chi = sp.coo_matrix(cov.chi)
     return {
         "eps": cov.eps,
         "overlap_measured": cov.overlap_measured,
@@ -371,11 +371,9 @@ def covering_to_dict(cov: AdmissibleCovering, rf: RadiusField,
             "admissible_radius": b.admissible_radius,
             "members": b.members.tolist(),
         } for b in cov.balls],
-        "partition_triplets": None if chi is None else
-            [[int(i), int(j), float(v)]
-             for i, j, v in zip(chi.row, chi.col, chi.data)],
-        "chi_gradients": None if cov.chi_gradients is None
-            else cov.chi_gradients.tolist(),
+        "partition_triplets": [[int(i), int(j), float(v)] for i, j, v
+                               in zip(chi.row, chi.col, chi.data)],
+        "chi_gradients": cov.chi_gradients.tolist(),
         "radius_field": {"values": rf.values.tolist(), "eps": rf.eps,
                          "divisor": rf.divisor,
                          "divisor_effective": rf.divisor_effective},
@@ -385,34 +383,36 @@ def covering_to_dict(cov: AdmissibleCovering, rf: RadiusField,
 
 def save_covering(cov: AdmissibleCovering, path, rf: RadiusField,
                   key: str) -> None:
-    """Write cov, the radius field it was built from and its covering_key
-    as JSON; floats round-trip exactly through load_covering."""
+    """Write cov with its partition of unity, the radius field it was
+    built from and its covering_key as JSON; floats round-trip exactly
+    through load_covering."""
     with open(path, "w") as f:
         json.dump(covering_to_dict(cov, rf, key), f, indent=1,
                   sort_keys=True)
 
 
-def load_covering(path) -> tuple[RadiusField | None, AdmissibleCovering,
-                                 str | None]:
-    """(rf, cov, key) as save_covering wrote them; rf and key are None
-    for a file written without them.  Older files' doubled_members are
-    ignored."""
+def load_covering(path) -> tuple[RadiusField, AdmissibleCovering, str]:
+    """(rf, cov, key) as save_covering wrote them; LookupError when a
+    field is missing or null, as in a file written before the partition
+    of unity.  Older files' doubled_members are ignored."""
     with open(path) as f:
         d = json.load(f)
+    if any(d[k] is None for k in ("balls", "eps", "overlap_measured",
+                                  "partition_triplets", "chi_gradients",
+                                  "radius_field", "key")):
+        raise LookupError(f"{path}: a covering field is null")
     balls = [CoveringBall(i, bd["center"], bd["core_radius"],
                           bd["covering_radius"], bd["admissible_radius"],
                           np.array(bd["members"], dtype=int))
              for i, bd in enumerate(d["balls"])]
     cov = AdmissibleCovering(balls, d["eps"], d["overlap_measured"])
-    if d["partition_triplets"] is not None:
-        trip = np.array(d["partition_triplets"])
-        V = max(b.members.max() for b in balls) + 1
-        cov.chi = sp.csr_matrix(
-            (trip[:, 2], (trip[:, 0].astype(int), trip[:, 1].astype(int))),
-            shape=(int(V), len(balls)))
-        cov.chi_gradients = np.array(d["chi_gradients"])
-    rd = d.get("radius_field")
-    rf = None if rd is None else RadiusField(
-        np.array(rd["values"], dtype=float), rd["eps"], rd["divisor"],
-        rd["divisor_effective"])
-    return rf, cov, d.get("key")
+    trip = np.array(d["partition_triplets"])
+    V = max(b.members.max() for b in balls) + 1
+    cov.chi = sp.csr_matrix(
+        (trip[:, 2], (trip[:, 0].astype(int), trip[:, 1].astype(int))),
+        shape=(int(V), len(balls)))
+    cov.chi_gradients = np.array(d["chi_gradients"])
+    rd = d["radius_field"]
+    rf = RadiusField(np.array(rd["values"], dtype=float), rd["eps"],
+                     rd["divisor"], rd["divisor_effective"])
+    return rf, cov, d["key"]

@@ -72,7 +72,6 @@ class FormOperator:
     matrix: sp.spmatrix
     source_degree: int
     target_degree: int
-    symmetric: bool = False
 
     def __call__(self, c: Cochain) -> Cochain:
         if c.degree != self.source_degree:
@@ -176,7 +175,7 @@ def hodge_laplacian(m: SimplicialManifold, p: int) -> FormOperator:
             lap = lap + exterior_derivative(m, p - 1).matrix @ codifferential(m, p).matrix
         return lap.tocsr()
 
-    return FormOperator(_cached(m, "lap", p, build), p, p, symmetric=True)
+    return FormOperator(_cached(m, "lap", p, build), p, p)
 
 
 def stiffness_matrix(m: SimplicialManifold, p: int) -> sp.csr_matrix:

@@ -608,12 +608,23 @@ class ChartFrames:
         return first
 
 
+def ball_search(m: SimplicialManifold, center: int,
+                reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """(fitted, distances): the vertices within `reach` of center,
+    ascending, and their distances from it, by one bounded search.  The
+    search a ChartFrames frame is fitted on."""
+    d = geodesic_distance(m, center, limit=reach)
+    fitted = np.flatnonzero(np.isfinite(d))
+    return fitted, d[fitted]
+
+
 def chart_radii(m: SimplicialManifold, centers, reach: float,
                 eps: float) -> np.ndarray:
-    """ChartFrame(m, c, reach).largest_radius_within(eps) for each center.
+    """ChartFrames.largest_radii_within(eps) of each center's frame at
+    this reach.
 
-    One bounded search per center; the frames are fitted by ChartFrames
-    in batches of consecutive centers whose balls together hold at most
+    One bounded search per center; the frames are fitted in batches of
+    consecutive centers whose balls together hold at most
     FRAME_BATCH_VERTICES vertices (a larger ball is a batch of its own),
     which bounds the memory of a fit.
     """
@@ -625,94 +636,15 @@ def chart_radii(m: SimplicialManifold, centers, reach: float,
         radii.append(frames.largest_radii_within(eps))
 
     for c in centers:
-        d = geodesic_distance(m, int(c), limit=reach)
-        fitted = np.flatnonzero(np.isfinite(d))
-        if batch and size + fitted.size > FRAME_BATCH_VERTICES:
+        search = ball_search(m, int(c), reach)
+        if batch and size + search[0].size > FRAME_BATCH_VERTICES:
             fit()
             batch, size = [], 0
-        batch.append((int(c), (fitted, d[fitted])))
-        size += fitted.size
+        batch.append((int(c), search))
+        size += search[0].size
     if batch:
         fit()
     return np.concatenate(radii) if radii else np.empty(0)
-
-
-class ChartFrame:
-    """Chart scaffolding for one center, fitted on its ball of radius
-    `reach` (the whole mesh by default): the one-frame case of
-    ChartFrames, whose docstring gives the fit.
-
-    Charts of any radius up to the reach are slices of one frame, which
-    makes enlarging a chart monotone in both distortion measures.  A
-    frame costs one Dijkstra search stopped at the reach plus work on
-    the edges incident to the ball.
-
-    Attributes:
-        distances: (V,) geodesic distance from the center, inf beyond
-            the reach.
-        fitted: the vertices within the reach, ascending.
-        coordinates: (V, n) chart coordinates; NaN for vertices more
-            than one edge beyond the reach.
-        metric, vertex_deviation: per fitted vertex, rows as in fitted.
-        edges, edge_difference: the edges with both ends fitted, and the
-            largest change of a packed metric entry across each.
-        foldover_distance: distance at which two fitted vertices first
-            share chart coordinates (inf if never).
-    """
-
-    def __init__(self, m: SimplicialManifold, center: int,
-                 reach: float = math.inf):
-        self.m = m
-        self.center = center
-        self.reach = float(reach)
-        self.distances = geodesic_distance(m, center, limit=reach)
-        self.fitted = np.flatnonzero(np.isfinite(self.distances))
-        self._frames = frames = ChartFrames(
-            m, [center], [(self.fitted, self.distances[self.fitted])])
-        self.metric = frames.metric
-        self.vertex_deviation = frames.vertex_deviation
-        self.edges = frames.edges
-        self.edge_difference = frames.edge_difference
-        self.coordinates = np.full((m.num_vertices, m.n), np.nan)
-        self.coordinates[frames.touched] = frames.coordinates
-        self.foldover_distance = float(frames.foldover_distance[0])
-
-    def chart(self, radius: float) -> Chart:
-        """The chart of the vertices at distance < radius, center first.
-
-        Raises ValueError when radius exceeds the reach, where the
-        frame has no fit.
-        """
-        if radius > self.reach:
-            raise ValueError(f"chart radius {radius} exceeds the frame's "
-                             f"reach {self.reach}")
-        dist = self.distances[self.fitted]
-        member = dist < radius
-        member[np.searchsorted(self.fitted, self.center)] = True
-        rows = np.flatnonzero(member)
-        rows = rows[np.argsort(dist[rows], kind="stable")]
-        members = self.fitted[rows]
-        eps_metric = float(self.vertex_deviation[rows].max())
-        ends = self.m.simplices[1][self.edges]
-        emask = ((self.distances[ends] < radius)
-                 | (ends == self.center)).all(axis=1)
-        eps_deriv = float(self.edge_difference[emask].max()) if emask.any() else 0.0
-        if self.foldover_distance < radius:
-            eps_metric = np.inf
-            eps_deriv = np.inf
-        return Chart(
-            center=self.center,
-            radius=radius,
-            members=members,
-            coordinates=self.coordinates[members],
-            metric=self.metric[rows],
-            eps_metric=eps_metric,
-            eps_deriv=eps_deriv,
-        )
-
-    def largest_radius_within(self, eps: float) -> float:
-        """ChartFrames.largest_radii_within for this one frame."""
-        return float(self._frames.largest_radii_within(eps)[0])
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -750,10 +682,31 @@ def _csr_rows(a: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
 
 
 def normal_chart(m: SimplicialManifold, center: int, radius: float) -> Chart:
-    """Chart around `center` containing vertices at distance < radius."""
+    """Chart around `center` of the vertices at distance < radius, center
+    first, then by distance: a slice of the center's frame fitted on the
+    ball of that radius.  Both distortions are inf when two chart points
+    collide within the radius."""
     if radius > 2.0 + 1e-9:
         raise ValueError("chart radius exceeds mesh diameter")
-    return ChartFrame(m, center, reach=radius).chart(radius)
+    f = ChartFrames(m, [center], [ball_search(m, center, radius)])
+    member = f.distances < radius
+    member[np.searchsorted(f.fitted, center)] = True
+    rows = np.flatnonzero(member)
+    rows = rows[np.argsort(f.distances[rows], kind="stable")]
+    members = f.fitted[rows]
+    eps_metric = float(f.vertex_deviation[rows].max())
+    eps_deriv = float(f.edge_difference[f.edge_distance < radius].max(initial=0))
+    if f.foldover_distance[0] < radius:
+        eps_metric = eps_deriv = np.inf
+    return Chart(
+        center=center,
+        radius=radius,
+        members=members,
+        coordinates=f.coordinates[np.searchsorted(f.touched, members)],
+        metric=f.metric[rows],
+        eps_metric=eps_metric,
+        eps_deriv=eps_deriv,
+    )
 
 
 # -- generators ---------------------------------------------------------

@@ -33,8 +33,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import dec
-from .geometry import (ChartFrame, SimplicialManifold, chord_lengths,
-                       geodesic_distance, lumped_supports, simplex_volumes)
+from .geometry import (ChartFrames, SimplicialManifold, ball_search,
+                       chord_lengths, geodesic_distance, lumped_supports,
+                       simplex_volumes)
 
 log = logging.getLogger(__name__)
 
@@ -301,9 +302,11 @@ def _chart_lengths(patch: Patches) -> np.ndarray:
     of its ball: the frame at the ball's center fitted out to the
     doubled covering radius, which holds every patch vertex."""
     m, ball = patch.manifold, patch.balls[0]
-    frame = ChartFrame(m, ball.center, 2.0 * ball.covering_radius)
+    frame = ChartFrames(m, [ball.center], [ball_search(
+        m, ball.center, 2.0 * ball.covering_radius)])
+    ends = m.simplices[1][patch.simplices[1].indices]
     return chord_lengths(frame.coordinates,
-                         m.simplices[1][patch.simplices[1].indices])
+                         np.searchsorted(frame.touched, ends))
 
 
 def neumann_series_solve(patch: Patches, omega: dec.Cochain,

@@ -395,7 +395,7 @@ class Patch:
             m = self.manifold
             cells = m.simplices[m.n][self.cells]
             verts = np.unique(cells)
-            coords = geometry.ChartFrame(
+            coords = LoopChartFrame(
                 m, self.ball.center,
                 2.0 * self.ball.covering_radius).coordinates[verts]
             # numbering the patch vertices by rank keeps the lexicographic
@@ -586,10 +586,11 @@ def _glued_oracle(m, cov, patches, omega):
 
 
 class LoopChartFrame:
-    """Chart frame oracle: geometry.ChartFrame fitted one frame at a
-    time, its normal equations summed with np.add.at into a length-V
-    frame.  Tests only: the library fits the frames of many centers in
-    one batched pass (geometry.ChartFrames)."""
+    """Chart frame oracle: the frame of one center, fitted on its own with
+    its normal equations summed by np.add.at, its distances and
+    coordinates kept in length-V arrays (NaN coordinates beyond the
+    touched vertices).  Tests only: the library fits the frames of many
+    centers in one batched pass (geometry.ChartFrames)."""
 
     def __init__(self, m, center, reach=math.inf):
         self.m = m

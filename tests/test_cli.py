@@ -219,6 +219,37 @@ def test_bad_config_file(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("command,config,flags", [
+    ("cover", {"mesh": 5}, []),
+    ("cover", {"epsilon": "a"}, []),
+    ("cover", {"mesh": {"resolution": "x"}}, []),
+    ("cover", [1, 2], []),
+    ("cover", {"r": 3.0}, []),
+    ("cover", {"divisor": 2}, []),
+    ("cover", {}, ["--divisor", "2"]),
+    ("solve", {"degrees": 1}, []),
+    ("solve", {"degrees": [5]}, []),
+    ("solve", {"r": 3.0}, []),
+    ("solve", {"s": 1.2}, []),
+    ("solve", {"seed": -1}, []),
+    ("solve", {"mesh": {"kind": "flat_torus_3d", "resolution": 1}}, []),
+], ids=["mesh_number", "epsilon_string", "resolution_string", "list",
+        "r_above_2", "divisor_below_8", "divisor_flag", "degrees_number",
+        "degree_above_n", "solve_r_above_2", "s_below_r", "negative_seed",
+        "torus3d_resolution"])
+def test_malformed_config_is_usage_error(runner, tmp_path, command, config,
+                                         flags):
+    path = tmp_path / "config.json"
+    if isinstance(config, dict):
+        config = {"mesh": {"kind": "flat_torus", "resolution": 8},
+                  "out_dir": str(tmp_path / "runs"), **config}
+    path.write_text(json.dumps(config))
+    res = runner.invoke(main, [command, "--config", str(path), *flags])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("text", [
     "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",   # one open triangle
     "OFF\nxx\n",                                   # unreadable header
@@ -364,16 +395,30 @@ def _truncate(path):
     path.write_text(text[:len(text) // 2])
 
 
-def _drop_key(path):
+def _edit(path, change):
     data = json.loads(path.read_text())
-    del data["key"]
+    change(data)
     path.write_text(json.dumps(data))
+
+
+def _drop_key(path):
+    _edit(path, lambda data: data.pop("key"))
+
+
+def _drop_radius_field(path):
+    _edit(path, lambda data: data.pop("radius_field"))
+
+
+def _null_partition(path):
+    _edit(path, lambda data: data.update(partition_triplets=None))
 
 
 @pytest.mark.parametrize("cover,spoil", [
     ("cover --epsilon 0.2", None),
     ("cover", _truncate),
     ("cover", _drop_key),
+    ("cover", _drop_radius_field),
+    ("cover", _null_partition),
 ])
 def test_unusable_saved_covering_is_rebuilt(runner, tmp_path, radius_fields,
                                             cover, spoil):

@@ -18,7 +18,7 @@ from hodge_rsm.covering import (CoverageError, RadiusField, WeightField,
                                 partition_of_unity, save_covering,
                                 smoothed_radius, vitali_cover,
                                 weight_from_radius, weight_integrability)
-from conftest import (all_geodesic_distances, extract_patch,
+from conftest import (LoopChartFrame, all_geodesic_distances, extract_patch,
                       loop_admissible_radius)
 
 
@@ -60,7 +60,7 @@ def test_local_radius_matches_whole_mesh_frame(radius_meshes, data, name,
     m = radius_meshes[name]
     x = data.draw(st.integers(0, m.num_vertices - 1))
     r_min = covering.RADIUS_FLOOR_EDGES * m.mean_edge_length()
-    whole = geometry.ChartFrame(m, x).largest_radius_within(eps)
+    whole = LoopChartFrame(m, x).largest_radius_within(eps)
     assert admissible_radius(m, x, eps) == min(1.0, max(whole, r_min))
 
 

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from hodge_rsm import geometry
 from hodge_rsm.covering import covering_key
-from hodge_rsm.geometry import (MeshError, SimplicialManifold, ChartFrame,
-                                generate_test_manifold, geodesic_distance,
-                                load_mesh, normal_chart, save_mesh)
+from hodge_rsm.geometry import (ChartFrames, MeshError, SimplicialManifold,
+                                ball_search, generate_test_manifold,
+                                geodesic_distance, load_mesh, normal_chart,
+                                save_mesh)
 
 from conftest import (PERTURBED_MESHES, LoopChartFrame, LoopManifold,
                       all_geodesic_distances, loop_kuhn_cells,
@@ -180,10 +181,43 @@ def test_chart_sphere_hemisphere(sphere16):
     assert max(c.eps_metric, c.eps_deriv) > 0.1
 
 
+def _frame(m, x, reach=np.inf):
+    """The one-center ChartFrames of x fitted out to reach."""
+    return ChartFrames(m, [x], [ball_search(m, x, reach)])
+
+
+def _assert_frame_matches(frames, f, want):
+    """Frame f of frames against the LoopChartFrame want, bitwise on the
+    fitted rows and the touched vertices."""
+    rows = slice(*frames.starts[f:f + 2])
+    cols = slice(*frames.touched_starts[f:f + 2])
+    edges = frames.edge_frame == f
+    # index arrays by value (edges were int32 CSR indices)
+    assert np.array_equal(frames.fitted[rows], want.fitted)
+    assert np.array_equal(frames.touched[cols],
+                          np.flatnonzero(~np.isnan(want.coordinates[:, 0])))
+    assert np.array_equal(frames.edges[edges], want.edges)
+    pairs = {"distances": (frames.distances[rows],
+                           want.distances[want.fitted]),
+             "coordinates": (frames.coordinates[cols],
+                             want.coordinates[frames.touched[cols]]),
+             "metric": (frames.metric[rows], want.metric),
+             "vertex_deviation": (frames.vertex_deviation[rows],
+                                  want.vertex_deviation),
+             "edge_difference": (frames.edge_difference[edges],
+                                 want.edge_difference)}
+    for attr, (got, ref) in pairs.items():
+        assert _bitwise(got, ref), attr
+    assert frames.foldover_distance[f] == want.foldover_distance
+
+
 def test_largest_radius_monotone(torus16):
-    frame = ChartFrame(torus16, 7)
-    r_tight = frame.largest_radius_within(0.05)
-    r_loose = frame.largest_radius_within(0.2)
+    frame, want = _frame(torus16, 7), LoopChartFrame(torus16, 7)
+    _assert_frame_matches(frame, 0, want)
+    r_tight, r_loose = (frame.largest_radii_within(eps)[0]
+                        for eps in (0.05, 0.2))
+    assert r_tight == want.largest_radius_within(0.05)
+    assert r_loose == want.largest_radius_within(0.2)
     assert 0 <= r_tight <= r_loose <= 1.0 + 1e-12
 
 
@@ -204,25 +238,48 @@ def test_foldover_three_way_collision():
         [5.0, np.inf]
 
 
+def _loop_chart(frame, r):
+    """(members, eps_metric, eps_deriv) of the chart of radius r sliced
+    from a LoopChartFrame: the vertices at distance < r by distance, and
+    the edges with both ends there."""
+    dist = frame.distances[frame.fitted]
+    inside = np.flatnonzero(dist < r)
+    members = frame.fitted[inside[np.argsort(dist[inside], kind="stable")]]
+    ends = frame.distances[frame.m.simplices[1][frame.edges]].max(axis=1)
+    return (members, frame.vertex_deviation[inside].max(),
+            frame.edge_difference[ends < r].max(initial=0.0))
+
+
 def test_local_frame_matches_whole_mesh(bumpy16):
-    whole = ChartFrame(bumpy16, 9)
+    whole = LoopChartFrame(bumpy16, 9)
+    _assert_frame_matches(_frame(bumpy16, 9), 0, whole)
     # a reach past the diameter fits every vertex: the same frame
-    big = ChartFrame(bumpy16, 9, reach=4.0)
-    for attr in ("distances", "fitted", "coordinates", "metric",
-                 "vertex_deviation", "edges", "edge_difference"):
-        assert np.array_equal(getattr(big, attr), getattr(whole, attr))
+    _assert_frame_matches(_frame(bumpy16, 9, 4.0), 0, whole)
     r = 2.5 * bumpy16.mean_edge_length()
-    local = ChartFrame(bumpy16, 9, reach=r)
+    local = _frame(bumpy16, 9, r)
+    _assert_frame_matches(local, 0, LoopChartFrame(bumpy16, 9, r))
     assert np.array_equal(local.fitted,
                           np.flatnonzero(whole.distances <= r))
-    a, b = local.chart(r), whole.chart(r)
-    assert np.array_equal(a.members, b.members)
-    assert np.allclose(a.coordinates, b.coordinates, rtol=0, atol=1e-12)
-    # the Tikhonov weight averages over the fitted ball only
-    assert a.eps_metric == pytest.approx(b.eps_metric, rel=1e-3)
-    assert a.eps_deriv == pytest.approx(b.eps_deriv, rel=1e-3)
-    with pytest.raises(ValueError):
-        local.chart(1.01 * r)
+    # the chart of radius r is the slice of the frame fitted on its ball,
+    # also at the distance of the edge of largest difference within r:
+    # that edge is left out
+    ends = whole.distances[bumpy16.simplices[1][whole.edges]].max(axis=1)
+    tie = ends[np.argmax(np.where(ends < r, whole.edge_difference, 0.0))]
+    for radius in (r, tie):
+        chart = normal_chart(bumpy16, 9, radius)
+        members, eps_metric, eps_deriv = _loop_chart(
+            LoopChartFrame(bumpy16, 9, radius), radius)
+        assert np.array_equal(chart.members, members)
+        assert (chart.eps_metric, chart.eps_deriv) == (eps_metric, eps_deriv)
+    # against the slice of the whole-mesh frame: the Tikhonov weight
+    # averages over the fitted ball only
+    chart = normal_chart(bumpy16, 9, r)
+    members, eps_metric, eps_deriv = _loop_chart(whole, r)
+    assert np.array_equal(chart.members, members)
+    assert np.allclose(chart.coordinates, whole.coordinates[members],
+                       rtol=0, atol=1e-12)
+    assert chart.eps_metric == pytest.approx(eps_metric, rel=1e-3)
+    assert chart.eps_deriv == pytest.approx(eps_deriv, rel=1e-3)
 
 
 @settings(max_examples=20, deadline=None)
@@ -421,10 +478,6 @@ def test_sphere_arrays_match_loop_oracle(f):
     assert _bitwise(cells, want_cells)
 
 
-_FRAME_FIELDS = ("distances", "coordinates", "metric", "vertex_deviation",
-                 "edge_difference")
-
-
 @pytest.mark.parametrize("mesh", ["torus16", "bumpy16", "sphere4",
                                   "torus3d5"])
 def test_chart_frame_matches_loop_oracle(request, mesh):
@@ -432,43 +485,23 @@ def test_chart_frame_matches_loop_oracle(request, mesh):
     edge = m.mean_edge_length()
     for x in (0, 7, m.num_vertices - 1):
         for reach in (0.0, 2.0 * edge, 5.0 * edge, np.inf):
-            frame, want = ChartFrame(m, x, reach), LoopChartFrame(m, x, reach)
-            # index arrays by value (edges were int32 CSR indices)
-            assert np.array_equal(frame.fitted, want.fitted)
-            assert np.array_equal(frame.edges, want.edges)
-            for attr in _FRAME_FIELDS:
-                assert _bitwise(getattr(frame, attr), getattr(want, attr)), \
-                    (x, reach, attr)
-            assert frame.foldover_distance == want.foldover_distance
+            frame, want = _frame(m, x, reach), LoopChartFrame(m, x, reach)
+            _assert_frame_matches(frame, 0, want)
             for eps in (0.02, 0.1, 0.3):
-                assert frame.largest_radius_within(eps) \
-                    == want.largest_radius_within(eps)
+                assert frame.largest_radii_within(eps)[0] \
+                    == want.largest_radius_within(eps), (x, reach, eps)
 
 
 def test_chart_frames_batch_equals_single_frames(bumpy16):
     # one batched fit of several centers: each frame is the frame alone
     reach = 3.0 * bumpy16.mean_edge_length()
     centers = [5, 0, 200, 5]
-    searches = []
-    for c in centers:
-        d = geodesic_distance(bumpy16, c, limit=reach)
-        fitted = np.flatnonzero(np.isfinite(d))
-        searches.append((fitted, d[fitted]))
-    frames = geometry.ChartFrames(bumpy16, centers, searches)
+    frames = ChartFrames(bumpy16, centers,
+                         [ball_search(bumpy16, c, reach) for c in centers])
     radii = frames.largest_radii_within(0.1)
     for f, c in enumerate(centers):
-        one = ChartFrame(bumpy16, c, reach)
-        rows = slice(*frames.starts[f:f + 2])
-        assert np.array_equal(frames.fitted[rows], one.fitted)
-        assert _bitwise(frames.metric[rows], one.metric)
-        assert _bitwise(frames.vertex_deviation[rows], one.vertex_deviation)
-        edges = frames.edge_frame == f
-        assert np.array_equal(frames.edges[edges], one.edges)
-        assert _bitwise(frames.edge_difference[edges], one.edge_difference)
-        touched = slice(*frames.touched_starts[f:f + 2])
-        assert _bitwise(frames.coordinates[touched],
-                        one.coordinates[frames.touched[touched]])
-        assert frames.foldover_distance[f] == one.foldover_distance
+        one = LoopChartFrame(bumpy16, c, reach)
+        _assert_frame_matches(frames, f, one)
         assert radii[f] == one.largest_radius_within(0.1)
 
 

@@ -186,7 +186,7 @@ def test_first_sweep_builds_no_manifold_or_chart(torus16, cover16,
                                                 monkeypatch, rng):
     cov = dataclasses.replace(cover16[1], patches=None)
     built = []
-    for cls in (geometry.SimplicialManifold, geometry.ChartFrame):
+    for cls in (geometry.SimplicialManifold, geometry.ChartFrames):
         def counted(self, *args, _init=cls.__init__, **kwargs):
             built.append(type(self).__name__)
             _init(self, *args, **kwargs)
