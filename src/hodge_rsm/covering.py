@@ -17,10 +17,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import __version__
-from .geometry import SimplicialManifold, chart_radii, geodesic_distance
+from .geometry import SimplicialManifold, ball_searches, chart_radii
 
 RADIUS_FLOOR_EDGES = 2.0   # R_min = this many mean edge lengths
 MIN_DIVISOR = 5.0          # below this the 5r dilation stops making sense
+VITALI_WINDOW = 256        # least Vitali candidates searched together
 # hashed by covering_key: bump it with any change that can alter the
 # covering built from some mesh, eps and divisor, so saved ones rebuild
 COVERING_RULE = 1
@@ -133,11 +134,12 @@ def compute_radius_field(m: SimplicialManifold, eps: float,
                          divisor: float = 120.0) -> RadiusField:
     """Admissible radius at every vertex plus the effective Vitali divisor.
 
-    The radii come in rounds (see _admissible_radii): each round makes
-    one bounded Dijkstra search per pending vertex and fits all their
-    chart frames in batched passes (geometry.ChartFrames), so where radii
-    stay within a few multiples of the floor R_min a vertex costs one or
-    two searches and a share of a fit on the edges of small balls.
+    The radii come in rounds (see _admissible_radii): each round
+    searches the balls of all pending vertices in one batched call
+    (geometry.ball_searches) and fits their chart frames in batched
+    passes (geometry.ChartFrames), so where radii stay within a few
+    multiples of the floor R_min a vertex costs a share of one or two
+    batched searches and fits on the edges of small balls.
 
     The divisor is reduced (never below MIN_DIVISOR) when R/divisor
     would fall under the mesh resolution, since core balls smaller than
@@ -159,14 +161,16 @@ def check_radius_lipschitz(m: SimplicialManifold, rf: RadiusField,
 
     Pairs (x, y), sorted, with d(x, y) <= (R(x) + R(y))/4; an empty list
     means nearby admissible radii are comparable on this field.  For
-    tol >= 0, R(y) < R(x)/4, so a search to (R(x) + R(x)/4)/4 finds y.
+    tol >= 0, R(y) < R(x)/4, so a search to (R(x) + R(x)/4)/4 finds y;
+    the searches of all x above 4 min R run as one batched call.
     """
     R = rf.values
+    xs = np.flatnonzero(R > 4.0 * R.min() * (1.0 + tol))
     bad = []
-    for x in np.flatnonzero(R > 4.0 * R.min() * (1.0 + tol)):
-        d = geodesic_distance(m, int(x), limit=(R[x] + R[x] / 4.0) / 4.0)
-        ys = np.flatnonzero((d <= (R[x] + R) / 4.0)
-                            & (R[x] > 4.0 * R * (1.0 + tol)))
+    for x, (ys, d) in zip(xs, ball_searches(m, xs, (R[xs] + R[xs] / 4.0)
+                                            / 4.0)):
+        ys = ys[(d <= (R[x] + R[ys]) / 4.0)
+                & (R[x] > 4.0 * R[ys] * (1.0 + tol))]
         bad += [(int(x), int(y)) for y in ys]
     return bad
 
@@ -183,23 +187,48 @@ def vitali_cover(m: SimplicialManifold, rf: RadiusField) -> AdmissibleCovering:
 
     Centers are taken in decreasing core-radius order (ties by index);
     a center is accepted when its core ball is disjoint from all accepted
-    cores.  The 5-fold dilations then cover every vertex.  Each accepted
-    x searches to 2 R_x = 10 core(x), reaching every later candidate y
-    it blocks (core(y) <= core(x)).
+    cores.  The 5-fold dilations then cover every vertex.
+
+    The greedy pass goes through windows of the next unblocked
+    candidates, searched together (geometry.ball_searches) to 2 core(x):
+    that reaches every later candidate y an accepted x blocks, since
+    d(x, y) <= core(x) + core(y) <= 2 core(x).  A candidate that an
+    earlier ball of its window blocks is skipped, as in one candidate at
+    a time.  The windows start at VITALI_WINDOW candidates and grow to
+    twice the balls the last one accepted.  The accepted balls' members,
+    within R_x = 5 core(x), come from one more search.
     """
     core = rf.core
     order = np.lexsort((np.arange(m.num_vertices), -core))
     blocked = np.zeros(m.num_vertices, dtype=bool)
-    balls = []
-    for x in order:
-        if blocked[x]:
-            continue
-        R_x = 5.0 * core[x]
-        d = geodesic_distance(m, int(x), limit=2.0 * R_x)
-        blocked |= d <= core + core[x]
-        balls.append(CoveringBall(len(balls), int(x), float(core[x]),
-                                  float(R_x), float(rf.values[x]),
-                                  np.flatnonzero(d <= R_x)))
+    centers, window = [], VITALI_WINDOW
+    while order.size:
+        free = np.flatnonzero(~blocked[order])[:window]
+        if not free.size:
+            break
+        candidates, order = order[free], order[free[-1] + 1:]
+        near, d = zip(*ball_searches(m, candidates, 2.0 * core[candidates]))
+        owner = np.repeat(np.arange(candidates.size), [x.size for x in near])
+        near, d = np.concatenate(near), np.concatenate(d)
+        # what each candidate blocks, if accepted: rows of one array
+        hit = d <= core[near] + core[candidates][owner]
+        near = near[hit]
+        starts = np.searchsorted(owner[hit], np.arange(candidates.size + 1))
+        accepted = 0
+        for x, lo, hi in zip(candidates.tolist(), starts[:-1].tolist(),
+                             starts[1:].tolist()):
+            if not blocked[x]:
+                blocked[near[lo:hi]] = True
+                centers.append(x)
+                accepted += 1
+        window = max(VITALI_WINDOW, 2 * accepted)
+    centers = np.array(centers, dtype=np.int64)
+    radii = 5.0 * core[centers]
+    searches = ball_searches(m, centers, radii)
+    balls = [CoveringBall(j, x, c, R, a, members)
+             for j, (x, c, R, a, (members, _)) in enumerate(zip(
+                 centers.tolist(), core[centers].tolist(), radii.tolist(),
+                 rf.values[centers].tolist(), searches))]
 
     cov = AdmissibleCovering(balls, rf.eps)
     counts = cov.membership_counts(m.num_vertices)
@@ -257,14 +286,17 @@ def partition_of_unity(m: SimplicialManifold,
     """Normalized C^2 bumps chi_j = phi_j / sum phi, stored into cov.
 
     phi_j(x) = (1 - (d/R_j)^2)^3 inside the ball, zero outside, with d
-    from one search per ball bounded by R_j; the discrete gradient of
-    each column, max over edges ab of |chi_j(a) - chi_j(b)| / |ab|, is
-    recorded in cov.chi_gradients.
+    from one batched search of all balls (geometry.ball_searches), each
+    bounded by its R_j; the discrete gradient of each column, max over
+    edges ab of |chi_j(a) - chi_j(b)| / |ab|, is recorded in
+    cov.chi_gradients.
     """
     members = [b.members for b in cov.balls]
-    t = np.concatenate([geodesic_distance(m, b.center, b.covering_radius)
-                        [b.members] / b.covering_radius for b in cov.balls])
-    cols = np.repeat(np.arange(len(members)), [x.size for x in members])
+    sizes = [x.size for x in members]
+    radii = cov.radii()
+    t = np.concatenate([d for _, d in ball_searches(
+        m, [b.center for b in cov.balls], radii)]) / np.repeat(radii, sizes)
+    cols = np.repeat(np.arange(len(members)), sizes)
     phi = sp.csr_matrix((np.maximum(1.0 - t**2, 0.0) ** 3,
                          (np.concatenate(members), cols)),
                         shape=(m.num_vertices, len(members)))

@@ -348,20 +348,85 @@ def _edge_graph(m: SimplicialManifold) -> sp.csr_matrix:
     return g + g.T
 
 
-def geodesic_distance(m: SimplicialManifold, source: int,
-                      limit: float | None = None) -> np.ndarray:
-    """Single-source shortest-path distance along weighted edges.
+SEARCH_BATCH_LABELS = 1 << 16   # labels held by one batched search pass
 
-    With a limit, the search stops there: vertices farther than `limit`
-    get inf, and only the ball of that radius is explored.  Nothing is
-    cached; each call runs one Dijkstra search on `m.graph`.
+
+def ball_searches(m: SimplicialManifold, sources, limits):
+    """Bounded shortest-path searches along weighted edges, batched.
+
+    Yields, for each source in order, (fitted, distances): the vertices
+    within that source's limit of it (a scalar limit holds for all),
+    ascending, and their distances from it.  The searches run as
+    label-correcting passes over many sources at once, with labels keyed
+    source * V + vertex: each round relaxes the edges of the labels that
+    improved in the last one, keeps candidates within their source's
+    limit, takes the least per key and merges it into the label set,
+    until no label improves.  Each label is the least left-to-right
+    floating-point sum along a path, as in Dijkstra's search, because
+    fl(d + w) is monotone in d: the distances are Dijkstra's bit for
+    bit, those of scipy's dijkstra with the same limit.  The work is
+    O(sum of the balls and their edges), not O(V) per source.  A pass
+    holds about SEARCH_BATCH_LABELS labels: the first takes as many
+    sources as whole-mesh balls would fit, each later one as many as the
+    mean ball of the earlier passes lets fit.
     """
-    if not 0 <= source < m.num_vertices:
-        raise ValueError(f"invalid vertex {source}")
-    # m.graph holds both directions of every edge, so a directed search
-    # is the undirected one without scipy transposing the graph each call
-    return dijkstra(m.graph, directed=True, indices=source,
-                    limit=np.inf if limit is None else limit)
+    sources = np.asarray(sources, dtype=np.int64)
+    limits = np.broadcast_to(np.asarray(limits, dtype=float), sources.shape)
+    V = m.num_vertices
+    bad = sources[(sources < 0) | (sources >= V)]
+    if bad.size:
+        raise ValueError(f"invalid vertex {bad[0]}")
+    if not (limits >= 0).all():
+        raise ValueError("search limits must be nonnegative")
+    # a ball holds at most V labels, so the first pass keeps the bound
+    done, labels, count = 0, 0, max(1, SEARCH_BATCH_LABELS // V)
+    while done < sources.size:
+        stop = min(done + count, sources.size)
+        keys, dist = _search_pass(m.graph, sources[done:stop],
+                                  limits[done:stop])
+        bounds = np.searchsorted(keys, np.arange(stop - done + 1) * V)
+        fitted = keys - np.repeat(np.arange(stop - done) * V,
+                                  np.diff(bounds))
+        bounds = bounds.tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            yield fitted[lo:hi], dist[lo:hi]
+        done, labels = stop, labels + keys.size
+        count = max(1, SEARCH_BATCH_LABELS * done // labels)
+
+
+def _search_pass(g: sp.csr_matrix, sources: np.ndarray,
+                 limits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keys i * V + vertex, ascending, and distances of every vertex
+    within limits[i] of sources[i]: one pass of ball_searches on the
+    edge graph g."""
+    V = g.shape[0]
+    keys = np.arange(sources.size, dtype=np.int64) * V + sources
+    dist = np.zeros(sources.size)
+    front, front_dist = keys, dist
+    while front.size:
+        base = front // V * V
+        pos, degree = _csr_positions(g, front - base)
+        cand_dist = np.repeat(front_dist, degree) + g.data[pos]
+        keep = cand_dist <= np.repeat(limits[base // V], degree)
+        cand = (np.repeat(base, degree) + g.indices[pos])[keep]
+        if not cand.size:
+            break
+        # the least distance per key
+        order = np.argsort(cand)
+        cand, cand_dist = cand[order], cand_dist[keep][order]
+        first = np.flatnonzero(np.concatenate([[True],
+                                               cand[1:] != cand[:-1]]))
+        cand, cand_dist = cand[first], np.minimum.reduceat(cand_dist, first)
+        # merge into the label set; the improved labels are the frontier
+        at = np.searchsorted(keys, cand)
+        known = np.minimum(at, keys.size - 1)
+        new = keys[known] != cand
+        better = ~new & (cand_dist < dist[known])
+        dist[known[better]] = cand_dist[better]
+        keys = np.insert(keys, at[new], cand[new])
+        dist = np.insert(dist, at[new], cand_dist[new])
+        front, front_dist = cand[new | better], cand_dist[new | better]
+    return keys, dist
 
 
 # -- charts -------------------------------------------------------------
@@ -611,11 +676,10 @@ class ChartFrames:
 def ball_search(m: SimplicialManifold, center: int,
                 reach: float) -> tuple[np.ndarray, np.ndarray]:
     """(fitted, distances): the vertices within `reach` of center,
-    ascending, and their distances from it, by one bounded search.  The
-    search a ChartFrames frame is fitted on."""
-    d = geodesic_distance(m, center, limit=reach)
-    fitted = np.flatnonzero(np.isfinite(d))
-    return fitted, d[fitted]
+    ascending, and their distances from it; the one-source case of
+    ball_searches, and the search a one-center ChartFrames is fitted
+    on."""
+    return next(ball_searches(m, [center], reach))
 
 
 def chart_radii(m: SimplicialManifold, centers, reach: float,
@@ -623,8 +687,8 @@ def chart_radii(m: SimplicialManifold, centers, reach: float,
     """ChartFrames.largest_radii_within(eps) of each center's frame at
     this reach.
 
-    One bounded search per center; the frames are fitted in batches of
-    consecutive centers whose balls together hold at most
+    The balls come from one ball_searches call; the frames are fitted in
+    batches of consecutive centers whose balls together hold at most
     FRAME_BATCH_VERTICES vertices (a larger ball is a batch of its own),
     which bounds the memory of a fit.
     """
@@ -635,8 +699,7 @@ def chart_radii(m: SimplicialManifold, centers, reach: float,
                              [s for _, s in batch])
         radii.append(frames.largest_radii_within(eps))
 
-    for c in centers:
-        search = ball_search(m, int(c), reach)
+    for c, search in zip(centers, ball_searches(m, centers, reach)):
         if batch and size + search[0].size > FRAME_BATCH_VERTICES:
             fit()
             batch, size = [], 0
@@ -673,12 +736,19 @@ def _foldover_distances(coordinates: np.ndarray, distances: np.ndarray,
     return first
 
 
+def _csr_positions(a: sp.csr_matrix,
+                   rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, sizes): the storage positions of the entries of the
+    given rows of a, concatenated, and the number in each row."""
+    lo = a.indptr[rows]
+    size = a.indptr[rows + 1] - lo
+    return np.repeat(lo - np.cumsum(size) + size, size) \
+        + np.arange(size.sum()), size
+
+
 def _csr_rows(a: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
     """Column indices of the given rows of a, concatenated."""
-    lo, hi = a.indptr[rows], a.indptr[rows + 1]
-    size = hi - lo
-    start = np.repeat(lo - np.cumsum(size) + size, size)
-    return a.indices[start + np.arange(size.sum())]
+    return a.indices[_csr_positions(a, rows)[0]]
 
 
 def normal_chart(m: SimplicialManifold, center: int, radius: float) -> Chart:

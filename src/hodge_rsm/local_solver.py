@@ -34,8 +34,7 @@ import scipy.sparse.linalg as spla
 
 from . import dec
 from .geometry import (ChartFrames, SimplicialManifold, ball_search,
-                       chord_lengths, geodesic_distance, lumped_supports,
-                       simplex_volumes)
+                       chord_lengths, lumped_supports, simplex_volumes)
 
 log = logging.getLogger(__name__)
 
@@ -388,7 +387,8 @@ def local_czi_check(patch: Patches, u: dec.Cochain, r: float):
     m, p = patch.manifold, u.degree
     ball = patch.balls[0]
     R = ball.covering_radius
-    half = geodesic_distance(m, ball.center, limit=R / 2.0) <= R / 2.0
+    half = np.zeros(m.num_vertices, dtype=bool)
+    half[ball_search(m, ball.center, R / 2.0)[0]] = True
     hmask = m.vertex_mask_to_simplex_mask(p, half)
     if not hmask.any():
         raise PatchError("empty half-radius sub-ball")

@@ -44,6 +44,17 @@ def all_geodesic_distances(m):
     return _DENSE_DISTANCES[m]
 
 
+def geodesic_distance(m, source, limit=None):
+    """Single-source distances along weighted edges by one scipy Dijkstra
+    search, inf beyond `limit`: the oracle of geometry.ball_searches,
+    which searches many sources at once without a length-V array per
+    source."""
+    if not 0 <= source < m.num_vertices:
+        raise ValueError(f"invalid vertex {source}")
+    return dijkstra(m.graph, directed=True, indices=source,
+                    limit=math.inf if limit is None else limit)
+
+
 def _perm_sign(seq) -> int:
     """Sign of the permutation sorting `seq` (distinct entries)."""
     seq = list(seq)
@@ -597,7 +608,7 @@ class LoopChartFrame:
         self.center = center
         self.reach = float(reach)
         n = m.n
-        self.distances = geometry.geodesic_distance(m, center, limit=reach)
+        self.distances = geodesic_distance(m, center, limit=reach)
         self.fitted = np.flatnonzero(np.isfinite(self.distances))
         nf = self.fitted.size
         eids = np.unique(geometry._csr_rows(m.boundary[1], self.fitted))
@@ -698,6 +709,22 @@ def loop_admissible_radius(m, x, eps):
         if r < math.inf or reach >= 1.0:
             return float(min(1.0, max(r, r_min)))
         reach = min(2.0 * reach, 1.0)
+
+
+def loop_vitali_centers(m, rf):
+    """Centers of covering.vitali_cover, one candidate at a time on the
+    dense distance oracle: each candidate in decreasing core order (ties
+    by index) not yet blocked is accepted and blocks every vertex y with
+    d <= core(x) + core(y)."""
+    D = all_geodesic_distances(m)
+    core = rf.core
+    blocked = np.zeros(m.num_vertices, dtype=bool)
+    centers = []
+    for x in np.lexsort((np.arange(m.num_vertices), -core)):
+        if not blocked[x]:
+            centers.append(int(x))
+            blocked |= D[x] <= core + core[x]
+    return centers
 
 
 def loop_sphere_arrays(f):

@@ -233,10 +233,14 @@ def test_bad_config_file(runner, tmp_path):
     ("solve", {"s": 1.2}, []),
     ("solve", {"seed": -1}, []),
     ("solve", {"mesh": {"kind": "flat_torus_3d", "resolution": 1}}, []),
+    ("cover", {"epsilom": 0.2}, []),
+    ("solve", {"alpha": 0.0}, []),
+    ("cover", {"mesh": {"kind": "sphere", "resolutoin": 8}}, []),
 ], ids=["mesh_number", "epsilon_string", "resolution_string", "list",
         "r_above_2", "divisor_below_8", "divisor_flag", "degrees_number",
         "degree_above_n", "solve_r_above_2", "s_below_r", "negative_seed",
-        "torus3d_resolution"])
+        "torus3d_resolution", "unknown_key", "unknown_key_solve",
+        "unknown_mesh_key"])
 def test_malformed_config_is_usage_error(runner, tmp_path, command, config,
                                          flags):
     path = tmp_path / "config.json"
@@ -248,6 +252,17 @@ def test_malformed_config_is_usage_error(runner, tmp_path, command, config,
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("config,key", [
+    ({"epsilom": 0.2}, "epsilom"),
+    ({"mesh": {"kind": "sphere", "resolutoin": 8}}, "mesh.resolutoin"),
+])
+def test_unknown_config_key_is_named(runner, tmp_path, config, key):
+    # a misspelt key would otherwise run the default silently
+    res = runner.invoke(main, ["cover", "--config", _cfg(tmp_path, **config)])
+    assert res.exit_code == 2
+    assert f"unknown config key {key}" in res.output
 
 
 @pytest.mark.parametrize("text", [

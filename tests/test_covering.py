@@ -19,7 +19,8 @@ from hodge_rsm.covering import (CoverageError, RadiusField, WeightField,
                                 smoothed_radius, vitali_cover,
                                 weight_from_radius, weight_integrability)
 from conftest import (LoopChartFrame, all_geodesic_distances, extract_patch,
-                      loop_admissible_radius)
+                      geodesic_distance, loop_admissible_radius,
+                      loop_vitali_centers)
 
 
 def test_flat_torus_radius_homogeneous(torus16, cover16):
@@ -64,21 +65,53 @@ def test_local_radius_matches_whole_mesh_frame(radius_meshes, data, name,
     assert admissible_radius(m, x, eps) == min(1.0, max(whole, r_min))
 
 
+def _recorded_searches(monkeypatch):
+    """Record (sources, limits, labels) of every batched search pass;
+    a scipy Dijkstra search (whole-mesh or all-pairs) or an edge-graph
+    rebuild fails the test."""
+    passes = []
+    real = geometry._search_pass
+
+    def recorded(g, sources, limits):
+        keys, dist = real(g, sources, limits)
+        passes.append((sources.copy(), np.array(limits), keys.size))
+        return keys, dist
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("whole-mesh search or edge-graph rebuild")
+
+    monkeypatch.setattr(geometry, "_search_pass", recorded)
+    monkeypatch.setattr(geometry, "dijkstra", forbidden)
+    monkeypatch.setattr(geometry, "_edge_graph", forbidden)
+    return passes
+
+
+def _ball_sizes(m, passes):
+    """Sum of |B(source, limit)| over the recorded searches, from one
+    Dijkstra oracle search each."""
+    return sum(int(np.isfinite(geodesic_distance(m, int(x), limit)).sum())
+               for sources, limits, _ in passes
+               for x, limit in zip(sources, limits))
+
+
 def test_radius_field_searches_only_balls(torus16, monkeypatch):
-    limits, builds = [], []
-    dijkstra = geometry.dijkstra
+    # bounded searches only, and a pass holds exactly the balls the
+    # frames are fitted on
+    passes = _recorded_searches(monkeypatch)
+    fitted = []
+    real = geometry.ChartFrames
 
-    def bounded(*args, **kwargs):
-        limits.append(kwargs.get("limit", np.inf))
-        return dijkstra(*args, **kwargs)
+    def counted(m, centers, searches):
+        fitted.append(sum(f.size for f, _ in searches))
+        return real(m, centers, searches)
 
-    monkeypatch.setattr(geometry, "dijkstra", bounded)
-    monkeypatch.setattr(geometry, "_edge_graph",
-                        lambda m: builds.append(m))
+    monkeypatch.setattr(geometry, "ChartFrames", counted)
     compute_radius_field(torus16, 0.1)
-    assert len(limits) >= torus16.num_vertices
-    assert np.isfinite(limits).all()
-    assert builds == []
+    limits = np.concatenate([limits for _, limits, _ in passes])
+    assert limits.size >= torus16.num_vertices
+    assert (limits <= 1.0).all()
+    labels = sum(n for *_, n in passes)
+    assert labels == sum(fitted) == _ball_sizes(torus16, passes)
 
 
 _ORACLE_MESHES = {
@@ -236,28 +269,45 @@ def test_vitali_cores_disjoint_cover_complete(torus16, cover16, bumpy16,
     assert cover16[1].overlap_measured <= 30  # far below the bound
 
 
+@pytest.mark.parametrize("window", [1, 3, 256])
+def test_vitali_windows_equal_sequential_greedy(monkeypatch, window, torus16,
+                                                cover16, bumpy16, cover_bumpy,
+                                                sphere8, cover_sphere8,
+                                                torus3d5, cover3d5):
+    # windows of any size accept the centers of the one-at-a-time greedy,
+    # also on a field of uneven radii, where many cores tie or nest
+    monkeypatch.setattr(covering, "VITALI_WINDOW", window)
+    rng = np.random.default_rng(11)
+    uneven = RadiusField(rng.choice([2.0, 3.0, 6.0], torus16.num_vertices)
+                         * torus16.mean_edge_length(), 0.1, 120, 5.0)
+    for m, rf in ((torus16, cover16[0]), (bumpy16, cover_bumpy[0]),
+                  (sphere8, cover_sphere8[0]), (torus3d5, cover3d5[0]),
+                  (torus16, uneven)):
+        cov = vitali_cover(m, rf)
+        assert [b.center for b in cov.balls] == loop_vitali_centers(m, rf)
+
+
 def test_covering_and_checks_search_single_sources(bumpy16, monkeypatch):
-    calls = []
-    dijkstra = geometry.dijkstra
-
-    def single_source(*args, **kwargs):
-        calls.append(kwargs.get("indices"))
-        assert kwargs.get("indices") is not None, "all-pairs search"
-        return dijkstra(*args, **kwargs)
-
-    monkeypatch.setattr(geometry, "dijkstra", single_source)
+    # the covering build and both checks search bounded balls only, and
+    # their passes hold exactly those balls
+    passes = _recorded_searches(monkeypatch)
     rf, cov = cli.build_covering(bumpy16, {"epsilon": 0.1, "divisor": 120})
-    n_build = len(calls)
+    n_build = len(passes)
     vals = rf.values.copy()
     vals[0] /= 10.0  # every other vertex then has a partner to search
     check_radius_lipschitz(bumpy16, RadiusField(vals, 0.1, 120, 5.0))
-    n_lip = len(calls) - n_build
+    n_lip = len(passes)
     patch = rsm.cached_patches(bumpy16, cov)[0]
     local_solver.local_czi_check(
         patch, dec.Cochain(bumpy16, 0, np.ones(bumpy16.num_vertices)), 1.5)
-    assert n_build > bumpy16.num_vertices
-    assert n_lip == bumpy16.num_vertices - 1
-    assert len(calls) == n_build + n_lip + 1
+    assert sum(x.size for x, _, _ in passes[:n_build]) \
+        > bumpy16.num_vertices
+    assert sum(x.size for x, _, _ in passes[n_build:n_lip]) \
+        == bumpy16.num_vertices - 1
+    center = cov.balls[0].center
+    assert [x.tolist() for x, _, _ in passes[n_lip:]] == [[center]]
+    assert np.isfinite(np.concatenate([lim for _, lim, _ in passes])).all()
+    assert sum(n for *_, n in passes) == _ball_sizes(bumpy16, passes)
 
 
 def test_vitali_single_ball_cover(torus8):

@@ -13,8 +13,8 @@ from hodge_rsm.dec import (Cochain, DegreeError, NormSpec, codifferential,
                            lr_norm, mass_diagonal, norm_l2, random_cochain,
                            sobolev_exponent, sobolev_norm, stiffness_matrix)
 
-from conftest import (PERTURBED_MESHES, oracle_column_norms, oracle_densities,
-                      perturbed_mesh)
+from conftest import (PERTURBED_MESHES, geodesic_distance,
+                      oracle_column_norms, oracle_densities, perturbed_mesh)
 
 INF = dec.INF
 
@@ -315,7 +315,7 @@ def test_density_plan_on_perturbed_meshes(mesh, seed, amplitude):
     radii = rng.uniform(1.0, 4.0, centers.size) * m.mean_edge_length()
     balls = [SimpleNamespace(index=j, center=int(c), covering_radius=R,
                              members=np.flatnonzero(
-                                 geometry.geodesic_distance(m, int(c), R)
+                                 geodesic_distance(m, int(c), R)
                                  <= R))
              for j, (c, R) in enumerate(zip(centers, radii))]
     try:

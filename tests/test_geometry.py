@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from hodge_rsm import geometry
 from hodge_rsm.covering import covering_key
 from hodge_rsm.geometry import (ChartFrames, MeshError, SimplicialManifold,
-                                ball_search, generate_test_manifold,
-                                geodesic_distance, load_mesh, normal_chart,
-                                save_mesh)
+                                ball_search, ball_searches,
+                                generate_test_manifold, load_mesh,
+                                normal_chart, save_mesh)
 
 from conftest import (PERTURBED_MESHES, LoopChartFrame, LoopManifold,
-                      all_geodesic_distances, loop_kuhn_cells,
-                      loop_sphere_arrays, loop_torus_cells, perturbed_mesh)
+                      all_geodesic_distances, geodesic_distance,
+                      loop_kuhn_cells, loop_sphere_arrays, loop_torus_cells,
+                      perturbed_mesh)
 
 TET_OFF = """OFF
 4 4 0
@@ -154,6 +155,87 @@ def test_distance_matches_oracle(torus8):
 def test_distance_symmetry(torus8):
     D = all_geodesic_distances(torus8)
     assert np.allclose(D, D.T, atol=1e-12)
+
+
+def _assert_searches_match_dijkstra(m, sources, limits):
+    """ball_searches against one scipy Dijkstra search per source,
+    bitwise."""
+    got = list(ball_searches(m, sources, limits))
+    assert len(got) == len(sources)
+    for (fitted, dist), s, limit in zip(got, sources, limits):
+        want = geodesic_distance(m, int(s), limit)
+        inside = np.flatnonzero(np.isfinite(want))
+        assert fitted.dtype == inside.dtype
+        assert np.array_equal(fitted, inside)
+        assert dist.tobytes() == want[inside].tobytes()
+
+
+@pytest.mark.parametrize("mesh", ["torus12", "bumpy16", "sphere8",
+                                  "torus3d5"])
+def test_ball_searches_match_dijkstra(request, mesh):
+    m = generate_test_manifold("flat_torus", 12) if mesh == "torus12" \
+        else request.getfixturevalue(mesh)
+    rng = np.random.default_rng(3)
+    sources = rng.integers(0, m.num_vertices, 200)
+    limits = rng.uniform(0.0, 6.0, 200) * m.mean_edge_length()
+    limits[:3] = [0.0, np.inf, 1.0]
+    _assert_searches_match_dijkstra(m, sources, limits)
+
+
+def test_ball_searches_edge_cases(bumpy16):
+    d = geodesic_distance(bumpy16, 9)
+    # a limit equal to some vertex's distance keeps that vertex
+    far = int(np.argsort(d)[20])
+    fitted, dist = ball_search(bumpy16, 9, d[far])
+    assert far in fitted and dist.max() == d[far]
+    _assert_searches_match_dijkstra(bumpy16, [9, 9, 9], [d[far], 0.0, d[far]])
+    # a limit of 0 holds the source alone; a repeated source repeats
+    (f0, d0), (f1, d1), (f2, d2) = ball_searches(bumpy16, [9, 9, 9],
+                                                 [d[far], 0.0, d[far]])
+    assert f1.tolist() == [9] and d1.tolist() == [0.0]
+    assert np.array_equal(f0, f2) and d0.tobytes() == d2.tobytes()
+    assert list(ball_searches(bumpy16, [], 1.0)) == []
+    # a scalar limit holds for every source
+    assert [f.tolist() for f, _ in ball_searches(bumpy16, [3, 4], 0.0)] \
+        == [[3], [4]]
+    with pytest.raises(ValueError, match="invalid vertex"):
+        list(ball_searches(bumpy16, [0, bumpy16.num_vertices], 1.0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        list(ball_searches(bumpy16, [0], -1.0))
+
+
+@pytest.mark.parametrize("labels", [1, 40, 700])
+def test_ball_searches_split_into_passes(sphere8, monkeypatch, labels):
+    # any label budget gives the same searches; a pass exceeds the
+    # budget only when its first ball alone does
+    passes = []
+    real = geometry._search_pass
+
+    def counted(g, sources, limits):
+        keys, dist = real(g, sources, limits)
+        passes.append((sources.size, keys.size))
+        return keys, dist
+
+    monkeypatch.setattr(geometry, "SEARCH_BATCH_LABELS", labels)
+    monkeypatch.setattr(geometry, "_search_pass", counted)
+    rng = np.random.default_rng(5)
+    sources = rng.integers(0, sphere8.num_vertices, 60)
+    limits = rng.uniform(0.0, 4.0, 60) * sphere8.mean_edge_length()
+    _assert_searches_match_dijkstra(sphere8, sources, limits)
+    assert sum(n for n, _ in passes) == 60 and len(passes) > 1
+    assert passes[0][0] == max(1, labels // sphere8.num_vertices)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), **PERTURBED_MESHES)
+def test_ball_searches_property(data, mesh, seed, amplitude):
+    # random sources (repeats allowed) and limits up to the diameter
+    m = perturbed_mesh(*mesh, seed, amplitude)
+    sources = data.draw(st.lists(st.integers(0, m.num_vertices - 1),
+                                 max_size=20))
+    limits = data.draw(st.lists(st.floats(0.0, 2.5), min_size=len(sources),
+                                max_size=len(sources)))
+    _assert_searches_match_dijkstra(m, sources, limits)
 
 
 def test_chart_zero_radius(torus16):
@@ -503,6 +585,24 @@ def test_chart_frames_batch_equals_single_frames(bumpy16):
         one = LoopChartFrame(bumpy16, c, reach)
         _assert_frame_matches(frames, f, one)
         assert radii[f] == one.largest_radius_within(0.1)
+
+
+def test_tikhonov_weight_effect_is_pinned(bumpy16):
+    # the Tikhonov weight is 1e-8 times the mean trace over the fitted
+    # ball, so a chart fitted on its ball differs slightly from the same
+    # chart fitted on the whole mesh: at vertex 9, 2.5 mean edges,
+    # eps_metric is 2.9085 against 2.9074 (3.5e-4 relative)
+    r = 2.5 * bumpy16.mean_edge_length()
+    chart = normal_chart(bumpy16, 9, r)
+    ball, whole = _frame(bumpy16, 9, r), _frame(bumpy16, 9)
+    rows = np.searchsorted(whole.fitted, chart.members)
+    whole_metric = whole.vertex_deviation[rows].max()
+    assert chart.eps_metric == pytest.approx(2.9085, abs=1e-4)
+    assert abs(chart.eps_metric - whole_metric) < 1e-3 * whole_metric
+    # the admissible radius does not move
+    for eps in (0.1, 0.3):
+        assert ball.largest_radii_within(eps)[0] \
+            == whole.largest_radii_within(eps)[0] < np.inf
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

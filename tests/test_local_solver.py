@@ -13,8 +13,8 @@ from hodge_rsm.local_solver import (Patches, PatchError, local_czi_check,
 from hodge_rsm.rsm import cached_patches
 
 from conftest import (PERTURBED_MESHES, assemble_oracle, column,
-                      extract_patch, flat_stiffness_oracle, oracle_patches,
-                      perturbed_mesh)
+                      extract_patch, flat_stiffness_oracle, geodesic_distance,
+                      oracle_patches, perturbed_mesh)
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +99,7 @@ def test_batched_patches_match_oracle_on_perturbed_meshes(mesh, seed,
     radii = rng.uniform(1.0, 4.0, centers.size) * m.mean_edge_length()
     balls = [SimpleNamespace(index=j, center=int(c), covering_radius=R,
                              members=np.flatnonzero(
-                                 geometry.geodesic_distance(m, int(c), R)
+                                 geodesic_distance(m, int(c), R)
                                  <= R))
              for j, (c, R) in enumerate(zip(centers, radii))]
     cov = AdmissibleCovering(balls, 0.1)
