@@ -354,11 +354,13 @@ def weak_decomposition(m: SimplicialManifold, cov: AdmissibleCovering,
     spec_r = dec.NormSpec(r, weight=alpha, power=r) if alpha \
         else dec.NormSpec(r)
 
-    # order balls by captured mass around the support
+    # order balls by captured mass around the support: the sum over each
+    # ball's simplices, ascending
     dens = np.abs(om_c.values)
-    ball_order = sorted(cov.balls, key=lambda b: -float(
-        dens[m.vertex_mask_to_simplex_mask(
-            p, np.isin(np.arange(m.num_vertices), b.members))].sum()))
+    balls = rsm.ball_simplices(m, p, cov.membership(m.num_vertices))
+    mass = [-float(dens[balls.indices[a:b]].sum())
+            for a, b in zip(balls.indptr[:-1], balls.indptr[1:])]
+    ball_order = [cov.balls[j] for j in np.argsort(mass, kind="stable")]
     vmask = np.zeros(m.num_vertices, dtype=bool)
     used = 0
     om_eps = None

@@ -40,7 +40,8 @@ log = logging.getLogger(__name__)
 
 
 class PatchError(RuntimeError):
-    """Degenerate patch: no interior simplex at the requested degree."""
+    """Degenerate patch: no interior simplex at the requested degree, or
+    no boundary."""
 
 
 @dataclass
@@ -237,14 +238,21 @@ def _assemble(patches: Patches, p: int,
 
     The stacked unknowns are the interior rows of the PatchComplex of
     the patches, taken patch by patch; no stiffness entry couples two
-    patches.  Raises PatchError, naming the ball, when a patch has no
-    interior p-simplex.
+    patches.  Raises PatchError, naming the first such ball, when a patch
+    has no interior p-simplex or no boundary (n-1)-face: a ball holding
+    the whole manifold leaves nothing to pin a Dirichlet condition on,
+    and its stiffness is singular.
     """
     interior = patches.interior[p]
     sizes = np.diff(interior.indptr)
     if not sizes.all():
         ball = patches.balls[int(np.argmin(sizes))].index
         raise PatchError(f"ball {ball}: no interior {p}-simplex")
+    closed = np.diff(patches.boundary[patches.manifold.n - 1].indptr) == 0
+    if closed.any():
+        ball = patches.balls[int(np.argmax(closed))].index
+        raise PatchError(f"ball {ball}: no boundary (the ball holds the "
+                         "whole manifold)")
     union = _patch_complex(patches, lengths)
     pos = np.repeat(np.arange(len(patches)), sizes)
     glob = interior.indices.astype(np.int64)

@@ -221,6 +221,16 @@ def cached_patches(m: SimplicialManifold,
     return cov.patches
 
 
+def ball_simplices(m: SimplicialManifold, p: int,
+                   members: sp.spmatrix) -> sp.csc_matrix:
+    """p-simplices x balls mask, true where every vertex of the simplex
+    is in the ball; members is the vertices x balls membership.  CSC
+    with sorted indices, so column j lists ball j's simplices ascending."""
+    balls = (simplex_average(m, p, members.tocsr()) >= 1.0).tocsc()
+    balls.sort_indices()
+    return balls
+
+
 @dataclass
 class LedgerPlan:
     """What the ledger of a step reads at one degree, besides the patch
@@ -247,8 +257,7 @@ class LedgerPlan:
         p = dens.p
         members = cov.membership(m.num_vertices)
         chi = simplex_average(m, p, cov.chi.tocsr())
-        balls = (simplex_average(m, p, members.tocsr()) >= 1.0).tocsc()
-        balls.sort_indices()
+        balls = ball_simplices(m, p, members)
         return cls(dens, *dens.gather(chi, (0, ("lap",))),
                    dens.gather(balls, (0, 1)), balls.indices,
                    np.repeat(np.arange(len(cov)), np.diff(balls.indptr)),
@@ -258,41 +267,14 @@ class LedgerPlan:
 def patch_system(m: SimplicialManifold, cov: AdmissibleCovering, p: int):
     """(system, plan) of cov at degree p, built on first use per covering
     and degree: the PatchSystem of all patches and the LedgerPlan of its
-    stacked vector.  A cover by one boundaryless ball has no Dirichlet
-    system: system is None and the stacked vector is one value per
-    p-simplex, the column of that ball."""
+    stacked vector."""
     patches = cached_patches(m, cov)
     if p not in cov.systems:
-        if len(patches) == 1 and patches.boundary[p].nnz == 0:
-            N = m.num_simplices(p)
-            system, index, offsets = None, np.arange(N), np.array([0, N])
-        else:
-            system = local_solver.stack_patches(patches, p)
-            index, offsets = system.index, system.offsets
-        dens = dec.DensityPlan(m, p, index, offsets, patches.simplices[p])
+        system = local_solver.stack_patches(patches, p)
+        dens = dec.DensityPlan(m, p, system.index, system.offsets,
+                               patches.simplices[p])
         cov.systems[p] = (system, LedgerPlan.build(m, cov, dens))
     return cov.systems[p]
-
-
-def _whole_manifold_solve(m: SimplicialManifold, omega: dec.Cochain):
-    """Pseudoinverse solve used when a 'ball' has no boundary.
-
-    A covering ball equal to the whole closed manifold leaves nothing to
-    pin a Dirichlet condition on; the minimum-norm solution of the
-    singular system replaces it.  The map omega -> u is self-adjoint in
-    the mass inner product, so the adjoint sweep reuses it.
-    """
-    p = omega.degree
-    if m.num_simplices(p) > dec.DENSE_LIMIT:
-        raise local_solver.PatchError("whole-manifold ball too large for "
-                                      "dense pseudoinverse solve")
-    K = dec.stiffness_matrix(m, p).toarray()
-    root = np.sqrt(dec.mass_diagonal(m, p))
-    S = K / root[:, None] / root[None, :]
-    # mass-symmetrized pseudoinverse: the unresolved residual is exactly
-    # the harmonic component, as the gap solve would leave it
-    u = np.linalg.pinv((S + S.T) / 2.0, hermitian=True) @ (root * omega.values)
-    return u / root
 
 
 # -- the gluing sweep and its adjoint -----------------------------------
@@ -306,15 +288,10 @@ def sweep(m: SimplicialManifold, cov: AdmissibleCovering,
     interior stiffness and mass, G the global simplex of each entry, chi
     the partition weights.  Returns (v0, U): T omega and the simplices x
     balls matrix of the local solutions u_j, whose stored values are the
-    stacked solution.  A cover by one boundaryless ball uses the
-    whole-manifold pseudoinverse.
+    stacked solution.
     """
     p = omega.degree
     system, plan = patch_system(m, cov, p)
-    if system is None:
-        u = _whole_manifold_solve(m, omega)
-        return dec.Cochain(m, p, plan.chi * u), sp.csc_matrix(
-            (u, np.arange(u.size), [0, u.size]))
     u = system.lu.solve(system.M * omega.values[system.index])
     return dec.Cochain(m, p, system.scatter(plan.chi * u)), system.columns(u)
 
@@ -328,9 +305,6 @@ def sweep_adjoint(m: SimplicialManifold, cov: AdmissibleCovering,
     """
     p = phi.degree
     system, plan = patch_system(m, cov, p)
-    if system is None:
-        return dec.Cochain(m, p, _whole_manifold_solve(
-            m, dec.Cochain(m, p, plan.chi * phi.values)))
     Mg = dec.mass_diagonal(m, p)[system.index]
     x = system.lu.solve(plan.chi * (Mg * phi.values[system.index]),
                         trans="T")
@@ -455,8 +429,7 @@ def rsm_step(m: SimplicialManifold, cov: AdmissibleCovering,
     chains = {}
     U_dens = dens.densities(u, values=chains)
     parts_dens = dens.densities(plan.chi * u)
-    solves = [local_solver.SolveDiagnostics(0, p, u.size, 0.0)] \
-        if system is None else system.diagnostics(omega, u, dens, U_dens, r)
+    solves = system.diagnostics(omega, u, dens, U_dens, r)
     chi_lap = np.bincount(dens.patterns[("lap",)][1],
                           plan.chi_lap * chains[("lap",)],
                           minlength=m.num_simplices(p))

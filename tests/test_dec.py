@@ -287,20 +287,22 @@ def _assert_plan_matches_oracle(m, p, plan, x, support):
                                         ("torus3d5", "cover3d5"),
                                         ("torus8", None)])
 def test_density_plan_matches_sparse_oracle(request, mesh, cover):
-    # the plan of every degree of a covering (torus8: the single-ball
-    # cover, one column holding every simplex) against the oracle
+    # the plan of every degree of a covering (torus8: one column holding
+    # every simplex) against the oracle
     m = request.getfixturevalue(mesh)
-    if cover is None:
-        rf = covering.RadiusField(np.ones(m.num_vertices), 0.1, 120, 0.4)
-        cov = covering.vitali_cover(m, rf)
-        covering.partition_of_unity(m, cov)
-    else:
-        cov = request.getfixturevalue(cover)[1]
+    cov = None if cover is None else request.getfixturevalue(cover)[1]
     rng = np.random.default_rng(17)
     for p in range(m.n + 1):
-        plan = rsm.patch_system(m, cov, p)[1].dens
+        if cov is None:
+            N = m.num_simplices(p)
+            support = sp.csc_matrix(np.ones((N, 1), dtype=bool))
+            plan = dec.DensityPlan(m, p, np.arange(N), np.array([0, N]),
+                                   support)
+        else:
+            plan = rsm.patch_system(m, cov, p)[1].dens
+            support = cov.patches.simplices[p]
         x = rng.standard_normal(plan.patterns[0][0].size)
-        _assert_plan_matches_oracle(m, p, plan, x, cov.patches.simplices[p])
+        _assert_plan_matches_oracle(m, p, plan, x, support)
 
 
 @settings(max_examples=20, deadline=None)

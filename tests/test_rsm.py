@@ -126,34 +126,50 @@ def test_ledger_margins_nonnegative(torus16, cover16, rng):
                     assert entry["margin"] >= 0.0, (p, name, entry)
 
 
-def test_single_ball_cover_gap_route(torus8):
-    # whole-manifold ball: empty boundary, driver solves with the
-    # pseudoinverse; the residual is purely harmonic
-    rf = RadiusField(np.ones(torus8.num_vertices), 0.1, 120, 0.4)
-    cov = vitali_cover(torus8, rf)
-    partition_of_unity(torus8, cov)
-    rng = np.random.default_rng(3)
-    omega = dec.random_cochain(torus8, 1, rng)
-    v0, omega1, _ = rsm_step(torus8, cov, rf, omega, 1.5,
-                             covering.constant_weight(torus8.num_vertices))
-    lap = dec.hodge_laplacian(torus8, 1)
-    # omega1 is harmonic: Delta omega1 = 0 and it kills the stiffness form
-    assert dec.norm_l2(lap(omega1)) < 1e-8 * dec.norm_l2(omega)
-    assert dec.norm_l2(lap(v0) - omega - omega1) < 1e-10 * dec.norm_l2(omega)
-
-
-def _single_ball_cover(m):
-    rf = RadiusField(np.ones(m.num_vertices), 0.1, 120, 0.4)
+def _planted_cover(m, values, divisor_effective):
+    rf = RadiusField(values, 0.1, 120, divisor_effective)
     cov = vitali_cover(m, rf)
     partition_of_unity(m, cov)
-    return cov
+    return rf, cov
+
+
+def _assert_sweeps_reject(m, rf, cov, match):
+    w = covering.constant_weight(m.num_vertices)
+    rng = np.random.default_rng(3)
+    for p in range(m.n + 1):
+        omega = dec.random_cochain(m, p, rng)
+        for run in (lambda: rsm_step(m, cov, rf, omega, 1.5, w),
+                    lambda: rsm.sweep(m, cov, omega),
+                    lambda: rsm.sweep_adjoint(m, cov, omega)):
+            with pytest.raises(local_solver.PatchError, match=match):
+                run()
+
+
+def test_single_ball_cover_gap_route(torus8):
+    # one ball holding the whole manifold: no boundary to pin a
+    # Dirichlet condition on, so no degree has a patch system
+    rf, cov = _planted_cover(torus8, np.ones(torus8.num_vertices), 0.4)
+    assert len(cov) == 1
+    _assert_sweeps_reject(torus8, rf, cov, "ball 0: no boundary")
+
+
+def test_whole_manifold_ball_in_multi_ball_cover(torus8):
+    # one ball of many holds every vertex: its block would be singular,
+    # so the sweeps name it instead of returning blown-up values
+    values = np.full(torus8.num_vertices, 0.6)
+    values[0] = 2.25
+    rf, cov = _planted_cover(torus8, values, 5.0)
+    assert len(cov) > 1
+    assert cov.balls[0].members.size == torus8.num_vertices
+    _assert_sweeps_reject(torus8, rf, cov, "ball 0")
 
 
 @pytest.mark.parametrize("mesh,p", [("torus16", 0), ("torus16", 1),
-                                    ("torus8", 1)])
-def test_sweep_adjoint_identity(request, cover16, mesh, p):
+                                    ("bumpy16", 1)])
+def test_sweep_adjoint_identity(request, mesh, p):
     m = request.getfixturevalue(mesh)
-    cov = cover16[1] if mesh == "torus16" else _single_ball_cover(m)
+    cov = request.getfixturevalue({"torus16": "cover16",
+                                   "bumpy16": "cover_bumpy"}[mesh])[1]
     rng = np.random.default_rng(11)
     x = dec.random_cochain(m, p, rng)
     y = dec.random_cochain(m, p, rng)
