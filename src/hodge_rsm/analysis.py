@@ -357,23 +357,22 @@ def weak_decomposition(m: SimplicialManifold, cov: AdmissibleCovering,
     # order balls by captured mass around the support: the sum over each
     # ball's simplices, ascending
     dens = np.abs(om_c.values)
-    balls = rsm.ball_simplices(m, p, cov.membership(m.num_vertices))
+    members = cov.membership(m.num_vertices)
+    balls = rsm.ball_simplices(m, p, members)
     mass = [-float(dens[balls.indices[a:b]].sum())
             for a, b in zip(balls.indptr[:-1], balls.indptr[1:])]
-    ball_order = [cov.balls[j] for j in np.argsort(mass, kind="stable")]
-    vmask = np.zeros(m.num_vertices, dtype=bool)
-    used = 0
-    om_eps = None
-    for b in ball_order:
-        vmask[b.members] = True
-        used += 1
-        if used < _min_balls:
-            continue
-        smask = m.vertex_mask_to_simplex_mask(p, vmask)
-        om_eps = dec.Cochain(m, p, np.where(smask, om_c.values, 0.0))
-        tail = dec.lr_norm(m, om_c - om_eps, spec_r)
-        if tail <= eps_target or used == len(cov.balls):
-            break
+    # a vertex joins the union with the first ball in that order holding
+    # it, a simplex with the last of its vertices; tails[k] is the r-th
+    # power of the L^r norm of omega_c outside the union of k balls
+    ranked = members[:, np.argsort(mass, kind="stable")].tocsr()
+    first = np.minimum.reduceat(ranked.indices, ranked.indptr[:-1])
+    joins = first[m.simplices[p]].max(axis=1)
+    tails = np.cumsum(np.bincount(joins, dec.integrand(
+        m, p, dec.density(om_c), spec_r), len(mass))[::-1])[::-1]
+    lo = max(_min_balls, 1)
+    used = lo + int(np.argmax(np.append(
+        tails[lo:] ** (1.0 / r) <= eps_target, True)))
+    om_eps = dec.Cochain(m, p, np.where(joins < used, om_c.values, 0.0))
     om_eps = om_eps - harmonic_projection(m, rep, om_eps)
     u, diags = poisson_solve(m, cov, rf, rep, om_eps, r, alpha)
     lap = dec.hodge_laplacian(m, p)

@@ -266,7 +266,7 @@ def cover(config_path, epsilon, divisor, mesh_path, out_path):
         cfg["mesh"]["path"] = mesh_path
     m = build_mesh(cfg)
     rf, cov = build_covering(m, cfg)
-    covering.check_interior_vertices(m, cov)
+    local_solver.Patches.extract(m, cov)
     bound = covering.overlap_bound(cfg["epsilon"], m.n)
     out = out_path or str(Path(cfg["out_dir"]) / "covering.json")
     Path(out).parent.mkdir(parents=True, exist_ok=True)

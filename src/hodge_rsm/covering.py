@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,6 +53,8 @@ class CoveringBall:
     covering_radius: float
     admissible_radius: float
     members: np.ndarray          # vertices within the covering radius
+    distances: np.ndarray | None = None   # members' from the center,
+                                          # None in a loaded covering
 
 
 @dataclass
@@ -196,7 +198,8 @@ def vitali_cover(m: SimplicialManifold, rf: RadiusField) -> AdmissibleCovering:
     earlier ball of its window blocks is skipped, as in one candidate at
     a time.  The windows start at VITALI_WINDOW candidates and grow to
     twice the balls the last one accepted.  The accepted balls' members,
-    within R_x = 5 core(x), come from one more search.
+    within R_x = 5 core(x), and their distances, which partition_of_unity
+    reads, come from one more search.
     """
     core = rf.core
     order = np.lexsort((np.arange(m.num_vertices), -core))
@@ -225,8 +228,8 @@ def vitali_cover(m: SimplicialManifold, rf: RadiusField) -> AdmissibleCovering:
     centers = np.array(centers, dtype=np.int64)
     radii = 5.0 * core[centers]
     searches = ball_searches(m, centers, radii)
-    balls = [CoveringBall(j, x, c, R, a, members)
-             for j, (x, c, R, a, (members, _)) in enumerate(zip(
+    balls = [CoveringBall(j, x, c, R, a, members, d)
+             for j, (x, c, R, a, (members, d)) in enumerate(zip(
                  centers.tolist(), core[centers].tolist(), radii.tolist(),
                  rf.values[centers].tolist(), searches))]
 
@@ -241,65 +244,20 @@ def vitali_cover(m: SimplicialManifold, rf: RadiusField) -> AdmissibleCovering:
     return cov
 
 
-def check_interior_vertices(m: SimplicialManifold,
-                            cov: AdmissibleCovering) -> None:
-    """Raise CoverageError unless every ball holds some vertex together
-    with all its neighbours.
-
-    Such a vertex and every simplex containing it are interior to the
-    ball's patch, so each local problem has unknowns at every degree.
-    Balls at the radius clamp 1 on meshes whose floor R_min lies above
-    it can fail this (the 3-torus at resolution 4).
-    """
-    g, V = m.graph, m.num_vertices
-    members = [b.members for b in cov.balls]
-    keys = np.repeat(np.arange(len(members)), [x.size for x in members]) * V \
-        + np.concatenate(members)                    # ascending
-
-    def whole_star(balls, x):
-        """Per pair, whether every neighbour of vertex x lies in the ball."""
-        rows = g[x]
-        nbr = np.repeat(balls, np.diff(rows.indptr)) * V + rows.indices
-        pos = np.minimum(np.searchsorted(keys, nbr), keys.size - 1)
-        return np.logical_and.reduceat(keys[pos] == nbr, rows.indptr[:-1])
-
-    # each ball's center first, all members only of a ball where it
-    # fails: a center nearly always passes, and testing every member of
-    # every ball at once would hold a key per member and neighbour
-    ok = whole_star(np.arange(len(members)), [b.center for b in cov.balls])
-    for j in np.flatnonzero(~ok):
-        ok[j] = whole_star(np.full(members[j].size, j), members[j]).any()
-    empty = np.flatnonzero(~ok)
-    if empty.size:
-        b = cov.balls[empty[0]]
-        r_min = RADIUS_FLOOR_EDGES * m.mean_edge_length()
-        raise CoverageError(
-            f"ball {b.index} (center {b.center}, radius "
-            f"{b.covering_radius:.4g}) holds no vertex with all its "
-            f"neighbours, so its patch has no interior vertex; radius floor "
-            f"R_min = {r_min:.4g} ({RADIUS_FLOOR_EDGES:g} mean edges), radius "
-            "clamp 1: the mesh is too coarse for its covering")
-
-
 def partition_of_unity(m: SimplicialManifold,
                        cov: AdmissibleCovering) -> sp.csr_matrix:
     """Normalized C^2 bumps chi_j = phi_j / sum phi, stored into cov.
 
     phi_j(x) = (1 - (d/R_j)^2)^3 inside the ball, zero outside, with d
-    from one batched search of all balls (geometry.ball_searches), each
-    bounded by its R_j; the discrete gradient of each column, max over
-    edges ab of |chi_j(a) - chi_j(b)| / |ab|, is recorded in
-    cov.chi_gradients.
+    the member distances vitali_cover's search stored on each ball; the
+    discrete gradient of each column, max over edges ab of
+    |chi_j(a) - chi_j(b)| / |ab|, is recorded in cov.chi_gradients.
     """
-    members = [b.members for b in cov.balls]
-    sizes = [x.size for x in members]
-    radii = cov.radii()
-    t = np.concatenate([d for _, d in ball_searches(
-        m, [b.center for b in cov.balls], radii)]) / np.repeat(radii, sizes)
-    cols = np.repeat(np.arange(len(members)), sizes)
-    phi = sp.csr_matrix((np.maximum(1.0 - t**2, 0.0) ** 3,
-                         (np.concatenate(members), cols)),
-                        shape=(m.num_vertices, len(members)))
+    phi = cov.membership(m.num_vertices)
+    t = np.concatenate([b.distances for b in cov.balls]) \
+        / np.repeat(cov.radii(), np.diff(phi.indptr))
+    phi.data = np.maximum(1.0 - t**2, 0.0) ** 3
+    phi = phi.tocsr()
     phi.eliminate_zeros()
     total = np.asarray(phi.sum(axis=1)).ravel()
     if np.any(total <= 0):
@@ -309,9 +267,8 @@ def partition_of_unity(m: SimplicialManifold,
     # |d0 chi| as a sparse edges x balls matrix; d0 = boundary[1]^T
     grad = abs(m.boundary[1].T @ chi).tocoo()
     grad.data /= m.edge_lengths[grad.row]
-    grads = grad.max(axis=0).toarray().ravel()
     cov.chi = chi
-    cov.chi_gradients = grads
+    cov.chi_gradients = grad.max(axis=0).toarray().ravel()
     return chi
 
 

@@ -413,11 +413,17 @@ class DensityPlan:
         return np.bincount(col, w, minlength=self.ncols) ** (1 / r)
 
 
-def _integrate(m, p, dens, spec: NormSpec, mask=None) -> float:
+def integrand(m, p, dens, spec: NormSpec) -> np.ndarray:
+    """Per p-simplex terms whose sum is the r-th power of the weighted
+    L^r norm of the density dens."""
     mu = m.support_volumes[p]
     if spec.weight is not None:
         mu = mu * simplex_average(m, p, spec.weight) ** spec.power
-    term = mu * dens**spec.r
+    return mu * dens**spec.r
+
+
+def _integrate(m, p, dens, spec: NormSpec, mask=None) -> float:
+    term = integrand(m, p, dens, spec)
     if mask is not None:
         term = term[mask]
     return float(term.sum()) ** (1.0 / spec.r)

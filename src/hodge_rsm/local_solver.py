@@ -10,7 +10,8 @@ direct factorization of it and a flat/curved Neumann series that splits
 the patch Laplacian around the chart's identity metric.
 
 The patches of a covering are extracted together (Patches.extract), as
-simplices x balls sparse matrices from one sparse product per degree;
+simplices x balls sparse matrices from one sparse product per degree,
+refusing a ball whose patch has no interior vertex or no boundary;
 patches[j] is the one-ball Patches the single-ball solvers take.  Their
 direct systems form one PatchSystem per degree (stack_patches): dec
 assembles the stiffness and mass once, on the disjoint union of the
@@ -33,6 +34,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import dec
+from .covering import RADIUS_FLOOR_EDGES
 from .geometry import (ChartFrames, SimplicialManifold, ball_search,
                        chord_lengths, lumped_supports, simplex_volumes)
 
@@ -40,8 +42,9 @@ log = logging.getLogger(__name__)
 
 
 class PatchError(RuntimeError):
-    """Degenerate patch: no interior simplex at the requested degree, or
-    no boundary."""
+    """A patch that cannot carry its local problem: no interior vertex or
+    no boundary (Patches.extract), a degenerate chart metric (the Neumann
+    series), or an empty half-radius sub-ball (local_czi_check)."""
 
 
 @dataclass
@@ -129,8 +132,11 @@ class Patches:
         ball; the patch q-simplices are their q-faces.  Boundary
         (n-1)-faces lie in exactly one patch cell; boundary q-simplices
         are found top down through the unsigned incidence, as the faces
-        of boundary (q+1)-simplices.  Raises PatchError naming the first
-        ball that holds no full n-cell.
+        of boundary (q+1)-simplices.  The one judge of a usable ball:
+        raises PatchError naming the first ball whose patch has no
+        interior vertex (none has its whole star in the ball; one would
+        make its star interior, so each degree has unknowns) or else no
+        boundary (n-1)-face (the ball holds the whole manifold).
         """
         n = m.n
 
@@ -145,10 +151,6 @@ class Patches:
             return A.tocsc().sorted_indices()
 
         cells = canonical(faces(0) @ cov.membership(m.num_vertices) == n + 1)
-        empty = np.flatnonzero(np.diff(cells.indptr) == 0)
-        if empty.size:
-            raise PatchError(f"ball {cov.balls[empty[0]].index} contains "
-                             "no full n-cell")
         # patch cells holding each q-face; an (n-1)-face in one of them
         # lies on the boundary
         counts = [faces(q).T @ cells for q in range(n)]
@@ -159,6 +161,22 @@ class Patches:
             boundary[q] = canonical(abs(m.boundary[q + 1]) @ boundary[q + 1]
                                     > 0)
         interior = [canonical(s > b) for s, b in zip(simplices, boundary)]
+        no_interior = np.diff(interior[0].indptr) == 0
+        bad = np.flatnonzero(no_interior
+                             | (np.diff(boundary[n - 1].indptr) == 0))
+        if bad.size and no_interior[bad[0]]:
+            b = cov.balls[bad[0]]
+            r_min = RADIUS_FLOOR_EDGES * m.mean_edge_length()
+            raise PatchError(
+                f"ball {b.index} (center {b.center}, radius "
+                f"{b.covering_radius:.4g}) holds no vertex with all its "
+                "neighbours, so its patch has no interior vertex; radius "
+                f"floor R_min = {r_min:.4g} ({RADIUS_FLOOR_EDGES:g} mean "
+                "edges), radius clamp 1: the mesh is too coarse for its "
+                "covering")
+        if bad.size:
+            raise PatchError(f"ball {cov.balls[bad[0]].index}: no boundary "
+                             "(the ball holds the whole manifold)")
         return cls(m, list(cov.balls), simplices, interior, boundary)
 
 
@@ -238,23 +256,12 @@ def _assemble(patches: Patches, p: int,
 
     The stacked unknowns are the interior rows of the PatchComplex of
     the patches, taken patch by patch; no stiffness entry couples two
-    patches.  Raises PatchError, naming the first such ball, when a patch
-    has no interior p-simplex or no boundary (n-1)-face: a ball holding
-    the whole manifold leaves nothing to pin a Dirichlet condition on,
-    and its stiffness is singular.
+    patches.  It only assembles: Patches.extract has already refused a
+    patch without unknowns or without boundary.
     """
     interior = patches.interior[p]
-    sizes = np.diff(interior.indptr)
-    if not sizes.all():
-        ball = patches.balls[int(np.argmin(sizes))].index
-        raise PatchError(f"ball {ball}: no interior {p}-simplex")
-    closed = np.diff(patches.boundary[patches.manifold.n - 1].indptr) == 0
-    if closed.any():
-        ball = patches.balls[int(np.argmax(closed))].index
-        raise PatchError(f"ball {ball}: no boundary (the ball holds the "
-                         "whole manifold)")
     union = _patch_complex(patches, lengths)
-    pos = np.repeat(np.arange(len(patches)), sizes)
+    pos = np.repeat(np.arange(len(patches)), np.diff(interior.indptr))
     glob = interior.indices.astype(np.int64)
     N = patches.manifold.num_simplices(p)
     rows = np.searchsorted(union.keys[p], pos * N + glob)

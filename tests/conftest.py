@@ -438,9 +438,6 @@ def extract_patch(m, cov, j):
     vmask[ball.members] = True
     cell_mask = m.vertex_mask_to_simplex_mask(n, vmask)
     cells = np.flatnonzero(cell_mask)
-    if cells.size == 0:
-        raise local_solver.PatchError(f"ball {j} contains no full n-cell")
-
     patch = Patch(m, ball, cells)
 
     # faces of patch cells, per degree
@@ -463,6 +460,30 @@ def extract_patch(m, cov, j):
 def oracle_patches(m, cov):
     """The extract_patch oracle of every ball of cov."""
     return [extract_patch(m, cov, j) for j in range(len(cov.balls))]
+
+
+def balls_without_whole_star(m, cov):
+    """Indices of the balls of cov holding no vertex together with all
+    its neighbours: the star rule, one length-V mask per ball.  Tests
+    only: the library's rule is an empty column of Patches.interior[0],
+    the same balls, since a vertex's link is connected."""
+    g = m.graph.tocsr()
+    flagged = []
+    for j, ball in enumerate(cov.balls):
+        inside = np.zeros(m.num_vertices, dtype=bool)
+        inside[ball.members] = True
+        whole = np.logical_and.reduceat(inside[g.indices], g.indptr[:-1])
+        if not (inside & whole).any():
+            flagged.append(j)
+    return flagged
+
+
+def refused_balls(m, cov):
+    """Indices of the balls of cov that Patches.extract refuses, by the
+    oracles: no vertex with its whole star, or no boundary (n-1)-face."""
+    starless = balls_without_whole_star(m, cov)
+    return [j for j, patch in enumerate(oracle_patches(m, cov))
+            if j in starless or patch.boundary[m.n - 1].size == 0]
 
 
 def assemble_oracle(patches, p):

@@ -276,6 +276,60 @@ def test_weak_decomposition_sequence_decreasing(torus16, cover16, spec16_p1,
     assert not any(r.extras.get("monotonicity_flag") for r in seq)
 
 
+def _loop_weak_decomposition(m, cov, rf, rep, omega, r, alpha, eps_target,
+                             min_balls):
+    """(balls_used, E_eps) of weak_decomposition in delta_closure mode,
+    its ball union grown one ball at a time in order of captured mass,
+    with one simplex mask and one L^r norm of the tail per ball."""
+    p = omega.degree
+    om_c = omega - harmonic_projection(m, rep, omega)
+    spec = dec.NormSpec(r, weight=alpha, power=r) if alpha \
+        else dec.NormSpec(r)
+
+    def simplices_in(vertices):
+        vmask = np.zeros(m.num_vertices, dtype=bool)
+        vmask[vertices] = True
+        return m.vertex_mask_to_simplex_mask(p, vmask)
+
+    mass = [-np.abs(om_c.values)[simplices_in(b.members)].sum()
+            for b in cov.balls]
+    union = []
+    for used, j in enumerate(np.argsort(mass, kind="stable"), start=1):
+        union.append(cov.balls[j].members)
+        inside = simplices_in(np.concatenate(union))
+        tail = dec.Cochain(m, p, np.where(inside, 0.0, om_c.values))
+        if used >= min_balls and (dec.lr_norm(m, tail, spec) <= eps_target
+                                  or used == len(cov.balls)):
+            break
+    om_eps = dec.Cochain(m, p, np.where(inside, om_c.values, 0.0))
+    om_eps = om_eps - harmonic_projection(m, rep, om_eps)
+    u, _ = poisson_solve(m, cov, rf, rep, om_eps, r, alpha)
+    e_eps = om_c - dec.hodge_laplacian(m, p)(u)
+    return used, dec.lr_norm(m, e_eps, spec)
+
+
+@pytest.mark.parametrize("mesh,cover,p,weighted,min_balls", [
+    ("torus16", "cover16", 1, False, 1), ("torus16", "cover16", 0, True, 1),
+    ("bumpy16", "cover_bumpy", 2, False, 1),
+    ("bumpy16", "cover_bumpy", 1, True, 40)])
+def test_weak_decomposition_matches_loop_oracle(request, mesh, cover, p,
+                                                weighted, min_balls):
+    m = request.getfixturevalue(mesh)
+    rf, cov = request.getfixturevalue(cover)
+    rep = spectrum(m, p)
+    alpha = covering.weight_from_radius(rf, 1) if weighted else None
+    rng = np.random.default_rng(7)
+    for _ in range(2):
+        omega = dec.random_cochain(m, p, rng)
+        base = dec.norm_l2(omega)
+        for t in (0.8, 0.3, 0.05, 1e-3):
+            res = weak_decomposition(m, cov, rf, rep, omega, 1.5, alpha,
+                                     t * base, _min_balls=min_balls)
+            assert (res.extras["balls_used"], res.extras["E_eps"]) == \
+                _loop_weak_decomposition(m, cov, rf, rep, omega, 1.5, alpha,
+                                         t * base, min_balls)
+
+
 def test_weak_modes_agree_within_eps(torus16, cover16, spec16_p1, rng):
     rf, cov = cover16
     omega = dec.random_cochain(torus16, 1, rng)

@@ -336,11 +336,20 @@ def test_load_mesh_fuzz(data):
 
 
 def test_degenerate_covering_is_usage_error(runner, tmp_path):
-    # every 1-simplex of some patch lies on its boundary
+    # every simplex of ball 0's patch touches its boundary; with no saved
+    # covering, solve, decompose and verify refuse it with the message
+    # cover gives
     cfg = _cfg(tmp_path, mesh={"kind": "flat_torus_3d", "resolution": 4})
-    res = runner.invoke(main, ["solve", "--config", cfg])
-    assert res.exit_code == 2
-    assert "no interior 1-simplex" in res.output
+    errors = {}
+    for cmd in ("cover", "solve", "decompose", "verify"):
+        res = runner.invoke(main, [cmd, "--config", cfg])
+        assert res.exit_code == 2, (cmd, res.output)
+        assert isinstance(res.exception, SystemExit)
+        errors[cmd] = res.output.splitlines()[-1]
+    assert not (tmp_path / "runs" / "covering.json").exists()
+    assert errors["cover"].startswith("Error: ball 0 (center 0, radius 1)")
+    assert "radius floor R_min = 1.48" in errors["cover"]
+    assert set(errors.values()) == {errors["cover"]}
 
 
 def test_cover_rejects_mesh_too_coarse_for_the_floor(runner, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 import warnings
 
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodge_rsm import cli, covering, dec, geometry, local_solver, rsm
-from hodge_rsm.covering import (CoverageError, RadiusField, WeightField,
-                                admissible_radius, check_radius_lipschitz,
+from hodge_rsm.covering import (AdmissibleCovering, RadiusField,
+                                WeightField, admissible_radius,
+                                check_radius_lipschitz,
                                 check_weight_relative, chi_gradient_constant,
                                 compute_radius_field, constant_weight,
                                 covering_key, covering_to_dict,
@@ -18,7 +20,8 @@ from hodge_rsm.covering import (CoverageError, RadiusField, WeightField,
                                 partition_of_unity, save_covering,
                                 smoothed_radius, vitali_cover,
                                 weight_from_radius, weight_integrability)
-from conftest import (LoopChartFrame, all_geodesic_distances, extract_patch,
+from conftest import (LoopChartFrame, all_geodesic_distances,
+                      balls_without_whole_star, extract_patch,
                       geodesic_distance, loop_admissible_radius,
                       loop_vitali_centers)
 
@@ -158,24 +161,46 @@ def test_radius_batches_stay_under_the_vertex_bound(bumpy16, monkeypatch):
         assert len(sizes) > 1
 
 
+def _balls_without_interior_vertex(m, cov):
+    """The balls extraction refuses for want of an interior vertex, each
+    extracted alone."""
+    flagged = []
+    for j, ball in enumerate(cov.balls):
+        try:
+            local_solver.Patches.extract(m, AdmissibleCovering([ball], 0.1))
+        except local_solver.PatchError as e:
+            if "no interior vertex" in str(e):
+                flagged.append(j)
+    return flagged
+
+
 def test_coarse_covering_names_the_radius_floor():
     # on the 3-torus 4 the floor, 2 mean edges, lies above the clamp 1,
     # and balls of radius 1 hold no vertex with its whole star
     m = geometry.generate_flat_torus_3d(4)
     cov = vitali_cover(m, compute_radius_field(m, 0.1))
-    with pytest.raises(CoverageError, match="R_min = 1.48") as info:
-        covering.check_interior_vertices(m, cov)
-    ball = int(str(info.value).split()[1])
-    assert extract_patch(m, cov, ball).interior[0].size == 0
-    assert rsm.cached_patches(m, cov).interior[0][:, ball].nnz == 0
+    with pytest.raises(local_solver.PatchError, match=r"^ball 0 \(center 0, "
+                       r"radius 1\) .* R_min = 1\.48 ") as info:
+        local_solver.Patches.extract(m, cov)
+    with pytest.raises(local_solver.PatchError,
+                       match=f"^{re.escape(str(info.value))}$"):
+        rsm.cached_patches(m, cov)
+    assert extract_patch(m, cov, 0).interior[0].size == 0
+    flagged = _balls_without_interior_vertex(m, cov)
+    assert len(flagged) == 28 and flagged[0] == 0
+    assert flagged == balls_without_whole_star(m, cov)
 
 
 def test_interior_vertices_on_working_coverings(cover16, cover_bumpy,
                                                 cover3d5, torus16, bumpy16,
                                                 torus3d5):
+    # extraction and the star rule flag the same balls: none
     for m, (_, cov) in ((torus16, cover16), (bumpy16, cover_bumpy),
                         (torus3d5, cover3d5)):
-        covering.check_interior_vertices(m, cov)
+        patches = local_solver.Patches.extract(m, cov)
+        assert np.diff(patches.interior[0].indptr).all()
+        assert _balls_without_interior_vertex(m, cov) == []
+        assert balls_without_whole_star(m, cov) == []
 
 
 def test_bumpy_radius_nonconstant(bumpy16):

@@ -12,9 +12,10 @@ from hodge_rsm.local_solver import (Patches, PatchError, local_czi_check,
                                     solve_local_dirichlet)
 from hodge_rsm.rsm import cached_patches
 
-from conftest import (PERTURBED_MESHES, assemble_oracle, column,
-                      extract_patch, flat_stiffness_oracle, geodesic_distance,
-                      oracle_patches, perturbed_mesh)
+from conftest import (PERTURBED_MESHES, assemble_oracle,
+                      balls_without_whole_star, column, extract_patch,
+                      flat_stiffness_oracle, geodesic_distance,
+                      oracle_patches, perturbed_mesh, refused_balls)
 
 
 @pytest.fixture(scope="module")
@@ -23,15 +24,20 @@ def patch16(torus16, cover16):
 
 
 def test_single_ball_patch_whole_manifold(torus8):
+    # one ball holding every simplex, all of them interior: nothing to
+    # pin a Dirichlet condition on, so extraction refuses it
     rf = RadiusField(np.ones(torus8.num_vertices), 0.1, 120, 0.4)
     cov = vitali_cover(torus8, rf)
     partition_of_unity(torus8, cov)
-    patches = Patches.extract(torus8, cov)
-    assert len(patches) == 1
-    assert patches.simplices[2].nnz == torus8.num_simplices(2)
+    assert len(cov) == 1
+    oracle = extract_patch(torus8, cov, 0)
+    assert oracle.cells.size == torus8.num_simplices(2)
     for p in range(3):
-        assert patches.boundary[p].nnz == 0
-        assert patches.interior[p].nnz == torus8.num_simplices(p)
+        assert oracle.boundary[p].size == 0
+        assert oracle.interior[p].size == torus8.num_simplices(p)
+    with pytest.raises(PatchError, match=r"^ball 0: no boundary \(the ball "
+                       r"holds the whole manifold\)$"):
+        Patches.extract(torus8, cov)
 
 
 def test_interior_ball_patch(torus16, patch16):
@@ -91,7 +97,9 @@ def test_batched_patches_match_oracle(request, mesh):
 def test_batched_patches_match_oracle_on_perturbed_meshes(mesh, seed,
                                                           amplitude):
     # balls of random centers and radii (1 to 4 mean edges) on random
-    # meshes; a ball without a full n-cell is named by both
+    # meshes; the first ball without an interior vertex (the star rule)
+    # or without boundary is the one extraction names, and the others
+    # extract as the oracle has them
     m = perturbed_mesh(*mesh, seed, amplitude)
     rng = np.random.default_rng(seed)
     centers = rng.choice(m.num_vertices, size=min(12, m.num_vertices),
@@ -103,15 +111,21 @@ def test_batched_patches_match_oracle_on_perturbed_meshes(mesh, seed,
                                  <= R))
              for j, (c, R) in enumerate(zip(centers, radii))]
     cov = AdmissibleCovering(balls, 0.1)
-    try:
-        expected = oracle_patches(m, cov)
-    except PatchError as e:
-        with pytest.raises(PatchError, match=f"^{e}$"):
+    starless = balls_without_whole_star(m, cov)
+    assert starless == [j for j, P in enumerate(oracle_patches(m, cov))
+                        if P.interior[0].size == 0]
+    bad = refused_balls(m, cov)
+    if bad:
+        rule = "no interior vertex" if bad[0] in starless else "no boundary"
+        with pytest.raises(PatchError, match=f"^ball {bad[0]}[ :].*{rule}"):
             Patches.extract(m, cov)
+    if len(bad) == len(balls):
         return
+    cov = AdmissibleCovering([b for j, b in enumerate(balls)
+                              if j not in bad], 0.1)
     patches = Patches.extract(m, cov)
     _assert_matches_oracle(m, cov, patches)
-    assert len(expected) == len(patches)
+    assert len(patches) == len(balls) - len(bad)
 
 
 @pytest.mark.parametrize("mesh,cover", [("torus16", "cover16"),
@@ -231,24 +245,30 @@ def test_patch_operator_is_submesh_stiffness_3d(torus3d5, cover3d5):
 
 def test_stack_patches_names_ball_without_interior(torus16, cover16):
     # a hand-built ball holding one triangle: every vertex and edge of
-    # the patch lies on its boundary
+    # the patch lies on its boundary, so extraction refuses it before
+    # any system is stacked
     cell = torus16.simplices[2][0]
-    ball = SimpleNamespace(index=99, center=int(cell[0]), members=cell)
-    patches = Patches.extract(torus16, AdmissibleCovering(
-        [cover16[1].balls[3], ball], 0.1))
-    assert np.diff(patches.interior[1].indptr).tolist()[1] == 0
-    for p in (0, 1):
-        with pytest.raises(PatchError, match=f"ball 99: no interior {p}-"):
-            local_solver.stack_patches(patches, p)
+    ball = SimpleNamespace(index=99, center=int(cell[0]),
+                           covering_radius=0.125, members=cell)
+    cov = AdmissibleCovering([cover16[1].balls[3], ball], 0.1)
+    assert extract_patch(torus16, cov, 1).interior[1].size == 0
+    with pytest.raises(PatchError, match=rf"^ball 99 \(center {cell[0]}, "
+                       r"radius 0\.125\) holds no vertex with all its "
+                       "neighbours, so its patch has no interior vertex; "
+                       r"radius floor R_min = 0\.\d+ "):
+        Patches.extract(torus16, cov)
 
 
 def test_extract_names_ball_without_full_cell(torus16, cover16):
     # a hand-built ball holding one edge: no triangle has all its
-    # vertices in it
+    # vertices in it, so no vertex has its whole star either
     edge = torus16.simplices[1][0]
-    ball = SimpleNamespace(index=7, center=int(edge[0]), members=edge)
+    ball = SimpleNamespace(index=7, center=int(edge[0]),
+                           covering_radius=0.0625, members=edge)
     cov = AdmissibleCovering([cover16[1].balls[3], ball], 0.1)
-    with pytest.raises(PatchError, match="^ball 7 contains no full n-cell$"):
+    assert extract_patch(torus16, cov, 1).cells.size == 0
+    with pytest.raises(PatchError, match=rf"^ball 7 \(center {edge[0]}, "
+                       r"radius 0\.0625\) .* no interior vertex;"):
         Patches.extract(torus16, cov)
 
 
