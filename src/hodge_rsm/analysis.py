@@ -42,8 +42,9 @@ class SpectrumReport:
     harmonic_dim: int
     gap: float
     harmonic_basis: np.ndarray     # (num_simplices, harmonic_dim), M-orthonormal
-    harmonic_tol: float
-    scale: float                   # largest (computed or bounded) eigenvalue
+    harmonic_tol: float            # absolute threshold, as in to_dict()
+    # Gershgorin upper bound of the largest eigenvalue
+    scale: float
     cluster_flag: bool = False
 
     def to_dict(self) -> dict:
@@ -81,28 +82,23 @@ def spectrum(m: SimplicialManifold, p: int, m_eigs: int = 10,
              harmonic_tol: float = HARMONIC_TOL_REL) -> SpectrumReport:
     """Lowest eigenpairs of the degree-p Hodge Laplacian.
 
-    Dense below DENSE_LIMIT unknowns (the oracle path), shift-invert
-    Lanczos above.  harmonic_tol is relative to the largest eigenvalue;
-    a flag is raised when eigenvalues cluster suspiciously close to the
-    harmonic threshold.
+    Shift-invert Lanczos on S = M^-1/2 K M^-1/2 (sigma just below 0) from
+    a fixed pseudo-random start, so repeated runs agree bit for bit;
+    at most N - 1 pairs are returned.  harmonic_tol is relative to the
+    Gershgorin upper bound of the largest eigenvalue; the report keeps the
+    absolute threshold.  A flag is raised when eigenvalues cluster
+    suspiciously close to the harmonic threshold.
     """
     N = m.num_simplices(p)
     K = dec.stiffness_matrix(m, p)
     Mh = np.sqrt(dec.mass_diagonal(m, p))
-    if N <= DENSE_LIMIT:
-        S = K.toarray() / Mh[:, None] / Mh[None, :]
-        vals, vecs = np.linalg.eigh(S)
-        scale = float(vals[-1])
-        vals = vals[:m_eigs]
-        vecs = vecs[:, :m_eigs]
-    else:
-        S = sp.diags(1.0 / Mh) @ K @ sp.diags(1.0 / Mh)
-        vals, vecs = spla.eigsh(S.tocsc(), k=m_eigs, sigma=-1e-6,
-                                which="LM")
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        # Gershgorin upper bound stands in for the top eigenvalue
-        scale = float(np.abs(S).sum(axis=1).max())
+    S = sp.diags(1.0 / Mh) @ K @ sp.diags(1.0 / Mh)
+    v0 = np.random.default_rng(0).uniform(-1, 1, N)
+    vals, vecs = spla.eigsh(S.tocsc(), k=min(m_eigs, N - 1), sigma=-1e-6,
+                            which="LM", v0=v0)
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    scale = float(np.abs(S).sum(axis=1).max())
     if vals[0] < -1e-12 * scale:
         raise AnalysisError("negative eigenvalue beyond tolerance")
     tol = harmonic_tol * scale

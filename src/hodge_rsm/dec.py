@@ -24,7 +24,7 @@ from .geometry import (Chart, SimplicialManifold, _sorted_unique,
                        simplex_volumes)
 
 INF = math.inf
-# largest number of unknowns for which a dense matrix is formed
+# largest number of unknowns for which a dense rank is computed
 DENSE_LIMIT = 3000
 
 

@@ -367,6 +367,40 @@ def spec32_p1(torus32):
     return analysis.spectrum(torus32, 1)
 
 
+def oracle_spectrum(m, p, m_eigs=10,
+                    harmonic_tol=analysis.HARMONIC_TOL_REL):
+    """The dense spectrum `analysis.spectrum` once computed below
+    DENSE_LIMIT: all N eigenpairs of S = M^-1/2 K M^-1/2 by `eigh`, with
+    the tolerance relative to the computed top eigenvalue.  Cubic in N."""
+    K = dec.stiffness_matrix(m, p)
+    Mh = np.sqrt(dec.mass_diagonal(m, p))
+    S = K.toarray() / Mh[:, None] / Mh[None, :]
+    vals, vecs = np.linalg.eigh(S)
+    scale = float(vals[-1])
+    vals = vals[:m_eigs]
+    vecs = vecs[:, :m_eigs]
+    if vals[0] < -1e-12 * scale:
+        raise analysis.AnalysisError("negative eigenvalue beyond tolerance")
+    tol = harmonic_tol * scale
+    dim = int(np.sum(vals < tol))
+    above = vals[vals >= tol]
+    gap = float(above[0]) if above.size else math.inf
+    cluster = bool(np.any((vals >= tol) & (vals < 100 * tol))) \
+        or (above.size > 0 and gap < 1e-6 * scale)
+    # a threshold below the numerical-zero band cannot classify kernels
+    zero_band = 1e-12 * scale
+    if tol < zero_band and np.any(np.abs(vals) < zero_band):
+        cluster = True
+    basis = vecs[:, :dim] / Mh[:, None]
+    # re-orthonormalize in the mass inner product
+    if dim:
+        G = (basis * dec.mass_diagonal(m, p)[:, None]).T @ basis
+        L = np.linalg.cholesky(G)
+        basis = basis @ np.linalg.inv(L).T
+    return analysis.SpectrumReport(p, np.maximum(vals, 0.0), dim, gap, basis,
+                                   tol, scale, cluster)
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260826)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import subspace_angles
 
+from conftest import oracle_spectrum
 from hodge_rsm import analysis, covering, dec, geometry
 from hodge_rsm.analysis import (AnalysisError, derivative_rank,
                                 dual_poisson_solve, gap_solve,
@@ -20,15 +22,41 @@ def test_spectrum_dimensions(torus16, sphere16, spec16_p0, spec16_p1):
     assert spectrum(sphere16, 1, 8).harmonic_dim == 0
 
 
-def test_spectrum_matches_dense_oracle(torus16, spec16_p1):
-    # independent dense eigensolve of the mass-symmetrized operator
-    Mw = dec.mass_diagonal(torus16, 1)
-    K = dec.stiffness_matrix(torus16, 1).toarray()
-    S = K / np.sqrt(Mw)[:, None] / np.sqrt(Mw)[None, :]
-    vals = np.linalg.eigvalsh((S + S.T) / 2.0)
-    tol = 1e-8 * vals[-1]
-    assert int(np.sum(np.abs(vals) < tol)) == spec16_p1.harmonic_dim
-    assert spec16_p1.gap == pytest.approx(vals[2], rel=1e-6)
+@pytest.mark.parametrize("mesh,p", [
+    ("torus16", 0), ("torus16", 1), ("torus16", 2), ("bumpy16", 1),
+    ("bumpy16", 2), ("sphere8", 0), ("sphere8", 1)])
+def test_spectrum_matches_dense_oracle(request, mesh, p):
+    m = request.getfixturevalue(mesh)
+    rep = spectrum(m, p)
+    want = oracle_spectrum(m, p)
+    assert rep.harmonic_dim == want.harmonic_dim
+    above = rep.eigenvalues >= rep.harmonic_tol
+    assert np.allclose(rep.eigenvalues[above], want.eigenvalues[above],
+                       rtol=1e-7, atol=0.0)
+    if rep.harmonic_dim:
+        # principal angles in the mass inner product
+        Mh = np.sqrt(dec.mass_diagonal(m, p))[:, None]
+        angles = subspace_angles(Mh * rep.harmonic_basis,
+                                 Mh * want.harmonic_basis)
+        assert angles.max() <= 1e-10
+    assert rep.scale >= want.scale
+
+
+@pytest.mark.parametrize("mesh", ["torus32", "bumpy16"])
+def test_spectrum_is_deterministic(request, mesh):
+    m = request.getfixturevalue(mesh)
+    a, b = spectrum(m, 1), spectrum(m, 1)
+    assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    assert np.array_equal(a.harmonic_basis, b.harmonic_basis)
+    assert (a.gap, a.scale) == (b.gap, b.scale)
+
+
+def test_spectrum_with_more_eigs_than_unknowns():
+    m = geometry.generate_test_manifold("flat_torus", 4)
+    assert m.num_simplices(0) == 16
+    rep = spectrum(m, 0, m_eigs=16)
+    assert len(rep.eigenvalues) == 15
+    assert rep.harmonic_dim == 1
 
 
 def test_spectrum_cluster_flag(torus16):
@@ -71,7 +99,7 @@ def test_gap_solve_harmonic_input(torus16, spec16_p1):
 
 def test_gap_solve_nearly_harmonic_inputs(torus16, spec16_p1, rng):
     # which harmonic column leaves CG a roundoff right-hand side it cannot
-    # reduce depends on how eigh rotates the basis: try every column
+    # reduce depends on how the eigensolver rotates the basis: try every column
     K = dec.stiffness_matrix(torus16, 1)
     Mw = dec.mass_diagonal(torus16, 1)
     lap = dec.hodge_laplacian(torus16, 1)
