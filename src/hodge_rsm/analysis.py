@@ -3,7 +3,7 @@
 The generalized eigenproblem K y = lambda M y is symmetrized through the
 diagonal mass matrix; eigenvalues below a relative tolerance span the
 harmonic space, the first one above it is the spectral gap.  Poisson
-solves combine the raising-steps sweep with a deflated conjugate
+solves combine the raising-steps sweep with a preconditioned conjugate
 gradient on the gap; dual solves apply the mass adjoint of that
 operator through adjoint gluing sweeps; decompositions are certified by
 reconstruction residuals and orthogonality tables.
@@ -82,22 +82,26 @@ def spectrum(m: SimplicialManifold, p: int, m_eigs: int = 10,
              harmonic_tol: float = HARMONIC_TOL_REL) -> SpectrumReport:
     """Lowest eigenpairs of the degree-p Hodge Laplacian.
 
-    Shift-invert Lanczos on S = M^-1/2 K M^-1/2 (sigma just below 0) from
-    a fixed pseudo-random start, so repeated runs agree bit for bit;
-    at most N - 1 pairs are returned.  harmonic_tol is relative to the
-    Gershgorin upper bound of the largest eigenvalue; the report keeps the
-    absolute threshold.  A flag is raised when eigenvalues cluster
-    suspiciously close to the harmonic threshold.
+    Shift-invert Lanczos on S = M^-1/2 K M^-1/2 (sigma = -dec.SHIFT) from
+    a fixed pseudo-random start, so repeated runs agree bit for bit; at
+    most N - 1 pairs are returned.  It inverts through a fresh
+    dec.shifted_factor, dropped on return, and reports the Rayleigh
+    quotients of the Lanczos vectors (ARPACK's own converge only relative
+    to 1/SHIFT).  harmonic_tol is relative to the Gershgorin upper bound
+    of the largest eigenvalue; the report keeps the absolute threshold.  A
+    flag is raised when eigenvalues cluster suspiciously close to the
+    harmonic threshold.
     """
     N = m.num_simplices(p)
     K = dec.stiffness_matrix(m, p)
     Mh = np.sqrt(dec.mass_diagonal(m, p))
     S = sp.diags(1.0 / Mh) @ K @ sp.diags(1.0 / Mh)
     v0 = np.random.default_rng(0).uniform(-1, 1, N)
-    vals, vecs = spla.eigsh(S.tocsc(), k=min(m_eigs, N - 1), sigma=-1e-6,
-                            which="LM", v0=v0)
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
+    inverse = spla.LinearOperator((N, N), dec.shifted_factor(S).solve)
+    ritz, vecs = spla.eigsh(S, k=min(m_eigs, N - 1), sigma=-dec.SHIFT,
+                            which="LM", v0=v0, OPinv=inverse)
+    vecs = vecs[:, np.argsort(ritz)]
+    vals = np.einsum("ij,ij->j", vecs, S @ vecs)
     scale = float(np.abs(S).sum(axis=1).max())
     if vals[0] < -1e-12 * scale:
         raise AnalysisError("negative eigenvalue beyond tolerance")
@@ -137,7 +141,7 @@ def harmonic_projection(m: SimplicialManifold, rep: SpectrumReport,
 def gap_solve(m: SimplicialManifold, rep: SpectrumReport,
               g: dec.Cochain, rtol: float = 1e-11,
               max_iter: int | None = None) -> dec.Cochain:
-    """Deflated conjugate gradient inverse on the spectral gap.
+    """Preconditioned conjugate gradient inverse on the spectral gap.
 
     Returns f, mass-orthogonal to the harmonic space, with
     |K f - M(g - Hg)| <= rtol |M g| (Euclidean norms; K the stiffness,
@@ -146,9 +150,13 @@ def gap_solve(m: SimplicialManifold, rep: SpectrumReport,
     included: for a (nearly) harmonic g the projected right-hand side
     M(g - Hg) is roundoff whose kernel component CG cannot reduce.
     When that side is already within the tolerance, the zero cochain
-    is returned.  Raises AnalysisError when CG does not reach the
-    tolerance within max_iter iterations (default 20 N), or when the
-    spectral bound |f| <= |g|/gap fails.
+    is returned.  The preconditioner M^-1/2 (S + SHIFT I)^-1 M^-1/2,
+    projected off the harmonic space, puts the spectrum in
+    [gap / (gap + SHIFT), 1), so PCG takes two or three iterations; its
+    dec.shifted_factor is built at the first solve per mesh and degree
+    and kept in the mesh's operator cache.  Raises AnalysisError when
+    PCG does not reach the tolerance within max_iter iterations (default
+    20 N), or when the spectral bound |f| <= |g|/gap fails.
     """
     p = g.degree
     K = dec.stiffness_matrix(m, p)
@@ -163,22 +171,29 @@ def gap_solve(m: SimplicialManifold, rep: SpectrumReport,
     b = Mw * project(g.values)
     x = np.zeros_like(b)
     res = b.copy()
-    d = res.copy()
-    rs = res @ res
     tol = rtol * float(np.linalg.norm(Mw * g.values))
-    if math.sqrt(rs) <= tol:
+    if math.sqrt(res @ res) <= tol:
         return dec.Cochain(m, p, x)
+    Mih = 1.0 / np.sqrt(Mw)
+    lu = dec._cached(m, "shifted_lu", p, lambda: dec.shifted_factor(
+        sp.diags(Mih) @ K @ sp.diags(Mih)))
+
+    def precondition(r):
+        return project(Mih * lu.solve(Mih * r))
+
+    d = precondition(res)
+    rz = res @ d
     limit = max_iter or 20 * len(b)
-    for it in range(limit):
+    for _ in range(limit):
         Kd = K @ d
-        alpha = rs / (d @ Kd)
+        alpha = rz / (d @ Kd)
         x += alpha * d
         res -= alpha * Kd
-        rs_new = res @ res
-        if math.sqrt(rs_new) <= tol:
+        if math.sqrt(res @ res) <= tol:
             break
-        d = res + (rs_new / rs) * d
-        rs = rs_new
+        z = precondition(res)
+        rz, rz_old = res @ z, rz
+        d = z + (rz / rz_old) * d
     else:
         raise AnalysisError("gap_solve: residual stagnation")
     x = project(x)

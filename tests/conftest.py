@@ -401,6 +401,61 @@ def oracle_spectrum(m, p, m_eigs=10,
                                    tol, scale, cluster)
 
 
+def oracle_gap_solve(m, rep, g, rtol: float = 1e-11,
+                     max_iter=None):
+    """The plain deflated conjugate gradient `analysis.gap_solve` ran
+    before it was preconditioned, with the same contract.
+
+    Returns f, mass-orthogonal to the harmonic space, with
+    |K f - M(g - Hg)| <= rtol |M g| (Euclidean norms; K the stiffness,
+    M the diagonal mass, Hg the harmonic projection of g).  The
+    tolerance is relative to the input g itself, harmonic part
+    included: for a (nearly) harmonic g the projected right-hand side
+    M(g - Hg) is roundoff whose kernel component CG cannot reduce.
+    When that side is already within the tolerance, the zero cochain
+    is returned.  Raises AnalysisError when CG does not reach the
+    tolerance within max_iter iterations (default 20 N), or when the
+    spectral bound |f| <= |g|/gap fails.
+    """
+    p = g.degree
+    K = dec.stiffness_matrix(m, p)
+    Mw = dec.mass_diagonal(m, p)
+    H = rep.harmonic_basis
+
+    def project(x):
+        if rep.harmonic_dim:
+            return x - H @ (H.T @ (Mw * x))
+        return x
+
+    b = Mw * project(g.values)
+    x = np.zeros_like(b)
+    res = b.copy()
+    d = res.copy()
+    rs = res @ res
+    tol = rtol * float(np.linalg.norm(Mw * g.values))
+    if math.sqrt(rs) <= tol:
+        return dec.Cochain(m, p, x)
+    limit = max_iter or 20 * len(b)
+    for it in range(limit):
+        Kd = K @ d
+        alpha = rs / (d @ Kd)
+        x += alpha * d
+        res -= alpha * Kd
+        rs_new = res @ res
+        if math.sqrt(rs_new) <= tol:
+            break
+        d = res + (rs_new / rs) * d
+        rs = rs_new
+    else:
+        raise analysis.AnalysisError("gap_solve: residual stagnation")
+    x = project(x)
+    f = dec.Cochain(m, p, x)
+    if rep.gap > 0 and math.isfinite(rep.gap):
+        if dec.norm_l2(f) > dec.norm_l2(g) / rep.gap * (1 + 1e-8):
+            raise analysis.AnalysisError("gap_solve: spectral bound violated")
+    return f
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260826)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
-from conftest import oracle_spectrum
+from conftest import oracle_gap_solve, oracle_spectrum
 from hodge_rsm import analysis, covering, dec, geometry
 from hodge_rsm.analysis import (AnalysisError, derivative_rank,
                                 dual_poisson_solve, gap_solve,
@@ -32,7 +32,7 @@ def test_spectrum_matches_dense_oracle(request, mesh, p):
     assert rep.harmonic_dim == want.harmonic_dim
     above = rep.eigenvalues >= rep.harmonic_tol
     assert np.allclose(rep.eigenvalues[above], want.eigenvalues[above],
-                       rtol=1e-7, atol=0.0)
+                       rtol=1e-11, atol=0.0)
     if rep.harmonic_dim:
         # principal angles in the mass inner product
         Mh = np.sqrt(dec.mass_diagonal(m, p))[:, None]
@@ -98,7 +98,7 @@ def test_gap_solve_harmonic_input(torus16, spec16_p1):
 
 
 def test_gap_solve_nearly_harmonic_inputs(torus16, spec16_p1, rng):
-    # which harmonic column leaves CG a roundoff right-hand side it cannot
+    # which harmonic column leaves PCG a roundoff right-hand side it cannot
     # reduce depends on how the eigensolver rotates the basis: try every column
     K = dec.stiffness_matrix(torus16, 1)
     Mw = dec.mass_diagonal(torus16, 1)
@@ -131,6 +131,61 @@ def test_gap_solve_spectral_bound(torus16, spec16_p1, rng):
         g = dec.random_cochain(torus16, 1, rng)
         f = gap_solve(torus16, spec16_p1, g)
         assert dec.norm_l2(f) <= dec.norm_l2(g) / spec16_p1.gap + 1e-12
+
+
+class CountingFactor:
+    """Stands in for a cached LU and counts its solves."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, r):
+        self.solves += 1
+        return self.lu.solve(r)
+
+
+@pytest.mark.parametrize("mesh", ["torus16", "bumpy16", "sphere8"])
+@pytest.mark.parametrize("p", [0, 1])
+def test_gap_solve_matches_cg_oracle(request, mesh, p, rng, monkeypatch):
+    m = request.getfixturevalue(mesh)
+    rep = spectrum(m, p)
+    for _ in range(3):
+        g = dec.random_cochain(m, p, rng)
+        want = oracle_gap_solve(m, rep, g)
+        gap_solve(m, rep, g)
+        key = ("shifted_lu", p)
+        counter = CountingFactor(m._op_cache[key])
+        monkeypatch.setitem(m._op_cache, key, counter)
+        f = gap_solve(m, rep, g)
+        monkeypatch.undo()
+        assert counter.solves <= 3
+        assert dec.norm_l2(f - want) <= 1e-9 * dec.norm_l2(want)
+
+
+def test_gap_solve_factor_belongs_to_the_mesh(torus16, spec16_p1, rng):
+    # a report from another eigensolver rotates the harmonic basis but
+    # shares the mesh's factor
+    oracle = oracle_spectrum(torus16, 1)
+    for _ in range(3):
+        g = dec.random_cochain(torus16, 1, rng)
+        a = gap_solve(torus16, spec16_p1, g)
+        b = gap_solve(torus16, oracle, g)
+        assert dec.norm_l2(a - b) <= 1e-12 * dec.norm_l2(a)
+
+
+def test_gap_solve_factors_once_per_mesh_and_degree(rng, monkeypatch):
+    m = geometry.generate_test_manifold("flat_torus", 8)
+    calls = []
+    real = dec.spla.splu
+    monkeypatch.setattr(dec.spla, "splu",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    rep = spectrum(m, 1)
+    assert len(calls) == 1
+    assert ("shifted_lu", 1) not in m._op_cache
+    lap = dec.hodge_laplacian(m, 1)
+    for _ in range(2):
+        gap_solve(m, rep, lap(dec.random_cochain(m, 1, rng)))
+        assert len(calls) == 2
 
 
 def test_poisson_zero(torus16, cover16, spec16_p1):

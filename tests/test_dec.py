@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -304,6 +306,22 @@ def test_density_plan_matches_sparse_oracle(request, mesh, cover):
             support = cov.patches.simplices[p]
         x = rng.standard_normal(plan.patterns[0][0].size)
         _assert_plan_matches_oracle(m, p, plan, x, support)
+
+
+def test_density_plan_is_freed_without_the_cyclic_collector(torus8):
+    # a plan that has computed densities is freed as soon as its last
+    # reference goes, with its chain values: no reference cycle holds it
+    N = torus8.num_simplices(1)
+    plan = dec.DensityPlan(torus8, 1, np.arange(N), np.array([0, N]),
+                           sp.csc_matrix(np.ones((N, 1), dtype=bool)))
+    plan.densities(np.ones(N))
+    ref = weakref.ref(plan)
+    gc.disable()
+    try:
+        del plan
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=20, deadline=None)
