@@ -20,9 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import (Chart, SimplicialManifold, _sorted_unique,
-                       chord_lengths, lumped_supports, simplex_average,
-                       simplex_volumes)
+from .geometry import (Chart, SimplicialManifold, chord_lengths,
+                       lumped_supports, simplex_average, simplex_volumes)
 
 INF = math.inf
 # largest number of unknowns for which a dense rank is computed
@@ -295,42 +294,52 @@ class DensityPlan:
     those after it, each row summing in the order of the operator's row
     as a sparse product does.  So the densities equal, entry for entry,
     those of the simplices x cochains matrix of x, but for the exact
-    zeros a sparse product drops.  support (a simplices x cochains mask)
-    is gathered onto the pattern of each order.
+    zeros a sparse product drops.  A step takes the operator's columns at
+    the pattern's simplices in storage order (A[:, row]) and regroups them
+    by cochain in one stable counting pass (a permuted transposition), so
+    its rows keep the operator rows' order and nothing is sorted.  An
+    order's pattern is the merged union of its terms'.  support (a
+    simplices x cochains mask) is gathered onto the pattern of each order.
     """
 
     def __init__(self, m: SimplicialManifold, p: int, index: np.ndarray,
                  offsets: np.ndarray, support: sp.spmatrix):
         self.p = p
         self.ncols = offsets.size - 1
-        col = np.repeat(np.arange(self.ncols), np.diff(offsets))
-        self.patterns = {(): (col, np.asarray(index, dtype=np.int64), p)}
+        self.patterns = {(): (self._cochains(offsets),
+                              np.asarray(index, dtype=np.int32), p)}
         self.steps, self.volumes, self.terms = {}, {}, []
-        N = m.num_simplices(p)
         for order in range(3):
             ends = []
-            for chain, average in density_terms(m.n, p, order):
+            for i, (chain, average) in enumerate(density_terms(m.n, p, order)):
                 end = chain if average is None else chain + (average,)
                 self._step(m, end)
                 _, row, q = self.patterns[chain]
                 self.volumes[chain] = m.volumes[q][row]
-                ends.append((chain, average, self._key(end, N)))
-            union = _sorted_unique(np.concatenate([k for *_, k in ends]))
-            self.patterns[order] = (union // N, union % N, p)
+                col, row, _ = self.patterns[end]  # term i: entries 2^i
+                ends.append((chain, average, sp.csr_matrix(
+                    (np.full(col.size, 2.0**i), row,
+                     np.searchsorted(col, np.arange(self.ncols + 1))),
+                    shape=(self.ncols, m.num_simplices(p)))))
+            # sorted rows add by one merge into the sorted union, whose
+            # indices may view a buffer sized for both: copied when kept
+            union = sum((E for *_, E in ends[1:]), ends[0][2])
+            flags = union.data.astype(np.int64)
+            self.patterns[order] = (self._cochains(union.indptr),
+                                    union.indices.copy(), p)
             # a term that fills the union needs no scatter (at = None)
-            self.terms.append([(chain, average, None if k.size == union.size
-                                else np.searchsorted(union, k))
-                               for chain, average, k in ends])
-        self.patterns = {key: (col.astype(np.int32), row.astype(np.int32), q)
-                         for key, (col, row, q) in self.patterns.items()
-                         if key in (0, 1, 2, ("lap",))}
+            self.terms.append([(chain, average, None if E.nnz == union.nnz
+                                else np.flatnonzero(flags >> i & 1))
+                               for i, (chain, average, E) in enumerate(ends)])
+        self.patterns = {k: self.patterns[k] for k in (0, 1, 2, ("lap",))}
         self.mu = [m.support_volumes[p][self.patterns[k][1]]
                    for k in range(3)]
         self.support = self.gather(support, range(3))
 
-    def _key(self, key, size: int) -> np.ndarray:
-        col, row, _ = self.patterns[key]
-        return col.astype(np.int64) * size + row
+    def _cochains(self, indptr: np.ndarray) -> np.ndarray:
+        """The cochain of each entry of a cochain-major layout."""
+        return np.repeat(np.arange(self.ncols, dtype=np.int32),
+                         np.diff(indptr))
 
     def _step(self, m: SimplicialManifold, chain: tuple) -> None:
         """The matrices and patterns of every step of chain."""
@@ -339,46 +348,26 @@ class DensityPlan:
         self._step(m, chain[:-1])
         col, row, q = self.patterns[chain[:-1]]
         A, reached = _chain_operator(m, q, chain[-1])
-        # operator entries t that read simplex row[e], for every entry e
-        by_col = np.argsort(A.indices, kind="stable")
-        starts = np.concatenate([[0], np.cumsum(np.bincount(
-            A.indices, minlength=A.shape[1]))])
-        counts = starts[row + 1] - starts[row]
-        src = np.repeat(np.arange(row.size), counts)
-        t = by_col[np.arange(src.size)
-                   + np.repeat(starts[row] - np.cumsum(counts) + counts,
-                               counts)]
-        a_row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-        keys = col[src] * A.shape[0] + a_row[t]
-        # one matrix row per key, its entries in the operator row's order;
-        # one argsort of key * nnz + t is 5x faster than a lexsort
-        order = np.argsort(keys * A.nnz + t) \
-            if keys.max(initial=0) < np.iinfo(np.int64).max // A.nnz \
-            else np.lexsort((t, keys))
-        keys, src, t = keys[order], src[order], t[order]
-        first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        # reached simplices x pattern entries in the operator rows' order,
+        # regrouped by cochain by one stable counting pass (csr_tocsc)
+        G = A[:, row]
+        by = sp.csr_matrix((np.arange(G.nnz), col[G.indices], G.indptr),
+                           shape=(A.shape[0], self.ncols)).tocsc()
+        t, a = by.data, by.indices
+        c = self._cochains(by.indptr)
+        first = np.flatnonzero(np.concatenate(
+            [[True], (a[1:] != a[:-1]) | (c[1:] != c[:-1])]))
         self.steps[chain] = sp.csr_matrix(
-            (A.data[t], src, np.append(first, keys.size)),
+            (G.data[t], G.indices[t], np.append(first, t.size)),
             shape=(first.size, row.size))
-        keys = keys[first]
-        self.patterns[chain] = (keys // A.shape[0], keys % A.shape[0],
-                                reached)
+        self.patterns[chain] = (c[first], a[first], reached)
 
     def gather(self, A: sp.spmatrix, keys) -> list:
         """Values of the sparse q-simplices x cochains matrix A on the
         pattern of each key of keys, 0 where A stores none."""
-        A = A.tocsc(copy=True)
-        A.sum_duplicates()
-        # a last key past every other one stands for "not stored"
-        stored = np.append(np.repeat(np.arange(A.shape[1]), np.diff(
-            A.indptr)) * A.shape[0] + A.indices, np.iinfo(np.int64).max)
-        data = np.append(A.data, np.zeros(1, A.dtype))
-        out = []
-        for key in keys:
-            want = self._key(key, A.shape[0])
-            at = np.searchsorted(stored, want)
-            out.append(np.where(stored[at] == want, data[at], data[-1]))
-        return out
+        A = A.tocsr()
+        return [np.asarray(A[row, col]).ravel()
+                for col, row, _ in (self.patterns[k] for k in keys)]
 
     def densities(self, x: np.ndarray, orders=(0, 1, 2),
                   values: dict | None = None) -> list:

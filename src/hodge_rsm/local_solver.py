@@ -13,12 +13,12 @@ The patches of a covering are extracted together (Patches.extract), as
 simplices x balls sparse matrices from one sparse product per degree,
 refusing a ball whose patch has no interior vertex or no boundary;
 patches[j] is the one-ball Patches the single-ball solvers take.  Their
-direct systems form one PatchSystem per degree (stack_patches): dec
-assembles the stiffness and mass once, on the disjoint union of the
-patch subcomplexes sliced from the global complex (PatchComplex, whose
-rows are the entries of those matrices); the interior unknowns of all
-patches form one stacked vector, with one splu factor of the
-block-diagonal stiffness.  Each block equals its patch's submesh
+direct systems form one PatchSystem per degree (stack_patches): the
+stiffness and mass are formed once, on the interior rows only of the
+disjoint union of the patch subcomplexes sliced from the global complex
+(PatchComplex, whose rows are the entries of those matrices); the
+interior unknowns of all patches form one stacked vector, with one splu
+factor of the block-diagonal stiffness.  Each block equals its patch's submesh
 stiffness bit for bit, with no per-patch manifold or chart.  The
 Neumann series assembles its flat operator the same way, with the edge
 lengths of the ball's chart.
@@ -206,9 +206,11 @@ class PatchComplex:
         return self.keys[p].shape[0]
 
 
-def _patch_complex(patches: Patches,
+def _patch_complex(patches: Patches, p: int,
                    lengths: np.ndarray | None = None) -> PatchComplex:
-    """The PatchComplex of patches.
+    """The PatchComplex of patches, with only what the degree-p stiffness
+    reads (None elsewhere): the boundaries into and out of degree p, the
+    volumes and support volumes at degrees p - 1 to p + 1, volumes at n.
 
     Rows are found through the sorted keys, so no dense patches x
     simplices table is built.  The volumes are sliced
@@ -218,6 +220,7 @@ def _patch_complex(patches: Patches,
     """
     m = patches.manifold
     n = m.n
+    near = range(max(p - 1, 0), min(p + 1, n) + 1)
     simplices = [S.indices for S in patches.simplices]
     owner = [np.repeat(np.arange(len(patches)), np.diff(S.indptr))
              for S in patches.simplices]
@@ -228,24 +231,25 @@ def _patch_complex(patches: Patches,
         return np.searchsorted(keys[q], own * m.num_simplices(q) + glob)
 
     boundary = [None] * (n + 1)
-    for q in range(1, n + 1):
+    for q in near[1:]:
         B = m.boundary[q].tocsc()[:, simplices[q]].tocoo()
         boundary[q] = sp.csr_matrix(
-            (B.data, (rows(q - 1, owner[q][B.col], B.row), B.col)),
+            (1.0 * B.data, (rows(q - 1, owner[q][B.col], B.row), B.col)),
             shape=(simplices[q - 1].size, simplices[q].size))
 
-    if lengths is None:
-        volumes = [m.volumes[q][simplices[q]] for q in range(n + 1)]
-    else:
-        volumes = [np.ones(simplices[0].size), lengths]
-        volumes += [simplex_volumes(lengths[rows(
-            1, owner[q][:, None],
-            m._simplex_edges(m.simplices[q][simplices[q]]))], q)
-            for q in range(2, n + 1)]
+    volumes = [None] * (n + 1)
+    for q in {*near, n}:
+        volumes[q] = (m.volumes[q][simplices[q]] if lengths is None
+                      else np.ones(simplices[0].size) if q == 0
+                      else lengths if q == 1
+                      else simplex_volumes(lengths[rows(
+                          1, owner[q][:, None],
+                          m._simplex_edges(m.simplices[q][simplices[q]]))], q))
     cells, cell_owner = simplices[n], owner[n][:, None]
     support = [lumped_supports(volumes[n],
                                rows(q, cell_owner, m._cell_faces[q][cells]),
-                               simplices[q].size) for q in range(n + 1)]
+                               simplices[q].size) if q in near else None
+               for q in range(n + 1)]
     return PatchComplex(n, keys, boundary, volumes, support)
 
 
@@ -254,22 +258,49 @@ def _assemble(patches: Patches, p: int,
     """The degree-p PatchSystem of patches, not yet factored; with
     lengths, in the metric they give (see _patch_complex).
 
-    The stacked unknowns are the interior rows of the PatchComplex of
+    The stacked unknowns are the interior rows r of the PatchComplex of
     the patches, taken patch by patch; no stiffness entry couples two
-    patches.  It only assembles: Patches.extract has already refused a
-    patch without unknowns or without boundary.
+    patches.  The stiffness is formed on the rows r only: rows r of
+    d*_{p+1} = M_p^-1 B_{p+1} M_{p+1} times columns r of d_p, plus rows r
+    of d_{p-1} times columns r of d*_p, scaled by M_p[r], symmetrised.
+    Every sum runs in dec's order on the whole union, so K is the union
+    stiffness on rows and columns r bit for bit.  Patches.extract has
+    already refused a patch without unknowns or without boundary.
     """
     interior = patches.interior[p]
-    union = _patch_complex(patches, lengths)
+    union = _patch_complex(patches, p, lengths)
     pos = np.repeat(np.arange(len(patches)), np.diff(interior.indptr))
     glob = interior.indices.astype(np.int64)
     N = patches.manifold.num_simplices(p)
-    rows = np.searchsorted(union.keys[p], pos * N + glob)
-    K = dec.stiffness_matrix(union, p)[rows][:, rows].tocsc()
+    r = np.searchsorted(union.keys[p], pos * N + glob)
+    mass = [None if v is None else dec.mass_diagonal(union, q)
+            for q, v in enumerate(union.support_volumes)]
+    lap = []
+    if p < union.n:
+        up = union.boundary[p + 1][r]
+        lap.append(_scaled(up, 1.0 / mass[p][r], mass[p + 1]) @ up.T)
+    if p > 0:
+        down = union.boundary[p][:, r].T.tocsr()
+        lap.append(down @ _scaled(down.T.tocsr(), 1.0 / mass[p - 1],
+                                  mass[p][r]))
+    K = sp.diags(mass[p][r]) @ sum(lap[1:], lap[0])
     balls = np.array([b.index for b in patches.balls])
-    return PatchSystem(glob, interior.indptr.astype(np.int64), balls[pos], K,
-                       dec.mass_diagonal(union, p)[rows],
+    return PatchSystem(glob, interior.indptr.astype(np.int64), balls[pos],
+                       ((K + K.T) * 0.5).tocsc(), mass[p][r],
                        patches.simplices[p])
+
+
+def _scaled(A: sp.csr_matrix, left: np.ndarray, right: np.ndarray):
+    """diags(left) @ A @ diags(right) as those two sparse products form it,
+    in A's entry order: an entry is dropped where either product makes it
+    0 or where it meets a 0 of a diagonal (not stored: even inf * 0)."""
+    A = A.copy()
+    lw, rw = np.repeat(left, np.diff(A.indptr)), right[A.indices]
+    half = A.data * lw
+    A.data = half * rw
+    A.data[(lw == 0) | (rw == 0) | (half == 0)] = 0.0
+    A.eliminate_zeros()
+    return A
 
 
 def stack_patches(patches: Patches, p: int) -> PatchSystem:

@@ -672,6 +672,92 @@ def oracle_densities(m, p, values, order):
     return sum(t.multiply(t) for t in terms).sqrt()
 
 
+def oracle_plan_steps(m, p, index, offsets):
+    """(steps, patterns, terms) of dec.DensityPlan(m, p, index, offsets,
+    ...), each step built by one argsort of its (pattern entry, operator
+    entry) pairs and each order's pattern by one sort of its terms' keys.
+    Tests only: the library gathers the operator's columns at the
+    pattern and regroups them by one counting pass."""
+    ncols = offsets.size - 1
+    col = np.repeat(np.arange(ncols), np.diff(offsets))
+    patterns = {(): (col, np.asarray(index, dtype=np.int64), p)}
+    steps, terms = {}, []
+
+    def key(k, size):
+        col, row, _ = patterns[k]
+        return col.astype(np.int64) * size + row
+
+    def step(chain):
+        if chain in patterns:
+            return
+        step(chain[:-1])
+        col, row, q = patterns[chain[:-1]]
+        A, reached = dec._chain_operator(m, q, chain[-1])
+        # operator entries t that read simplex row[e], for every entry e
+        by_col = np.argsort(A.indices, kind="stable")
+        starts = np.concatenate([[0], np.cumsum(np.bincount(
+            A.indices, minlength=A.shape[1]))])
+        counts = starts[row + 1] - starts[row]
+        src = np.repeat(np.arange(row.size), counts)
+        t = by_col[np.arange(src.size)
+                   + np.repeat(starts[row] - np.cumsum(counts) + counts,
+                               counts)]
+        a_row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        keys = col[src] * A.shape[0] + a_row[t]
+        # one matrix row per key, its entries in the operator row's order
+        order = np.argsort(keys * A.nnz + t) \
+            if keys.max(initial=0) < np.iinfo(np.int64).max // A.nnz \
+            else np.lexsort((t, keys))
+        keys, src, t = keys[order], src[order], t[order]
+        first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        steps[chain] = sp.csr_matrix(
+            (A.data[t], src, np.append(first, keys.size)),
+            shape=(first.size, row.size))
+        keys = keys[first]
+        patterns[chain] = (keys // A.shape[0], keys % A.shape[0], reached)
+
+    N = m.num_simplices(p)
+    for order in range(3):
+        ends = []
+        for chain, average in dec.density_terms(m.n, p, order):
+            end = chain if average is None else chain + (average,)
+            step(end)
+            ends.append((chain, average, key(end, N)))
+        union = np.unique(np.concatenate([k for *_, k in ends]))
+        patterns[order] = (union // N, union % N, p)
+        terms.append([(chain, average, None if k.size == union.size
+                       else np.searchsorted(union, k))
+                      for chain, average, k in ends])
+    patterns = {k: (col.astype(np.int32), row.astype(np.int32), q)
+                for k, (col, row, q) in patterns.items()
+                if k in (0, 1, 2, ("lap",))}
+    return steps, patterns, terms
+
+
+def assert_plan_matches_step_oracle(m, p, plan, index, offsets):
+    """Every step, pattern and term scatter of plan equal the argsort
+    oracle's bit for bit: format, dtype, data, indices and indptr."""
+    steps, patterns, terms = oracle_plan_steps(m, p, index, offsets)
+    assert plan.steps.keys() == steps.keys()
+    for chain, want in steps.items():
+        got = plan.steps[chain]
+        assert got.format == want.format and got.shape == want.shape
+        for attr in ("data", "indices", "indptr"):
+            x, y = getattr(got, attr), getattr(want, attr)
+            assert x.dtype == y.dtype and np.array_equal(x, y), (chain, attr)
+    assert plan.patterns.keys() == patterns.keys()
+    for k, want in patterns.items():
+        for x, y in zip(plan.patterns[k], want):
+            assert np.asarray(x).dtype == np.asarray(y).dtype
+            assert np.array_equal(x, y), k
+    for got, want in zip(plan.terms, terms, strict=True):
+        for (c1, a1, at1), (c2, a2, at2) in zip(got, want, strict=True):
+            assert (c1, a1) == (c2, a2)
+            assert (at1 is None) == (at2 is None)
+            if at1 is not None:
+                assert np.array_equal(at1, at2)
+
+
 def oracle_column_norms(m, p, dens, r, mask=None):
     """Unweighted L^r norm of each column of a sparse matrix of p-simplex
     densities, over the rows of a sparse mask of its shape if given.

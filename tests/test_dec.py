@@ -15,9 +15,9 @@ from hodge_rsm.dec import (Cochain, DegreeError, NormSpec, codifferential,
                            lr_norm, mass_diagonal, norm_l2, random_cochain,
                            sobolev_exponent, sobolev_norm, stiffness_matrix)
 
-from conftest import (PERTURBED_MESHES, geodesic_distance,
-                      oracle_column_norms, oracle_densities, perturbed_mesh,
-                      refused_balls)
+from conftest import (PERTURBED_MESHES, assert_plan_matches_step_oracle,
+                      geodesic_distance, oracle_column_norms,
+                      oracle_densities, perturbed_mesh, refused_balls)
 
 INF = dec.INF
 
@@ -308,6 +308,22 @@ def test_density_plan_matches_sparse_oracle(request, mesh, cover):
         _assert_plan_matches_oracle(m, p, plan, x, support)
 
 
+@pytest.mark.parametrize("mesh,cover", [("torus16", "cover16"),
+                                        ("bumpy16", "cover_bumpy"),
+                                        ("sphere8", "cover_sphere8"),
+                                        ("torus3d5", "cover3d5")])
+def test_density_plan_steps_match_argsort_oracle(request, mesh, cover):
+    # the plan of a covering at every degree holds the argsort oracle's
+    # steps and patterns bit for bit, so its densities and the traces sum
+    # in the same order
+    m = request.getfixturevalue(mesh)
+    cov = request.getfixturevalue(cover)[1]
+    for p in range(m.n + 1):
+        system, plan = rsm.patch_system(m, cov, p)
+        assert_plan_matches_step_oracle(m, p, plan.dens, system.index,
+                                        system.offsets)
+
+
 def test_density_plan_is_freed_without_the_cyclic_collector(torus8):
     # a plan that has computed densities is freed as soon as its last
     # reference goes, with its chain values: no reference cycle holds it
@@ -352,3 +368,5 @@ def test_density_plan_on_perturbed_meshes(mesh, seed, amplitude):
         _assert_plan_matches_oracle(m, p, plan,
                                     rng.standard_normal(interior.nnz),
                                     patches.simplices[p])
+        assert_plan_matches_step_oracle(m, p, plan, interior.indices,
+                                        interior.indptr)

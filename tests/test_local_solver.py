@@ -128,13 +128,24 @@ def test_batched_patches_match_oracle_on_perturbed_meshes(mesh, seed,
     assert len(patches) == len(balls) - len(bad)
 
 
+def _assert_bitwise(a, b):
+    # two sparse matrices with the same format, dtype and sorted arrays
+    assert a.format == b.format and a.dtype == b.dtype
+    assert a.has_sorted_indices and b.has_sorted_indices
+    for attr in ("data", "indices", "indptr"):
+        x, y = getattr(a, attr), getattr(b, attr)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
 @pytest.mark.parametrize("mesh,cover", [("torus16", "cover16"),
                                         ("bumpy16", "cover_bumpy"),
+                                        ("sphere8", "cover_sphere8"),
                                         ("torus3d5", "cover3d5")])
 def test_stacked_system_matches_oracle_assembly(request, mesh, cover):
-    # the system of the batched patches equals the one the per-patch
-    # concatenations of the oracle's index lists assemble, field by field
-    # and bit for bit
+    # the system of the batched patches, its stiffness formed on the
+    # interior rows only, equals the interior block of the union
+    # stiffness the per-patch concatenations of the oracle's index lists
+    # assemble, field by field and bit for bit
     m = request.getfixturevalue(mesh)
     cov = request.getfixturevalue(cover)[1]
     patches = cached_patches(m, cov)
@@ -145,12 +156,26 @@ def test_stacked_system_matches_oracle_assembly(request, mesh, cover):
         for a, b in ((got.index, want.index), (got.offsets, want.offsets),
                      (got.owner, want.owner), (got.M, want.M)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        for a, b in ((got.K, want.K), (got.support, want.support)):
-            assert a.format == b.format and a.dtype == b.dtype
-            assert a.has_sorted_indices and b.has_sorted_indices
-            for attr in ("data", "indices", "indptr"):
-                x, y = getattr(a, attr), getattr(b, attr)
-                assert x.dtype == y.dtype and np.array_equal(x, y)
+        _assert_bitwise(got.K, want.K)
+        _assert_bitwise(got.support, want.support)
+
+
+def test_flat_assembly_matches_union_stiffness(bumpy16, cover_bumpy):
+    # with chart lengths, the stiffness formed on the interior rows
+    # equals dec's stiffness of the whole patch union on those rows, bit
+    # for bit, at every degree (p = 0 has no lower term, p = n no upper)
+    patches = cached_patches(bumpy16, cover_bumpy[1])
+    for j in (0, 3, 112):
+        one = patches[j]
+        lengths = local_solver._chart_lengths(one)
+        for p in range(bumpy16.n + 1):
+            got = local_solver._assemble(one, p, lengths)
+            union = local_solver._patch_complex(one, p, lengths)
+            r = np.searchsorted(union.keys[p], one.interior[p].indices)
+            _assert_bitwise(got.K,
+                            dec.stiffness_matrix(union, p)[r][:, r].tocsc())
+            want = dec.mass_diagonal(union, p)[r]
+            assert got.M.dtype == want.dtype and np.array_equal(got.M, want)
 
 
 def test_restrict_scatter_round_trip(torus16, patch16, rng):
