@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import linprog
 from scipy.sparse.csgraph import connected_components
@@ -82,22 +81,21 @@ def spectrum(m: SimplicialManifold, p: int, m_eigs: int = 10,
              harmonic_tol: float = HARMONIC_TOL_REL) -> SpectrumReport:
     """Lowest eigenpairs of the degree-p Hodge Laplacian.
 
-    Shift-invert Lanczos on S = M^-1/2 K M^-1/2 (sigma = -dec.SHIFT) from
-    a fixed pseudo-random start, so repeated runs agree bit for bit; at
-    most N - 1 pairs are returned.  It inverts through a fresh
-    dec.shifted_factor, dropped on return, and reports the Rayleigh
-    quotients of the Lanczos vectors (ARPACK's own converge only relative
-    to 1/SHIFT).  harmonic_tol is relative to the Gershgorin upper bound
-    of the largest eigenvalue; the report keeps the absolute threshold.  A
-    flag is raised when eigenvalues cluster suspiciously close to the
-    harmonic threshold.
+    Shift-invert Lanczos on S = dec.scaled_stiffness (sigma = -dec.SHIFT)
+    from a fixed pseudo-random start, so repeated runs agree bit for bit;
+    at most N - 1 pairs are returned.  It inverts through the mesh's one
+    dec.shifted_factor per degree, shared with gap_solve, and reports the
+    Rayleigh quotients of the Lanczos vectors (ARPACK's own converge only
+    relative to 1/SHIFT).  harmonic_tol is relative to the Gershgorin upper
+    bound of the largest eigenvalue; the report keeps the absolute
+    threshold.  A flag is raised when eigenvalues cluster suspiciously
+    close to the harmonic threshold.
     """
     N = m.num_simplices(p)
-    K = dec.stiffness_matrix(m, p)
     Mh = np.sqrt(dec.mass_diagonal(m, p))
-    S = sp.diags(1.0 / Mh) @ K @ sp.diags(1.0 / Mh)
+    S = dec.scaled_stiffness(m, p)
+    inverse = spla.LinearOperator((N, N), dec.shifted_factor(m, p).solve)
     v0 = np.random.default_rng(0).uniform(-1, 1, N)
-    inverse = spla.LinearOperator((N, N), dec.shifted_factor(S).solve)
     ritz, vecs = spla.eigsh(S, k=min(m_eigs, N - 1), sigma=-dec.SHIFT,
                             which="LM", v0=v0, OPinv=inverse)
     vecs = vecs[:, np.argsort(ritz)]
@@ -152,11 +150,11 @@ def gap_solve(m: SimplicialManifold, rep: SpectrumReport,
     When that side is already within the tolerance, the zero cochain
     is returned.  The preconditioner M^-1/2 (S + SHIFT I)^-1 M^-1/2,
     projected off the harmonic space, puts the spectrum in
-    [gap / (gap + SHIFT), 1), so PCG takes two or three iterations; its
-    dec.shifted_factor is built at the first solve per mesh and degree
-    and kept in the mesh's operator cache.  Raises AnalysisError when
-    PCG does not reach the tolerance within max_iter iterations (default
-    20 N), or when the spectral bound |f| <= |g|/gap fails.
+    [gap / (gap + SHIFT), 1), so PCG takes two or three iterations; it
+    inverts through the mesh's one dec.shifted_factor per degree, built by
+    spectrum or else by the first solve.  Raises AnalysisError when PCG
+    does not reach the tolerance within max_iter iterations (default 20
+    N), or when the spectral bound |f| <= |g|/gap fails.
     """
     p = g.degree
     K = dec.stiffness_matrix(m, p)
@@ -175,8 +173,7 @@ def gap_solve(m: SimplicialManifold, rep: SpectrumReport,
     if math.sqrt(res @ res) <= tol:
         return dec.Cochain(m, p, x)
     Mih = 1.0 / np.sqrt(Mw)
-    lu = dec._cached(m, "shifted_lu", p, lambda: dec.shifted_factor(
-        sp.diags(Mih) @ K @ sp.diags(Mih)))
+    lu = dec.shifted_factor(m, p)
 
     def precondition(r):
         return project(Mih * lu.solve(Mih * r))

@@ -372,12 +372,11 @@ def covering_to_dict(cov: AdmissibleCovering, rf: RadiusField,
 
 def save_covering(cov: AdmissibleCovering, path, rf: RadiusField,
                   key: str) -> None:
-    """Write cov with its partition of unity, the radius field it was
-    built from and its covering_key as JSON; floats round-trip exactly
-    through load_covering."""
+    """Write cov, its partition of unity, radius field and covering_key as
+    compact JSON (json.dumps: json.dump never runs the C encoder); floats
+    round-trip exactly through load_covering."""
     with open(path, "w") as f:
-        json.dump(covering_to_dict(cov, rf, key), f, indent=1,
-                  sort_keys=True)
+        f.write(json.dumps(covering_to_dict(cov, rf, key), sort_keys=True))
 
 
 def load_covering(path) -> tuple[RadiusField, AdmissibleCovering, str]:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -212,11 +213,13 @@ def _patch_complex(patches: Patches, p: int,
     reads (None elsewhere): the boundaries into and out of degree p, the
     volumes and support volumes at degrees p - 1 to p + 1, volumes at n.
 
-    Rows are found through the sorted keys, so no dense patches x
-    simplices table is built.  The volumes are sliced
-    from the manifold's, or computed from lengths, one per edge row of
-    the union; support volumes lump each patch's own cells in cell
-    order, as a submesh of those cells does.
+    The rows of the patch cells' faces are found through the sorted
+    keys, so no dense patches x simplices table is built; each boundary
+    (CSC, rows ascending in each column) reads a simplex's face rows off
+    one cell holding it.  The volumes are sliced from the manifold's, or
+    computed from lengths, one per edge row of the union; support volumes
+    lump each patch's own cells in cell order, as a submesh of those
+    cells does.
     """
     m = patches.manifold
     n = m.n
@@ -230,12 +233,23 @@ def _patch_complex(patches: Patches, p: int,
     def rows(q, own, glob):
         return np.searchsorted(keys[q], own * m.num_simplices(q) + glob)
 
+    # union rows of each patch cell's q-faces; a q-simplex's faces are read
+    # off one cell holding it, dropping vertex i = q, ..., 0 (rows ascend)
+    cells, cell_owner = simplices[n], owner[n][:, None]
+    faces = {q: rows(q, cell_owner, m._cell_faces[q][cells]) for q in near}
     boundary = [None] * (n + 1)
     for q in near[1:]:
-        B = m.boundary[q].tocsc()[:, simplices[q]].tocoo()
-        boundary[q] = sp.csr_matrix(
-            (1.0 * B.data, (rows(q - 1, owner[q][B.col], B.row), B.col)),
-            shape=(simplices[q - 1].size, simplices[q].size))
+        at = np.empty(simplices[q].size, dtype=np.int64)
+        at[faces[q].ravel()] = np.arange(faces[q].size)
+        cell, k = np.divmod(at, faces[q].shape[1])
+        drop = np.array([[list(combinations(range(n + 1), q)).index(
+            c[:i] + c[i + 1:]) for i in range(q, -1, -1)]
+            for c in combinations(range(n + 1), q + 1)])
+        boundary[q] = sp.csc_matrix(
+            (np.tile((-1.0) ** np.arange(q, -1, -1), at.size),
+             faces[q - 1][cell[:, None], drop[k]].ravel(),
+             np.arange(0, (q + 1) * at.size + 1, q + 1)),
+            shape=(simplices[q - 1].size, at.size))
 
     volumes = [None] * (n + 1)
     for q in {*near, n}:
@@ -245,11 +259,8 @@ def _patch_complex(patches: Patches, p: int,
                       else simplex_volumes(lengths[rows(
                           1, owner[q][:, None],
                           m._simplex_edges(m.simplices[q][simplices[q]]))], q))
-    cells, cell_owner = simplices[n], owner[n][:, None]
-    support = [lumped_supports(volumes[n],
-                               rows(q, cell_owner, m._cell_faces[q][cells]),
-                               simplices[q].size) if q in near else None
-               for q in range(n + 1)]
+    support = [lumped_supports(volumes[n], faces[q], simplices[q].size)
+               if q in near else None for q in range(n + 1)]
     return PatchComplex(n, keys, boundary, volumes, support)
 
 
@@ -277,13 +288,13 @@ def _assemble(patches: Patches, p: int,
             for q, v in enumerate(union.support_volumes)]
     lap = []
     if p < union.n:
-        up = union.boundary[p + 1][r]
+        up = union.boundary[p + 1].tocsr()[r]
         lap.append(_scaled(up, 1.0 / mass[p][r], mass[p + 1]) @ up.T)
     if p > 0:
-        down = union.boundary[p][:, r].T.tocsr()
+        down = union.boundary[p][:, r].T
         lap.append(down @ _scaled(down.T.tocsr(), 1.0 / mass[p - 1],
                                   mass[p][r]))
-    K = sp.diags(mass[p][r]) @ sum(lap[1:], lap[0])
+    K = _scaled(sum(lap[1:], lap[0]), mass[p][r], np.ones(r.size))
     balls = np.array([b.index for b in patches.balls])
     return PatchSystem(glob, interior.indptr.astype(np.int64), balls[pos],
                        ((K + K.T) * 0.5).tocsc(), mass[p][r],

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from hodge_rsm import analysis, covering, dec, geometry, local_solver
+from hodge_rsm import analysis, covering, dec, geometry, local_solver, rsm
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -756,6 +756,38 @@ def assert_plan_matches_step_oracle(m, p, plan, index, offsets):
             assert (at1 is None) == (at2 is None)
             if at1 is not None:
                 assert np.array_equal(at1, at2)
+
+
+def oracle_ledger_plan(m, cov, dens) -> dict:
+    """The fields of rsm.LedgerPlan.build(m, cov, dens) but dens, as it
+    first built them: the partition weights and the ball masks formed as
+    simplices x balls matrices (geometry.simplex_average) and sampled on
+    the plan's patterns."""
+    p = dens.p
+    members = cov.membership(m.num_vertices)
+    chi = geometry.simplex_average(m, p, cov.chi.tocsr())
+    balls = rsm.ball_simplices(m, p, members)
+    chi0, chi_lap = dens.gather(chi, (0, ("lap",)))
+    return {"chi": chi0, "chi_lap": chi_lap,
+            "balls": dens.gather(balls, (0, 1)), "ball_rows": balls.indices,
+            "ball_cols": np.repeat(np.arange(len(cov)),
+                                   np.diff(balls.indptr)),
+            "members": members, "radii": cov.radii()}
+
+
+def assert_ledger_plan_matches_oracle(m, cov, plan):
+    """Every field of the LedgerPlan plan equals oracle_ledger_plan's bit
+    for bit: dtype and values, and a sparse field's format and arrays."""
+    for name, want in oracle_ledger_plan(m, cov, plan.dens).items():
+        got = getattr(plan, name)
+        for x, y in (zip(got, want) if name == "balls" else [(got, want)]):
+            arrays = [(x, y)]
+            if sp.issparse(y):
+                assert (x.format, x.shape) == (y.format, y.shape), name
+                arrays = [(getattr(x, a), getattr(y, a))
+                          for a in ("data", "indices", "indptr")]
+            for u, v in arrays:
+                assert u.dtype == v.dtype and np.array_equal(u, v), name
 
 
 def oracle_column_norms(m, p, dens, r, mask=None):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
-from conftest import oracle_gap_solve, oracle_spectrum
-from hodge_rsm import analysis, covering, dec, geometry
+from conftest import _cover_bundle, oracle_gap_solve, oracle_spectrum
+from hodge_rsm import analysis, covering, dec, geometry, rsm
 from hodge_rsm.analysis import (AnalysisError, derivative_rank,
                                 dual_poisson_solve, gap_solve,
                                 harmonic_embedding_check, harmonic_projection,
@@ -174,18 +174,34 @@ def test_gap_solve_factor_belongs_to_the_mesh(torus16, spec16_p1, rng):
 
 
 def test_gap_solve_factors_once_per_mesh_and_degree(rng, monkeypatch):
-    m = geometry.generate_test_manifold("flat_torus", 8)
+    # spectrum, gap_solve, poisson_solve and dual_poisson_solve share one
+    # shifted factor per mesh and degree, with spectrum first or last
     calls = []
     real = dec.spla.splu
-    monkeypatch.setattr(dec.spla, "splu",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
-    rep = spectrum(m, 1)
-    assert len(calls) == 1
-    assert ("shifted_lu", 1) not in m._op_cache
-    lap = dec.hodge_laplacian(m, 1)
-    for _ in range(2):
-        gap_solve(m, rep, lap(dec.random_cochain(m, 1, rng)))
-        assert len(calls) == 2
+    for spectrum_last in (False, True):
+        m = geometry.generate_test_manifold("flat_torus", 12)
+        rf, cov = _cover_bundle(m)
+        for p in (0, 1):
+            rsm.patch_system(m, cov, p)  # its own factor is not counted
+        monkeypatch.setattr(dec.spla, "splu",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        for p in (0, 1):
+            before = len(calls)
+            rep = oracle_spectrum(m, p) if spectrum_last else spectrum(m, p)
+            om = dec.random_cochain(m, p, rng)
+            om = om - harmonic_projection(m, rep, om)
+            om = om - harmonic_projection(m, rep, om)
+            gap_solve(m, rep, om)
+            poisson_solve(m, cov, rf, rep, om, 1.5)
+            dual_poisson_solve(m, cov, rf, rep, om, 1.5)
+            last = spectrum(m, p)
+            assert len(calls) == before + 1
+            # the shared factor gives the spectrum of a fresh one, bit for bit
+            fresh = spectrum(geometry.generate_test_manifold("flat_torus", 12),
+                             p)
+            assert np.array_equal(last.eigenvalues, fresh.eigenvalues)
+            assert np.array_equal(last.harmonic_basis, fresh.harmonic_basis)
+        monkeypatch.undo()
 
 
 def test_poisson_zero(torus16, cover16, spec16_p1):

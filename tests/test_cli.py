@@ -414,6 +414,33 @@ def test_commands_reuse_saved_covering(runner, tmp_path, radius_fields):
         assert _output(saved, name) == _output(fresh, name), name
 
 
+def _loaded(path):
+    """The fields of a saved covering, as load_covering reads them."""
+    rf, cov, key = covering.load_covering(path)
+    chi = cov.chi.tocsr()
+    return (key, rf.values.tolist(), rf.eps, rf.divisor, rf.divisor_effective,
+            cov.eps, cov.overlap_measured, cov.chi_gradients.tolist(),
+            chi.shape, chi.indptr.tolist(), chi.indices.tolist(),
+            chi.data.tolist(),
+            [(b.index, b.center, b.core_radius, b.covering_radius,
+              b.admissible_radius, b.members.tolist()) for b in cov.balls])
+
+
+def test_indented_covering_file_still_loads(runner, tmp_path, radius_fields):
+    # covering.json is compact; a file written indented, as before, under
+    # the current key loads to the same covering and is not rebuilt
+    out = _run(runner, _cfg(tmp_path / "indented", **_SMALL), "cover")
+    path = out / "covering.json"
+    assert "\n" not in path.read_text()
+    compact = _loaded(path)
+    path.write_text(json.dumps(json.loads(path.read_text()), indent=1,
+                               sort_keys=True))
+    assert _loaded(path) == compact
+    radius_fields.clear()
+    _run(runner, str(tmp_path / "indented" / "config.json"), "solve")
+    assert radius_fields == []
+
+
 def _truncate(path):
     text = path.read_text()
     path.write_text(text[:len(text) // 2])

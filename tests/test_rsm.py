@@ -10,8 +10,9 @@ from hodge_rsm.rsm import (RsmConfig, commutator_defect,
                            commutator_pointwise_bound, compact_support_check,
                            raising_steps, rsm_step, threshold_steps)
 
-from conftest import (all_geodesic_distances, column, oracle_column_norms,
-                      oracle_densities, oracle_patches)
+from conftest import (all_geodesic_distances,
+                      assert_ledger_plan_matches_oracle, column,
+                      oracle_column_norms, oracle_densities, oracle_patches)
 
 
 def test_threshold_steps_values():
@@ -488,6 +489,20 @@ def test_step_norms_match_sparse_oracle(request, mesh, p):
     T, conj = cov.overlap_measured, s / (s - 1)
     assert diag.ledger["leibniz"]["rhs_paper"] == (
         2 ** (s / conj) * (1 + cov.eps) * T**s * c_sw**s * total) ** (1 / s)
+
+
+@pytest.mark.parametrize("mesh,cover", [("torus16", "cover16"),
+                                        ("bumpy16", "cover_bumpy"),
+                                        ("sphere8", "cover_sphere8"),
+                                        ("torus3d5", "cover3d5")])
+def test_ledger_plan_matches_oracle(request, mesh, cover):
+    # the ledger reads chi, the ball masks, members and radii of the plan
+    # of every degree exactly as they were first built
+    m = request.getfixturevalue(mesh)
+    cov = request.getfixturevalue(cover)[1]
+    for p in range(m.n + 1):
+        assert_ledger_plan_matches_oracle(m, cov,
+                                          rsm.patch_system(m, cov, p)[1])
 
 
 def test_pointwise_bound_keeps_cached_laplacian(torus16, cover16, rng):
