@@ -24,7 +24,7 @@ from . import dec, rsm
 from .covering import AdmissibleCovering, RadiusField, WeightField, \
     constant_weight
 from .dec import DENSE_LIMIT
-from .geometry import SimplicialManifold
+from .geometry import SimplicialManifold, simplex_average
 
 HARMONIC_TOL_REL = 1e-8
 CZI_HEADROOM = 1.25
@@ -84,7 +84,8 @@ def spectrum(m: SimplicialManifold, p: int, m_eigs: int = 10,
     Shift-invert Lanczos on S = dec.scaled_stiffness (sigma = -dec.SHIFT)
     from a fixed pseudo-random start, so repeated runs agree bit for bit;
     at most N - 1 pairs are returned.  It inverts through the mesh's one
-    dec.shifted_factor per degree, shared with gap_solve, and reports the
+    dec.shifted_factor per degree, shared with gap_solve and built on the
+    same cached S, and reports the
     Rayleigh quotients of the Lanczos vectors (ARPACK's own converge only
     relative to 1/SHIFT).  harmonic_tol is relative to the Gershgorin upper
     bound of the largest eigenvalue; the report keeps the absolute
@@ -100,7 +101,9 @@ def spectrum(m: SimplicialManifold, p: int, m_eigs: int = 10,
                             which="LM", v0=v0, OPinv=inverse)
     vecs = vecs[:, np.argsort(ritz)]
     vals = np.einsum("ij,ij->j", vecs, S @ vecs)
-    scale = float(np.abs(S).sum(axis=1).max())
+    # abs() sorts a matrix's indices in place: the copy keeps the cached
+    # S in the order every later product of it (and the factor) reads
+    scale = float(abs(S.copy()).sum(axis=1).max())
     if vals[0] < -1e-12 * scale:
         raise AnalysisError("negative eigenvalue beyond tolerance")
     tol = harmonic_tol * scale
@@ -222,12 +225,13 @@ def poisson_solve(m: SimplicialManifold, cov: AdmissibleCovering,
     lap = dec.hodge_laplacian(m, omega.degree)
     resid = dec.norm_l2(lap(u) - omega) / (nrm + 1e-300)
     t = min(2.0, dec.sobolev_exponent(r, 2, m.n))
+    a_simp = simplex_average(m, omega.degree, alpha.values)
     diags = {
         "residual": resid,
-        "w2r_norm": dec.sobolev_norm(m, u, dec.NormSpec(r, order=2,
-                                                        weight=alpha,
-                                                        power=r)),
-        "lt_norm": dec.lr_norm(m, u, dec.NormSpec(t, weight=alpha, power=t)),
+        "w2r_norm": dec.sobolev_norm(m, u, dec.NormSpec(
+            r, order=2, weight=alpha, power=r, averaged=a_simp)),
+        "lt_norm": dec.lr_norm(m, u, dec.NormSpec(t, weight=alpha, power=t,
+                                                  averaged=a_simp)),
         "trace": trace,
     }
     return u, diags
@@ -365,7 +369,7 @@ def weak_decomposition(m: SimplicialManifold, cov: AdmissibleCovering,
     # order balls by captured mass around the support: the sum over each
     # ball's simplices, ascending
     dens = np.abs(om_c.values)
-    members = cov.membership(m.num_vertices)
+    members = cov.members
     balls = rsm.ball_simplices(m, p, members)
     mass = [-float(dens[balls.indices[a:b]].sum())
             for a, b in zip(balls.indptr[:-1], balls.indptr[1:])]

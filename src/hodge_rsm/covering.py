@@ -57,10 +57,24 @@ class CoveringBall:
                                           # None in a loaded covering
 
 
+def membership(balls: list, num_vertices: int) -> sp.csc_matrix:
+    """Vertices x balls matrix, 1.0 where the vertex is a ball member:
+    column j lists ball j's members as stored (ascending)."""
+    members = [b.members for b in balls]
+    starts = np.concatenate([[0], np.cumsum([x.size for x in members])])
+    return sp.csc_matrix((np.ones(starts[-1]), np.concatenate(members),
+                          starts), shape=(num_vertices, len(balls)))
+
+
 @dataclass
 class AdmissibleCovering:
+    """The balls with their vertices x balls membership matrix (members,
+    built with them by vitali_cover or load_covering), the partition of
+    unity, and what the sweeps build on first use."""
+
     balls: list
     eps: float
+    members: sp.csc_matrix                      # vertices x balls
     overlap_measured: int = 0
     chi: sp.csr_matrix | None = None            # vertices x balls
     chi_gradients: np.ndarray | None = None     # per-ball max edge gradient
@@ -70,16 +84,12 @@ class AdmissibleCovering:
     def __len__(self):
         return len(self.balls)
 
-    def membership(self, num_vertices: int) -> sp.csc_matrix:
-        """Vertices x balls matrix, 1.0 where the vertex is a ball member."""
-        members = [b.members for b in self.balls]
-        starts = np.concatenate([[0], np.cumsum([x.size for x in members])])
-        return sp.csc_matrix((np.ones(starts[-1]), np.concatenate(members),
-                              starts), shape=(num_vertices, len(self.balls)))
-
     def membership_counts(self, num_vertices: int) -> np.ndarray:
-        return np.asarray(self.membership(num_vertices).sum(axis=1),
-                          dtype=int).ravel()
+        """Balls holding each of the num_vertices vertices."""
+        if num_vertices != self.members.shape[0]:
+            raise ValueError(f"the covering has {self.members.shape[0]} "
+                             f"vertices, not {num_vertices}")
+        return np.asarray(self.members.sum(axis=1), dtype=int).ravel()
 
     def radii(self) -> np.ndarray:
         """Covering radius of each ball."""
@@ -233,7 +243,8 @@ def vitali_cover(m: SimplicialManifold, rf: RadiusField) -> AdmissibleCovering:
                  centers.tolist(), core[centers].tolist(), radii.tolist(),
                  rf.values[centers].tolist(), searches))]
 
-    cov = AdmissibleCovering(balls, rf.eps)
+    cov = AdmissibleCovering(balls, rf.eps,
+                             membership(balls, m.num_vertices))
     counts = cov.membership_counts(m.num_vertices)
     if counts.min() == 0:
         v = int(np.argmin(counts))
@@ -253,7 +264,7 @@ def partition_of_unity(m: SimplicialManifold,
     discrete gradient of each column, max over edges ab of
     |chi_j(a) - chi_j(b)| / |ab|, is recorded in cov.chi_gradients.
     """
-    phi = cov.membership(m.num_vertices)
+    phi = cov.members.copy()
     t = np.concatenate([b.distances for b in cov.balls]) \
         / np.repeat(cov.radii(), np.diff(phi.indptr))
     phi.data = np.maximum(1.0 - t**2, 0.0) ** 3
@@ -295,16 +306,29 @@ def smoothed_radius(m: SimplicialManifold, cov: AdmissibleCovering,
     return np.asarray(cov.chi @ Rs).ravel()
 
 
+def ball_volumes(cov: AdmissibleCovering,
+                 m: SimplicialManifold) -> np.ndarray:
+    """Each ball's dual volume: members^T times the dual vertex volumes."""
+    return cov.members.T @ m.dual_volumes()
+
+
 def check_weight_relative(w: WeightField, cov: AdmissibleCovering,
-                          m: SimplicialManifold) -> tuple:
+                          m: SimplicialManifold,
+                          volumes: np.ndarray | None = None) -> tuple:
     """(means, c_iw, c_sw): the mean w_j of w over each covering ball,
     weighted by dual vertex volumes, and the tightest constants with
-    c_iw * w_j <= w(x) <= c_sw * w_j on every ball; sparse products over
-    the membership matrix, stored nowhere."""
-    A = cov.membership(m.num_vertices)
-    dv = m.dual_volumes()
-    means = (A.T @ (w.values * dv)) / (A.T @ dv)
-    ratios = w.values[A.indices] / np.repeat(means, np.diff(A.indptr))
+    c_iw * w_j <= w(x) <= c_sw * w_j on every ball, stored nowhere.  The
+    ball sums run over the entries of cov.members in storage order, as
+    members^T x does.  volumes, ball_volumes(cov, m), depends on the
+    covering only: rsm.LedgerPlan keeps it for the steps, and it is
+    formed here when not given."""
+    A = cov.members
+    ball = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
+    wv = w.values[A.indices]
+    means = np.bincount(ball, wv * m.dual_volumes()[A.indices],
+                        minlength=A.shape[1]) \
+        / (ball_volumes(cov, m) if volumes is None else volumes)
+    ratios = wv / means[ball]
     return means, float(ratios.min()), float(ratios.max())
 
 
@@ -393,12 +417,14 @@ def load_covering(path) -> tuple[RadiusField, AdmissibleCovering, str]:
                           bd["covering_radius"], bd["admissible_radius"],
                           np.array(bd["members"], dtype=int))
              for i, bd in enumerate(d["balls"])]
-    cov = AdmissibleCovering(balls, d["eps"], d["overlap_measured"])
+    # every vertex lies in some ball, the last one included
+    V = int(max(b.members.max() for b in balls) + 1)
+    cov = AdmissibleCovering(balls, d["eps"], membership(balls, V),
+                             d["overlap_measured"])
     trip = np.array(d["partition_triplets"])
-    V = max(b.members.max() for b in balls) + 1
     cov.chi = sp.csr_matrix(
         (trip[:, 2], (trip[:, 0].astype(int), trip[:, 1].astype(int))),
-        shape=(int(V), len(balls)))
+        shape=(V, len(balls)))
     cov.chi_gradients = np.array(d["chi_gradients"])
     rd = d["radius_field"]
     rf = RadiusField(np.array(rd["values"], dtype=float), rd["eps"],

@@ -87,13 +87,17 @@ class NormSpec:
     """Exponent, Sobolev order, and optional pointwise weight.
 
     The weight is a per-vertex field applied as weight(x)**power inside
-    the integral; simplices see the average of their vertex values.
+    the integral; simplices see the average of their vertex values
+    (geometry.simplex_average).  averaged, when given, is that average on
+    the simplices of the degree measured, so norms of one degree under
+    one weight average it once.
     """
 
     r: float
     order: int = 0
     weight: np.ndarray | None = None
     power: float = 1.0
+    averaged: np.ndarray | None = None
 
     def __post_init__(self):
         if self.r <= 1:
@@ -190,9 +194,14 @@ def stiffness_matrix(m: SimplicialManifold, p: int) -> sp.csr_matrix:
 
 
 def scaled_stiffness(m: SimplicialManifold, p: int) -> sp.csr_matrix:
-    """S = M^-1/2 K M^-1/2, the mass-symmetrised stiffness."""
-    Mih = sp.diags(1.0 / np.sqrt(mass_diagonal(m, p)))
-    return Mih @ stiffness_matrix(m, p) @ Mih
+    """S = M^-1/2 K M^-1/2, the mass-symmetrised stiffness, formed once
+    per complex and degree (operator cache) for spectrum and the factor."""
+
+    def build():
+        Mih = sp.diags(1.0 / np.sqrt(mass_diagonal(m, p)))
+        return Mih @ stiffness_matrix(m, p) @ Mih
+
+    return _cached(m, "scaled_stiff", p, build)
 
 
 def shifted_factor(m: SimplicialManifold, p: int) -> spla.SuperLU:
@@ -252,19 +261,33 @@ def _chain_operator(m, q: int, name: str):
 
 
 def densities(m: SimplicialManifold, p: int, values: np.ndarray,
-              order: int) -> np.ndarray:
+              order: int, chains: dict | None = None) -> np.ndarray:
     """Density of order 0, 1 or 2 of the p-cochain values (see
-    density_terms); DensityPlan gives the same for many cochains."""
-    terms = []
+    density_terms); DensityPlan gives the same for many cochains.  chains,
+    if given, holds the values of chains already applied to values, by
+    chain, and receives those walked here, so the orders of one cochain
+    share them.  A term only squared skips |x|: (x/vol)^2 = (|x|/vol)^2."""
+    if order == 0:
+        return np.abs(values) / m.volumes[p]
+    chains = {} if chains is None else chains
+    chains[()] = values
+    total = None
     for chain, average in density_terms(m.n, p, order):
-        x, q = values, p
-        for name in chain:
+        q = p
+        for k, name in enumerate(chain):
             A, q = _chain_operator(m, q, name)
-            x = A @ x
-        t = np.abs(x) / m.volumes[q]
-        terms.append(t if average is None
-                     else _chain_operator(m, q, average)[0] @ t)
-    return terms[0] if order == 0 else np.sqrt(sum(t * t for t in terms))
+            if chain[:k + 1] not in chains:
+                chains[chain[:k + 1]] = A @ chains[chain[:k]]
+        x = chains[chain]
+        if average is None:
+            t = x / m.volumes[q]
+        else:
+            t = np.abs(x)
+            t /= m.volumes[q]
+            t = _chain_operator(m, q, average)[0] @ t
+        t *= t
+        total = t if total is None else np.add(total, t, out=total)
+    return np.sqrt(total, out=total)
 
 
 def _coface_average(m: SimplicialManifold, p: int) -> sp.csr_matrix:
@@ -307,7 +330,8 @@ class DensityPlan:
     by cochain in one stable counting pass (a permuted transposition), so
     its rows keep the operator rows' order and nothing is sorted.  An
     order's pattern is the merged union of its terms'.  support (a
-    simplices x cochains mask) is gathered onto the pattern of each order.
+    simplices x cochains mask) is gathered onto the pattern of each order
+    and kept as its restriction (see restriction), for column_norms.
     """
 
     def __init__(self, m: SimplicialManifold, p: int, index: np.ndarray,
@@ -342,7 +366,8 @@ class DensityPlan:
         self.patterns = {k: self.patterns[k] for k in (0, 1, 2, ("lap",))}
         self.mu = [m.support_volumes[p][self.patterns[k][1]]
                    for k in range(3)]
-        self.support = self.gather(support, range(3))
+        self.support = [self.restriction(k, mask) for k, mask in
+                        enumerate(self.gather(support, range(3)))]
 
     def _cochains(self, indptr: np.ndarray) -> np.ndarray:
         """The cochain of each entry of a cochain-major layout."""
@@ -381,41 +406,60 @@ class DensityPlan:
                   values: dict | None = None) -> list:
         """The densities of the given orders of the cochains of the
         stacked vector x, each on the pattern of its order.  values, if
-        given, receives the values of every chain walked, by chain."""
+        given, receives the values of every chain walked, by chain.  As
+        in dec.densities, a term only squared skips |x|, and the sum of
+        squares starts from the first term's squares, as 0 + t*t does,
+        then adds the others in term order."""
         values = {} if values is None else values
         values[()] = x
         out = []
         for order in orders:
-            terms = []
+            if order == 0:
+                out.append(np.abs(x) / self.volumes[()])
+                continue
+            total = None
             for chain, average, at in self.terms[order]:
                 for k in range(len(chain)):  # each prefix, shortest first
                     step = chain[:k + 1]
                     if step not in values:
                         values[step] = self.steps[step] @ values[chain[:k]]
-                t = np.abs(values[chain]) / self.volumes[chain]
-                terms.append((t if average is None
-                              else self.steps[chain + (average,)] @ t, at))
-            if order == 0:
-                out.append(terms[0][0])
-                continue
-            total = np.zeros(self.patterns[order][0].size)
-            for t, at in terms:
-                if at is None:
-                    total += t * t
+                if average is None:
+                    t = values[chain] / self.volumes[chain]
                 else:
-                    total[at] += t * t
-            out.append(np.sqrt(total))
+                    t = np.abs(values[chain])
+                    t /= self.volumes[chain]
+                    t = self.steps[chain + (average,)] @ t
+                t *= t
+                if total is None and at is None:
+                    total = t
+                elif total is None:
+                    total = np.zeros(self.patterns[order][0].size)
+                    total[at] = t
+                elif at is None:
+                    total += t
+                else:
+                    total[at] += t
+            out.append(np.sqrt(total, out=total))
         return out
 
+    def restriction(self, order: int, mask: np.ndarray):
+        """(entries, their cochains) of the pattern of order where the
+        boolean mask holds, or None when it holds everywhere: the form
+        column_norms takes a mask in."""
+        if mask.all():
+            return None
+        return np.flatnonzero(mask), self.patterns[order][0][mask]
+
     def column_norms(self, order: int, dens: np.ndarray, r: float,
-                     mask: np.ndarray | None = None) -> np.ndarray:
+                     mask: tuple | None = None) -> np.ndarray:
         """Unweighted L^r norm of each cochain's order-`order` density
-        (dens, on that order's pattern), over the entries of mask if
-        given."""
-        col, w = self.patterns[order][0], self.mu[order] * dens**r
+        (dens, on that order's pattern), over the entries of the
+        restriction mask if given."""
+        col, mu = self.patterns[order][0], self.mu[order]
         if mask is not None:
-            col, w = col[mask], w[mask]
-        return np.bincount(col, w, minlength=self.ncols) ** (1 / r)
+            at, col = mask
+            dens, mu = dens[at], mu[at]
+        return np.bincount(col, mu * dens**r, minlength=self.ncols) ** (1 / r)
 
 
 def integrand(m, p, dens, spec: NormSpec) -> np.ndarray:
@@ -423,7 +467,8 @@ def integrand(m, p, dens, spec: NormSpec) -> np.ndarray:
     L^r norm of the density dens."""
     mu = m.support_volumes[p]
     if spec.weight is not None:
-        mu = mu * simplex_average(m, p, spec.weight) ** spec.power
+        mu = mu * (simplex_average(m, p, spec.weight)
+                   if spec.averaged is None else spec.averaged) ** spec.power
     return mu * dens**spec.r
 
 
@@ -444,14 +489,21 @@ def lr_norm(m: SimplicialManifold, u: Cochain, spec: NormSpec, mask=None) -> flo
 
 
 def sobolev_norm(m: SimplicialManifold, u: Cochain, spec: NormSpec, mask=None) -> float:
-    """Weighted W^{k,r} norm, k = spec.order in {1, 2}."""
+    """Weighted W^{k,r} norm, k = spec.order in {1, 2}: the sum of the
+    L^r norms of the densities of orders 0 to k, which share their chain
+    values and the weight's average."""
     if spec.order not in (1, 2):
         raise ValueError("sobolev_norm requires order 1 or 2")
-    base = NormSpec(spec.r, 0, spec.weight, spec.power)
-    total = _integrate(m, u.degree, density(u), base, mask)
-    total += _integrate(m, u.degree, gradient_density(u), base, mask)
-    if spec.order == 2:
-        total += _integrate(m, u.degree, hessian_density(u), base, mask)
+    p = u.degree
+    averaged = spec.averaged
+    if spec.weight is not None and averaged is None:
+        averaged = simplex_average(m, p, spec.weight)
+    base = NormSpec(spec.r, 0, spec.weight, spec.power, averaged)
+    chains = {}
+    total = 0.0
+    for order in range(spec.order + 1):
+        total += _integrate(m, p, densities(m, p, u.values, order, chains),
+                            base, mask)
     return total
 
 

@@ -89,15 +89,20 @@ class PatchSystem:
         p = omega.degree
         om = omega.values[self.index]
         start = self.offsets[:-1]
-        res = np.sqrt(np.add.reduceat((self.K @ u / self.M - om) ** 2, start))
+        dev = self.K @ u
+        dev /= self.M
+        dev -= om
+        dev *= dev
+        res = np.sqrt(np.add.reduceat(dev, start))
         res /= np.sqrt(np.add.reduceat(om**2, start)) + 1e-300
         lr = plan.column_norms(0, plan.densities(om, (0,))[0], r)
         w2 = sum(plan.column_norms(k, d, r, plan.support[k])
                  for k, d in enumerate(dens))
         c = np.divide(w2, lr, out=np.zeros_like(w2), where=lr > 0)
-        return [SolveDiagnostics(int(self.owner[e]), p, int(n), float(x),
-                                 float(cj))
-                for e, n, x, cj in zip(start, np.diff(self.offsets), res, c)]
+        # Python scalars from tolist, as int() and float() give them
+        return [SolveDiagnostics(ball, p, n, x, cj) for ball, n, x, cj in zip(
+            self.owner[start].tolist(), np.diff(self.offsets).tolist(),
+            res.tolist(), c.tolist())]
 
 
 @dataclass
@@ -151,7 +156,7 @@ class Patches:
         def canonical(A):
             return A.tocsc().sorted_indices()
 
-        cells = canonical(faces(0) @ cov.membership(m.num_vertices) == n + 1)
+        cells = canonical(faces(0) @ cov.members == n + 1)
         # patch cells holding each q-face; an (n-1)-face in one of them
         # lies on the boundary
         counts = [faces(q).T @ cells for q in range(n)]
@@ -275,8 +280,9 @@ def _assemble(patches: Patches, p: int,
     d*_{p+1} = M_p^-1 B_{p+1} M_{p+1} times columns r of d_p, plus rows r
     of d_{p-1} times columns r of d*_p, scaled by M_p[r], symmetrised.
     Every sum runs in dec's order on the whole union, so K is the union
-    stiffness on rows and columns r bit for bit.  Patches.extract has
-    already refused a patch without unknowns or without boundary.
+    stiffness on rows and columns r bit for bit, symmetrised with one
+    transposition.  Patches.extract has already refused a patch without
+    unknowns or without boundary.
     """
     interior = patches.interior[p]
     union = _patch_complex(patches, p, lengths)
@@ -295,10 +301,13 @@ def _assemble(patches: Patches, p: int,
         lap.append(down @ _scaled(down.T.tocsr(), 1.0 / mass[p - 1],
                                   mass[p][r]))
     K = _scaled(sum(lap[1:], lap[0]), mass[p][r], np.ones(r.size))
+    # with sorted rows the sum is canonical CSR; it is symmetric bit for
+    # bit, so its transpose (a view) is the same matrix in CSC
+    K.sort_indices()
+    K = ((K + K.T) * 0.5).T
     balls = np.array([b.index for b in patches.balls])
     return PatchSystem(glob, interior.indptr.astype(np.int64), balls[pos],
-                       ((K + K.T) * 0.5).tocsc(), mass[p][r],
-                       patches.simplices[p])
+                       K, mass[p][r], patches.simplices[p])
 
 
 def _scaled(A: sp.csr_matrix, left: np.ndarray, right: np.ndarray):

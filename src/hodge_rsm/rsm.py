@@ -14,7 +14,11 @@ diagnostics read the stacked vector u of local solutions (the part of
 ball j is its solution u_j) through a LedgerPlan, built with the patch
 system: fixed patterns and one CSR matrix per step of each density term
 (dec.DensityPlan), so a step's densities are matrix-vector products and
-its per-ball norms bincounts over pattern columns.
+its per-ball norms bincounts over pattern columns.  What the ledger
+reads of the covering alone (the membership, each ball's dual volume,
+the ball masks and each pattern's overlap) is
+held by the plan too, so a step computes only what depends on omega and
+the weight, every inequality on every step.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ import scipy.sparse as sp
 
 from . import dec, local_solver
 from .covering import (AdmissibleCovering, RadiusField, WeightField,
-                       check_weight_relative, chi_gradient_constant,
-                       constant_weight)
+                       ball_volumes, check_weight_relative,
+                       chi_gradient_constant, constant_weight)
 from .geometry import SimplicialManifold, simplex_average
 
 K_CAP = 8
@@ -234,13 +238,18 @@ def ball_simplices(m: SimplicialManifold, p: int,
 @dataclass
 class LedgerPlan:
     """What the ledger of a step reads at one degree, besides the patch
-    system: the DensityPlan of the stacked local solutions (dens, one
-    column per ball, the patch simplices as support), the partition
-    weight chi_j averaged over the simplex of each entry of the stacked
-    vector (chi) and of the pattern of Lap U (chi_lap), the mask of
-    simplices with all vertices in the ball on the patterns of orders 0
-    and 1 (balls) and column by column (ball_rows, ball_cols), the
-    vertices x balls membership (CSC) and the ball radii."""
+    system, all of it fixed by the covering: the DensityPlan of the
+    stacked local solutions (dens, one column per ball, the patch
+    simplices as support), the partition weight chi_j averaged over the
+    simplex of each entry of the stacked vector (chi) and of the pattern
+    of Lap U (chi_lap), the mask of simplices with all vertices in the
+    ball as restrictions (DensityPlan.restriction) of the patterns of
+    orders 0 and 1 (balls) and column by column (ball_rows, ball_cols),
+    the vertices x balls membership
+    (cov.members, CSC), the ball radii, each ball's dual volume
+    (volumes, for check_weight_relative) and the largest number of
+    entries on one simplex in the pattern of each order (overlap, the
+    5s4 T_eff when every entry carries a piece)."""
 
     dens: dec.DensityPlan
     chi: np.ndarray
@@ -250,18 +259,24 @@ class LedgerPlan:
     ball_cols: np.ndarray
     members: sp.csc_matrix
     radii: np.ndarray
+    volumes: np.ndarray
+    overlap: list
 
     @classmethod
     def build(cls, m: SimplicialManifold, cov: AdmissibleCovering,
               dens: dec.DensityPlan) -> LedgerPlan:
-        p = dens.p
-        members = cov.membership(m.num_vertices)
+        p, members = dens.p, cov.members
         chi = simplex_average(m, p, cov.chi.tocsr())
         balls = ball_simplices(m, p, members)
+        N = m.num_simplices(p)
         return cls(dens, *dens.gather(chi, (0, ("lap",))),
-                   dens.gather(balls, (0, 1)), balls.indices,
+                   [dens.restriction(k, mask) for k, mask in
+                    enumerate(dens.gather(balls, (0, 1)))], balls.indices,
                    np.repeat(np.arange(len(cov)), np.diff(balls.indptr)),
-                   members, cov.radii())
+                   members,
+                   cov.radii(), ball_volumes(cov, m),
+                   [int(np.bincount(dens.patterns[k][1], minlength=N).max())
+                    for k in range(3)])
 
 
 def patch_system(m: SimplicialManifold, cov: AdmissibleCovering, p: int):
@@ -290,10 +305,18 @@ def sweep(m: SimplicialManifold, cov: AdmissibleCovering,
     balls matrix of the local solutions u_j, whose stored values are the
     stacked solution.
     """
-    p = omega.degree
-    system, plan = patch_system(m, cov, p)
-    u = system.lu.solve(system.M * omega.values[system.index])
-    return dec.Cochain(m, p, system.scatter(plan.chi * u)), system.columns(u)
+    system, plan, u = _local_solutions(m, cov, omega)
+    return (dec.Cochain(m, omega.degree, system.scatter(plan.chi * u)),
+            system.columns(u))
+
+
+def _local_solutions(m: SimplicialManifold, cov: AdmissibleCovering,
+                     omega: dec.Cochain):
+    """(system, plan, u): patch_system at omega's degree and the stacked
+    local solutions u = K^-1 (M omega[G]) of sweep."""
+    system, plan = patch_system(m, cov, omega.degree)
+    return system, plan, system.lu.solve(system.M
+                                         * omega.values[system.index])
 
 
 def sweep_adjoint(m: SimplicialManifold, cov: AdmissibleCovering,
@@ -325,31 +348,33 @@ def _margin(lhs: float, rhs: float) -> float:
     return 0.0 if -1e-9 * max(lhs, rhs) <= margin < 0 else margin
 
 
-def _gluing_bound(m, w: WeightField, w_means, v0: dec.Cochain,
-                  plan: dec.DensityPlan, parts_dens, s: float,
-                  order: int) -> dict:
+def _gluing_bound(plan: LedgerPlan, w_simp, w_measure, w_means, v0_dens,
+                  parts_dens, s: float, order: int) -> dict:
     """One part of the gluing inequality, in discretely rigorous form.
 
     parts_dens holds the order-`order` densities of the glued pieces
-    chi_j u_j, on that order's pattern of plan; v0 is their sum.  The
-    left side is the weighted L^s norm of the relevant surrogate density
-    of v0; the right side uses the measured effective overlap of the
-    density supports and the weight-comparability constant measured over
-    those supports, with the per-ball norms of the pieces themselves (the
-    continuum proof's Leibniz split is reported separately by the
-    caller).  w_means are w's ball means.
+    chi_j u_j, on that order's pattern of plan.dens; v0_dens is that
+    density of their sum v0.  The left side is the weighted L^s norm of
+    v0_dens (w_measure: the support volumes times w_simp^s, w_simp the
+    weight on the simplices); the right side uses the measured effective
+    overlap of the density supports and the weight-comparability constant
+    measured over those supports, with the per-ball norms of the pieces
+    themselves (the continuum proof's Leibniz split is reported
+    separately by the caller).  w_means are w's ball means.  When every
+    pattern entry carries a piece, the support is the pattern and its
+    overlap is the plan's.
     """
-    p = v0.degree
-    w_simp = simplex_average(m, p, w.values)
-    mu = m.support_volumes[p]
-    lhs_s = float(np.sum(mu * w_simp**s
-                         * dec.densities(m, p, v0.values, order) ** s))
-    cols, rows, _ = plan.patterns[order]
-    supp = parts_dens > 1e-300
-    rows, cols, g = rows[supp], cols[supp], parts_dens[supp]
-    T_eff = int(np.bincount(rows, minlength=mu.size).max())
+    lhs_s = float(np.sum(w_measure * v0_dens**s))
+    cols, rows, _ = plan.dens.patterns[order]
+    mu, g = plan.dens.mu[order], parts_dens
+    if g.min() > 1e-300:  # a NaN fails this and goes the masked way
+        T_eff = plan.overlap[order]
+    else:
+        supp = g > 1e-300
+        rows, cols, g, mu = rows[supp], cols[supp], g[supp], mu[supp]
+        T_eff = int(np.bincount(rows, minlength=w_simp.size).max())
     c_sw_eff = float(np.max(w_simp[rows] / w_means[cols], initial=1.0))
-    per_ball = np.bincount(cols, mu[rows] * g**s, minlength=w_means.size)
+    per_ball = np.bincount(cols, mu * g**s, minlength=w_means.size)
     rhs_s = max(T_eff, 1) ** (s - 1) * c_sw_eff**s \
         * float(np.sum(w_means**s * per_ball))
     lhs, rhs = lhs_s ** (1 / s), rhs_s ** (1 / s)
@@ -368,15 +393,16 @@ def _weight_summation_bound(m, cov, plan: LedgerPlan, rf: RadiusField,
     value is 96 for divisor 120), and the tightest c_iw over the balls,
     which check_weight_relative gives with the ball means w_means.
     gamma = GAMMA = 2 throughout.  parts_dens holds the order-0 densities
-    of the pieces chi_j u_j.
+    of the pieces chi_j u_j.  rho reads rf, which the step is given, so
+    it is measured on every step.
     """
-    p = omega.degree
     R = plan.radii
     a = w_means * plan.dens.column_norms(0, parts_dens, s, plan.balls[0])
-    rows = plan.ball_rows
     b = w_means * R ** (-GAMMA) * np.bincount(
-        plan.ball_cols, m.support_volumes[p][rows]
-        * dec.density(omega)[rows] ** r, minlength=R.size) ** (1 / r)
+        plan.ball_cols, (m.support_volumes[omega.degree]
+                         * dec.density(omega) ** r)[plan.ball_rows],
+        minlength=R.size) \
+        ** (1 / r)
     rf_max = np.maximum.reduceat(rf.values[plan.members.indices],
                                  plan.members.indptr[:-1])
     rho = float(np.max(rf_max / R, initial=1.0))
@@ -416,28 +442,39 @@ def rsm_step(m: SimplicialManifold, cov: AdmissibleCovering,
     """One gluing sweep: local solves, partition gluing, exact residual.
 
     Returns (v0, omega1, StepDiagnostics) with omega1 = Delta v0 - omega
-    computed globally, so the step identity is exact bookkeeping.
+    computed globally, so the step identity is exact bookkeeping.  The
+    ledger evaluates 5s4 i-iii, 5s6, the Leibniz diagnostic and each
+    ball's c_j on every step; what they read of the covering alone comes
+    from the degree's LedgerPlan, and each density is walked once: the
+    orders 0-2 of U, of the pieces chi_j u_j and of v0 (whose Laplacian
+    is the step's Lap v0), the weight averaged once onto the simplices.
     """
     p = omega.degree
-    w_means, c_iw, c_sw = check_weight_relative(w, cov, m)
-    v0, U = sweep(m, cov, omega)
-    u = U.data
-    system, plan = patch_system(m, cov, p)
+    system, plan, u = _local_solutions(m, cov, omega)
+    parts = plan.chi * u
+    v0 = dec.Cochain(m, p, system.scatter(parts))
+    w_means, c_iw, c_sw = check_weight_relative(w, cov, m, plan.volumes)
     dens = plan.dens
     # densities of orders 0-2 of U (the c_j, the Leibniz diagnostic) and
     # of the pieces chi_j u_j (5s4, 5s6), on the plan's patterns
     chains = {}
     U_dens = dens.densities(u, values=chains)
-    parts_dens = dens.densities(plan.chi * u)
+    parts_dens = dens.densities(parts)
     solves = system.diagnostics(omega, u, dens, U_dens, r)
     chi_lap = np.bincount(dens.patterns[("lap",)][1],
                           plan.chi_lap * chains[("lap",)],
                           minlength=m.num_simplices(p))
     lap_v0 = dec.hodge_laplacian(m, p)(v0)
+    v0_chains = {("lap",): lap_v0.values}
+    v0_dens = [dec.densities(m, p, v0.values, k, v0_chains)
+               for k in range(3)]
 
     s = max(r, min(2.0, dec.sobolev_exponent(r, 2, m.n)))
+    w_simp = simplex_average(m, p, w.values)
+    w_measure = m.support_volumes[p] * w_simp**s
     ledger = {
-        **{key: _gluing_bound(m, w, w_means, v0, dens, parts_dens[k], s, k)
+        **{key: _gluing_bound(plan, w_simp, w_measure, w_means, v0_dens[k],
+                              parts_dens[k], s, k)
            for k, key in enumerate(("5s4_i", "5s4_ii", "5s4_iii"))},
         "5s6": _weight_summation_bound(m, cov, plan, rf, w, w_means, c_iw,
                                        parts_dens[0], omega, r, s),
@@ -468,6 +505,10 @@ def raising_steps(m: SimplicialManifold, cov: AdmissibleCovering,
     p = omega.degree
 
     q2 = min(2.0, dec.sobolev_exponent(r, 2, n))
+    # the weight's simplex average, once for every norm under w below
+    w_simp = simplex_average(m, p, w.values)
+    spec_r = dec.NormSpec(r, weight=w, power=r, averaged=w_simp)
+    spec_q = dec.NormSpec(q2, weight=w, power=q2, averaged=w_simp)
     v = dec.Cochain(m, p, np.zeros(m.num_simplices(p)))
     cur = omega
     sign = 1.0
@@ -480,9 +521,8 @@ def raising_steps(m: SimplicialManifold, cov: AdmissibleCovering,
         # exponent ladder t_j = S_j(r); capped for norm evaluation
         t_next = min(dec.sobolev_exponent(r, step + 1, n), 64.0)
         trace.exponent_ladder.append(t_next)
-        trace.v_norms.append(
-            (dec.lr_norm(m, v_j, dec.NormSpec(r, weight=w, power=r)),
-             dec.lr_norm(m, v_j, dec.NormSpec(q2, weight=w, power=q2))))
+        trace.v_norms.append((dec.lr_norm(m, v_j, spec_r),
+                              dec.lr_norm(m, v_j, spec_q)))
         trace.residual_norms.append(dec.lr_norm(m, nxt, dec.NormSpec(t_next)))
         cur = nxt
         sign = -sign
@@ -493,16 +533,13 @@ def raising_steps(m: SimplicialManifold, cov: AdmissibleCovering,
     denom = dec.lr_norm(m, omega, dec.NormSpec(r, weight=w0, power=r))
     if denom > 0:
         trace.constants = {
-            "C_r": dec.lr_norm(m, v, dec.NormSpec(r, weight=w, power=r))
+            "C_r": dec.lr_norm(m, v, spec_r) / denom,
+            "C_q": dec.lr_norm(m, v, spec_q) / denom,
+            "C_w2r": dec.sobolev_norm(m, v, dec.NormSpec(
+                r, order=2, weight=w, power=r, averaged=w_simp)) / denom,
+            "C_s": dec.lr_norm(m, omega_tilde, dec.NormSpec(
+                config.s, weight=w, power=config.s, averaged=w_simp))
                 / denom,
-            "C_q": dec.lr_norm(m, v, dec.NormSpec(q2, weight=w, power=q2))
-                / denom,
-            "C_w2r": dec.sobolev_norm(m, v, dec.NormSpec(r, order=2,
-                                                         weight=w, power=r))
-                / denom,
-            "C_s": dec.lr_norm(m, omega_tilde,
-                               dec.NormSpec(config.s, weight=w,
-                                            power=config.s)) / denom,
         }
     return v, omega_tilde, trace
 
@@ -517,7 +554,7 @@ def compact_support_check(omega: dec.Cochain, v: dec.Cochain,
     dilated by one covering layer; vacuously true for global omega.
     """
     m = omega.manifold
-    members = cov.membership(m.num_vertices)
+    members = cov.members
     smask = np.zeros(m.num_vertices)
     smask[m.simplices[omega.degree][np.abs(omega.values) > tol]] = 1.0
     first = members.T @ smask > 0

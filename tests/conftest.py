@@ -546,6 +546,14 @@ def extract_patch(m, cov, j):
     return patch
 
 
+def covering_of(m, balls, eps=0.1):
+    """An AdmissibleCovering of hand-picked balls of m, with their
+    membership, and nothing else."""
+    return covering.AdmissibleCovering(balls, eps,
+                                       covering.membership(balls,
+                                                           m.num_vertices))
+
+
 def oracle_patches(m, cov):
     """The extract_patch oracle of every ball of cov."""
     return [extract_patch(m, cov, j) for j in range(len(cov.balls))]
@@ -758,36 +766,64 @@ def assert_plan_matches_step_oracle(m, p, plan, index, offsets):
                 assert np.array_equal(at1, at2)
 
 
+def oracle_restriction(dens, order, mask):
+    """DensityPlan.restriction by its definition: None for a full mask,
+    else the entries and cochains of the pattern of order where mask
+    holds."""
+    if mask.all():
+        return None
+    return np.flatnonzero(mask), dens.patterns[order][0][mask]
+
+
 def oracle_ledger_plan(m, cov, dens) -> dict:
     """The fields of rsm.LedgerPlan.build(m, cov, dens) but dens, as it
     first built them: the partition weights and the ball masks formed as
     simplices x balls matrices (geometry.simplex_average) and sampled on
-    the plan's patterns."""
+    the plan's patterns, the membership rebuilt from the balls' member
+    lists, the ball volumes and the pattern overlaps from it and from the
+    patterns by sparse sums."""
     p = dens.p
-    members = cov.membership(m.num_vertices)
+    members = covering.membership(cov.balls, m.num_vertices)
     chi = geometry.simplex_average(m, p, cov.chi.tocsr())
     balls = rsm.ball_simplices(m, p, members)
     chi0, chi_lap = dens.gather(chi, (0, ("lap",)))
     return {"chi": chi0, "chi_lap": chi_lap,
-            "balls": dens.gather(balls, (0, 1)), "ball_rows": balls.indices,
+            "balls": [oracle_restriction(dens, k, mask) for k, mask in
+                      enumerate(dens.gather(balls, (0, 1)))],
+            "ball_rows": balls.indices,
             "ball_cols": np.repeat(np.arange(len(cov)),
                                    np.diff(balls.indptr)),
-            "members": members, "radii": cov.radii()}
+            "members": members, "radii": cov.radii(),
+            "volumes": members.T @ m.dual_volumes(),
+            "overlap": [int(sp.csr_matrix(
+                (np.ones(dens.patterns[k][1].size),
+                 (dens.patterns[k][1], dens.patterns[k][0])),
+                shape=(m.num_simplices(p), len(cov))).sum(axis=1).max())
+                for k in range(3)]}
+
+
+def _assert_same(got, want, name):
+    """got equals want bit for bit: dtype and values of arrays, format
+    and arrays of sparse matrices, items of lists and tuples, None."""
+    if want is None or isinstance(want, int):
+        assert got == want and type(got) is type(want), name
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), name
+        for x, y in zip(got, want):
+            _assert_same(x, y, name)
+    elif sp.issparse(want):
+        assert (got.format, got.shape) == (want.format, want.shape), name
+        for a in ("data", "indices", "indptr"):
+            _assert_same(getattr(got, a), getattr(want, a), name)
+    else:
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def assert_ledger_plan_matches_oracle(m, cov, plan):
     """Every field of the LedgerPlan plan equals oracle_ledger_plan's bit
     for bit: dtype and values, and a sparse field's format and arrays."""
     for name, want in oracle_ledger_plan(m, cov, plan.dens).items():
-        got = getattr(plan, name)
-        for x, y in (zip(got, want) if name == "balls" else [(got, want)]):
-            arrays = [(x, y)]
-            if sp.issparse(y):
-                assert (x.format, x.shape) == (y.format, y.shape), name
-                arrays = [(getattr(x, a), getattr(y, a))
-                          for a in ("data", "indices", "indptr")]
-            for u, v in arrays:
-                assert u.dtype == v.dtype and np.array_equal(u, v), name
+        _assert_same(getattr(plan, name), want, name)
 
 
 def oracle_column_norms(m, p, dens, r, mask=None):
@@ -1018,3 +1054,212 @@ def perturbed_mesh(kind, resolution, seed, amplitude):
                               (np.arange(3) + shift[:, None]) % 3, axis=1)
     cells = np.concatenate([head, cells[:, 3:]], axis=1)
     return geometry.SimplicialManifold(m.n, vertices, cells)
+
+
+# -- the raising step as first written: the ledger's oracle -------------
+#
+# rsm_step and raising_steps as they stood before the ledger read the
+# covering's constants from the LedgerPlan: every step rebuilds the
+# membership, the ball volumes and the boolean masks, walks each density
+# with |x| on every term and sums squares from zeros, averages the weight
+# for every bound and every norm, and evaluates the three gluing bounds
+# through the support mask even when it is full.  The library must give
+# the same ledger, solves, norms and trace bit for bit.
+
+
+def _oracle_plan_densities(plan, x, orders=(0, 1, 2), values=None):
+    values = {} if values is None else values
+    values[()] = x
+    out = []
+    for order in orders:
+        terms = []
+        for chain, average, at in plan.terms[order]:
+            for k in range(len(chain)):
+                step = chain[:k + 1]
+                if step not in values:
+                    values[step] = plan.steps[step] @ values[chain[:k]]
+            t = np.abs(values[chain]) / plan.volumes[chain]
+            terms.append((t if average is None
+                          else plan.steps[chain + (average,)] @ t, at))
+        if order == 0:
+            out.append(terms[0][0])
+            continue
+        total = np.zeros(plan.patterns[order][0].size)
+        for t, at in terms:
+            if at is None:
+                total += t * t
+            else:
+                total[at] += t * t
+        out.append(np.sqrt(total))
+    return out
+
+
+def _oracle_column_norms(plan, order, dens, r, mask=None):
+    col, w = plan.patterns[order][0], plan.mu[order] * dens**r
+    if mask is not None:
+        col, w = col[mask], w[mask]
+    return np.bincount(col, w, minlength=plan.ncols) ** (1 / r)
+
+
+def _oracle_global_densities(m, p, values, order):
+    terms = []
+    for chain, average in dec.density_terms(m.n, p, order):
+        x, q = values, p
+        for name in chain:
+            A, q = dec._chain_operator(m, q, name)
+            x = A @ x
+        t = np.abs(x) / m.volumes[q]
+        terms.append(t if average is None
+                     else dec._chain_operator(m, q, average)[0] @ t)
+    return terms[0] if order == 0 else np.sqrt(sum(t * t for t in terms))
+
+
+def _oracle_weight_relative(w, cov, m):
+    A = covering.membership(cov.balls, m.num_vertices)
+    dv = m.dual_volumes()
+    means = (A.T @ (w.values * dv)) / (A.T @ dv)
+    ratios = w.values[A.indices] / np.repeat(means, np.diff(A.indptr))
+    return means, float(ratios.min()), float(ratios.max())
+
+
+def _oracle_diagnostics(system, omega, u, plan, support, dens, r):
+    p = omega.degree
+    om = omega.values[system.index]
+    start = system.offsets[:-1]
+    res = np.sqrt(np.add.reduceat((system.K @ u / system.M - om) ** 2,
+                                  start))
+    res /= np.sqrt(np.add.reduceat(om**2, start)) + 1e-300
+    lr = _oracle_column_norms(plan, 0, _oracle_plan_densities(
+        plan, om, (0,))[0], r)
+    w2 = sum(_oracle_column_norms(plan, k, d, r, support[k])
+             for k, d in enumerate(dens))
+    c = np.divide(w2, lr, out=np.zeros_like(w2), where=lr > 0)
+    return [local_solver.SolveDiagnostics(int(system.owner[e]), p, int(n),
+                                          float(x), float(cj))
+            for e, n, x, cj in zip(start, np.diff(system.offsets), res, c)]
+
+
+def _oracle_gluing_bound(m, w, w_means, v0, plan, parts_dens, s, order):
+    p = v0.degree
+    w_simp = geometry.simplex_average(m, p, w.values)
+    mu = m.support_volumes[p]
+    lhs_s = float(np.sum(mu * w_simp**s * _oracle_global_densities(
+        m, p, v0.values, order) ** s))
+    cols, rows, _ = plan.patterns[order]
+    supp = parts_dens > 1e-300
+    rows, cols, g = rows[supp], cols[supp], parts_dens[supp]
+    T_eff = int(np.bincount(rows, minlength=mu.size).max())
+    c_sw_eff = float(np.max(w_simp[rows] / w_means[cols], initial=1.0))
+    per_ball = np.bincount(cols, mu[rows] * g**s, minlength=w_means.size)
+    rhs_s = max(T_eff, 1) ** (s - 1) * c_sw_eff**s \
+        * float(np.sum(w_means**s * per_ball))
+    lhs, rhs = lhs_s ** (1 / s), rhs_s ** (1 / s)
+    return {"lhs": lhs, "rhs": rhs, "T_eff": T_eff, "c_sw_eff": c_sw_eff,
+            "margin": rsm._margin(lhs, rhs)}
+
+
+def oracle_rsm_step(m, cov, rf, omega, r, w, step_index=0):
+    """rsm.rsm_step as first written (see above): (v0, omega1,
+    StepDiagnostics)."""
+    p = omega.degree
+    w_means, c_iw, c_sw = _oracle_weight_relative(w, cov, m)
+    v0, U = rsm.sweep(m, cov, omega)
+    u = U.data
+    system, lplan = rsm.patch_system(m, cov, p)
+    plan = lplan.dens
+    members = covering.membership(cov.balls, m.num_vertices)
+    balls = rsm.ball_simplices(m, p, members)
+    ball_masks = plan.gather(balls, (0, 1))
+    ball_rows = balls.indices
+    ball_cols = np.repeat(np.arange(len(cov)), np.diff(balls.indptr))
+    support = plan.gather(system.support, range(3))
+    R = cov.radii()
+    chains = {}
+    U_dens = _oracle_plan_densities(plan, u, values=chains)
+    parts_dens = _oracle_plan_densities(plan, lplan.chi * u)
+    solves = _oracle_diagnostics(system, omega, u, plan, support, U_dens, r)
+    chi_lap = np.bincount(plan.patterns[("lap",)][1],
+                          lplan.chi_lap * chains[("lap",)],
+                          minlength=m.num_simplices(p))
+    lap_v0 = dec.hodge_laplacian(m, p)(v0)
+    s = max(r, min(2.0, dec.sobolev_exponent(r, 2, m.n)))
+    ledger = {key: _oracle_gluing_bound(m, w, w_means, v0, plan,
+                                        parts_dens[k], s, k)
+              for k, key in enumerate(("5s4_i", "5s4_ii", "5s4_iii"))}
+    # 5s6
+    a = w_means * _oracle_column_norms(plan, 0, parts_dens[0], s,
+                                       ball_masks[0])
+    b = w_means * R ** (-rsm.GAMMA) * np.bincount(
+        ball_cols, m.support_volumes[p][ball_rows]
+        * dec.density(omega)[ball_rows] ** r, minlength=R.size) ** (1 / r)
+    rf_max = np.maximum.reduceat(rf.values[members.indices],
+                                 members.indptr[:-1])
+    rho = float(np.max(rf_max / R, initial=1.0))
+    c_iw = min(1.0, c_iw)
+    nz = b > 1e-300
+    C = float((a[nz] / b[nz]).max()) if nz.any() else 0.0
+    I = float(np.sum(a**s)) ** (1 / s)
+    w_tilde = rf.values ** (-rsm.GAMMA) * w.values
+    om_norm = dec.lr_norm(m, omega, dec.NormSpec(r, weight=w_tilde, power=r))
+    T = cov.overlap_measured
+    rhs = rho**rsm.GAMMA / c_iw * C * T ** (s / r) * om_norm
+    ledger["5s6"] = {"lhs": I, "rhs": rhs, "C": C, "rho": rho,
+                     "c_iw_eff": c_iw, "margin": rsm._margin(I, rhs)}
+    # Leibniz diagnostic
+    lr, gr = (_oracle_column_norms(plan, k, U_dens[k], s, ball_masks[k])
+              for k in (0, 1))
+    total = float(np.sum(w_means**s * (R**-s * lr**s + gr**s)))
+    conj = s / (s - 1)
+    ledger["leibniz"] = {"rhs_paper": (2 ** (s / conj) * (1 + cov.eps) * T**s
+                                       * c_sw**s * total) ** (1 / s)}
+    diag = rsm.StepDiagnostics(step_index, solves,
+                               float(np.linalg.norm(lap_v0.values - chi_lap)),
+                               float(np.linalg.norm(chi_lap - omega.values)),
+                               ledger)
+    return v0, lap_v0 - omega, diag
+
+
+def oracle_raising_steps(m, cov, rf, omega, config):
+    """rsm.raising_steps as first written, on oracle_rsm_step: (v,
+    omega_tilde, trace), every weighted norm averaging the weight anew."""
+    n = m.n
+    k = config.steps(n)
+    w = config.base_weight(m.num_vertices)
+    r = config.r
+    trace = rsm.RsmTrace(r, config.s, k)
+    p = omega.degree
+    q2 = min(2.0, dec.sobolev_exponent(r, 2, n))
+    v = dec.Cochain(m, p, np.zeros(m.num_simplices(p)))
+    cur = omega
+    sign = 1.0
+    trace.exponent_ladder.append(r)
+    trace.residual_norms.append(dec.lr_norm(m, cur, dec.NormSpec(r)))
+    for step in range(k):
+        v_j, nxt, diag = oracle_rsm_step(m, cov, rf, cur, r, w, step)
+        v = v + sign * v_j
+        trace.steps.append(diag)
+        t_next = min(dec.sobolev_exponent(r, step + 1, n), 64.0)
+        trace.exponent_ladder.append(t_next)
+        trace.v_norms.append(
+            (dec.lr_norm(m, v_j, dec.NormSpec(r, weight=w, power=r)),
+             dec.lr_norm(m, v_j, dec.NormSpec(q2, weight=w, power=q2))))
+        trace.residual_norms.append(dec.lr_norm(m, nxt, dec.NormSpec(t_next)))
+        cur = nxt
+        sign = -sign
+    omega_tilde = -1.0 * cur if k % 2 == 0 else cur
+    w0 = config.w0(rf, n)
+    denom = dec.lr_norm(m, omega, dec.NormSpec(r, weight=w0, power=r))
+    if denom > 0:
+        trace.constants = {
+            "C_r": dec.lr_norm(m, v, dec.NormSpec(r, weight=w, power=r))
+                / denom,
+            "C_q": dec.lr_norm(m, v, dec.NormSpec(q2, weight=w, power=q2))
+                / denom,
+            "C_w2r": dec.sobolev_norm(m, v, dec.NormSpec(r, order=2,
+                                                         weight=w, power=r))
+                / denom,
+            "C_s": dec.lr_norm(m, omega_tilde,
+                               dec.NormSpec(config.s, weight=w,
+                                            power=config.s)) / denom,
+        }
+    return v, omega_tilde, trace

@@ -204,6 +204,28 @@ def test_gap_solve_factors_once_per_mesh_and_degree(rng, monkeypatch):
         monkeypatch.undo()
 
 
+def test_spectrum_forms_scaled_stiffness_once(monkeypatch):
+    # S is formed once per mesh and degree, for the spectrum and for the
+    # shifted factor built from it
+    m = geometry.generate_test_manifold("flat_torus", 8)
+    formed = []
+    real = dec.stiffness_matrix
+    monkeypatch.setattr(dec, "stiffness_matrix",
+                        lambda m, p: formed.append(p) or real(m, p))
+    S = dec.scaled_stiffness(m, 1)
+    indices, data = S.indices.copy(), S.data.copy()
+    for p in (0, 1, 0, 1):
+        spectrum(m, p)
+    assert formed == [1, 0]
+    assert dec.scaled_stiffness(m, 1) is S
+    # abs() sorts a matrix's indices in place; the spectrum's Gershgorin
+    # bound must not do that to the cached S, whose storage order sets the
+    # rounding of every later product of it
+    assert not S.has_sorted_indices
+    assert np.array_equal(S.indices, indices)
+    assert np.array_equal(S.data, data)
+
+
 def test_poisson_zero(torus16, cover16, spec16_p1):
     rf, cov = cover16
     z = dec.Cochain(torus16, 1, np.zeros(torus16.num_simplices(1)))

@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodge_rsm import cli, covering, dec, geometry, local_solver, rsm
-from hodge_rsm.covering import (AdmissibleCovering, RadiusField,
-                                WeightField, admissible_radius,
-                                check_radius_lipschitz,
+from hodge_rsm.covering import (RadiusField, WeightField,
+                                admissible_radius, check_radius_lipschitz,
                                 check_weight_relative, chi_gradient_constant,
                                 compute_radius_field, constant_weight,
                                 covering_key, covering_to_dict,
@@ -21,7 +20,7 @@ from hodge_rsm.covering import (AdmissibleCovering, RadiusField,
                                 smoothed_radius, vitali_cover,
                                 weight_from_radius, weight_integrability)
 from conftest import (LoopChartFrame, all_geodesic_distances,
-                      balls_without_whole_star, extract_patch,
+                      balls_without_whole_star, covering_of, extract_patch,
                       geodesic_distance, loop_admissible_radius,
                       loop_vitali_centers)
 
@@ -167,7 +166,7 @@ def _balls_without_interior_vertex(m, cov):
     flagged = []
     for j, ball in enumerate(cov.balls):
         try:
-            local_solver.Patches.extract(m, AdmissibleCovering([ball], 0.1))
+            local_solver.Patches.extract(m, covering_of(m, [ball]))
         except local_solver.PatchError as e:
             if "no interior vertex" in str(e):
                 flagged.append(j)
@@ -494,6 +493,11 @@ def test_covering_serialization_round_trip(tmp_path, torus16, cover16):
         assert a.center == b.center
         assert np.array_equal(a.members, b.members)
         assert a.covering_radius == b.covering_radius
+    # the loaded covering carries the same membership matrix
+    assert cov2.members.shape == cov.members.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(cov2.members, name),
+                              getattr(cov.members, name))
     # JSON floats round-trip exactly
     assert np.array_equal(cov.chi.toarray(), cov2.chi.toarray())
     assert np.array_equal(cov.chi_gradients, cov2.chi_gradients)

@@ -16,7 +16,7 @@ from hodge_rsm.dec import (Cochain, DegreeError, NormSpec, codifferential,
                            sobolev_exponent, sobolev_norm, stiffness_matrix)
 
 from conftest import (PERTURBED_MESHES, assert_plan_matches_step_oracle,
-                      geodesic_distance, oracle_column_norms,
+                      covering_of, geodesic_distance, oracle_column_norms,
                       oracle_densities, perturbed_mesh, refused_balls)
 
 INF = dec.INF
@@ -356,11 +356,11 @@ def test_density_plan_on_perturbed_meshes(mesh, seed, amplitude):
                                  <= R))
              for j, (c, R) in enumerate(zip(centers, radii))]
     # the balls extraction refuses are left out
-    refused = refused_balls(m, covering.AdmissibleCovering(balls, 0.1))
+    refused = refused_balls(m, covering_of(m, balls))
     if len(refused) == len(balls):
         return
-    patches = Patches.extract(m, covering.AdmissibleCovering(
-        [b for j, b in enumerate(balls) if j not in refused], 0.1))
+    patches = Patches.extract(m, covering_of(
+        m, [b for j, b in enumerate(balls) if j not in refused]))
     for p in range(m.n + 1):
         interior = patches.interior[p]
         plan = dec.DensityPlan(m, p, interior.indices, interior.indptr,

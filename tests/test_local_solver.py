@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 
 from hodge_rsm import cli, dec, geometry, local_solver
-from hodge_rsm.covering import (AdmissibleCovering, RadiusField,
-                                partition_of_unity, vitali_cover)
+from hodge_rsm.covering import (RadiusField, partition_of_unity,
+                                vitali_cover)
 from hodge_rsm.local_solver import (Patches, PatchError, local_czi_check,
                                     neumann_series_solve,
                                     solve_local_dirichlet)
 from hodge_rsm.rsm import cached_patches
 
 from conftest import (PERTURBED_MESHES, assemble_oracle,
-                      balls_without_whole_star, column, extract_patch,
+                      balls_without_whole_star, column, covering_of,
+                      extract_patch,
                       flat_stiffness_oracle, geodesic_distance,
                       oracle_patches, perturbed_mesh, refused_balls)
 
@@ -110,7 +111,7 @@ def test_batched_patches_match_oracle_on_perturbed_meshes(mesh, seed,
                                  geodesic_distance(m, int(c), R)
                                  <= R))
              for j, (c, R) in enumerate(zip(centers, radii))]
-    cov = AdmissibleCovering(balls, 0.1)
+    cov = covering_of(m, balls)
     starless = balls_without_whole_star(m, cov)
     assert starless == [j for j, P in enumerate(oracle_patches(m, cov))
                         if P.interior[0].size == 0]
@@ -121,8 +122,8 @@ def test_batched_patches_match_oracle_on_perturbed_meshes(mesh, seed,
             Patches.extract(m, cov)
     if len(bad) == len(balls):
         return
-    cov = AdmissibleCovering([b for j, b in enumerate(balls)
-                              if j not in bad], 0.1)
+    cov = covering_of(m, [b for j, b in enumerate(balls)
+                          if j not in bad])
     patches = Patches.extract(m, cov)
     _assert_matches_oracle(m, cov, patches)
     assert len(patches) == len(balls) - len(bad)
@@ -275,7 +276,7 @@ def test_stack_patches_names_ball_without_interior(torus16, cover16):
     cell = torus16.simplices[2][0]
     ball = SimpleNamespace(index=99, center=int(cell[0]),
                            covering_radius=0.125, members=cell)
-    cov = AdmissibleCovering([cover16[1].balls[3], ball], 0.1)
+    cov = covering_of(torus16, [cover16[1].balls[3], ball])
     assert extract_patch(torus16, cov, 1).interior[1].size == 0
     with pytest.raises(PatchError, match=rf"^ball 99 \(center {cell[0]}, "
                        r"radius 0\.125\) holds no vertex with all its "
@@ -290,7 +291,7 @@ def test_extract_names_ball_without_full_cell(torus16, cover16):
     edge = torus16.simplices[1][0]
     ball = SimpleNamespace(index=7, center=int(edge[0]),
                            covering_radius=0.0625, members=edge)
-    cov = AdmissibleCovering([cover16[1].balls[3], ball], 0.1)
+    cov = covering_of(torus16, [cover16[1].balls[3], ball])
     assert extract_patch(torus16, cov, 1).cells.size == 0
     with pytest.raises(PatchError, match=rf"^ball 7 \(center {edge[0]}, "
                        r"radius 0\.0625\) .* no interior vertex;"):

@@ -12,7 +12,8 @@ from hodge_rsm.rsm import (RsmConfig, commutator_defect,
 
 from conftest import (all_geodesic_distances,
                       assert_ledger_plan_matches_oracle, column,
-                      oracle_column_norms, oracle_densities, oracle_patches)
+                      oracle_column_norms, oracle_densities, oracle_patches,
+                      oracle_raising_steps, oracle_rsm_step)
 
 
 def test_threshold_steps_values():
@@ -404,6 +405,29 @@ def _sparse_product_counter(monkeypatch):
     return calls
 
 
+def test_membership_built_with_the_balls(torus16, cover16, weight16,
+                                        monkeypatch, rng):
+    # vitali_cover builds the one membership matrix of a covering; the
+    # partition, the patches, the ledger plan and every step read it
+    built = []
+    real = covering.membership
+    monkeypatch.setattr(covering, "membership",
+                        lambda balls, V: built.append(V) or real(balls, V))
+    rf = cover16[0]
+    cov = vitali_cover(torus16, rf)
+    assert built == [torus16.num_vertices]
+    partition_of_unity(torus16, cov)
+    for p in (0, 1):
+        omega = dec.random_cochain(torus16, p, rng)
+        for _ in range(2):
+            rsm_step(torus16, cov, rf, omega, 1.5, weight16)
+        assert compact_support_check(omega, omega, omega, cov)
+    assert built == [torus16.num_vertices]
+    assert rsm.patch_system(torus16, cov, 1)[1].members is cov.members
+    with pytest.raises(ValueError, match="vertices"):
+        cov.membership_counts(torus16.num_vertices + 1)
+
+
 def test_ledger_plan_built_once_at_first_sweep(torus16, cover16, weight16,
                                                monkeypatch, rng):
     # the plan of a degree is built with its patch system at the first
@@ -458,8 +482,8 @@ def test_step_norms_match_sparse_oracle(request, mesh, p):
     assert [d.c_j for d in diag.solves] == (w2 / lr).tolist()
 
     chi = rsm.simplex_average(m, p, cov.chi.tocsr())
-    balls = rsm.simplex_average(m, p, cov.membership(
-        m.num_vertices).tocsr()) >= 1.0
+    members = covering.membership(cov.balls, m.num_vertices)
+    balls = rsm.simplex_average(m, p, members.tocsr()) >= 1.0
     w_means, _, c_sw = covering.check_weight_relative(w, cov, m)
     s = max(r, min(2.0, dec.sobolev_exponent(r, 2, m.n)))
     R = cov.radii()
@@ -467,7 +491,7 @@ def test_step_norms_match_sparse_oracle(request, mesh, p):
     a = w_means * oracle_column_norms(m, p, parts0, s, balls)
     b = w_means * R**-2.0 * oracle_column_norms(
         m, p, balls.multiply(dec.density(omega)[:, None]), r)
-    rf_max = cov.membership(m.num_vertices).multiply(rf.values[:, None])
+    rf_max = members.multiply(rf.values[:, None])
     led = diag.ledger["5s6"]
     assert led["rho"] == float(np.max(
         rf_max.max(axis=0).toarray().ravel() / R, initial=1.0))
@@ -515,3 +539,73 @@ def test_pointwise_bound_keeps_cached_laplacian(torus16, cover16, rng):
                                dec.random_cochain(torus16, 1, rng))
     assert np.array_equal(L.indices, indices)
     assert np.array_equal(L.data, data)
+
+
+def _one_ball_form(m, cov, p, rng):
+    """Random values on the p-simplices of one ball, zero elsewhere: the
+    pieces chi_j u_j of the other balls vanish, so the gluing bounds take
+    their partial-support path."""
+    vmask = np.zeros(m.num_vertices, dtype=bool)
+    vmask[cov.balls[len(cov) // 3].members] = True
+    smask = m.vertex_mask_to_simplex_mask(p, vmask)
+    return dec.Cochain(m, p, np.where(smask, rng.standard_normal(smask.size),
+                                      0.0))
+
+
+def _bitwise(got, want, path=()):
+    """got equals want bit for bit: floats by value and type (NaN equal to
+    NaN), ints, strings, arrays by bytes, dicts and lists by item."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for k in want:
+            _bitwise(got[k], want[k], path + (k,))
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), path
+        for i, (x, y) in enumerate(zip(got, want)):
+            _bitwise(x, y, path + (i,))
+    elif isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
+            path
+    elif dataclasses.is_dataclass(want):
+        _bitwise(dataclasses.asdict(got), dataclasses.asdict(want), path)
+    else:
+        assert type(got) is type(want), path
+        assert got == want or (got != got and want != want), path
+
+
+@pytest.mark.parametrize("mesh,cover", [("torus16", "cover16"),
+                                        ("bumpy16", "cover_bumpy"),
+                                        ("sphere8", "cover_sphere8"),
+                                        ("torus3d5", "cover3d5")])
+def test_step_and_trace_match_first_ledger(request, mesh, cover):
+    # the ledger, the solves, both defect norms and the trace equal those
+    # of the step as first written (conftest.oracle_rsm_step), at every
+    # degree, for w = 1 and w = R^-2, on a generic form (every piece
+    # nonzero on its pattern) and on a form supported on one ball
+    m = request.getfixturevalue(mesh)
+    rf, cov = request.getfixturevalue(cover)
+    partial = 0
+    for p in range(m.n + 1):
+        rng = np.random.default_rng(17 + p)
+        forms = (dec.random_cochain(m, p, rng),
+                 _one_ball_form(m, cov, p, rng))
+        for w in (covering.constant_weight(m.num_vertices),
+                  covering.weight_from_radius(rf, 1)):
+            for omega in forms:
+                got, want = (step(m, cov, rf, omega, 1.5, w, 2)
+                             for step in (rsm_step, oracle_rsm_step))
+                _bitwise(got[0].values, want[0].values)
+                _bitwise(got[1].values, want[1].values)
+                _bitwise(got[2], want[2])
+                partial += any(
+                    got[2].ledger[key]["T_eff"]
+                    < rsm.patch_system(m, cov, p)[1].overlap[k]
+                    for k, key in enumerate(("5s4_i", "5s4_ii", "5s4_iii")))
+                config = RsmConfig(1.5, k=2, weight=w)
+                got, want = (run(m, cov, rf, omega, config) for run in
+                             (raising_steps, oracle_raising_steps))
+                _bitwise(got[0].values, want[0].values)
+                _bitwise(got[1].values, want[1].values)
+                _bitwise(got[2].to_dict(), want[2].to_dict())
+    # the one-ball forms reach the partial-support path
+    assert partial
