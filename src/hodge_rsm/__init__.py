@@ -16,9 +16,8 @@ from .dec import (Cochain, FormOperator, NormSpec, exterior_derivative,
 from .covering import (RadiusField, AdmissibleCovering, WeightField,
                        compute_radius_field, vitali_cover, overlap_bound,
                        partition_of_unity, weight_from_radius)
-from .rsm import (RsmConfig, RsmTrace, commutator_defect,
-                  commutator_pointwise_bound, compact_support_check,
-                  raising_steps, rsm_step, threshold_steps)
+from .rsm import (RsmConfig, RsmTrace, raising_steps, rsm_step,
+                  threshold_steps)
 from .analysis import (SpectrumReport, HodgeDecompositionResult, spectrum,
                        harmonic_projection, gap_solve, poisson_solve,
                        dual_poisson_solve, strong_decomposition,

@@ -11,7 +11,6 @@ reconstruction residuals and orthogonality tables.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +23,7 @@ from . import dec, rsm
 from .covering import AdmissibleCovering, RadiusField, WeightField, \
     constant_weight
 from .dec import DENSE_LIMIT
-from .geometry import SimplicialManifold, simplex_average
+from .geometry import SimplicialManifold
 
 HARMONIC_TOL_REL = 1e-8
 CZI_HEADROOM = 1.25
@@ -68,13 +67,6 @@ class HodgeDecompositionResult:
     residual: float = 0.0
     orthogonality: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "residual": self.residual,
-                "orthogonality": self.orthogonality,
-                "harmonic_norm": dec.norm_l2(self.harmonic),
-                "extras": {k: v for k, v in self.extras.items()
-                           if isinstance(v, (int, float, str, bool, list))}}
 
 
 def spectrum(m: SimplicialManifold, p: int, m_eigs: int = 10,
@@ -211,7 +203,8 @@ def poisson_solve(m: SimplicialManifold, cov: AdmissibleCovering,
     """Global Poisson solve: raising steps plus the gap inverse.
 
     Requires the input to be (numerically) orthogonal to harmonics;
-    returns (u, diagnostics) with Delta u = omega to solver precision.
+    returns (u, diagnostics) with Delta u = omega to solver precision:
+    diagnostics holds the relative residual and the raising-steps trace.
     """
     h = harmonic_projection(m, rep, omega)
     nrm = dec.norm_l2(omega)
@@ -224,17 +217,7 @@ def poisson_solve(m: SimplicialManifold, cov: AdmissibleCovering,
     u = v - f
     lap = dec.hodge_laplacian(m, omega.degree)
     resid = dec.norm_l2(lap(u) - omega) / (nrm + 1e-300)
-    t = min(2.0, dec.sobolev_exponent(r, 2, m.n))
-    a_simp = simplex_average(m, omega.degree, alpha.values)
-    diags = {
-        "residual": resid,
-        "w2r_norm": dec.sobolev_norm(m, u, dec.NormSpec(
-            r, order=2, weight=alpha, power=r, averaged=a_simp)),
-        "lt_norm": dec.lr_norm(m, u, dec.NormSpec(t, weight=alpha, power=t,
-                                                  averaged=a_simp)),
-        "trace": trace,
-    }
-    return u, diags
+    return u, {"residual": resid, "trace": trace}
 
 
 def dual_poisson_solve(m: SimplicialManifold, cov: AdmissibleCovering,
@@ -249,7 +232,8 @@ def dual_poisson_solve(m: SimplicialManifold, cov: AdmissibleCovering,
     Horner's rule turns this into k adjoint sweeps (rsm.sweep_adjoint)
     from u = L+ phi: u <- u + T*(phi - Delta u).  The harmonic part of u
     is removed; for gap-orthogonal phi, Delta u = phi (finite-dimensional
-    adjoint identity).
+    adjoint identity).  Returns (u, {"residual": |Delta u - phi| / |phi|});
+    rf and r are not read, and keep poisson_solve's argument list.
     """
     p = phi.degree
     h = harmonic_projection(m, rep, phi)
@@ -261,13 +245,7 @@ def dual_poisson_solve(m: SimplicialManifold, cov: AdmissibleCovering,
     for _ in range(max(k, 1)):
         u = u + rsm.sweep_adjoint(m, cov, phi - lap(u))
     u = u - harmonic_projection(m, rep, u)
-    resid = dec.norm_l2(lap(u) - phi) / (nrm + 1e-300)
-    rp = r / (r - 1.0)
-    w0 = rf.values ** -2.0
-    diags = {"residual": resid,
-             "lrp_norm": dec.lr_norm(m, u, dec.NormSpec(rp, weight=w0,
-                                                        power=r))}
-    return u, diags
+    return u, {"residual": dec.norm_l2(lap(u) - phi) / (nrm + 1e-300)}
 
 
 # -- decompositions -----------------------------------------------------
@@ -320,9 +298,8 @@ def strong_decomposition(m: SimplicialManifold, cov: AdmissibleCovering,
     c = c - harmonic_projection(m, rep, c)
     if dec.norm_l2(c) <= 1e-12 * max(dec.norm_l2(omega), 1e-300):
         u = dec.Cochain(m, p, np.zeros(m.num_simplices(p)))
-        diags = {"residual": 0.0}
     else:
-        u, diags = poisson_solve(m, cov, rf, rep, c, r, alpha, k)
+        u = poisson_solve(m, cov, rf, rep, c, r, alpha, k)[0]
     lap = dec.hodge_laplacian(m, p)
     delta_u = lap(u)
     residual = dec.norm_l2(omega - h - delta_u) / (dec.norm_l2(omega) + 1e-300)
@@ -339,8 +316,6 @@ def strong_decomposition(m: SimplicialManifold, cov: AdmissibleCovering,
         result.residual = dec.norm_l2(omega - h - ex - co) \
             / (dec.norm_l2(omega) + 1e-300)
         result.orthogonality = orthogonality_check(m, h, ex, co)
-    result.extras["solver"] = {kk: vv for kk, vv in diags.items()
-                               if isinstance(vv, float)}
     return result
 
 
@@ -386,7 +361,7 @@ def weak_decomposition(m: SimplicialManifold, cov: AdmissibleCovering,
         tails[lo:] ** (1.0 / r) <= eps_target, True)))
     om_eps = dec.Cochain(m, p, np.where(joins < used, om_c.values, 0.0))
     om_eps = om_eps - harmonic_projection(m, rep, om_eps)
-    u, diags = poisson_solve(m, cov, rf, rep, om_eps, r, alpha)
+    u = poisson_solve(m, cov, rf, rep, om_eps, r, alpha)[0]
     lap = dec.hodge_laplacian(m, p)
 
     inner_mode = "delta" if mode == "delta_closure" else "d_dstar"
@@ -406,36 +381,6 @@ def weak_decomposition(m: SimplicialManifold, cov: AdmissibleCovering,
     result.extras["eps_target"] = eps_target
     result.extras["balls_used"] = used
     return result
-
-
-def weak_decomposition_sequence(m, cov, rf, rep, omega, r,
-                                alpha=None, eps0: float = 1e-1,
-                                halvings: int = 3,
-                                mode: str = "delta_closure") -> list:
-    """E_eps over successive halvings of eps_target; must decrease.
-
-    When a halving fails to shrink E_eps strictly, the ball union is
-    forced to grow by one more ball; three consecutive failures flag
-    the run.
-    """
-    out = []
-    eps = eps0
-    min_balls = 1
-    for _ in range(halvings + 1):
-        res = weak_decomposition(m, cov, rf, rep, omega, r, alpha, eps,
-                                 mode, _min_balls=min_balls)
-        min_balls = res.extras["balls_used"]
-        # force strictness by growing the union when a halving stalls
-        while out and res.extras["E_eps"] >= out[-1].extras["E_eps"]:
-            if min_balls >= len(cov.balls):
-                res.extras["monotonicity_flag"] = True
-                break
-            min_balls += 1
-            res = weak_decomposition(m, cov, rf, rep, omega, r, alpha,
-                                     eps, mode, _min_balls=min_balls)
-        out.append(res)
-        eps /= 2.0
-    return out
 
 
 # -- inequality verification -------------------------------------------
@@ -513,38 +458,6 @@ def weighted_czi_verify(m: SimplicialManifold, cov: AdmissibleCovering,
 
 def bounded_radius_flag(rf: RadiusField) -> bool:
     return bool(rf.values.min() >= 0.25 * rf.values.max())
-
-
-def harmonic_embedding_check(m: SimplicialManifold, rep: SpectrumReport,
-                             s: float) -> dict:
-    """Ratios |h|_{L^s} / |h|_{L^2} over the harmonic space.
-
-    ratios lists the basis elements; C_s is the sup over the unit sphere
-    of the harmonic space (sampled on a fixed grid), which is invariant
-    under the arbitrary basis rotation the eigensolver may apply inside
-    the degenerate kernel.
-    """
-    def ratio(vec):
-        h = dec.Cochain(m, rep.degree, vec)
-        l2 = dec.lr_norm(m, h, dec.NormSpec(2.0))
-        if l2 == 0:
-            return 0.0
-        ls = dec.lr_norm(m, h, dec.NormSpec(s)) if s != 2.0 else l2
-        return ls / l2
-
-    B = rep.harmonic_basis
-    d = rep.harmonic_dim
-    ratios = [ratio(B[:, i]) for i in range(d)]
-    cs = max(ratios) if ratios else 0.0
-    if d == 2:
-        for th in np.linspace(0.0, np.pi, 360, endpoint=False):
-            cs = max(cs, ratio(B @ [np.cos(th), np.sin(th)]))
-    elif d > 2:
-        dirs = np.random.default_rng(0).standard_normal((400, d))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        for c in dirs:
-            cs = max(cs, ratio(B @ c))
-    return {"s": s, "ratios": ratios, "C_s": cs}
 
 
 def derivative_rank(m: SimplicialManifold, q: int) -> int | None:

@@ -40,10 +40,6 @@ DEFAULTS = {
 }
 
 
-# keys of older configs that no longer do anything: accepted and dropped
-RETIRED_KEYS = ("alpha_q",)
-
-
 def _is_real(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
@@ -82,8 +78,8 @@ _VALID = {
 
 def load_config(path, **overrides) -> dict:
     """DEFAULTS updated by the JSON object at path, then by the overrides
-    that are not None; a usage error for a key DEFAULTS does not hold (a
-    RETIRED_KEYS key is dropped) or a value of wrong type or range."""
+    that are not None; a usage error for a key DEFAULTS does not hold or
+    a value of wrong type or range."""
     cfg = json.loads(json.dumps(DEFAULTS))  # deep copy
     if path:
         try:
@@ -96,8 +92,6 @@ def load_config(path, **overrides) -> dict:
         if not isinstance(user, dict):
             raise click.UsageError("config must be a JSON object")
         for key, val in user.items():
-            if key in RETIRED_KEYS:
-                continue
             if key not in cfg:
                 raise click.UsageError(f"unknown config key {key}")
             if key == "mesh" and isinstance(val, dict):

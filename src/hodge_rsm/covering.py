@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +76,6 @@ class AdmissibleCovering:
     members: sp.csc_matrix                      # vertices x balls
     overlap_measured: int = 0
     chi: sp.csr_matrix | None = None            # vertices x balls
-    chi_gradients: np.ndarray | None = None     # per-ball max edge gradient
     patches: object | None = None   # rsm.cached_patches: a Patches
     systems: dict | None = None   # rsm.patch_system: system and plan
 
@@ -134,12 +132,6 @@ def _admissible_radii(m: SimplicialManifold, centers: np.ndarray,
         pending = pending[~done]
         reach = min(2.0 * reach, 1.0)
     return values
-
-
-def admissible_radius(m: SimplicialManifold, x: int, eps: float) -> float:
-    """Largest R in [R_min, 1] whose chart at x stays within eps: the
-    one-vertex case of the batched rounds of compute_radius_field."""
-    return float(_admissible_radii(m, np.array([x]), eps)[0])
 
 
 def compute_radius_field(m: SimplicialManifold, eps: float,
@@ -260,9 +252,7 @@ def partition_of_unity(m: SimplicialManifold,
     """Normalized C^2 bumps chi_j = phi_j / sum phi, stored into cov.
 
     phi_j(x) = (1 - (d/R_j)^2)^3 inside the ball, zero outside, with d
-    the member distances vitali_cover's search stored on each ball; the
-    discrete gradient of each column, max over edges ab of
-    |chi_j(a) - chi_j(b)| / |ab|, is recorded in cov.chi_gradients.
+    the member distances vitali_cover's search stored on each ball.
     """
     phi = cov.members.copy()
     t = np.concatenate([b.distances for b in cov.balls]) \
@@ -273,19 +263,8 @@ def partition_of_unity(m: SimplicialManifold,
     total = np.asarray(phi.sum(axis=1)).ravel()
     if np.any(total <= 0):
         raise CoverageError("vertex with zero bump mass (coverage gap)")
-    chi = sp.diags(1.0 / total) @ phi
-
-    # |d0 chi| as a sparse edges x balls matrix; d0 = boundary[1]^T
-    grad = abs(m.boundary[1].T @ chi).tocoo()
-    grad.data /= m.edge_lengths[grad.row]
-    cov.chi = chi
-    cov.chi_gradients = grad.max(axis=0).toarray().ravel()
-    return chi
-
-
-def chi_gradient_constant(cov: AdmissibleCovering) -> float:
-    """Measured C_chi: sup over balls of (edge gradient of chi_j) * R_j."""
-    return float((cov.chi_gradients * cov.radii()).max())
+    cov.chi = sp.diags(1.0 / total) @ phi
+    return cov.chi
 
 
 def weight_from_radius(rf: RadiusField, k: int) -> WeightField:
@@ -297,13 +276,6 @@ def weight_from_radius(rf: RadiusField, k: int) -> WeightField:
 
 def constant_weight(num_vertices: int) -> WeightField:
     return WeightField(np.ones(num_vertices))
-
-
-def smoothed_radius(m: SimplicialManifold, cov: AdmissibleCovering,
-                    rf: RadiusField) -> np.ndarray:
-    """Partition-smoothed radius field sum_j chi_j(x) R_j."""
-    Rs = np.array([rf.values[b.center] for b in cov.balls])
-    return np.asarray(cov.chi @ Rs).ravel()
 
 
 def ball_volumes(cov: AdmissibleCovering,
@@ -330,25 +302,6 @@ def check_weight_relative(w: WeightField, cov: AdmissibleCovering,
         / (ball_volumes(cov, m) if volumes is None else volumes)
     ratios = wv / means[ball]
     return means, float(ratios.min()), float(ratios.max())
-
-
-EXPONENT_CAP = 1e6
-
-
-def weight_integrability(m: SimplicialManifold, w: WeightField,
-                         t: float) -> float:
-    """gamma(w, t) = integral of w^(2t/(2-t)) over the manifold.
-
-    Always finite on a mesh; the exponent is capped at EXPONENT_CAP with
-    a warning as t approaches 2.
-    """
-    if not 1 < t < 2:
-        raise ValueError("integrability exponent needs t in (1, 2)")
-    expo = 2.0 * t / (2.0 - t)
-    if expo > EXPONENT_CAP:
-        warnings.warn("integrability exponent saturated at cap")
-        expo = EXPONENT_CAP
-    return float(np.sum(w.values**expo * m.dual_volumes()))
 
 
 # -- serialization ------------------------------------------------------
@@ -386,7 +339,6 @@ def covering_to_dict(cov: AdmissibleCovering, rf: RadiusField,
         } for b in cov.balls],
         "partition_triplets": [[int(i), int(j), float(v)] for i, j, v
                                in zip(chi.row, chi.col, chi.data)],
-        "chi_gradients": cov.chi_gradients.tolist(),
         "radius_field": {"values": rf.values.tolist(), "eps": rf.eps,
                          "divisor": rf.divisor,
                          "divisor_effective": rf.divisor_effective},
@@ -406,12 +358,13 @@ def save_covering(cov: AdmissibleCovering, path, rf: RadiusField,
 def load_covering(path) -> tuple[RadiusField, AdmissibleCovering, str]:
     """(rf, cov, key) as save_covering wrote them; LookupError when a
     field is missing or null, as in a file written before the partition
-    of unity.  Older files' doubled_members are ignored."""
+    of unity.  Older files' doubled_members and chi_gradients are
+    ignored."""
     with open(path) as f:
         d = json.load(f)
     if any(d[k] is None for k in ("balls", "eps", "overlap_measured",
-                                  "partition_triplets", "chi_gradients",
-                                  "radius_field", "key")):
+                                  "partition_triplets", "radius_field",
+                                  "key")):
         raise LookupError(f"{path}: a covering field is null")
     balls = [CoveringBall(i, bd["center"], bd["core_radius"],
                           bd["covering_radius"], bd["admissible_radius"],
@@ -425,7 +378,6 @@ def load_covering(path) -> tuple[RadiusField, AdmissibleCovering, str]:
     cov.chi = sp.csr_matrix(
         (trip[:, 2], (trip[:, 0].astype(int), trip[:, 1].astype(int))),
         shape=(V, len(balls)))
-    cov.chi_gradients = np.array(d["chi_gradients"])
     rd = d["radius_field"]
     rf = RadiusField(np.array(rd["values"], dtype=float), rd["eps"],
                      rd["divisor"], rd["divisor_effective"])

@@ -14,14 +14,13 @@ complex, so they also run on local_solver.PatchComplex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import (Chart, SimplicialManifold, chord_lengths,
-                       lumped_supports, simplex_average, simplex_volumes)
+from .geometry import SimplicialManifold, simplex_average
 
 INF = math.inf
 # largest number of unknowns for which a dense rank is computed
@@ -220,16 +219,6 @@ def shifted_factor(m: SimplicialManifold, p: int) -> spla.SuperLU:
 def density(u: Cochain) -> np.ndarray:
     """Pointwise density |u|(sigma) = |u_sigma| / vol_p(sigma)."""
     return densities(u.manifold, u.degree, u.values, 0)
-
-
-def gradient_density(u: Cochain) -> np.ndarray:
-    """First-order surrogate density (|du|^2 + |d*u|^2)^(1/2) per p-simplex."""
-    return densities(u.manifold, u.degree, u.values, 1)
-
-
-def hessian_density(u: Cochain) -> np.ndarray:
-    """Second-order surrogate density (|Lap u|^2 + |dd*u|^2 + |d*du|^2)^(1/2)."""
-    return densities(u.manifold, u.degree, u.values, 2)
 
 
 def density_terms(n: int, p: int, order: int) -> list:
@@ -515,69 +504,6 @@ def sobolev_exponent(r: float, k: int, n: int):
     if inv <= 0:
         return INF
     return 1.0 / inv
-
-
-# -- chart comparison and ball embedding checks -------------------------
-
-
-@dataclass
-class EmbeddingCheck:
-    status: str            # "ok" | "not_applicable"
-    lhs: float = 0.0
-    rhs: float = 0.0
-    ratio: float = 0.0
-
-
-def ball_sobolev_embedding_check(m: SimplicialManifold, ball, u: Cochain,
-                                 r: float) -> EmbeddingCheck:
-    """Scaled embedding L^{S_2(r)}(B) <= C R^-2 W^{2,r}(B) on one covering ball.
-
-    Only meaningful for n = 3 (S_2(r) is infinite for every r > 1 when
-    n = 2); reports not_applicable in that case.
-    """
-    if m.n == 2:
-        return EmbeddingCheck(status="not_applicable")
-    t = sobolev_exponent(r, 2, m.n)
-    if t is INF:
-        raise ValueError("S_2(r) is infinite; embedding check undefined")
-    vmask = np.zeros(m.num_vertices, dtype=bool)
-    vmask[ball.members] = True
-    mask = m.vertex_mask_to_simplex_mask(u.degree, vmask)
-    lhs = lr_norm(m, u, NormSpec(t), mask)
-    rhs = sobolev_norm(m, u, NormSpec(r, order=2), mask)
-    R = ball.covering_radius
-    scaled = R**-2 * rhs
-    ratio = lhs / scaled if scaled > 0 else 0.0
-    return EmbeddingCheck(status="ok", lhs=lhs, rhs=rhs, ratio=ratio)
-
-
-def chart_norm_comparison(m: SimplicialManifold, chart: Chart, u: Cochain,
-                          r: float) -> tuple[float, float]:
-    """Intrinsic vs chart-coordinate L^r norm of u over the chart members.
-
-    The chart norm takes every volume and lumped support by the mesh's
-    own rules from the Euclidean edge lengths in chart coordinates; the
-    pair quantifies the pullback comparison.
-    """
-    p, n = u.degree, m.n
-    vmask = np.zeros(m.num_vertices, dtype=bool)
-    vmask[chart.members] = True
-    mask = m.vertex_mask_to_simplex_mask(p, vmask)
-    intrinsic = lr_norm(m, u, NormSpec(r), mask)
-
-    coords = np.full((m.num_vertices, n), np.nan)
-    coords[chart.members] = chart.coordinates
-    lengths = chord_lengths(coords, m.simplices[1])
-    cells = m.vertex_mask_to_simplex_mask(n, vmask)
-    support = lumped_supports(
-        simplex_volumes(lengths[m._simplex_edges(m.simplices[n][cells])], n),
-        m._cell_faces[p][cells], m.num_simplices(p))
-    idx = np.flatnonzero(mask)
-    vol = 1.0 if p == 0 else lengths[idx] if p == 1 else simplex_volumes(
-        lengths[m._simplex_edges(m.simplices[p][idx])], p)
-    chart_norm = float((support[idx] * (np.abs(u.values[idx]) / vol) ** r)
-                       .sum()) ** (1.0 / r)
-    return intrinsic, chart_norm
 
 
 def random_cochain(m: SimplicialManifold, p: int,

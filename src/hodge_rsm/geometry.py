@@ -10,7 +10,6 @@ normalized to 2 so that radius clamps at 1 are meaningful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 import numpy as np
@@ -432,25 +431,6 @@ def _search_pass(g: sp.csr_matrix, sources: np.ndarray,
 # -- charts -------------------------------------------------------------
 
 
-@dataclass
-class Chart:
-    """Normal-coordinate chart around a center vertex.
-
-    Coordinates map the center to the origin and normalize the fitted
-    metric there to the identity.  Distortions measure how far the fitted
-    metric is from the identity in value (eps_metric) and in discrete
-    first differences across chart edges (eps_deriv).
-    """
-
-    center: int
-    radius: float
-    members: np.ndarray          # vertex indices, center first
-    coordinates: np.ndarray      # (len(members), n)
-    metric: np.ndarray           # (len(members), n, n)
-    eps_metric: float
-    eps_deriv: float
-
-
 def _metric_feature(diff: np.ndarray, n: int) -> np.ndarray:
     """Design row(s) so that feature . g_packed == diff^T g diff."""
     if n == 2:
@@ -749,34 +729,6 @@ def _csr_positions(a: sp.csr_matrix,
 def _csr_rows(a: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
     """Column indices of the given rows of a, concatenated."""
     return a.indices[_csr_positions(a, rows)[0]]
-
-
-def normal_chart(m: SimplicialManifold, center: int, radius: float) -> Chart:
-    """Chart around `center` of the vertices at distance < radius, center
-    first, then by distance: a slice of the center's frame fitted on the
-    ball of that radius.  Both distortions are inf when two chart points
-    collide within the radius."""
-    if radius > 2.0 + 1e-9:
-        raise ValueError("chart radius exceeds mesh diameter")
-    f = ChartFrames(m, [center], [ball_search(m, center, radius)])
-    member = f.distances < radius
-    member[np.searchsorted(f.fitted, center)] = True
-    rows = np.flatnonzero(member)
-    rows = rows[np.argsort(f.distances[rows], kind="stable")]
-    members = f.fitted[rows]
-    eps_metric = float(f.vertex_deviation[rows].max())
-    eps_deriv = float(f.edge_difference[f.edge_distance < radius].max(initial=0))
-    if f.foldover_distance[0] < radius:
-        eps_metric = eps_deriv = np.inf
-    return Chart(
-        center=center,
-        radius=radius,
-        members=members,
-        coordinates=f.coordinates[np.searchsorted(f.touched, members)],
-        metric=f.metric[rows],
-        eps_metric=eps_metric,
-        eps_deriv=eps_deriv,
-    )
 
 
 # -- generators ---------------------------------------------------------

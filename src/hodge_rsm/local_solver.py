@@ -44,8 +44,8 @@ log = logging.getLogger(__name__)
 
 class PatchError(RuntimeError):
     """A patch that cannot carry its local problem: no interior vertex or
-    no boundary (Patches.extract), a degenerate chart metric (the Neumann
-    series), or an empty half-radius sub-ball (local_czi_check)."""
+    no boundary (Patches.extract) or a degenerate chart metric (the
+    Neumann series)."""
 
 
 @dataclass
@@ -69,24 +69,19 @@ class PatchSystem:
     support: sp.csc_matrix
     lu: spla.SuperLU | None = None
 
-    def columns(self, x: np.ndarray) -> sp.csc_matrix:
-        """Global simplices x patches matrix whose column j is patch j's
-        part of the stacked vector x, zero-extended."""
-        return sp.csc_matrix((x, self.index, self.offsets),
-                             shape=self.support.shape)
-
     def scatter(self, x: np.ndarray) -> np.ndarray:
         """Sum over patches of the zero-extended parts of x."""
         return np.bincount(self.index, x, minlength=self.support.shape[0])
 
     def diagnostics(self, omega: dec.Cochain, u: np.ndarray,
-                    plan: dec.DensityPlan, dens: list, r: float) -> list:
-        """SolveDiagnostics of each patch for the solution u of K u =
-        M omega[index]: residual |K_II u_I / M_I - omega_I| / |omega_I|
-        and c_j = |u_j|_{W^{2,r}} / |omega_I|_{L^r} over the patch.  plan
-        is the DensityPlan of the stacked vector, with the patch simplices
-        as support; dens holds its densities of order 0, 1 and 2 of u."""
-        p = omega.degree
+                    plan: dec.DensityPlan, dens: list, r: float) -> tuple:
+        """(balls, unknowns, residuals, c_j), arrays with one entry per
+        patch, for the solution u of K u = M omega[index]: the ball, the
+        interior unknowns, the residual |K_II u_I / M_I - omega_I| /
+        |omega_I| and c_j = |u_j|_{W^{2,r}} / |omega_I|_{L^r} over the
+        patch.  plan is the DensityPlan of the stacked vector, with the
+        patch simplices as support; dens holds its densities of order 0,
+        1 and 2 of u."""
         om = omega.values[self.index]
         start = self.offsets[:-1]
         dev = self.K @ u
@@ -99,10 +94,7 @@ class PatchSystem:
         w2 = sum(plan.column_norms(k, d, r, plan.support[k])
                  for k, d in enumerate(dens))
         c = np.divide(w2, lr, out=np.zeros_like(w2), where=lr > 0)
-        # Python scalars from tolist, as int() and float() give them
-        return [SolveDiagnostics(ball, p, n, x, cj) for ball, n, x, cj in zip(
-            self.owner[start].tolist(), np.diff(self.offsets).tolist(),
-            res.tolist(), c.tolist())]
+        return self.owner[start], np.diff(self.offsets), res, c
 
 
 @dataclass
@@ -358,8 +350,10 @@ def solve_local_dirichlet(patch: Patches, omega: dec.Cochain,
     f = stack_patches(patch, p)
     u_I = f.lu.solve(f.M * omega.values[f.index])
     plan = dec.DensityPlan(m, p, f.index, f.offsets, f.support)
-    return (dec.Cochain(m, p, f.scatter(u_I)),
-            f.diagnostics(omega, u_I, plan, plan.densities(u_I), r)[0])
+    ball, n, res, c = (x.item() for x in f.diagnostics(
+        omega, u_I, plan, plan.densities(u_I), r))
+    return dec.Cochain(m, p, f.scatter(u_I)), SolveDiagnostics(ball, p, n,
+                                                               res, c)
 
 
 def _chart_lengths(patch: Patches) -> np.ndarray:
@@ -440,30 +434,3 @@ def neumann_series_solve(patch: Patches, omega: dec.Cochain,
     return u, SolveDiagnostics(ball, p, int(I.size),
                                prev / max(norm0, 1e-300), eta=eta,
                                iterations=k)
-
-
-def local_czi_check(patch: Patches, u: dec.Cochain, r: float):
-    """Interior regularity triplet of the local Calderon-Zygmund bound.
-
-    lhs is the W^{2,r} norm on the half-radius sub-ball; the two right
-    hand terms are R^-2 times the L^r norm of u, and the L^r norm of
-    Delta u, both over the full ball of the one-ball patch.  Callers fit
-    (c1, c2) over samples.
-    """
-    m, p = patch.manifold, u.degree
-    ball = patch.balls[0]
-    R = ball.covering_radius
-    half = np.zeros(m.num_vertices, dtype=bool)
-    half[ball_search(m, ball.center, R / 2.0)[0]] = True
-    hmask = m.vertex_mask_to_simplex_mask(p, half)
-    if not hmask.any():
-        raise PatchError("empty half-radius sub-ball")
-    full = np.zeros(m.num_vertices, dtype=bool)
-    full[ball.members] = True
-    fmask = m.vertex_mask_to_simplex_mask(p, full)
-
-    lhs = dec.sobolev_norm(m, u, dec.NormSpec(r, order=2), hmask)
-    term1 = R**-2 * dec.lr_norm(m, u, dec.NormSpec(r), fmask)
-    lap = dec.hodge_laplacian(m, p)(u)
-    term2 = dec.lr_norm(m, lap, dec.NormSpec(r), fmask)
-    return lhs, term1, term2

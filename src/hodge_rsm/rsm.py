@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,7 @@ import scipy.sparse as sp
 from . import dec, local_solver
 from .covering import (AdmissibleCovering, RadiusField, WeightField,
                        ball_volumes, check_weight_relative,
-                       chi_gradient_constant, constant_weight)
+                       constant_weight)
 from .geometry import SimplicialManifold, simplex_average
 
 K_CAP = 8
@@ -71,8 +70,14 @@ class RsmConfig:
 
 @dataclass
 class StepDiagnostics:
+    """One step's records; balls, unknowns, residuals and c_j hold one
+    entry per patch solve (local_solver.PatchSystem.diagnostics)."""
+
     step: int
-    solves: list
+    balls: np.ndarray
+    unknowns: np.ndarray
+    residuals: np.ndarray
+    c_j: np.ndarray
     defect_sum_norm: float          # l2 norm of sum of commutator defects
     localization_deviation: float   # sum chi_j Delta u_j vs omega
     ledger: dict
@@ -101,9 +106,10 @@ class RsmTrace:
                 "defect_sum_norm": sd.defect_sum_norm,
                 "localization_deviation": sd.localization_deviation,
                 "ledger": sd.ledger,
-                "solves": [{"ball": d.ball, "unknowns": d.unknowns,
-                            "residual": d.residual, "c_j": d.c_j}
-                           for d in sd.solves],
+                "solves": [{"ball": b, "unknowns": n, "residual": x,
+                            "c_j": c} for b, n, x, c in zip(
+                                sd.balls.tolist(), sd.unknowns.tolist(),
+                                sd.residuals.tolist(), sd.c_j.tolist())],
             } for sd in self.steps],
         }
 
@@ -132,86 +138,6 @@ def threshold_steps(r: float, s: float, n: int) -> int:
         if t >= s:
             return k
         k += 1
-
-
-def multiply_scalar(m: SimplicialManifold, chi_vertex: np.ndarray,
-                    u: dec.Cochain) -> dec.Cochain:
-    """Multiply a p-cochain by a scalar field (vertex values averaged)."""
-    return dec.Cochain(m, u.degree,
-                       simplex_average(m, u.degree, chi_vertex) * u.values)
-
-
-def commutator_defect(m: SimplicialManifold, chi_vertex: np.ndarray,
-                      u: dec.Cochain) -> dec.Cochain:
-    """Gluing defect B(chi, u) = Delta(chi u) - chi Delta(u)."""
-    lap = dec.hodge_laplacian(m, u.degree)
-    return lap(multiply_scalar(m, chi_vertex, u)) \
-        - multiply_scalar(m, chi_vertex, lap(u))
-
-
-def _row_max(pattern: sp.spmatrix, vals: np.ndarray) -> np.ndarray:
-    """Max of vals >= 0 over the columns of each row of pattern (0 for
-    an empty row)."""
-    A = pattern.tocsr()
-    A = sp.csr_matrix((vals[A.indices], A.indices, A.indptr), shape=A.shape)
-    return A.max(axis=1).toarray().ravel()
-
-
-def _stencil_max(m: SimplicialManifold, p: int, vals: np.ndarray,
-                 rings: int = 2) -> np.ndarray:
-    """Max of vals over the Laplacian stencil neighborhood, iterated."""
-    # abs() sorts a matrix's indices in place: the copy keeps the cached
-    # Laplacian's order, and so the rounding of every later product
-    A = abs(dec.hodge_laplacian(m, p).matrix.copy()) > 0
-    out = np.asarray(vals, dtype=float)
-    for _ in range(rings):
-        out = np.maximum(out, _row_max(A, out))
-    return out
-
-
-def _sharp_gradient(m: SimplicialManifold, u: dec.Cochain) -> np.ndarray:
-    """First-difference density: sup over incident faces/cofaces.
-
-    Sharper than the averaged surrogate; used for pointwise bounds where
-    an in-star mean would underestimate the local variation.
-    """
-    p = u.degree
-    g1 = g2 = np.zeros(m.num_simplices(p))
-    if p < m.n:
-        du = dec.exterior_derivative(m, p)(u)
-        g1 = _row_max(m.boundary[p + 1], dec.density(du))
-    if p > 0:
-        ds = dec.codifferential(m, p)(u)
-        g2 = _row_max(m.boundary[p].T, dec.density(ds))
-    return np.hypot(g1, g2)
-
-
-def commutator_pointwise_bound(m: SimplicialManifold,
-                               cov: AdmissibleCovering, j: int,
-                               u: dec.Cochain, slack: float = 0.5):
-    """Densities (|B|, bound) of the cutoff commutator estimate.
-
-    Bound: (|lap chi| |u| + 2 C |grad chi| |grad u|) (1 + slack), with
-    every factor taken as a sup over the two-ring operator stencil (the
-    commutator spreads one first-order stencil past supp chi, so the
-    pointwise continuum estimate holds only against neighborhood sups).
-    C is the partition gradient constant, floored at the exact-bump
-    value 1.
-    """
-    p = u.degree
-    chi = np.asarray(cov.chi[:, j].todense()).ravel()
-    lhs = dec.density(commutator_defect(m, chi, u))
-    chi_c = dec.Cochain(m, 0, chi)
-    lap_chi = np.abs(dec.hodge_laplacian(m, 0)(chi_c).values)
-    grad_chi = dec.gradient_density(chi_c)
-    verts = m.simplices[p]
-    lap_e = _stencil_max(m, p, lap_chi[verts].max(axis=1))
-    grad_e = _stencil_max(m, p, grad_chi[verts].max(axis=1))
-    au = _stencil_max(m, p, dec.density(u))
-    du = _stencil_max(m, p, _sharp_gradient(m, u))
-    cchi = max(1.0, chi_gradient_constant(cov))
-    rhs = (lap_e * au + 2.0 * cchi * grad_e * du) * (1.0 + slack)
-    return lhs, rhs
 
 
 def cached_patches(m: SimplicialManifold,
@@ -295,25 +221,13 @@ def patch_system(m: SimplicialManifold, cov: AdmissibleCovering, p: int):
 # -- the gluing sweep and its adjoint -----------------------------------
 
 
-def sweep(m: SimplicialManifold, cov: AdmissibleCovering,
-          omega: dec.Cochain):
-    """One gluing sweep T omega = scatter(chi K^-1 (M omega[G])).
-
-    On the stacked unknowns of patch_system: K, M the block-diagonal
-    interior stiffness and mass, G the global simplex of each entry, chi
-    the partition weights.  Returns (v0, U): T omega and the simplices x
-    balls matrix of the local solutions u_j, whose stored values are the
-    stacked solution.
-    """
-    system, plan, u = _local_solutions(m, cov, omega)
-    return (dec.Cochain(m, omega.degree, system.scatter(plan.chi * u)),
-            system.columns(u))
-
-
 def _local_solutions(m: SimplicialManifold, cov: AdmissibleCovering,
                      omega: dec.Cochain):
     """(system, plan, u): patch_system at omega's degree and the stacked
-    local solutions u = K^-1 (M omega[G]) of sweep."""
+    local solutions u = K^-1 (M omega[G]), with K, M the block-diagonal
+    interior stiffness and mass and G the global simplex of each entry.
+    The gluing sweep is T omega = scatter(chi u), chi the partition
+    weights: the v0 of rsm_step."""
     system, plan = patch_system(m, cov, omega.degree)
     return system, plan, system.lu.solve(system.M
                                          * omega.values[system.index])
@@ -321,7 +235,8 @@ def _local_solutions(m: SimplicialManifold, cov: AdmissibleCovering,
 
 def sweep_adjoint(m: SimplicialManifold, cov: AdmissibleCovering,
                   phi: dec.Cochain) -> dec.Cochain:
-    """Mass adjoint of sweep: <T x, y>_M = <x, T* y>_M.
+    """Mass adjoint of the gluing sweep T (see _local_solutions):
+    <T x, y>_M = <x, T* y>_M.
 
     T* phi = scatter((M / Mg[G]) K^-T (chi (Mg phi)[G])) with Mg the
     global mass diagonal; it reuses the factor of the forward sweep.
@@ -482,7 +397,7 @@ def rsm_step(m: SimplicialManifold, cov: AdmissibleCovering,
                                        cov.eps),
     }
     # sum_j B(chi_j, u_j) = Delta v0 - sum_j chi_j Delta u_j
-    diag = StepDiagnostics(step_index, solves,
+    diag = StepDiagnostics(step_index, *solves,
                            float(np.linalg.norm(lap_v0.values - chi_lap)),
                            float(np.linalg.norm(chi_lap - omega.values)),
                            ledger)
@@ -542,29 +457,3 @@ def raising_steps(m: SimplicialManifold, cov: AdmissibleCovering,
                 / denom,
         }
     return v, omega_tilde, trace
-
-
-def compact_support_check(omega: dec.Cochain, v: dec.Cochain,
-                          omega_tilde: dec.Cochain,
-                          cov: AdmissibleCovering,
-                          tol: float = 1e-12) -> bool:
-    """Supports of v and the residual stay near the support of omega.
-
-    True when both lie inside the union of balls meeting supp(omega),
-    dilated by one covering layer; vacuously true for global omega.
-    """
-    m = omega.manifold
-    members = cov.members
-    smask = np.zeros(m.num_vertices)
-    smask[m.simplices[omega.degree][np.abs(omega.values) > tol]] = 1.0
-    first = members.T @ smask > 0
-    if not smask.any() or first.all():
-        return True
-    core = members @ first.astype(float) > 0
-    allowed = members @ (members.T @ core.astype(float) > 0) > 0
-    for c in (v, omega_tilde):
-        simp = m.simplices[c.degree][np.abs(c.values) > tol]
-        # every support simplex must touch the allowed region
-        if simp.size and not allowed[simp].any(axis=1).all():
-            return False
-    return True

@@ -1123,7 +1123,6 @@ def _oracle_weight_relative(w, cov, m):
 
 
 def _oracle_diagnostics(system, omega, u, plan, support, dens, r):
-    p = omega.degree
     om = omega.values[system.index]
     start = system.offsets[:-1]
     res = np.sqrt(np.add.reduceat((system.K @ u / system.M - om) ** 2,
@@ -1134,9 +1133,8 @@ def _oracle_diagnostics(system, omega, u, plan, support, dens, r):
     w2 = sum(_oracle_column_norms(plan, k, d, r, support[k])
              for k, d in enumerate(dens))
     c = np.divide(w2, lr, out=np.zeros_like(w2), where=lr > 0)
-    return [local_solver.SolveDiagnostics(int(system.owner[e]), p, int(n),
-                                          float(x), float(cj))
-            for e, n, x, cj in zip(start, np.diff(system.offsets), res, c)]
+    return (np.array([system.owner[e] for e in start]),
+            np.diff(system.offsets), res, c)
 
 
 def _oracle_gluing_bound(m, w, w_means, v0, plan, parts_dens, s, order):
@@ -1163,7 +1161,7 @@ def oracle_rsm_step(m, cov, rf, omega, r, w, step_index=0):
     StepDiagnostics)."""
     p = omega.degree
     w_means, c_iw, c_sw = _oracle_weight_relative(w, cov, m)
-    v0, U = rsm.sweep(m, cov, omega)
+    v0, U = sweep(m, cov, omega)
     u = U.data
     system, lplan = rsm.patch_system(m, cov, p)
     plan = lplan.dens
@@ -1212,7 +1210,7 @@ def oracle_rsm_step(m, cov, rf, omega, r, w, step_index=0):
     conj = s / (s - 1)
     ledger["leibniz"] = {"rhs_paper": (2 ** (s / conj) * (1 + cov.eps) * T**s
                                        * c_sw**s * total) ** (1 / s)}
-    diag = rsm.StepDiagnostics(step_index, solves,
+    diag = rsm.StepDiagnostics(step_index, *solves,
                                float(np.linalg.norm(lap_v0.values - chi_lap)),
                                float(np.linalg.norm(chi_lap - omega.values)),
                                ledger)
@@ -1263,3 +1261,186 @@ def oracle_raising_steps(m, cov, rf, omega, config):
                                             power=config.s)) / denom,
         }
     return v, omega_tilde, trace
+
+
+# -- the paper's lemmas, checked on the program's own output ------------
+#
+# The program runs none of these: the tests check the charts, the
+# partition of unity, the sweeps, the local solves, the spectrum and the
+# weak decomposition against the paper's lemmas with them.
+
+
+@dataclass
+class Chart:
+    """Normal-coordinate chart around a center vertex.
+
+    Coordinates map the center to the origin and normalize the fitted
+    metric there to the identity.  Distortions measure how far the fitted
+    metric is from the identity in value (eps_metric) and in discrete
+    first differences across chart edges (eps_deriv).
+    """
+
+    center: int
+    radius: float
+    members: np.ndarray          # vertex indices, center first
+    coordinates: np.ndarray      # (len(members), n)
+    metric: np.ndarray           # (len(members), n, n)
+    eps_metric: float
+    eps_deriv: float
+
+
+def normal_chart(m: geometry.SimplicialManifold, center: int,
+                 radius: float) -> Chart:
+    """Chart around `center` of the vertices at distance < radius, center
+    first, then by distance: a slice of the center's frame fitted on the
+    ball of that radius.  Both distortions are inf when two chart points
+    collide within the radius."""
+    if radius > 2.0 + 1e-9:
+        raise ValueError("chart radius exceeds mesh diameter")
+    f = geometry.ChartFrames(m, [center],
+                             [geometry.ball_search(m, center, radius)])
+    member = f.distances < radius
+    member[np.searchsorted(f.fitted, center)] = True
+    rows = np.flatnonzero(member)
+    rows = rows[np.argsort(f.distances[rows], kind="stable")]
+    members = f.fitted[rows]
+    eps_metric = float(f.vertex_deviation[rows].max())
+    eps_deriv = float(f.edge_difference[f.edge_distance < radius].max(initial=0))
+    if f.foldover_distance[0] < radius:
+        eps_metric = eps_deriv = np.inf
+    return Chart(
+        center=center,
+        radius=radius,
+        members=members,
+        coordinates=f.coordinates[np.searchsorted(f.touched, members)],
+        metric=f.metric[rows],
+        eps_metric=eps_metric,
+        eps_deriv=eps_deriv,
+    )
+
+
+def chi_gradients(m, cov) -> np.ndarray:
+    """The discrete gradient of each column of the partition of unity,
+    max over edges ab of |chi_j(a) - chi_j(b)| / |ab|."""
+    # |d0 chi| as a sparse edges x balls matrix; d0 = boundary[1]^T
+    grad = abs(m.boundary[1].T @ cov.chi).tocoo()
+    grad.data /= m.edge_lengths[grad.row]
+    return grad.max(axis=0).toarray().ravel()
+
+
+def chi_gradient_constant(m, cov) -> float:
+    """Measured C_chi: sup over balls of (edge gradient of chi_j) * R_j."""
+    return float((chi_gradients(m, cov) * cov.radii()).max())
+
+
+def system_columns(system, x: np.ndarray) -> sp.csc_matrix:
+    """Global simplices x patches matrix whose column j is patch j's
+    part of the stacked vector x of a local_solver.PatchSystem,
+    zero-extended."""
+    return sp.csc_matrix((x, system.index, system.offsets),
+                         shape=system.support.shape)
+
+
+def sweep(m: geometry.SimplicialManifold, cov: covering.AdmissibleCovering,
+          omega: dec.Cochain):
+    """One gluing sweep T omega = scatter(chi K^-1 (M omega[G])).
+
+    On the stacked unknowns of rsm.patch_system: K, M the block-diagonal
+    interior stiffness and mass, G the global simplex of each entry, chi
+    the partition weights.  Returns (v0, U): T omega and the simplices x
+    balls matrix of the local solutions u_j, whose stored values are the
+    stacked solution.
+    """
+    system, plan, u = rsm._local_solutions(m, cov, omega)
+    return (dec.Cochain(m, omega.degree, system.scatter(plan.chi * u)),
+            system_columns(system, u))
+
+
+def local_czi_check(patch: local_solver.Patches, u: dec.Cochain, r: float):
+    """Interior regularity triplet of the local Calderon-Zygmund bound.
+
+    lhs is the W^{2,r} norm on the half-radius sub-ball; the two right
+    hand terms are R^-2 times the L^r norm of u, and the L^r norm of
+    Delta u, both over the full ball of the one-ball patch.  Callers fit
+    (c1, c2) over samples.
+    """
+    m, p = patch.manifold, u.degree
+    ball = patch.balls[0]
+    R = ball.covering_radius
+    half = np.zeros(m.num_vertices, dtype=bool)
+    half[geometry.ball_search(m, ball.center, R / 2.0)[0]] = True
+    hmask = m.vertex_mask_to_simplex_mask(p, half)
+    if not hmask.any():
+        raise local_solver.PatchError("empty half-radius sub-ball")
+    full = np.zeros(m.num_vertices, dtype=bool)
+    full[ball.members] = True
+    fmask = m.vertex_mask_to_simplex_mask(p, full)
+
+    lhs = dec.sobolev_norm(m, u, dec.NormSpec(r, order=2), hmask)
+    term1 = R**-2 * dec.lr_norm(m, u, dec.NormSpec(r), fmask)
+    lap = dec.hodge_laplacian(m, p)(u)
+    term2 = dec.lr_norm(m, lap, dec.NormSpec(r), fmask)
+    return lhs, term1, term2
+
+
+def harmonic_embedding_check(m: geometry.SimplicialManifold,
+                             rep: analysis.SpectrumReport, s: float) -> dict:
+    """Ratios |h|_{L^s} / |h|_{L^2} over the harmonic space.
+
+    ratios lists the basis elements; C_s is the sup over the unit sphere
+    of the harmonic space (sampled on a fixed grid), which is invariant
+    under the arbitrary basis rotation the eigensolver may apply inside
+    the degenerate kernel.
+    """
+    def ratio(vec):
+        h = dec.Cochain(m, rep.degree, vec)
+        l2 = dec.lr_norm(m, h, dec.NormSpec(2.0))
+        if l2 == 0:
+            return 0.0
+        ls = dec.lr_norm(m, h, dec.NormSpec(s)) if s != 2.0 else l2
+        return ls / l2
+
+    B = rep.harmonic_basis
+    d = rep.harmonic_dim
+    ratios = [ratio(B[:, i]) for i in range(d)]
+    cs = max(ratios) if ratios else 0.0
+    if d == 2:
+        for th in np.linspace(0.0, np.pi, 360, endpoint=False):
+            cs = max(cs, ratio(B @ [np.cos(th), np.sin(th)]))
+    elif d > 2:
+        dirs = np.random.default_rng(0).standard_normal((400, d))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        for c in dirs:
+            cs = max(cs, ratio(B @ c))
+    return {"s": s, "ratios": ratios, "C_s": cs}
+
+
+def weak_decomposition_sequence(m, cov, rf, rep, omega, r,
+                                alpha=None, eps0: float = 1e-1,
+                                halvings: int = 3,
+                                mode: str = "delta_closure") -> list:
+    """E_eps over successive halvings of eps_target; must decrease.
+
+    When a halving fails to shrink E_eps strictly, the ball union is
+    forced to grow by one more ball; three consecutive failures flag
+    the run.
+    """
+    out = []
+    eps = eps0
+    min_balls = 1
+    for _ in range(halvings + 1):
+        res = analysis.weak_decomposition(m, cov, rf, rep, omega, r, alpha,
+                                          eps, mode, _min_balls=min_balls)
+        min_balls = res.extras["balls_used"]
+        # force strictness by growing the union when a halving stalls
+        while out and res.extras["E_eps"] >= out[-1].extras["E_eps"]:
+            if min_balls >= len(cov.balls):
+                res.extras["monotonicity_flag"] = True
+                break
+            min_balls += 1
+            res = analysis.weak_decomposition(m, cov, rf, rep, omega, r,
+                                              alpha, eps, mode,
+                                              _min_balls=min_balls)
+        out.append(res)
+        eps /= 2.0
+    return out

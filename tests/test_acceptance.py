@@ -13,7 +13,8 @@ import pytest
 
 from hodge_rsm import analysis, covering, dec, rsm
 
-from conftest import all_geodesic_distances
+from conftest import (all_geodesic_distances, harmonic_embedding_check,
+                      weak_decomposition_sequence)
 
 RESULTS = {}
 LINES = []
@@ -233,9 +234,8 @@ def test_criterion_08_weak_decomposition(torus16, cover16, spec16_p1, rng):
     rf, cov = cover16
     om = dec.random_cochain(torus16, 1, rng)
     eps0 = 0.5 * dec.norm_l2(om)
-    seq = analysis.weak_decomposition_sequence(torus16, cov, rf, spec16_p1,
-                                               om, 1.5, eps0=eps0,
-                                               halvings=3)
+    seq = weak_decomposition_sequence(torus16, cov, rf, spec16_p1, om, 1.5,
+                                      eps0=eps0, halvings=3)
     es = [r.extras["E_eps"] for r in seq]
     ok = all(b < a for a, b in zip(es, es[1:])) and \
         not any(r.extras.get("monotonicity_flag") for r in seq)
@@ -269,13 +269,13 @@ def test_criterion_09_weighted_czi(torus16, cover16, torus32, cover32):
 
 def test_criterion_10_harmonic_embedding(torus16, torus32, spec16_p1,
                                          spec32_p1):
-    s2 = analysis.harmonic_embedding_check(torus16, spec16_p1, 2.0)
+    s2 = harmonic_embedding_check(torus16, spec16_p1, 2.0)
     exact_one = all(r == 1.0 for r in s2["ratios"])
     stable = True
     detail = [("s=2", s2["ratios"])]
     for s in (4.0, 16.0):
-        c16 = analysis.harmonic_embedding_check(torus16, spec16_p1, s)["C_s"]
-        c32 = analysis.harmonic_embedding_check(torus32, spec32_p1, s)["C_s"]
+        c16 = harmonic_embedding_check(torus16, spec16_p1, s)["C_s"]
+        c32 = harmonic_embedding_check(torus32, spec32_p1, s)["C_s"]
         stable &= np.isfinite(c16) and np.isfinite(c32) and c16 > 0
         stable &= abs(c32 - c16) <= 0.10 * max(c16, c32)
         detail.append((s, round(c16, 4), round(c32, 4)))

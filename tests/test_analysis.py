@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
-from conftest import _cover_bundle, oracle_gap_solve, oracle_spectrum
+from conftest import (_cover_bundle, harmonic_embedding_check,
+                      oracle_gap_solve, oracle_spectrum,
+                      weak_decomposition_sequence)
 from hodge_rsm import analysis, covering, dec, geometry, rsm
 from hodge_rsm.analysis import (AnalysisError, derivative_rank,
                                 dual_poisson_solve, gap_solve,
-                                harmonic_embedding_check, harmonic_projection,
-                                orthogonality_check, poisson_solve,
-                                rank_identity_check, spectrum,
+                                harmonic_projection, orthogonality_check,
+                                poisson_solve, rank_identity_check, spectrum,
                                 strong_decomposition, weak_decomposition,
-                                weak_decomposition_sequence,
                                 weighted_czi_verify)
 
 

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from hodge_rsm import covering, geometry
 from hodge_rsm.cli import main
 
+from conftest import chi_gradients
+
 
 @pytest.fixture()
 def runner():
@@ -114,10 +116,9 @@ def test_solve_neumann_degenerate_chart_is_usage_error(runner, tmp_path):
 
 @pytest.mark.parametrize("k,expected", [(None, 2), (1, 1)])
 def test_solve_steps_from_threshold(runner, tmp_path, k, expected):
-    # r = 1.5, n = 2: S_1 = 6 < s = 8 <= S_2, so k = null runs two steps;
-    # a leftover alpha_q key still loads
+    # r = 1.5, n = 2: S_1 = 6 < s = 8 <= S_2, so k = null runs two steps
     cfg = _cfg(tmp_path, mesh={"kind": "flat_torus", "resolution": 12},
-               r=1.5, s=8.0, k=k, alpha_q=0.0)
+               r=1.5, s=8.0, k=k)
     res = runner.invoke(main, ["solve", "--config", cfg])
     assert res.exit_code == 0, res.output
     out = Path(json.loads(Path(cfg).read_text())["out_dir"])
@@ -257,6 +258,7 @@ def test_malformed_config_is_usage_error(runner, tmp_path, command, config,
 @pytest.mark.parametrize("config,key", [
     ({"epsilom": 0.2}, "epsilom"),
     ({"mesh": {"kind": "sphere", "resolutoin": 8}}, "mesh.resolutoin"),
+    ({"alpha_q": 0.0}, "alpha_q"),  # retired: it did nothing
 ])
 def test_unknown_config_key_is_named(runner, tmp_path, config, key):
     # a misspelt key would otherwise run the default silently
@@ -419,26 +421,44 @@ def _loaded(path):
     rf, cov, key = covering.load_covering(path)
     chi = cov.chi.tocsr()
     return (key, rf.values.tolist(), rf.eps, rf.divisor, rf.divisor_effective,
-            cov.eps, cov.overlap_measured, cov.chi_gradients.tolist(),
-            chi.shape, chi.indptr.tolist(), chi.indices.tolist(),
-            chi.data.tolist(),
+            cov.eps, cov.overlap_measured, chi.shape, chi.indptr.tolist(),
+            chi.indices.tolist(), chi.data.tolist(),
             [(b.index, b.center, b.core_radius, b.covering_radius,
               b.admissible_radius, b.members.tolist()) for b in cov.balls])
 
 
-def test_indented_covering_file_still_loads(runner, tmp_path, radius_fields):
-    # covering.json is compact; a file written indented, as before, under
-    # the current key loads to the same covering and is not rebuilt
-    out = _run(runner, _cfg(tmp_path / "indented", **_SMALL), "cover")
-    path = out / "covering.json"
-    assert "\n" not in path.read_text()
-    compact = _loaded(path)
+def _indent(path):
     path.write_text(json.dumps(json.loads(path.read_text()), indent=1,
                                sort_keys=True))
-    assert _loaded(path) == compact
-    radius_fields.clear()
-    _run(runner, str(tmp_path / "indented" / "config.json"), "solve")
-    assert radius_fields == []
+
+
+def _add_chi_gradients(path):
+    """Rewrite a covering.json of the _SMALL mesh as versions that stored
+    each ball's largest edge gradient of chi_j wrote it."""
+    data = json.loads(path.read_text())
+    m = geometry.generate_test_manifold(_SMALL["mesh"]["kind"],
+                                        _SMALL["mesh"]["resolution"])
+    data["chi_gradients"] = chi_gradients(
+        m, covering.load_covering(path)[1]).tolist()
+    path.write_text(json.dumps(data, sort_keys=True))
+
+
+def test_indented_covering_file_still_loads(runner, tmp_path, radius_fields):
+    # covering.json is compact; a file written indented, as before, or
+    # with the chi_gradients field of earlier versions, under the current
+    # key loads to the same covering and is not rebuilt
+    out = _run(runner, _cfg(tmp_path / "indented", **_SMALL), "cover")
+    path = out / "covering.json"
+    text = path.read_text()
+    assert "\n" not in text and "chi_gradients" not in text
+    compact = _loaded(path)
+    for rewrite in (_indent, _add_chi_gradients):
+        path.write_text(text)
+        rewrite(path)
+        assert _loaded(path) == compact
+        radius_fields.clear()
+        _run(runner, str(tmp_path / "indented" / "config.json"), "solve")
+        assert radius_fields == []
 
 
 def _truncate(path):

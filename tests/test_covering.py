@@ -1,7 +1,6 @@
 import json
 import logging
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -11,18 +10,24 @@ from hypothesis import strategies as st
 
 from hodge_rsm import cli, covering, dec, geometry, local_solver, rsm
 from hodge_rsm.covering import (RadiusField, WeightField,
-                                admissible_radius, check_radius_lipschitz,
-                                check_weight_relative, chi_gradient_constant,
-                                compute_radius_field, constant_weight,
-                                covering_key, covering_to_dict,
-                                load_covering, overlap_bound,
-                                partition_of_unity, save_covering,
-                                smoothed_radius, vitali_cover,
-                                weight_from_radius, weight_integrability)
+                                check_radius_lipschitz,
+                                check_weight_relative, compute_radius_field,
+                                constant_weight, covering_key,
+                                covering_to_dict, load_covering,
+                                overlap_bound, partition_of_unity,
+                                save_covering, vitali_cover,
+                                weight_from_radius)
 from conftest import (LoopChartFrame, all_geodesic_distances,
-                      balls_without_whole_star, covering_of, extract_patch,
-                      geodesic_distance, loop_admissible_radius,
+                      balls_without_whole_star, chi_gradient_constant,
+                      covering_of, extract_patch, geodesic_distance,
+                      local_czi_check, loop_admissible_radius,
                       loop_vitali_centers)
+
+
+def admissible_radius(m, x: int, eps: float) -> float:
+    """Largest R in [R_min, 1] whose chart at x stays within eps: the
+    one-vertex case of the batched rounds of compute_radius_field."""
+    return float(covering._admissible_radii(m, np.array([x]), eps)[0])
 
 
 def test_flat_torus_radius_homogeneous(torus16, cover16):
@@ -322,7 +327,7 @@ def test_covering_and_checks_search_single_sources(bumpy16, monkeypatch):
     check_radius_lipschitz(bumpy16, RadiusField(vals, 0.1, 120, 5.0))
     n_lip = len(passes)
     patch = rsm.cached_patches(bumpy16, cov)[0]
-    local_solver.local_czi_check(
+    local_czi_check(
         patch, dec.Cochain(bumpy16, 0, np.ones(bumpy16.num_vertices)), 1.5)
     assert sum(x.size for x, _, _ in passes[:n_build]) \
         > bumpy16.num_vertices
@@ -361,7 +366,7 @@ def test_partition_sums_and_gradient(torus16, cover16):
     sums = np.asarray(cov.chi.sum(axis=1)).ravel()
     assert np.max(np.abs(sums - 1.0)) < 1e-12
     # sup edge gradient of chi_j scaled by R_j
-    cchi = chi_gradient_constant(cov)
+    cchi = chi_gradient_constant(torus16, cov)
     assert cchi <= 6.0
 
 
@@ -431,33 +436,6 @@ def test_weight_positivity_enforced():
         WeightField(np.array([1.0, -1.0]))
 
 
-def test_integrability_constant_weight(torus16):
-    w = constant_weight(torus16.num_vertices)
-    assert weight_integrability(torus16, w, 1.5) == pytest.approx(
-        torus16.total_volume(), rel=1e-12)
-
-
-def test_integrability_brute_force(torus16, cover16):
-    rf, _ = cover16
-    w = weight_from_radius(rf, 1)
-    got = weight_integrability(torus16, w, 1.5)
-    # independent summation: exponent 2t/(2-t) = 6 at t = 1.5
-    dv = torus16.dual_volumes()
-    want = sum(float(w.values[i]) ** 6 * float(dv[i])
-               for i in range(torus16.num_vertices))
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_integrability_saturation_flagged(torus16):
-    w = WeightField(np.full(torus16.num_vertices, 0.5))
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        weight_integrability(torus16, w, 2.0 - 1e-9)
-    assert any("saturated" in str(r.message) for r in rec)
-    with pytest.raises(ValueError):
-        weight_integrability(torus16, w, 2.0)
-
-
 def test_unweighted_bounded_by_weighted(torus16, cover16, rng):
     # R <= 1 so w_k = R^{-2k} >= 1: plain L^q is below the weighted norm
     rf, _ = cover16
@@ -469,13 +447,6 @@ def test_unweighted_bounded_by_weighted(torus16, cover16, rng):
             weighted = dec.lr_norm(
                 torus16, u, dec.NormSpec(q, weight=w.values, power=q))
             assert plain <= weighted + 1e-12
-
-
-def test_smoothed_radius_range(torus16, cover16):
-    rf, cov = cover16
-    sm = smoothed_radius(torus16, cov, rf)
-    assert sm.min() >= min(b.covering_radius for b in cov.balls) - 1e-12
-    assert sm.max() <= max(b.covering_radius for b in cov.balls) + 1e-12
 
 
 def test_covering_serialization_round_trip(tmp_path, torus16, cover16):
@@ -500,7 +471,6 @@ def test_covering_serialization_round_trip(tmp_path, torus16, cover16):
                               getattr(cov.members, name))
     # JSON floats round-trip exactly
     assert np.array_equal(cov.chi.toarray(), cov2.chi.toarray())
-    assert np.array_equal(cov.chi_gradients, cov2.chi_gradients)
     assert np.array_equal(rf.values, rf2.values)
     assert (rf2.eps, rf2.divisor, rf2.divisor_effective) == \
         (rf.eps, rf.divisor, rf.divisor_effective)

@@ -10,13 +10,12 @@ from hodge_rsm import geometry
 from hodge_rsm.covering import covering_key
 from hodge_rsm.geometry import (ChartFrames, MeshError, SimplicialManifold,
                                 ball_search, ball_searches,
-                                generate_test_manifold, load_mesh,
-                                normal_chart, save_mesh)
+                                generate_test_manifold, load_mesh, save_mesh)
 
 from conftest import (PERTURBED_MESHES, LoopChartFrame, LoopManifold,
                       all_geodesic_distances, geodesic_distance,
                       loop_kuhn_cells, loop_sphere_arrays, loop_torus_cells,
-                      perturbed_mesh)
+                      normal_chart, perturbed_mesh)
 
 TET_OFF = """OFF
 4 4 0

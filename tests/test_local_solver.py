@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hodge_rsm import cli, dec, geometry, local_solver
 from hodge_rsm.covering import (RadiusField, partition_of_unity,
                                 vitali_cover)
-from hodge_rsm.local_solver import (Patches, PatchError, local_czi_check,
+from hodge_rsm.local_solver import (Patches, PatchError,
                                     neumann_series_solve,
                                     solve_local_dirichlet)
 from hodge_rsm.rsm import cached_patches
@@ -16,7 +16,8 @@ from conftest import (PERTURBED_MESHES, assemble_oracle,
                       balls_without_whole_star, column, covering_of,
                       extract_patch,
                       flat_stiffness_oracle, geodesic_distance,
-                      oracle_patches, perturbed_mesh, refused_balls)
+                      local_czi_check, oracle_patches, perturbed_mesh,
+                      refused_balls)
 
 
 @pytest.fixture(scope="module")

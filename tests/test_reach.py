@@ -1,0 +1,99 @@
+"""`src/` holds only code the program runs.
+
+Every module-level function and class of `src/hodge_rsm` must be reached
+from a root: a click command of `cli.py`, a name `hodge_rsm/__init__.py`
+exports, or a name `perfbench/*.py` mentions (the benchmark calls and
+rebinds program names).  A definition reaches every name its body
+mentions, and a module-level assignment reaches those of its value once
+its own name is reached.  Names are matched across modules by name alone,
+so a definition shadowed by a namesake elsewhere counts as reached; the
+check errs towards passing.  Imports reach nothing: a name imported but
+never read does not keep its definition.  Code that only the tests call
+belongs in `tests/`.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hodge_rsm"
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _mentioned(node, modules=None) -> set:
+    """Names read under node, with the attributes read off one of the
+    modules (all attributes, and the parts of dotted-name strings, when
+    modules is None)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and (
+                modules is None or isinstance(sub.value, ast.Name)
+                and sub.value.id in modules):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.asname or sub.name)
+        elif (modules is None and isinstance(sub, ast.Constant)
+              and isinstance(sub.value, str)
+              and DOTTED.fullmatch(sub.value)):
+            out.update(sub.value.split("."))
+    return out
+
+
+def _is_command(node) -> bool:
+    """A function under @main.command() or @click.group(...)."""
+    for dec in node.decorator_list:
+        call = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(call, ast.Attribute) and call.attr in ("command",
+                                                             "group"):
+            return True
+    return False
+
+
+def unreached_definitions() -> list:
+    """'module.name' of each module-level function or class of src/ that
+    no root reaches."""
+    defs, edges, roots = [], {}, set()
+    modules = {path.stem for path in SRC.glob("*.py")} | {"hodge_rsm"}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if path.name == "__init__.py":
+                    roots.update(a.asname or a.name for a in node.names)
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+                defs.append((path.stem, node.name))
+                if path.name == "cli.py" and _is_command(node):
+                    roots.add(node.name)
+            else:
+                targets = [t for sub in ast.walk(node)
+                           if isinstance(sub, (ast.Assign, ast.AnnAssign,
+                                               ast.AugAssign))
+                           for t in (sub.targets if isinstance(sub, ast.Assign)
+                                     else [sub.target])]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+                if not names:  # a bare statement, as `if __name__ ...`
+                    roots.update(_mentioned(node, modules))
+                    continue
+            for name in names:
+                edges.setdefault(name, set()).update(_mentioned(node,
+                                                               modules))
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        roots.update(_mentioned(ast.parse(path.read_text())))
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(edges.get(name, ()))
+    return [f"{mod}.{name}" for mod, name in defs if name not in reached]
+
+
+def test_src_defines_only_reached_code():
+    assert unreached_definitions() == []

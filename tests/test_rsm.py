@@ -5,15 +5,136 @@ import pytest
 import scipy.sparse as sp
 
 from hodge_rsm import covering, dec, geometry, local_solver, rsm
-from hodge_rsm.covering import RadiusField, partition_of_unity, vitali_cover
-from hodge_rsm.rsm import (RsmConfig, commutator_defect,
-                           commutator_pointwise_bound, compact_support_check,
-                           raising_steps, rsm_step, threshold_steps)
+from hodge_rsm.covering import (AdmissibleCovering, RadiusField,
+                                partition_of_unity, vitali_cover)
+from hodge_rsm.geometry import SimplicialManifold, simplex_average
+from hodge_rsm.rsm import RsmConfig, raising_steps, rsm_step, threshold_steps
 
 from conftest import (all_geodesic_distances,
-                      assert_ledger_plan_matches_oracle, column,
-                      oracle_column_norms, oracle_densities, oracle_patches,
-                      oracle_raising_steps, oracle_rsm_step)
+                      assert_ledger_plan_matches_oracle, chi_gradient_constant,
+                      column, oracle_column_norms, oracle_densities,
+                      oracle_patches, oracle_raising_steps, oracle_rsm_step,
+                      sweep, system_columns)
+
+
+# -- the cutoff commutator bound and compact support of the raising steps
+# (paper lemmas the program does not run), checked on its sweeps below
+
+
+def gradient_density(u: dec.Cochain) -> np.ndarray:
+    """First-order surrogate density (|du|^2 + |d*u|^2)^(1/2) per p-simplex."""
+    return dec.densities(u.manifold, u.degree, u.values, 1)
+
+
+def hessian_density(u: dec.Cochain) -> np.ndarray:
+    """Second-order surrogate density (|Lap u|^2 + |dd*u|^2 + |d*du|^2)^(1/2)."""
+    return dec.densities(u.manifold, u.degree, u.values, 2)
+
+
+def multiply_scalar(m: SimplicialManifold, chi_vertex: np.ndarray,
+                    u: dec.Cochain) -> dec.Cochain:
+    """Multiply a p-cochain by a scalar field (vertex values averaged)."""
+    return dec.Cochain(m, u.degree,
+                       simplex_average(m, u.degree, chi_vertex) * u.values)
+
+
+def commutator_defect(m: SimplicialManifold, chi_vertex: np.ndarray,
+                      u: dec.Cochain) -> dec.Cochain:
+    """Gluing defect B(chi, u) = Delta(chi u) - chi Delta(u)."""
+    lap = dec.hodge_laplacian(m, u.degree)
+    return lap(multiply_scalar(m, chi_vertex, u)) \
+        - multiply_scalar(m, chi_vertex, lap(u))
+
+
+def _row_max(pattern: sp.spmatrix, vals: np.ndarray) -> np.ndarray:
+    """Max of vals >= 0 over the columns of each row of pattern (0 for
+    an empty row)."""
+    A = pattern.tocsr()
+    A = sp.csr_matrix((vals[A.indices], A.indices, A.indptr), shape=A.shape)
+    return A.max(axis=1).toarray().ravel()
+
+
+def _stencil_max(m: SimplicialManifold, p: int, vals: np.ndarray,
+                 rings: int = 2) -> np.ndarray:
+    """Max of vals over the Laplacian stencil neighborhood, iterated."""
+    # abs() sorts a matrix's indices in place: the copy keeps the cached
+    # Laplacian's order, and so the rounding of every later product
+    A = abs(dec.hodge_laplacian(m, p).matrix.copy()) > 0
+    out = np.asarray(vals, dtype=float)
+    for _ in range(rings):
+        out = np.maximum(out, _row_max(A, out))
+    return out
+
+
+def _sharp_gradient(m: SimplicialManifold, u: dec.Cochain) -> np.ndarray:
+    """First-difference density: sup over incident faces/cofaces.
+
+    Sharper than the averaged surrogate; used for pointwise bounds where
+    an in-star mean would underestimate the local variation.
+    """
+    p = u.degree
+    g1 = g2 = np.zeros(m.num_simplices(p))
+    if p < m.n:
+        du = dec.exterior_derivative(m, p)(u)
+        g1 = _row_max(m.boundary[p + 1], dec.density(du))
+    if p > 0:
+        ds = dec.codifferential(m, p)(u)
+        g2 = _row_max(m.boundary[p].T, dec.density(ds))
+    return np.hypot(g1, g2)
+
+
+def commutator_pointwise_bound(m: SimplicialManifold,
+                               cov: AdmissibleCovering, j: int,
+                               u: dec.Cochain, slack: float = 0.5):
+    """Densities (|B|, bound) of the cutoff commutator estimate.
+
+    Bound: (|lap chi| |u| + 2 C |grad chi| |grad u|) (1 + slack), with
+    every factor taken as a sup over the two-ring operator stencil (the
+    commutator spreads one first-order stencil past supp chi, so the
+    pointwise continuum estimate holds only against neighborhood sups).
+    C is the partition gradient constant, floored at the exact-bump
+    value 1.
+    """
+    p = u.degree
+    chi = np.asarray(cov.chi[:, j].todense()).ravel()
+    lhs = dec.density(commutator_defect(m, chi, u))
+    chi_c = dec.Cochain(m, 0, chi)
+    lap_chi = np.abs(dec.hodge_laplacian(m, 0)(chi_c).values)
+    grad_chi = gradient_density(chi_c)
+    verts = m.simplices[p]
+    lap_e = _stencil_max(m, p, lap_chi[verts].max(axis=1))
+    grad_e = _stencil_max(m, p, grad_chi[verts].max(axis=1))
+    au = _stencil_max(m, p, dec.density(u))
+    du = _stencil_max(m, p, _sharp_gradient(m, u))
+    cchi = max(1.0, chi_gradient_constant(m, cov))
+    rhs = (lap_e * au + 2.0 * cchi * grad_e * du) * (1.0 + slack)
+    return lhs, rhs
+
+
+def compact_support_check(omega: dec.Cochain, v: dec.Cochain,
+                          omega_tilde: dec.Cochain,
+                          cov: AdmissibleCovering,
+                          tol: float = 1e-12) -> bool:
+    """Supports of v and the residual stay near the support of omega.
+
+    True when both lie inside the union of balls meeting supp(omega),
+    dilated by one covering layer; vacuously true for global omega.
+    """
+    m = omega.manifold
+    members = cov.members
+    smask = np.zeros(m.num_vertices)
+    smask[m.simplices[omega.degree][np.abs(omega.values) > tol]] = 1.0
+    first = members.T @ smask > 0
+    if not smask.any() or first.all():
+        return True
+    core = members @ first.astype(float) > 0
+    allowed = members @ (members.T @ core.astype(float) > 0) > 0
+    for c in (v, omega_tilde):
+        simp = m.simplices[c.degree][np.abs(c.values) > tol]
+        # every support simplex must touch the allowed region
+        if simp.size and not allowed[simp].any(axis=1).all():
+            return False
+    return True
 
 
 def test_threshold_steps_values():
@@ -55,7 +176,7 @@ def test_rsm_step_identity(torus16, cover16, rng):
     lap = dec.hodge_laplacian(torus16, 1)(v0)
     resid = dec.norm_l2(lap - omega - omega1) / dec.norm_l2(omega)
     assert resid < 1e-10
-    assert len(diag.solves) == len(cov.balls)
+    assert len(diag.balls) == len(cov.balls)
     for name, entry in diag.ledger.items():
         if "lhs" in entry:  # the leibniz entry is diagnostic-only
             assert entry["lhs"] <= entry["rhs"] + 1e-12, name
@@ -141,7 +262,7 @@ def _assert_sweeps_reject(m, rf, cov, match):
     for p in range(m.n + 1):
         omega = dec.random_cochain(m, p, rng)
         for run in (lambda: rsm_step(m, cov, rf, omega, 1.5, w),
-                    lambda: rsm.sweep(m, cov, omega),
+                    lambda: sweep(m, cov, omega),
                     lambda: rsm.sweep_adjoint(m, cov, omega)):
             with pytest.raises(local_solver.PatchError, match=match):
                 run()
@@ -175,7 +296,7 @@ def test_sweep_adjoint_identity(request, mesh, p):
     rng = np.random.default_rng(11)
     x = dec.random_cochain(m, p, rng)
     y = dec.random_cochain(m, p, rng)
-    Tx = rsm.sweep(m, cov, x)[0]
+    Tx = sweep(m, cov, x)[0]
     Ty = rsm.sweep_adjoint(m, cov, y)
     scale = dec.norm_l2(Tx) * dec.norm_l2(y) + dec.norm_l2(x) * dec.norm_l2(Ty)
     assert abs(dec.inner(Tx, y) - dec.inner(x, Ty)) <= 1e-12 * scale
@@ -192,7 +313,7 @@ def test_sweeps_factor_once_per_degree(torus16, cover16, monkeypatch, rng):
     for p in (0, 1):
         omega = dec.random_cochain(torus16, p, rng)
         for _ in range(2):
-            rsm.sweep(torus16, cov, omega)
+            sweep(torus16, cov, omega)
         rsm.sweep_adjoint(torus16, cov, omega)
     # one factorisation of the stacked system of all patches per degree
     system = {p: rsm.patch_system(torus16, cov, p)[0] for p in (0, 1)}
@@ -210,7 +331,7 @@ def test_first_sweep_builds_no_manifold_or_chart(torus16, cover16,
             _init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted)
     omega = dec.random_cochain(torus16, 1, rng)
-    rsm.sweep(torus16, cov, omega)
+    sweep(torus16, cov, omega)
     assert built == []
     # the stacked system is built once: a second request is a no-op
     system = rsm.patch_system(torus16, cov, 1)
@@ -227,7 +348,7 @@ def test_sweep_matches_per_patch_oracle(request, glued_oracle, mesh, p):
                                    "bumpy16": "cover_bumpy",
                                    "torus3d5": "cover3d5"}[mesh])[1]
     omega = dec.random_cochain(m, p, np.random.default_rng(5))
-    v0, U = rsm.sweep(m, cov, omega)
+    v0, U = sweep(m, cov, omega)
     ref = glued_oracle(m, cov, oracle_patches(m, cov), omega)
     assert np.linalg.norm(v0.values - ref) <= 1e-12 * np.linalg.norm(ref)
     # the columns of U are the local solutions, zero outside the interior
@@ -246,9 +367,9 @@ def test_gluing_ledger_matches_per_patch_definition(torus16, cover16,
     m, p, s = torus16, 1, 2.0
     omega = dec.random_cochain(m, p, rng)
     _, _, diag = rsm_step(m, cov, rf, omega, 1.5, weight16)
-    _, U = rsm.sweep(m, cov, omega)
+    _, U = sweep(m, cov, omega)
     chi = cov.chi.toarray()
-    parts = [rsm.multiply_scalar(m, chi[:, j], dec.Cochain(
+    parts = [multiply_scalar(m, chi[:, j], dec.Cochain(
         m, p, U[:, j].toarray().ravel())) for j in range(U.shape[1])]
     total = parts[0]
     for pc in parts[1:]:
@@ -257,8 +378,8 @@ def test_gluing_ledger_matches_per_patch_definition(torus16, cover16,
     w_means = covering.check_weight_relative(weight16, cov, m)[0]
     mu = m.support_volumes[p]
     for key, dens in (("5s4_i", dec.density),
-                      ("5s4_ii", dec.gradient_density),
-                      ("5s4_iii", dec.hessian_density)):
+                      ("5s4_ii", gradient_density),
+                      ("5s4_iii", hessian_density)):
         lhs = float(np.sum(mu * w_simp**s * dens(total) ** s)) ** (1 / s)
         counts = np.zeros(m.num_simplices(p), dtype=int)
         rhs_sum, c_sw = 0.0, 1.0
@@ -473,13 +594,13 @@ def test_step_norms_match_sparse_oracle(request, mesh, p):
     r = 1.5
     omega = dec.random_cochain(m, p, np.random.default_rng(3))
     _, _, diag = rsm_step(m, cov, rf, omega, r, w)
-    v0, U = rsm.sweep(m, cov, omega)
+    v0, U = sweep(m, cov, omega)
     system = rsm.patch_system(m, cov, p)[0]
     dens = [oracle_densities(m, p, U, k) for k in range(3)]
     lr = oracle_column_norms(m, p, oracle_densities(
-        m, p, system.columns(omega.values[system.index]), 0), r)
+        m, p, system_columns(system, omega.values[system.index]), 0), r)
     w2 = sum(oracle_column_norms(m, p, d, r, system.support) for d in dens)
-    assert [d.c_j for d in diag.solves] == (w2 / lr).tolist()
+    assert diag.c_j.tolist() == (w2 / lr).tolist()
 
     chi = rsm.simplex_average(m, p, cov.chi.tocsr())
     members = covering.membership(cov.balls, m.num_vertices)
