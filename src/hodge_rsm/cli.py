@@ -162,14 +162,15 @@ def build_covering(m, cfg):
 def load_or_build_covering(m, cfg):
     """(rf, cov) from the covering.json `cover` wrote to out_dir, when its
     key says this program version built it from this mesh, epsilon and
-    divisor; a fresh build_covering when the file is missing, unparsable,
-    lacks a field or is keyed to other inputs."""
+    divisor; a fresh build_covering when the file is missing or cannot be
+    read, is unparsable, lacks a field or is keyed to other inputs."""
     key = covering.covering_key(m, cfg["epsilon"], cfg["divisor"])
     try:
         rf, cov, saved = covering.load_covering(
             Path(cfg["out_dir"]) / "covering.json")
-    except (FileNotFoundError, ValueError, LookupError, TypeError):
-        # unparsable JSON, or JSON without the fields of a covering
+    except (OSError, ValueError, LookupError, TypeError):
+        # no readable file, unparsable JSON, or JSON without the fields of
+        # a covering
         saved = None
     if saved != key:
         return build_covering(m, cfg)
@@ -208,12 +209,15 @@ def _round(x, nd=12):
 
 class _Commands(click.Group):
     def invoke(self, ctx):
-        # a covering or patch the input cannot support is a usage error
-        # (exit 2), not a failed check (exit 1) or a traceback
+        # a covering or patch the input cannot support, or a path the
+        # command cannot create or write, is a usage error (exit 2), not a
+        # failed check (exit 1) or a traceback
         try:
             return super().invoke(ctx)
         except (covering.CoverageError, local_solver.PatchError) as e:
             raise click.UsageError(str(e))
+        except OSError as e:
+            raise click.UsageError(f"cannot use {e.filename}: {e.strerror}")
 
 
 @click.group(cls=_Commands)

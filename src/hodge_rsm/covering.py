@@ -337,8 +337,8 @@ def covering_to_dict(cov: AdmissibleCovering, rf: RadiusField,
             "admissible_radius": b.admissible_radius,
             "members": b.members.tolist(),
         } for b in cov.balls],
-        "partition_triplets": [[int(i), int(j), float(v)] for i, j, v
-                               in zip(chi.row, chi.col, chi.data)],
+        "partition_triplets": [[i, j, v] for i, j, v in zip(
+            chi.row.tolist(), chi.col.tolist(), chi.data.tolist())],
         "radius_field": {"values": rf.values.tolist(), "eps": rf.eps,
                          "divisor": rf.divisor,
                          "divisor_effective": rf.divisor_effective},

@@ -161,9 +161,9 @@ def codifferential(m: SimplicialManifold, p: int) -> FormOperator:
         return FormOperator(mat, 0, 0)
 
     def build():
-        d = m.boundary[p].T.tocsr().astype(float)
-        inv_lower = 1.0 / mass_diagonal(m, p - 1)
-        return sp.diags(inv_lower) @ d.T @ sp.diags(mass_diagonal(m, p))
+        return diag_product(m.boundary[p].tocsr().astype(float),
+                            1.0 / mass_diagonal(m, p - 1),
+                            mass_diagonal(m, p))
 
     return FormOperator(_cached(m, "dstar", p, build).tocsr(), p, p - 1)
 
@@ -279,26 +279,44 @@ def densities(m: SimplicialManifold, p: int, values: np.ndarray,
     return np.sqrt(total, out=total)
 
 
+def _average(incidence: sp.csr_matrix) -> sp.csr_matrix:
+    """diags(1 / row counts) @ |incidence| (sorted CSR) as that sparse
+    product forms it: each row's entries in reverse order."""
+    counts = np.diff(incidence.indptr)
+    at = np.repeat(incidence.indptr[1:] - 1, counts) \
+        - np.arange(incidence.nnz) + np.repeat(incidence.indptr[:-1], counts)
+    return sp.csr_matrix((np.repeat(1.0 / np.maximum(counts, 1.0), counts),
+                          incidence.indices[at], incidence.indptr),
+                         shape=incidence.shape)
+
+
 def _coface_average(m: SimplicialManifold, p: int) -> sp.csr_matrix:
     """Row-stochastic map taking (p+1)-simplex data to p-simplices."""
-
-    def build():
-        adj = abs(m.boundary[p + 1]).astype(float)
-        counts = np.asarray(adj.sum(axis=1)).ravel()
-        return sp.diags(1.0 / np.maximum(counts, 1)) @ adj
-
-    return _cached(m, "coface_avg", p, build)
+    return _cached(m, "coface_avg", p,
+                   lambda: _average(m.boundary[p + 1].tocsr()))
 
 
 def _face_average(m: SimplicialManifold, p: int) -> sp.csr_matrix:
     """Row-stochastic map taking (p-1)-simplex data to p-simplices."""
+    return _cached(m, "face_avg", p,
+                   lambda: _average(m.boundary[p].T.tocsr()))
 
-    def build():
-        adj = abs(m.boundary[p]).astype(float).T
-        counts = np.asarray(adj.sum(axis=1)).ravel()
-        return sp.diags(1.0 / np.maximum(counts, 1)) @ adj
 
-    return _cached(m, "face_avg", p, build)
+def diag_product(A, left: np.ndarray, right: np.ndarray | None = None):
+    """diags(left) @ A @ diags(right), in place on the CSR matrix A, as
+    those two sparse products form it, in A's entry order: an entry is
+    dropped where either product makes it 0 or where it meets a 0 of a
+    diagonal (not stored: even inf * 0)."""
+    lw = np.repeat(left, np.diff(A.indptr))
+    A.data *= lw
+    drop = (lw == 0) | (A.data == 0)
+    if right is not None:
+        rw = right[A.indices]
+        A.data *= rw
+        drop |= rw == 0
+    A.data[drop] = 0.0
+    A.eliminate_zeros()
+    return A
 
 
 class DensityPlan:
@@ -385,9 +403,9 @@ class DensityPlan:
         self.patterns[chain] = (c[first], a[first], reached)
 
     def gather(self, A: sp.spmatrix, keys) -> list:
-        """Values of the sparse q-simplices x cochains matrix A on the
-        pattern of each key of keys, 0 where A stores none."""
-        A = A.tocsr()
+        """Values of the CSR or CSC q-simplices x cochains matrix A on the
+        pattern of each key of keys, 0 where A stores none (each read in
+        A's own compressed order)."""
         return [np.asarray(A[row, col]).ravel()
                 for col, row, _ in (self.patterns[k] for k in keys)]
 

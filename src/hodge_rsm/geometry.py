@@ -326,9 +326,8 @@ def lumped_supports(cell_volumes: np.ndarray, cell_faces: np.ndarray,
     q-faces (row i of cell_faces: cell i's face indices in [0, size)),
     summed per face in cell order."""
     k = cell_faces.shape[1]
-    sv = np.zeros(size)
-    np.add.at(sv, cell_faces.ravel(), np.repeat(cell_volumes / k, k))
-    return sv
+    return np.bincount(cell_faces.ravel(), np.repeat(cell_volumes / k, k),
+                       minlength=size)
 
 
 def simplex_average(m: SimplicialManifold, p: int, vertex_values):

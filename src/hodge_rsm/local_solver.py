@@ -230,10 +230,12 @@ def _patch_complex(patches: Patches, p: int,
     def rows(q, own, glob):
         return np.searchsorted(keys[q], own * m.num_simplices(q) + glob)
 
-    # union rows of each patch cell's q-faces; a q-simplex's faces are read
-    # off one cell holding it, dropping vertex i = q, ..., 0 (rows ascend)
+    # union rows of each patch cell's q-faces (at q = n the cell itself);
+    # a q-simplex's faces are read off one cell holding it, dropping
+    # vertex i = q, ..., 0 (rows ascend)
     cells, cell_owner = simplices[n], owner[n][:, None]
-    faces = {q: rows(q, cell_owner, m._cell_faces[q][cells]) for q in near}
+    faces = {q: np.arange(cells.size)[:, None] if q == n
+             else rows(q, cell_owner, m._cell_faces[q][cells]) for q in near}
     boundary = [None] * (n + 1)
     for q in near[1:]:
         at = np.empty(simplices[q].size, dtype=np.int64)
@@ -273,8 +275,9 @@ def _assemble(patches: Patches, p: int,
     of d_{p-1} times columns r of d*_p, scaled by M_p[r], symmetrised.
     Every sum runs in dec's order on the whole union, so K is the union
     stiffness on rows and columns r bit for bit, symmetrised with one
-    transposition.  Patches.extract has already refused a patch without
-    unknowns or without boundary.
+    transposition; the diagonal scalings and the halving act in place.
+    Patches.extract has already refused a patch without unknowns or
+    without boundary.
     """
     interior = patches.interior[p]
     union = _patch_complex(patches, p, lengths)
@@ -287,32 +290,21 @@ def _assemble(patches: Patches, p: int,
     lap = []
     if p < union.n:
         up = union.boundary[p + 1].tocsr()[r]
-        lap.append(_scaled(up, 1.0 / mass[p][r], mass[p + 1]) @ up.T)
+        lap.append(dec.diag_product(up.copy(), 1.0 / mass[p][r],
+                                    mass[p + 1]) @ up.T)
     if p > 0:
         down = union.boundary[p][:, r].T
-        lap.append(down @ _scaled(down.T.tocsr(), 1.0 / mass[p - 1],
-                                  mass[p][r]))
-    K = _scaled(sum(lap[1:], lap[0]), mass[p][r], np.ones(r.size))
+        lap.append(down @ dec.diag_product(down.T.tocsr(), 1.0 / mass[p - 1],
+                                           mass[p][r]))
+    K = dec.diag_product(sum(lap[1:], lap[0]), mass[p][r])
     # with sorted rows the sum is canonical CSR; it is symmetric bit for
     # bit, so its transpose (a view) is the same matrix in CSC
     K.sort_indices()
-    K = ((K + K.T) * 0.5).T
+    K = K + K.T
+    K.data *= 0.5
     balls = np.array([b.index for b in patches.balls])
     return PatchSystem(glob, interior.indptr.astype(np.int64), balls[pos],
-                       K, mass[p][r], patches.simplices[p])
-
-
-def _scaled(A: sp.csr_matrix, left: np.ndarray, right: np.ndarray):
-    """diags(left) @ A @ diags(right) as those two sparse products form it,
-    in A's entry order: an entry is dropped where either product makes it
-    0 or where it meets a 0 of a diagonal (not stored: even inf * 0)."""
-    A = A.copy()
-    lw, rw = np.repeat(left, np.diff(A.indptr)), right[A.indices]
-    half = A.data * lw
-    A.data = half * rw
-    A.data[(lw == 0) | (rw == 0) | (half == 0)] = 0.0
-    A.eliminate_zeros()
-    return A
+                       K.T, mass[p][r], patches.simplices[p])
 
 
 def stack_patches(patches: Patches, p: int) -> PatchSystem:

@@ -151,14 +151,23 @@ def cached_patches(m: SimplicialManifold,
     return cov.patches
 
 
+def _vertex_incidence(m: SimplicialManifold, p: int) -> sp.csr_matrix:
+    """The p-simplices x vertices incidence, each row's vertices
+    ascending: its product with a vertices x balls matrix sums the vertex
+    values of each simplex in the order simplex_average does."""
+    N, k = m.num_simplices(p), p + 1
+    return sp.csr_matrix((np.ones(N * k), m.simplices[p].ravel(),
+                          np.arange(0, N * k + 1, k)),
+                         shape=(N, m.num_vertices))
+
+
 def ball_simplices(m: SimplicialManifold, p: int,
                    members: sp.spmatrix) -> sp.csc_matrix:
     """p-simplices x balls mask, true where every vertex of the simplex
-    is in the ball; members is the vertices x balls membership.  CSC
-    with sorted indices, so column j lists ball j's simplices ascending."""
-    balls = (simplex_average(m, p, members.tocsr()) >= 1.0).tocsc()
-    balls.sort_indices()
-    return balls
+    is in the ball (its p + 1 vertices count in the incidence product);
+    members is the vertices x balls membership.  CSC with sorted indices,
+    so column j lists ball j's simplices ascending."""
+    return (_vertex_incidence(m, p) @ members).tocsc() == p + 1
 
 
 @dataclass
@@ -192,15 +201,15 @@ class LedgerPlan:
     def build(cls, m: SimplicialManifold, cov: AdmissibleCovering,
               dens: dec.DensityPlan) -> LedgerPlan:
         p, members = dens.p, cov.members
-        chi = simplex_average(m, p, cov.chi.tocsr())
-        balls = ball_simplices(m, p, members)
         N = m.num_simplices(p)
+        chi = _vertex_incidence(m, p) @ cov.chi
+        chi.data *= 1 / (p + 1)
+        balls = ball_simplices(m, p, members)
         return cls(dens, *dens.gather(chi, (0, ("lap",))),
                    [dens.restriction(k, mask) for k, mask in
                     enumerate(dens.gather(balls, (0, 1)))], balls.indices,
                    np.repeat(np.arange(len(cov)), np.diff(balls.indptr)),
-                   members,
-                   cov.radii(), ball_volumes(cov, m),
+                   members, cov.radii(), ball_volumes(cov, m),
                    [int(np.bincount(dens.patterns[k][1], minlength=N).max())
                     for k in range(3)])
 

@@ -6,6 +6,7 @@ per-item oracles the batched library code is checked against live here
 too.
 """
 
+import json
 import math
 import sys
 import weakref
@@ -554,6 +555,30 @@ def covering_of(m, balls, eps=0.1):
                                                            m.num_vertices))
 
 
+def per_element_covering_json(cov, rf, key) -> str:
+    """The text save_covering writes, from a dict whose partition
+    triplets are converted entry by entry with int() and float().  Tests
+    only: the library converts whole arrays (covering.covering_to_dict)."""
+    chi = sp.coo_matrix(cov.chi)
+    return json.dumps({
+        "eps": cov.eps,
+        "overlap_measured": cov.overlap_measured,
+        "balls": [{
+            "center": b.center,
+            "core_radius": b.core_radius,
+            "covering_radius": b.covering_radius,
+            "admissible_radius": b.admissible_radius,
+            "members": [int(v) for v in b.members],
+        } for b in cov.balls],
+        "partition_triplets": [[int(i), int(j), float(v)] for i, j, v
+                               in zip(chi.row, chi.col, chi.data)],
+        "radius_field": {"values": [float(x) for x in rf.values],
+                         "eps": rf.eps, "divisor": rf.divisor,
+                         "divisor_effective": rf.divisor_effective},
+        "key": key,
+    }, sort_keys=True)
+
+
 def oracle_patches(m, cov):
     """The extract_patch oracle of every ball of cov."""
     return [extract_patch(m, cov, j) for j in range(len(cov.balls))]
@@ -680,6 +705,22 @@ def oracle_densities(m, p, values, order):
     return sum(t.multiply(t) for t in terms).sqrt()
 
 
+def oracle_operator(m, name, p):
+    """dec's codifferential (name "dstar"), face and coface averages of
+    degree p as the sparse products with diagonal matrices that first
+    formed them.  Tests only: the library scales the incidence arrays in
+    place (dec.diag_product, dec._average), in the entry order of those
+    products."""
+    if name == "dstar":
+        d = m.boundary[p].T.tocsr().astype(float)
+        return (sp.diags(1.0 / dec.mass_diagonal(m, p - 1)) @ d.T
+                @ sp.diags(dec.mass_diagonal(m, p))).tocsr()
+    adj = abs(m.boundary[p + 1]).astype(float) if name == "coface" \
+        else abs(m.boundary[p]).astype(float).T
+    counts = np.asarray(adj.sum(axis=1)).ravel()
+    return sp.diags(1.0 / np.maximum(counts, 1)) @ adj
+
+
 def oracle_plan_steps(m, p, index, offsets):
     """(steps, patterns, terms) of dec.DensityPlan(m, p, index, offsets,
     ...), each step built by one argsort of its (pattern entry, operator
@@ -775,6 +816,25 @@ def oracle_restriction(dens, order, mask):
     return np.flatnonzero(mask), dens.patterns[order][0][mask]
 
 
+def oracle_ball_simplices(m, p, members):
+    """p-simplices x balls mask, true where every vertex of the simplex
+    is in the ball, from simplex_average of the membership; CSC with
+    sorted indices.  Tests only: the library forms it as one incidence
+    product (rsm.ball_simplices)."""
+    balls = (geometry.simplex_average(m, p, members.tocsr()) >= 1.0).tocsc()
+    balls.sort_indices()
+    return balls
+
+
+def oracle_gather(dens, A, keys):
+    """dec.DensityPlan.gather as first written, by element indexing of a
+    CSR copy of A.  Tests only: the library reads A in its own compressed
+    order."""
+    A = A.tocsr()
+    return [np.asarray(A[row, col]).ravel()
+            for col, row, _ in (dens.patterns[k] for k in keys)]
+
+
 def oracle_ledger_plan(m, cov, dens) -> dict:
     """The fields of rsm.LedgerPlan.build(m, cov, dens) but dens, as it
     first built them: the partition weights and the ball masks formed as
@@ -785,11 +845,11 @@ def oracle_ledger_plan(m, cov, dens) -> dict:
     p = dens.p
     members = covering.membership(cov.balls, m.num_vertices)
     chi = geometry.simplex_average(m, p, cov.chi.tocsr())
-    balls = rsm.ball_simplices(m, p, members)
-    chi0, chi_lap = dens.gather(chi, (0, ("lap",)))
+    balls = oracle_ball_simplices(m, p, members)
+    chi0, chi_lap = oracle_gather(dens, chi, (0, ("lap",)))
     return {"chi": chi0, "chi_lap": chi_lap,
             "balls": [oracle_restriction(dens, k, mask) for k, mask in
-                      enumerate(dens.gather(balls, (0, 1)))],
+                      enumerate(oracle_gather(dens, balls, (0, 1)))],
             "ball_rows": balls.indices,
             "ball_cols": np.repeat(np.arange(len(cov)),
                                    np.diff(balls.indptr)),
@@ -1166,11 +1226,11 @@ def oracle_rsm_step(m, cov, rf, omega, r, w, step_index=0):
     system, lplan = rsm.patch_system(m, cov, p)
     plan = lplan.dens
     members = covering.membership(cov.balls, m.num_vertices)
-    balls = rsm.ball_simplices(m, p, members)
-    ball_masks = plan.gather(balls, (0, 1))
+    balls = oracle_ball_simplices(m, p, members)
+    ball_masks = oracle_gather(plan, balls, (0, 1))
     ball_rows = balls.indices
     ball_cols = np.repeat(np.arange(len(cov)), np.diff(balls.indptr))
-    support = plan.gather(system.support, range(3))
+    support = oracle_gather(plan, system.support, range(3))
     R = cov.radii()
     chains = {}
     U_dens = _oracle_plan_densities(plan, u, values=chains)

@@ -518,6 +518,39 @@ def test_malformed_saved_covering_is_rebuilt(runner, tmp_path, radius_fields,
     assert len(radius_fields) == 3
 
 
+@pytest.mark.parametrize("cmd", ["solve", "decompose", "verify"])
+def test_unreadable_saved_covering_is_rebuilt(runner, tmp_path, radius_fields,
+                                              cmd):
+    # a covering.json that exists but cannot be read (a directory: the
+    # permission bits that would make a file unreadable do not bind root)
+    # reads as no covering
+    cfg = _cfg(tmp_path, mesh={"kind": "flat_torus", "resolution": 8})
+    (tmp_path / "runs" / "covering.json").mkdir(parents=True)
+    res = runner.invoke(main, [cmd, "--config", cfg])
+    assert res.exit_code == 0, res.output
+    assert len(radius_fields) == 1
+
+
+@pytest.mark.parametrize("cmd,taken", [
+    ("cover", "runs/covering.json"),
+    *((cmd, "runs") for cmd in ("cover", "solve", "decompose", "verify",
+                                "generate")),
+])
+def test_unwritable_output_is_usage_error(runner, tmp_path, cmd, taken):
+    # an output the command cannot create or write (covering.json a
+    # directory, or out_dir a regular file) exits 2 naming the path, with
+    # no traceback
+    cfg = _cfg(tmp_path, mesh={"kind": "flat_torus", "resolution": 8})
+    if taken.endswith(".json"):
+        (tmp_path / taken).mkdir(parents=True)
+    else:
+        (tmp_path / taken).write_text("")
+    res = runner.invoke(main, [cmd, "--config", cfg])
+    assert res.exit_code == 2, res.output
+    assert str(tmp_path / taken) in res.output
+    assert "Traceback" not in res.output
+
+
 def test_covering_of_another_rule_is_rebuilt(runner, tmp_path, radius_fields,
                                              monkeypatch):
     # a file keyed under another covering rule is not loaded, although

@@ -21,7 +21,7 @@ from conftest import (LoopChartFrame, all_geodesic_distances,
                       balls_without_whole_star, chi_gradient_constant,
                       covering_of, extract_patch, geodesic_distance,
                       local_czi_check, loop_admissible_radius,
-                      loop_vitali_centers)
+                      loop_vitali_centers, per_element_covering_json)
 
 
 def admissible_radius(m, x: int, eps: float) -> float:
@@ -447,6 +447,20 @@ def test_unweighted_bounded_by_weighted(torus16, cover16, rng):
             weighted = dec.lr_norm(
                 torus16, u, dec.NormSpec(q, weight=w.values, power=q))
             assert plain <= weighted + 1e-12
+
+
+@pytest.mark.parametrize("mesh,cover", [("torus16", "cover16"),
+                                        ("bumpy16", "cover_bumpy")])
+def test_covering_file_matches_per_element_writer(request, tmp_path, mesh,
+                                                  cover):
+    # the array conversions of covering_to_dict write the bytes a writer
+    # converting entry by entry writes
+    m = request.getfixturevalue(mesh)
+    rf, cov = request.getfixturevalue(cover)
+    key = covering_key(m, 0.1, 120.0)
+    save_covering(cov, tmp_path / "cov.json", rf, key)
+    assert (tmp_path / "cov.json").read_text() == \
+        per_element_covering_json(cov, rf, key)
 
 
 def test_covering_serialization_round_trip(tmp_path, torus16, cover16):

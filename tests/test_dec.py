@@ -19,8 +19,8 @@ from hodge_rsm.geometry import (SimplicialManifold, chord_lengths,
 
 from conftest import (PERTURBED_MESHES, Chart, assert_plan_matches_step_oracle,
                       covering_of, geodesic_distance, normal_chart,
-                      oracle_column_norms, oracle_densities, perturbed_mesh,
-                      refused_balls)
+                      oracle_column_norms, oracle_densities, oracle_operator,
+                      perturbed_mesh, refused_balls)
 
 INF = dec.INF
 
@@ -288,6 +288,26 @@ def test_adjointness_on_perturbed_meshes(mesh, seed, amplitude):
         a = inner(exterior_derivative(m, p)(u), v)
         b = inner(u, codifferential(m, p + 1)(v))
         assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1e-30)
+
+
+@pytest.mark.parametrize("mesh", ["torus16", "bumpy16", "sphere8",
+                                  "torus3d5"])
+def test_operators_match_sparse_product_oracle(request, mesh):
+    # the codifferential and the face and coface averages hold the arrays,
+    # in the entry order, of the sparse products that first formed them:
+    # the plan's steps and every density sum in that order
+    m = request.getfixturevalue(mesh)
+    for p in range(m.n + 1):
+        names = ([("dstar", dec.codifferential(m, p).matrix),
+                  ("face", dec._face_average(m, p))] if p > 0 else []) \
+            + ([("coface", dec._coface_average(m, p))] if p < m.n else [])
+        for name, got in names:
+            want = oracle_operator(m, name, p)
+            assert (got.format, got.shape) == (want.format, want.shape)
+            for attr in ("data", "indices", "indptr"):
+                x, y = getattr(got, attr), getattr(want, attr)
+                assert x.dtype == y.dtype and np.array_equal(x, y), \
+                    (name, p, attr)
 
 
 def _assert_plan_matches_oracle(m, p, plan, x, support):

@@ -287,6 +287,27 @@ def test_whole_manifold_ball_in_multi_ball_cover(torus8):
     _assert_sweeps_reject(torus8, rf, cov, "ball 0")
 
 
+def test_patch_system_build_constructions(torus16, cover16, monkeypatch):
+    # a guard on the object churn of the first sweep's build: the compressed
+    # sparse matrices patch_system makes for the stacked system, the
+    # density plan and the ledger plan at p = 0, 1, 2, with the mesh's
+    # operators cached by a first build (47, 81 and 59 before the in-place
+    # scalings and the incidence products)
+    cov = vitali_cover(torus16, cover16[0])
+    partition_of_unity(torus16, cov)
+    init = sp._compressed._cs_matrix.__init__
+    made = []
+    for p in range(3):
+        rsm.patch_system(torus16, cov, p)
+        del cov.systems[p]
+        with monkeypatch.context() as mp:
+            mp.setattr(sp._compressed._cs_matrix, "__init__",
+                       lambda self, *a, **k: made.append(p)
+                       or init(self, *a, **k))
+            rsm.patch_system(torus16, cov, p)
+    assert [made.count(p) for p in range(3)] == [45, 72, 44]
+
+
 @pytest.mark.parametrize("mesh,p", [("torus16", 0), ("torus16", 1),
                                     ("bumpy16", 1)])
 def test_sweep_adjoint_identity(request, mesh, p):
