@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.optimize import linprog
 from scipy.sparse.csgraph import connected_components
 
 from . import dec, rsm
@@ -410,7 +409,11 @@ def czi_fit(samples, headroom: float = CZI_HEADROOM):
 
     Solved as a linear program; the returned constants carry a headroom
     factor so they remain valid on held-out samples of the same law.
+    SciPy's optimizer is imported here, its one caller, so that a process
+    that never fits these constants does not load it.
     """
+    from scipy.optimize import linprog
+
     A, b = [], []
     for lhs, t1, t2 in samples:
         A.append([-t1, -t2])

@@ -197,8 +197,8 @@ def scaled_stiffness(m: SimplicialManifold, p: int) -> sp.csr_matrix:
     per complex and degree (operator cache) for spectrum and the factor."""
 
     def build():
-        Mih = sp.diags(1.0 / np.sqrt(mass_diagonal(m, p)))
-        return Mih @ stiffness_matrix(m, p) @ Mih
+        mih = 1.0 / np.sqrt(mass_diagonal(m, p))
+        return diag_product(stiffness_matrix(m, p).copy(), mih, mih)
 
     return _cached(m, "scaled_stiff", p, build)
 

@@ -442,6 +442,23 @@ def _metric_feature(diff: np.ndarray, n: int) -> np.ndarray:
     )
 
 
+def _cholesky_factors(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of the stacked (F, n, n) matrices G, and a
+    mask of those that have one; a stack with a matrix that has none is
+    factored one matrix at a time."""
+    try:
+        return np.linalg.cholesky(G), np.ones(len(G), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    L, factored = np.zeros_like(G), np.ones(len(G), dtype=bool)
+    for f, g in enumerate(G):
+        try:
+            L[f] = np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            factored[f] = False
+    return L, factored
+
+
 def _unpack_metric(packed: np.ndarray, n: int) -> np.ndarray:
     out = np.empty(packed.shape[:-1] + (n, n))
     if n == 2:
@@ -486,8 +503,8 @@ class ChartFrames:
 
     Each frame's arithmetic is that of a frame fitted alone: normal
     equations are summed per vertex with np.bincount in edge order
-    (first ends, then second ends), and the per-frame products (tangent
-    projection, center normalization) are made one frame at a time.
+    (first ends, then second ends); the tangent projection is made one
+    frame at a time, and the center normalization row by row.
     The work is O(sum of the balls and their incident edges).
 
     Attributes (rows of one frame are contiguous, frames in order):
@@ -541,14 +558,11 @@ class ChartFrames:
         packed = self._fit(coords, loc, row, target)
         # normalize so the fitted metric at each center is the identity;
         # a center metric with no Cholesky factor means a wildly folded
-        # chart, which the distortions report
-        for f, g in enumerate(_unpack_metric(packed[center_row], n)):
-            try:
-                L = np.linalg.cholesky(g)
-            except np.linalg.LinAlgError:
-                continue
-            rows = slice(*self.touched_starts[f:f + 2])
-            coords[rows] = coords[rows] @ L
+        # chart, which the distortions report: its rows keep their
+        # coordinates
+        L, factored = _cholesky_factors(_unpack_metric(packed[center_row], n))
+        rows = factored[tframe]
+        coords[rows] = np.matmul(coords[rows, None, :], L[tframe[rows]])[:, 0]
         packed = self._fit(coords, loc, row, target)
         packed[center_row] = _IDENTITY_PACKED[n]
         self.coordinates = coords

@@ -114,8 +114,10 @@ class RsmTrace:
         }
 
     def save_json(self, path) -> None:
+        """Write to_dict() as compact JSON with sorted keys (json.dumps:
+        json.dump never runs the C encoder)."""
         with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=1, sort_keys=True)
+            f.write(json.dumps(self.to_dict(), sort_keys=True))
 
     def save_csv(self, path) -> None:
         with open(path, "w", newline="") as f:

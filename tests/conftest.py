@@ -706,11 +706,15 @@ def oracle_densities(m, p, values, order):
 
 
 def oracle_operator(m, name, p):
-    """dec's codifferential (name "dstar"), face and coface averages of
-    degree p as the sparse products with diagonal matrices that first
-    formed them.  Tests only: the library scales the incidence arrays in
+    """dec's codifferential (name "dstar"), face and coface averages and
+    scaled stiffness ("scaled_stiff") of degree p as the sparse products
+    with diagonal matrices that first formed them.  Tests only: the
+    library scales the incidence arrays and a copy of the stiffness in
     place (dec.diag_product, dec._average), in the entry order of those
     products."""
+    if name == "scaled_stiff":
+        mih = sp.diags(1.0 / np.sqrt(dec.mass_diagonal(m, p)))
+        return mih @ dec.stiffness_matrix(m, p) @ mih
     if name == "dstar":
         d = m.boundary[p].T.tocsr().astype(float)
         return (sp.diags(1.0 / dec.mass_diagonal(m, p - 1)) @ d.T

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
@@ -482,6 +488,56 @@ def test_weighted_czi(torus16, cover16, weight16, spec16_p1, rng):
         lhs, t1, t2 = analysis.czi_terms(torus16, rf, u, 1.5, weight16,
                                          out["classical"])
         assert c1 * t1 + c2 * t2 >= lhs - 1e-12
+
+
+def test_weighted_czi_constants_are_pinned(torus8):
+    # harmonic forms plus growing noise, so that both constants bind;
+    # the fit's C1 and C2 to the bit: where the optimizer is imported
+    # does not change them
+    rf, cov = _cover_bundle(torus8)
+    rep = spectrum(torus8, 1)
+    rng = np.random.default_rng(20260826)
+    us = []
+    for k in range(8):
+        u = dec.random_cochain(torus8, 1, rng)
+        h = harmonic_projection(torus8, rep, u)
+        us.append(h * (1.0 / dec.norm_l2(h)) + (k / 8) * u)
+    out = weighted_czi_verify(torus8, cov, rf, us, 1.5,
+                              covering.weight_from_radius(rf, 1))
+    assert out["classical"]
+    assert out["C1"] == float.fromhex("0x1.80adaf5c137bdp+0")
+    assert out["C2"] == float.fromhex("0x1.d7f49f41018fdp+0")
+
+
+def test_library_pass_loads_no_optimizer():
+    # importing the package and its CLI and a library pass (spectrum,
+    # Poisson and dual Poisson solves) leave SciPy's optimizer unloaded,
+    # in a fresh interpreter; the CZI fit loads it
+    code = textwrap.dedent("""\
+        import sys
+        import numpy as np
+        import hodge_rsm, hodge_rsm.cli
+        from hodge_rsm import analysis, covering, dec, geometry
+        m = geometry.generate_test_manifold("flat_torus", 8)
+        rf = covering.compute_radius_field(m, 0.1)
+        cov = covering.vitali_cover(m, rf)
+        covering.partition_of_unity(m, cov)
+        rep = analysis.spectrum(m, 1)
+        om = dec.random_cochain(m, 1, np.random.default_rng(1))
+        om = om - analysis.harmonic_projection(m, rep, om)
+        analysis.poisson_solve(m, cov, rf, rep, om, 1.5)
+        analysis.dual_poisson_solve(m, cov, rf, rep, om, 1.5)
+        print(sorted(k for k in sys.modules if k.startswith("scipy.optimize")))
+        analysis.czi_fit([(1.0, 1.0, 1.0)])
+        print("scipy.optimize" in sys.modules)
+    """)
+    src = str(Path(analysis.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True,
+                         timeout=300).stdout.split("\n")
+    assert out[:2] == ["[]", "True"]
 
 
 def test_harmonic_embedding(torus16, spec16_p0, spec16_p1):

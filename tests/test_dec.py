@@ -293,14 +293,16 @@ def test_adjointness_on_perturbed_meshes(mesh, seed, amplitude):
 @pytest.mark.parametrize("mesh", ["torus16", "bumpy16", "sphere8",
                                   "torus3d5"])
 def test_operators_match_sparse_product_oracle(request, mesh):
-    # the codifferential and the face and coface averages hold the arrays,
-    # in the entry order, of the sparse products that first formed them:
-    # the plan's steps and every density sum in that order
+    # the codifferential, the face and coface averages and the scaled
+    # stiffness hold the arrays, in the entry order, of the sparse products
+    # that first formed them: the plan's steps and every density sum in
+    # that order, and the spectrum's operator and factor
     m = request.getfixturevalue(mesh)
     for p in range(m.n + 1):
         names = ([("dstar", dec.codifferential(m, p).matrix),
                   ("face", dec._face_average(m, p))] if p > 0 else []) \
-            + ([("coface", dec._coface_average(m, p))] if p < m.n else [])
+            + ([("coface", dec._coface_average(m, p))] if p < m.n else []) \
+            + [("scaled_stiff", dec.scaled_stiffness(m, p))]
         for name, got in names:
             want = oracle_operator(m, name, p)
             assert (got.format, got.shape) == (want.format, want.shape)

@@ -586,6 +586,42 @@ def test_chart_frames_batch_equals_single_frames(bumpy16):
         assert radii[f] == one.largest_radius_within(0.1)
 
 
+def test_center_normalization_matches_per_frame_loop(bumpy16, monkeypatch):
+    # the rows of a batch are normalized by one stacked Cholesky and one
+    # batched product, bit for bit the per-frame loop; a center metric
+    # with no Cholesky factor (planted in frame 1) leaves exactly that
+    # frame's coordinates as projected
+    reach = 3.0 * bumpy16.mean_edge_length()
+    centers = [5, 0, 200, 5]
+    seen = {}
+    project, factors = ChartFrames._tangent_coordinates, \
+        geometry._cholesky_factors
+
+    def projected(self, tframe):
+        coords = project(self, tframe)
+        seen["coords"] = coords.copy()
+        return coords
+
+    def planted(G):
+        seen["G"] = G = G.copy()
+        G[1] = -G[1]
+        return factors(G)
+
+    monkeypatch.setattr(ChartFrames, "_tangent_coordinates", projected)
+    monkeypatch.setattr(geometry, "_cholesky_factors", planted)
+    frames = ChartFrames(bumpy16, centers,
+                         [ball_search(bumpy16, c, reach) for c in centers])
+    want, failed = seen["coords"], []
+    for f, g in enumerate(seen["G"]):
+        rows = slice(*frames.touched_starts[f:f + 2])
+        try:
+            want[rows] = want[rows] @ np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            failed.append(f)
+    assert failed == [1]
+    assert _bitwise(frames.coordinates, want)
+
+
 def test_tikhonov_weight_effect_is_pinned(bumpy16):
     # the Tikhonov weight is 1e-8 times the mean trace over the fitted
     # ball, so a chart fitted on its ball differs slightly from the same

@@ -500,6 +500,8 @@ def test_trace_serialization(tmp_path, torus16, cover16, rng):
     trace.save_json(jp)
     trace.save_csv(cp)
     import json
+    # compact, with sorted keys: one line
+    assert jp.read_text() == json.dumps(trace.to_dict(), sort_keys=True)
     data = json.loads(jp.read_text())
     assert data["k"] == 1
     assert len(data["steps"]) == 1
