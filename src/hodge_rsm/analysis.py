@@ -405,25 +405,47 @@ def czi_terms(m: SimplicialManifold, rf: RadiusField, u: dec.Cochain,
 
 
 def czi_fit(samples, headroom: float = CZI_HEADROOM):
-    """Smallest (C1, C2) with C1*t1 + C2*t2 >= lhs over all samples.
+    """Smallest (C1, C2) >= 0 with C1*t1 + C2*t2 >= lhs over all samples.
 
-    Solved as a linear program; the returned constants carry a headroom
-    factor so they remain valid on held-out samples of the same law.
-    SciPy's optimizer is imported here, its one caller, so that a process
-    that never fits these constants does not load it.
+    The linear program min C1 + C2 has two unknowns, so it is solved in
+    closed form by enumerating its vertices.  The bounds C1 >= 0 and
+    C2 >= 0 join the samples as two more rows; every pair of rows whose
+    2x2 determinant is nonzero meets in one point (Cramer's rule), which
+    gives the axis points lhs/t1 and lhs/t2 and the pairwise
+    intersections.  A point is feasible when every row holds to within
+    1e-12 of its |lhs|, so C1, C2 >= 0 hold exactly; the terms are
+    norms, nonnegative, so roundoff moves a row by a few ulps of its lhs
+    at most.  Of the feasible points the least C1 + C2 wins; points
+    within 4 ulps of that least sum tie, and the larger C1 wins a tie
+    (the one sample (1, 1, 1) gives C1 = 1, C2 = 0).  The returned
+    constants carry a headroom factor so they remain valid on held-out
+    samples of the same law.  Raises AnalysisError on an empty sample
+    set, a non-finite term, or rows no point satisfies.
     """
-    from scipy.optimize import linprog
-
-    A, b = [], []
-    for lhs, t1, t2 in samples:
-        A.append([-t1, -t2])
-        b.append(-lhs)
-    res = linprog(c=[1.0, 1.0], A_ub=A, b_ub=b, bounds=[(0, None)] * 2,
-                  method="highs")
-    if not res.success:
+    rows = np.array(samples, dtype=float).reshape(-1, 3)
+    if not len(rows):
+        raise AnalysisError("CZI constant fit has no samples")
+    if not np.isfinite(rows).all():
+        raise AnalysisError("CZI constant fit has a non-finite term")
+    lhs, t1, t2 = np.vstack([rows, [[0.0, 1.0, 0.0],
+                                    [0.0, 0.0, 1.0]]]).T
+    i, j = np.triu_indices(len(lhs), 1)
+    det = t1[i] * t2[j] - t1[j] * t2[i]
+    keep = np.flatnonzero(det)
+    i, j, det = i[keep], j[keep], det[keep]
+    # + 0.0 turns -0.0 into 0.0; a point that overflowed fails a bound
+    # row (0 * inf is nan), so only finite points are feasible
+    c1 = (lhs[i] * t2[j] - lhs[j] * t2[i]) / det + 0.0
+    c2 = (t1[i] * lhs[j] - t1[j] * lhs[i]) / det + 0.0
+    slack = t1[:, None] * c1 + t2[:, None] * c2 - lhs[:, None]
+    feasible = (slack >= -1e-12 * np.abs(lhs)[:, None]).all(axis=0)
+    if not feasible.any():
         raise AnalysisError("CZI constant fit infeasible")
-    c1, c2 = res.x
-    return c1 * headroom, c2 * headroom
+    c1, c2 = c1[feasible], c2[feasible]
+    total = c1 + c2
+    tie = total <= total.min() * (1 + 4 * np.finfo(float).eps)
+    k = np.flatnonzero(tie)[np.argmax(c1[tie])]
+    return float(c1[k]) * headroom, float(c2[k]) * headroom
 
 
 def weighted_czi_verify(m: SimplicialManifold, cov: AdmissibleCovering,

@@ -11,6 +11,7 @@ import math
 import sys
 import weakref
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
@@ -457,13 +458,56 @@ def oracle_gap_solve(m, rep, g, rtol: float = 1e-11,
     return f
 
 
+# -- roundoff budget ----------------------------------------------------
+# How far an output may move when only its evaluation order or method
+# changes: one budget per output kind, each relative to the quantity
+# named.  Integers (counts, ranks, dimensions) and verdicts have none:
+# they are exact.  A move within its budget is not an output change; a
+# move beyond it is.
+ROUNDOFF_BUDGET = {
+    # a norm, density, weight, residual, eigenvalue or solve summed in
+    # another order: relative to its value, or to its column's or
+    # vector's norm
+    "sum": 1e-13,
+    # a fitted constant (C1, C2 of the CZI fit): relative to C1 + C2
+    "fit": 8 * np.finfo(float).eps,
+}
+
+
+def oracle_czi_fit(samples):
+    """Exact optimum (C1, C2) of the CZI fit's linear program, without
+    headroom, in rationals: min C1 + C2 over t1*C1 + t2*C2 >= lhs for
+    every sample and C1, C2 >= 0.  Every pair of constraint lines with a
+    nonzero determinant gives a vertex; the least feasible C1 + C2 wins,
+    a tie going to the larger C1.  None when no vertex is feasible."""
+    rows = [tuple(Fraction(x) for x in s) for s in samples]
+    rows += [(Fraction(0), Fraction(1), Fraction(0)),
+             (Fraction(0), Fraction(0), Fraction(1))]
+    best = None
+    for (li, ai, bi), (lj, aj, bj) in combinations(rows, 2):
+        det = ai * bj - aj * bi
+        if det == 0:
+            continue
+        c = ((li * bj - lj * bi) / det, (ai * lj - aj * li) / det)
+        if all(a * c[0] + b * c[1] >= l for l, a, b in rows):
+            if best is None or (sum(c), -c[0]) < (sum(best), -best[0]):
+                best = c
+    return best
+
+
+def assert_czi_fit_within_budget(samples, got,
+                                 headroom=analysis.CZI_HEADROOM):
+    """`got` is the exact optimum times `headroom`, each constant to the
+    "fit" budget."""
+    want = [c * Fraction(headroom) for c in oracle_czi_fit(samples)]
+    scale = ROUNDOFF_BUDGET["fit"] * sum(want)
+    assert all(abs(Fraction(g) - w) <= scale for g, w in zip(got, want)), \
+        (got, [float(w) for w in want])
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260826)
-
-
-def unit_form(m, p, rng):
-    return dec.random_cochain(m, p, rng)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from hodge_rsm.covering import (RadiusField, WeightField,
                                 overlap_bound, partition_of_unity,
                                 save_covering, vitali_cover,
                                 weight_from_radius)
-from conftest import (LoopChartFrame, all_geodesic_distances,
+from conftest import (ROUNDOFF_BUDGET, LoopChartFrame, all_geodesic_distances,
                       balls_without_whole_star, chi_gradient_constant,
                       covering_of, extract_patch, geodesic_distance,
                       local_czi_check, loop_admissible_radius,
@@ -420,7 +420,7 @@ def test_weight_relative_checkerboard(torus16, cover16):
 
 def test_weight_relative_matches_ball_loop(torus16, cover16, bumpy16,
                                            cover_bumpy):
-    # sparse sums add in another order than np.average: 1e-13 relative
+    # sparse sums add in another order than np.average: the sum budget
     checker = np.where(np.arange(torus16.num_vertices) % 2 == 0, 1.0, 10.0)
     for m, (_, cov), w in (
             (torus16, cover16, WeightField(checker)),
@@ -428,7 +428,7 @@ def test_weight_relative_matches_ball_loop(torus16, cover16, bumpy16,
         got = check_weight_relative(w, cov, m)
         want = _weight_relative_loop(w, cov, m)
         for g, x in zip(got, want):
-            assert np.allclose(g, x, rtol=1e-13, atol=0)
+            assert np.allclose(g, x, rtol=ROUNDOFF_BUDGET["sum"], atol=0)
 
 
 def test_weight_positivity_enforced():

@@ -17,7 +17,8 @@ from hodge_rsm.dec import (Cochain, DegreeError, NormSpec, codifferential,
 from hodge_rsm.geometry import (SimplicialManifold, chord_lengths,
                                 lumped_supports, simplex_volumes)
 
-from conftest import (PERTURBED_MESHES, Chart, assert_plan_matches_step_oracle,
+from conftest import (PERTURBED_MESHES, ROUNDOFF_BUDGET, Chart,
+                      assert_plan_matches_step_oracle,
                       covering_of, geodesic_distance, normal_chart,
                       oracle_column_norms, oracle_densities, oracle_operator,
                       perturbed_mesh, refused_balls)
@@ -314,8 +315,8 @@ def test_operators_match_sparse_product_oracle(request, mesh):
 
 def _assert_plan_matches_oracle(m, p, plan, x, support):
     # densities of every order on the plan's patterns against the sparse
-    # products of the oracle: bit for bit at orders 0 and 1, to 1e-13 of
-    # each column's largest entry at order 2; a plan entry off the
+    # products of the oracle: bit for bit at orders 0 and 1, to the sum
+    # budget of each column's largest entry at order 2; a plan entry off the
     # oracle's pattern holds a zero the sparse product dropped.  The same
     # for the column norms over the support.
     shape = support.shape
@@ -332,13 +333,15 @@ def _assert_plan_matches_oracle(m, p, plan, x, support):
             assert np.array_equal(got_m, want.toarray()), order
         else:
             scale = np.abs(want.toarray()).max(axis=0)
-            assert np.all(np.abs(got_m - want.toarray()) <= 1e-13 * scale)
+            assert np.all(np.abs(got_m - want.toarray())
+                          <= ROUNDOFF_BUDGET["sum"] * scale)
         norms = plan.column_norms(order, got, 1.5, plan.support[order])
         ref = oracle_column_norms(m, p, want, 1.5, support)
         if order < 2:
             assert np.array_equal(norms, ref), order
         else:
-            assert np.allclose(norms, ref, rtol=1e-13, atol=0)
+            assert np.allclose(norms, ref, rtol=ROUNDOFF_BUDGET["sum"],
+                               atol=0)
 
 
 @pytest.mark.parametrize("mesh,cover", [("torus16", "cover16"),

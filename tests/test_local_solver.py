@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from hodge_rsm import cli, dec, geometry, local_solver
+from hodge_rsm.analysis import czi_fit
 from hodge_rsm.covering import (RadiusField, partition_of_unity,
                                 vitali_cover)
 from hodge_rsm.local_solver import (Patches, PatchError,
@@ -391,14 +392,6 @@ def test_local_czi_harmonic_interior(torus16, patch16, rng):
     assert np.max(np.abs(lap.values[I])) <= 1e-9 * np.max(np.abs(u))
 
 
-def _czi_fit(samples):
-    from scipy.optimize import linprog
-    A = [[-t1, -t2] for _, t1, t2 in samples]
-    b = [-lhs for lhs, _, _ in samples]
-    res = linprog(c=[1, 1], A_ub=A, b_ub=b, bounds=[(0, None)] * 2)
-    return res.x
-
-
 def test_local_czi_fit_refinement_stable(torus16, torus32, rng):
     # refinement study: identical physical ball (R = 0.4) on both meshes,
     # band-limited test forms so the ensembles are resolution-comparable
@@ -420,7 +413,7 @@ def test_local_czi_fit_refinement_stable(torus16, torus32, rng):
             omega = dec.Cochain(m, 1, sm / np.sqrt(sm @ (M * sm)))
             u, _ = solve_local_dirichlet(patch, omega)
             samples.append(local_czi_check(patch, u, 1.5))
-        consts[m.num_vertices] = _czi_fit(samples)
+        consts[m.num_vertices] = np.array(czi_fit(samples, headroom=1.0))
     c16, c32 = consts[256], consts[1024]
     assert np.all(c16 >= 0) and np.all(c32 >= 0) and c16.sum() > 0
     total16, total32 = c16.sum(), c32.sum()

@@ -10,7 +10,7 @@ from hodge_rsm.covering import (AdmissibleCovering, RadiusField,
 from hodge_rsm.geometry import SimplicialManifold, simplex_average
 from hodge_rsm.rsm import RsmConfig, raising_steps, rsm_step, threshold_steps
 
-from conftest import (all_geodesic_distances,
+from conftest import (ROUNDOFF_BUDGET, all_geodesic_distances,
                       assert_ledger_plan_matches_oracle, chi_gradient_constant,
                       column, oracle_column_norms, oracle_densities,
                       oracle_patches, oracle_raising_steps, oracle_rsm_step,
@@ -643,14 +643,15 @@ def test_step_norms_match_sparse_oracle(request, mesh, p):
     assert led["lhs"] == float(np.sum(a**s)) ** (1 / s)
 
     # sum_j chi_j Lap u_j: the plan sums each row over balls in another
-    # order than scipy's row sum, hence 1e-13 rather than bit for bit
+    # order than scipy's row sum, hence the sum budget rather than bit
+    # for bit
     lap = dec.hodge_laplacian(m, p)
     chi_lap = np.asarray(chi.multiply(lap.matrix @ U).sum(axis=1)).ravel()
     for got, want in ((diag.defect_sum_norm,
                        np.linalg.norm(lap(v0).values - chi_lap)),
                       (diag.localization_deviation,
                        np.linalg.norm(chi_lap - omega.values))):
-        assert abs(got - want) <= 1e-13 * want
+        assert abs(got - want) <= ROUNDOFF_BUDGET["sum"] * want
 
     lr, gr = (oracle_column_norms(m, p, d, s, balls) for d in dens[:2])
     total = float(np.sum(w_means**s * (R**-s * lr**s + gr**s)))
