@@ -3,10 +3,11 @@
 The generalized eigenproblem K y = lambda M y is symmetrized through the
 diagonal mass matrix; eigenvalues below a relative tolerance span the
 harmonic space, the first one above it is the spectral gap.  Poisson
-solves combine the raising-steps sweep with a preconditioned conjugate
-gradient on the gap; dual solves apply the mass adjoint of that
-operator through adjoint gluing sweeps; decompositions are certified by
-reconstruction residuals and orthogonality tables.
+solves combine the raising-steps sweeps, without their ledger, with a
+preconditioned conjugate gradient on the gap; dual solves apply the
+mass adjoint of that operator through adjoint gluing sweeps;
+decompositions are certified by reconstruction residuals and
+orthogonality tables.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from . import dec, rsm
-from .covering import AdmissibleCovering, RadiusField, WeightField, \
-    constant_weight
+from .covering import AdmissibleCovering, RadiusField, WeightField
 from .dec import DENSE_LIMIT
 from .geometry import SimplicialManifold
 
@@ -199,24 +199,30 @@ def poisson_solve(m: SimplicialManifold, cov: AdmissibleCovering,
                   rf: RadiusField, rep: SpectrumReport,
                   omega: dec.Cochain, r: float,
                   alpha: WeightField | None = None, k: int | None = None):
-    """Global Poisson solve: raising steps plus the gap inverse.
+    """Global Poisson solve: k bare gluing sweeps plus the gap inverse.
 
-    Requires the input to be (numerically) orthogonal to harmonics;
-    returns (u, diagnostics) with Delta u = omega to solver precision:
-    diagnostics holds the relative residual and the raising-steps trace.
+    Requires the input to be (numerically) orthogonal to harmonics.  The
+    sweeps are those of rsm.raising_steps (rsm.step_loop over rsm.sweep,
+    k = RsmConfig(r, 2, k).steps(n)) without their ledger; then u = v -
+    L+(omega_tilde - H omega_tilde), bit for bit raising_steps' v minus
+    that gap solve.  Returns (u, {"residual": |Delta u - omega| /
+    |omega|}), Delta u = omega to solver precision; the ledger and trace
+    come from rsm.raising_steps, as `hodge-rsm solve` books them.  rf
+    and alpha are not read (only the ledger reads them) and keep the
+    argument list that callers pass by position.
     """
     h = harmonic_projection(m, rep, omega)
     nrm = dec.norm_l2(omega)
     if nrm > 0 and dec.norm_l2(h) > 1e-8 * nrm:
         raise AnalysisError("poisson_solve: project the harmonic part first")
-    alpha = alpha or constant_weight(m.num_vertices)
-    cfg = rsm.RsmConfig(r, 2.0, k=k, weight=alpha)
-    v, om_t, trace = rsm.raising_steps(m, cov, rf, omega, cfg)
+    steps = rsm.RsmConfig(r, 2.0, k=k).steps(m.n)
+    v, om_t = rsm.step_loop(omega, steps,
+                            lambda cur, _: rsm.sweep(m, cov, cur))
     f = gap_solve(m, rep, om_t - harmonic_projection(m, rep, om_t))
     u = v - f
     lap = dec.hodge_laplacian(m, omega.degree)
     resid = dec.norm_l2(lap(u) - omega) / (nrm + 1e-300)
-    return u, {"residual": resid, "trace": trace}
+    return u, {"residual": resid}
 
 
 def dual_poisson_solve(m: SimplicialManifold, cov: AdmissibleCovering,
@@ -286,7 +292,9 @@ def strong_decomposition(m: SimplicialManifold, cov: AdmissibleCovering,
     The harmonic part comes from the residual route (minus the projected
     final residual of the raising steps), cross-checked downstream
     against the spectral projection; mode "d_dstar" further splits
-    Delta u into d(d*u) + d*(du).
+    Delta u into d(d*u) + d*(du).  u comes from poisson_solve, which
+    books no ledger; rf and alpha only pass through to it, and it reads
+    neither.
     """
     if mode not in ("delta", "d_dstar"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -330,7 +338,10 @@ def weak_decomposition(m: SimplicialManifold, cov: AdmissibleCovering,
     The gap-orthogonal part of omega is truncated to a growing union of
     covering balls until the truncation error (the computable content of
     "closure") drops below eps_target; the truncated form is solved as
-    in the strong mode and the leftover E_eps is reported.
+    in the strong mode (poisson_solve, no ledger) and the leftover E_eps
+    is reported.  rf only passes through to poisson_solve, which does
+    not read it; alpha weights the L^r norms of the truncation tails and
+    of E_eps.
     """
     if mode not in ("delta_closure", "d_dstar_closure"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -69,7 +69,7 @@ def membership(balls: list, num_vertices: int) -> sp.csc_matrix:
 class AdmissibleCovering:
     """The balls with their vertices x balls membership matrix (members,
     built with them by vitali_cover or load_covering), the partition of
-    unity, and what the sweeps build on first use."""
+    unity, and what the sweeps and the ledger steps build on first use."""
 
     balls: list
     eps: float
@@ -77,7 +77,8 @@ class AdmissibleCovering:
     overlap_measured: int = 0
     chi: sp.csr_matrix | None = None            # vertices x balls
     patches: object | None = None   # rsm.cached_patches: a Patches
-    systems: dict | None = None   # rsm.patch_system: system and plan
+    systems: dict | None = None   # rsm.patch_system: PatchSystem by degree
+    ledgers: dict | None = None   # rsm.ledger_plan: LedgerPlan by degree
 
     def __len__(self):
         return len(self.balls)

@@ -58,7 +58,8 @@ class PatchSystem:
     stiffness (blocks: the patches' submesh interior stiffness), M its
     mass diagonal.  support is the simplices x patches mask of the patch
     simplices.  lu is the splu factor of K, None until stack_patches
-    factors it.
+    factors it.  chi is the partition weight of each entry's ball
+    averaged over its simplex, None until rsm.patch_system sets it.
     """
 
     index: np.ndarray
@@ -68,6 +69,7 @@ class PatchSystem:
     M: np.ndarray
     support: sp.csc_matrix
     lu: spla.SuperLU | None = None
+    chi: np.ndarray | None = None
 
     def scatter(self, x: np.ndarray) -> np.ndarray:
         """Sum over patches of the zero-extended parts of x."""

@@ -4,19 +4,22 @@ One step solves the Poisson problem on every covering ball, glues the
 solutions with the partition of unity, and books the exact global
 residual.  Iterating k times raises the residual's integrability
 exponent along the ladder S_j(r); the final residual is handed to the
-spectral gap inverse by the analysis layer.  Every step evaluates the
-gluing and weight-summation inequalities with measured constants.
+spectral gap inverse by the analysis layer.  Every step of
+raising_steps evaluates the gluing and weight-summation inequalities
+with measured constants.
 
 The sweep is one linear operator on the stacked interior unknowns of all
 patches (local_solver.PatchSystem), factored once per covering and
-degree and shared with its adjoint.  The ledger and the per-solve
-diagnostics read the stacked vector u of local solutions (the part of
-ball j is its solution u_j) through a LedgerPlan, built with the patch
-system: fixed patterns and one CSR matrix per step of each density term
-(dec.DensityPlan), so a step's densities are matrix-vector products and
-its per-ball norms bincounts over pattern columns.  What the ledger
-reads of the covering alone (the membership, each ball's dual volume,
-the ball masks and each pattern's overlap) is
+degree and shared with its adjoint; the system holds the partition
+weight of each entry, so sweep and sweep_adjoint read nothing else.
+The ledger and the per-solve diagnostics read the stacked vector u of
+local solutions (the part of ball j is its solution u_j) through a
+LedgerPlan, built on the first ledger step (rsm_step) at a degree and
+never by a bare sweep: fixed patterns and one CSR matrix per step of
+each density term (dec.DensityPlan), so a step's densities are
+matrix-vector products and its per-ball norms bincounts over pattern
+columns.  What the ledger reads of the covering alone (the membership,
+each ball's dual volume, the ball masks and each pattern's overlap) is
 held by the plan too, so a step computes only what depends on omega and
 the weight, every inequality on every step.
 """
@@ -146,10 +149,11 @@ def cached_patches(m: SimplicialManifold,
                    cov: AdmissibleCovering) -> local_solver.Patches:
     """The Patches of all balls, extracted once per covering in one
     batched pass; their interior systems are stacked on the first sweep
-    at a degree, not here."""
+    at a degree, and the ledger plans on the first ledger step, not
+    here."""
     if cov.patches is None:
         cov.patches = local_solver.Patches.extract(m, cov)
-        cov.systems = {}
+        cov.systems, cov.ledgers = {}, {}
     return cov.patches
 
 
@@ -172,24 +176,37 @@ def ball_simplices(m: SimplicialManifold, p: int,
     return (_vertex_incidence(m, p) @ members).tocsc() == p + 1
 
 
+def _partition_weights(m: SimplicialManifold, cov: AdmissibleCovering,
+                       p: int, rows: np.ndarray,
+                       cols: np.ndarray) -> np.ndarray:
+    """chi_j averaged over a p-simplex, at each entry (p-simplex rows[e],
+    ball cols[e]): the vertex values of cov.chi summed in the simplex's
+    vertex order and multiplied by 1 / (p + 1), bit for bit the sparse
+    simplex_average of cov.chi at those entries."""
+    verts = m.simplices[p][rows]
+    total = np.asarray(cov.chi[verts[:, 0], cols]).ravel()
+    for k in range(1, p + 1):
+        total += np.asarray(cov.chi[verts[:, k], cols]).ravel()
+    total *= 1 / (p + 1)
+    return total
+
+
 @dataclass
 class LedgerPlan:
     """What the ledger of a step reads at one degree, besides the patch
     system, all of it fixed by the covering: the DensityPlan of the
     stacked local solutions (dens, one column per ball, the patch
     simplices as support), the partition weight chi_j averaged over the
-    simplex of each entry of the stacked vector (chi) and of the pattern
-    of Lap U (chi_lap), the mask of simplices with all vertices in the
-    ball as restrictions (DensityPlan.restriction) of the patterns of
-    orders 0 and 1 (balls) and column by column (ball_rows, ball_cols),
-    the vertices x balls membership
-    (cov.members, CSC), the ball radii, each ball's dual volume
-    (volumes, for check_weight_relative) and the largest number of
-    entries on one simplex in the pattern of each order (overlap, the
+    simplex of each entry of the pattern of Lap U (chi_lap), the mask of
+    simplices with all vertices in the ball as restrictions
+    (DensityPlan.restriction) of the patterns of orders 0 and 1 (balls)
+    and column by column (ball_rows, ball_cols), the vertices x balls
+    membership (cov.members, CSC), the ball radii, each ball's dual
+    volume (volumes, for check_weight_relative) and the largest number
+    of entries on one simplex in the pattern of each order (overlap, the
     5s4 T_eff when every entry carries a piece)."""
 
     dens: dec.DensityPlan
-    chi: np.ndarray
     chi_lap: np.ndarray
     balls: list
     ball_rows: np.ndarray
@@ -204,10 +221,9 @@ class LedgerPlan:
               dens: dec.DensityPlan) -> LedgerPlan:
         p, members = dens.p, cov.members
         N = m.num_simplices(p)
-        chi = _vertex_incidence(m, p) @ cov.chi
-        chi.data *= 1 / (p + 1)
         balls = ball_simplices(m, p, members)
-        return cls(dens, *dens.gather(chi, (0, ("lap",))),
+        col, row, _ = dens.patterns[("lap",)]
+        return cls(dens, _partition_weights(m, cov, p, row, col),
                    [dens.restriction(k, mask) for k, mask in
                     enumerate(dens.gather(balls, (0, 1)))], balls.indices,
                    np.repeat(np.arange(len(cov)), np.diff(balls.indptr)),
@@ -216,46 +232,71 @@ class LedgerPlan:
                     for k in range(3)])
 
 
-def patch_system(m: SimplicialManifold, cov: AdmissibleCovering, p: int):
-    """(system, plan) of cov at degree p, built on first use per covering
-    and degree: the PatchSystem of all patches and the LedgerPlan of its
-    stacked vector."""
+def patch_system(m: SimplicialManifold, cov: AdmissibleCovering,
+                 p: int) -> local_solver.PatchSystem:
+    """The PatchSystem of all patches of cov at degree p, with the
+    partition weight of each entry (chi), built on first use per
+    covering and degree."""
     patches = cached_patches(m, cov)
     if p not in cov.systems:
         system = local_solver.stack_patches(patches, p)
-        dens = dec.DensityPlan(m, p, system.index, system.offsets,
-                               patches.simplices[p])
-        cov.systems[p] = (system, LedgerPlan.build(m, cov, dens))
+        system.chi = _partition_weights(
+            m, cov, p, system.index,
+            np.repeat(np.arange(len(cov)), np.diff(system.offsets)))
+        cov.systems[p] = system
     return cov.systems[p]
+
+
+def ledger_plan(m: SimplicialManifold, cov: AdmissibleCovering,
+                p: int) -> LedgerPlan:
+    """The LedgerPlan of patch_system(m, cov, p), built on the first
+    ledger step (rsm_step) at degree p; sweeps and solves build none."""
+    system = patch_system(m, cov, p)
+    if p not in cov.ledgers:
+        dens = dec.DensityPlan(m, p, system.index, system.offsets,
+                               cov.patches.simplices[p])
+        cov.ledgers[p] = LedgerPlan.build(m, cov, dens)
+    return cov.ledgers[p]
 
 
 # -- the gluing sweep and its adjoint -----------------------------------
 
 
-def _local_solutions(m: SimplicialManifold, cov: AdmissibleCovering,
-                     omega: dec.Cochain):
-    """(system, plan, u): patch_system at omega's degree and the stacked
-    local solutions u = K^-1 (M omega[G]), with K, M the block-diagonal
-    interior stiffness and mass and G the global simplex of each entry.
-    The gluing sweep is T omega = scatter(chi u), chi the partition
-    weights: the v0 of rsm_step."""
-    system, plan = patch_system(m, cov, omega.degree)
-    return system, plan, system.lu.solve(system.M
-                                         * omega.values[system.index])
+def _glue(m: SimplicialManifold, cov: AdmissibleCovering,
+          omega: dec.Cochain):
+    """(system, u, v0, lap_v0): patch_system at omega's degree, the
+    stacked local solutions u = K^-1 (M omega[G]), the glued v0 =
+    scatter(chi u) and Delta v0; see sweep."""
+    p = omega.degree
+    system = patch_system(m, cov, p)
+    u = system.lu.solve(system.M * omega.values[system.index])
+    v0 = dec.Cochain(m, p, system.scatter(system.chi * u))
+    return system, u, v0, dec.hodge_laplacian(m, p)(v0)
+
+
+def sweep(m: SimplicialManifold, cov: AdmissibleCovering,
+          omega: dec.Cochain):
+    """One gluing sweep, without its ledger: (v0, omega1) with v0 = T
+    omega = scatter(chi K^-1 (M omega[G])) and the step residual omega1
+    = Delta v0 - omega.  K, M are the block-diagonal interior stiffness
+    and mass of patch_system, G the global simplex of each entry and chi
+    its partition weight."""
+    _, _, v0, lap_v0 = _glue(m, cov, omega)
+    return v0, lap_v0 - omega
 
 
 def sweep_adjoint(m: SimplicialManifold, cov: AdmissibleCovering,
                   phi: dec.Cochain) -> dec.Cochain:
-    """Mass adjoint of the gluing sweep T (see _local_solutions):
+    """Mass adjoint of the gluing sweep T (see sweep):
     <T x, y>_M = <x, T* y>_M.
 
     T* phi = scatter((M / Mg[G]) K^-T (chi (Mg phi)[G])) with Mg the
     global mass diagonal; it reuses the factor of the forward sweep.
     """
     p = phi.degree
-    system, plan = patch_system(m, cov, p)
+    system = patch_system(m, cov, p)
     Mg = dec.mass_diagonal(m, p)[system.index]
-    x = system.lu.solve(plan.chi * (Mg * phi.values[system.index]),
+    x = system.lu.solve(system.chi * (Mg * phi.values[system.index]),
                         trans="T")
     return dec.Cochain(m, p, system.scatter(system.M / Mg * x))
 
@@ -365,7 +406,7 @@ def _leibniz_diagnostic(cov, plan: LedgerPlan, w_means, c_sw: float,
 def rsm_step(m: SimplicialManifold, cov: AdmissibleCovering,
              rf: RadiusField, omega: dec.Cochain, r: float,
              w: WeightField, step_index: int = 0):
-    """One gluing sweep: local solves, partition gluing, exact residual.
+    """One raising step: the gluing sweep (see sweep) and its ledger.
 
     Returns (v0, omega1, StepDiagnostics) with omega1 = Delta v0 - omega
     computed globally, so the step identity is exact bookkeeping.  The
@@ -376,9 +417,9 @@ def rsm_step(m: SimplicialManifold, cov: AdmissibleCovering,
     is the step's Lap v0), the weight averaged once onto the simplices.
     """
     p = omega.degree
-    system, plan, u = _local_solutions(m, cov, omega)
-    parts = plan.chi * u
-    v0 = dec.Cochain(m, p, system.scatter(parts))
+    system, u, v0, lap_v0 = _glue(m, cov, omega)
+    plan = ledger_plan(m, cov, p)
+    parts = system.chi * u
     w_means, c_iw, c_sw = check_weight_relative(w, cov, m, plan.volumes)
     dens = plan.dens
     # densities of orders 0-2 of U (the c_j, the Leibniz diagnostic) and
@@ -390,7 +431,6 @@ def rsm_step(m: SimplicialManifold, cov: AdmissibleCovering,
     chi_lap = np.bincount(dens.patterns[("lap",)][1],
                           plan.chi_lap * chains[("lap",)],
                           minlength=m.num_simplices(p))
-    lap_v0 = dec.hodge_laplacian(m, p)(v0)
     v0_chains = {("lap",): lap_v0.values}
     v0_dens = [dec.densities(m, p, v0.values, k, v0_chains)
                for k in range(3)]
@@ -415,10 +455,29 @@ def rsm_step(m: SimplicialManifold, cov: AdmissibleCovering,
     return v0, lap_v0 - omega, diag
 
 
+def step_loop(omega: dec.Cochain, k: int, step):
+    """(v, omega_tilde) of k steps from omega with alternating signs.
+
+    step(omega_j, j) returns (v_j, omega_{j+1}) with Delta v_j = omega_j
+    + omega_{j+1}; v = sum_j (-1)^j v_j, and Delta v telescopes to omega
+    + omega_tilde with omega_tilde = (-1)^(k-1) omega_k.
+    """
+    m, p = omega.manifold, omega.degree
+    v = dec.Cochain(m, p, np.zeros(m.num_simplices(p)))
+    cur = omega
+    sign = 1.0
+    for j in range(k):
+        v_j, cur = step(cur, j)
+        v = v + sign * v_j
+        sign = -sign
+    return v, -1.0 * cur if k % 2 == 0 else cur
+
+
 def raising_steps(m: SimplicialManifold, cov: AdmissibleCovering,
                   rf: RadiusField, omega: dec.Cochain,
                   config: RsmConfig):
-    """Iterate the gluing step k times with alternating signs.
+    """Iterate the raising step k times with alternating signs
+    (step_loop over rsm_step), booking each step's ledger and norms.
 
     Returns (v, omega_tilde, trace); the identity Delta v = omega +
     omega_tilde holds to bookkeeping precision.
@@ -435,25 +494,21 @@ def raising_steps(m: SimplicialManifold, cov: AdmissibleCovering,
     w_simp = simplex_average(m, p, w.values)
     spec_r = dec.NormSpec(r, weight=w, power=r, averaged=w_simp)
     spec_q = dec.NormSpec(q2, weight=w, power=q2, averaged=w_simp)
-    v = dec.Cochain(m, p, np.zeros(m.num_simplices(p)))
-    cur = omega
-    sign = 1.0
     trace.exponent_ladder.append(r)
-    trace.residual_norms.append(dec.lr_norm(m, cur, dec.NormSpec(r)))
-    for step in range(k):
-        v_j, nxt, diag = rsm_step(m, cov, rf, cur, r, w, step)
-        v = v + sign * v_j
+    trace.residual_norms.append(dec.lr_norm(m, omega, dec.NormSpec(r)))
+
+    def step(cur, j):
+        v_j, nxt, diag = rsm_step(m, cov, rf, cur, r, w, j)
         trace.steps.append(diag)
         # exponent ladder t_j = S_j(r); capped for norm evaluation
-        t_next = min(dec.sobolev_exponent(r, step + 1, n), 64.0)
+        t_next = min(dec.sobolev_exponent(r, j + 1, n), 64.0)
         trace.exponent_ladder.append(t_next)
         trace.v_norms.append((dec.lr_norm(m, v_j, spec_r),
                               dec.lr_norm(m, v_j, spec_q)))
         trace.residual_norms.append(dec.lr_norm(m, nxt, dec.NormSpec(t_next)))
-        cur = nxt
-        sign = -sign
-    # Delta v telescopes to omega + (-1)^(k-1) omega_k
-    omega_tilde = -1.0 * cur if k % 2 == 0 else cur
+        return v_j, nxt
+
+    v, omega_tilde = step_loop(omega, k, step)
     # measured theorem constants
     w0 = config.w0(rf, n)
     denom = dec.lr_norm(m, omega, dec.NormSpec(r, weight=w0, power=r))

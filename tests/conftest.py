@@ -406,19 +406,7 @@ def oracle_spectrum(m, p, m_eigs=10,
 def oracle_gap_solve(m, rep, g, rtol: float = 1e-11,
                      max_iter=None):
     """The plain deflated conjugate gradient `analysis.gap_solve` ran
-    before it was preconditioned, with the same contract.
-
-    Returns f, mass-orthogonal to the harmonic space, with
-    |K f - M(g - Hg)| <= rtol |M g| (Euclidean norms; K the stiffness,
-    M the diagonal mass, Hg the harmonic projection of g).  The
-    tolerance is relative to the input g itself, harmonic part
-    included: for a (nearly) harmonic g the projected right-hand side
-    M(g - Hg) is roundoff whose kernel component CG cannot reduce.
-    When that side is already within the tolerance, the zero cochain
-    is returned.  Raises AnalysisError when CG does not reach the
-    tolerance within max_iter iterations (default 20 N), or when the
-    spectral bound |f| <= |g|/gap fails.
-    """
+    before it was preconditioned, with the same contract (see there)."""
     p = g.degree
     K = dec.stiffness_matrix(m, p)
     Mw = dec.mass_diagonal(m, p)
@@ -885,7 +873,8 @@ def oracle_gather(dens, A, keys):
 
 def oracle_ledger_plan(m, cov, dens) -> dict:
     """The fields of rsm.LedgerPlan.build(m, cov, dens) but dens, as it
-    first built them: the partition weights and the ball masks formed as
+    first built them, and the chi of the patch system (which the plan
+    held then): the partition weights and the ball masks formed as
     simplices x balls matrices (geometry.simplex_average) and sampled on
     the plan's patterns, the membership rebuilt from the balls' member
     lists, the ball volumes and the pattern overlaps from it and from the
@@ -895,7 +884,7 @@ def oracle_ledger_plan(m, cov, dens) -> dict:
     chi = geometry.simplex_average(m, p, cov.chi.tocsr())
     balls = oracle_ball_simplices(m, p, members)
     chi0, chi_lap = oracle_gather(dens, chi, (0, ("lap",)))
-    return {"chi": chi0, "chi_lap": chi_lap,
+    return {"system.chi": chi0, "chi_lap": chi_lap,
             "balls": [oracle_restriction(dens, k, mask) for k, mask in
                       enumerate(oracle_gather(dens, balls, (0, 1)))],
             "ball_rows": balls.indices,
@@ -927,11 +916,15 @@ def _assert_same(got, want, name):
         assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
-def assert_ledger_plan_matches_oracle(m, cov, plan):
-    """Every field of the LedgerPlan plan equals oracle_ledger_plan's bit
-    for bit: dtype and values, and a sparse field's format and arrays."""
+def assert_ledger_plan_matches_oracle(m, cov, p):
+    """Every field of the LedgerPlan of degree p, and the chi of its
+    patch system, equals oracle_ledger_plan's bit for bit: dtype and
+    values, and a sparse field's format and arrays."""
+    plan = rsm.ledger_plan(m, cov, p)
     for name, want in oracle_ledger_plan(m, cov, plan.dens).items():
-        _assert_same(getattr(plan, name), want, name)
+        got = rsm.patch_system(m, cov, p).chi if name == "system.chi" \
+            else getattr(plan, name)
+        _assert_same(got, want, name)
 
 
 def oracle_column_norms(m, p, dens, r, mask=None):
@@ -1271,7 +1264,7 @@ def oracle_rsm_step(m, cov, rf, omega, r, w, step_index=0):
     w_means, c_iw, c_sw = _oracle_weight_relative(w, cov, m)
     v0, U = sweep(m, cov, omega)
     u = U.data
-    system, lplan = rsm.patch_system(m, cov, p)
+    system, lplan = rsm.patch_system(m, cov, p), rsm.ledger_plan(m, cov, p)
     plan = lplan.dens
     members = covering.membership(cov.balls, m.num_vertices)
     balls = oracle_ball_simplices(m, p, members)
@@ -1282,7 +1275,7 @@ def oracle_rsm_step(m, cov, rf, omega, r, w, step_index=0):
     R = cov.radii()
     chains = {}
     U_dens = _oracle_plan_densities(plan, u, values=chains)
-    parts_dens = _oracle_plan_densities(plan, lplan.chi * u)
+    parts_dens = _oracle_plan_densities(plan, system.chi * u)
     solves = _oracle_diagnostics(system, omega, u, plan, support, U_dens, r)
     chi_lap = np.bincount(plan.patterns[("lap",)][1],
                           lplan.chi_lap * chains[("lap",)],
@@ -1451,17 +1444,12 @@ def system_columns(system, x: np.ndarray) -> sp.csc_matrix:
 
 def sweep(m: geometry.SimplicialManifold, cov: covering.AdmissibleCovering,
           omega: dec.Cochain):
-    """One gluing sweep T omega = scatter(chi K^-1 (M omega[G])).
-
-    On the stacked unknowns of rsm.patch_system: K, M the block-diagonal
-    interior stiffness and mass, G the global simplex of each entry, chi
-    the partition weights.  Returns (v0, U): T omega and the simplices x
-    balls matrix of the local solutions u_j, whose stored values are the
-    stacked solution.
-    """
-    system, plan, u = rsm._local_solutions(m, cov, omega)
-    return (dec.Cochain(m, omega.degree, system.scatter(plan.chi * u)),
-            system_columns(system, u))
+    """(v0, U): rsm.sweep's T omega, and the simplices x balls matrix of
+    the local solutions u_j = K_j^-1 (M_j omega[G_j]) of
+    rsm.patch_system, whose stored values are the stacked solution."""
+    system = rsm.patch_system(m, cov, omega.degree)
+    u = system.lu.solve(system.M * omega.values[system.index])
+    return rsm.sweep(m, cov, omega)[0], system_columns(system, u)
 
 
 def local_czi_check(patch: local_solver.Patches, u: dec.Cochain, r: float):

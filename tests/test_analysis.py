@@ -273,6 +273,62 @@ def test_poisson_rejects_harmonic_content(torus16, cover16, spec16_p1):
         poisson_solve(torus16, cov, rf, spec16_p1, h, 1.5)
 
 
+def _gap_form(m, rep, rng):
+    """A random form with its harmonic part projected out (twice)."""
+    om = dec.random_cochain(m, rep.degree, rng)
+    om = om - harmonic_projection(m, rep, om)
+    return om - harmonic_projection(m, rep, om)
+
+
+@pytest.mark.parametrize("kind,args,p", [
+    ("flat_torus", (16,), 0), ("flat_torus", (16,), 1),
+    ("flat_torus", (16,), 2), ("bumpy_torus", (16, 0.3), 1),
+    ("3-torus", (5,), 2)], ids=["torus16-0", "torus16-1", "torus16-2",
+                               "bumpy16-1", "torus3d5-2"])
+def test_poisson_solve_is_raising_steps_minus_gap_solve(kind, args, p):
+    # poisson_solve runs the sweeps of raising_steps without their
+    # ledger: its u is raising_steps' v - gap_solve(om_t - H om_t) bit
+    # for bit, whether or not a ledger step built its plans first (a
+    # fresh mesh and covering, so no plan of any covering exists yet)
+    m = geometry.generate_flat_torus_3d(*args) if kind == "3-torus" \
+        else geometry.generate_test_manifold(kind, *args)
+    rf, cov = _cover_bundle(m)
+    rep = spectrum(m, p)
+    omega = _gap_form(m, rep, np.random.default_rng(29 + p))
+    for k in (1, 2):
+        first = poisson_solve(m, cov, rf, rep, omega, 1.5, k=k)[0]
+        v, om_t, _ = rsm.raising_steps(m, cov, rf, omega,
+                                       rsm.RsmConfig(1.5, 2.0, k=k))
+        f = gap_solve(m, rep, om_t - harmonic_projection(m, rep, om_t))
+        again = poisson_solve(m, cov, rf, rep, omega, 1.5, k=k)[0]
+        for u in (first, again):
+            assert u.values.tobytes() == (v - f).values.tobytes()
+
+
+def test_solves_and_decompositions_build_no_density_plan(monkeypatch):
+    # the solves and both decompositions run bare sweeps: on a fresh
+    # covering they build no DensityPlan, so no ledger plan, at any
+    # degree; a ledger step then builds its degree's plan
+    m = geometry.generate_test_manifold("flat_torus", 12)
+    rf, cov = _cover_bundle(m)
+    built = []
+    init = dec.DensityPlan.__init__
+    monkeypatch.setattr(dec.DensityPlan, "__init__",
+                        lambda self, m, p, *a: built.append(p)
+                        or init(self, m, p, *a))
+    rng = np.random.default_rng(31)
+    for p in (0, 1):
+        rep = spectrum(m, p)
+        om = _gap_form(m, rep, rng)
+        poisson_solve(m, cov, rf, rep, om, 1.5)
+        dual_poisson_solve(m, cov, rf, rep, om, 1.5)
+        strong_decomposition(m, cov, rf, rep, om, 1.5, k=2)
+        weak_decomposition(m, cov, rf, rep, om, 1.5, eps_target=0.05)
+    assert built == [] and cov.ledgers == {} and sorted(cov.systems) == [0, 1]
+    rsm.rsm_step(m, cov, rf, om, 1.5, covering.constant_weight(m.num_vertices))
+    assert built == [1] and list(cov.ledgers) == [1]
+
+
 def test_dual_poisson_zero(torus16, cover16, spec16_p1):
     rf, cov = cover16
     z = dec.Cochain(torus16, 1, np.zeros(torus16.num_simplices(1)))

@@ -362,7 +362,7 @@ def test_density_plan_matches_sparse_oracle(request, mesh, cover):
             plan = dec.DensityPlan(m, p, np.arange(N), np.array([0, N]),
                                    support)
         else:
-            plan = rsm.patch_system(m, cov, p)[1].dens
+            plan = rsm.ledger_plan(m, cov, p).dens
             support = cov.patches.simplices[p]
         x = rng.standard_normal(plan.patterns[0][0].size)
         _assert_plan_matches_oracle(m, p, plan, x, support)
@@ -379,9 +379,9 @@ def test_density_plan_steps_match_argsort_oracle(request, mesh, cover):
     m = request.getfixturevalue(mesh)
     cov = request.getfixturevalue(cover)[1]
     for p in range(m.n + 1):
-        system, plan = rsm.patch_system(m, cov, p)
-        assert_plan_matches_step_oracle(m, p, plan.dens, system.index,
-                                        system.offsets)
+        system = rsm.patch_system(m, cov, p)
+        assert_plan_matches_step_oracle(m, p, rsm.ledger_plan(m, cov, p).dens,
+                                        system.index, system.offsets)
 
 
 def test_density_plan_is_freed_without_the_cyclic_collector(torus8):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hodge_rsm import covering, dec, geometry, local_solver, rsm
+from hodge_rsm import analysis, covering, dec, geometry, local_solver, rsm
 from hodge_rsm.covering import (AdmissibleCovering, RadiusField,
                                 partition_of_unity, vitali_cover)
 from hodge_rsm.geometry import SimplicialManifold, simplex_average
@@ -288,24 +288,29 @@ def test_whole_manifold_ball_in_multi_ball_cover(torus8):
 
 
 def test_patch_system_build_constructions(torus16, cover16, monkeypatch):
-    # a guard on the object churn of the first sweep's build: the compressed
-    # sparse matrices patch_system makes for the stacked system, the
-    # density plan and the ledger plan at p = 0, 1, 2, with the mesh's
-    # operators cached by a first build (47, 81 and 59 before the in-place
-    # scalings and the incidence products)
+    # a guard on the object churn of the first sweep's and the first
+    # ledger step's builds: the compressed sparse matrices patch_system
+    # makes for the stacked system, and ledger_plan for the density plan
+    # and the ledger plan, at p = 0, 1, 2, with the mesh's operators
+    # cached by a first build (in all 47, 81 and 59 before the in-place
+    # scalings and the incidence products, then 45, 72 and 44 while the
+    # partition weights came from an incidence product)
     cov = vitali_cover(torus16, cover16[0])
     partition_of_unity(torus16, cov)
     init = sp._compressed._cs_matrix.__init__
     made = []
     for p in range(3):
-        rsm.patch_system(torus16, cov, p)
-        del cov.systems[p]
-        with monkeypatch.context() as mp:
-            mp.setattr(sp._compressed._cs_matrix, "__init__",
-                       lambda self, *a, **k: made.append(p)
-                       or init(self, *a, **k))
-            rsm.patch_system(torus16, cov, p)
-    assert [made.count(p) for p in range(3)] == [45, 72, 44]
+        rsm.ledger_plan(torus16, cov, p)
+        for cache, build in (("systems", rsm.patch_system),
+                             ("ledgers", rsm.ledger_plan)):
+            del getattr(cov, cache)[p]
+            with monkeypatch.context() as mp:
+                mp.setattr(sp._compressed._cs_matrix, "__init__",
+                           lambda self, *a, **k: made.append((cache, p))
+                           or init(self, *a, **k))
+                build(torus16, cov, p)
+    assert [[made.count((c, p)) for p in range(3)]
+            for c in ("systems", "ledgers")] == [[13, 22, 12], [29, 47, 29]]
 
 
 @pytest.mark.parametrize("mesh,p", [("torus16", 0), ("torus16", 1),
@@ -317,7 +322,7 @@ def test_sweep_adjoint_identity(request, mesh, p):
     rng = np.random.default_rng(11)
     x = dec.random_cochain(m, p, rng)
     y = dec.random_cochain(m, p, rng)
-    Tx = sweep(m, cov, x)[0]
+    Tx = rsm.sweep(m, cov, x)[0]
     Ty = rsm.sweep_adjoint(m, cov, y)
     scale = dec.norm_l2(Tx) * dec.norm_l2(y) + dec.norm_l2(x) * dec.norm_l2(Ty)
     assert abs(dec.inner(Tx, y) - dec.inner(x, Ty)) <= 1e-12 * scale
@@ -337,7 +342,7 @@ def test_sweeps_factor_once_per_degree(torus16, cover16, monkeypatch, rng):
             sweep(torus16, cov, omega)
         rsm.sweep_adjoint(torus16, cov, omega)
     # one factorisation of the stacked system of all patches per degree
-    system = {p: rsm.patch_system(torus16, cov, p)[0] for p in (0, 1)}
+    system = {p: rsm.patch_system(torus16, cov, p) for p in (0, 1)}
     assert calls == [system[0].K.shape, system[1].K.shape]
     assert system[1].offsets.size == len(cov.balls) + 1
 
@@ -567,16 +572,18 @@ def test_membership_built_with_the_balls(torus16, cover16, weight16,
             rsm_step(torus16, cov, rf, omega, 1.5, weight16)
         assert compact_support_check(omega, omega, omega, cov)
     assert built == [torus16.num_vertices]
-    assert rsm.patch_system(torus16, cov, 1)[1].members is cov.members
+    assert rsm.ledger_plan(torus16, cov, 1).members is cov.members
     with pytest.raises(ValueError, match="vertices"):
         cov.membership_counts(torus16.num_vertices + 1)
 
 
-def test_ledger_plan_built_once_at_first_sweep(torus16, cover16, weight16,
-                                               monkeypatch, rng):
-    # the plan of a degree is built with its patch system at the first
-    # sweep, never by the covering or cached_patches; a later step at
-    # that degree makes no sparse x sparse product and no multiply
+def test_ledger_plan_built_once_at_first_ledger_step(torus16, cover16,
+                                                     weight16, spec16_p1,
+                                                     monkeypatch, rng):
+    # the plan of a degree is built at the first ledger step (rsm_step)
+    # at that degree, never by the covering, cached_patches, a sweep, an
+    # adjoint sweep or a solve before it; a later step at that degree
+    # makes no sparse x sparse product and no multiply
     rf = cover16[0]
     built = []
     init = dec.DensityPlan.__init__
@@ -586,8 +593,14 @@ def test_ledger_plan_built_once_at_first_sweep(torus16, cover16, weight16,
     cov = vitali_cover(torus16, rf)
     partition_of_unity(torus16, cov)
     rsm.cached_patches(torus16, cov)
-    assert built == [] and cov.systems == {}
+    assert built == [] and cov.systems == {} and cov.ledgers == {}
     omega = dec.random_cochain(torus16, 1, rng)
+    omega = omega - analysis.harmonic_projection(torus16, spec16_p1, omega)
+    rsm.sweep(torus16, cov, omega)
+    rsm.sweep_adjoint(torus16, cov, omega)
+    analysis.poisson_solve(torus16, cov, rf, spec16_p1, omega, 1.5, k=2)
+    analysis.dual_poisson_solve(torus16, cov, rf, spec16_p1, omega, 1.5)
+    assert built == [] and cov.ledgers == {} and list(cov.systems) == [1]
     first = rsm_step(torus16, cov, rf, omega, 1.5, weight16)[2]
     assert built == [1]
     calls = _sparse_product_counter(monkeypatch)
@@ -618,7 +631,7 @@ def test_step_norms_match_sparse_oracle(request, mesh, p):
     omega = dec.random_cochain(m, p, np.random.default_rng(3))
     _, _, diag = rsm_step(m, cov, rf, omega, r, w)
     v0, U = sweep(m, cov, omega)
-    system = rsm.patch_system(m, cov, p)[0]
+    system = rsm.patch_system(m, cov, p)
     dens = [oracle_densities(m, p, U, k) for k in range(3)]
     lr = oracle_column_norms(m, p, oracle_densities(
         m, p, system_columns(system, omega.values[system.index]), 0), r)
@@ -670,8 +683,7 @@ def test_ledger_plan_matches_oracle(request, mesh, cover):
     m = request.getfixturevalue(mesh)
     cov = request.getfixturevalue(cover)[1]
     for p in range(m.n + 1):
-        assert_ledger_plan_matches_oracle(m, cov,
-                                          rsm.patch_system(m, cov, p)[1])
+        assert_ledger_plan_matches_oracle(m, cov, p)
 
 
 def test_pointwise_bound_keeps_cached_laplacian(torus16, cover16, rng):
@@ -744,7 +756,7 @@ def test_step_and_trace_match_first_ledger(request, mesh, cover):
                 _bitwise(got[2], want[2])
                 partial += any(
                     got[2].ledger[key]["T_eff"]
-                    < rsm.patch_system(m, cov, p)[1].overlap[k]
+                    < rsm.ledger_plan(m, cov, p).overlap[k]
                     for k, key in enumerate(("5s4_i", "5s4_ii", "5s4_iii")))
                 config = RsmConfig(1.5, k=2, weight=w)
                 got, want = (run(m, cov, rf, omega, config) for run in
