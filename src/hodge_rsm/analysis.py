@@ -282,9 +282,7 @@ def _d_dstar_split(m: SimplicialManifold, u: dec.Cochain):
 
 
 def strong_decomposition(m: SimplicialManifold, cov: AdmissibleCovering,
-                         rf: RadiusField, rep: SpectrumReport,
-                         omega: dec.Cochain, r: float,
-                         alpha: WeightField | None = None,
+                         rep: SpectrumReport, omega: dec.Cochain, r: float,
                          k: int | None = None,
                          mode: str = "delta") -> HodgeDecompositionResult:
     """Direct decomposition omega = h + Delta u (optionally d/d* split).
@@ -292,9 +290,8 @@ def strong_decomposition(m: SimplicialManifold, cov: AdmissibleCovering,
     The harmonic part comes from the residual route (minus the projected
     final residual of the raising steps), cross-checked downstream
     against the spectral projection; mode "d_dstar" further splits
-    Delta u into d(d*u) + d*(du).  u comes from poisson_solve, which
-    books no ledger; rf and alpha only pass through to it, and it reads
-    neither.
+    Delta u into d(d*u) + d*(du).  u comes from poisson_solve with k
+    sweeps (RsmConfig's default when None), which books no ledger.
     """
     if mode not in ("delta", "d_dstar"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -306,7 +303,7 @@ def strong_decomposition(m: SimplicialManifold, cov: AdmissibleCovering,
     if dec.norm_l2(c) <= 1e-12 * max(dec.norm_l2(omega), 1e-300):
         u = dec.Cochain(m, p, np.zeros(m.num_simplices(p)))
     else:
-        u = poisson_solve(m, cov, rf, rep, c, r, alpha, k)[0]
+        u = poisson_solve(m, cov, None, rep, c, r, k=k)[0]
     lap = dec.hodge_laplacian(m, p)
     delta_u = lap(u)
     residual = dec.norm_l2(omega - h - delta_u) / (dec.norm_l2(omega) + 1e-300)
@@ -327,8 +324,7 @@ def strong_decomposition(m: SimplicialManifold, cov: AdmissibleCovering,
 
 
 def weak_decomposition(m: SimplicialManifold, cov: AdmissibleCovering,
-                       rf: RadiusField, rep: SpectrumReport,
-                       omega: dec.Cochain, r: float,
+                       rep: SpectrumReport, omega: dec.Cochain, r: float,
                        alpha: WeightField | None = None,
                        eps_target: float = 1e-2,
                        mode: str = "delta_closure",
@@ -339,8 +335,7 @@ def weak_decomposition(m: SimplicialManifold, cov: AdmissibleCovering,
     covering balls until the truncation error (the computable content of
     "closure") drops below eps_target; the truncated form is solved as
     in the strong mode (poisson_solve, no ledger) and the leftover E_eps
-    is reported.  rf only passes through to poisson_solve, which does
-    not read it; alpha weights the L^r norms of the truncation tails and
+    is reported.  alpha weights the L^r norms of the truncation tails and
     of E_eps.
     """
     if mode not in ("delta_closure", "d_dstar_closure"):
@@ -371,7 +366,7 @@ def weak_decomposition(m: SimplicialManifold, cov: AdmissibleCovering,
         tails[lo:] ** (1.0 / r) <= eps_target, True)))
     om_eps = dec.Cochain(m, p, np.where(joins < used, om_c.values, 0.0))
     om_eps = om_eps - harmonic_projection(m, rep, om_eps)
-    u = poisson_solve(m, cov, rf, rep, om_eps, r, alpha)[0]
+    u = poisson_solve(m, cov, None, rep, om_eps, r)[0]
     lap = dec.hodge_laplacian(m, p)
 
     inner_mode = "delta" if mode == "delta_closure" else "d_dstar"

@@ -343,7 +343,7 @@ def decompose(config_path, r_, degrees, harmonic_tol, mode, seed, out_dir):
     if mode:
         cfg["d_dstar"] = mode == "d_dstar"
     m = build_mesh(cfg)
-    rf, cov = load_or_build_covering(m, cfg)
+    _, cov = load_or_build_covering(m, cfg)
     rng = np.random.default_rng(cfg["seed"])
     rep = Report(cfg)
     out = Path(cfg["out_dir"])
@@ -364,8 +364,8 @@ def decompose(config_path, r_, degrees, harmonic_tol, mode, seed, out_dir):
             continue
         for i in range(cfg["num_forms"]):
             om = dec.random_cochain(m, p, rng)
-            res = analysis.strong_decomposition(m, cov, rf, sp, om,
-                                                cfg["r"], mode=dmode)
+            res = analysis.strong_decomposition(m, cov, sp, om, cfg["r"],
+                                                k=cfg["k"], mode=dmode)
             orth = max(res.orthogonality.values())
             rep.check(f"strong_p{p}_form{i}",
                       res.residual <= 1e-8 and orth <= 1e-8,

@@ -5,6 +5,10 @@ p-simplex).  The coboundary d is the transpose of the signed incidence,
 the codifferential is its adjoint for diagonal lumped mass matrices, and
 all L^r / Sobolev norms integrate pointwise densities |omega|(sigma) =
 |omega_sigma| / vol_p(sigma) against the per-simplex support n-volume.
+The densities of orders 1 and 2 follow one formula (density_orders) over
+the two halves of the Laplacian, dd* and d*d, whose sum is Lap: for one
+cochain with the operators themselves (densities), and for many stacked
+in one vector with fixed patterns (DensityPlan).
 
 The operator functions (mass, d, d*, Laplacian, stiffness) read only n,
 num_simplices, boundary, volumes, support_volumes and _op_cache of the
@@ -221,62 +225,97 @@ def density(u: Cochain) -> np.ndarray:
     return densities(u.manifold, u.degree, u.values, 0)
 
 
-def density_terms(n: int, p: int, order: int) -> list:
-    """The terms of the density of order 0, 1 or 2 of p-cochains on an
-    n-manifold, as (chain, average) pairs: apply the operators of chain
-    in turn ("d", "dstar", "lap"), take |x| / vol over the simplices of
-    the degree reached, then average back onto p-simplices ("face",
-    "coface") or not (None).  Orders 1 and 2 are the root sums of squares
-    of their terms: order 1 the face average of |d*u| and the coface
-    average of |du|, order 2 |Lap u|, |dd*u| and |d*du|."""
-    if order == 0:
-        return [((), None)]
-    low = [(("dstar",), "face") if order == 1 else (("dstar", "d"), None)]
-    high = [(("d",), "coface") if order == 1 else (("d", "dstar"), None)]
-    return ([(("lap",), None)] if order == 2 else []) \
-        + (low if p > 0 else []) + (high if p < n else [])
+# the two halves of the Laplacian, dd* and d*d, by their steps: (first
+# step, average back onto p-simplices, second step)
+HALVES = (("dstar", "face", "d"), ("d", "coface", "dstar"))
 
 
-def _chain_operator(m, q: int, name: str):
-    """(matrix, degree reached) of one step of a density term's chain,
-    applied to q-simplex data."""
-    if name == "face":
-        return _face_average(m, q + 1), q + 1
-    if name == "coface":
-        return _coface_average(m, q - 1), q - 1
-    op = {"d": exterior_derivative, "dstar": codifferential,
-          "lap": hodge_laplacian}[name](m, q)
-    return op.matrix, op.target_degree
+def _half_operators(m, p: int) -> list:
+    """(names, q, first, average, second) of each half of the Laplacian
+    at degree p (dd* for p > 0, d*d for p < n): HALVES' names, the degree
+    q the first step reaches, and the matrices of its three steps."""
+    out = []
+    if p > 0:
+        out.append((HALVES[0], p - 1, codifferential(m, p).matrix,
+                    _face_average(m, p), exterior_derivative(m, p - 1).matrix))
+    if p < m.n:
+        out.append((HALVES[1], p + 1, exterior_derivative(m, p).matrix,
+                    _coface_average(m, p), codifferential(m, p + 1).matrix))
+    return out
+
+
+def laplacian_from_halves(values: dict) -> np.ndarray:
+    """Lap x = dd*x + d*dx, the sum of the second steps' values in values
+    (see density_orders; one of them at p = 0 or n)."""
+    halves = [values[first, second] for first, _, second in HALVES
+              if (first, second) in values]
+    return sum(halves[1:], halves[0])
+
+
+def density_orders(steps: dict, volumes: dict, x: np.ndarray, orders,
+                   values: dict) -> list:
+    """The densities of the given orders (0, 1, 2) of the p-cochain
+    values x: |x| / vol at order 0; at order 1 the root sum of squares
+    of the face average of |d*x| / vol and the coface average of |dx| /
+    vol; at order 2 that of |Lap x|, |dd*x| and |d*dx| over vol, Lap x
+    from its two halves (laplacian_from_halves).  steps[chain] maps the
+    values of chain[:-1] to those of chain, for the chains of HALVES:
+    (first,), (first, average), applied to |values| / vol, and (first,
+    second); a half without its first step (p = 0 or n) adds no term.
+    volumes[chain] holds the volumes of the simplices the values of
+    chain lie on, () those of x.  values receives the values of each
+    chain applied, by chain, and may hold some already.  A term only
+    squared skips |x|: (x/vol)^2 = (|x|/vol)^2; the sum of squares starts
+    from the first term's squares, then adds the others in term order.
+    This one formula serves dec.densities (one cochain, the operators
+    themselves) and DensityPlan.densities (a stack, the plan's steps)."""
+    values[()] = x
+    halves = [h for h in HALVES if (h[0],) in steps]
+    out = []
+    for order in orders:
+        if order == 0:
+            out.append(np.abs(x) / volumes[()])
+            continue
+        terms = []
+        for first, average, second in halves:
+            if (first,) not in values:
+                values[first,] = steps[first,] @ x
+            if order == 1:
+                t = np.abs(values[first,])
+                t /= volumes[first,]
+                terms.append(steps[first, average] @ t)
+            elif (first, second) not in values:
+                values[first, second] = steps[first, second] @ values[first,]
+        if order == 2:
+            vol = volumes[halves[0][0], halves[0][2]]
+            terms = [laplacian_from_halves(values) / vol] + [
+                values[first, second] / vol for first, _, second in halves]
+        total = terms[0]
+        total *= total
+        for t in terms[1:]:
+            t *= t
+            total += t
+        out.append(np.sqrt(total, out=total))
+    return out
 
 
 def densities(m: SimplicialManifold, p: int, values: np.ndarray,
               order: int, chains: dict | None = None) -> np.ndarray:
     """Density of order 0, 1 or 2 of the p-cochain values (see
-    density_terms); DensityPlan gives the same for many cochains.  chains,
-    if given, holds the values of chains already applied to values, by
-    chain, and receives those walked here, so the orders of one cochain
-    share them.  A term only squared skips |x|: (x/vol)^2 = (|x|/vol)^2."""
-    if order == 0:
-        return np.abs(values) / m.volumes[p]
-    chains = {} if chains is None else chains
-    chains[()] = values
-    total = None
-    for chain, average in density_terms(m.n, p, order):
-        q = p
-        for k, name in enumerate(chain):
-            A, q = _chain_operator(m, q, name)
-            if chain[:k + 1] not in chains:
-                chains[chain[:k + 1]] = A @ chains[chain[:k]]
-        x = chains[chain]
-        if average is None:
-            t = x / m.volumes[q]
-        else:
-            t = np.abs(x)
-            t /= m.volumes[q]
-            t = _chain_operator(m, q, average)[0] @ t
-        t *= t
-        total = t if total is None else np.add(total, t, out=total)
-    return np.sqrt(total, out=total)
+    density_orders, here with the operators of m as its steps);
+    DensityPlan gives the same for many cochains.  chains, if given,
+    holds the values of chains already applied to values, by chain, and
+    receives those applied here, so the orders of one cochain share
+    them."""
+    steps, volumes = {}, {(): m.volumes[p]}
+    if order > 0:
+        for (first, average, second), q, A, avg, B in _half_operators(m, p):
+            steps[first,], steps[first, average], steps[first, second] = \
+                A, avg, B
+            volumes[first,] = m.volumes[q]
+            volumes[first, second] = m.volumes[p]
+    return density_orders(steps, volumes, values, (order,),
+                          {} if chains is None else chains)[0]
 
 
 def _average(incidence: sp.csr_matrix) -> sp.csr_matrix:
@@ -324,70 +363,74 @@ class DensityPlan:
 
     Entry e of a stacked vector x is the value of cochain col[e] on the
     p-simplex index[e]; cochain j owns entries offsets[j] to offsets[j +
-    1], its simplices in increasing order.  patterns[key] = (col, row, q)
-    lists the entries of q-simplex data the cochains reach, keyed col *
-    N_q + row ascending, for key an order 0, 1, 2 or the chain ("lap",).
-    Each step of a chain of density_terms is one CSR matrix, steps[chain],
-    built once: it maps the values on the pattern before the step to
-    those after it, each row summing in the order of the operator's row
-    as a sparse product does.  So the densities equal, entry for entry,
-    those of the simplices x cochains matrix of x, but for the exact
-    zeros a sparse product drops.  A step takes the operator's columns at
-    the pattern's simplices in storage order (A[:, row]) and regroups them
-    by cochain in one stable counting pass (a permuted transposition), so
-    its rows keep the operator rows' order and nothing is sorted.  An
-    order's pattern is the merged union of its terms'.  support (a
-    simplices x cochains mask) is gathered onto the pattern of each order
-    and kept as its restriction (see restriction), for column_norms.
+    1], its simplices in increasing order.  The plan has two patterns of
+    p-simplex entries, patterns[k] = (col, row), keyed col * N_p + row
+    ascending: pattern 0 the stacked entries, pattern 1 the one ring,
+    each cochain's p-simplices that share a face or a coface with one of
+    its entries.  Densities of order 0 lie on pattern 0, those of orders
+    1 and 2 on the one ring: the face average has the sparsity of
+    d_{p-1}, the coface average that of d*_{p+1}, and Lap lies in their
+    union.  Each step of density_orders is one CSR matrix, steps[chain],
+    built once: the first steps map the stacked values to the (p +/- 1)-
+    simplices the cochains reach, and the averages and second steps map
+    those onto the one ring, so Lap x is the sum of the second steps'
+    values, with no scatter.  Each row sums in the order of the
+    operator's row, as a sparse product does, so the densities of orders
+    0 and 1 equal, entry for entry, those of the simplices x cochains
+    matrix of x, but for the exact zeros a sparse product drops; order 2
+    sums Lap x from its halves.  A step takes the operator's columns at
+    the pattern's simplices in storage order (A[:, row]) and regroups
+    them by cochain in one stable counting pass (a permuted
+    transposition), so its rows keep the operator rows' order and
+    nothing is sorted.  support (a simplices x cochains mask) is gathered
+    onto each pattern and kept as its restriction (see restriction), for
+    column_norms.
     """
 
     def __init__(self, m: SimplicialManifold, p: int, index: np.ndarray,
                  offsets: np.ndarray, support: sp.spmatrix):
         self.p = p
         self.ncols = offsets.size - 1
-        self.patterns = {(): (self._cochains(offsets),
-                              np.asarray(index, dtype=np.int32), p)}
-        self.steps, self.volumes, self.terms = {}, {}, []
-        for order in range(3):
-            ends = []
-            for i, (chain, average) in enumerate(density_terms(m.n, p, order)):
-                end = chain if average is None else chain + (average,)
-                self._step(m, end)
-                _, row, q = self.patterns[chain]
-                self.volumes[chain] = m.volumes[q][row]
-                col, row, _ = self.patterns[end]  # term i: entries 2^i
-                ends.append((chain, average, sp.csr_matrix(
-                    (np.full(col.size, 2.0**i), row,
-                     np.searchsorted(col, np.arange(self.ncols + 1))),
-                    shape=(self.ncols, m.num_simplices(p)))))
-            # sorted rows add by one merge into the sorted union, whose
-            # indices may view a buffer sized for both: copied when kept
-            union = sum((E for *_, E in ends[1:]), ends[0][2])
-            flags = union.data.astype(np.int64)
-            self.patterns[order] = (self._cochains(union.indptr),
-                                    union.indices.copy(), p)
-            # a term that fills the union needs no scatter (at = None)
-            self.terms.append([(chain, average, None if E.nnz == union.nnz
-                                else np.flatnonzero(flags >> i & 1))
-                               for i, (chain, average, E) in enumerate(ends)])
-        self.patterns = {k: self.patterns[k] for k in (0, 1, 2, ("lap",))}
-        self.mu = [m.support_volumes[p][self.patterns[k][1]]
-                   for k in range(3)]
+        N = m.num_simplices(p)
+        stacked = (self._cochains(offsets), np.asarray(index, dtype=np.int32))
+        self.steps, self.volumes = {}, {(): m.volumes[p][stacked[1]]}
+        last = []
+        for (first, average, second), q, A, avg, B in _half_operators(m, p):
+            self.steps[first,], col, row = self._step(A, *stacked)
+            self.volumes[first,] = m.volumes[q][row]
+            for name, op in ((average, avg), (second, B)):
+                step, c, a = self._step(op, col, row)
+                last.append(((first, name), step, c.astype(np.int64) * N + a))
+        # the one ring is the union of what the last steps reach, merged
+        # from their ascending keys (a stable sort of sorted runs); each
+        # one's rows are spread onto it
+        keys = np.sort(np.concatenate([key for *_, key in last]),
+                       kind="stable")
+        ring = keys[np.append(True, keys[1:] != keys[:-1])]
+        self.patterns = [stacked, ((ring // N).astype(np.int32),
+                                   (ring % N).astype(np.int32))]
+        volumes = m.volumes[p][self.patterns[1][1]]
+        for chain, step, key in last:
+            indptr = np.zeros(ring.size + 1, dtype=np.int64)
+            indptr[np.searchsorted(ring, key) + 1] = np.diff(step.indptr)
+            self.steps[chain] = sp.csr_matrix(
+                (step.data, step.indices, np.cumsum(indptr)),
+                shape=(ring.size, step.shape[1]))
+            self.volumes[chain] = volumes
+        self.mu = [m.support_volumes[p][row] for _, row in self.patterns]
         self.support = [self.restriction(k, mask) for k, mask in
-                        enumerate(self.gather(support, range(3)))]
+                        enumerate(self.gather(support, (0, 1)))]
 
     def _cochains(self, indptr: np.ndarray) -> np.ndarray:
         """The cochain of each entry of a cochain-major layout."""
         return np.repeat(np.arange(self.ncols, dtype=np.int32),
                          np.diff(indptr))
 
-    def _step(self, m: SimplicialManifold, chain: tuple) -> None:
-        """The matrices and patterns of every step of chain."""
-        if chain in self.patterns:
-            return
-        self._step(m, chain[:-1])
-        col, row, q = self.patterns[chain[:-1]]
-        A, reached = _chain_operator(m, q, chain[-1])
+    def _step(self, A: sp.csr_matrix, col: np.ndarray,
+              row: np.ndarray) -> tuple:
+        """(step, col, row): the matrix of the operator A on the entries
+        (col, row), one row per entry of the simplices it reaches, and
+        the pattern of those."""
         # reached simplices x pattern entries in the operator rows' order,
         # regrouped by cochain by one stable counting pass (csr_tocsc)
         G = A[:, row]
@@ -397,72 +440,40 @@ class DensityPlan:
         c = self._cochains(by.indptr)
         first = np.flatnonzero(np.concatenate(
             [[True], (a[1:] != a[:-1]) | (c[1:] != c[:-1])]))
-        self.steps[chain] = sp.csr_matrix(
-            (G.data[t], G.indices[t], np.append(first, t.size)),
-            shape=(first.size, row.size))
-        self.patterns[chain] = (c[first], a[first], reached)
+        return sp.csr_matrix((G.data[t], G.indices[t],
+                              np.append(first, t.size)),
+                             shape=(first.size, row.size)), c[first], a[first]
 
     def gather(self, A: sp.spmatrix, keys) -> list:
-        """Values of the CSR or CSC q-simplices x cochains matrix A on the
-        pattern of each key of keys, 0 where A stores none (each read in
-        A's own compressed order)."""
+        """Values of the CSR or CSC p-simplices x cochains matrix A on
+        each pattern of keys, 0 where A stores none (each read in A's own
+        compressed order)."""
         return [np.asarray(A[row, col]).ravel()
-                for col, row, _ in (self.patterns[k] for k in keys)]
+                for col, row in (self.patterns[k] for k in keys)]
 
     def densities(self, x: np.ndarray, orders=(0, 1, 2),
                   values: dict | None = None) -> list:
         """The densities of the given orders of the cochains of the
-        stacked vector x, each on the pattern of its order.  values, if
-        given, receives the values of every chain walked, by chain.  As
-        in dec.densities, a term only squared skips |x|, and the sum of
-        squares starts from the first term's squares, as 0 + t*t does,
-        then adds the others in term order."""
-        values = {} if values is None else values
-        values[()] = x
-        out = []
-        for order in orders:
-            if order == 0:
-                out.append(np.abs(x) / self.volumes[()])
-                continue
-            total = None
-            for chain, average, at in self.terms[order]:
-                for k in range(len(chain)):  # each prefix, shortest first
-                    step = chain[:k + 1]
-                    if step not in values:
-                        values[step] = self.steps[step] @ values[chain[:k]]
-                if average is None:
-                    t = values[chain] / self.volumes[chain]
-                else:
-                    t = np.abs(values[chain])
-                    t /= self.volumes[chain]
-                    t = self.steps[chain + (average,)] @ t
-                t *= t
-                if total is None and at is None:
-                    total = t
-                elif total is None:
-                    total = np.zeros(self.patterns[order][0].size)
-                    total[at] = t
-                elif at is None:
-                    total += t
-                else:
-                    total[at] += t
-            out.append(np.sqrt(total, out=total))
-        return out
+        stacked vector x (density_orders on the plan's steps), order 0 on
+        pattern 0 and orders 1 and 2 on the one ring.  values, if given,
+        receives the values of every chain applied, by chain."""
+        return density_orders(self.steps, self.volumes, x, orders,
+                              {} if values is None else values)
 
-    def restriction(self, order: int, mask: np.ndarray):
-        """(entries, their cochains) of the pattern of order where the
-        boolean mask holds, or None when it holds everywhere: the form
-        column_norms takes a mask in."""
+    def restriction(self, k: int, mask: np.ndarray):
+        """(entries, their cochains) of pattern k where the boolean mask
+        holds, or None when it holds everywhere: the form column_norms
+        takes a mask in."""
         if mask.all():
             return None
-        return np.flatnonzero(mask), self.patterns[order][0][mask]
+        return np.flatnonzero(mask), self.patterns[k][0][mask]
 
-    def column_norms(self, order: int, dens: np.ndarray, r: float,
+    def column_norms(self, k: int, dens: np.ndarray, r: float,
                      mask: tuple | None = None) -> np.ndarray:
-        """Unweighted L^r norm of each cochain's order-`order` density
-        (dens, on that order's pattern), over the entries of the
+        """Unweighted L^r norm of each cochain's density dens on pattern
+        k (0 for order 0, 1 for orders 1 and 2), over the entries of the
         restriction mask if given."""
-        col, mu = self.patterns[order][0], self.mu[order]
+        col, mu = self.patterns[k][0], self.mu[k]
         if mask is not None:
             at, col = mask
             dens, mu = dens[at], mu[at]

@@ -62,7 +62,7 @@ class SimplicialManifold:
     Simplices are looked up by key: row r of simplices[p] has the int64
     key sum_i r[i] V^(p-i), and _keys[p] holds these keys ascending, so
     np.searchsorted finds the index of any batch of sorted rows (see
-    simplex_index).  Keys must fit in int64: V^(n+1) <= 2^63, that is up
+    _find).  Keys must fit in int64: V^(n+1) <= 2^63, that is up
     to 2097152 vertices for a surface and 55108 for a 3-manifold.
     The whole construction is array operations, one batch per degree.
     """
@@ -267,34 +267,12 @@ class SimplicialManifold:
     def num_simplices(self, p: int) -> int:
         return self.simplices[p].shape[0]
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** p * self.num_simplices(p) for p in range(self.n + 1))
-
-    def total_volume(self) -> float:
-        return float(self.volumes[self.n].sum())
-
     def dual_volumes(self) -> np.ndarray:
         """Lumped n-volume per vertex."""
         return self.support_volumes[0]
 
     def mean_edge_length(self) -> float:
         return float(self.edge_lengths.mean())
-
-    def simplex_index(self, p: int, vertices) -> int:
-        """Index of the p-simplex with these vertices (any order); raises
-        KeyError when they span no p-simplex."""
-        row = np.sort(np.asarray(vertices, dtype=np.int64))
-        i = -1
-        if row.shape == (p + 1,) and 0 <= row[0] \
-                and row[-1] < self.num_vertices:
-            i = int(self._find(p, row[None])[0])
-        if i < 0:
-            raise KeyError(tuple(row.tolist()))
-        return i
-
-    def vertex_mask_to_simplex_mask(self, p: int, vmask: np.ndarray) -> np.ndarray:
-        """Simplices of degree p with all vertices inside the vertex mask."""
-        return vmask[self.simplices[p]].all(axis=1)
 
 
 # -- metric rules shared by every layer ----------------------------------

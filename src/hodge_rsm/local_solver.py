@@ -83,7 +83,7 @@ class PatchSystem:
         |omega_I| and c_j = |u_j|_{W^{2,r}} / |omega_I|_{L^r} over the
         patch.  plan is the DensityPlan of the stacked vector, with the
         patch simplices as support; dens holds its densities of order 0,
-        1 and 2 of u."""
+        1 and 2 of u, on its patterns 0, 1 and 1."""
         om = omega.values[self.index]
         start = self.offsets[:-1]
         dev = self.K @ u
@@ -94,7 +94,7 @@ class PatchSystem:
         res /= np.sqrt(np.add.reduceat(om**2, start)) + 1e-300
         lr = plan.column_norms(0, plan.densities(om, (0,))[0], r)
         w2 = sum(plan.column_norms(k, d, r, plan.support[k])
-                 for k, d in enumerate(dens))
+                 for k, d in zip((0, 1, 1), dens))
         c = np.divide(w2, lr, out=np.zeros_like(w2), where=lr > 0)
         return self.owner[start], np.diff(self.offsets), res, c
 

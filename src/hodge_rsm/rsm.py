@@ -15,13 +15,14 @@ weight of each entry, so sweep and sweep_adjoint read nothing else.
 The ledger and the per-solve diagnostics read the stacked vector u of
 local solutions (the part of ball j is its solution u_j) through a
 LedgerPlan, built on the first ledger step (rsm_step) at a degree and
-never by a bare sweep: fixed patterns and one CSR matrix per step of
-each density term (dec.DensityPlan), so a step's densities are
-matrix-vector products and its per-ball norms bincounts over pattern
-columns.  What the ledger reads of the covering alone (the membership,
-each ball's dual volume, the ball masks and each pattern's overlap) is
-held by the plan too, so a step computes only what depends on omega and
-the weight, every inequality on every step.
+never by a bare sweep: two fixed patterns, the stacked entries and their
+one ring, and one CSR matrix per step of the density formula
+(dec.DensityPlan), so a step's densities are matrix-vector products,
+Lap u_j the sum of its two halves, and its per-ball norms bincounts over
+pattern columns.  What the ledger reads of the covering alone (the
+membership, each ball's dual volume, the ball masks and each pattern's
+overlap) is held by the plan too, so a step computes only what depends
+on omega and the weight, every inequality on every step.
 """
 
 from __future__ import annotations
@@ -197,17 +198,17 @@ class LedgerPlan:
     system, all of it fixed by the covering: the DensityPlan of the
     stacked local solutions (dens, one column per ball, the patch
     simplices as support), the partition weight chi_j averaged over the
-    simplex of each entry of the pattern of Lap U (chi_lap), the mask of
-    simplices with all vertices in the ball as restrictions
-    (DensityPlan.restriction) of the patterns of orders 0 and 1 (balls)
-    and column by column (ball_rows, ball_cols), the vertices x balls
-    membership (cov.members, CSC), the ball radii, each ball's dual
-    volume (volumes, for check_weight_relative) and the largest number
-    of entries on one simplex in the pattern of each order (overlap, the
-    5s4 T_eff when every entry carries a piece)."""
+    simplex of each entry of the one ring, where Lap U lies (chi_ring),
+    the mask of simplices with all vertices in the ball as restrictions
+    (DensityPlan.restriction) of the two patterns (balls) and column by
+    column (ball_rows, ball_cols), the vertices x balls membership
+    (cov.members, CSC), the ball radii, each ball's dual volume (volumes,
+    for check_weight_relative) and the largest number of entries on one
+    simplex in each pattern (overlap, the 5s4 T_eff when every entry
+    carries a piece)."""
 
     dens: dec.DensityPlan
-    chi_lap: np.ndarray
+    chi_ring: np.ndarray
     balls: list
     ball_rows: np.ndarray
     ball_cols: np.ndarray
@@ -222,14 +223,14 @@ class LedgerPlan:
         p, members = dens.p, cov.members
         N = m.num_simplices(p)
         balls = ball_simplices(m, p, members)
-        col, row, _ = dens.patterns[("lap",)]
+        col, row = dens.patterns[1]
         return cls(dens, _partition_weights(m, cov, p, row, col),
                    [dens.restriction(k, mask) for k, mask in
                     enumerate(dens.gather(balls, (0, 1)))], balls.indices,
                    np.repeat(np.arange(len(cov)), np.diff(balls.indptr)),
                    members, cov.radii(), ball_volumes(cov, m),
-                   [int(np.bincount(dens.patterns[k][1], minlength=N).max())
-                    for k in range(3)])
+                   [int(np.bincount(row, minlength=N).max())
+                    for _, row in dens.patterns])
 
 
 def patch_system(m: SimplicialManifold, cov: AdmissibleCovering,
@@ -320,7 +321,8 @@ def _gluing_bound(plan: LedgerPlan, w_simp, w_measure, w_means, v0_dens,
     """One part of the gluing inequality, in discretely rigorous form.
 
     parts_dens holds the order-`order` densities of the glued pieces
-    chi_j u_j, on that order's pattern of plan.dens; v0_dens is that
+    chi_j u_j, on that order's pattern of plan.dens (pattern 0 for order
+    0, the one ring for orders 1 and 2); v0_dens is that
     density of their sum v0.  The left side is the weighted L^s norm of
     v0_dens (w_measure: the support volumes times w_simp^s, w_simp the
     weight on the simplices); the right side uses the measured effective
@@ -332,10 +334,11 @@ def _gluing_bound(plan: LedgerPlan, w_simp, w_measure, w_means, v0_dens,
     overlap is the plan's.
     """
     lhs_s = float(np.sum(w_measure * v0_dens**s))
-    cols, rows, _ = plan.dens.patterns[order]
-    mu, g = plan.dens.mu[order], parts_dens
+    k = min(order, 1)
+    cols, rows = plan.dens.patterns[k]
+    mu, g = plan.dens.mu[k], parts_dens
     if g.min() > 1e-300:  # a NaN fails this and goes the masked way
-        T_eff = plan.overlap[order]
+        T_eff = plan.overlap[k]
     else:
         supp = g > 1e-300
         rows, cols, g, mu = rows[supp], cols[supp], g[supp], mu[supp]
@@ -413,8 +416,9 @@ def rsm_step(m: SimplicialManifold, cov: AdmissibleCovering,
     ledger evaluates 5s4 i-iii, 5s6, the Leibniz diagnostic and each
     ball's c_j on every step; what they read of the covering alone comes
     from the degree's LedgerPlan, and each density is walked once: the
-    orders 0-2 of U, of the pieces chi_j u_j and of v0 (whose Laplacian
-    is the step's Lap v0), the weight averaged once onto the simplices.
+    orders 0-2 of U, of the pieces chi_j u_j and of v0, the weight
+    averaged once onto the simplices.  The defect norms read sum_j chi_j
+    Lap u_j, with Lap u_j from its halves on the one ring.
     """
     p = omega.degree
     system, u, v0, lap_v0 = _glue(m, cov, omega)
@@ -428,10 +432,10 @@ def rsm_step(m: SimplicialManifold, cov: AdmissibleCovering,
     U_dens = dens.densities(u, values=chains)
     parts_dens = dens.densities(parts)
     solves = system.diagnostics(omega, u, dens, U_dens, r)
-    chi_lap = np.bincount(dens.patterns[("lap",)][1],
-                          plan.chi_lap * chains[("lap",)],
+    chi_lap = np.bincount(dens.patterns[1][1], plan.chi_ring
+                          * dec.laplacian_from_halves(chains),
                           minlength=m.num_simplices(p))
-    v0_chains = {("lap",): lap_v0.values}
+    v0_chains = {}
     v0_dens = [dec.densities(m, p, v0.values, k, v0_chains)
                for k in range(3)]
 

@@ -57,6 +57,34 @@ def geodesic_distance(m, source, limit=None):
                     limit=math.inf if limit is None else limit)
 
 
+def euler_characteristic(m) -> int:
+    """The alternating sum of the simplex counts of m."""
+    return sum((-1) ** p * m.num_simplices(p) for p in range(m.n + 1))
+
+
+def total_volume(m) -> float:
+    """The n-volume of m."""
+    return float(m.volumes[m.n].sum())
+
+
+def simplex_index(m, p, vertices) -> int:
+    """Index of the p-simplex of m with these vertices (any order), by
+    the manifold's key lookup; raises KeyError when they span no
+    p-simplex."""
+    row = np.sort(np.asarray(vertices, dtype=np.int64))
+    i = -1
+    if row.shape == (p + 1,) and 0 <= row[0] and row[-1] < m.num_vertices:
+        i = int(m._find(p, row[None])[0])
+    if i < 0:
+        raise KeyError(tuple(row.tolist()))
+    return i
+
+
+def vertex_mask_to_simplex_mask(m, p, vmask):
+    """The p-simplices of m with every vertex inside the vertex mask."""
+    return vmask[m.simplices[p]].all(axis=1)
+
+
 def _perm_sign(seq) -> int:
     """Sign of the permutation sorting `seq` (distinct entries)."""
     seq = list(seq)
@@ -558,7 +586,7 @@ def extract_patch(m, cov, j):
     n = m.n
     vmask = np.zeros(m.num_vertices, dtype=bool)
     vmask[ball.members] = True
-    cell_mask = m.vertex_mask_to_simplex_mask(n, vmask)
+    cell_mask = vertex_mask_to_simplex_mask(m, n, vmask)
     cells = np.flatnonzero(cell_mask)
     patch = Patch(m, ball, cells)
 
@@ -757,27 +785,32 @@ def oracle_operator(m, name, p):
     return sp.diags(1.0 / np.maximum(counts, 1)) @ adj
 
 
+def _oracle_half_operators(m, p):
+    """((first, average, second), q, first, average, second matrices) of
+    each half of the Laplacian at degree p, named one by one."""
+    out = []
+    if p > 0:
+        out.append((("dstar", "face", "d"), p - 1,
+                    dec.codifferential(m, p).matrix, dec._face_average(m, p),
+                    dec.exterior_derivative(m, p - 1).matrix))
+    if p < m.n:
+        out.append((("d", "coface", "dstar"), p + 1,
+                    dec.exterior_derivative(m, p).matrix,
+                    dec._coface_average(m, p),
+                    dec.codifferential(m, p + 1).matrix))
+    return out
+
+
 def oracle_plan_steps(m, p, index, offsets):
-    """(steps, patterns, terms) of dec.DensityPlan(m, p, index, offsets,
-    ...), each step built by one argsort of its (pattern entry, operator
-    entry) pairs and each order's pattern by one sort of its terms' keys.
-    Tests only: the library gathers the operator's columns at the
-    pattern and regroups them by one counting pass."""
-    ncols = offsets.size - 1
-    col = np.repeat(np.arange(ncols), np.diff(offsets))
-    patterns = {(): (col, np.asarray(index, dtype=np.int64), p)}
-    steps, terms = {}, []
+    """(steps, patterns) of dec.DensityPlan(m, p, index, offsets, ...),
+    each step built by one argsort of its (pattern entry, operator entry)
+    pairs, the one ring by one sort of the keys the last steps reach, and
+    each last step's rows placed on it by a search.  Tests only: the
+    library gathers the operator's columns at the pattern and regroups
+    them by one counting pass."""
+    N = m.num_simplices(p)
 
-    def key(k, size):
-        col, row, _ = patterns[k]
-        return col.astype(np.int64) * size + row
-
-    def step(chain):
-        if chain in patterns:
-            return
-        step(chain[:-1])
-        col, row, q = patterns[chain[:-1]]
-        A, reached = dec._chain_operator(m, q, chain[-1])
+    def step(A, col, row):
         # operator entries t that read simplex row[e], for every entry e
         by_col = np.argsort(A.indices, kind="stable")
         starts = np.concatenate([[0], np.cumsum(np.bincount(
@@ -788,41 +821,48 @@ def oracle_plan_steps(m, p, index, offsets):
                    + np.repeat(starts[row] - np.cumsum(counts) + counts,
                                counts)]
         a_row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-        keys = col[src] * A.shape[0] + a_row[t]
+        keys = col[src].astype(np.int64) * A.shape[0] + a_row[t]
         # one matrix row per key, its entries in the operator row's order
         order = np.argsort(keys * A.nnz + t) \
             if keys.max(initial=0) < np.iinfo(np.int64).max // A.nnz \
             else np.lexsort((t, keys))
         keys, src, t = keys[order], src[order], t[order]
         first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-        steps[chain] = sp.csr_matrix(
-            (A.data[t], src, np.append(first, keys.size)),
-            shape=(first.size, row.size))
         keys = keys[first]
-        patterns[chain] = (keys // A.shape[0], keys % A.shape[0], reached)
+        return (A.data[t], src, first, keys.size, row.size), \
+            keys // A.shape[0], keys % A.shape[0]
 
-    N = m.num_simplices(p)
-    for order in range(3):
-        ends = []
-        for chain, average in dec.density_terms(m.n, p, order):
-            end = chain if average is None else chain + (average,)
-            step(end)
-            ends.append((chain, average, key(end, N)))
-        union = np.unique(np.concatenate([k for *_, k in ends]))
-        patterns[order] = (union // N, union % N, p)
-        terms.append([(chain, average, None if k.size == union.size
-                       else np.searchsorted(union, k))
-                      for chain, average, k in ends])
-    patterns = {k: (col.astype(np.int32), row.astype(np.int32), q)
-                for k, (col, row, q) in patterns.items()
-                if k in (0, 1, 2, ("lap",))}
-    return steps, patterns, terms
+    def csr(data, indices, first, rows, width):
+        return sp.csr_matrix((data, indices, np.append(first, data.size)),
+                             shape=(rows, width))
+
+    stacked = (np.repeat(np.arange(offsets.size - 1), np.diff(offsets)),
+               np.asarray(index, dtype=np.int64))
+    steps, last = {}, []
+    for (first, average, second), _, A, avg, B in _oracle_half_operators(m,
+                                                                          p):
+        parts, col, row = step(A, *stacked)
+        steps[first,] = csr(*parts)
+        for name, op in ((average, avg), (second, B)):
+            parts, c, a = step(op, col, row)
+            last.append(((first, name), parts, c * N + a))
+    ring = np.unique(np.concatenate([key for *_, key in last]))
+    for chain, (data, src, first, _, width), key in last:
+        rows = np.searchsorted(ring, key)
+        counts = np.diff(np.append(first, data.size))
+        steps[chain] = sp.csr_matrix(
+            (data, src, np.concatenate([[0], np.cumsum(np.bincount(
+                rows, counts, minlength=ring.size).astype(np.int64))])),
+            shape=(ring.size, width))
+    patterns = [tuple(x.astype(np.int32) for x in stacked),
+                ((ring // N).astype(np.int32), (ring % N).astype(np.int32))]
+    return steps, patterns
 
 
 def assert_plan_matches_step_oracle(m, p, plan, index, offsets):
-    """Every step, pattern and term scatter of plan equal the argsort
-    oracle's bit for bit: format, dtype, data, indices and indptr."""
-    steps, patterns, terms = oracle_plan_steps(m, p, index, offsets)
+    """Every step and both patterns of plan equal the argsort oracle's
+    bit for bit: format, dtype, data, indices and indptr."""
+    steps, patterns = oracle_plan_steps(m, p, index, offsets)
     assert plan.steps.keys() == steps.keys()
     for chain, want in steps.items():
         got = plan.steps[chain]
@@ -830,26 +870,32 @@ def assert_plan_matches_step_oracle(m, p, plan, index, offsets):
         for attr in ("data", "indices", "indptr"):
             x, y = getattr(got, attr), getattr(want, attr)
             assert x.dtype == y.dtype and np.array_equal(x, y), (chain, attr)
-    assert plan.patterns.keys() == patterns.keys()
-    for k, want in patterns.items():
-        for x, y in zip(plan.patterns[k], want):
-            assert np.asarray(x).dtype == np.asarray(y).dtype
-            assert np.array_equal(x, y), k
-    for got, want in zip(plan.terms, terms, strict=True):
-        for (c1, a1, at1), (c2, a2, at2) in zip(got, want, strict=True):
-            assert (c1, a1) == (c2, a2)
-            assert (at1 is None) == (at2 is None)
-            if at1 is not None:
-                assert np.array_equal(at1, at2)
+    assert len(plan.patterns) == len(patterns)
+    for k, want in enumerate(patterns):
+        for x, y in zip(plan.patterns[k], want, strict=True):
+            assert x.dtype == y.dtype and np.array_equal(x, y), k
 
 
-def oracle_restriction(dens, order, mask):
+def assert_ring_is_oracle_union(m, p, plan, x, shape):
+    """The one ring of plan is the union of the patterns of the sparse
+    oracle's densities of orders 1 and 2 of the stacked vector x on
+    pattern 0 (random values, so no entry cancels)."""
+    col, row = plan.patterns[0]
+    cols = sp.csc_matrix((x, (row, col)), shape=shape)
+    union = (oracle_densities(m, p, cols, 1) != 0) \
+        + (oracle_densities(m, p, cols, 2) != 0)
+    want_col, want_row = union.tocsc().nonzero()[::-1]
+    order = np.lexsort((want_row, want_col))
+    assert np.array_equal(plan.patterns[1][0], want_col[order])
+    assert np.array_equal(plan.patterns[1][1], want_row[order])
+
+
+def oracle_restriction(dens, k, mask):
     """DensityPlan.restriction by its definition: None for a full mask,
-    else the entries and cochains of the pattern of order where mask
-    holds."""
+    else the entries and cochains of pattern k where mask holds."""
     if mask.all():
         return None
-    return np.flatnonzero(mask), dens.patterns[order][0][mask]
+    return np.flatnonzero(mask), dens.patterns[k][0][mask]
 
 
 def oracle_ball_simplices(m, p, members):
@@ -868,7 +914,7 @@ def oracle_gather(dens, A, keys):
     order."""
     A = A.tocsr()
     return [np.asarray(A[row, col]).ravel()
-            for col, row, _ in (dens.patterns[k] for k in keys)]
+            for col, row in (dens.patterns[k] for k in keys)]
 
 
 def oracle_ledger_plan(m, cov, dens) -> dict:
@@ -876,15 +922,15 @@ def oracle_ledger_plan(m, cov, dens) -> dict:
     first built them, and the chi of the patch system (which the plan
     held then): the partition weights and the ball masks formed as
     simplices x balls matrices (geometry.simplex_average) and sampled on
-    the plan's patterns, the membership rebuilt from the balls' member
-    lists, the ball volumes and the pattern overlaps from it and from the
-    patterns by sparse sums."""
+    the plan's two patterns, the membership rebuilt from the balls'
+    member lists, the ball volumes and the pattern overlaps from it and
+    from the patterns by sparse sums."""
     p = dens.p
     members = covering.membership(cov.balls, m.num_vertices)
     chi = geometry.simplex_average(m, p, cov.chi.tocsr())
     balls = oracle_ball_simplices(m, p, members)
-    chi0, chi_lap = oracle_gather(dens, chi, (0, ("lap",)))
-    return {"system.chi": chi0, "chi_lap": chi_lap,
+    chi0, chi_ring = oracle_gather(dens, chi, (0, 1))
+    return {"system.chi": chi0, "chi_ring": chi_ring,
             "balls": [oracle_restriction(dens, k, mask) for k, mask in
                       enumerate(oracle_gather(dens, balls, (0, 1)))],
             "ball_rows": balls.indices,
@@ -896,7 +942,7 @@ def oracle_ledger_plan(m, cov, dens) -> dict:
                 (np.ones(dens.patterns[k][1].size),
                  (dens.patterns[k][1], dens.patterns[k][0])),
                 shape=(m.num_simplices(p), len(cov))).sum(axis=1).max())
-                for k in range(3)]}
+                for k in range(2)]}
 
 
 def _assert_same(got, want, name):
@@ -1137,16 +1183,22 @@ PERTURBED_MESHES = dict(
 
 def perturbed_mesh(kind, resolution, seed, amplitude):
     """A random closed mesh: a generator mesh whose vertices are moved by
-    up to `amplitude` mean edges, relabelled at random, with its cells
-    shuffled and each cell's first three vertices rotated (an even
-    permutation, so the orientation is kept)."""
+    up to `amplitude` mean edges, then relabelled (relabelled_mesh)."""
     m = geometry.generate_flat_torus_3d(resolution) if kind == "3-torus" \
         else geometry.generate_test_manifold(kind, resolution)
     rng = np.random.default_rng(seed)
-    V = m.num_vertices
     moved = m.vertices + amplitude * m.mean_edge_length() \
         * rng.uniform(-1.0, 1.0, m.vertices.shape)
-    label = rng.permutation(V)
+    return relabelled_mesh(m, rng, moved)[0]
+
+
+def relabelled_mesh(m, rng, vertices=None, normalize=True):
+    """(copy, label): m on the given vertex coordinates (its own by
+    default), its vertices relabelled at random (vertex i becomes
+    label[i]), its cells shuffled and each cell's first three vertices
+    rotated (an even permutation, so the orientation is kept)."""
+    moved = m.vertices if vertices is None else vertices
+    label = rng.permutation(m.num_vertices)
     vertices = np.empty_like(moved)
     vertices[label] = moved
     cells = label[m.oriented_cells[rng.permutation(len(m.oriented_cells))]]
@@ -1154,7 +1206,8 @@ def perturbed_mesh(kind, resolution, seed, amplitude):
     head = np.take_along_axis(cells[:, :3],
                               (np.arange(3) + shift[:, None]) % 3, axis=1)
     cells = np.concatenate([head, cells[:, 3:]], axis=1)
-    return geometry.SimplicialManifold(m.n, vertices, cells)
+    return geometry.SimplicialManifold(m.n, vertices, cells,
+                                       normalize=normalize), label
 
 
 # -- the raising step as first written: the ledger's oracle -------------
@@ -1168,51 +1221,58 @@ def perturbed_mesh(kind, resolution, seed, amplitude):
 # the same ledger, solves, norms and trace bit for bit.
 
 
-def _oracle_plan_densities(plan, x, orders=(0, 1, 2), values=None):
-    values = {} if values is None else values
+def _oracle_density_orders(steps, volumes, x, orders, values):
+    # Lap x from its halves, summed from zero, then squares summed from
+    # zeros
     values[()] = x
+    halves = [h for h in (("dstar", "face", "d"), ("d", "coface", "dstar"))
+              if (h[0],) in steps]
     out = []
     for order in orders:
-        terms = []
-        for chain, average, at in plan.terms[order]:
-            for k in range(len(chain)):
-                step = chain[:k + 1]
-                if step not in values:
-                    values[step] = plan.steps[step] @ values[chain[:k]]
-            t = np.abs(values[chain]) / plan.volumes[chain]
-            terms.append((t if average is None
-                          else plan.steps[chain + (average,)] @ t, at))
         if order == 0:
-            out.append(terms[0][0])
+            out.append(np.abs(x) / volumes[()])
             continue
-        total = np.zeros(plan.patterns[order][0].size)
-        for t, at in terms:
-            if at is None:
-                total += t * t
-            else:
-                total[at] += t * t
+        terms = []
+        for first, average, second in halves:
+            if (first,) not in values:
+                values[first,] = steps[first,] @ x
+            if order == 1:
+                terms.append(steps[first, average]
+                             @ (np.abs(values[first,]) / volumes[first,]))
+                continue
+            if (first, second) not in values:
+                values[first, second] = steps[first, second] @ values[first,]
+            terms.append(np.abs(values[first, second])
+                         / volumes[first, second])
+        if order == 2:
+            lap = sum(values[first, second] for first, _, second in halves)
+            terms.insert(0, np.abs(lap) / volumes[first, second])
+        total = np.zeros(terms[0].size)
+        for t in terms:
+            total += t * t
         out.append(np.sqrt(total))
     return out
 
 
-def _oracle_column_norms(plan, order, dens, r, mask=None):
-    col, w = plan.patterns[order][0], plan.mu[order] * dens**r
+def _oracle_plan_densities(plan, x, orders=(0, 1, 2), values=None):
+    return _oracle_density_orders(plan.steps, plan.volumes, x, orders,
+                             {} if values is None else values)
+
+
+def _oracle_column_norms(plan, k, dens, r, mask=None):
+    col, w = plan.patterns[k][0], plan.mu[k] * dens**r
     if mask is not None:
         col, w = col[mask], w[mask]
     return np.bincount(col, w, minlength=plan.ncols) ** (1 / r)
 
 
 def _oracle_global_densities(m, p, values, order):
-    terms = []
-    for chain, average in dec.density_terms(m.n, p, order):
-        x, q = values, p
-        for name in chain:
-            A, q = dec._chain_operator(m, q, name)
-            x = A @ x
-        t = np.abs(x) / m.volumes[q]
-        terms.append(t if average is None
-                     else dec._chain_operator(m, q, average)[0] @ t)
-    return terms[0] if order == 0 else np.sqrt(sum(t * t for t in terms))
+    steps, volumes = {}, {(): m.volumes[p]}
+    for (first, average, second), q, A, avg, B in _oracle_half_operators(m,
+                                                                          p):
+        steps.update({(first,): A, (first, average): avg, (first, second): B})
+        volumes.update({(first,): m.volumes[q], (first, second): m.volumes[p]})
+    return _oracle_density_orders(steps, volumes, values, (order,), {})[0]
 
 
 def _oracle_weight_relative(w, cov, m):
@@ -1231,7 +1291,7 @@ def _oracle_diagnostics(system, omega, u, plan, support, dens, r):
     res /= np.sqrt(np.add.reduceat(om**2, start)) + 1e-300
     lr = _oracle_column_norms(plan, 0, _oracle_plan_densities(
         plan, om, (0,))[0], r)
-    w2 = sum(_oracle_column_norms(plan, k, d, r, support[k])
+    w2 = sum(_oracle_column_norms(plan, min(k, 1), d, r, support[min(k, 1)])
              for k, d in enumerate(dens))
     c = np.divide(w2, lr, out=np.zeros_like(w2), where=lr > 0)
     return (np.array([system.owner[e] for e in start]),
@@ -1244,7 +1304,7 @@ def _oracle_gluing_bound(m, w, w_means, v0, plan, parts_dens, s, order):
     mu = m.support_volumes[p]
     lhs_s = float(np.sum(mu * w_simp**s * _oracle_global_densities(
         m, p, v0.values, order) ** s))
-    cols, rows, _ = plan.patterns[order]
+    cols, rows = plan.patterns[min(order, 1)]
     supp = parts_dens > 1e-300
     rows, cols, g = rows[supp], cols[supp], parts_dens[supp]
     T_eff = int(np.bincount(rows, minlength=mu.size).max())
@@ -1271,15 +1331,15 @@ def oracle_rsm_step(m, cov, rf, omega, r, w, step_index=0):
     ball_masks = oracle_gather(plan, balls, (0, 1))
     ball_rows = balls.indices
     ball_cols = np.repeat(np.arange(len(cov)), np.diff(balls.indptr))
-    support = oracle_gather(plan, system.support, range(3))
+    support = oracle_gather(plan, system.support, range(2))
     R = cov.radii()
     chains = {}
     U_dens = _oracle_plan_densities(plan, u, values=chains)
     parts_dens = _oracle_plan_densities(plan, system.chi * u)
     solves = _oracle_diagnostics(system, omega, u, plan, support, U_dens, r)
-    chi_lap = np.bincount(plan.patterns[("lap",)][1],
-                          lplan.chi_lap * chains[("lap",)],
-                          minlength=m.num_simplices(p))
+    chi_lap = np.bincount(plan.patterns[1][1], lplan.chi_ring * sum(
+        chains[c] for c in (("dstar", "d"), ("d", "dstar")) if c in chains),
+        minlength=m.num_simplices(p))
     lap_v0 = dec.hodge_laplacian(m, p)(v0)
     s = max(r, min(2.0, dec.sobolev_exponent(r, 2, m.n)))
     ledger = {key: _oracle_gluing_bound(m, w, w_means, v0, plan,
@@ -1465,12 +1525,12 @@ def local_czi_check(patch: local_solver.Patches, u: dec.Cochain, r: float):
     R = ball.covering_radius
     half = np.zeros(m.num_vertices, dtype=bool)
     half[geometry.ball_search(m, ball.center, R / 2.0)[0]] = True
-    hmask = m.vertex_mask_to_simplex_mask(p, half)
+    hmask = vertex_mask_to_simplex_mask(m, p, half)
     if not hmask.any():
         raise local_solver.PatchError("empty half-radius sub-ball")
     full = np.zeros(m.num_vertices, dtype=bool)
     full[ball.members] = True
-    fmask = m.vertex_mask_to_simplex_mask(p, full)
+    fmask = vertex_mask_to_simplex_mask(m, p, full)
 
     lhs = dec.sobolev_norm(m, u, dec.NormSpec(r, order=2), hmask)
     term1 = R**-2 * dec.lr_norm(m, u, dec.NormSpec(r), fmask)
@@ -1511,7 +1571,7 @@ def harmonic_embedding_check(m: geometry.SimplicialManifold,
     return {"s": s, "ratios": ratios, "C_s": cs}
 
 
-def weak_decomposition_sequence(m, cov, rf, rep, omega, r,
+def weak_decomposition_sequence(m, cov, rep, omega, r,
                                 alpha=None, eps0: float = 1e-1,
                                 halvings: int = 3,
                                 mode: str = "delta_closure") -> list:
@@ -1525,7 +1585,7 @@ def weak_decomposition_sequence(m, cov, rf, rep, omega, r,
     eps = eps0
     min_balls = 1
     for _ in range(halvings + 1):
-        res = analysis.weak_decomposition(m, cov, rf, rep, omega, r, alpha,
+        res = analysis.weak_decomposition(m, cov, rep, omega, r, alpha,
                                           eps, mode, _min_balls=min_balls)
         min_balls = res.extras["balls_used"]
         # force strictness by growing the union when a halving stalls
@@ -1534,7 +1594,7 @@ def weak_decomposition_sequence(m, cov, rf, rep, omega, r,
                 res.extras["monotonicity_flag"] = True
                 break
             min_balls += 1
-            res = analysis.weak_decomposition(m, cov, rf, rep, omega, r,
+            res = analysis.weak_decomposition(m, cov, rep, omega, r,
                                               alpha, eps, mode,
                                               _min_balls=min_balls)
         out.append(res)

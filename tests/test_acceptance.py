@@ -13,8 +13,8 @@ import pytest
 
 from hodge_rsm import analysis, covering, dec, rsm
 
-from conftest import (all_geodesic_distances, harmonic_embedding_check,
-                      weak_decomposition_sequence)
+from conftest import (all_geodesic_distances, euler_characteristic,
+                      harmonic_embedding_check, weak_decomposition_sequence)
 
 RESULTS = {}
 LINES = []
@@ -113,7 +113,7 @@ def test_criterion_03_harmonic_dimensions(torus16, sphere16, spec16_p0,
     # oracle b1 = b0 + b2 - Euler characteristic
     import scipy.sparse.csgraph as csgraph
     b0 = csgraph.connected_components(sphere16.graph, directed=False)[0]
-    b1_top = b0 + b0 - sphere16.euler_characteristic()
+    b1_top = b0 + b0 - euler_characteristic(sphere16)
     ok &= b1_top == dims[("sphere", 1)] == 0
     dt = time.perf_counter() - t0
     ok &= dt < 30.0
@@ -207,17 +207,17 @@ def test_criterion_06_poisson_solves(torus16, cover16, spec16_p1, rng):
 
 def test_criterion_07_strong_decomposition(torus16, cover16, spec16_p0,
                                            spec16_p1, rng):
-    rf, cov = cover16
+    cov = cover16[1]
     worst_resid, worst_orth = 0.0, 0.0
     for p, rep in ((0, spec16_p0), (1, spec16_p1)):
         for _ in range(3):
             om = dec.random_cochain(torus16, p, rng)
-            res = analysis.strong_decomposition(torus16, cov, rf, rep, om,
+            res = analysis.strong_decomposition(torus16, cov, rep, om,
                                                 1.5)
             worst_resid = max(worst_resid, res.residual)
             worst_orth = max(worst_orth, max(res.orthogonality.values()))
     h = dec.Cochain(torus16, 1, spec16_p1.harmonic_basis @ [0.6, -0.8])
-    probe = analysis.strong_decomposition(torus16, cov, rf, spec16_p1, h,
+    probe = analysis.strong_decomposition(torus16, cov, spec16_p1, h,
                                           1.5)
     unique = dec.norm_l2(probe.harmonic - h)
     ranks = (analysis.rank_identity_check(torus16, 0, 1)
@@ -231,10 +231,10 @@ def test_criterion_07_strong_decomposition(torus16, cover16, spec16_p0,
 
 
 def test_criterion_08_weak_decomposition(torus16, cover16, spec16_p1, rng):
-    rf, cov = cover16
+    cov = cover16[1]
     om = dec.random_cochain(torus16, 1, rng)
     eps0 = 0.5 * dec.norm_l2(om)
-    seq = weak_decomposition_sequence(torus16, cov, rf, spec16_p1, om, 1.5,
+    seq = weak_decomposition_sequence(torus16, cov, spec16_p1, om, 1.5,
                                       eps0=eps0, halvings=3)
     es = [r.extras["E_eps"] for r in seq]
     ok = all(b < a for a, b in zip(es, es[1:])) and \

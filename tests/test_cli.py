@@ -7,10 +7,10 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hodge_rsm import covering, geometry
+from hodge_rsm import covering, geometry, rsm
 from hodge_rsm.cli import main
 
-from conftest import chi_gradients
+from conftest import chi_gradients, euler_characteristic
 
 
 @pytest.fixture()
@@ -182,6 +182,26 @@ def test_decompose_deterministic(runner, tmp_path):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("k,steps", [(None, 1), (2, 2)])
+def test_decompose_sweeps_follow_k(runner, tmp_path, monkeypatch, k, steps):
+    # decompose runs k gluing sweeps per decomposition, as solve runs k
+    # raising steps; k = null keeps the default (r = 1.5, s = 2, n = 2:
+    # S_1 = 6 >= 2, one sweep), and its report equals that of "k": 1
+    calls = []
+    real = rsm.sweep
+    monkeypatch.setattr(rsm, "sweep",
+                        lambda *a: calls.append(a) or real(*a))
+    out = _run(runner, _cfg(tmp_path / "k", **{**_SMALL, "num_forms": 2,
+                                               "k": k}), "decompose")
+    assert len(calls) == 2 * steps
+    if k is None:
+        one = _run(runner, _cfg(tmp_path / "one", **{**_SMALL, "num_forms": 2,
+                                                     "k": 1}), "decompose")
+        got, want = (_output(d, "decompose_report.json") for d in (out, one))
+        assert got["config"].pop("k") is None and want["config"].pop("k") == 1
+        assert got == want
+
+
 def test_verify_all_margins(runner, tmp_path):
     cfg = _cfg(tmp_path, degrees=[1], r=1.5)
     res = runner.invoke(main, ["verify", "--config", cfg])
@@ -334,7 +354,7 @@ def test_load_mesh_fuzz(data):
             assert isinstance(res.exception, SystemExit)
             assert "cannot read mesh" in res.output
         else:
-            assert m.euler_characteristic() == 2
+            assert euler_characteristic(m) == 2
 
 
 def test_degenerate_covering_is_usage_error(runner, tmp_path):

@@ -19,9 +19,10 @@ from hodge_rsm.geometry import (SimplicialManifold, chord_lengths,
 
 from conftest import (PERTURBED_MESHES, ROUNDOFF_BUDGET, Chart,
                       assert_plan_matches_step_oracle,
-                      covering_of, geodesic_distance, normal_chart,
-                      oracle_column_norms, oracle_densities, oracle_operator,
-                      perturbed_mesh, refused_balls)
+                      assert_ring_is_oracle_union, covering_of,
+                      geodesic_distance, normal_chart, oracle_column_norms,
+                      oracle_densities, oracle_operator, perturbed_mesh,
+                      refused_balls, total_volume, vertex_mask_to_simplex_mask)
 
 INF = dec.INF
 
@@ -169,7 +170,7 @@ def test_second_order_term_matches_eigenvalue(torus32):
 
 def test_holder_consistency_probability_measure(torus16, rng):
     # with the volume-normalized measure, r <= s implies |u|_r <= |u|_s
-    vol = torus16.total_volume()
+    vol = total_volume(torus16)
     w = np.full(torus16.num_vertices, 1.0 / vol)
     u = random_cochain(torus16, 1, rng)
     norms = [lr_norm(torus16, u, NormSpec(r, weight=w, power=1.0))
@@ -196,7 +197,7 @@ def test_embedding_check_3d(torus3d8, rng):
     assert t is not INF
     vmask = np.zeros(torus3d8.num_vertices, dtype=bool)
     vmask[ball.members] = True
-    mask = torus3d8.vertex_mask_to_simplex_mask(1, vmask)
+    mask = vertex_mask_to_simplex_mask(torus3d8, 1, vmask)
     ratios = []
     for _ in range(8):
         u = random_cochain(torus3d8, 1, rng)
@@ -223,13 +224,13 @@ def chart_norm_comparison(m: SimplicialManifold, chart: Chart, u: Cochain,
     p, n = u.degree, m.n
     vmask = np.zeros(m.num_vertices, dtype=bool)
     vmask[chart.members] = True
-    mask = m.vertex_mask_to_simplex_mask(p, vmask)
+    mask = vertex_mask_to_simplex_mask(m, p, vmask)
     intrinsic = lr_norm(m, u, NormSpec(r), mask)
 
     coords = np.full((m.num_vertices, n), np.nan)
     coords[chart.members] = chart.coordinates
     lengths = chord_lengths(coords, m.simplices[1])
-    cells = m.vertex_mask_to_simplex_mask(n, vmask)
+    cells = vertex_mask_to_simplex_mask(m, n, vmask)
     support = lumped_supports(
         simplex_volumes(lengths[m._simplex_edges(m.simplices[n][cells])], n),
         m._cell_faces[p][cells], m.num_simplices(p))
@@ -314,18 +315,20 @@ def test_operators_match_sparse_product_oracle(request, mesh):
 
 
 def _assert_plan_matches_oracle(m, p, plan, x, support):
-    # densities of every order on the plan's patterns against the sparse
-    # products of the oracle: bit for bit at orders 0 and 1, to the sum
-    # budget of each column's largest entry at order 2; a plan entry off the
-    # oracle's pattern holds a zero the sparse product dropped.  The same
-    # for the column norms over the support.
+    # densities of every order on the plan's patterns (0, 1, 1) against
+    # the sparse products of the oracle: bit for bit at orders 0 and 1, to
+    # the sum budget of each column's largest entry at order 2, where the
+    # plan sums Lap from its halves and the oracle assembles it; a plan
+    # entry off the oracle's pattern holds a zero the sparse product
+    # dropped.  The same for the column norms over the support.
     shape = support.shape
     cols = sp.csc_matrix((x, plan.patterns[0][1], np.concatenate(
         [[0], np.cumsum(np.bincount(plan.patterns[0][0],
                                     minlength=shape[1]))])), shape=shape)
+    assert len(plan.patterns) == 2
     for order, got in enumerate(plan.densities(x)):
-        col, row, q = plan.patterns[order]
-        assert q == p
+        k = min(order, 1)
+        col, row = plan.patterns[k]
         assert np.unique(col * shape[0] + row).size == col.size
         want = oracle_densities(m, p, cols, order)
         got_m = sp.csc_matrix((got, (row, col)), shape=shape).toarray()
@@ -335,7 +338,7 @@ def _assert_plan_matches_oracle(m, p, plan, x, support):
             scale = np.abs(want.toarray()).max(axis=0)
             assert np.all(np.abs(got_m - want.toarray())
                           <= ROUNDOFF_BUDGET["sum"] * scale)
-        norms = plan.column_norms(order, got, 1.5, plan.support[order])
+        norms = plan.column_norms(k, got, 1.5, plan.support[k])
         ref = oracle_column_norms(m, p, want, 1.5, support)
         if order < 2:
             assert np.array_equal(norms, ref), order
@@ -366,6 +369,32 @@ def test_density_plan_matches_sparse_oracle(request, mesh, cover):
             support = cov.patches.simplices[p]
         x = rng.standard_normal(plan.patterns[0][0].size)
         _assert_plan_matches_oracle(m, p, plan, x, support)
+
+
+@pytest.mark.parametrize("mesh,cover", [("torus16", "cover16"),
+                                        ("bumpy16", "cover_bumpy"),
+                                        ("sphere8", "cover_sphere8"),
+                                        ("torus3d5", "cover3d5"),
+                                        ("torus8", None), ("sphere4", None),
+                                        ("torus3d8", None)])
+def test_one_ring_is_union_of_oracle_patterns(request, mesh, cover):
+    # orders 1 and 2 share the one ring: at every degree it is the union
+    # of the patterns of the sparse oracle's densities of orders 1 and 2
+    # (the face average has the sparsity of d_{p-1}, the coface average
+    # that of d*_{p+1}, and Lap lies in their union); with no covering,
+    # one column holds every simplex
+    m = request.getfixturevalue(mesh)
+    cov = None if cover is None else request.getfixturevalue(cover)[1]
+    rng = np.random.default_rng(19)
+    for p in range(m.n + 1):
+        N = m.num_simplices(p)
+        if cov is None:
+            plan = dec.DensityPlan(m, p, np.arange(N), np.array([0, N]),
+                                   sp.csc_matrix(np.ones((N, 1), dtype=bool)))
+        else:
+            plan = rsm.ledger_plan(m, cov, p).dens
+        assert_ring_is_oracle_union(m, p, plan, rng.standard_normal(
+            plan.patterns[0][0].size), (N, plan.ncols))
 
 
 @pytest.mark.parametrize("mesh,cover", [("torus16", "cover16"),
@@ -430,3 +459,6 @@ def test_density_plan_on_perturbed_meshes(mesh, seed, amplitude):
                                     patches.simplices[p])
         assert_plan_matches_step_oracle(m, p, plan, interior.indices,
                                         interior.indptr)
+        assert_ring_is_oracle_union(m, p, plan,
+                                    rng.standard_normal(interior.nnz),
+                                    interior.shape)

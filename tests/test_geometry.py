@@ -13,9 +13,10 @@ from hodge_rsm.geometry import (ChartFrames, MeshError, SimplicialManifold,
                                 generate_test_manifold, load_mesh, save_mesh)
 
 from conftest import (PERTURBED_MESHES, LoopChartFrame, LoopManifold,
-                      all_geodesic_distances, geodesic_distance,
-                      loop_kuhn_cells, loop_sphere_arrays, loop_torus_cells,
-                      normal_chart, perturbed_mesh)
+                      all_geodesic_distances, euler_characteristic,
+                      geodesic_distance, loop_kuhn_cells, loop_sphere_arrays,
+                      loop_torus_cells, normal_chart, perturbed_mesh,
+                      simplex_index)
 
 TET_OFF = """OFF
 4 4 0
@@ -36,7 +37,7 @@ def test_tetrahedron_off(tmp_path):
     m = load_mesh(path)
     assert m.n == 2
     assert m.num_simplices(2) == 4
-    assert m.euler_characteristic() == 2
+    assert euler_characteristic(m) == 2
     # boundary of boundary vanishes identically
     dd = (m.boundary[1] @ m.boundary[2]).toarray()
     assert np.all(dd == 0)
@@ -77,18 +78,18 @@ def test_flat_torus_counts(torus8):
     assert torus8.num_vertices == 64
     assert torus8.num_simplices(1) == 192
     assert torus8.num_simplices(2) == 128
-    assert torus8.euler_characteristic() == 0
+    assert euler_characteristic(torus8) == 0
 
 
 def test_sphere_counts(sphere4):
-    assert sphere4.euler_characteristic() == 2
+    assert euler_characteristic(sphere4) == 2
 
 
 def test_flat_torus_3d_counts(torus3d8):
     assert torus3d8.n == 3
     assert torus3d8.num_vertices == 512
     assert torus3d8.num_simplices(3) == 6 * 512
-    assert torus3d8.euler_characteristic() == 0
+    assert euler_characteristic(torus3d8) == 0
 
 
 def test_volumes_positive(torus16, sphere4):
@@ -118,7 +119,7 @@ def test_distance_one_hop(torus8):
     e = torus8.simplices[1][0]
     d = geodesic_distance(torus8, e[0])
     assert d[e[1]] == pytest.approx(torus8.volumes[1][0], rel=0, abs=0) or \
-        d[e[1]] <= torus8.volumes[1][torus8.simplex_index(1, e)] + 1e-12
+        d[e[1]] <= torus8.volumes[1][simplex_index(torus8, 1, e)] + 1e-12
 
 
 def _dijkstra_oracle(m, src):
@@ -367,7 +368,7 @@ def test_local_frame_matches_whole_mesh(bumpy16):
 @given(res=st.integers(min_value=4, max_value=10))
 def test_torus_euler_characteristic_property(res):
     m = generate_test_manifold("flat_torus", res)
-    assert m.euler_characteristic() == 0
+    assert euler_characteristic(m) == 0
     assert m.num_vertices == res * res
 
 
@@ -443,7 +444,7 @@ def test_construction_matches_loop_oracle(monkeypatch, tmp_path, make,
     for p in range(m.n + 1):
         for i in (0, m.num_simplices(p) // 2, m.num_simplices(p) - 1):
             row = m.simplices[p][i]
-            assert m.simplex_index(p, row[::-1]) == i
+            assert simplex_index(m, p, row[::-1]) == i
 
 
 def test_construction_matches_loop_oracle_supplied_lengths(bumpy16):
@@ -460,13 +461,13 @@ def test_construction_matches_loop_oracle_supplied_lengths(bumpy16):
 
 def test_simplex_index_rejects_non_simplices(torus8):
     a, b, c = torus8.simplices[2][0]
-    assert torus8.simplex_index(2, (c, a, b)) == 0
+    assert simplex_index(torus8, 2, (c, a, b)) == 0
     far = int(np.argmax(geodesic_distance(torus8, int(a))))
     for p, verts in [(1, (a, far)), (2, (a, b, far)), (1, (a, a)),
                      (1, (a, -1)), (1, (a, torus8.num_vertices)),
                      (0, (torus8.num_vertices,)), (2, (a, b))]:
         with pytest.raises(KeyError):
-            torus8.simplex_index(p, verts)
+            simplex_index(torus8, p, verts)
 
 
 # -- every MeshError branch on a hand-built mesh -------------------------

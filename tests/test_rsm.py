@@ -14,7 +14,7 @@ from conftest import (ROUNDOFF_BUDGET, all_geodesic_distances,
                       assert_ledger_plan_matches_oracle, chi_gradient_constant,
                       column, oracle_column_norms, oracle_densities,
                       oracle_patches, oracle_raising_steps, oracle_rsm_step,
-                      sweep, system_columns)
+                      sweep, system_columns, vertex_mask_to_simplex_mask)
 
 
 # -- the cutoff commutator bound and compact support of the raising steps
@@ -294,7 +294,8 @@ def test_patch_system_build_constructions(torus16, cover16, monkeypatch):
     # and the ledger plan, at p = 0, 1, 2, with the mesh's operators
     # cached by a first build (in all 47, 81 and 59 before the in-place
     # scalings and the incidence products, then 45, 72 and 44 while the
-    # partition weights came from an incidence product)
+    # partition weights came from an incidence product, then 42, 69 and
+    # 41 while the plan had a Laplacian step and one pattern per order)
     cov = vitali_cover(torus16, cover16[0])
     partition_of_unity(torus16, cov)
     init = sp._compressed._cs_matrix.__init__
@@ -310,7 +311,7 @@ def test_patch_system_build_constructions(torus16, cover16, monkeypatch):
                            or init(self, *a, **k))
                 build(torus16, cov, p)
     assert [[made.count((c, p)) for p in range(3)]
-            for c in ("systems", "ledgers")] == [[13, 22, 12], [29, 47, 29]]
+            for c in ("systems", "ledgers")] == [[13, 22, 12], [21, 35, 21]]
 
 
 @pytest.mark.parametrize("mesh,p", [("torus16", 0), ("torus16", 1),
@@ -452,7 +453,7 @@ def test_localized_source_recovery(torus16, cover16, rng):
     psi_vals = np.zeros(torus16.num_simplices(1))
     vmask = np.zeros(torus16.num_vertices, dtype=bool)
     vmask[np.flatnonzero(deep)] = True
-    emask = torus16.vertex_mask_to_simplex_mask(1, vmask)
+    emask = vertex_mask_to_simplex_mask(torus16, 1, vmask)
     psi_vals[emask] = rng.standard_normal(int(emask.sum()))
     psi = dec.Cochain(torus16, 1, psi_vals)
     omega = dec.hodge_laplacian(torus16, 1)(psi)
@@ -478,7 +479,7 @@ def test_compact_support_check(torus16, cover16, rng):
     ball = cov.balls[0]
     vmask = np.zeros(torus16.num_vertices, dtype=bool)
     vmask[ball.members] = True
-    emask = torus16.vertex_mask_to_simplex_mask(1, vmask)
+    emask = vertex_mask_to_simplex_mask(torus16, 1, vmask)
     vals = np.zeros(torus16.num_simplices(1))
     vals[emask] = rng.standard_normal(int(emask.sum()))
     loc = dec.Cochain(torus16, 1, vals)
@@ -636,7 +637,9 @@ def test_step_norms_match_sparse_oracle(request, mesh, p):
     lr = oracle_column_norms(m, p, oracle_densities(
         m, p, system_columns(system, omega.values[system.index]), 0), r)
     w2 = sum(oracle_column_norms(m, p, d, r, system.support) for d in dens)
-    assert diag.c_j.tolist() == (w2 / lr).tolist()
+    # the order-2 term: the ledger sums Lap u_j from its halves, the
+    # oracle assembles Lap, hence the sum budget
+    assert np.allclose(diag.c_j, w2 / lr, rtol=ROUNDOFF_BUDGET["sum"], atol=0)
 
     chi = rsm.simplex_average(m, p, cov.chi.tocsr())
     members = covering.membership(cov.balls, m.num_vertices)
@@ -689,7 +692,7 @@ def test_ledger_plan_matches_oracle(request, mesh, cover):
 def test_pointwise_bound_keeps_cached_laplacian(torus16, cover16, rng):
     # abs() of a scipy matrix sorts its indices in place; the bound must
     # not do that to the cached Laplacian, whose storage order sets the
-    # rounding of every later product and of the ledger plans built on it
+    # rounding of every later product with it
     L = dec.hodge_laplacian(torus16, 1).matrix
     indices, data = L.indices.copy(), L.data.copy()
     commutator_pointwise_bound(torus16, cover16[1], 0,
@@ -704,7 +707,7 @@ def _one_ball_form(m, cov, p, rng):
     their partial-support path."""
     vmask = np.zeros(m.num_vertices, dtype=bool)
     vmask[cov.balls[len(cov) // 3].members] = True
-    smask = m.vertex_mask_to_simplex_mask(p, vmask)
+    smask = vertex_mask_to_simplex_mask(m, p, vmask)
     return dec.Cochain(m, p, np.where(smask, rng.standard_normal(smask.size),
                                       0.0))
 
@@ -757,7 +760,8 @@ def test_step_and_trace_match_first_ledger(request, mesh, cover):
                 partial += any(
                     got[2].ledger[key]["T_eff"]
                     < rsm.ledger_plan(m, cov, p).overlap[k]
-                    for k, key in enumerate(("5s4_i", "5s4_ii", "5s4_iii")))
+                    for k, key in zip((0, 1, 1), ("5s4_i", "5s4_ii",
+                                                  "5s4_iii")))
                 config = RsmConfig(1.5, k=2, weight=w)
                 got, want = (run(m, cov, rf, omega, config) for run in
                              (raising_steps, oracle_raising_steps))
