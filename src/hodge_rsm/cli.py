@@ -3,7 +3,9 @@
 Configuration comes from an optional JSON file with CLI overrides on
 top (CLI > file > defaults).  All randomness flows from one seeded
 generator recorded in the report; reports are written atomically and
-are byte-identical across reruns up to the timestamp field.
+are byte-identical across reruns up to the timestamp field.  Each
+command imports the modules it uses once its config has passed, so
+`report` and a usage error load no numpy.
 """
 
 from __future__ import annotations
@@ -16,9 +18,6 @@ import tempfile
 from pathlib import Path
 
 import click
-import numpy as np
-
-from . import analysis, covering, dec, geometry, local_solver, rsm
 
 DEFAULTS = {
     "mesh": {"kind": "flat_torus", "resolution": 16, "distortion": 0.0,
@@ -131,9 +130,10 @@ def atomic_write_json(path, payload) -> None:
         raise
 
 
-def build_mesh(cfg) -> geometry.SimplicialManifold:
+def build_mesh(cfg):
     """The mesh of cfg; a usage error when it cannot be read or built,
     or when a configured degree exceeds its dimension."""
+    from . import geometry
     mesh = cfg["mesh"]
     try:
         if mesh["path"]:
@@ -153,6 +153,7 @@ def build_mesh(cfg) -> geometry.SimplicialManifold:
 
 
 def build_covering(m, cfg):
+    from . import covering
     rf = covering.compute_radius_field(m, cfg["epsilon"], cfg["divisor"])
     cov = covering.vitali_cover(m, rf)
     covering.partition_of_unity(m, cov)
@@ -164,6 +165,7 @@ def load_or_build_covering(m, cfg):
     key says this program version built it from this mesh, epsilon and
     divisor; a fresh build_covering when the file is missing or cannot be
     read, is unparsable, lacks a field or is keyed to other inputs."""
+    from . import covering
     key = covering.covering_key(m, cfg["epsilon"], cfg["divisor"])
     try:
         rf, cov, saved = covering.load_covering(
@@ -214,7 +216,11 @@ class _Commands(click.Group):
         # failed check (exit 1) or a traceback
         try:
             return super().invoke(ctx)
-        except (covering.CoverageError, local_solver.PatchError) as e:
+        except RuntimeError as e:
+            # covering.CoverageError or local_solver.PatchError, matched
+            # by name so that nothing is imported
+            if type(e).__name__ not in ("CoverageError", "PatchError"):
+                raise
             raise click.UsageError(str(e))
         except OSError as e:
             raise click.UsageError(f"cannot use {e.filename}: {e.strerror}")
@@ -239,6 +245,7 @@ _config_opt = click.option("--config", "config_path", default=None,
 def generate(config_path, kind, resolution, distortion, out_path):
     """Generate a test mesh and write it as an OFF file."""
     cfg = load_config(config_path)
+    from . import geometry
     for key, val in (("kind", kind), ("resolution", resolution),
                      ("distortion", distortion)):
         if val is not None:
@@ -260,6 +267,7 @@ def generate(config_path, kind, resolution, distortion, out_path):
 def cover(config_path, epsilon, divisor, mesh_path, out_path):
     """Compute the admissible covering and partition of unity."""
     cfg = load_config(config_path, epsilon=epsilon, divisor=divisor)
+    from . import covering, local_solver
     if mesh_path:
         cfg["mesh"]["path"] = mesh_path
     m = build_mesh(cfg)
@@ -288,6 +296,8 @@ def solve(config_path, r_, s_, k_, degrees, out_dir):
     """Run the raising-steps sweep on seeded random test forms."""
     cfg = load_config(config_path, r=r_, s=s_, k=k_,
                       degrees=list(degrees) or None, out_dir=out_dir)
+    import numpy as np
+    from . import dec, local_solver, rsm
     m = build_mesh(cfg)
     rf, cov = load_or_build_covering(m, cfg)
     rng = np.random.default_rng(cfg["seed"])
@@ -340,6 +350,8 @@ def decompose(config_path, r_, degrees, harmonic_tol, mode, seed, out_dir):
     cfg = load_config(config_path, r=r_, harmonic_tol=harmonic_tol,
                       seed=seed, degrees=list(degrees) or None,
                       out_dir=out_dir)
+    import numpy as np
+    from . import analysis, dec
     if mode:
         cfg["d_dstar"] = mode == "d_dstar"
     m = build_mesh(cfg)
@@ -393,6 +405,8 @@ def verify(config_path, r_, degrees, out_dir):
     """Run the inequality suite with measured constants."""
     cfg = load_config(config_path, r=r_, degrees=list(degrees) or None,
                       out_dir=out_dir)
+    import numpy as np
+    from . import analysis, covering, dec, rsm
     m = build_mesh(cfg)
     rf, cov = load_or_build_covering(m, cfg)
     rng = np.random.default_rng(cfg["seed"])

@@ -4,6 +4,9 @@ A vertex's admissible radius is the largest geodesic ball around it that
 carries a near-identity chart (metric and first-difference deviation both
 below epsilon).  Core balls of radius R/divisor are packed greedily; their
 5-fold dilations cover every vertex and carry a C^2 partition of unity.
+A covering is saved as columns (save_covering): centres, member offsets,
+one flat member list and chi at every member; the radii follow from the
+centres and the radius field.
 """
 
 from __future__ import annotations
@@ -229,13 +232,8 @@ def vitali_cover(m: SimplicialManifold, rf: RadiusField) -> AdmissibleCovering:
                 accepted += 1
         window = max(VITALI_WINDOW, 2 * accepted)
     centers = np.array(centers, dtype=np.int64)
-    radii = 5.0 * core[centers]
-    searches = ball_searches(m, centers, radii)
-    balls = [CoveringBall(j, x, c, R, a, members, d)
-             for j, (x, c, R, a, (members, d)) in enumerate(zip(
-                 centers.tolist(), core[centers].tolist(), radii.tolist(),
-                 rf.values[centers].tolist(), searches))]
-
+    balls = covering_balls(rf, centers, *zip(*ball_searches(
+        m, centers, 5.0 * core[centers])))
     cov = AdmissibleCovering(balls, rf.eps,
                              membership(balls, m.num_vertices))
     counts = cov.membership_counts(m.num_vertices)
@@ -246,6 +244,19 @@ def vitali_cover(m: SimplicialManifold, rf: RadiusField) -> AdmissibleCovering:
             "below mesh resolution")
     cov.overlap_measured = int(counts.max())
     return cov
+
+
+def covering_balls(rf: RadiusField, centers: np.ndarray, members,
+                   distances=None) -> list:
+    """The balls at the centers (ascending ball index), with core radius
+    rf.core, covering radius 5 core and admissible radius rf.values at
+    each, as vitali_cover forms them, and their members and member
+    distances (None when not given)."""
+    core = rf.core[centers]
+    return [CoveringBall(j, x, c, 5.0 * c, a, mem, d)
+            for j, (x, c, a, mem, d) in enumerate(zip(
+                centers.tolist(), core.tolist(), rf.values[centers].tolist(),
+                members, distances or [None] * len(members)))]
 
 
 def partition_of_unity(m: SimplicialManifold,
@@ -327,19 +338,27 @@ def covering_key(m: SimplicialManifold, eps: float, divisor: float) -> str:
 
 def covering_to_dict(cov: AdmissibleCovering, rf: RadiusField,
                      key: str) -> dict:
-    chi = sp.coo_matrix(cov.chi)
+    """The columns of covering.json: the ball centres, the member offsets
+    and one flat member list in the order of the CSC members matrix, and
+    chi at every member, 0.0 where chi stores no entry (a member whose
+    bump is 0); then the radius field, eps, overlap_measured and the key.
+    The ball radii follow from the centres and the radius field."""
+    A, chi = cov.members, cov.chi.tocsc()
+    V = A.shape[0]
+    # chi's pattern lies within the members'; both columns ascend, so
+    # column-major keys find chi's entries among the members
+    at = np.zeros(A.nnz)
+    at[np.searchsorted(
+        np.repeat(np.arange(A.shape[1]), np.diff(A.indptr)) * V + A.indices,
+        np.repeat(np.arange(chi.shape[1]), np.diff(chi.indptr)) * V
+        + chi.indices)] = chi.data
     return {
         "eps": cov.eps,
         "overlap_measured": cov.overlap_measured,
-        "balls": [{
-            "center": b.center,
-            "core_radius": b.core_radius,
-            "covering_radius": b.covering_radius,
-            "admissible_radius": b.admissible_radius,
-            "members": b.members.tolist(),
-        } for b in cov.balls],
-        "partition_triplets": [[i, j, v] for i, j, v in zip(
-            chi.row.tolist(), chi.col.tolist(), chi.data.tolist())],
+        "centers": [b.center for b in cov.balls],
+        "member_offsets": A.indptr.tolist(),
+        "members": A.indices.tolist(),
+        "chi": at.tolist(),
         "radius_field": {"values": rf.values.tolist(), "eps": rf.eps,
                          "divisor": rf.divisor,
                          "divisor_effective": rf.divisor_effective},
@@ -357,29 +376,28 @@ def save_covering(cov: AdmissibleCovering, path, rf: RadiusField,
 
 
 def load_covering(path) -> tuple[RadiusField, AdmissibleCovering, str]:
-    """(rf, cov, key) as save_covering wrote them; LookupError when a
-    field is missing or null, as in a file written before the partition
-    of unity.  Older files' doubled_members and chi_gradients are
-    ignored."""
+    """(rf, cov, key) as save_covering wrote them, members and chi built
+    straight from the columns, chi without the zeros the file stores;
+    LookupError when a field is missing or null, as in a file of the
+    older layout (a list of balls and partition triplets)."""
     with open(path) as f:
         d = json.load(f)
-    if any(d[k] is None for k in ("balls", "eps", "overlap_measured",
-                                  "partition_triplets", "radius_field",
-                                  "key")):
+    if any(d[k] is None for k in ("centers", "member_offsets", "members",
+                                  "chi", "eps", "overlap_measured",
+                                  "radius_field", "key")):
         raise LookupError(f"{path}: a covering field is null")
-    balls = [CoveringBall(i, bd["center"], bd["core_radius"],
-                          bd["covering_radius"], bd["admissible_radius"],
-                          np.array(bd["members"], dtype=int))
-             for i, bd in enumerate(d["balls"])]
-    # every vertex lies in some ball, the last one included
-    V = int(max(b.members.max() for b in balls) + 1)
-    cov = AdmissibleCovering(balls, d["eps"], membership(balls, V),
-                             d["overlap_measured"])
-    trip = np.array(d["partition_triplets"])
-    cov.chi = sp.csr_matrix(
-        (trip[:, 2], (trip[:, 0].astype(int), trip[:, 1].astype(int))),
-        shape=(V, len(balls)))
     rd = d["radius_field"]
     rf = RadiusField(np.array(rd["values"], dtype=float), rd["eps"],
                      rd["divisor"], rd["divisor_effective"])
+    centers = np.array(d["centers"], dtype=np.int64)
+    offsets = np.array(d["member_offsets"], dtype=np.int64)
+    members = np.array(d["members"], dtype=np.int64)
+    shape = (rf.values.size, centers.size)
+    cov = AdmissibleCovering(
+        covering_balls(rf, centers, np.split(members, offsets[1:-1])),
+        d["eps"], sp.csc_matrix((np.ones(members.size), members, offsets),
+                                shape=shape), d["overlap_measured"])
+    cov.chi = sp.csc_matrix((np.array(d["chi"], dtype=float), members,
+                             offsets), shape=shape).tocsr()
+    cov.chi.eliminate_zeros()
     return rf, cov, d["key"]

@@ -56,15 +56,17 @@ class SimplicialManifold:
         volumes: per-degree p-volumes (from edge lengths, Cayley-Menger).
         support_volumes: per-degree array; entry sigma is the share of
             total n-volume supported on sigma (barycentric lumping).
-        graph: symmetric sparse V x V matrix of edge lengths, built once
-            from the final (normalized) metric.
+        graph: symmetric sparse V x V matrix of edge lengths; its CSR
+            pattern is formed once, and its data refilled if the diameter
+            normalization rescales the lengths.
 
     Simplices are looked up by key: row r of simplices[p] has the int64
     key sum_i r[i] V^(p-i), and _keys[p] holds these keys ascending, so
     np.searchsorted finds the index of any batch of sorted rows (see
     _find).  Keys must fit in int64: V^(n+1) <= 2^63, that is up
     to 2097152 vertices for a surface and 55108 for a 3-manifold.
-    The whole construction is array operations, one batch per degree.
+    The whole construction is array operations, one batch per degree,
+    with one metric pass on the final (normalized) edge lengths.
     """
 
     def __init__(self, dimension, vertices, cells, edge_lengths=None,
@@ -90,18 +92,31 @@ class SimplicialManifold:
         self.oriented_cells = cells.copy()
 
         self._build_complex(ordered)
-        self._supplied_lengths = None
-        if edge_lengths is not None:
-            self._supplied_lengths = np.asarray(edge_lengths, dtype=float)
-        self._build_metric()
-        # weighted edge graph of the metric so far; rebuilt once if the
-        # diameter normalization rescales it
-        graph = _edge_graph(self)
+        supplied = None if edge_lengths is None \
+            else np.asarray(edge_lengths, dtype=float)
+        if supplied is not None and len(supplied) != self.num_simplices(1):
+            raise MeshError("edge length array has wrong size")
+        self.edge_lengths = self._lengths(supplied)
+        self.graph, entry_edges = _edge_graph(self.simplices[1], V)
+        self.graph.data = self.edge_lengths[entry_edges]
         if validate:
-            self._validate(graph)
-        if normalize and self._normalize_diameter(graph):
-            graph = _edge_graph(self)
-        self.graph: sp.csr_matrix = graph
+            self._validate_complex()
+        if normalize:
+            diam = self._approx_diameter(self.graph)
+            if validate and not np.isfinite(diam):
+                raise MeshError("mesh is not connected")
+            # a diameter of 2 within a few ulps stays as it is, so that a
+            # normalized mesh (saved and loaded, say) stays bit for bit
+            if abs(diam - 2.0) > 4 * np.spacing(2.0):
+                scale = 2.0 / diam
+                self.vertices = self.vertices * scale
+                self.edge_lengths = self._lengths(
+                    None if supplied is None else supplied * scale)
+                self.graph.data = self.edge_lengths[entry_edges]
+        elif validate and connected_components(self.graph,
+                                               directed=False)[0] != 1:
+            raise MeshError("mesh is not connected")
+        self._build_metric(validate)
         self._op_cache: dict = {}    # dec operators, keyed (name, degree)
 
     # -- construction ---------------------------------------------------
@@ -127,19 +142,20 @@ class SimplicialManifold:
         simplices[0] = self._keys[0][:, None].copy()
         self.simplices = simplices
 
-        # signed boundary operators (canonical sorted orientation); the
-        # CSR form does not depend on the order of the triplets
+        # signed boundary operators (canonical sorted orientation), in CSR
+        # form straight away: entries ordered by face, then by coface
         self.boundary = [None] * (n + 1)
         for p in range(1, n + 1):
             N = simplices[p].shape[0]
-            faces = [self._find(p - 1, np.delete(simplices[p], i, axis=1))
-                     for i in range(p + 1)]
+            faces = np.stack([self._find(p - 1,
+                                         np.delete(simplices[p], i, axis=1))
+                              for i in range(p + 1)], axis=1).ravel()
+            order = np.argsort(faces, kind="stable")
+            rows = simplices[p - 1].shape[0]
             self.boundary[p] = sp.csr_matrix(
-                (np.repeat((-1) ** np.arange(p + 1), N),
-                 (np.concatenate(faces), np.tile(np.arange(N), p + 1))),
-                shape=(simplices[p - 1].shape[0], N),
-                dtype=np.int64,
-            )
+                (np.tile((-1) ** np.arange(p + 1), N)[order], order // (p + 1),
+                 np.concatenate([[0], np.bincount(faces, minlength=rows)
+                                 .cumsum()])), shape=(rows, N))
 
         # cell -> p-face index table (for support volumes), faces in the
         # lexicographic order of their vertex positions in the cell
@@ -166,35 +182,48 @@ class SimplicialManifold:
                          for a, b in combinations(range(rows.shape[1]), 2)],
                         axis=1)
 
-    def _build_metric(self):
-        n = self.n
-        edges = self.simplices[1]
-        if self._supplied_lengths is not None:
-            if self._supplied_lengths.shape[0] != edges.shape[0]:
-                raise MeshError("edge length array has wrong size")
-            self.edge_lengths = self._supplied_lengths.copy()
-        else:
-            self.edge_lengths = chord_lengths(self.vertices, edges)
-        if not np.all(np.isfinite(self.edge_lengths)
-                      & (self.edge_lengths > 0)):
+    def _lengths(self, supplied) -> np.ndarray:
+        """The supplied edge lengths, or the embedding's chord lengths;
+        a MeshError unless each is positive and finite."""
+        lengths = chord_lengths(self.vertices, self.simplices[1]) \
+            if supplied is None else supplied.copy()
+        if not np.all(np.isfinite(lengths) & (lengths > 0)):
             raise MeshError("non-positive or non-finite edge length")
-        self.volumes = [np.ones(self.vertices.shape[0]),
-                        self.edge_lengths.copy()]
-        self.volumes += [simplex_volumes(self.edge_lengths[
-            self._simplex_edges(self.simplices[p])], p)
-            for p in range(2, n + 1)]
+        return lengths
+
+    def _build_metric(self, validate: bool):
+        """Volumes and support volumes of the final edge lengths; with
+        validate, the triangle inequality and the cell volumes checked."""
+        n, lengths = self.n, self.edge_lengths
+        # columns: the edges (s0, s1), (s0, s2), (s1, s2) of each triangle
+        triangles = lengths[self._simplex_edges(self.simplices[2])]
+        self.volumes = [np.ones(self.vertices.shape[0]), lengths.copy(),
+                        simplex_volumes(triangles, 2)]
+        if n == 3:
+            self.volumes.append(simplex_volumes(
+                lengths[self._simplex_edges(self.simplices[3])], 3))
         self.support_volumes = [
             lumped_supports(self.volumes[n], self._cell_faces[p],
                             self.num_simplices(p)) for p in range(n + 1)]
+        if not validate:
+            return
+        l01, l02, l12 = triangles.T
+        bad = (l01 + l12 <= l02) | (l01 + l02 <= l12) | (l12 + l02 <= l01)
+        if bad.any():
+            raise MeshError("triangle inequality fails on simplex "
+                            f"{self.simplices[2][np.argmax(bad)]}")
+        mean_vol = self.volumes[n].mean()
+        if np.any(self.volumes[n] < DEGENERATE_VOLUME_FRACTION * mean_vol):
+            raise MeshError("degenerate cell (volume below threshold)")
 
-    def _validate(self, graph):
+    def _validate_complex(self):
+        """The checks that need no metric: dd = 0, every (n-1)-face in two
+        cells, and consistently oriented cells."""
         n = self.n
-        # boundary of boundary vanishes
         for p in range(2, n + 1):
             bb = self.boundary[p - 1] @ self.boundary[p]
             if bb.nnz and np.abs(bb.data).max() != 0:
                 raise MeshError("incidence composition is not zero")
-        # closed manifold: each (n-1)-simplex in exactly two cells
         face_count = np.abs(self.boundary[n]).sum(axis=1).A1
         if np.any(face_count != 2):
             bad = int(np.argmax(face_count != 2))
@@ -202,24 +231,7 @@ class SimplicialManifold:
                 f"non-manifold or open mesh: face {bad} lies in "
                 f"{int(face_count[bad])} cells"
             )
-        # triangle inequality on every 2-simplex; columns are the edges
-        # (s0, s1), (s0, s2), (s1, s2)
-        l01, l02, l12 = self.edge_lengths[
-            self._simplex_edges(self.simplices[2])].T
-        bad = (l01 + l12 <= l02) | (l01 + l02 <= l12) | (l12 + l02 <= l01)
-        if bad.any():
-            raise MeshError("triangle inequality fails on simplex "
-                            f"{self.simplices[2][np.argmax(bad)]}")
-        # degenerate cells
-        mean_vol = self.volumes[n].mean()
-        if np.any(self.volumes[n] < DEGENERATE_VOLUME_FRACTION * mean_vol):
-            raise MeshError("degenerate cell (volume below threshold)")
-        # consistent orientation of the as-given cells
         self._check_orientation()
-        # connectivity
-        ncomp, _ = connected_components(graph, directed=False)
-        if ncomp != 1:
-            raise MeshError("mesh is not connected")
 
     def _check_orientation(self):
         """Each (n-1)-face must get opposite orientations from its two
@@ -235,22 +247,11 @@ class SimplicialManifold:
             raise MeshError("inconsistent orientation across face "
                             f"{tuple(face.tolist())}")
 
-    def _normalize_diameter(self, graph) -> bool:
-        """Rescale to diameter 2; False, with nothing changed, when the
-        measured diameter is 2 within a few ulps already, so that a
-        normalized mesh (saved and loaded, say) stays bit for bit."""
-        diam = self._approx_diameter(graph)
-        if abs(diam - 2.0) <= 4 * np.spacing(2.0):
-            return False
-        scale = 2.0 / diam
-        self.vertices = self.vertices * scale
-        if self._supplied_lengths is not None:
-            self._supplied_lengths = self._supplied_lengths * scale
-        self._build_metric()
-        return True
-
     @staticmethod
     def _approx_diameter(g) -> float:
+        """Two-sweep estimate of the graph's diameter; inf when the graph
+        is not connected, as the first sweep then leaves some vertex at
+        infinity."""
         d0 = dijkstra(g, directed=False, indices=0)
         u = int(np.argmax(d0))
         d1 = dijkstra(g, directed=False, indices=u)
@@ -316,12 +317,22 @@ def simplex_average(m: SimplicialManifold, p: int, vertex_values):
                vertex_values[verts[:, 0]]) / (p + 1)
 
 
-def _edge_graph(m: SimplicialManifold) -> sp.csr_matrix:
-    edges = m.simplices[1]
-    V = m.num_vertices
-    g = sp.csr_matrix((m.edge_lengths, (edges[:, 0], edges[:, 1])),
-                      shape=(V, V))
-    return g + g.T
+def _edge_graph(edges: np.ndarray,
+                num_vertices: int) -> tuple[sp.csr_matrix, np.ndarray]:
+    """(graph, entry_edges): the CSR pattern of the symmetric edge graph,
+    the one g + g.T forms from the upper triangle g of the sorted edges,
+    and the edge of each stored entry, so graph.data = lengths[entry_edges]
+    fills it.  A row's lower entries (i, j), i > j, come in the order of
+    the edges (j, i), which is by j, and precede its upper entries, which
+    come by column: a stable sort by row leaves each row ascending."""
+    rows = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.argsort(rows, kind="stable")
+    cols = np.concatenate([edges[:, 0], edges[:, 1]])[order]
+    indptr = np.concatenate([[0], np.bincount(rows, minlength=num_vertices)
+                             .cumsum()])
+    graph = sp.csr_matrix((np.zeros(order.size), cols, indptr),
+                          shape=(num_vertices, num_vertices))
+    return graph, order % edges.shape[0]
 
 
 SEARCH_BATCH_LABELS = 1 << 16   # labels held by one batched search pass

@@ -616,11 +616,34 @@ def covering_of(m, balls, eps=0.1):
 
 
 def per_element_covering_json(cov, rf, key) -> str:
-    """The text save_covering writes, from a dict whose partition
-    triplets are converted entry by entry with int() and float().  Tests
-    only: the library converts whole arrays (covering.covering_to_dict)."""
-    chi = sp.coo_matrix(cov.chi)
+    """The text save_covering writes, from a dict whose columns are
+    converted entry by entry with int() and float(), ball by ball, and
+    chi looked up member by member (0.0 where chi stores no entry).
+    Tests only: the library converts whole arrays
+    (covering.covering_to_dict)."""
+    chi = cov.chi.todok()
     return json.dumps({
+        "eps": cov.eps,
+        "overlap_measured": cov.overlap_measured,
+        "centers": [int(b.center) for b in cov.balls],
+        "member_offsets": [0] + np.cumsum(
+            [b.members.size for b in cov.balls]).tolist(),
+        "members": [int(v) for b in cov.balls for v in b.members],
+        "chi": [float(chi.get((int(v), b.index), 0.0)) for b in cov.balls
+                for v in b.members],
+        "radius_field": {"values": [float(x) for x in rf.values],
+                         "eps": rf.eps, "divisor": rf.divisor,
+                         "divisor_effective": rf.divisor_effective},
+        "key": key,
+    }, sort_keys=True)
+
+
+def old_layout_covering(cov, rf, key) -> dict:
+    """The covering.json of earlier versions: a list of balls with their
+    radii and members, and the partition of unity as (vertex, ball,
+    value) triplets."""
+    chi = sp.coo_matrix(cov.chi)
+    return {
         "eps": cov.eps,
         "overlap_measured": cov.overlap_measured,
         "balls": [{
@@ -628,15 +651,15 @@ def per_element_covering_json(cov, rf, key) -> str:
             "core_radius": b.core_radius,
             "covering_radius": b.covering_radius,
             "admissible_radius": b.admissible_radius,
-            "members": [int(v) for v in b.members],
+            "members": b.members.tolist(),
         } for b in cov.balls],
         "partition_triplets": [[int(i), int(j), float(v)] for i, j, v
                                in zip(chi.row, chi.col, chi.data)],
-        "radius_field": {"values": [float(x) for x in rf.values],
-                         "eps": rf.eps, "divisor": rf.divisor,
+        "radius_field": {"values": rf.values.tolist(), "eps": rf.eps,
+                         "divisor": rf.divisor,
                          "divisor_effective": rf.divisor_effective},
         "key": key,
-    }, sort_keys=True)
+    }
 
 
 def oracle_patches(m, cov):

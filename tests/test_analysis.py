@@ -708,9 +708,9 @@ def test_czi_fit_is_the_exact_optimum(rows):
             <= ROUNDOFF_BUDGET["fit"] * sum(want))
 
 
-def _optimizer_modules_after(code, *args):
-    """The `scipy.optimize*` modules a fresh interpreter holds after
-    running `code`, which must print them on its last line."""
+def _modules_after(code, *args):
+    """The last line a fresh interpreter prints running `code`: the
+    modules of interest it holds at the end."""
     src = str(Path(analysis.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -724,7 +724,7 @@ def test_library_pass_loads_no_optimizer():
     # importing the package and its CLI, a library pass (spectrum,
     # Poisson and dual Poisson solves) and the CZI fit leave SciPy's
     # optimizer unloaded, in a fresh interpreter
-    assert _optimizer_modules_after("""\
+    assert _modules_after("""\
         import sys
         import numpy as np
         import hodge_rsm, hodge_rsm.cli
@@ -749,7 +749,7 @@ def test_cover_and_verify_load_no_optimizer(tmp_path):
     cfg.write_text(json.dumps({"mesh": {"kind": "flat_torus",
                                         "resolution": 8},
                                "out_dir": str(tmp_path)}))
-    assert _optimizer_modules_after("""\
+    assert _modules_after("""\
         import sys
         from hodge_rsm import cli
         for cmd in ("cover", "verify"):
@@ -760,6 +760,28 @@ def test_cover_and_verify_load_no_optimizer(tmp_path):
         print(sorted(k for k in sys.modules if k.startswith("scipy.optimize")))
     """, cfg) == "[]"
     assert (tmp_path / "verify_report.json").exists()
+
+
+def test_report_and_usage_error_load_no_numpy(tmp_path):
+    # importing the package, `report` and a usage error (an unknown
+    # config key) leave numpy unloaded, in a fresh interpreter
+    (tmp_path / "solve_report.json").write_text(
+        json.dumps({"all_passed": True, "checks": []}))
+    cfg, bad = tmp_path / "config.json", tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"out_dir": str(tmp_path)}))
+    bad.write_text(json.dumps({"out_dir": str(tmp_path), "no_such_key": 1}))
+    assert _modules_after("""\
+        import sys
+        import hodge_rsm
+        from hodge_rsm import cli
+        for cmd, cfg, code in (("report", sys.argv[1], 0),
+                               ("solve", sys.argv[2], 2)):
+            try:
+                cli.main([cmd, "--config", cfg])
+            except SystemExit as e:
+                assert e.code == code, (cmd, e.code)
+        print(sorted(k for k in sys.modules if k.split(".")[0] == "numpy"))
+    """, cfg, bad) == "[]"
 
 
 def test_harmonic_embedding(torus16, spec16_p0, spec16_p1):

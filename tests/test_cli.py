@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from hodge_rsm import covering, geometry, rsm
 from hodge_rsm.cli import main
 
-from conftest import chi_gradients, euler_characteristic
+from conftest import (chi_gradients, euler_characteristic,
+                      old_layout_covering)
 
 
 @pytest.fixture()
@@ -374,6 +375,25 @@ def test_degenerate_covering_is_usage_error(runner, tmp_path):
     assert set(errors.values()) == {errors["cover"]}
 
 
+def test_coverage_error_is_usage_error(runner, tmp_path, monkeypatch):
+    # the CLI matches CoverageError by name (it imports no numerical
+    # module to catch it): exit 2 with its message; another RuntimeError
+    # stays an error
+    cfg = _cfg(tmp_path, mesh={"kind": "flat_torus", "resolution": 8})
+    for error, code in ((covering.CoverageError("vertex 3 lies in no "
+                                                "covering ball"), 2),
+                        (RuntimeError("vertex 3 lies in no covering ball"),
+                         1)):
+        def fail(m, rf, error=error):
+            raise error
+        monkeypatch.setattr(covering, "vitali_cover", fail)
+        res = runner.invoke(main, ["cover", "--config", cfg])
+        assert res.exit_code == code, res.output
+        assert isinstance(res.exception, SystemExit) == (code == 2)
+        assert ("vertex 3 lies in no covering ball" in res.output) \
+            == (code == 2)
+
+
 def test_cover_rejects_mesh_too_coarse_for_the_floor(runner, tmp_path):
     # the 3-torus 4 fails in cover, naming the radius floor, not later
     # in the local solver
@@ -452,33 +472,49 @@ def _indent(path):
                                sort_keys=True))
 
 
-def _add_chi_gradients(path):
-    """Rewrite a covering.json of the _SMALL mesh as versions that stored
-    each ball's largest edge gradient of chi_j wrote it."""
-    data = json.loads(path.read_text())
+def _old_layout(path):
+    """Rewrite a covering.json of the _SMALL mesh in the layout of
+    earlier versions, with the chi_gradients field some of them wrote."""
     m = geometry.generate_test_manifold(_SMALL["mesh"]["kind"],
                                         _SMALL["mesh"]["resolution"])
-    data["chi_gradients"] = chi_gradients(
-        m, covering.load_covering(path)[1]).tolist()
+    rf, cov, key = covering.load_covering(path)
+    data = old_layout_covering(cov, rf, key)
+    data["chi_gradients"] = chi_gradients(m, cov).tolist()
     path.write_text(json.dumps(data, sort_keys=True))
 
 
 def test_indented_covering_file_still_loads(runner, tmp_path, radius_fields):
-    # covering.json is compact; a file written indented, as before, or
-    # with the chi_gradients field of earlier versions, under the current
-    # key loads to the same covering and is not rebuilt
+    # covering.json is compact; a file written indented, as before, under
+    # the current key loads to the same covering and is not rebuilt
     out = _run(runner, _cfg(tmp_path / "indented", **_SMALL), "cover")
     path = out / "covering.json"
     text = path.read_text()
     assert "\n" not in text and "chi_gradients" not in text
     compact = _loaded(path)
-    for rewrite in (_indent, _add_chi_gradients):
-        path.write_text(text)
-        rewrite(path)
-        assert _loaded(path) == compact
-        radius_fields.clear()
-        _run(runner, str(tmp_path / "indented" / "config.json"), "solve")
-        assert radius_fields == []
+    _indent(path)
+    assert _loaded(path) == compact
+    radius_fields.clear()
+    _run(runner, str(tmp_path / "indented" / "config.json"), "solve")
+    assert radius_fields == []
+
+
+def test_old_layout_covering_file_is_rebuilt(runner, tmp_path,
+                                             radius_fields):
+    # a file in the layout of earlier versions under the current key lacks
+    # the columns: each command rebuilds the covering, and its outputs are
+    # those of a run on the file `cover` writes now
+    saved = _run(runner, _cfg(tmp_path / "saved", **_SMALL), "cover")
+    old = _run(runner, _cfg(tmp_path / "old", **_SMALL), "cover")
+    _old_layout(old / "covering.json")
+    radius_fields.clear()
+    _run(runner, str(tmp_path / "saved" / "config.json"),
+         "solve", "decompose", "verify")
+    assert radius_fields == []
+    _run(runner, str(tmp_path / "old" / "config.json"),
+         "solve", "decompose", "verify")
+    assert len(radius_fields) == 3
+    for name in _OUTPUTS:
+        assert _output(saved, name) == _output(old, name), name
 
 
 def _truncate(path):
@@ -501,7 +537,7 @@ def _drop_radius_field(path):
 
 
 def _null_partition(path):
-    _edit(path, lambda data: data.update(partition_triplets=None))
+    _edit(path, lambda data: data.update(chi=None))
 
 
 @pytest.mark.parametrize("cover,spoil", [

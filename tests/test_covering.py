@@ -21,7 +21,8 @@ from conftest import (ROUNDOFF_BUDGET, LoopChartFrame, all_geodesic_distances,
                       balls_without_whole_star, chi_gradient_constant,
                       covering_of, extract_patch, geodesic_distance,
                       local_czi_check, loop_admissible_radius,
-                      loop_vitali_centers, per_element_covering_json)
+                      loop_vitali_centers, old_layout_covering,
+                      per_element_covering_json)
 
 
 def admissible_radius(m, x: int, eps: float) -> float:
@@ -463,45 +464,67 @@ def test_covering_file_matches_per_element_writer(request, tmp_path, mesh,
         per_element_covering_json(cov, rf, key)
 
 
-def test_covering_serialization_round_trip(tmp_path, torus16, cover16):
+def _assert_same_arrays(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+def test_covering_serialization_round_trip(request, tmp_path):
+    # every loaded array equals the saved one, bit for bit
+    for mesh, cover in [("torus16", "cover16"),
+                        ("bumpy16", "cover_bumpy"),
+                        ("sphere8", "cover_sphere8"),
+                        ("torus3d5", "cover3d5"), ("torus32", "cover32")]:
+        m = request.getfixturevalue(mesh)
+        rf, cov = request.getfixturevalue(cover)
+        key = covering_key(m, 0.1, 120.0)
+        path = tmp_path / "cov.json"
+        save_covering(cov, path, rf, key)
+        rf2, cov2, key2 = load_covering(path)
+        assert key2 == key
+        assert cov2.overlap_measured == cov.overlap_measured
+        assert cov2.eps == cov.eps
+        assert [(b.index, b.center, b.core_radius, b.covering_radius,
+                 b.admissible_radius) for b in cov2.balls] == \
+            [(b.index, b.center, b.core_radius, b.covering_radius,
+              b.admissible_radius) for b in cov.balls]
+        for a, b in zip(cov.balls, cov2.balls):
+            _assert_same_arrays(a.members, b.members)
+        # chi as the triplets of the earlier layout loaded it: canonical CSR
+        chi = sp.coo_matrix(cov.chi).tocsr()
+        for a, b in ((cov.members, cov2.members), (chi, cov2.chi)):
+            assert a.shape == b.shape
+            for name in ("data", "indices", "indptr"):
+                _assert_same_arrays(getattr(a, name), getattr(b, name))
+        _assert_same_arrays(rf.values, rf2.values)
+        assert (rf2.eps, rf2.divisor, rf2.divisor_effective) == \
+            (rf.eps, rf.divisor, rf.divisor_effective)
+        # a member whose bump is 0 (torus32 has some, at distance R_j) keeps
+        # its place in members and stores 0.0
+        assert mesh != "torus32" or cov.chi.nnz < cov.members.nnz
+        d = json.loads(path.read_text())
+        assert len(d["chi"]) == cov.members.nnz
+        assert d["chi"].count(0.0) == cov.members.nnz - cov.chi.nnz
+        # a second save is byte-identical (determinism)
+        path2 = tmp_path / "cov2.json"
+        save_covering(cov, path2, rf, key)
+        assert path.read_bytes() == path2.read_bytes()
+
+
+def test_old_layout_covering_does_not_load(tmp_path, torus16, cover16):
+    # a file of the layout of earlier versions (a list of balls, each
+    # with doubled_members in older ones still, and partition triplets)
+    # lacks the columns: a LookupError, so the CLI rebuilds it
     rf, cov = cover16
-    key = covering_key(torus16, 0.1, 120.0)
-    assert key != covering_key(torus16, 0.2, 120.0)
-    assert key != covering_key(torus16, 0.1, 60.0)
+    old = old_layout_covering(cov, rf, covering_key(torus16, 0.1, 120.0))
     path = tmp_path / "cov.json"
-    save_covering(cov, path, rf, key)
-    rf2, cov2, key2 = load_covering(path)
-    assert key2 == key
-    assert len(cov2) == len(cov)
-    assert cov2.overlap_measured == cov.overlap_measured
-    for a, b in zip(cov.balls, cov2.balls):
-        assert a.center == b.center
-        assert np.array_equal(a.members, b.members)
-        assert a.covering_radius == b.covering_radius
-    # the loaded covering carries the same membership matrix
-    assert cov2.members.shape == cov.members.shape
-    for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(cov2.members, name),
-                              getattr(cov.members, name))
-    # JSON floats round-trip exactly
-    assert np.array_equal(cov.chi.toarray(), cov2.chi.toarray())
-    assert np.array_equal(rf.values, rf2.values)
-    assert (rf2.eps, rf2.divisor, rf2.divisor_effective) == \
-        (rf.eps, rf.divisor, rf.divisor_effective)
-    # a second save is byte-identical (determinism)
-    path2 = tmp_path / "cov2.json"
-    save_covering(cov, path2, rf, key)
-    assert path.read_bytes() == path2.read_bytes()
-    # files of earlier versions also carry each ball's doubled_members
-    d = json.loads(path.read_text())
-    assert all("doubled_members" not in b for b in d["balls"])
-    for b in d["balls"]:
-        b["doubled_members"] = b["members"] * 2
-    path.write_text(json.dumps(d))
-    _, cov3, key3 = load_covering(path)
-    assert key3 == key
-    for a, b in zip(cov.balls, cov3.balls):
-        assert np.array_equal(a.members, b.members)
+    for doubled in (False, True):
+        if doubled:
+            for b in old["balls"]:
+                b["doubled_members"] = b["members"] * 2
+        path.write_text(json.dumps(old, sort_keys=True))
+        with pytest.raises(LookupError):
+            load_covering(path)
 
 
 def test_covering_key_hashes_version_and_rule(torus16, monkeypatch):

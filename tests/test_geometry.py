@@ -459,6 +459,29 @@ def test_construction_matches_loop_oracle_supplied_lengths(bumpy16):
                           LoopManifold(*args, **kwargs))
 
 
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("validate", [False, True])
+def test_construction_options_match_loop_oracle(bumpy16, sphere8, torus3d5,
+                                                normalize, validate):
+    # every normalize/validate combination, on embeddings the
+    # normalization rescales (a scaled copy) and leaves (the built mesh)
+    for m in (bumpy16, sphere8, torus3d5):
+        for scale in (1.0, 3.7):
+            args = (m.n, m.vertices * scale, m.oriented_cells)
+            kwargs = dict(normalize=normalize, validate=validate)
+            _assert_same_mesh(SimplicialManifold(*args, **kwargs),
+                              LoopManifold(*args, **kwargs))
+
+
+def test_off_loaded_mesh_matches_loop_oracle(monkeypatch, tmp_path,
+                                             bumpy16):
+    # a saved mesh, loaded back: normalized already, so left as it is
+    path = tmp_path / "bumpy16.off"
+    save_mesh(bumpy16, path)
+    m, args, kwargs = _recorded_build(monkeypatch, lambda: load_mesh(path))
+    _assert_same_mesh(m, LoopManifold(*args, **kwargs))
+
+
 def test_simplex_index_rejects_non_simplices(torus8):
     a, b, c = torus8.simplices[2][0]
     assert simplex_index(torus8, 2, (c, a, b)) == 0

@@ -2,7 +2,9 @@
 
 Every module-level function and class of `src/hodge_rsm`, and every
 method of such a class, must be reached from a root: a click command of
-`cli.py`, a name `hodge_rsm/__init__.py` exports, or a name
+`cli.py`, a name `hodge_rsm/__init__.py` exports (imports, or names in a
+string for its module `__getattr__` to import on first use), a
+module-level dunder function (Python calls it), or a name
 `perfbench/*.py` mentions (the benchmark calls and rebinds program
 names).  A definition reaches every name its body mentions, and a
 module-level assignment reaches those of its value once its own name is
@@ -91,12 +93,20 @@ def unreached_definitions() -> list:
                 if path.name == "__init__.py":
                     roots.update(a.asname or a.name for a in node.names)
                 continue
+            if path.name == "__init__.py":
+                roots.update(part for sub in ast.walk(node)
+                             if isinstance(sub, ast.Constant)
+                             and isinstance(sub.value, str)
+                             and DOTTED.fullmatch(sub.value)
+                             for part in sub.value.split("."))
             body = node
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 names = [node.name]
                 defs.append((path.stem, node.name))
-                if path.name == "cli.py" and _is_command(node):
+                if path.name == "cli.py" and _is_command(node) \
+                        or node.name.startswith("__") \
+                        and node.name.endswith("__"):
                     roots.add(node.name)
                 if isinstance(node, ast.ClassDef):
                     # the class keeps what its body mentions outside its
