@@ -5,7 +5,7 @@
     python3 bench/ladder.py --parent-src ../parent/src --out BENCH_29.json
 
 Run from the root of a source checkout; the program is imported from
-`src/` (or `--src`).  Each rung (a mesh of the ladder) runs the public
+`src/`.  Each rung (a mesh of the ladder) runs the public
 stage functions in a fresh subprocess, under a wall cap of CAP_SECONDS
 and an address-space cap (RLIMIT_AS) of AS_CAP_BYTES set in the child,
 with one BLAS thread, at p = 1, epsilon = 0.1, divisor 120, r = 1.5 and
@@ -38,6 +38,7 @@ import json
 import math
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -143,10 +144,17 @@ def trial(rung: str, src: Path, until: str | None = None) -> dict:
         with open(errors, "w") as err:
             proc = subprocess.Popen(args, env=env, stdout=subprocess.DEVNULL,
                                     stderr=err)
-        timer = threading.Timer(CAP_SECONDS, proc.kill)
+        # the cap kills by pid, which stays the child's until wait4 reaps
+        # it: waitid(WNOWAIT) waits for the exit without reaping, and the
+        # timer has finished or been cancelled before wait4 runs
+        timer = threading.Timer(CAP_SECONDS, os.kill,
+                                (proc.pid, signal.SIGKILL))
         timer.start()
-        _, status, usage = os.wait4(proc.pid, 0)
+        os.waitid(os.P_PID, proc.pid, os.WEXITED | os.WNOWAIT)
         timer.cancel()
+        timer.join()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
         wall = time.perf_counter() - t
         error = Path(errors).read_text(errors="replace").strip()
         lines = Path(progress).read_text().splitlines() \
@@ -240,8 +248,6 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--rungs", default=",".join(RUNGS),
                     help="comma-separated rungs, of: " + ", ".join(RUNGS))
-    ap.add_argument("--src", default=str(ROOT / "src"),
-                    help="source tree to import hodge_rsm from")
     ap.add_argument("--parent-src", default=None,
                     help="source tree whose mesh build and covering "
                          "stages run alongside, for comparison")
@@ -260,7 +266,7 @@ def main() -> None:
     if unknown:
         ap.error(f"unknown rungs {unknown}")
     parent = Path(a.parent_src).resolve() if a.parent_src else None
-    rungs = {n: run_rung(n, Path(a.src).resolve(), parent) for n in names}
+    rungs = {n: run_rung(n, ROOT / "src", parent) for n in names}
     result = {
         "settings": {"p": DEGREE, "epsilon": EPS, "divisor": DIVISOR,
                      "r": R, "weight": "constant", "blas_threads": 1,

@@ -343,15 +343,9 @@ def covering_to_dict(cov: AdmissibleCovering, rf: RadiusField,
     chi at every member, 0.0 where chi stores no entry (a member whose
     bump is 0); then the radius field, eps, overlap_measured and the key.
     The ball radii follow from the centres and the radius field."""
-    A, chi = cov.members, cov.chi.tocsc()
-    V = A.shape[0]
-    # chi's pattern lies within the members'; both columns ascend, so
-    # column-major keys find chi's entries among the members
-    at = np.zeros(A.nnz)
-    at[np.searchsorted(
-        np.repeat(np.arange(A.shape[1]), np.diff(A.indptr)) * V + A.indices,
-        np.repeat(np.arange(chi.shape[1]), np.diff(chi.indptr)) * V
-        + chi.indices)] = chi.data
+    A = cov.members
+    at = np.asarray(cov.chi[A.indices, np.repeat(np.arange(A.shape[1]),
+                                                 np.diff(A.indptr))]).ravel()
     return {
         "eps": cov.eps,
         "overlap_measured": cov.overlap_measured,
@@ -392,12 +386,11 @@ def load_covering(path) -> tuple[RadiusField, AdmissibleCovering, str]:
     centers = np.array(d["centers"], dtype=np.int64)
     offsets = np.array(d["member_offsets"], dtype=np.int64)
     members = np.array(d["members"], dtype=np.int64)
-    shape = (rf.values.size, centers.size)
-    cov = AdmissibleCovering(
-        covering_balls(rf, centers, np.split(members, offsets[1:-1])),
-        d["eps"], sp.csc_matrix((np.ones(members.size), members, offsets),
-                                shape=shape), d["overlap_measured"])
+    balls = covering_balls(rf, centers, np.split(members, offsets[1:-1]))
+    cov = AdmissibleCovering(balls, d["eps"],
+                             membership(balls, rf.values.size),
+                             d["overlap_measured"])
     cov.chi = sp.csc_matrix((np.array(d["chi"], dtype=float), members,
-                             offsets), shape=shape).tocsr()
+                             offsets), shape=cov.members.shape).tocsr()
     cov.chi.eliminate_zeros()
     return rf, cov, d["key"]

@@ -529,6 +529,8 @@ def test_old_layout_covering_does_not_load(tmp_path, torus16, cover16):
 
 def test_covering_key_hashes_version_and_rule(torus16, monkeypatch):
     key = covering_key(torus16, 0.1, 120.0)
+    assert key != covering_key(torus16, 0.2, 120.0)
+    assert key != covering_key(torus16, 0.1, 60.0)
     with monkeypatch.context() as mp:
         mp.setattr(covering, "COVERING_RULE", covering.COVERING_RULE + 1)
         assert covering_key(torus16, 0.1, 120.0) != key
