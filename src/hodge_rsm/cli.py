@@ -322,7 +322,9 @@ def solve(config_path, r_, s_, k_, degrees, out_dir):
             loc = np.zeros(m.num_simplices(p))
             loc[interior] = om.values[interior]
             loc_c = dec.Cochain(m, p, loc)
-            ud, _ = local_solver.solve_local_dirichlet(patch, loc_c, cfg["r"])
+            # the direct solve of ball 0's one-ball PatchSystem
+            f = local_solver.stack_patches(patch, p)
+            ud = dec.Cochain(m, p, f.scatter(f.lu.solve(f.M * loc[f.index])))
             un, nd = local_solver.neumann_series_solve(patch, loc_c,
                                                       r=cfg["r"])
             agree = dec.norm_l2(un - ud) / max(dec.norm_l2(ud), 1e-300)
@@ -439,6 +441,23 @@ def verify(config_path, r_, degrees, out_dir):
     sys.exit(code)
 
 
+def _read_report(path) -> dict:
+    """The report at path; a usage error naming the file when it is not
+    a JSON object whose checks each hold a name, passed and details."""
+    try:
+        with open(path) as f:
+            data = json.load(f)
+    except ValueError as e:   # JSONDecodeError, UnicodeDecodeError
+        raise click.UsageError(f"{path}: not valid JSON: {e}")
+    checks = data.get("checks", []) if isinstance(data, dict) else None
+    if not isinstance(checks, list) or not all(
+            isinstance(c, dict) and {"name", "passed", "details"} <= c.keys()
+            for c in checks):
+        raise click.UsageError(f"{path}: not a report (a JSON object whose "
+                               "checks each hold name, passed and details)")
+    return data
+
+
 @main.command()
 @_config_opt
 @click.option("--out-dir", default=None, type=click.Path())
@@ -452,8 +471,7 @@ def report(config_path, out_dir):
     found = False
     for path in sorted(out.glob("*_report.json")):
         found = True
-        with open(path) as f:
-            data = json.load(f)
+        data = _read_report(path)
         ok = data.get("all_passed", False)
         any_fail |= not ok
         click.echo(f"{path.name}: {'PASS' if ok else 'FAIL'} "

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,34 +54,36 @@ class CoveringBall:
     core_radius: float
     covering_radius: float
     admissible_radius: float
-    members: np.ndarray          # vertices within the covering radius
-    distances: np.ndarray | None = None   # members' from the center,
-                                          # None in a loaded covering
 
 
-def membership(balls: list, num_vertices: int) -> sp.csc_matrix:
+def membership(members: np.ndarray, offsets: np.ndarray,
+               num_vertices: int) -> sp.csc_matrix:
     """Vertices x balls matrix, 1.0 where the vertex is a ball member:
-    column j lists ball j's members as stored (ascending)."""
-    members = [b.members for b in balls]
-    starts = np.concatenate([[0], np.cumsum([x.size for x in members])])
-    return sp.csc_matrix((np.ones(starts[-1]), np.concatenate(members),
-                          starts), shape=(num_vertices, len(balls)))
+    column j lists members[offsets[j]:offsets[j + 1]] as given
+    (ascending)."""
+    return sp.csc_matrix((np.ones(members.size), members, offsets),
+                         shape=(num_vertices, offsets.size - 1))
 
 
 @dataclass
 class AdmissibleCovering:
     """The balls with their vertices x balls membership matrix (members,
-    built with them by vitali_cover or load_covering), the partition of
-    unity, and what the sweeps and the ledger steps build on first use."""
+    built with them by vitali_cover or load_covering), the members'
+    distances from their centres aligned with members.indices (None in
+    a loaded covering), the partition of unity, and what the sweeps and
+    the ledger steps build on first use."""
 
     balls: list
     eps: float
     members: sp.csc_matrix                      # vertices x balls
     overlap_measured: int = 0
+    distances: np.ndarray | None = None
     chi: sp.csr_matrix | None = None            # vertices x balls
     patches: object | None = None   # rsm.cached_patches: a Patches
-    systems: dict | None = None   # rsm.patch_system: PatchSystem by degree
-    ledgers: dict | None = None   # rsm.ledger_plan: LedgerPlan by degree
+    # rsm.patch_system and rsm.ledger_plan: PatchSystem and LedgerPlan
+    # by degree
+    systems: dict = field(default_factory=dict)
+    ledgers: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.balls)
@@ -205,7 +207,7 @@ def vitali_cover(m: SimplicialManifold, rf: RadiusField) -> AdmissibleCovering:
     a time.  The windows start at VITALI_WINDOW candidates and grow to
     twice the balls the last one accepted.  The accepted balls' members,
     within R_x = 5 core(x), and their distances, which partition_of_unity
-    reads, come from one more search.
+    reads, come from one more search, concatenated ball by ball.
     """
     core = rf.core
     order = np.lexsort((np.arange(m.num_vertices), -core))
@@ -232,10 +234,12 @@ def vitali_cover(m: SimplicialManifold, rf: RadiusField) -> AdmissibleCovering:
                 accepted += 1
         window = max(VITALI_WINDOW, 2 * accepted)
     centers = np.array(centers, dtype=np.int64)
-    balls = covering_balls(rf, centers, *zip(*ball_searches(
-        m, centers, 5.0 * core[centers])))
-    cov = AdmissibleCovering(balls, rf.eps,
-                             membership(balls, m.num_vertices))
+    members, d = zip(*ball_searches(m, centers, 5.0 * core[centers]))
+    offsets = np.concatenate([[0], np.cumsum([x.size for x in members])])
+    cov = AdmissibleCovering(
+        covering_balls(rf, centers), rf.eps,
+        membership(np.concatenate(members), offsets, m.num_vertices),
+        distances=np.concatenate(d))
     counts = cov.membership_counts(m.num_vertices)
     if counts.min() == 0:
         v = int(np.argmin(counts))
@@ -246,36 +250,33 @@ def vitali_cover(m: SimplicialManifold, rf: RadiusField) -> AdmissibleCovering:
     return cov
 
 
-def covering_balls(rf: RadiusField, centers: np.ndarray, members,
-                   distances=None) -> list:
+def covering_balls(rf: RadiusField, centers: np.ndarray) -> list:
     """The balls at the centers (ascending ball index), with core radius
     rf.core, covering radius 5 core and admissible radius rf.values at
-    each, as vitali_cover forms them, and their members and member
-    distances (None when not given)."""
+    each, as vitali_cover forms them."""
     core = rf.core[centers]
-    return [CoveringBall(j, x, c, 5.0 * c, a, mem, d)
-            for j, (x, c, a, mem, d) in enumerate(zip(
-                centers.tolist(), core.tolist(), rf.values[centers].tolist(),
-                members, distances or [None] * len(members)))]
+    return [CoveringBall(j, x, c, 5.0 * c, a) for j, (x, c, a) in enumerate(
+        zip(centers.tolist(), core.tolist(), rf.values[centers].tolist()))]
 
 
 def partition_of_unity(m: SimplicialManifold,
                        cov: AdmissibleCovering) -> sp.csr_matrix:
-    """Normalized C^2 bumps chi_j = phi_j / sum phi, stored into cov.
+    """Normalized C^2 bumps chi_j = phi_j / sum phi, stored into cov as
+    canonical CSR (sorted indices, no zeros), as load_covering builds it.
 
     phi_j(x) = (1 - (d/R_j)^2)^3 inside the ball, zero outside, with d
-    the member distances vitali_cover's search stored on each ball.
+    the member distances vitali_cover's search stored in cov.distances.
     """
     phi = cov.members.copy()
-    t = np.concatenate([b.distances for b in cov.balls]) \
-        / np.repeat(cov.radii(), np.diff(phi.indptr))
+    t = cov.distances / np.repeat(cov.radii(), np.diff(phi.indptr))
     phi.data = np.maximum(1.0 - t**2, 0.0) ** 3
     phi = phi.tocsr()
     phi.eliminate_zeros()
     total = np.asarray(phi.sum(axis=1)).ravel()
     if np.any(total <= 0):
         raise CoverageError("vertex with zero bump mass (coverage gap)")
-    cov.chi = sp.diags(1.0 / total) @ phi
+    phi.data *= np.repeat(1.0 / total, np.diff(phi.indptr))
+    cov.chi = phi
     return cov.chi
 
 
@@ -386,9 +387,8 @@ def load_covering(path) -> tuple[RadiusField, AdmissibleCovering, str]:
     centers = np.array(d["centers"], dtype=np.int64)
     offsets = np.array(d["member_offsets"], dtype=np.int64)
     members = np.array(d["members"], dtype=np.int64)
-    balls = covering_balls(rf, centers, np.split(members, offsets[1:-1]))
-    cov = AdmissibleCovering(balls, d["eps"],
-                             membership(balls, rf.values.size),
+    cov = AdmissibleCovering(covering_balls(rf, centers), d["eps"],
+                             membership(members, offsets, rf.values.size),
                              d["overlap_measured"])
     cov.chi = sp.csc_matrix((np.array(d["chi"], dtype=float), members,
                              offsets), shape=cov.members.shape).tocsr()

@@ -382,13 +382,11 @@ class DensityPlan:
     the pattern's simplices in storage order (A[:, row]) and regroups
     them by cochain in one stable counting pass (a permuted
     transposition), so its rows keep the operator rows' order and
-    nothing is sorted.  support (a simplices x cochains mask) is gathered
-    onto each pattern and kept as its restriction (see restriction), for
-    column_norms.
+    nothing is sorted.
     """
 
     def __init__(self, m: SimplicialManifold, p: int, index: np.ndarray,
-                 offsets: np.ndarray, support: sp.spmatrix):
+                 offsets: np.ndarray):
         self.p = p
         self.ncols = offsets.size - 1
         N = m.num_simplices(p)
@@ -418,8 +416,6 @@ class DensityPlan:
                 shape=(ring.size, step.shape[1]))
             self.volumes[chain] = volumes
         self.mu = [m.support_volumes[p][row] for _, row in self.patterns]
-        self.support = [self.restriction(k, mask) for k, mask in
-                        enumerate(self.gather(support, (0, 1)))]
 
     def _cochains(self, indptr: np.ndarray) -> np.ndarray:
         """The cochain of each entry of a cochain-major layout."""

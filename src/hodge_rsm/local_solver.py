@@ -12,7 +12,7 @@ the patch Laplacian around the chart's identity metric.
 The patches of a covering are extracted together (Patches.extract), as
 simplices x balls sparse matrices from one sparse product per degree,
 refusing a ball whose patch has no interior vertex or no boundary;
-patches[j] is the one-ball Patches the single-ball solvers take.  Their
+patches[j] is the one-ball Patches the Neumann series takes.  Their
 direct systems form one PatchSystem per degree (stack_patches): the
 stiffness and mass are formed once, on the interior rows only of the
 disjoint union of the patch subcomplexes sliced from the global complex
@@ -76,13 +76,15 @@ class PatchSystem:
         return np.bincount(self.index, x, minlength=self.support.shape[0])
 
     def diagnostics(self, omega: dec.Cochain, u: np.ndarray,
-                    plan: dec.DensityPlan, dens: list, r: float) -> tuple:
+                    plan: dec.DensityPlan, support: list, dens: list,
+                    r: float) -> tuple:
         """(balls, unknowns, residuals, c_j), arrays with one entry per
         patch, for the solution u of K u = M omega[index]: the ball, the
         interior unknowns, the residual |K_II u_I / M_I - omega_I| /
         |omega_I| and c_j = |u_j|_{W^{2,r}} / |omega_I|_{L^r} over the
-        patch.  plan is the DensityPlan of the stacked vector, with the
-        patch simplices as support; dens holds its densities of order 0,
+        patch.  plan is the DensityPlan of the stacked vector, support
+        the patch simplices as its restrictions of patterns 0 and 1
+        (DensityPlan.restriction); dens holds its densities of order 0,
         1 and 2 of u, on its patterns 0, 1 and 1."""
         om = omega.values[self.index]
         start = self.offsets[:-1]
@@ -93,7 +95,7 @@ class PatchSystem:
         res = np.sqrt(np.add.reduceat(dev, start))
         res /= np.sqrt(np.add.reduceat(om**2, start)) + 1e-300
         lr = plan.column_norms(0, plan.densities(om, (0,))[0], r)
-        w2 = sum(plan.column_norms(k, d, r, plan.support[k])
+        w2 = sum(plan.column_norms(k, d, r, support[k])
                  for k, d in zip((0, 1, 1), dens))
         c = np.divide(w2, lr, out=np.zeros_like(w2), where=lr > 0)
         return self.owner[start], np.diff(self.offsets), res, c
@@ -323,31 +325,8 @@ class SolveDiagnostics:
     degree: int
     unknowns: int
     residual: float
-    c_j: float = 0.0
     eta: float = 0.0
     iterations: int = 1
-
-
-def solve_local_dirichlet(patch: Patches, omega: dec.Cochain,
-                          r: float = 2.0) -> tuple[dec.Cochain, SolveDiagnostics]:
-    """Solve the patch Hodge-Laplace problem with zero boundary values.
-
-    Solves K_II u_I = M_I omega_I with the patch submesh stiffness K_II
-    and mass M_I on the interior simplices, so the submesh Laplacian of
-    u equals omega on the interior to machine precision; u is
-    zero-extended outside.  patch is a one-ball Patches; the system is
-    its PatchSystem, built and factored on each call, and the
-    diagnostics are those the sweeps record (PatchSystem.diagnostics),
-    on the DensityPlan of its one column.
-    """
-    m, p = patch.manifold, omega.degree
-    f = stack_patches(patch, p)
-    u_I = f.lu.solve(f.M * omega.values[f.index])
-    plan = dec.DensityPlan(m, p, f.index, f.offsets, f.support)
-    ball, n, res, c = (x.item() for x in f.diagnostics(
-        omega, u_I, plan, plan.densities(u_I), r))
-    return dec.Cochain(m, p, f.scatter(u_I)), SolveDiagnostics(ball, p, n,
-                                                               res, c)
 
 
 def _chart_lengths(patch: Patches) -> np.ndarray:

@@ -19,8 +19,8 @@ never by a bare sweep: two fixed patterns, the stacked entries and their
 one ring, and one CSR matrix per step of the density formula
 (dec.DensityPlan), so a step's densities are matrix-vector products,
 Lap u_j the sum of its two halves, and its per-ball norms bincounts over
-pattern columns.  What the ledger reads of the covering alone (the
-membership, each ball's dual volume, the ball masks and each pattern's
+pattern columns.  What the ledger reads of the covering alone (each
+ball's dual volume, the patch and ball masks and each pattern's
 overlap) is held by the plan too, so a step computes only what depends
 on omega and the weight, every inequality on every step.
 """
@@ -154,7 +154,6 @@ def cached_patches(m: SimplicialManifold,
     here."""
     if cov.patches is None:
         cov.patches = local_solver.Patches.extract(m, cov)
-        cov.systems, cov.ledgers = {}, {}
     return cov.patches
 
 
@@ -196,23 +195,23 @@ def _partition_weights(m: SimplicialManifold, cov: AdmissibleCovering,
 class LedgerPlan:
     """What the ledger of a step reads at one degree, besides the patch
     system, all of it fixed by the covering: the DensityPlan of the
-    stacked local solutions (dens, one column per ball, the patch
-    simplices as support), the partition weight chi_j averaged over the
-    simplex of each entry of the one ring, where Lap U lies (chi_ring),
-    the mask of simplices with all vertices in the ball as restrictions
-    (DensityPlan.restriction) of the two patterns (balls) and column by
-    column (ball_rows, ball_cols), the vertices x balls membership
-    (cov.members, CSC), the ball radii, each ball's dual volume (volumes,
-    for check_weight_relative) and the largest number of entries on one
+    stacked local solutions (dens, one column per ball), the partition
+    weight chi_j averaged over the simplex of each entry of the one
+    ring, where Lap U lies (chi_ring), the patch simplices (support, for
+    PatchSystem.diagnostics) and the simplices with all vertices in the
+    ball (balls), each as restrictions (DensityPlan.restriction) of the
+    two patterns, the latter also column by column (ball_rows,
+    ball_cols), the ball radii, each ball's dual volume (volumes, for
+    check_weight_relative) and the largest number of entries on one
     simplex in each pattern (overlap, the 5s4 T_eff when every entry
     carries a piece)."""
 
     dens: dec.DensityPlan
     chi_ring: np.ndarray
+    support: list
     balls: list
     ball_rows: np.ndarray
     ball_cols: np.ndarray
-    members: sp.csc_matrix
     radii: np.ndarray
     volumes: np.ndarray
     overlap: list
@@ -220,15 +219,20 @@ class LedgerPlan:
     @classmethod
     def build(cls, m: SimplicialManifold, cov: AdmissibleCovering,
               dens: dec.DensityPlan) -> LedgerPlan:
-        p, members = dens.p, cov.members
+        p = dens.p
         N = m.num_simplices(p)
-        balls = ball_simplices(m, p, members)
+        balls = ball_simplices(m, p, cov.members)
         col, row = dens.patterns[1]
+
+        def restrictions(mask):
+            return [dens.restriction(k, x) for k, x in
+                    enumerate(dens.gather(mask, (0, 1)))]
+
         return cls(dens, _partition_weights(m, cov, p, row, col),
-                   [dens.restriction(k, mask) for k, mask in
-                    enumerate(dens.gather(balls, (0, 1)))], balls.indices,
+                   restrictions(cov.patches.simplices[p]),
+                   restrictions(balls), balls.indices,
                    np.repeat(np.arange(len(cov)), np.diff(balls.indptr)),
-                   members, cov.radii(), ball_volumes(cov, m),
+                   cov.radii(), ball_volumes(cov, m),
                    [int(np.bincount(row, minlength=N).max())
                     for _, row in dens.patterns])
 
@@ -254,9 +258,8 @@ def ledger_plan(m: SimplicialManifold, cov: AdmissibleCovering,
     ledger step (rsm_step) at degree p; sweeps and solves build none."""
     system = patch_system(m, cov, p)
     if p not in cov.ledgers:
-        dens = dec.DensityPlan(m, p, system.index, system.offsets,
-                               cov.patches.simplices[p])
-        cov.ledgers[p] = LedgerPlan.build(m, cov, dens)
+        cov.ledgers[p] = LedgerPlan.build(m, cov, dec.DensityPlan(
+            m, p, system.index, system.offsets))
     return cov.ledgers[p]
 
 
@@ -373,8 +376,8 @@ def _weight_summation_bound(m, cov, plan: LedgerPlan, rf: RadiusField,
                          * dec.density(omega) ** r)[plan.ball_rows],
         minlength=R.size) \
         ** (1 / r)
-    rf_max = np.maximum.reduceat(rf.values[plan.members.indices],
-                                 plan.members.indptr[:-1])
+    rf_max = np.maximum.reduceat(rf.values[cov.members.indices],
+                                 cov.members.indptr[:-1])
     rho = float(np.max(rf_max / R, initial=1.0))
     c_iw = min(1.0, c_iw)
     nz = b > 1e-300
@@ -431,7 +434,7 @@ def rsm_step(m: SimplicialManifold, cov: AdmissibleCovering,
     chains = {}
     U_dens = dens.densities(u, values=chains)
     parts_dens = dens.densities(parts)
-    solves = system.diagnostics(omega, u, dens, U_dens, r)
+    solves = system.diagnostics(omega, u, dens, plan.support, U_dens, r)
     chi_lap = np.bincount(dens.patterns[1][1], plan.chi_ring
                           * dec.laplacian_from_halves(chains),
                           minlength=m.num_simplices(p))

@@ -585,7 +585,7 @@ def extract_patch(m, cov, j):
     ball = cov.balls[j]
     n = m.n
     vmask = np.zeros(m.num_vertices, dtype=bool)
-    vmask[ball.members] = True
+    vmask[column(cov.members, j)] = True
     cell_mask = vertex_mask_to_simplex_mask(m, n, vmask)
     cells = np.flatnonzero(cell_mask)
     patch = Patch(m, ball, cells)
@@ -607,12 +607,24 @@ def extract_patch(m, cov, j):
     return patch
 
 
-def covering_of(m, balls, eps=0.1):
-    """An AdmissibleCovering of hand-picked balls of m, with their
-    membership, and nothing else."""
-    return covering.AdmissibleCovering(balls, eps,
-                                       covering.membership(balls,
-                                                           m.num_vertices))
+def covering_of(m, balls, members, eps=0.1):
+    """An AdmissibleCovering of hand-picked balls of m and their member
+    lists (each ascending), with their membership, and nothing else."""
+    offsets = np.concatenate([[0], np.cumsum([x.size for x in members])])
+    return covering.AdmissibleCovering(balls, eps, covering.membership(
+        np.concatenate(members), offsets, m.num_vertices))
+
+
+def searched_membership(m, cov) -> sp.csc_matrix:
+    """The vertices x balls membership of cov rebuilt from one bounded
+    search per ball (geometry.ball_search to its covering radius), by a
+    COO build.  Tests only: vitali_cover concatenates one batched
+    search and builds it with covering.membership."""
+    found = [geometry.ball_search(m, b.center, b.covering_radius)[0]
+             for b in cov.balls]
+    cols = np.repeat(np.arange(len(found)), [x.size for x in found])
+    return sp.coo_matrix((np.ones(cols.size), (np.concatenate(found), cols)),
+                         shape=(m.num_vertices, len(found))).tocsc()
 
 
 def per_element_covering_json(cov, rf, key) -> str:
@@ -622,15 +634,16 @@ def per_element_covering_json(cov, rf, key) -> str:
     Tests only: the library converts whole arrays
     (covering.covering_to_dict)."""
     chi = cov.chi.todok()
+    members = [column(cov.members, b.index) for b in cov.balls]
     return json.dumps({
         "eps": cov.eps,
         "overlap_measured": cov.overlap_measured,
         "centers": [int(b.center) for b in cov.balls],
         "member_offsets": [0] + np.cumsum(
-            [b.members.size for b in cov.balls]).tolist(),
-        "members": [int(v) for b in cov.balls for v in b.members],
-        "chi": [float(chi.get((int(v), b.index), 0.0)) for b in cov.balls
-                for v in b.members],
+            [x.size for x in members]).tolist(),
+        "members": [int(v) for x in members for v in x],
+        "chi": [float(chi.get((int(v), b.index), 0.0)) for b, x in
+                zip(cov.balls, members) for v in x],
         "radius_field": {"values": [float(x) for x in rf.values],
                          "eps": rf.eps, "divisor": rf.divisor,
                          "divisor_effective": rf.divisor_effective},
@@ -651,7 +664,7 @@ def old_layout_covering(cov, rf, key) -> dict:
             "core_radius": b.core_radius,
             "covering_radius": b.covering_radius,
             "admissible_radius": b.admissible_radius,
-            "members": b.members.tolist(),
+            "members": column(cov.members, b.index).tolist(),
         } for b in cov.balls],
         "partition_triplets": [[int(i), int(j), float(v)] for i, j, v
                                in zip(chi.row, chi.col, chi.data)],
@@ -674,9 +687,9 @@ def balls_without_whole_star(m, cov):
     the same balls, since a vertex's link is connected."""
     g = m.graph.tocsr()
     flagged = []
-    for j, ball in enumerate(cov.balls):
+    for j in range(len(cov.balls)):
         inside = np.zeros(m.num_vertices, dtype=bool)
-        inside[ball.members] = True
+        inside[column(cov.members, j)] = True
         whole = np.logical_and.reduceat(inside[g.indices], g.indptr[:-1])
         if not (inside & whole).any():
             flagged.append(j)
@@ -825,7 +838,7 @@ def _oracle_half_operators(m, p):
 
 
 def oracle_plan_steps(m, p, index, offsets):
-    """(steps, patterns) of dec.DensityPlan(m, p, index, offsets, ...),
+    """(steps, patterns) of dec.DensityPlan(m, p, index, offsets),
     each step built by one argsort of its (pattern entry, operator entry)
     pairs, the one ring by one sort of the keys the last steps reach, and
     each last step's rows placed on it by a search.  Tests only: the
@@ -945,21 +958,28 @@ def oracle_ledger_plan(m, cov, dens) -> dict:
     first built them, and the chi of the patch system (which the plan
     held then): the partition weights and the ball masks formed as
     simplices x balls matrices (geometry.simplex_average) and sampled on
-    the plan's two patterns, the membership rebuilt from the balls'
-    member lists, the ball volumes and the pattern overlaps from it and
-    from the patterns by sparse sums."""
+    the plan's two patterns, the patch simplices of the degree's patch
+    system sampled there too, the membership rebuilt from one search per
+    ball, the ball volumes and the pattern overlaps from it and from the
+    patterns by sparse sums."""
     p = dens.p
-    members = covering.membership(cov.balls, m.num_vertices)
+    members = searched_membership(m, cov)
     chi = geometry.simplex_average(m, p, cov.chi.tocsr())
     balls = oracle_ball_simplices(m, p, members)
     chi0, chi_ring = oracle_gather(dens, chi, (0, 1))
+    support = rsm.patch_system(m, cov, p).support
+
+    def restrictions(mask):
+        return [oracle_restriction(dens, k, x) for k, x in
+                enumerate(oracle_gather(dens, mask, (0, 1)))]
+
     return {"system.chi": chi0, "chi_ring": chi_ring,
-            "balls": [oracle_restriction(dens, k, mask) for k, mask in
-                      enumerate(oracle_gather(dens, balls, (0, 1)))],
+            "support": restrictions(support),
+            "balls": restrictions(balls),
             "ball_rows": balls.indices,
             "ball_cols": np.repeat(np.arange(len(cov)),
                                    np.diff(balls.indptr)),
-            "members": members, "radii": cov.radii(),
+            "radii": cov.radii(),
             "volumes": members.T @ m.dual_volumes(),
             "overlap": [int(sp.csr_matrix(
                 (np.ones(dens.patterns[k][1].size),
@@ -1299,7 +1319,7 @@ def _oracle_global_densities(m, p, values, order):
 
 
 def _oracle_weight_relative(w, cov, m):
-    A = covering.membership(cov.balls, m.num_vertices)
+    A = searched_membership(m, cov)
     dv = m.dual_volumes()
     means = (A.T @ (w.values * dv)) / (A.T @ dv)
     ratios = w.values[A.indices] / np.repeat(means, np.diff(A.indptr))
@@ -1349,7 +1369,7 @@ def oracle_rsm_step(m, cov, rf, omega, r, w, step_index=0):
     u = U.data
     system, lplan = rsm.patch_system(m, cov, p), rsm.ledger_plan(m, cov, p)
     plan = lplan.dens
-    members = covering.membership(cov.balls, m.num_vertices)
+    members = searched_membership(m, cov)
     balls = oracle_ball_simplices(m, p, members)
     ball_masks = oracle_gather(plan, balls, (0, 1))
     ball_rows = balls.indices
@@ -1546,13 +1566,16 @@ def local_czi_check(patch: local_solver.Patches, u: dec.Cochain, r: float):
     m, p = patch.manifold, u.degree
     ball = patch.balls[0]
     R = ball.covering_radius
+    # the ball's members, and those within R / 2 (a search's distances
+    # are exact, so they are a search to R / 2's)
+    members, d = geometry.ball_search(m, ball.center, R)
     half = np.zeros(m.num_vertices, dtype=bool)
-    half[geometry.ball_search(m, ball.center, R / 2.0)[0]] = True
+    half[members[d <= R / 2.0]] = True
     hmask = vertex_mask_to_simplex_mask(m, p, half)
     if not hmask.any():
         raise local_solver.PatchError("empty half-radius sub-ball")
     full = np.zeros(m.num_vertices, dtype=bool)
-    full[ball.members] = True
+    full[members] = True
     fmask = vertex_mask_to_simplex_mask(m, p, full)
 
     lhs = dec.sobolev_norm(m, u, dec.NormSpec(r, order=2), hmask)

@@ -13,7 +13,7 @@ import pytest
 
 from hodge_rsm import analysis, covering, dec, rsm
 
-from conftest import (all_geodesic_distances, euler_characteristic,
+from conftest import (all_geodesic_distances, column, euler_characteristic,
                       harmonic_embedding_check, weak_decomposition_sequence)
 
 RESULTS = {}
@@ -76,7 +76,7 @@ def test_criterion_02_covering_soundness(torus16, cover16, torus32, cover32,
             for i, a in enumerate(cov.balls) for b in cov.balls[i + 1:])
         covered = np.zeros(m.num_vertices, dtype=bool)
         for b in cov.balls:
-            covered[b.members] = True
+            covered[column(cov.members, b.index)] = True
         bound = covering.overlap_bound(0.1, m.n)
         sums = np.asarray(cov.chi.sum(axis=1)).ravel()
         lip = covering.check_radius_lipschitz(m, rf)

@@ -15,7 +15,7 @@ from scipy.linalg import subspace_angles
 from conftest import (ROUNDOFF_BUDGET, _cover_bundle,
                       assert_czi_fit_within_budget, harmonic_embedding_check,
                       oracle_czi_fit, oracle_gap_solve, oracle_spectrum,
-                      relabelled_mesh, total_volume,
+                      column, relabelled_mesh, total_volume,
                       vertex_mask_to_simplex_mask,
                       weak_decomposition_sequence)
 from hodge_rsm import analysis, covering, dec, geometry, rsm
@@ -562,11 +562,11 @@ def _loop_weak_decomposition(m, cov, rf, rep, omega, r, alpha, eps_target,
         vmask[vertices] = True
         return vertex_mask_to_simplex_mask(m, p, vmask)
 
-    mass = [-np.abs(om_c.values)[simplices_in(b.members)].sum()
-            for b in cov.balls]
+    members = [column(cov.members, b.index) for b in cov.balls]
+    mass = [-np.abs(om_c.values)[simplices_in(x)].sum() for x in members]
     union = []
     for used, j in enumerate(np.argsort(mass, kind="stable"), start=1):
-        union.append(cov.balls[j].members)
+        union.append(members[j])
         inside = simplices_in(np.concatenate(union))
         tail = dec.Cochain(m, p, np.where(inside, 0.0, om_c.values))
         if used >= min_balls and (dec.lr_norm(m, tail, spec) <= eps_target

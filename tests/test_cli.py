@@ -234,6 +234,27 @@ def test_report_missing_dir(runner, tmp_path):
     res = runner.invoke(main, ["report", "--config", cfg])
     assert res.exit_code == 2
 
+
+@pytest.mark.parametrize("text", [
+    '{"all_passed": true, "checks": [',
+    '[{"name": "overlap", "passed": true, "details": {}}]',
+    '{"all_passed": false, "checks": [{"name": "overlap", "details": {}}]}',
+], ids=["unparsable", "list", "check_without_passed"])
+def test_report_malformed_is_usage_error(runner, tmp_path, text):
+    # a report that is no JSON, not an object or holds a check without
+    # passed is a usage error naming the file, not a traceback
+    cfg = _cfg(tmp_path)
+    out = tmp_path / "runs"
+    out.mkdir()
+    (out / "a_report.json").write_text(json.dumps(
+        {"all_passed": True, "checks": [
+            {"name": "overlap", "passed": True, "details": {}}]}))
+    (out / "b_report.json").write_text(text)
+    res = runner.invoke(main, ["report", "--config", cfg])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert str(out / "b_report.json") in res.output
+
 def test_bad_config_file(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -464,7 +485,8 @@ def _loaded(path):
             cov.eps, cov.overlap_measured, chi.shape, chi.indptr.tolist(),
             chi.indices.tolist(), chi.data.tolist(),
             [(b.index, b.center, b.core_radius, b.covering_radius,
-              b.admissible_radius, b.members.tolist()) for b in cov.balls])
+              b.admissible_radius) for b in cov.balls],
+            cov.members.indptr.tolist(), cov.members.indices.tolist())
 
 
 def _indent(path):

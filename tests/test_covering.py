@@ -19,7 +19,7 @@ from hodge_rsm.covering import (RadiusField, WeightField,
                                 weight_from_radius)
 from conftest import (ROUNDOFF_BUDGET, LoopChartFrame, all_geodesic_distances,
                       balls_without_whole_star, chi_gradient_constant,
-                      covering_of, extract_patch, geodesic_distance,
+                      column, covering_of, extract_patch, geodesic_distance,
                       local_czi_check, loop_admissible_radius,
                       loop_vitali_centers, old_layout_covering,
                       per_element_covering_json)
@@ -172,7 +172,8 @@ def _balls_without_interior_vertex(m, cov):
     flagged = []
     for j, ball in enumerate(cov.balls):
         try:
-            local_solver.Patches.extract(m, covering_of(m, [ball]))
+            local_solver.Patches.extract(m, covering_of(
+                m, [ball], [column(cov.members, j)]))
         except local_solver.PatchError as e:
             if "no interior vertex" in str(e):
                 flagged.append(j)
@@ -282,17 +283,21 @@ def test_vitali_cores_disjoint_cover_complete(torus16, cover16, bumpy16,
                     cores[bi.center] + cores[bj.center] - 1e-12
         covered = np.zeros(m.num_vertices, dtype=bool)
         for b in cov.balls:
-            covered[b.members] = True
+            covered[column(cov.members, b.index)] = True
         assert covered.all()
         assert cov.overlap_measured <= overlap_bound(0.1, m.n)
-        # the bounded searches give the oracle rows' balls and bumps
+        # the bounded searches give the oracle rows' balls, their
+        # distances and bumps
         phi = np.zeros((m.num_vertices, len(cov)))
         for b in cov.balls:
             row = D[b.center]
-            assert np.array_equal(b.members,
+            members = column(cov.members, b.index)
+            assert np.array_equal(members,
                                   np.flatnonzero(row <= b.covering_radius))
-            t = row[b.members] / b.covering_radius
-            phi[b.members, b.index] = np.maximum(1.0 - t**2, 0.0) ** 3
+            lo, hi = cov.members.indptr[b.index:b.index + 2]
+            assert np.array_equal(cov.distances[lo:hi], row[members])
+            t = row[members] / b.covering_radius
+            phi[members, b.index] = np.maximum(1.0 - t**2, 0.0) ** 3
         phi = sp.csr_matrix(phi)
         chi = sp.diags(1.0 / np.asarray(phi.sum(axis=1)).ravel()) @ phi
         assert (cov.chi != chi).nnz == 0
@@ -346,7 +351,7 @@ def test_vitali_single_ball_cover(torus8):
     cov = vitali_cover(torus8, rf)
     assert len(cov) == 1
     assert cov.overlap_measured == 1
-    assert len(cov.balls[0].members) == torus8.num_vertices
+    assert len(column(cov.members, 0)) == torus8.num_vertices
     partition_of_unity(torus8, cov)
     chi = np.asarray(cov.chi.todense()).ravel()
     assert np.allclose(chi, 1.0, atol=1e-12)
@@ -389,10 +394,11 @@ def test_weight_power_ratio(bumpy16):
 def _weight_relative_loop(w, cov, m):
     """Ball means and comparability constants ball by ball (reference)."""
     dv = m.dual_volumes()
-    means = np.array([np.average(w.values[b.members], weights=dv[b.members])
-                      for b in cov.balls])
-    ratios = np.concatenate([w.values[b.members] / means[b.index]
-                             for b in cov.balls])
+    members = [column(cov.members, b.index) for b in cov.balls]
+    means = np.array([np.average(w.values[x], weights=dv[x])
+                      for x in members])
+    ratios = np.concatenate([w.values[x] / means[j]
+                             for j, x in enumerate(members)])
     return means, ratios.min(), ratios.max()
 
 
@@ -488,8 +494,10 @@ def test_covering_serialization_round_trip(request, tmp_path):
                  b.admissible_radius) for b in cov2.balls] == \
             [(b.index, b.center, b.core_radius, b.covering_radius,
               b.admissible_radius) for b in cov.balls]
-        for a, b in zip(cov.balls, cov2.balls):
-            _assert_same_arrays(a.members, b.members)
+        # each ball's members are a column of members, compared below;
+        # their distances are the built covering's alone
+        assert cov.distances.size == cov.members.nnz \
+            and cov2.distances is None
         # chi as the triplets of the earlier layout loaded it: canonical CSR
         chi = sp.coo_matrix(cov.chi).tocsr()
         for a, b in ((cov.members, cov2.members), (chi, cov2.chi)):
@@ -509,6 +517,25 @@ def test_covering_serialization_round_trip(request, tmp_path):
         path2 = tmp_path / "cov2.json"
         save_covering(cov, path2, rf, key)
         assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("mesh,cover", [("torus16", "cover16"),
+                                        ("bumpy16", "cover_bumpy"),
+                                        ("sphere8", "cover_sphere8"),
+                                        ("torus3d5", "cover3d5")])
+def test_built_chi_is_the_loaded_chi(request, tmp_path, mesh, cover):
+    # partition_of_unity stores chi as canonical CSR, the storage
+    # load_covering builds: the same data, indices and indptr, bit for
+    # bit, so a loaded covering sums chi in the built one's order
+    m = request.getfixturevalue(mesh)
+    rf, cov = request.getfixturevalue(cover)
+    path = tmp_path / "cov.json"
+    save_covering(cov, path, rf, covering_key(m, 0.1, 120.0))
+    chi = load_covering(path)[1].chi
+    assert cov.chi.format == chi.format == "csr"
+    for name in ("data", "indices", "indptr"):
+        _assert_same_arrays(getattr(cov.chi, name), getattr(chi, name))
+    assert cov.chi.has_canonical_format
 
 
 def test_old_layout_covering_does_not_load(tmp_path, torus16, cover16):

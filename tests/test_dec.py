@@ -19,7 +19,7 @@ from hodge_rsm.geometry import (SimplicialManifold, chord_lengths,
 
 from conftest import (PERTURBED_MESHES, ROUNDOFF_BUDGET, Chart,
                       assert_plan_matches_step_oracle,
-                      assert_ring_is_oracle_union, covering_of,
+                      assert_ring_is_oracle_union, column, covering_of,
                       geodesic_distance, normal_chart, oracle_column_norms,
                       oracle_densities, oracle_operator, perturbed_mesh,
                       refused_balls, total_volume, vertex_mask_to_simplex_mask)
@@ -196,7 +196,7 @@ def test_embedding_check_3d(torus3d8, rng):
     t = sobolev_exponent(r, 2, torus3d8.n)
     assert t is not INF
     vmask = np.zeros(torus3d8.num_vertices, dtype=bool)
-    vmask[ball.members] = True
+    vmask[column(cov.members, 0)] = True
     mask = vertex_mask_to_simplex_mask(torus3d8, 1, vmask)
     ratios = []
     for _ in range(8):
@@ -338,7 +338,8 @@ def _assert_plan_matches_oracle(m, p, plan, x, support):
             scale = np.abs(want.toarray()).max(axis=0)
             assert np.all(np.abs(got_m - want.toarray())
                           <= ROUNDOFF_BUDGET["sum"] * scale)
-        norms = plan.column_norms(k, got, 1.5, plan.support[k])
+        mask = plan.restriction(k, plan.gather(support, (k,))[0])
+        norms = plan.column_norms(k, got, 1.5, mask)
         ref = oracle_column_norms(m, p, want, 1.5, support)
         if order < 2:
             assert np.array_equal(norms, ref), order
@@ -362,8 +363,7 @@ def test_density_plan_matches_sparse_oracle(request, mesh, cover):
         if cov is None:
             N = m.num_simplices(p)
             support = sp.csc_matrix(np.ones((N, 1), dtype=bool))
-            plan = dec.DensityPlan(m, p, np.arange(N), np.array([0, N]),
-                                   support)
+            plan = dec.DensityPlan(m, p, np.arange(N), np.array([0, N]))
         else:
             plan = rsm.ledger_plan(m, cov, p).dens
             support = cov.patches.simplices[p]
@@ -389,8 +389,7 @@ def test_one_ring_is_union_of_oracle_patterns(request, mesh, cover):
     for p in range(m.n + 1):
         N = m.num_simplices(p)
         if cov is None:
-            plan = dec.DensityPlan(m, p, np.arange(N), np.array([0, N]),
-                                   sp.csc_matrix(np.ones((N, 1), dtype=bool)))
+            plan = dec.DensityPlan(m, p, np.arange(N), np.array([0, N]))
         else:
             plan = rsm.ledger_plan(m, cov, p).dens
         assert_ring_is_oracle_union(m, p, plan, rng.standard_normal(
@@ -417,8 +416,7 @@ def test_density_plan_is_freed_without_the_cyclic_collector(torus8):
     # a plan that has computed densities is freed as soon as its last
     # reference goes, with its chain values: no reference cycle holds it
     N = torus8.num_simplices(1)
-    plan = dec.DensityPlan(torus8, 1, np.arange(N), np.array([0, N]),
-                           sp.csc_matrix(np.ones((N, 1), dtype=bool)))
+    plan = dec.DensityPlan(torus8, 1, np.arange(N), np.array([0, N]))
     plan.densities(np.ones(N))
     ref = weakref.ref(plan)
     gc.disable()
@@ -439,21 +437,20 @@ def test_density_plan_on_perturbed_meshes(mesh, seed, amplitude):
     centers = rng.choice(m.num_vertices, size=min(12, m.num_vertices),
                          replace=False)
     radii = rng.uniform(1.0, 4.0, centers.size) * m.mean_edge_length()
-    balls = [SimpleNamespace(index=j, center=int(c), covering_radius=R,
-                             members=np.flatnonzero(
-                                 geodesic_distance(m, int(c), R)
-                                 <= R))
+    balls = [SimpleNamespace(index=j, center=int(c), covering_radius=R)
              for j, (c, R) in enumerate(zip(centers, radii))]
+    members = [np.flatnonzero(geodesic_distance(m, b.center, b.covering_radius)
+                              <= b.covering_radius) for b in balls]
     # the balls extraction refuses are left out
-    refused = refused_balls(m, covering_of(m, balls))
+    refused = refused_balls(m, covering_of(m, balls, members))
     if len(refused) == len(balls):
         return
+    keep = [j for j in range(len(balls)) if j not in refused]
     patches = Patches.extract(m, covering_of(
-        m, [b for j, b in enumerate(balls) if j not in refused]))
+        m, [balls[j] for j in keep], [members[j] for j in keep]))
     for p in range(m.n + 1):
         interior = patches.interior[p]
-        plan = dec.DensityPlan(m, p, interior.indices, interior.indptr,
-                               patches.simplices[p])
+        plan = dec.DensityPlan(m, p, interior.indices, interior.indptr)
         _assert_plan_matches_oracle(m, p, plan,
                                     rng.standard_normal(interior.nnz),
                                     patches.simplices[p])

@@ -8,10 +8,8 @@ from hodge_rsm import cli, dec, geometry, local_solver
 from hodge_rsm.analysis import czi_fit
 from hodge_rsm.covering import (RadiusField, partition_of_unity,
                                 vitali_cover)
-from hodge_rsm.local_solver import (Patches, PatchError,
-                                    neumann_series_solve,
-                                    solve_local_dirichlet)
-from hodge_rsm.rsm import cached_patches
+from hodge_rsm.local_solver import Patches, PatchError, neumann_series_solve
+from hodge_rsm.rsm import cached_patches, rsm_step
 
 from conftest import (PERTURBED_MESHES, assemble_oracle,
                       balls_without_whole_star, column, covering_of,
@@ -24,6 +22,14 @@ from conftest import (PERTURBED_MESHES, assemble_oracle,
 @pytest.fixture(scope="module")
 def patch16(torus16, cover16):
     return cached_patches(torus16, cover16[1])[0]
+
+
+def direct_solve(patch, omega):
+    """The direct solve of a one-ball Patches: the solution of its
+    PatchSystem (stack_patches) for omega, zero-extended."""
+    f = local_solver.stack_patches(patch, omega.degree)
+    return dec.Cochain(patch.manifold, omega.degree,
+                       f.scatter(f.lu.solve(f.M * omega.values[f.index])))
 
 
 def test_single_ball_patch_whole_manifold(torus8):
@@ -108,12 +114,11 @@ def test_batched_patches_match_oracle_on_perturbed_meshes(mesh, seed,
     centers = rng.choice(m.num_vertices, size=min(12, m.num_vertices),
                          replace=False)
     radii = rng.uniform(1.0, 4.0, centers.size) * m.mean_edge_length()
-    balls = [SimpleNamespace(index=j, center=int(c), covering_radius=R,
-                             members=np.flatnonzero(
-                                 geodesic_distance(m, int(c), R)
-                                 <= R))
+    balls = [SimpleNamespace(index=j, center=int(c), covering_radius=R)
              for j, (c, R) in enumerate(zip(centers, radii))]
-    cov = covering_of(m, balls)
+    members = [np.flatnonzero(geodesic_distance(m, b.center, b.covering_radius)
+                              <= b.covering_radius) for b in balls]
+    cov = covering_of(m, balls, members)
     starless = balls_without_whole_star(m, cov)
     assert starless == [j for j, P in enumerate(oracle_patches(m, cov))
                         if P.interior[0].size == 0]
@@ -124,8 +129,8 @@ def test_batched_patches_match_oracle_on_perturbed_meshes(mesh, seed,
             Patches.extract(m, cov)
     if len(bad) == len(balls):
         return
-    cov = covering_of(m, [b for j, b in enumerate(balls)
-                          if j not in bad])
+    keep = [j for j in range(len(balls)) if j not in bad]
+    cov = covering_of(m, [balls[j] for j in keep], [members[j] for j in keep])
     patches = Patches.extract(m, cov)
     _assert_matches_oracle(m, cov, patches)
     assert len(patches) == len(balls) - len(bad)
@@ -211,24 +216,29 @@ def test_face_classification_exhaustive(torus16, cover16):
             assert edge_cells[e] == 1
 
 
-def test_dirichlet_zero_rhs(torus16, patch16):
+def test_dirichlet_zero_rhs(torus16, cover16, patch16, weight16):
     z = dec.Cochain(torus16, 1, np.zeros(torus16.num_simplices(1)))
-    u, diag = solve_local_dirichlet(patch16, z)
+    u = direct_solve(patch16, z)
     assert np.all(u.values == 0)
-    assert diag.residual == 0.0
+    diag = rsm_step(torus16, cover16[1], cover16[0], z, 1.5, weight16)[2]
+    assert np.all(diag.residuals == 0.0)
 
 
-def test_dirichlet_residual_and_linearity(torus16, patch16, rng):
+def test_dirichlet_residual_and_linearity(torus16, cover16, patch16,
+                                          weight16, rng):
     u1v = dec.random_cochain(torus16, 1, rng)
     u2v = dec.random_cochain(torus16, 1, rng)
-    s1, d1 = solve_local_dirichlet(patch16, u1v)
-    s2, _ = solve_local_dirichlet(patch16, u2v)
-    s12, _ = solve_local_dirichlet(patch16, u1v + u2v)
-    assert d1.residual < 1e-10
+    s1 = direct_solve(patch16, u1v)
+    s2 = direct_solve(patch16, u2v)
+    s12 = direct_solve(patch16, u1v + u2v)
     defect = np.max(np.abs(s12.values - s1.values - s2.values))
     scale = max(np.max(np.abs(s1.values)), np.max(np.abs(s2.values)))
     assert defect <= 1e-10 * scale
-    assert d1.c_j > 0 and np.isfinite(d1.c_j)
+    # every ball's residual and c_j, as the step records them
+    d1 = rsm_step(torus16, cover16[1], cover16[0], u1v, 1.5, weight16)[2]
+    assert d1.balls.tolist() == list(range(len(cover16[1])))
+    assert np.all(d1.residuals < 1e-10)
+    assert np.all(d1.c_j > 0) and np.all(np.isfinite(d1.c_j))
 
 
 def _assert_submesh_blocks(m, cov, degrees):
@@ -257,7 +267,7 @@ def test_patch_operator_is_submesh_stiffness(torus16, cover16, patch16, rng):
     for p in (0, 1):
         f = local_solver.stack_patches(patch16, p)
         omega = dec.random_cochain(torus16, p, rng)
-        u, _ = solve_local_dirichlet(patch16, omega)
+        u = direct_solve(patch16, omega)
         rhs = f.M * omega.values[f.index]
         res = f.K @ u.values[f.index] - rhs
         assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
@@ -277,8 +287,9 @@ def test_stack_patches_names_ball_without_interior(torus16, cover16):
     # any system is stacked
     cell = torus16.simplices[2][0]
     ball = SimpleNamespace(index=99, center=int(cell[0]),
-                           covering_radius=0.125, members=cell)
-    cov = covering_of(torus16, [cover16[1].balls[3], ball])
+                           covering_radius=0.125)
+    cov = covering_of(torus16, [cover16[1].balls[3], ball],
+                      [column(cover16[1].members, 3), cell])
     assert extract_patch(torus16, cov, 1).interior[1].size == 0
     with pytest.raises(PatchError, match=rf"^ball 99 \(center {cell[0]}, "
                        r"radius 0\.125\) holds no vertex with all its "
@@ -292,8 +303,9 @@ def test_extract_names_ball_without_full_cell(torus16, cover16):
     # vertices in it, so no vertex has its whole star either
     edge = torus16.simplices[1][0]
     ball = SimpleNamespace(index=7, center=int(edge[0]),
-                           covering_radius=0.0625, members=edge)
-    cov = covering_of(torus16, [cover16[1].balls[3], ball])
+                           covering_radius=0.0625)
+    cov = covering_of(torus16, [cover16[1].balls[3], ball],
+                      [column(cover16[1].members, 3), edge])
     assert extract_patch(torus16, cov, 1).cells.size == 0
     with pytest.raises(PatchError, match=rf"^ball 7 \(center {edge[0]}, "
                        r"radius 0\.0625\) .* no interior vertex;"):
@@ -345,7 +357,7 @@ def test_neumann_degenerate_chart_names_ball(torus3d5, cover3d5, rng):
 def test_neumann_agrees_with_direct(bumpy16, cover_bumpy, rng):
     patch = cached_patches(bumpy16, cover_bumpy[1])[0]
     omega = dec.random_cochain(bumpy16, 1, rng)
-    ud, _ = solve_local_dirichlet(patch, omega)
+    ud = direct_solve(patch, omega)
     un, diag = neumann_series_solve(patch, omega)
     assert diag.eta < 1.0
     assert diag.residual <= 1e-10
@@ -411,7 +423,7 @@ def test_local_czi_fit_refinement_stable(torus16, torus32, rng):
             noise = dec.random_cochain(m, 1, rng)
             sm = lu.solve(M * noise.values)
             omega = dec.Cochain(m, 1, sm / np.sqrt(sm @ (M * sm)))
-            u, _ = solve_local_dirichlet(patch, omega)
+            u = direct_solve(patch, omega)
             samples.append(local_czi_check(patch, u, 1.5))
         consts[m.num_vertices] = np.array(czi_fit(samples, headroom=1.0))
     c16, c32 = consts[256], consts[1024]

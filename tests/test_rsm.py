@@ -14,7 +14,8 @@ from conftest import (ROUNDOFF_BUDGET, all_geodesic_distances,
                       assert_ledger_plan_matches_oracle, chi_gradient_constant,
                       column, oracle_column_norms, oracle_densities,
                       oracle_patches, oracle_raising_steps, oracle_rsm_step,
-                      sweep, system_columns, vertex_mask_to_simplex_mask)
+                      searched_membership, sweep, system_columns,
+                      vertex_mask_to_simplex_mask)
 
 
 # -- the cutoff commutator bound and compact support of the raising steps
@@ -283,7 +284,7 @@ def test_whole_manifold_ball_in_multi_ball_cover(torus8):
     values[0] = 2.25
     rf, cov = _planted_cover(torus8, values, 5.0)
     assert len(cov) > 1
-    assert cov.balls[0].members.size == torus8.num_vertices
+    assert column(cov.members, 0).size == torus8.num_vertices
     _assert_sweeps_reject(torus8, rf, cov, "ball 0")
 
 
@@ -330,7 +331,8 @@ def test_sweep_adjoint_identity(request, mesh, p):
 
 
 def test_sweeps_factor_once_per_degree(torus16, cover16, monkeypatch, rng):
-    cov = dataclasses.replace(cover16[1], patches=None)
+    cov = dataclasses.replace(cover16[1], patches=None, systems={},
+                              ledgers={})
     calls = []
     splu = local_solver.spla.splu
     monkeypatch.setattr(local_solver.spla, "splu",
@@ -350,7 +352,8 @@ def test_sweeps_factor_once_per_degree(torus16, cover16, monkeypatch, rng):
 
 def test_first_sweep_builds_no_manifold_or_chart(torus16, cover16,
                                                 monkeypatch, rng):
-    cov = dataclasses.replace(cover16[1], patches=None)
+    cov = dataclasses.replace(cover16[1], patches=None, systems={},
+                              ledgers={})
     built = []
     for cls in (geometry.SimplicialManifold, geometry.ChartFrames):
         def counted(self, *args, _init=cls.__init__, **kwargs):
@@ -476,9 +479,8 @@ def test_compact_support_check(torus16, cover16, rng):
     z = dec.Cochain(torus16, 1, np.zeros(torus16.num_simplices(1)))
     assert compact_support_check(z, z, z, cov)
     # one-ball omega: supports confined to the neighbor union
-    ball = cov.balls[0]
     vmask = np.zeros(torus16.num_vertices, dtype=bool)
-    vmask[ball.members] = True
+    vmask[column(cov.members, 0)] = True
     emask = vertex_mask_to_simplex_mask(torus16, 1, vmask)
     vals = np.zeros(torus16.num_simplices(1))
     vals[emask] = rng.standard_normal(int(emask.sum()))
@@ -556,13 +558,17 @@ def _sparse_product_counter(monkeypatch):
 
 
 def test_membership_built_with_the_balls(torus16, cover16, weight16,
-                                        monkeypatch, rng):
-    # vitali_cover builds the one membership matrix of a covering; the
-    # partition, the patches, the ledger plan and every step read it
+                                        monkeypatch, rng, tmp_path):
+    # covering.membership is the one builder of a covering's membership
+    # matrix: vitali_cover and load_covering call it once each, on the
+    # flat member list and its offsets; the partition, the patches, the
+    # ledger plan and every step read cov.members, and the ledger plan
+    # keeps no membership of its own
     built = []
     real = covering.membership
     monkeypatch.setattr(covering, "membership",
-                        lambda balls, V: built.append(V) or real(balls, V))
+                        lambda members, offsets, V: built.append(V)
+                        or real(members, offsets, V))
     rf = cover16[0]
     cov = vitali_cover(torus16, rf)
     assert built == [torus16.num_vertices]
@@ -573,7 +579,13 @@ def test_membership_built_with_the_balls(torus16, cover16, weight16,
             rsm_step(torus16, cov, rf, omega, 1.5, weight16)
         assert compact_support_check(omega, omega, omega, cov)
     assert built == [torus16.num_vertices]
-    assert rsm.ledger_plan(torus16, cov, 1).members is cov.members
+    plan = rsm.ledger_plan(torus16, cov, 1)
+    assert not any(sp.issparse(x) for x in vars(plan).values())
+    path = tmp_path / "cov.json"
+    covering.save_covering(cov, path, rf, "key")
+    loaded = covering.load_covering(path)[1]
+    assert built == [torus16.num_vertices] * 2
+    assert (loaded.members != cov.members).nnz == 0
     with pytest.raises(ValueError, match="vertices"):
         cov.membership_counts(torus16.num_vertices + 1)
 
@@ -642,7 +654,7 @@ def test_step_norms_match_sparse_oracle(request, mesh, p):
     assert np.allclose(diag.c_j, w2 / lr, rtol=ROUNDOFF_BUDGET["sum"], atol=0)
 
     chi = rsm.simplex_average(m, p, cov.chi.tocsr())
-    members = covering.membership(cov.balls, m.num_vertices)
+    members = searched_membership(m, cov)
     balls = rsm.simplex_average(m, p, members.tocsr()) >= 1.0
     w_means, _, c_sw = covering.check_weight_relative(w, cov, m)
     s = max(r, min(2.0, dec.sobolev_exponent(r, 2, m.n)))
@@ -706,7 +718,7 @@ def _one_ball_form(m, cov, p, rng):
     pieces chi_j u_j of the other balls vanish, so the gluing bounds take
     their partial-support path."""
     vmask = np.zeros(m.num_vertices, dtype=bool)
-    vmask[cov.balls[len(cov) // 3].members] = True
+    vmask[column(cov.members, len(cov) // 3)] = True
     smask = vertex_mask_to_simplex_mask(m, p, vmask)
     return dec.Cochain(m, p, np.where(smask, rng.standard_normal(smask.size),
                                       0.0))
