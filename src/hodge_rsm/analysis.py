@@ -195,6 +195,16 @@ def gap_solve(m: SimplicialManifold, rep: SpectrumReport,
     return f
 
 
+def _gap_orthogonal_norm(m: SimplicialManifold, rep: SpectrumReport,
+                         x: dec.Cochain, message: str) -> float:
+    """|x|, once x is (numerically) orthogonal to harmonics: its harmonic
+    part is at most 1e-8 |x|, else AnalysisError(message)."""
+    nrm = dec.norm_l2(x)
+    if nrm > 0 and dec.norm_l2(harmonic_projection(m, rep, x)) > 1e-8 * nrm:
+        raise AnalysisError(message)
+    return nrm
+
+
 def poisson_solve(m: SimplicialManifold, cov: AdmissibleCovering,
                   rf: RadiusField, rep: SpectrumReport,
                   omega: dec.Cochain, r: float,
@@ -211,10 +221,8 @@ def poisson_solve(m: SimplicialManifold, cov: AdmissibleCovering,
     and alpha are not read (only the ledger reads them) and keep the
     argument list that callers pass by position.
     """
-    h = harmonic_projection(m, rep, omega)
-    nrm = dec.norm_l2(omega)
-    if nrm > 0 and dec.norm_l2(h) > 1e-8 * nrm:
-        raise AnalysisError("poisson_solve: project the harmonic part first")
+    nrm = _gap_orthogonal_norm(m, rep, omega, "poisson_solve: project the "
+                               "harmonic part first")
     steps = rsm.RsmConfig(r, 2.0, k=k).steps(m.n)
     v, om_t = rsm.step_loop(omega, steps,
                             lambda cur, _: rsm.sweep(m, cov, cur))
@@ -240,12 +248,9 @@ def dual_poisson_solve(m: SimplicialManifold, cov: AdmissibleCovering,
     adjoint identity).  Returns (u, {"residual": |Delta u - phi| / |phi|});
     rf and r are not read, and keep poisson_solve's argument list.
     """
-    p = phi.degree
-    h = harmonic_projection(m, rep, phi)
-    nrm = dec.norm_l2(phi)
-    if nrm > 0 and dec.norm_l2(h) > 1e-8 * nrm:
-        raise AnalysisError("dual_poisson_solve: project first")
-    lap = dec.hodge_laplacian(m, p)
+    nrm = _gap_orthogonal_norm(m, rep, phi, "dual_poisson_solve: project "
+                               "first")
+    lap = dec.hodge_laplacian(m, phi.degree)
     u = gap_solve(m, rep, phi)
     for _ in range(max(k, 1)):
         u = u + rsm.sweep_adjoint(m, cov, phi - lap(u))
@@ -269,11 +274,15 @@ def orthogonality_check(m: SimplicialManifold, h: dec.Cochain,
             "exact_coexact": entry(exact, coexact)}
 
 
-def _d_dstar_split(m: SimplicialManifold, u: dec.Cochain):
-    """(mu, nu, exact, coexact): mu = d*u and nu = du (None at degree 0
-    and n), and the parts d mu and d* nu of Delta u (zero there)."""
+def _split(m: SimplicialManifold, u: dec.Cochain, d_dstar: bool):
+    """(mu, nu, exact, coexact), exact + coexact = Delta u.  With d_dstar,
+    mu = d*u and nu = du (None at degree 0 and n), and the parts d mu and
+    d* nu of Delta u (zero there); else mu = nu = None, exact = Delta u
+    and coexact is zero."""
     p = u.degree
     zero = dec.Cochain(m, p, np.zeros(m.num_simplices(p)))
+    if not d_dstar:
+        return None, None, dec.hodge_laplacian(m, p)(u), zero
     mu = dec.codifferential(m, p)(u) if p > 0 else None
     nu = dec.exterior_derivative(m, p)(u) if p < m.n else None
     ex = zero if mu is None else dec.exterior_derivative(m, p - 1)(mu)
@@ -287,11 +296,12 @@ def strong_decomposition(m: SimplicialManifold, cov: AdmissibleCovering,
                          mode: str = "delta") -> HodgeDecompositionResult:
     """Direct decomposition omega = h + Delta u (optionally d/d* split).
 
-    The harmonic part comes from the residual route (minus the projected
-    final residual of the raising steps), cross-checked downstream
-    against the spectral projection; mode "d_dstar" further splits
-    Delta u into d(d*u) + d*(du).  u comes from poisson_solve with k
-    sweeps (RsmConfig's default when None), which books no ledger.
+    The harmonic part is the spectral projection of omega
+    (harmonic_projection); u solves Delta u = omega - h by poisson_solve
+    with k sweeps (RsmConfig's default when None), which books no
+    ledger.  Mode "delta" reports Delta u as the exact part, mode
+    "d_dstar" splits it into d(d*u) + d*(du) (_split); the residual is
+    |omega - h - exact - coexact| / |omega|.
     """
     if mode not in ("delta", "d_dstar"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -304,28 +314,17 @@ def strong_decomposition(m: SimplicialManifold, cov: AdmissibleCovering,
         u = dec.Cochain(m, p, np.zeros(m.num_simplices(p)))
     else:
         u = poisson_solve(m, cov, None, rep, c, r, k=k)[0]
-    lap = dec.hodge_laplacian(m, p)
-    delta_u = lap(u)
-    residual = dec.norm_l2(omega - h - delta_u) / (dec.norm_l2(omega) + 1e-300)
-    result = HodgeDecompositionResult(omega, f"strong_{mode}", h, u=u,
-                                      residual=residual)
-    if mode == "delta":
-        result.exact = delta_u
-        result.coexact = dec.Cochain(m, p, np.zeros(m.num_simplices(p)))
-        result.orthogonality = orthogonality_check(m, h, delta_u,
-                                                   result.coexact)
-    else:
-        result.mu, result.nu, ex, co = _d_dstar_split(m, u)
-        result.exact, result.coexact = ex, co
-        result.residual = dec.norm_l2(omega - h - ex - co) \
-            / (dec.norm_l2(omega) + 1e-300)
-        result.orthogonality = orthogonality_check(m, h, ex, co)
-    return result
+    mu, nu, ex, co = _split(m, u, mode == "d_dstar")
+    return HodgeDecompositionResult(
+        omega, f"strong_{mode}", h, exact=ex, coexact=co, u=u, mu=mu, nu=nu,
+        residual=dec.norm_l2(omega - h - ex - co)
+        / (dec.norm_l2(omega) + 1e-300),
+        orthogonality=orthogonality_check(m, h, ex, co))
 
 
 def weak_decomposition(m: SimplicialManifold, cov: AdmissibleCovering,
                        rep: SpectrumReport, omega: dec.Cochain, r: float,
-                       alpha: WeightField | None = None,
+                       alpha: WeightField | np.ndarray | None = None,
                        eps_target: float = 1e-2,
                        mode: str = "delta_closure",
                        _min_balls: int = 1) -> HodgeDecompositionResult:
@@ -335,15 +334,15 @@ def weak_decomposition(m: SimplicialManifold, cov: AdmissibleCovering,
     covering balls until the truncation error (the computable content of
     "closure") drops below eps_target; the truncated form is solved as
     in the strong mode (poisson_solve, no ledger) and the leftover E_eps
-    is reported.  alpha weights the L^r norms of the truncation tails and
-    of E_eps.
+    is reported.  alpha, a WeightField or a per-vertex array (as NormSpec
+    takes), weights the L^r norms of the truncation tails and of E_eps.
     """
     if mode not in ("delta_closure", "d_dstar_closure"):
         raise ValueError(f"unknown mode {mode!r}")
     p = omega.degree
     h = harmonic_projection(m, rep, omega)
     om_c = omega - h
-    spec_r = dec.NormSpec(r, weight=alpha, power=r) if alpha \
+    spec_r = dec.NormSpec(r, weight=alpha, power=r) if alpha is not None \
         else dec.NormSpec(r)
 
     # order balls by captured mass around the support: the sum over each
@@ -367,25 +366,12 @@ def weak_decomposition(m: SimplicialManifold, cov: AdmissibleCovering,
     om_eps = dec.Cochain(m, p, np.where(joins < used, om_c.values, 0.0))
     om_eps = om_eps - harmonic_projection(m, rep, om_eps)
     u = poisson_solve(m, cov, None, rep, om_eps, r)[0]
-    lap = dec.hodge_laplacian(m, p)
-
-    inner_mode = "delta" if mode == "delta_closure" else "d_dstar"
-    if inner_mode == "delta":
-        ex = lap(u)
-        co = dec.Cochain(m, p, np.zeros(m.num_simplices(p)))
-        mu = nu = None
-    else:
-        mu, nu, ex, co = _d_dstar_split(m, u)
-    e_eps = omega - h - ex - co
-    result = HodgeDecompositionResult(omega, f"weak_{mode}", h,
-                                      exact=ex, coexact=co, u=u, mu=mu,
-                                      nu=nu)
-    result.residual = 0.0
-    result.orthogonality = orthogonality_check(m, h, ex, co)
-    result.extras["E_eps"] = dec.lr_norm(m, e_eps, spec_r)
-    result.extras["eps_target"] = eps_target
-    result.extras["balls_used"] = used
-    return result
+    mu, nu, ex, co = _split(m, u, mode == "d_dstar_closure")
+    return HodgeDecompositionResult(
+        omega, f"weak_{mode}", h, exact=ex, coexact=co, u=u, mu=mu, nu=nu,
+        orthogonality=orthogonality_check(m, h, ex, co),
+        extras={"E_eps": dec.lr_norm(m, omega - h - ex - co, spec_r),
+                "eps_target": eps_target, "balls_used": used})
 
 
 # -- inequality verification -------------------------------------------

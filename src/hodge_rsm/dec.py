@@ -5,6 +5,10 @@ p-simplex).  The coboundary d is the transpose of the signed incidence,
 the codifferential is its adjoint for diagonal lumped mass matrices, and
 all L^r / Sobolev norms integrate pointwise densities |omega|(sigma) =
 |omega_sigma| / vol_p(sigma) against the per-simplex support n-volume.
+The mass is barycentric lumping, M_p = (support share of the n-volume) /
+vol_p^2 (mass_diagonal): the identities hold for it, but the Laplacian
+does not converge to the Hodge Laplacian of the mesh's metric (at p = 0
+its gap is half the cotan stiffness's first eigenvalue, same mass).
 The densities of orders 1 and 2 follow one formula (density_orders) over
 the two halves of the Laplacian, dd* and d*d, whose sum is Lap: for one
 cochain with the operators themselves (densities), and for many stacked
@@ -222,7 +226,7 @@ def shifted_factor(m: SimplicialManifold, p: int) -> spla.SuperLU:
 
 def density(u: Cochain) -> np.ndarray:
     """Pointwise density |u|(sigma) = |u_sigma| / vol_p(sigma)."""
-    return densities(u.manifold, u.degree, u.values, 0)
+    return densities(u.manifold, u.degree, u.values, (0,))[0]
 
 
 # the two halves of the Laplacian, dd* and d*d, by their steps: (first
@@ -300,22 +304,19 @@ def density_orders(steps: dict, volumes: dict, x: np.ndarray, orders,
 
 
 def densities(m: SimplicialManifold, p: int, values: np.ndarray,
-              order: int, chains: dict | None = None) -> np.ndarray:
-    """Density of order 0, 1 or 2 of the p-cochain values (see
-    density_orders, here with the operators of m as its steps);
-    DensityPlan gives the same for many cochains.  chains, if given,
-    holds the values of chains already applied to values, by chain, and
-    receives those applied here, so the orders of one cochain share
-    them."""
+              orders=(0, 1, 2)) -> list:
+    """The densities of the given orders (0, 1, 2) of the p-cochain
+    values, which share their chain values (density_orders, here with
+    the operators of m as its steps); DensityPlan.densities gives the
+    same for many cochains."""
     steps, volumes = {}, {(): m.volumes[p]}
-    if order > 0:
+    if any(orders):
         for (first, average, second), q, A, avg, B in _half_operators(m, p):
             steps[first,], steps[first, average], steps[first, second] = \
                 A, avg, B
             volumes[first,] = m.volumes[q]
             volumes[first, second] = m.volumes[p]
-    return density_orders(steps, volumes, values, (order,),
-                          {} if chains is None else chains)[0]
+    return density_orders(steps, volumes, values, orders, {})
 
 
 def _average(incidence: sp.csr_matrix) -> sp.csr_matrix:
@@ -513,12 +514,8 @@ def sobolev_norm(m: SimplicialManifold, u: Cochain, spec: NormSpec, mask=None) -
     if spec.weight is not None and averaged is None:
         averaged = simplex_average(m, p, spec.weight)
     base = NormSpec(spec.r, 0, spec.weight, spec.power, averaged)
-    chains = {}
-    total = 0.0
-    for order in range(spec.order + 1):
-        total += _integrate(m, p, densities(m, p, u.values, order, chains),
-                            base, mask)
-    return total
+    return sum(_integrate(m, p, dens, base, mask)
+               for dens in densities(m, p, u.values, range(spec.order + 1)))
 
 
 def sobolev_exponent(r: float, k: int, n: int):

@@ -438,9 +438,7 @@ def rsm_step(m: SimplicialManifold, cov: AdmissibleCovering,
     chi_lap = np.bincount(dens.patterns[1][1], plan.chi_ring
                           * dec.laplacian_from_halves(chains),
                           minlength=m.num_simplices(p))
-    v0_chains = {}
-    v0_dens = [dec.densities(m, p, v0.values, k, v0_chains)
-               for k in range(3)]
+    v0_dens = dec.densities(m, p, v0.values)
 
     s = max(r, min(2.0, dec.sobolev_exponent(r, 2, m.n)))
     w_simp = simplex_average(m, p, w.values)

@@ -203,6 +203,23 @@ def test_decompose_sweeps_follow_k(runner, tmp_path, monkeypatch, k, steps):
         assert got == want
 
 
+def test_decompose_d_dstar_mode(runner, tmp_path):
+    # decompose --mode d_dstar passes every check at every degree, writes
+    # the spectra of a delta run, and a rerun writes the same report but
+    # for its timestamp
+    cfg = {**_SMALL, "degrees": [0, 1, 2]}
+    delta = _run(runner, _cfg(tmp_path / "delta", **cfg), "decompose")
+    split = _cfg(tmp_path / "split", **cfg)
+    out = _run(runner, split, "decompose --mode d_dstar")
+    first = _output(out, "decompose_report.json")
+    assert first["all_passed"] and first["config"]["d_dstar"]
+    for p in range(3):
+        name = f"spectrum_p{p}.json"
+        assert _output(out, name) == _output(delta, name)
+    _run(runner, split, "decompose --mode d_dstar")
+    assert _output(out, "decompose_report.json") == first
+
+
 def test_verify_all_margins(runner, tmp_path):
     cfg = _cfg(tmp_path, degrees=[1], r=1.5)
     res = runner.invoke(main, ["verify", "--config", cfg])

@@ -98,6 +98,46 @@ def test_laplacian_smallest_eigenvalue_simple(torus16):
     assert vals[1] > 1e-6 * vals[-1]
 
 
+def cotan_stiffness(m: SimplicialManifold) -> sp.csr_matrix:
+    """The P1 (cotan) stiffness of a surface at p = 0, from its edge
+    lengths: edge ab gets (cot x + cot y) / 2 over the angles x, y
+    opposite it, cot x = (|xa|^2 + |xb|^2 - |ab|^2) / (4 area)."""
+    tri, area = m.simplices[2], m.volumes[2]
+
+    def squared(a, b):
+        edges = m._find(1, np.sort(np.stack([a, b], axis=1), axis=1))
+        return m.edge_lengths[edges] ** 2
+
+    K = sp.csr_matrix((m.num_vertices,) * 2)
+    for c in range(3):
+        x, a, b = tri[:, c], tri[:, (c + 1) % 3], tri[:, (c + 2) % 3]
+        w = (squared(x, a) + squared(x, b) - squared(a, b)) / (8 * area)
+        K = K + sp.csr_matrix((np.concatenate([w, w, -w, -w]),
+                               (np.concatenate([a, b, a, b]),
+                                np.concatenate([a, b, b, a]))), shape=K.shape)
+    return K
+
+
+@pytest.mark.parametrize("mesh,ratio", [
+    ("torus16", 0.5000), ("torus32", 0.5000), ("sphere8", 0.4997)])
+def test_gap_is_half_the_cotan_eigenvalue(request, mesh, ratio):
+    # pins ROADMAP item 2's finding: with the same lumped vertex mass, the
+    # gap of the p = 0 Laplacian (barycentric lumping, M_p = support share
+    # / vol_p^2) is half the first eigenvalue of the P1 (cotan) stiffness,
+    # which converges to the metric's: 2.7403 against 5.4807 on torus16,
+    # 2.8564 against 5.7127 on torus32 and 2.7521 against 5.5070 on
+    # sphere8.  A Hodge star that converges (item 2's switch) fails this
+    m = request.getfixturevalue(mesh)
+    mih = 1.0 / np.sqrt(mass_diagonal(m, 0))
+
+    def first(K):
+        S = K.toarray() * mih[:, None] * mih[None, :]
+        return np.linalg.eigvalsh(S)[1]
+
+    gap, cotan = first(stiffness_matrix(m, 0)), first(cotan_stiffness(m))
+    assert gap / cotan == pytest.approx(ratio, abs=5e-5)
+
+
 def test_rayleigh_nonnegative(torus16, rng):
     worst = 0.0
     for p in range(3):

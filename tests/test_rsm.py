@@ -24,12 +24,12 @@ from conftest import (ROUNDOFF_BUDGET, all_geodesic_distances,
 
 def gradient_density(u: dec.Cochain) -> np.ndarray:
     """First-order surrogate density (|du|^2 + |d*u|^2)^(1/2) per p-simplex."""
-    return dec.densities(u.manifold, u.degree, u.values, 1)
+    return dec.densities(u.manifold, u.degree, u.values, (1,))[0]
 
 
 def hessian_density(u: dec.Cochain) -> np.ndarray:
     """Second-order surrogate density (|Lap u|^2 + |dd*u|^2 + |d*du|^2)^(1/2)."""
-    return dec.densities(u.manifold, u.degree, u.values, 2)
+    return dec.densities(u.manifold, u.degree, u.values, (2,))[0]
 
 
 def multiply_scalar(m: SimplicialManifold, chi_vertex: np.ndarray,
