@@ -21,9 +21,10 @@ from scipy.sparse.csgraph import connected_components
 
 from . import dec, rsm
 from .covering import AdmissibleCovering, RadiusField, WeightField
-from .dec import DENSE_LIMIT
 from .geometry import SimplicialManifold
 
+# largest number of unknowns for which a dense rank is computed
+DENSE_LIMIT = 3000
 HARMONIC_TOL_REL = 1e-8
 CZI_HEADROOM = 1.25
 
@@ -109,10 +110,8 @@ def spectrum(m: SimplicialManifold, p: int, m_eigs: int = 10,
         cluster = True
     basis = vecs[:, :dim] / Mh[:, None]
     # re-orthonormalize in the mass inner product
-    if dim:
-        G = (basis * dec.mass_diagonal(m, p)[:, None]).T @ basis
-        L = np.linalg.cholesky(G)
-        basis = basis @ np.linalg.inv(L).T
+    G = (basis * dec.mass_diagonal(m, p)[:, None]).T @ basis
+    basis = basis @ np.linalg.inv(np.linalg.cholesky(G)).T
     return SpectrumReport(p, np.maximum(vals, 0.0), dim, gap, basis,
                           tol, scale, cluster)
 
@@ -122,17 +121,13 @@ def harmonic_projection(m: SimplicialManifold, rep: SpectrumReport,
     """Mass-orthogonal projection onto the harmonic space."""
     if omega.degree != rep.degree:
         raise dec.DegreeError("spectrum degree does not match cochain")
-    if rep.harmonic_dim == 0:
-        return dec.Cochain(m, omega.degree,
-                           np.zeros(m.num_simplices(omega.degree)))
     Mw = dec.mass_diagonal(m, omega.degree)
     coef = rep.harmonic_basis.T @ (Mw * omega.values)
     return dec.Cochain(m, omega.degree, rep.harmonic_basis @ coef)
 
 
 def gap_solve(m: SimplicialManifold, rep: SpectrumReport,
-              g: dec.Cochain, rtol: float = 1e-11,
-              max_iter: int | None = None) -> dec.Cochain:
+              g: dec.Cochain, rtol: float = 1e-11) -> dec.Cochain:
     """Preconditioned conjugate gradient inverse on the spectral gap.
 
     Returns f, mass-orthogonal to the harmonic space, with
@@ -147,8 +142,8 @@ def gap_solve(m: SimplicialManifold, rep: SpectrumReport,
     [gap / (gap + SHIFT), 1), so PCG takes two or three iterations; it
     inverts through the mesh's one dec.shifted_factor per degree, built by
     spectrum or else by the first solve.  Raises AnalysisError when PCG
-    does not reach the tolerance within max_iter iterations (default 20
-    N), or when the spectral bound |f| <= |g|/gap fails.
+    does not reach the tolerance within 20 N iterations, or when the
+    spectral bound |f| <= |g|/gap fails.
     """
     p = g.degree
     K = dec.stiffness_matrix(m, p)
@@ -156,9 +151,7 @@ def gap_solve(m: SimplicialManifold, rep: SpectrumReport,
     H = rep.harmonic_basis
 
     def project(x):
-        if rep.harmonic_dim:
-            return x - H @ (H.T @ (Mw * x))
-        return x
+        return x - H @ (H.T @ (Mw * x))
 
     b = Mw * project(g.values)
     x = np.zeros_like(b)
@@ -174,8 +167,7 @@ def gap_solve(m: SimplicialManifold, rep: SpectrumReport,
 
     d = precondition(res)
     rz = res @ d
-    limit = max_iter or 20 * len(b)
-    for _ in range(limit):
+    for _ in range(20 * len(b)):
         Kd = K @ d
         alpha = rz / (d @ Kd)
         x += alpha * d

@@ -31,8 +31,6 @@ import scipy.sparse.linalg as spla
 from .geometry import SimplicialManifold, simplex_average
 
 INF = math.inf
-# largest number of unknowns for which a dense rank is computed
-DENSE_LIMIT = 3000
 SHIFT = 1e-6  # of the factored Laplacian, just past its harmonic zeros
 
 
@@ -95,16 +93,13 @@ class NormSpec:
 
     The weight is a per-vertex field applied as weight(x)**power inside
     the integral; simplices see the average of their vertex values
-    (geometry.simplex_average).  averaged, when given, is that average on
-    the simplices of the degree measured, so norms of one degree under
-    one weight average it once.
+    (geometry.simplex_average).
     """
 
     r: float
     order: int = 0
     weight: np.ndarray | None = None
     power: float = 1.0
-    averaged: np.ndarray | None = None
 
     def __post_init__(self):
         if self.r <= 1:
@@ -132,10 +127,6 @@ def mass_diagonal(m: SimplicialManifold, p: int) -> np.ndarray:
     """Diagonal of the lumped degree-p mass matrix."""
     return _cached(m, "mass", p,
                    lambda: m.support_volumes[p] / m.volumes[p] ** 2)
-
-
-def mass_matrix(m: SimplicialManifold, p: int) -> sp.dia_matrix:
-    return sp.diags(mass_diagonal(m, p))
 
 
 def inner(u: Cochain, v: Cochain) -> float:
@@ -194,7 +185,7 @@ def stiffness_matrix(m: SimplicialManifold, p: int) -> sp.csr_matrix:
     """M_p @ Laplacian: symmetric positive semidefinite."""
 
     def build():
-        K = mass_matrix(m, p) @ hodge_laplacian(m, p).matrix
+        K = sp.diags(mass_diagonal(m, p)) @ hodge_laplacian(m, p).matrix
         return ((K + K.T) * 0.5).tocsr()
 
     return _cached(m, "stiff", p, build)
@@ -482,8 +473,7 @@ def integrand(m, p, dens, spec: NormSpec) -> np.ndarray:
     L^r norm of the density dens."""
     mu = m.support_volumes[p]
     if spec.weight is not None:
-        mu = mu * (simplex_average(m, p, spec.weight)
-                   if spec.averaged is None else spec.averaged) ** spec.power
+        mu = mu * simplex_average(m, p, spec.weight) ** spec.power
     return mu * dens**spec.r
 
 
@@ -506,15 +496,13 @@ def lr_norm(m: SimplicialManifold, u: Cochain, spec: NormSpec, mask=None) -> flo
 def sobolev_norm(m: SimplicialManifold, u: Cochain, spec: NormSpec, mask=None) -> float:
     """Weighted W^{k,r} norm, k = spec.order in {1, 2}: the sum of the
     L^r norms of the densities of orders 0 to k, which share their chain
-    values and the weight's average."""
+    values."""
+    if u.manifold is not m:
+        raise DegreeError("cochain does not belong to this manifold")
     if spec.order not in (1, 2):
         raise ValueError("sobolev_norm requires order 1 or 2")
     p = u.degree
-    averaged = spec.averaged
-    if spec.weight is not None and averaged is None:
-        averaged = simplex_average(m, p, spec.weight)
-    base = NormSpec(spec.r, 0, spec.weight, spec.power, averaged)
-    return sum(_integrate(m, p, dens, base, mask)
+    return sum(_integrate(m, p, dens, spec, mask)
                for dens in densities(m, p, u.values, range(spec.order + 1)))
 
 

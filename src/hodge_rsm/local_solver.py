@@ -349,9 +349,11 @@ def neumann_series_solve(patch: Patches, omega: dec.Cochain,
 
     Solves the same interior system as the direct mode by iterating
     v_k from Delta_flat v_k = gamma_k, gamma_{k+1} = (Delta - Delta_flat)
-    v_k, and summing with alternating signs; returns (u, diagnostics).
-    patch is a one-ball Patches.  Delta_flat has the edge lengths of the
-    ball's chart, or those of flat_edge_lengths (one per global edge).
+    v_k, and summing with alternating signs, until the L^r norm of gamma_k
+    over the interior (dec.lr_norm) falls to tol times that of gamma_0;
+    returns (u, diagnostics).  patch is a one-ball Patches.  Delta_flat
+    has the edge lengths of the ball's chart, or those of
+    flat_edge_lengths (one per global edge).
     Raises PatchError, naming the ball, when a zero chart volume leaves
     the flat interior system non-finite or its mass not positive.
     """
@@ -370,10 +372,10 @@ def neumann_series_solve(patch: Patches, omega: dec.Cochain,
                          f"degenerates on the patch at degree {p} "
                          "(zero chart volume)")
     lu = spla.splu(Kf_II)
-    mu, vol = m.support_volumes[p][I], m.volumes[p][I]
+    spec = dec.NormSpec(r)
 
     def lr_of(vals):
-        return float(np.sum(mu * (np.abs(vals) / vol) ** r)) ** (1 / r)
+        return dec.lr_norm(m, dec.Cochain(m, p, f.scatter(vals)), spec, I)
 
     gamma = omega.values[I].copy()
     norm0 = lr_of(gamma)

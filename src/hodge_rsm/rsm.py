@@ -492,13 +492,10 @@ def raising_steps(m: SimplicialManifold, cov: AdmissibleCovering,
     w = config.base_weight(m.num_vertices)
     r = config.r
     trace = RsmTrace(r, config.s, k)
-    p = omega.degree
 
     q2 = min(2.0, dec.sobolev_exponent(r, 2, n))
-    # the weight's simplex average, once for every norm under w below
-    w_simp = simplex_average(m, p, w.values)
-    spec_r = dec.NormSpec(r, weight=w, power=r, averaged=w_simp)
-    spec_q = dec.NormSpec(q2, weight=w, power=q2, averaged=w_simp)
+    spec_r = dec.NormSpec(r, weight=w, power=r)
+    spec_q = dec.NormSpec(q2, weight=w, power=q2)
     trace.exponent_ladder.append(r)
     trace.residual_norms.append(dec.lr_norm(m, omega, dec.NormSpec(r)))
 
@@ -522,9 +519,8 @@ def raising_steps(m: SimplicialManifold, cov: AdmissibleCovering,
             "C_r": dec.lr_norm(m, v, spec_r) / denom,
             "C_q": dec.lr_norm(m, v, spec_q) / denom,
             "C_w2r": dec.sobolev_norm(m, v, dec.NormSpec(
-                r, order=2, weight=w, power=r, averaged=w_simp)) / denom,
+                r, order=2, weight=w, power=r)) / denom,
             "C_s": dec.lr_norm(m, omega_tilde, dec.NormSpec(
-                config.s, weight=w, power=config.s, averaged=w_simp))
-                / denom,
+                config.s, weight=w, power=config.s)) / denom,
         }
     return v, omega_tilde, trace

@@ -22,7 +22,8 @@ from conftest import (PERTURBED_MESHES, ROUNDOFF_BUDGET, Chart,
                       assert_ring_is_oracle_union, column, covering_of,
                       geodesic_distance, normal_chart, oracle_column_norms,
                       oracle_densities, oracle_operator, perturbed_mesh,
-                      refused_balls, total_volume, vertex_mask_to_simplex_mask)
+                      refused_balls, relabelled_mesh, total_volume,
+                      vertex_mask_to_simplex_mask)
 
 INF = dec.INF
 
@@ -178,6 +179,18 @@ def test_lr_norm_single_simplex_closed_form(torus16):
     dens = 0.83 / torus16.volumes[1][sigma]
     assert lr_norm(torus16, u, NormSpec(r)) == pytest.approx(
         mu_n ** (1 / r) * dens, rel=1e-12)
+
+
+def test_norms_refuse_a_cochain_of_another_mesh(torus16, rng):
+    # a relabelled copy has the same simplex counts, so a cochain of
+    # torus16 fits its arrays; the norm it would give there is another
+    copy = relabelled_mesh(torus16, rng, normalize=False)[0]
+    u = random_cochain(torus16, 1, rng)
+    with pytest.raises(DegreeError):
+        lr_norm(copy, u, NormSpec(1.5))
+    for order in (1, 2):
+        with pytest.raises(DegreeError):
+            sobolev_norm(copy, u, NormSpec(1.5, order=order))
 
 
 def test_sobolev_constant_reduces_to_lr(torus16):
