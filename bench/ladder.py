@@ -18,7 +18,9 @@ and the first `gap_solve` (reusing the spectrum's factor).
 A rung whose first run takes under REPEAT_BELOW seconds runs TRIALS
 times, and each stage's seconds and the peak RSS are the medians.  Peak
 RSS is the child's ru_maxrss, from its own rusage (os.wait4), which is
-what RUSAGE_CHILDREN reports for that one child.  A rung that hits a cap
+what RUSAGE_CHILDREN reports for that one child; the child also notes
+its ru_maxrss at the end of each stage, the peak RSS through that stage
+(stage_peak_rss_mb).  A rung that hits a cap
 is recorded as not reached, with the stage it stopped in.  The file also
 holds balls, S (the stacked interior p-simplices of the patches) and
 S/N, and per family the exponent of each stage in V: the least-squares
@@ -27,8 +29,8 @@ slope of log seconds against log V over the measured rungs.
 With `--parent-src`, each rung also runs, alternating with its own
 trials, the covering stages of the other source tree (the parent
 commit, say) up to the last one this tree's run finished, and the file
-records that tree's mesh build and covering save and load next to this
-tree's.
+records that tree's seconds and peak RSS through each of those stages
+next to this tree's, under "parent".
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import json
 import math
 import os
 import platform
+import resource
 import signal
 import statistics
 import subprocess
@@ -61,18 +64,15 @@ RUNGS = {
     "3-torus8": ("flat_torus_3d", 8), "3-torus16": ("flat_torus_3d", 16),
     "3-torus32": ("flat_torus_3d", 32),
 }
-# the stages a comparison with another source tree runs, and those of them
-# it records
+# the stages a comparison with another source tree runs and records
 COVERING_STAGES = ("mesh build", "radius field", "Vitali cover",
                    "partition of unity", "covering save", "covering load")
-COMPARED = ("mesh build", "covering save", "covering load")
 
 
 def child(kind: str, resolution: int, progress: str,
           until: str | None) -> None:
     """One rung, in this fresh process under the address-space cap, its
     stages logged to the progress file."""
-    import resource
     resource.setrlimit(resource.RLIMIT_AS, (AS_CAP_BYTES, AS_CAP_BYTES))
     with open(progress, "a") as log:
         run_stages(kind, resolution, until, log)
@@ -93,7 +93,9 @@ def run_stages(kind: str, resolution: int, until: str | None,
         note(start=name)
         t = time.perf_counter()
         value = fn(*args)
-        note(stage=name, seconds=time.perf_counter() - t)
+        note(stage=name, seconds=time.perf_counter() - t,
+             rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+             / 1024)
         if name == until:
             sys.exit(0)
         return value
@@ -159,14 +161,15 @@ def trial(rung: str, src: Path, until: str | None = None) -> dict:
         error = Path(errors).read_text(errors="replace").strip()
         lines = Path(progress).read_text().splitlines() \
             if os.path.exists(progress) else []
-    out = {"stages": {}, "counts": {}, "wall_s": wall,
-           "peak_rss_mb": usage.ru_maxrss / 1024}
+    out = {"stages": {}, "stage_peak_rss_mb": {}, "counts": {},
+           "wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024}
     current = None
     for rec in map(json.loads, lines):
         if "start" in rec:
             current = rec["start"]
         elif "stage" in rec:
             out["stages"][rec["stage"]] = rec["seconds"]
+            out["stage_peak_rss_mb"][rec["stage"]] = rec["rss_mb"]
             current = None
         else:
             out["counts"][rec["count"]] = rec["value"]
@@ -180,11 +183,15 @@ def trial(rung: str, src: Path, until: str | None = None) -> dict:
 
 
 def median_of(trials: list) -> dict:
-    """Per-stage medians of finished trials, with their counts and
-    median peak RSS."""
+    """Per-stage medians of finished trials (seconds and peak RSS through
+    the stage), with their counts and median peak RSS."""
     first = trials[0]
     return {"stages": {s: statistics.median(t["stages"][s] for t in trials)
                        for s in first["stages"]},
+            "stage_peak_rss_mb": {
+                s: statistics.median(t["stage_peak_rss_mb"][s]
+                                     for t in trials)
+                for s in first["stages"]},
             "counts": first["counts"],
             "peak_rss_mb": statistics.median(t["peak_rss_mb"]
                                              for t in trials),
@@ -197,6 +204,7 @@ def run_rung(rung: str, src: Path, parent_src: Path | None) -> dict:
     if "stopped_in" in first:
         rec = {"reached": False, "stopped_in": first["stopped_in"],
                "reason": first["reason"], "stages": first["stages"],
+               "stage_peak_rss_mb": first["stage_peak_rss_mb"],
                "counts": first["counts"],
                "peak_rss_mb": first["peak_rss_mb"], "trials": 1}
     else:
@@ -216,8 +224,9 @@ def run_rung(rung: str, src: Path, parent_src: Path | None) -> dict:
     if compare:
         finished = [t for t in theirs if "stopped_in" not in t]
         if finished:
-            parent = median_of(finished)["stages"]
-            rec["parent"] = {s: parent[s] for s in COMPARED if s in parent}
+            parent = median_of(finished)
+            rec["parent"] = {key: parent[key] for key in
+                             ("stages", "stage_peak_rss_mb", "trials")}
     print(f"{rung}: {json.dumps(rec)}", file=sys.stderr, flush=True)
     return rec
 
@@ -249,8 +258,8 @@ def main() -> None:
     ap.add_argument("--rungs", default=",".join(RUNGS),
                     help="comma-separated rungs, of: " + ", ".join(RUNGS))
     ap.add_argument("--parent-src", default=None,
-                    help="source tree whose mesh build and covering "
-                         "stages run alongside, for comparison")
+                    help="source tree whose covering stages run "
+                         "alongside, for comparison")
     ap.add_argument("--out", help="JSON file to write (required)")
     ap.add_argument("--child", nargs=3, help=argparse.SUPPRESS)
     ap.add_argument("--until", help=argparse.SUPPRESS)

@@ -19,7 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import __version__
-from .geometry import SimplicialManifold, ball_searches, chart_radii
+from .geometry import (Balls, SimplicialManifold, ball_searches,
+                       balls_within, chart_radii)
 
 RADIUS_FLOOR_EDGES = 2.0   # R_min = this many mean edge lengths
 MIN_DIVISOR = 5.0          # below this the 5r dilation stops making sense
@@ -41,6 +42,10 @@ class RadiusField:
     eps: float
     divisor: float              # requested Vitali divisor
     divisor_effective: float    # actual divisor after resolution clamping
+    # the first round's balls B(x, R_min), one per vertex x in vertex
+    # order, which vitali_cover's ball queries are cut from; None in a
+    # loaded or hand-built field, whose queries all search
+    balls: Balls | None = field(default=None, repr=False, compare=False)
 
     @property
     def core(self) -> np.ndarray:
@@ -113,9 +118,10 @@ class WeightField:
 
 
 def _admissible_radii(m: SimplicialManifold, centers: np.ndarray,
-                      eps: float) -> np.ndarray:
-    """Largest R in [R_min, 1] whose chart at each center stays within
-    eps, in rounds of batched frame fits (geometry.chart_radii).
+                      eps: float) -> tuple[np.ndarray, Balls | None]:
+    """(radii, balls): the largest R in [R_min, 1] whose chart at each
+    center stays within eps, in rounds of batched frame fits
+    (geometry.chart_radii), and the first round's balls.
 
     The first round fits every center's frame on its ball of radius
     R_min, because a distortion exceeding eps below the floor gives R_min
@@ -124,20 +130,26 @@ def _admissible_radii(m: SimplicialManifold, centers: np.ndarray,
     is that of a whole-mesh frame, min(1, max(R, R_min)) with R the
     largest_radii_within(eps) of x's frame fitted on every vertex, up to
     the frame's Tikhonov weight, which averages over the fitted ball.
+    Only the first round's balls are kept: those of later rounds hold a
+    share of the mesh each.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     r_min = RADIUS_FLOOR_EDGES * m.mean_edge_length()
     values = np.empty(centers.size)
     pending = np.arange(centers.size)
-    reach = r_min
+    reach, first = r_min, None
     while pending.size:
-        r = chart_radii(m, centers[pending], reach, eps)
+        searches = ball_searches(m, centers[pending], reach)
+        if first is None:
+            searches = list(searches)
+            first = Balls.of(searches, reach)
+        r = chart_radii(m, centers[pending], searches, eps)
         done = np.isfinite(r) | (reach >= 1.0)
         values[pending[done]] = np.minimum(1.0, np.maximum(r[done], r_min))
         pending = pending[~done]
         reach = min(2.0 * reach, 1.0)
-    return values
+    return values, first
 
 
 def compute_radius_field(m: SimplicialManifold, eps: float,
@@ -149,7 +161,8 @@ def compute_radius_field(m: SimplicialManifold, eps: float,
     (geometry.ball_searches) and fits their chart frames in batched
     passes (geometry.ChartFrames), so where radii stay within a few
     multiples of the floor R_min a vertex costs a share of one or two
-    batched searches and fits on the edges of small balls.
+    batched searches and fits on the edges of small balls.  The field
+    keeps the first round's balls, from which vitali_cover cuts its own.
 
     The divisor is reduced (never below MIN_DIVISOR) when R/divisor
     would fall under the mesh resolution, since core balls smaller than
@@ -158,11 +171,11 @@ def compute_radius_field(m: SimplicialManifold, eps: float,
     """
     if divisor < 8:
         raise ValueError("Vitali divisor must be at least 8")
-    values = _admissible_radii(m, np.arange(m.num_vertices), eps)
+    values, balls = _admissible_radii(m, np.arange(m.num_vertices), eps)
     mean_edge = m.mean_edge_length()
     resolvable = values.min() / mean_edge
     div_eff = float(min(divisor, max(MIN_DIVISOR, resolvable)))
-    return RadiusField(values, eps, divisor, div_eff)
+    return RadiusField(values, eps, divisor, div_eff, balls)
 
 
 def check_radius_lipschitz(m: SimplicialManifold, rf: RadiusField,
@@ -200,14 +213,16 @@ def vitali_cover(m: SimplicialManifold, rf: RadiusField) -> AdmissibleCovering:
     cores.  The 5-fold dilations then cover every vertex.
 
     The greedy pass goes through windows of the next unblocked
-    candidates, searched together (geometry.ball_searches) to 2 core(x):
+    candidates, whose balls of radius 2 core(x) are queried together:
     that reaches every later candidate y an accepted x blocks, since
     d(x, y) <= core(x) + core(y) <= 2 core(x).  A candidate that an
     earlier ball of its window blocks is skipped, as in one candidate at
     a time.  The windows start at VITALI_WINDOW candidates and grow to
     twice the balls the last one accepted.  The accepted balls' members,
     within R_x = 5 core(x), and their distances, which partition_of_unity
-    reads, come from one more search, concatenated ball by ball.
+    reads, come from one more query, concatenated ball by ball.  Each
+    query (geometry.balls_within) cuts a ball from rf.balls where its
+    radius is at most their reach R_min, and searches it otherwise.
     """
     core = rf.core
     order = np.lexsort((np.arange(m.num_vertices), -core))
@@ -218,9 +233,9 @@ def vitali_cover(m: SimplicialManifold, rf: RadiusField) -> AdmissibleCovering:
         if not free.size:
             break
         candidates, order = order[free], order[free[-1] + 1:]
-        near, d = zip(*ball_searches(m, candidates, 2.0 * core[candidates]))
-        owner = np.repeat(np.arange(candidates.size), [x.size for x in near])
-        near, d = np.concatenate(near), np.concatenate(d)
+        offsets, near, d = balls_within(m, candidates,
+                                        2.0 * core[candidates], rf.balls)
+        owner = np.repeat(np.arange(candidates.size), np.diff(offsets))
         # what each candidate blocks, if accepted: rows of one array
         hit = d <= core[near] + core[candidates][owner]
         near = near[hit]
@@ -234,12 +249,11 @@ def vitali_cover(m: SimplicialManifold, rf: RadiusField) -> AdmissibleCovering:
                 accepted += 1
         window = max(VITALI_WINDOW, 2 * accepted)
     centers = np.array(centers, dtype=np.int64)
-    members, d = zip(*ball_searches(m, centers, 5.0 * core[centers]))
-    offsets = np.concatenate([[0], np.cumsum([x.size for x in members])])
-    cov = AdmissibleCovering(
-        covering_balls(rf, centers), rf.eps,
-        membership(np.concatenate(members), offsets, m.num_vertices),
-        distances=np.concatenate(d))
+    offsets, members, d = balls_within(m, centers, 5.0 * core[centers],
+                                       rf.balls)
+    cov = AdmissibleCovering(covering_balls(rf, centers), rf.eps,
+                             membership(members, offsets, m.num_vertices),
+                             distances=d)
     counts = cov.membership_counts(m.num_vertices)
     if counts.min() == 0:
         v = int(np.argmin(counts))

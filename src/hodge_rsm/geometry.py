@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -544,12 +545,12 @@ class ChartFrames:
 
         coords = self._tangent_coordinates(tframe)
         center_row = np.searchsorted(fkey, np.arange(F) * V + self.centers)
-        packed = self._fit(coords, loc, row, target)
         # normalize so the fitted metric at each center is the identity;
         # a center metric with no Cholesky factor means a wildly folded
         # chart, which the distortions report: its rows keep their
         # coordinates
-        L, factored = _cholesky_factors(_unpack_metric(packed[center_row], n))
+        L, factored = _cholesky_factors(_unpack_metric(
+            self._fit(coords, loc, row, target, center_row), n))
         rows = factored[tframe]
         coords[rows] = np.matmul(coords[rows, None, :], L[tframe[rows]])[:, 0]
         packed = self._fit(coords, loc, row, target)
@@ -599,34 +600,52 @@ class ChartFrames:
         unit[safe] = proj[safe] / pnorm[safe, None]
         return chord[:, None] * unit
 
-    def _fit(self, coords, loc, row, target) -> np.ndarray:
-        """Packed least-squares metric at every fitted row.
+    def _fit(self, coords, loc, row, target, rows=None) -> np.ndarray:
+        """Packed least-squares metric at the given fitted rows, ascending
+        (every row if None).
 
         Edge e joins coordinate rows loc[e] and fitted rows row[e] (the
         scratch row len(fitted) marks an end whose fit is not wanted);
-        target[e] is its squared length.
+        target[e] is its squared length.  The Tikhonov weight reads the
+        diagonal of every row's normal matrix, so those sums run over
+        every row; the rest of the normal equations, and the solves, only
+        over the given rows.  Each row sums its edge ends in one order
+        (first ends, then second ends), whichever rows are solved.
         """
-        n, R = self.m.n, self.fitted.size
+        n, R, F = self.m.n, self.fitted.size, self.centers.size
         k = 3 if n == 2 else 6
         feat = _metric_feature(coords[loc[:, 1]] - coords[loc[:, 0]], n)
+        feat, target = np.concatenate([feat, feat]), \
+            np.concatenate([target, target])
         ends = row.T.ravel()     # first ends, then second ends
 
-        def sums(w):
-            return np.bincount(ends, np.concatenate([w, w]), R + 1)[:R]
+        def sums(at, w, size):
+            return np.bincount(at, w, size + 1)[:size]
 
-        ata, atb = np.empty((R, k, k)), np.empty((R, k))
+        diagonal = [sums(ends, feat[:, a] * feat[:, a], R) for a in range(k)]
+        if rows is None:
+            rows, at, size = slice(None), ends, R
+        else:
+            size = rows.size
+            index = np.full(R + 1, size)
+            index[rows] = np.arange(size)
+            at = index[ends]
+            keep = at < size
+            at, feat, target = at[keep], feat[keep], target[keep]
+        ata, atb = np.empty((size, k, k)), np.empty((size, k))
         for a in range(k):
-            for b in range(a, k):
-                ata[:, a, b] = ata[:, b, a] = sums(feat[:, a] * feat[:, b])
-            atb[:, a] = sums(feat[:, a] * target)
+            ata[:, a, a] = diagonal[a][rows]
+            for b in range(a + 1, k):
+                ata[:, a, b] = ata[:, b, a] = sums(at, feat[:, a] * feat[:, b],
+                                                   size)
+            atb[:, a] = sums(at, feat[:, a] * target, size)
         # tiny Tikhonov pull toward the identity guards low-degree
         # vertices: the trace of each frame's mean normal matrix
-        F = self.centers.size
-        diagonal_sums = np.stack([np.bincount(self.frame, ata[:, a, a], F)
-                                  for a in range(k)], axis=1)
+        diagonal_sums = np.stack([np.bincount(self.frame, d, F)
+                                  for d in diagonal], axis=1)
         counts = np.diff(self.starts)[:, None]
         lam = 1e-8 * np.maximum((diagonal_sums / counts).sum(axis=1),
-                                1e-300)[self.frame]
+                                1e-300)[self.frame[rows]]
         ata += lam[:, None, None] * np.eye(k)
         atb += lam[:, None] * _IDENTITY_PACKED[n]
         return np.linalg.solve(ata, atb[:, :, None])[:, :, 0]
@@ -664,15 +683,15 @@ def ball_search(m: SimplicialManifold, center: int,
     return next(ball_searches(m, [center], reach))
 
 
-def chart_radii(m: SimplicialManifold, centers, reach: float,
+def chart_radii(m: SimplicialManifold, centers, searches,
                 eps: float) -> np.ndarray:
-    """ChartFrames.largest_radii_within(eps) of each center's frame at
-    this reach.
+    """ChartFrames.largest_radii_within(eps) of each center's frame fitted
+    on its search: searches yields (fitted, distances) per center, in
+    order, as ball_searches does.
 
-    The balls come from one ball_searches call; the frames are fitted in
-    batches of consecutive centers whose balls together hold at most
-    FRAME_BATCH_VERTICES vertices (a larger ball is a batch of its own),
-    which bounds the memory of a fit.
+    The frames are fitted in batches of consecutive centers whose balls
+    together hold at most FRAME_BATCH_VERTICES vertices (a larger ball is
+    a batch of its own), which bounds the memory of a fit.
     """
     radii, batch, size = [], [], 0
 
@@ -681,7 +700,7 @@ def chart_radii(m: SimplicialManifold, centers, reach: float,
                              [s for _, s in batch])
         radii.append(frames.largest_radii_within(eps))
 
-    for c, search in zip(centers, ball_searches(m, centers, reach)):
+    for c, search in zip(centers, searches):
         if batch and size + search[0].size > FRAME_BATCH_VERTICES:
             fit()
             batch, size = [], 0
@@ -690,6 +709,67 @@ def chart_radii(m: SimplicialManifold, centers, reach: float,
     if batch:
         fit()
     return np.concatenate(radii) if radii else np.empty(0)
+
+
+class Balls(NamedTuple):
+    """Balls of one reach as flat arrays: ball i, that of the i-th source
+    searched, holds vertices[offsets[i]:offsets[i + 1]], ascending, at
+    distances[offsets[i]:offsets[i + 1]] from its source."""
+
+    reach: float
+    offsets: np.ndarray
+    vertices: np.ndarray
+    distances: np.ndarray
+
+    @classmethod
+    def of(cls, searches: list, reach: float) -> "Balls":
+        """The searches (fitted, distances) of ball_searches at reach."""
+        return cls(float(reach),
+                   np.concatenate([[0], np.cumsum([f.size
+                                                   for f, _ in searches])]),
+                   np.concatenate([f for f, _ in searches]),
+                   np.concatenate([d for _, d in searches]))
+
+
+def balls_within(m: SimplicialManifold, sources, limits,
+                 kept: Balls | None = None):
+    """(offsets, vertices, distances): ball_searches(m, sources, limits)
+    as flat arrays, ball j at vertices[offsets[j]:offsets[j + 1]].
+
+    kept, if given, holds one ball per vertex, in vertex order.  A ball
+    whose limit is at most kept.reach is cut from the kept ball of its
+    source at the limit: a label within a limit is a least left-to-right
+    sum along a path whose prefixes all lie within it, so the cut holds
+    the same vertices in the same order at the same distances, bit for
+    bit.  The other balls are searched.
+    """
+    sources = np.asarray(sources, dtype=np.int64)
+    limits = np.broadcast_to(np.asarray(limits, dtype=float), sources.shape)
+    cut = np.zeros(sources.size, dtype=bool) if kept is None \
+        else limits <= kept.reach
+    searched = list(ball_searches(m, sources[~cut], limits[~cut]))
+    sizes = np.empty(sources.size, dtype=np.int64)
+    sizes[~cut] = [f.size for f, _ in searched]
+    if cut.any():
+        lo = kept.offsets[sources[cut]]
+        width = kept.offsets[sources[cut] + 1] - lo
+        pos = _ranges(lo, width)
+        keep = kept.distances[pos] <= np.repeat(limits[cut], width)
+        pos = pos[keep]
+        sizes[cut] = np.bincount(np.repeat(np.arange(width.size),
+                                           width)[keep],
+                                 minlength=width.size)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    vertices = np.empty(offsets[-1], dtype=np.int64)
+    distances = np.empty(offsets[-1])
+    if cut.any():
+        at = _ranges(offsets[:-1][cut], sizes[cut])
+        vertices[at], distances[at] = kept.vertices[pos], kept.distances[pos]
+    if searched:
+        at = _ranges(offsets[:-1][~cut], sizes[~cut])
+        vertices[at] = np.concatenate([f for f, _ in searched])
+        distances[at] = np.concatenate([d for _, d in searched])
+    return offsets, vertices, distances
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -718,14 +798,19 @@ def _foldover_distances(coordinates: np.ndarray, distances: np.ndarray,
     return first
 
 
+def _ranges(lo: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The ranges lo[i], ..., lo[i] + size[i] - 1, concatenated."""
+    return np.repeat(lo - np.cumsum(size) + size, size) \
+        + np.arange(size.sum())
+
+
 def _csr_positions(a: sp.csr_matrix,
                    rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(positions, sizes): the storage positions of the entries of the
     given rows of a, concatenated, and the number in each row."""
     lo = a.indptr[rows]
     size = a.indptr[rows + 1] - lo
-    return np.repeat(lo - np.cumsum(size) + size, size) \
-        + np.arange(size.sum()), size
+    return _ranges(lo, size), size
 
 
 def _csr_rows(a: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import re
@@ -28,7 +29,7 @@ from conftest import (ROUNDOFF_BUDGET, LoopChartFrame, all_geodesic_distances,
 def admissible_radius(m, x: int, eps: float) -> float:
     """Largest R in [R_min, 1] whose chart at x stays within eps: the
     one-vertex case of the batched rounds of compute_radius_field."""
-    return float(covering._admissible_radii(m, np.array([x]), eps)[0])
+    return float(covering._admissible_radii(m, np.array([x]), eps)[0][0])
 
 
 def test_flat_torus_radius_homogeneous(torus16, cover16):
@@ -335,14 +336,77 @@ def test_covering_and_checks_search_single_sources(bumpy16, monkeypatch):
     patch = rsm.cached_patches(bumpy16, cov)[0]
     local_czi_check(
         patch, dec.Cochain(bumpy16, 0, np.ones(bumpy16.num_vertices)), 1.5)
+    # one first-round search per vertex; Vitali cuts its balls from them
     assert sum(x.size for x, _, _ in passes[:n_build]) \
-        > bumpy16.num_vertices
+        == bumpy16.num_vertices
     assert sum(x.size for x, _, _ in passes[n_build:n_lip]) \
         == bumpy16.num_vertices - 1
     center = cov.balls[0].center
     assert [x.tolist() for x, _, _ in passes[n_lip:]] == [[center]]
     assert np.isfinite(np.concatenate([lim for _, lim, _ in passes])).all()
     assert sum(n for *_, n in passes) == _ball_sizes(bumpy16, passes)
+
+
+def _searched_sources(passes):
+    return sum(x.size for x, _, _ in passes)
+
+
+def _assert_same_cover(got, want):
+    """Members, distances, overlap and chi of two coverings, array for
+    array."""
+    for a, b in ((got.members, want.members), (got.chi, want.chi)):
+        for attr in ("data", "indices", "indptr"):
+            x, y = getattr(a, attr), getattr(b, attr)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), attr
+    assert got.distances.tobytes() == want.distances.tobytes()
+    assert got.overlap_measured == want.overlap_measured
+    assert [b.center for b in got.balls] == [b.center for b in want.balls]
+
+
+@pytest.mark.parametrize("mesh,cover", [
+    ("torus16", "cover16"), ("bumpy16", "cover_bumpy"),
+    ("sphere8", "cover_sphere8"), ("torus32", "cover32"),
+    ("torus3d5", "cover3d5")])
+def test_vitali_cut_balls_equal_searched_balls(request, monkeypatch, mesh,
+                                               cover):
+    # balls cut from the radius field's first-round balls are the
+    # searched ones bit for bit; every window lies within that reach on
+    # these meshes, and only the member balls beyond it are searched: on
+    # sphere8 and torus32 all of them, so cut windows mix with searches
+    m, rf = request.getfixturevalue(mesh), request.getfixturevalue(cover)[0]
+    passes = _recorded_searches(monkeypatch)
+    got = vitali_cover(m, rf)
+    partition_of_unity(m, got)
+    n_searched = _searched_sources(passes)
+    want = vitali_cover(m, dataclasses.replace(rf, balls=None))
+    partition_of_unity(m, want)
+    assert n_searched < _searched_sources(passes) - n_searched
+    beyond = 5.0 * rf.core[[b.center for b in got.balls]] > rf.balls.reach
+    assert n_searched == beyond.sum()
+    _assert_same_cover(got, want)
+
+
+def test_vitali_searches_beyond_the_kept_reach(torus16, cover16,
+                                               monkeypatch):
+    # a field whose queries exceed the kept balls' reach searches them:
+    # radii three times the field's, and a reach one ulp below 5 core,
+    # which the member queries then exceed while the windows are cut
+    rf = cover16[0]
+    assert (5.0 * rf.core == rf.balls.reach).all()
+    passes = _recorded_searches(monkeypatch)
+    for field, cut_windows in (
+            (dataclasses.replace(rf, values=3.0 * rf.values), False),
+            (dataclasses.replace(rf, balls=rf.balls._replace(
+                reach=np.nextafter(rf.balls.reach, 0.0))), True)):
+        del passes[:]
+        got = vitali_cover(torus16, field)
+        n_searched = _searched_sources(passes)
+        want = vitali_cover(torus16, dataclasses.replace(field, balls=None))
+        assert n_searched == (len(got) if cut_windows
+                              else _searched_sources(passes) - n_searched)
+        partition_of_unity(torus16, got)
+        partition_of_unity(torus16, want)
+        _assert_same_cover(got, want)
 
 
 def test_vitali_single_ball_cover(torus8):

@@ -597,17 +597,20 @@ def test_chart_frame_matches_loop_oracle(request, mesh):
                     == want.largest_radius_within(eps), (x, reach, eps)
 
 
-def test_chart_frames_batch_equals_single_frames(bumpy16):
-    # one batched fit of several centers: each frame is the frame alone
-    reach = 3.0 * bumpy16.mean_edge_length()
-    centers = [5, 0, 200, 5]
-    frames = ChartFrames(bumpy16, centers,
-                         [ball_search(bumpy16, c, reach) for c in centers])
-    radii = frames.largest_radii_within(0.1)
-    for f, c in enumerate(centers):
-        one = LoopChartFrame(bumpy16, c, reach)
-        _assert_frame_matches(frames, f, one)
-        assert radii[f] == one.largest_radius_within(0.1)
+def test_chart_frames_batch_equals_single_frames(bumpy16, torus16, torus3d5):
+    # one batched fit of several centers: each frame is the frame alone,
+    # though the normalizing fit solves at the centers only; on the
+    # 3-torus its normal equations have six entries
+    for m in (bumpy16, torus16, torus3d5):
+        reach = 3.0 * m.mean_edge_length()
+        centers = [5, 0, m.num_vertices - 56, 5]
+        frames = ChartFrames(m, centers,
+                             [ball_search(m, c, reach) for c in centers])
+        radii = frames.largest_radii_within(0.1)
+        for f, c in enumerate(centers):
+            one = LoopChartFrame(m, c, reach)
+            _assert_frame_matches(frames, f, one)
+            assert radii[f] == one.largest_radius_within(0.1)
 
 
 def test_center_normalization_matches_per_frame_loop(bumpy16, monkeypatch):
