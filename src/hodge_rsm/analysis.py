@@ -4,7 +4,8 @@ The generalized eigenproblem K y = lambda M y is symmetrized through the
 diagonal mass matrix; eigenvalues below a relative tolerance span the
 harmonic space, the first one above it is the spectral gap.  Poisson
 solves combine the raising-steps sweeps, without their ledger, with a
-preconditioned conjugate gradient on the gap; dual solves apply the
+preconditioned conjugate gradient on the gap (scipy.sparse.linalg.cg
+with an absolute residual tolerance); dual solves apply the
 mass adjoint of that operator through adjoint gluing sweeps;
 decompositions are certified by reconstruction residuals and
 orthogonality tables.
@@ -131,53 +132,39 @@ def gap_solve(m: SimplicialManifold, rep: SpectrumReport,
     """Preconditioned conjugate gradient inverse on the spectral gap.
 
     Returns f, mass-orthogonal to the harmonic space, with
-    |K f - M(g - Hg)| <= rtol |M g| (Euclidean norms; K the stiffness,
+    |K f - M(g - Hg)| < rtol |M g| (Euclidean norms; K the stiffness,
     M the diagonal mass, Hg the harmonic projection of g).  The
     tolerance is relative to the input g itself, harmonic part
     included: for a (nearly) harmonic g the projected right-hand side
     M(g - Hg) is roundoff whose kernel component CG cannot reduce.
-    When that side is already within the tolerance, the zero cochain
-    is returned.  The preconditioner M^-1/2 (S + SHIFT I)^-1 M^-1/2,
-    projected off the harmonic space, puts the spectrum in
-    [gap / (gap + SHIFT), 1), so PCG takes two or three iterations; it
-    inverts through the mesh's one dec.shifted_factor per degree, built by
-    spectrum or else by the first solve.  Raises AnalysisError when PCG
-    does not reach the tolerance within 20 N iterations, or when the
-    spectral bound |f| <= |g|/gap fails.
+    scipy.sparse.linalg.cg solves with rtol=0 and that absolute
+    tolerance: it stops before the first iteration whose residual norm
+    is below it (at once, with zero, for a right-hand side below it).
+    The preconditioner M^-1/2 (S + SHIFT I)^-1 M^-1/2, projected off the
+    harmonic space, puts the spectrum in [gap / (gap + SHIFT), 1), so CG
+    takes two or three iterations; it inverts through the mesh's one
+    dec.shifted_factor per degree, built by spectrum or else by the
+    first solve.  Raises AnalysisError when CG does not reach the
+    tolerance within 20 N iterations, or when the spectral bound
+    |f| <= |g|/gap fails.
     """
     p = g.degree
     K = dec.stiffness_matrix(m, p)
     Mw = dec.mass_diagonal(m, p)
     H = rep.harmonic_basis
+    Mih = 1.0 / np.sqrt(Mw)
 
     def project(x):
         return x - H @ (H.T @ (Mw * x))
 
-    b = Mw * project(g.values)
-    x = np.zeros_like(b)
-    res = b.copy()
-    tol = rtol * float(np.linalg.norm(Mw * g.values))
-    if math.sqrt(res @ res) <= tol:
-        return dec.Cochain(m, p, x)
-    Mih = 1.0 / np.sqrt(Mw)
-    lu = dec.shifted_factor(m, p)
-
     def precondition(r):
-        return project(Mih * lu.solve(Mih * r))
+        return project(Mih * dec.shifted_factor(m, p).solve(Mih * r))
 
-    d = precondition(res)
-    rz = res @ d
-    for _ in range(20 * len(b)):
-        Kd = K @ d
-        alpha = rz / (d @ Kd)
-        x += alpha * d
-        res -= alpha * Kd
-        if math.sqrt(res @ res) <= tol:
-            break
-        z = precondition(res)
-        rz, rz_old = res @ z, rz
-        d = z + (rz / rz_old) * d
-    else:
+    x, info = spla.cg(K, Mw * project(g.values), rtol=0.0,
+                      atol=rtol * float(np.linalg.norm(Mw * g.values)),
+                      maxiter=20 * len(Mw), M=spla.LinearOperator(
+                          K.shape, matvec=precondition, dtype=float))
+    if info > 0:
         raise AnalysisError("gap_solve: residual stagnation")
     x = project(x)
     f = dec.Cochain(m, p, x)

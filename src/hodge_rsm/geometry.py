@@ -67,7 +67,12 @@ class SimplicialManifold:
     _find).  Keys must fit in int64: V^(n+1) <= 2^63, that is up
     to 2097152 vertices for a surface and 55108 for a 3-manifold.
     The whole construction is array operations, one batch per degree,
-    with one metric pass on the final (normalized) edge lengths.
+    with one metric pass on the final (normalized) edge lengths.  Each
+    degree's simplices come from one np.unique of the keys of the faces
+    of the degree above, or of the cells; its inverse is the face table
+    of the degree above (boundary[p]) and each input cell's n-simplex
+    (the orientation check), so neither searches the keys.  _find
+    builds the edge and cell-face tables of the metric.
     """
 
     def __init__(self, dimension, vertices, cells, edge_lengths=None,
@@ -92,7 +97,7 @@ class SimplicialManifold:
                             f"{cells[np.argmax(repeated)]}")
         self.oriented_cells = cells.copy()
 
-        self._build_complex(ordered)
+        cell_index = self._build_complex(ordered)
         supplied = None if edge_lengths is None \
             else np.asarray(edge_lengths, dtype=float)
         if supplied is not None and len(supplied) != self.num_simplices(1):
@@ -101,7 +106,7 @@ class SimplicialManifold:
         self.graph, entry_edges = _edge_graph(self.simplices[1], V)
         self.graph.data = self.edge_lengths[entry_edges]
         if validate:
-            self._validate_complex()
+            self._validate_complex(cell_index)
         if normalize:
             diam = self._approx_diameter(self.graph)
             if validate and not np.isfinite(diam):
@@ -122,16 +127,26 @@ class SimplicialManifold:
 
     # -- construction ---------------------------------------------------
 
-    def _build_complex(self, ordered):
+    def _build_complex(self, ordered) -> np.ndarray:
         """Simplices, keys, boundary operators and cell-face tables from
-        the (N, n+1) cell rows, each row sorted."""
+        the (N, n+1) cell rows, each row sorted; returns each cell row's
+        index among the n-simplices."""
         n, V = self.n, self.vertices.shape[0]
         simplices: list[np.ndarray] = [None] * (n + 1)
         self._keys: list[np.ndarray] = [None] * (n + 1)
+        # faces[p]: the (N_p, p + 1) index of the (p-1)-face of each
+        # p-simplex opposite each of its vertices, raveled: the inverse of
+        # the unique pass that found the (p-1)-simplices
+        faces: list[np.ndarray] = [None] * (n + 1)
         rows = ordered
         for p in range(n, 0, -1):
-            self._keys[p], first = np.unique(_simplex_keys(rows, V),
-                                             return_index=True)
+            self._keys[p], first, inverse = np.unique(
+                _simplex_keys(rows, V), return_index=True,
+                return_inverse=True)
+            if p == n:
+                cell_index = inverse
+            else:
+                faces[p + 1] = inverse.reshape(p + 2, -1).T.ravel()
             simplices[p] = rows[first]
             # dropping a column keeps each row sorted
             rows = np.concatenate([np.delete(simplices[p], i, axis=1)
@@ -141,6 +156,7 @@ class SimplicialManifold:
         # 0-simplices must be single vertices in index order
         self._keys[0] = np.arange(V, dtype=np.int64)
         simplices[0] = self._keys[0][:, None].copy()
+        faces[1] = simplices[1][:, ::-1].ravel()
         self.simplices = simplices
 
         # signed boundary operators (canonical sorted orientation), in CSR
@@ -148,14 +164,11 @@ class SimplicialManifold:
         self.boundary = [None] * (n + 1)
         for p in range(1, n + 1):
             N = simplices[p].shape[0]
-            faces = np.stack([self._find(p - 1,
-                                         np.delete(simplices[p], i, axis=1))
-                              for i in range(p + 1)], axis=1).ravel()
-            order = np.argsort(faces, kind="stable")
+            order = np.argsort(faces[p], kind="stable")
             rows = simplices[p - 1].shape[0]
             self.boundary[p] = sp.csr_matrix(
                 (np.tile((-1) ** np.arange(p + 1), N)[order], order // (p + 1),
-                 np.concatenate([[0], np.bincount(faces, minlength=rows)
+                 np.concatenate([[0], np.bincount(faces[p], minlength=rows)
                                  .cumsum()])), shape=(rows, N))
 
         # cell -> p-face index table (for support volumes), faces in the
@@ -165,6 +178,7 @@ class SimplicialManifold:
                       for sub in combinations(range(n + 1), p + 1)], axis=1)
             for p in range(n + 1)
         ]
+        return cell_index
 
     def _find(self, p: int, rows: np.ndarray) -> np.ndarray:
         """Index of each sorted vertex row among the p-simplices, -1 where
@@ -217,7 +231,7 @@ class SimplicialManifold:
         if np.any(self.volumes[n] < DEGENERATE_VOLUME_FRACTION * mean_vol):
             raise MeshError("degenerate cell (volume below threshold)")
 
-    def _validate_complex(self):
+    def _validate_complex(self, cell_index: np.ndarray):
         """The checks that need no metric: dd = 0, every (n-1)-face in two
         cells, and consistently oriented cells."""
         n = self.n
@@ -232,16 +246,16 @@ class SimplicialManifold:
                 f"non-manifold or open mesh: face {bad} lies in "
                 f"{int(face_count[bad])} cells"
             )
-        self._check_orientation()
+        self._check_orientation(cell_index)
 
-    def _check_orientation(self):
+    def _check_orientation(self, cell_index: np.ndarray):
         """Each (n-1)-face must get opposite orientations from its two
-        cells: with each sorted cell signed by the permutation that sorts
-        its as-given row, the signed incidence sums to zero on a face."""
+        cells: with each sorted cell (cell_index: the n-simplex of each
+        as-given row) signed by the permutation that sorts its as-given
+        row, the signed incidence sums to zero on a face."""
         n = self.n
-        cells = self.oriented_cells
         sign = np.zeros(self.simplices[n].shape[0], dtype=np.int64)
-        sign[self._find(n, np.sort(cells, axis=1))] = _permutation_signs(cells)
+        sign[cell_index] = _permutation_signs(self.oriented_cells)
         induced = self.boundary[n] @ sign
         if induced.any():
             face = self.simplices[n - 1][np.argmax(induced != 0)]
@@ -252,12 +266,13 @@ class SimplicialManifold:
     def _approx_diameter(g) -> float:
         """Two-sweep estimate of the graph's diameter; inf when the graph
         is not connected, as the first sweep then leaves some vertex at
-        infinity."""
-        d0 = dijkstra(g, directed=False, indices=0)
+        infinity.  g is symmetric, so directed sweeps give the undirected
+        labels without SciPy's transposed copy."""
+        d0 = dijkstra(g, directed=True, indices=0)
         u = int(np.argmax(d0))
-        d1 = dijkstra(g, directed=False, indices=u)
+        d1 = dijkstra(g, directed=True, indices=u)
         v = int(np.argmax(d1))
-        d2 = dijkstra(g, directed=False, indices=v)
+        d2 = dijkstra(g, directed=True, indices=v)
         return float(max(d1.max(), d2.max()))
 
     # -- queries --------------------------------------------------------

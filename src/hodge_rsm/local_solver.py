@@ -42,6 +42,27 @@ from .geometry import (ChartFrames, SimplicialManifold, ball_search,
 log = logging.getLogger(__name__)
 
 
+def _incidence(table: np.ndarray, columns: int) -> sp.csr_matrix:
+    """Rows x columns 0/1 incidence of an (N, k) index table, each row's
+    entries in table order: with the vertex rows of the p-simplices, its
+    product with a vertices x balls matrix sums the vertex values of
+    each simplex in the order simplex_average does."""
+    N, k = table.shape
+    return sp.csr_matrix((np.ones(N * k), table.ravel(),
+                          np.arange(0, N * k + 1, k)), shape=(N, columns))
+
+
+def ball_simplices(m: SimplicialManifold, p: int,
+                   members: sp.spmatrix) -> sp.csc_matrix:
+    """p-simplices x balls mask, true where every vertex of the simplex
+    is in the ball (its p + 1 vertices count in the incidence product);
+    members is the vertices x balls membership.  CSC with sorted indices,
+    so column j lists ball j's simplices ascending.  At p = n these are
+    the patch cells (Patches.extract)."""
+    return (_incidence(m.simplices[p], m.num_vertices) @ members).tocsc() \
+        == p + 1
+
+
 class PatchError(RuntimeError):
     """A patch that cannot carry its local problem: no interior vertex or
     no boundary (Patches.extract) or a degenerate chart metric (the
@@ -142,20 +163,14 @@ class Patches:
         """
         n = m.n
 
-        def faces(q):
-            """Cells x q-simplices incidence (vertices at q = 0)."""
-            table = m._cell_faces[q]
-            indptr = np.arange(0, table.size + 1, table.shape[1])
-            return sp.csr_matrix((np.ones(table.size), table.ravel(), indptr),
-                                 shape=(table.shape[0], m.num_simplices(q)))
-
         def canonical(A):
             return A.tocsc().sorted_indices()
 
-        cells = canonical(faces(0) @ cov.members == n + 1)
+        cells = ball_simplices(m, n, cov.members)
         # patch cells holding each q-face; an (n-1)-face in one of them
         # lies on the boundary
-        counts = [faces(q).T @ cells for q in range(n)]
+        counts = [_incidence(m._cell_faces[q], m.num_simplices(q)).T @ cells
+                  for q in range(n)]
         simplices = [canonical(c > 0) for c in counts] + [cells]
         boundary = [None] * (n - 1) + [canonical(counts[n - 1] == 1),
                                        sp.csc_matrix(cells.shape, dtype=bool)]

@@ -32,13 +32,13 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import dec, local_solver
 from .covering import (AdmissibleCovering, RadiusField, WeightField,
                        ball_volumes, check_weight_relative,
                        constant_weight)
 from .geometry import SimplicialManifold, simplex_average
+from .local_solver import ball_simplices
 
 K_CAP = 8
 GAMMA = 2.0  # weight-summation exponent used in the ledger
@@ -155,25 +155,6 @@ def cached_patches(m: SimplicialManifold,
     if cov.patches is None:
         cov.patches = local_solver.Patches.extract(m, cov)
     return cov.patches
-
-
-def _vertex_incidence(m: SimplicialManifold, p: int) -> sp.csr_matrix:
-    """The p-simplices x vertices incidence, each row's vertices
-    ascending: its product with a vertices x balls matrix sums the vertex
-    values of each simplex in the order simplex_average does."""
-    N, k = m.num_simplices(p), p + 1
-    return sp.csr_matrix((np.ones(N * k), m.simplices[p].ravel(),
-                          np.arange(0, N * k + 1, k)),
-                         shape=(N, m.num_vertices))
-
-
-def ball_simplices(m: SimplicialManifold, p: int,
-                   members: sp.spmatrix) -> sp.csc_matrix:
-    """p-simplices x balls mask, true where every vertex of the simplex
-    is in the ball (its p + 1 vertices count in the incidence product);
-    members is the vertices x balls membership.  CSC with sorted indices,
-    so column j lists ball j's simplices ascending."""
-    return (_vertex_incidence(m, p) @ members).tocsc() == p + 1
 
 
 def _partition_weights(m: SimplicialManifold, cov: AdmissibleCovering,

@@ -938,7 +938,7 @@ def oracle_ball_simplices(m, p, members):
     """p-simplices x balls mask, true where every vertex of the simplex
     is in the ball, from simplex_average of the membership; CSC with
     sorted indices.  Tests only: the library forms it as one incidence
-    product (rsm.ball_simplices)."""
+    product (local_solver.ball_simplices)."""
     balls = (geometry.simplex_average(m, p, members.tocsr()) >= 1.0).tocsc()
     balls.sort_indices()
     return balls

@@ -310,6 +310,23 @@ def test_gap_solve_matches_cg_oracle(request, mesh, p, rng, monkeypatch):
         assert dec.norm_l2(f - want) <= 1e-9 * dec.norm_l2(want)
 
 
+def test_gap_solve_raises_on_stagnation(torus16, spec16_p1, rng,
+                                        monkeypatch):
+    # CG cut to one iteration stops short of the tolerance (info > 0)
+    real, infos = spla.cg, []
+
+    def one_iteration(*args, **kwargs):
+        x, info = real(*args, **{**kwargs, "maxiter": 1})
+        infos.append(info)
+        return x, info
+
+    monkeypatch.setattr(analysis.spla, "cg", one_iteration)
+    g = dec.random_cochain(torus16, 1, rng)
+    with pytest.raises(AnalysisError, match="gap_solve: residual stagnation"):
+        gap_solve(torus16, spec16_p1, g)
+    assert infos == [1]
+
+
 def test_gap_solve_factor_belongs_to_the_mesh(torus16, spec16_p1, rng):
     # a report from another eigensolver rotates the harmonic basis but
     # shares the mesh's factor

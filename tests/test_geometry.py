@@ -1,10 +1,13 @@
 import heapq
 import re
+from itertools import permutations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
 from hodge_rsm import geometry
 from hodge_rsm.covering import covering_key
@@ -573,6 +576,95 @@ def test_orientation_error_names_disagreeing_face(torus8, flip):
     signs = _induced_signs(cells, face)
     assert len(signs) == 2 and signs[0] == signs[1]
     assert set(face) < set(cells[flip].tolist())
+
+
+# -- the build's face tables against the key search they replace --------
+
+
+def _searched_boundary(m, p):
+    """boundary[p] assembled from a key search (_find) of each face."""
+    N = m.num_simplices(p)
+    faces = np.stack([m._find(p - 1, np.delete(m.simplices[p], i, axis=1))
+                      for i in range(p + 1)], axis=1)
+    assert (faces >= 0).all()
+    return sp.coo_matrix((np.tile((-1) ** np.arange(p + 1), N),
+                          (faces.ravel(), np.repeat(np.arange(N), p + 1))),
+                         shape=(m.num_simplices(p - 1), N)).tocsr()
+
+
+def _searched_orientation_face(m):
+    """The first face whose two cells induce the same orientation, with
+    each cell's n-simplex found by a key search; None when there is none."""
+    cells = m.oriented_cells
+    sign = np.zeros(m.num_simplices(m.n), dtype=np.int64)
+    sign[m._find(m.n, np.sort(cells, axis=1))] = \
+        geometry._permutation_signs(cells)
+    induced = _searched_boundary(m, m.n) @ sign
+    if not induced.any():
+        return None
+    return tuple(m.simplices[m.n - 1][np.argmax(induced != 0)].tolist())
+
+
+def _undirected_diameter(g):
+    """The two-sweep diameter estimate on SciPy's undirected sweeps."""
+    d0 = dijkstra(g, directed=False, indices=0)
+    d1 = dijkstra(g, directed=False, indices=int(np.argmax(d0)))
+    d2 = dijkstra(g, directed=False, indices=int(np.argmax(d1)))
+    return float(max(d1.max(), d2.max()))
+
+
+def _shuffled_off_mesh(tmp_path, m, seed):
+    """m saved as OFF with its cell rows shuffled and each row's vertices
+    moved by an even permutation, and loaded back."""
+    rng = np.random.default_rng(seed)
+    perms = np.array(list(permutations(range(m.n + 1))))
+    even = perms[geometry._permutation_signs(perms) == 1]
+    cells = m.oriented_cells[rng.permutation(len(m.oriented_cells))]
+    cells = np.take_along_axis(
+        cells, even[rng.integers(len(even), size=len(cells))], axis=1)
+    path = tmp_path / "shuffled.off"
+    save_mesh(SimplicialManifold(m.n, m.vertices, cells, normalize=False,
+                                 validate=False), path)
+    return load_mesh(path)
+
+
+@pytest.mark.parametrize("mesh", ["torus16", "bumpy16", "sphere8",
+                                  "torus3d5", "off_bumpy8", "off_torus3d4"])
+def test_build_faces_match_key_search(request, tmp_path, mesh):
+    if mesh.startswith("off_"):
+        m = _shuffled_off_mesh(tmp_path, generate_test_manifold(
+            "bumpy_torus", 8, 0.3) if mesh == "off_bumpy8"
+            else geometry.generate_flat_torus_3d(4), seed=5)
+        # the rows were moved: not every one starts at its least vertex
+        assert not (m.oriented_cells[:, 0]
+                    == m.oriented_cells.min(axis=1)).all()
+    else:
+        m = request.getfixturevalue(mesh)
+    for p in range(1, m.n + 1):
+        want = _searched_boundary(m, p)
+        for attr in ("data", "indices", "indptr"):
+            assert _bitwise(getattr(m.boundary[p], attr),
+                            getattr(want, attr)), (p, attr)
+    assert _searched_orientation_face(m) is None
+    # one cell turned over: the build names the face the search finds
+    cells = m.oriented_cells.copy()
+    cells[len(cells) // 3, :2] = cells[len(cells) // 3, 1::-1]
+    face = _searched_orientation_face(SimplicialManifold(
+        m.n, m.vertices, cells, validate=False))
+    with pytest.raises(MeshError, match=re.escape(f"face {face}")):
+        SimplicialManifold(m.n, m.vertices, cells)
+    for g in (m.graph, m.graph * 3.7):
+        assert _bitwise(SimplicialManifold._approx_diameter(g),
+                        _undirected_diameter(g))
+    # two disjoint copies
+    twice = (m.n, np.vstack([m.vertices, m.vertices + 10.0]),
+             np.vstack([m.oriented_cells,
+                        m.oriented_cells + m.num_vertices]))
+    assert not np.isfinite(SimplicialManifold._approx_diameter(
+        SimplicialManifold(*twice, normalize=False, validate=False).graph))
+    for normalize in (True, False):
+        with pytest.raises(MeshError, match="mesh is not connected"):
+            SimplicialManifold(*twice, normalize=normalize)
 
 
 @pytest.mark.parametrize("f", [1, 2, 8, 16, 32])

@@ -15,8 +15,8 @@ from conftest import (PERTURBED_MESHES, assemble_oracle,
                       balls_without_whole_star, column, covering_of,
                       extract_patch,
                       flat_stiffness_oracle, geodesic_distance,
-                      local_czi_check, oracle_patches, perturbed_mesh,
-                      refused_balls)
+                      local_czi_check, oracle_ball_simplices, oracle_patches,
+                      perturbed_mesh, refused_balls)
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +92,13 @@ def test_batched_patches_match_oracle(request, mesh):
                    and A.shape == (m.num_simplices(q), len(cov.balls))
                    for q, A in enumerate(mats))
     _assert_matches_oracle(m, cov, patches)
+    # the one in-ball mask at every degree; at n, the patch cells
+    for q in range(m.n + 1):
+        balls = local_solver.ball_simplices(m, q, cov.members)
+        want = oracle_ball_simplices(m, q, cov.members)
+        assert balls.has_sorted_indices and balls.data.all()
+        assert np.array_equal(balls.indices, want.indices)
+        assert np.array_equal(balls.indptr, want.indptr)
     # a one-ball slice holds that ball's columns
     j = len(cov.balls) // 2
     one = patches[j]
