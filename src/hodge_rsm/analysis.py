@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
@@ -24,8 +25,6 @@ from . import dec, rsm
 from .covering import AdmissibleCovering, RadiusField, WeightField
 from .geometry import SimplicialManifold
 
-# largest number of unknowns for which a dense rank is computed
-DENSE_LIMIT = 3000
 HARMONIC_TOL_REL = 1e-8
 CZI_HEADROOM = 1.25
 
@@ -75,23 +74,24 @@ def spectrum(m: SimplicialManifold, p: int, m_eigs: int = 10,
     """Lowest eigenpairs of the degree-p Hodge Laplacian.
 
     Shift-invert Lanczos on S = dec.scaled_stiffness (sigma = -dec.SHIFT)
-    from a fixed pseudo-random start, so repeated runs agree bit for bit;
-    at most N - 1 pairs are returned.  It inverts through the mesh's one
-    dec.shifted_factor per degree, shared with gap_solve and built on the
-    same cached S, and reports the
-    Rayleigh quotients of the Lanczos vectors (ARPACK's own converge only
-    relative to 1/SHIFT).  harmonic_tol is relative to the Gershgorin upper
-    bound of the largest eigenvalue; the report keeps the absolute
-    threshold.  A flag is raised when eigenvalues cluster suspiciously
-    close to the harmonic threshold.
+    from a fixed pseudo-random start, so repeated runs agree bit for bit.
+    It asks for max(m_eigs, b_p + 7) pairs, room for every harmonic form
+    (betti_numbers) and the gap, and returns at most N - 1.  It inverts
+    through the mesh's one dec.shifted_factor per degree, shared with
+    gap_solve and built on the same cached S, and reports the Rayleigh
+    quotients of the Lanczos vectors (ARPACK's own converge only relative
+    to 1/SHIFT).  harmonic_tol is relative to the Gershgorin upper bound
+    of the largest eigenvalue; the report keeps the absolute threshold.
+    A flag is raised when eigenvalues cluster suspiciously close to the
+    harmonic threshold.
     """
     N = m.num_simplices(p)
     Mh = np.sqrt(dec.mass_diagonal(m, p))
     S = dec.scaled_stiffness(m, p)
     inverse = spla.LinearOperator((N, N), dec.shifted_factor(m, p).solve)
-    v0 = np.random.default_rng(0).uniform(-1, 1, N)
-    ritz, vecs = spla.eigsh(S, k=min(m_eigs, N - 1), sigma=-dec.SHIFT,
-                            which="LM", v0=v0, OPinv=inverse)
+    k = min(max(m_eigs, betti_numbers(m)[p] + 7), N - 1)
+    ritz, vecs = spla.eigsh(S, k, sigma=-dec.SHIFT, which="LM", OPinv=inverse,
+                            v0=np.random.default_rng(0).uniform(-1, 1, N))
     vecs = vecs[:, np.argsort(ritz)]
     vals = np.einsum("ij,ij->j", vecs, S @ vecs)
     # abs() sorts a matrix's indices in place: the copy keeps the cached
@@ -456,31 +456,59 @@ def bounded_radius_flag(rf: RadiusField) -> bool:
     return bool(rf.values.min() >= 0.25 * rf.values.max())
 
 
-def derivative_rank(m: SimplicialManifold, q: int) -> int | None:
-    """Rank of d_q, exact on a closed oriented mesh for q = 0 (V minus the
-    components of the edge graph) and q = n-1 (N_n minus the components
-    of the cell-adjacency graph).  d_1 of a 3-manifold takes a dense
-    matrix_rank, cubic in its size, so above DENSE_LIMIT edges it is not
-    computed and the result is None."""
-    if q == 0:
-        return m.num_vertices - connected_components(m.graph,
-                                                     directed=False)[0]
-    if q == m.n - 1:
-        B = abs(m.boundary[m.n])
-        return m.num_simplices(m.n) - connected_components(
-            B.T @ B, directed=False)[0]
-    if m.num_simplices(q) > DENSE_LIMIT:
-        return None
-    return int(np.linalg.matrix_rank(
-        dec.exterior_derivative(m, q).matrix.toarray()))
+def betti_numbers(m: SimplicialManifold) -> list[int]:
+    """Betti numbers over the rationals, once per complex.  b_0 and b_n
+    count the components of the edge and cell-adjacency graphs, b_{n-1}
+    follows from the Euler characteristic, and a 3-manifold's b_1 from
+    fill-free reductions (Mrozek & Batko, Discrete Comput. Geom. 41,
+    2009): the first vertex and 3-cell of each component go (b_0 and b_3
+    fall by one each), then each live cell with one live face or coface
+    goes with that partner.  That keeps every Betti number and edits no
+    coefficient, so b_1 is the core's edge count less its dense ranks."""
+    return list(dec._cached(m, "betti", m.n, lambda: _betti_numbers(m)))
+
+
+def _betti_numbers(m: SimplicialManifold) -> list[int]:
+    B = abs(m.boundary[m.n])
+    (b0, vertex), (bn, cell) = (connected_components(g, directed=False)
+                                for g in (m.graph, B.T @ B))
+    b = [b0] + [0] * (m.n - 1) + [bn]
+    if m.n == 3:
+        # (face, coface) pattern; numbered by degree, faces precede cofaces
+        off = np.cumsum([0] + [m.num_simplices(p) for p in range(4)])
+        up = sp.block_diag([sp.csr_matrix((0, off[1]))] + m.boundary[1:]
+                           + [sp.csr_matrix((off[4] - off[3], 0))],
+                           format="csr", dtype=np.int8)
+        adj = up + up.T
+        ptr, nbr = adj.indptr.tolist(), adj.indices
+        # live[0][x]: the live faces of cell x; live[1][x]: its cofaces
+        live = [np.bincount(up.indices, minlength=off[4]).tolist(),
+                np.diff(up.indptr).tolist()]
+        alive, queue = [True] * int(off[4]), []
+
+        def remove(z):
+            alive[z] = False
+            for y in nbr[ptr[z]:ptr[z + 1]].tolist():
+                live[y < z][y] -= 1
+                if live[y < z][y] == 1:
+                    queue.append(y)
+        for z in [*np.unique(vertex, return_index=True)[1],
+                  *off[3] + np.unique(cell, return_index=True)[1]]:
+            remove(int(z))
+        for x in queue:   # also reads what remove appends: FIFO order
+            if alive[x] and 1 in (live[0][x], live[1][x]):
+                remove(x)
+                remove(next(y for y in nbr[ptr[x]:ptr[x + 1]].tolist()
+                            if alive[y] and (y < x) == (live[0][x] == 1)))
+        core = [np.flatnonzero(alive[off[p]:off[p + 1]]) for p in range(3)]
+        b[1] = int(core[1].size - sum(np.linalg.matrix_rank(
+            m.boundary[p][core[p - 1]][:, core[p]].toarray()) for p in (1, 2)))
+    b[-2] = sum((-1) ** (p + m.n + 1) * (m.num_simplices(p) - x)
+                for p, x in enumerate(b))
+    return b
 
 
 def rank_identity_check(m: SimplicialManifold, p: int,
-                        harmonic_dim: int) -> bool | None:
-    """harmonic + rank(d_{p-1}) + rank(d_p) must equal dim C^p; None when
-    derivative_rank does not compute a rank the identity needs."""
-    r_dn = derivative_rank(m, p - 1) if p > 0 else 0
-    r_up = derivative_rank(m, p) if p < m.n else 0
-    if r_dn is None or r_up is None:
-        return None
-    return harmonic_dim + r_dn + r_up == m.num_simplices(p)
+                        harmonic_dim: int) -> bool:
+    """harmonic_dim == b_p, the kernel dimension counted by betti_numbers."""
+    return harmonic_dim == betti_numbers(m)[p]

@@ -187,14 +187,8 @@ class Report:
         self.payload["checks"].append(
             {"name": name, "passed": bool(passed), "details": details})
 
-    def not_run(self, name, reason):
-        """Record a check that was not run: passed is null, and
-        all_passed is taken over the checks that ran."""
-        self.payload["checks"].append(
-            {"name": name, "passed": None, "details": {"not_run": reason}})
-
     def finish(self, path):
-        ok = all(c["passed"] is not False for c in self.payload["checks"])
+        ok = all(c["passed"] for c in self.payload["checks"])
         self.payload["all_passed"] = ok
         out = dict(self.payload)
         out["timestamp"] = datetime.datetime.now(
@@ -211,15 +205,15 @@ def _round(x, nd=12):
 
 class _Commands(click.Group):
     def invoke(self, ctx):
-        # a covering or patch the input cannot support, or a path the
-        # command cannot create or write, is a usage error (exit 2), not a
-        # failed check (exit 1) or a traceback
+        # a covering, patch or solve the input cannot support (CoverageError,
+        # PatchError, AnalysisError: matched by name, so nothing is imported)
+        # or a path the command cannot create or write is a usage error
+        # (exit 2), not a failed check (exit 1) or a traceback
         try:
             return super().invoke(ctx)
         except RuntimeError as e:
-            # covering.CoverageError or local_solver.PatchError, matched
-            # by name so that nothing is imported
-            if type(e).__name__ not in ("CoverageError", "PatchError"):
+            if type(e).__name__ not in ("CoverageError", "PatchError",
+                                        "AnalysisError"):
                 raise
             raise click.UsageError(str(e))
         except OSError as e:
@@ -367,13 +361,8 @@ def decompose(config_path, r_, degrees, harmonic_tol, mode, seed, out_dir):
         rep.check(f"spectrum_p{p}", not sp.cluster_flag,
                   harmonic_dim=sp.harmonic_dim, gap=_round(sp.gap),
                   cluster_flag=sp.cluster_flag)
-        ranks_ok = analysis.rank_identity_check(m, p, sp.harmonic_dim)
-        if ranks_ok is None:
-            rep.not_run(f"rank_identity_p{p}",
-                        f"dense rank of d_1 above {analysis.DENSE_LIMIT} "
-                        "edges")
-        else:
-            rep.check(f"rank_identity_p{p}", ranks_ok)
+        rep.check(f"rank_identity_p{p}",
+                  analysis.rank_identity_check(m, p, sp.harmonic_dim))
         if sp.cluster_flag:
             continue
         for i in range(cfg["num_forms"]):
@@ -477,9 +466,7 @@ def report(config_path, out_dir):
         click.echo(f"{path.name}: {'PASS' if ok else 'FAIL'} "
                    f"({len(data.get('checks', []))} checks)")
         for c in data.get("checks", []):
-            if c["passed"] is None:
-                click.echo(f"  NOT RUN {c['name']}: {c['details']}")
-            elif not c["passed"]:
+            if not c["passed"]:
                 click.echo(f"  FAILED {c['name']}: {c['details']}")
     if not found:
         click.echo("no reports found")

@@ -399,9 +399,9 @@ def spec32_p1(torus32):
 
 def oracle_spectrum(m, p, m_eigs=10,
                     harmonic_tol=analysis.HARMONIC_TOL_REL):
-    """The dense spectrum `analysis.spectrum` once computed below
-    DENSE_LIMIT: all N eigenpairs of S = M^-1/2 K M^-1/2 by `eigh`, with
-    the tolerance relative to the computed top eigenvalue.  Cubic in N."""
+    """The dense spectrum `analysis.spectrum` once computed on small
+    meshes: all N eigenpairs of S = M^-1/2 K M^-1/2 by `eigh`, with the
+    tolerance relative to the computed top eigenvalue.  Cubic in N."""
     K = dec.stiffness_matrix(m, p)
     Mh = np.sqrt(dec.mass_diagonal(m, p))
     S = K.toarray() / Mh[:, None] / Mh[None, :]

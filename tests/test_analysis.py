@@ -21,7 +21,7 @@ from conftest import (ROUNDOFF_BUDGET, _cover_bundle,
                       vertex_mask_to_simplex_mask,
                       weak_decomposition_sequence)
 from hodge_rsm import analysis, covering, dec, geometry, rsm
-from hodge_rsm.analysis import (AnalysisError, derivative_rank,
+from hodge_rsm.analysis import (AnalysisError, betti_numbers,
                                 dual_poisson_solve, gap_solve,
                                 harmonic_projection, orthogonality_check,
                                 poisson_solve, rank_identity_check, spectrum,
@@ -503,13 +503,13 @@ def test_dual_poisson_residual_and_agreement(torus16, cover16, spec16_p1,
 
 
 def test_dual_poisson_above_dense_limit(torus32, cover32, spec32_p1, rng):
-    # N = 3072 edges exceeds analysis.DENSE_LIMIT
+    # N = 3072 edges, more than 3000: too large for dense operators
     rf, cov = cover32
     phi = dec.random_cochain(torus32, 1, rng)
     phi = phi - harmonic_projection(torus32, spec32_p1, phi)
     phi = phi - harmonic_projection(torus32, spec32_p1, phi)
     u, diags = dual_poisson_solve(torus32, cov, rf, spec32_p1, phi, 1.5)
-    assert torus32.num_simplices(1) > analysis.DENSE_LIMIT
+    assert torus32.num_simplices(1) > 3000
     assert diags["residual"] <= 1e-8
 
 
@@ -574,27 +574,79 @@ def test_rank_identity(torus16, sphere4, spec16_p0, spec16_p1):
     assert rank_identity_check(sphere4, 1, 0)
 
 
+def dense_betti_numbers(m):
+    """b_p = N_p - rank boundary[p] - rank boundary[p+1], every rank a
+    dense matrix_rank of a whole boundary: the oracle."""
+    ranks = [0] + [np.linalg.matrix_rank(m.boundary[p].toarray())
+                   for p in range(1, m.n + 1)] + [0]
+    return [m.num_simplices(p) - ranks[p] - ranks[p + 1]
+            for p in range(m.n + 1)]
+
+
+def wedge(m):
+    """Two copies of m glued at vertex 0, built with normalize=False: the
+    second copy is the first reflected through that vertex.  Every
+    (n-1)-face still lies in two consistently oriented cells, so the
+    validation accepts it; its edge graph has one component and its
+    cell-adjacency graph two."""
+    V = m.num_vertices
+    label = np.concatenate([[0], np.arange(V, 2 * V - 1)])
+    return geometry.SimplicialManifold(
+        m.n, np.vstack([m.vertices, 2 * m.vertices[0] - m.vertices[1:]]),
+        np.vstack([m.oriented_cells, label[m.oriented_cells]]),
+        normalize=False)
+
+
 def test_exact_ranks_match_dense(torus8, sphere4, bumpy16):
-    torus3d3 = geometry.generate_flat_torus_3d(3)
-    for m in (torus8, sphere4, bumpy16, torus3d3):
-        for q in range(m.n):
-            dense = np.linalg.matrix_rank(
-                dec.exterior_derivative(m, q).matrix.toarray())
-            assert derivative_rank(m, q) == dense, (m.num_vertices, q)
-    # Betti numbers of the 3-torus: 1, 3, 3, 1
+    tori3d = [geometry.generate_flat_torus_3d(k) for k in (3, 4)]
+    for m in (torus8, sphere4, bumpy16, *tori3d):
+        assert betti_numbers(m) == dense_betti_numbers(m), m.num_vertices
+    assert betti_numbers(tori3d[0]) == [1, 3, 3, 1]
     for p, b in enumerate((1, 3, 3, 1)):
-        assert rank_identity_check(torus3d3, p, b)
+        assert rank_identity_check(tori3d[0], p, b)
 
 
-def test_rank_identity_not_run_above_dense_limit(torus3d8):
-    # d_1 of the 3-torus 8 has 3584 edges: no dense rank, so every
-    # identity that needs it is not run (None), never passed
-    assert torus3d8.num_simplices(1) > analysis.DENSE_LIMIT
-    assert derivative_rank(torus3d8, 1) is None
-    assert rank_identity_check(torus3d8, 1, 3) is None
-    assert rank_identity_check(torus3d8, 2, 3) is None
-    assert rank_identity_check(torus3d8, 0, 1) is True
-    assert rank_identity_check(torus3d8, 3, 1) is True
+def test_betti_numbers_of_wedges(sphere4):
+    # one vertex component, two cell components: the reductions start
+    # once per component of each graph
+    for m, want in ((wedge(sphere4), [1, 0, 2]),
+                    (wedge(geometry.generate_flat_torus_3d(3)),
+                     [1, 6, 6, 2])):
+        assert betti_numbers(m) == want == dense_betti_numbers(m)
+
+
+def test_rank_identity_on_torus3d8(torus3d8):
+    # 3584 edges: the reductions give b = (1, 3, 3, 1), and the check is
+    # a bool at every degree
+    assert torus3d8.num_simplices(1) > 3000
+    for p, b in enumerate((1, 3, 3, 1)):
+        assert rank_identity_check(torus3d8, p, b) is True
+    assert rank_identity_check(torus3d8, 1, 2) is False
+
+
+def test_betti_numbers_computed_once_per_mesh(monkeypatch):
+    # spectrum sizes itself by b_p, and the rank identity reads the same
+    # cached entry: two component counts per mesh in all
+    m = geometry.generate_test_manifold("flat_torus", 8)
+    real, calls = analysis.connected_components, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "connected_components", counted)
+    reps = [spectrum(m, p) for p in range(3)]
+    assert [rank_identity_check(m, p, r.harmonic_dim)
+            for p, r in enumerate(reps)] == [True] * 3
+    assert len(calls) == 2
+
+
+def test_spectrum_sized_by_betti_numbers(torus16, spec16_p1):
+    # two pairs asked for at b_1 = 2 would hold no eigenvalue above the
+    # harmonic ones (gap = inf); spectrum asks for b_1 + 7
+    rep = spectrum(torus16, 1, m_eigs=2)
+    assert rep.harmonic_dim == 2
+    assert abs(rep.gap - spec16_p1.gap) <= 1e-12 * spec16_p1.gap
 
 
 def test_weak_decomposition_harmonic(torus16, cover16, spec16_p1):

@@ -152,7 +152,8 @@ def test_decompose_injected_failure(runner, tmp_path):
     assert checks["spectrum_p1"]["details"]["cluster_flag"]
 
 
-def test_decompose_rank_check_not_run_on_torus3d8(runner, tmp_path):
+def test_decompose_rank_check_passes_on_torus3d8(runner, tmp_path):
+    # 3584 edges: the rank identity runs at every size
     cfg = _cfg(tmp_path, mesh={"kind": "flat_torus_3d", "resolution": 8},
                degrees=[1], num_forms=0)
     res = runner.invoke(main, ["decompose", "--config", cfg])
@@ -160,12 +161,27 @@ def test_decompose_rank_check_not_run_on_torus3d8(runner, tmp_path):
     out = Path(json.loads(Path(cfg).read_text())["out_dir"])
     rep = json.loads((out / "decompose_report.json").read_text())
     checks = {c["name"]: c for c in rep["checks"]}
-    assert checks["rank_identity_p1"]["passed"] is None
-    assert "not_run" in checks["rank_identity_p1"]["details"]
+    assert checks["rank_identity_p1"]["passed"] is True
     assert rep["all_passed"]
     res = runner.invoke(main, ["report", "--config", cfg])
     assert res.exit_code == 0
-    assert "NOT RUN rank_identity_p1" in res.output
+    assert "NOT RUN" not in res.output
+
+
+def test_decompose_analysis_error_is_a_usage_error(runner, tmp_path,
+                                                   monkeypatch):
+    # CG cut to one iteration, as in test_gap_solve_raises_on_stagnation:
+    # the gap solve's AnalysisError ends the command with exit 2 and its
+    # message, not a traceback
+    from hodge_rsm import analysis
+    real = analysis.spla.cg
+    monkeypatch.setattr(analysis.spla, "cg", lambda *args, **kwargs: real(
+        *args, **{**kwargs, "maxiter": 1}))
+    cfg = _cfg(tmp_path, degrees=[1], num_forms=1)
+    res = runner.invoke(main, ["decompose", "--config", cfg])
+    assert res.exit_code == 2, res.output
+    assert "residual stagnation" in res.output
+    assert type(res.exception) is SystemExit
 
 
 def test_decompose_deterministic(runner, tmp_path):
