@@ -83,7 +83,7 @@ def spectrum(m: SimplicialManifold, p: int, m_eigs: int = 10,
     to 1/SHIFT).  harmonic_tol is relative to the Gershgorin upper bound
     of the largest eigenvalue; the report keeps the absolute threshold.
     A flag is raised when eigenvalues cluster suspiciously close to the
-    harmonic threshold.
+    harmonic threshold, or when none lies above it though b_p < N.
     """
     N = m.num_simplices(p)
     Mh = np.sqrt(dec.mass_diagonal(m, p))
@@ -104,7 +104,8 @@ def spectrum(m: SimplicialManifold, p: int, m_eigs: int = 10,
     above = vals[vals >= tol]
     gap = float(above[0]) if above.size else math.inf
     cluster = bool(np.any((vals >= tol) & (vals < 100 * tol))) \
-        or (above.size > 0 and gap < 1e-6 * scale)
+        or (above.size > 0 and gap < 1e-6 * scale) \
+        or (above.size == 0 and betti_numbers(m)[p] < N)
     # a threshold below the numerical-zero band cannot classify kernels
     zero_band = 1e-12 * scale
     if tol < zero_band and np.any(np.abs(vals) < zero_band):
@@ -419,8 +420,8 @@ def czi_fit(samples, headroom: float = CZI_HEADROOM):
     return float(c1[k]) * headroom, float(c2[k]) * headroom
 
 
-def weighted_czi_verify(m: SimplicialManifold, cov: AdmissibleCovering,
-                        rf: RadiusField, us, r: float, w: WeightField,
+def weighted_czi_verify(m: SimplicialManifold, rf: RadiusField, us,
+                        r: float, w: WeightField,
                         classical: bool | None = None) -> dict:
     """Fit and evaluate the weighted CZI over a sample of cochains.
 

@@ -421,7 +421,7 @@ def verify(config_path, r_, degrees, out_dir):
             rep.check(f"{key}_p{p}", led["margin"] >= 0,
                       lhs=_round(led["lhs"]), rhs=_round(led["rhs"]))
         us = [dec.random_cochain(m, p, rng) for _ in range(10)]
-        czi = analysis.weighted_czi_verify(m, cov, rf, us, cfg["r"], w,
+        czi = analysis.weighted_czi_verify(m, rf, us, cfg["r"], w,
                                            classical=cfg["bounded_radius"])
         rep.check(f"czi_p{p}", min(czi["margins"]) >= 0,
                   C1=_round(czi["C1"]), C2=_round(czi["C2"]))
@@ -432,7 +432,8 @@ def verify(config_path, r_, degrees, out_dir):
 
 def _read_report(path) -> dict:
     """The report at path; a usage error naming the file when it is not
-    a JSON object whose checks each hold a name, passed and details."""
+    a JSON object whose checks each hold a name, details and a boolean
+    passed, and whose all_passed is their conjunction."""
     try:
         with open(path) as f:
             data = json.load(f)
@@ -441,9 +442,11 @@ def _read_report(path) -> dict:
     checks = data.get("checks", []) if isinstance(data, dict) else None
     if not isinstance(checks, list) or not all(
             isinstance(c, dict) and {"name", "passed", "details"} <= c.keys()
-            for c in checks):
-        raise click.UsageError(f"{path}: not a report (a JSON object whose "
-                               "checks each hold name, passed and details)")
+            and isinstance(c["passed"], bool) for c in checks) \
+            or data.get("all_passed") is not all(c["passed"] for c in checks):
+        raise click.UsageError(f"{path}: not a report (its checks each "
+                               "hold name, details and passed true or false; "
+                               "all_passed is true when every one passed)")
     return data
 
 
@@ -461,7 +464,7 @@ def report(config_path, out_dir):
     for path in sorted(out.glob("*_report.json")):
         found = True
         data = _read_report(path)
-        ok = data.get("all_passed", False)
+        ok = data["all_passed"]
         any_fail |= not ok
         click.echo(f"{path.name}: {'PASS' if ok else 'FAIL'} "
                    f"({len(data.get('checks', []))} checks)")

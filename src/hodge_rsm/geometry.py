@@ -61,18 +61,16 @@ class SimplicialManifold:
             pattern is formed once, and its data refilled if the diameter
             normalization rescales the lengths.
 
-    Simplices are looked up by key: row r of simplices[p] has the int64
-    key sum_i r[i] V^(p-i), and _keys[p] holds these keys ascending, so
-    np.searchsorted finds the index of any batch of sorted rows (see
-    _find).  Keys must fit in int64: V^(n+1) <= 2^63, that is up
-    to 2097152 vertices for a surface and 55108 for a 3-manifold.
     The whole construction is array operations, one batch per degree,
     with one metric pass on the final (normalized) edge lengths.  Each
-    degree's simplices come from one np.unique of the keys of the faces
-    of the degree above, or of the cells; its inverse is the face table
-    of the degree above (boundary[p]) and each input cell's n-simplex
-    (the orientation check), so neither searches the keys.  _find
-    builds the edge and cell-face tables of the metric.
+    degree's simplices come from one np.unique of the int64 keys of the
+    faces of the degree above, or of the cells (row r of simplices[p] has
+    the key sum_i r[i] V^(p-i)).  Keys must fit in int64: V^(n+1) <= 2^63,
+    that is up to 2097152 vertices for a surface and 55108 for a
+    3-manifold.  The inverse of each pass is the face table of the degree
+    above (boundary[p], subfaces) and each input cell's n-simplex (the
+    orientation check); subfaces composes the tables into the edge and
+    cell-face tables of the metric, so nothing searches the keys.
     """
 
     def __init__(self, dimension, vertices, cells, edge_lengths=None,
@@ -128,25 +126,24 @@ class SimplicialManifold:
     # -- construction ---------------------------------------------------
 
     def _build_complex(self, ordered) -> np.ndarray:
-        """Simplices, keys, boundary operators and cell-face tables from
-        the (N, n+1) cell rows, each row sorted; returns each cell row's
-        index among the n-simplices."""
+        """Simplices, face tables, boundary operators and cell-face tables
+        from the (N, n+1) cell rows, each row sorted; returns each cell
+        row's index among the n-simplices."""
         n, V = self.n, self.vertices.shape[0]
         simplices: list[np.ndarray] = [None] * (n + 1)
-        self._keys: list[np.ndarray] = [None] * (n + 1)
-        # faces[p]: the (N_p, p + 1) index of the (p-1)-face of each
-        # p-simplex opposite each of its vertices, raveled: the inverse of
-        # the unique pass that found the (p-1)-simplices
-        faces: list[np.ndarray] = [None] * (n + 1)
+        # _faces[p]: the (N_p, p + 1) index of the (p-1)-face opposite each
+        # vertex of each p-simplex, a view of the inverse of the unique pass
+        # that found the (p-1)-simplices (at p = 1, of the edge rows)
+        self._faces: list[np.ndarray] = [None] * (n + 1)
         rows = ordered
         for p in range(n, 0, -1):
-            self._keys[p], first, inverse = np.unique(
-                _simplex_keys(rows, V), return_index=True,
-                return_inverse=True)
+            _, first, inverse = np.unique(_simplex_keys(rows, V),
+                                          return_index=True,
+                                          return_inverse=True)
             if p == n:
                 cell_index = inverse
             else:
-                faces[p + 1] = inverse.reshape(p + 2, -1).T.ravel()
+                self._faces[p + 1] = inverse.reshape(p + 2, -1).T
             simplices[p] = rows[first]
             # dropping a column keeps each row sorted
             rows = np.concatenate([np.delete(simplices[p], i, axis=1)
@@ -154,9 +151,8 @@ class SimplicialManifold:
         if simplices[n].shape[0] != ordered.shape[0]:
             raise MeshError("duplicate cells")
         # 0-simplices must be single vertices in index order
-        self._keys[0] = np.arange(V, dtype=np.int64)
-        simplices[0] = self._keys[0][:, None].copy()
-        faces[1] = simplices[1][:, ::-1].ravel()
+        simplices[0] = np.arange(V, dtype=np.int64)[:, None]
+        self._faces[1] = simplices[1][:, ::-1]
         self.simplices = simplices
 
         # signed boundary operators (canonical sorted orientation), in CSR
@@ -164,38 +160,34 @@ class SimplicialManifold:
         self.boundary = [None] * (n + 1)
         for p in range(1, n + 1):
             N = simplices[p].shape[0]
-            order = np.argsort(faces[p], kind="stable")
+            faces = self._faces[p].ravel()
+            order = np.argsort(faces, kind="stable")
             rows = simplices[p - 1].shape[0]
             self.boundary[p] = sp.csr_matrix(
                 (np.tile((-1) ** np.arange(p + 1), N)[order], order // (p + 1),
-                 np.concatenate([[0], np.bincount(faces[p], minlength=rows)
+                 np.concatenate([[0], np.bincount(faces, minlength=rows)
                                  .cumsum()])), shape=(rows, N))
 
-        # cell -> p-face index table (for support volumes), faces in the
-        # lexicographic order of their vertex positions in the cell
-        self._cell_faces = [
-            np.stack([self._find(p, simplices[n][:, list(sub)])
-                      for sub in combinations(range(n + 1), p + 1)], axis=1)
-            for p in range(n + 1)
-        ]
+        # cell -> q-face index table (for support volumes)
+        self._cell_faces = [self.subfaces(n, q) for q in range(n + 1)]
         return cell_index
 
-    def _find(self, p: int, rows: np.ndarray) -> np.ndarray:
-        """Index of each sorted vertex row among the p-simplices, -1 where
-        the row is no p-simplex.  Entries must lie in [0, V)."""
-        table = self._keys[p]
-        keys = _simplex_keys(rows, self.vertices.shape[0])
-        idx = np.searchsorted(table, keys)
-        found = idx < table.size
-        found[found] = table[idx[found]] == keys[found]
-        return np.where(found, idx, -1)
-
-    def _simplex_edges(self, rows: np.ndarray) -> np.ndarray:
-        """(N, C(k, 2)) edge indices of sorted vertex rows of width k,
-        vertex pairs in lexicographic order of their positions."""
-        return np.stack([self._find(1, rows[:, [a, b]])
-                         for a, b in combinations(range(rows.shape[1]), 2)],
-                        axis=1)
+    def subfaces(self, p: int, q: int, rows=None) -> np.ndarray:
+        """(len(rows), C(p+1, q+1)) indices of the q-faces of the
+        p-simplices rows (default all), in the order combinations(range(p
+        + 1), q + 1) lists their vertex positions: gathers through the
+        face tables that drop the missing positions largest first, so
+        each position still to drop keeps its place."""
+        index = np.arange(self.num_simplices(p)) if rows is None \
+            else np.asarray(rows, dtype=np.int64)
+        columns = []
+        for keep in combinations(range(p + 1), q + 1):
+            face = index
+            for d, i in enumerate(sorted(set(range(p + 1)) - set(keep),
+                                         reverse=True)):
+                face = self._faces[p - d][face, i]
+            columns.append(face)
+        return np.stack(columns, axis=1)
 
     def _lengths(self, supplied) -> np.ndarray:
         """The supplied edge lengths, or the embedding's chord lengths;
@@ -211,12 +203,12 @@ class SimplicialManifold:
         validate, the triangle inequality and the cell volumes checked."""
         n, lengths = self.n, self.edge_lengths
         # columns: the edges (s0, s1), (s0, s2), (s1, s2) of each triangle
-        triangles = lengths[self._simplex_edges(self.simplices[2])]
+        triangles = lengths[self.subfaces(2, 1)]
         self.volumes = [np.ones(self.vertices.shape[0]), lengths.copy(),
                         simplex_volumes(triangles, 2)]
         if n == 3:
             self.volumes.append(simplex_volumes(
-                lengths[self._simplex_edges(self.simplices[3])], 3))
+                lengths[self._cell_faces[1]], 3))
         self.support_volumes = [
             lumped_supports(self.volumes[n], self._cell_faces[p],
                             self.num_simplices(p)) for p in range(n + 1)]

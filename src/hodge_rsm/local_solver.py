@@ -41,6 +41,9 @@ from .geometry import (ChartFrames, SimplicialManifold, ball_search,
 
 log = logging.getLogger(__name__)
 
+NEUMANN_MAX_ITER = 50   # the Neumann series' cap on its terms
+NEUMANN_TOL = 1e-12     # and its stopping level, relative to gamma_0's
+
 
 def _incidence(table: np.ndarray, columns: int) -> sp.csr_matrix:
     """Rows x columns 0/1 incidence of an (N, k) index table, each row's
@@ -276,7 +279,7 @@ def _patch_complex(patches: Patches, p: int,
                       else lengths if q == 1
                       else simplex_volumes(lengths[rows(
                           1, owner[q][:, None],
-                          m._simplex_edges(m.simplices[q][simplices[q]]))], q))
+                          m.subfaces(q, 1, simplices[q]))], q))
     support = [lumped_supports(volumes[n], faces[q], simplices[q].size)
                if q in near else None for q in range(n + 1)]
     return PatchComplex(n, keys, boundary, volumes, support)
@@ -357,7 +360,6 @@ def _chart_lengths(patch: Patches) -> np.ndarray:
 
 
 def neumann_series_solve(patch: Patches, omega: dec.Cochain,
-                         max_iter: int = 50, tol: float = 1e-12,
                          flat_edge_lengths: np.ndarray | None = None,
                          r: float = 2.0):
     """Flat/curved split iteration for the patch Dirichlet problem.
@@ -365,10 +367,10 @@ def neumann_series_solve(patch: Patches, omega: dec.Cochain,
     Solves the same interior system as the direct mode by iterating
     v_k from Delta_flat v_k = gamma_k, gamma_{k+1} = (Delta - Delta_flat)
     v_k, and summing with alternating signs, until the L^r norm of gamma_k
-    over the interior (dec.lr_norm) falls to tol times that of gamma_0;
-    returns (u, diagnostics).  patch is a one-ball Patches.  Delta_flat
-    has the edge lengths of the ball's chart, or those of
-    flat_edge_lengths (one per global edge).
+    over the interior (dec.lr_norm) falls to NEUMANN_TOL times that of
+    gamma_0, at most NEUMANN_MAX_ITER times; returns (u, diagnostics).
+    patch is a one-ball Patches.  Delta_flat has the edge lengths of the
+    ball's chart, or those of flat_edge_lengths (one per global edge).
     Raises PatchError, naming the ball, when a zero chart volume leaves
     the flat interior system non-finite or its mass not positive.
     """
@@ -400,7 +402,7 @@ def neumann_series_solve(patch: Patches, omega: dec.Cochain,
     grow = 0
     sign = 1.0
     k = 0
-    while k < max_iter:
+    while k < NEUMANN_MAX_ITER:
         vk = lu.solve(Mf_I * gamma)
         v += sign * vk
         # A v_k = (Delta - Delta_flat) v_k on the interior
@@ -415,7 +417,7 @@ def neumann_series_solve(patch: Patches, omega: dec.Cochain,
                 f"ball {ball}: Neumann series diverging "
                 "(eta >= 1); use a smaller eps")
         prev = cur
-        if cur <= tol * max(norm0, 1e-300):
+        if cur <= NEUMANN_TOL * max(norm0, 1e-300):
             break
         sign = -sign
     if eta >= 0.5:

@@ -67,14 +67,33 @@ def total_volume(m) -> float:
     return float(m.volumes[m.n].sum())
 
 
+_KEY_TABLES = weakref.WeakKeyDictionary()
+
+
+def find_simplices(m, p, rows) -> np.ndarray:
+    """Index of each sorted vertex row among the p-simplices of m, -1
+    where the row is no p-simplex: a binary search of the rows' int64
+    keys among those of simplices[p] (ascending, as the build's unique
+    pass orders them).  Entries must lie in [0, V).  Tests only: the
+    reference of the build's face tables (SimplicialManifold.subfaces)."""
+    tables = _KEY_TABLES.setdefault(m, {})
+    if p not in tables:
+        tables[p] = geometry._simplex_keys(m.simplices[p], m.num_vertices)
+    table = tables[p]
+    keys = geometry._simplex_keys(np.asarray(rows), m.num_vertices)
+    idx = np.searchsorted(table, keys)
+    found = idx < table.size
+    found[found] = table[idx[found]] == keys[found]
+    return np.where(found, idx, -1)
+
+
 def simplex_index(m, p, vertices) -> int:
     """Index of the p-simplex of m with these vertices (any order), by
-    the manifold's key lookup; raises KeyError when they span no
-    p-simplex."""
+    the key search; raises KeyError when they span no p-simplex."""
     row = np.sort(np.asarray(vertices, dtype=np.int64))
     i = -1
     if row.shape == (p + 1,) and 0 <= row[0] and row[-1] < m.num_vertices:
-        i = int(m._find(p, row[None])[0])
+        i = int(find_simplices(m, p, row[None])[0])
     if i < 0:
         raise KeyError(tuple(row.tolist()))
     return i

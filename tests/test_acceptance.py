@@ -246,10 +246,10 @@ def test_criterion_08_weak_decomposition(torus16, cover16, spec16_p1, rng):
 def test_criterion_09_weighted_czi(torus16, cover16, torus32, cover32):
     rng = np.random.default_rng(1234)
     consts, margins = {}, []
-    for m, (rf, cov) in ((torus16, cover16), (torus32, cover32)):
+    for m, (rf, _) in ((torus16, cover16), (torus32, cover32)):
         w = covering.weight_from_radius(rf, 0)
         us = [dec.random_cochain(m, 1, rng) for _ in range(100)]
-        out = analysis.weighted_czi_verify(m, cov, rf, us[:50], 1.5, w)
+        out = analysis.weighted_czi_verify(m, rf, us[:50], 1.5, w)
         held = [analysis.czi_terms(m, rf, u, 1.5, w, out["classical"])
                 for u in us[50:]]
         margins.append(min(out["C1"] * t1 + out["C2"] * t2 - lhs

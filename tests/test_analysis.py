@@ -17,7 +17,7 @@ from scipy.linalg import subspace_angles
 from conftest import (ROUNDOFF_BUDGET, _cover_bundle,
                       assert_czi_fit_within_budget, harmonic_embedding_check,
                       oracle_czi_fit, oracle_gap_solve, oracle_spectrum,
-                      column, relabelled_mesh, total_volume,
+                      column, find_simplices, relabelled_mesh, total_volume,
                       vertex_mask_to_simplex_mask,
                       weak_decomposition_sequence)
 from hodge_rsm import analysis, covering, dec, geometry, rsm
@@ -189,7 +189,8 @@ def test_normalisation_depends_on_numbering(bumpy16):
     copy, label = relabelled_mesh(bumpy16, np.random.default_rng(1))
     ratio = 2.0 / geometry.SimplicialManifold._approx_diameter(raw.graph)
     assert ratio == pytest.approx(0.94255, abs=1e-5)
-    edges = copy._find(1, np.sort(label[bumpy16.simplices[1]], axis=1))
+    edges = find_simplices(copy, 1,
+                           np.sort(label[bumpy16.simplices[1]], axis=1))
     assert np.allclose(copy.edge_lengths[edges], ratio * bumpy16.edge_lengths,
                        rtol=ROUNDOFF_BUDGET["sum"], atol=0)
     got = spectrum(copy, 1)
@@ -209,6 +210,17 @@ def test_spectrum_with_more_eigs_than_unknowns():
 
 def test_spectrum_cluster_flag(torus16):
     rep = spectrum(torus16, 1, harmonic_tol=1e-30)
+    assert rep.cluster_flag
+
+
+def test_spectrum_flags_a_threshold_above_every_pair(torus16):
+    # a relative tolerance of 2 puts every returned pair below the
+    # threshold: the gap reads infinite though b_1 = 2 < N_1, which the
+    # threshold cannot tell from a kernel, so the flag is raised
+    assert betti_numbers(torus16)[1] < torus16.num_simplices(1)
+    rep = spectrum(torus16, 1, harmonic_tol=2.0)
+    assert rep.harmonic_dim == len(rep.eigenvalues) == 10
+    assert rep.gap == float("inf")
     assert rep.cluster_flag
 
 
@@ -760,7 +772,7 @@ def test_weighted_czi(torus16, cover16, weight16, spec16_p1, rng):
         omega = lap(dec.random_cochain(torus16, 1, rng))
         u, _ = poisson_solve(torus16, cov, rf, spec16_p1, omega, 1.5)
         us.append(u)
-    out = weighted_czi_verify(torus16, cov, rf, us[:10], 1.5, weight16)
+    out = weighted_czi_verify(torus16, rf, us[:10], 1.5, weight16)
     assert out["C1"] >= 0 and out["C2"] >= 0
     assert all(mg >= -1e-12 for mg in out["margins"])
     # held-out: constants keep the inequality with margin >= 0
@@ -775,7 +787,7 @@ def test_weighted_czi_constants_are_pinned(torus8):
     # harmonic forms plus growing noise, so that both constants bind;
     # the fit's C1 and C2 are the exact rational optimum of its linear
     # program, times the headroom, to the fit budget
-    rf, cov = _cover_bundle(torus8)
+    rf, _ = _cover_bundle(torus8)
     rep = spectrum(torus8, 1)
     rng = np.random.default_rng(20260826)
     us = []
@@ -783,7 +795,7 @@ def test_weighted_czi_constants_are_pinned(torus8):
         u = dec.random_cochain(torus8, 1, rng)
         h = harmonic_projection(torus8, rep, u)
         us.append(h * (1.0 / dec.norm_l2(h)) + (k / 8) * u)
-    out = weighted_czi_verify(torus8, cov, rf, us, 1.5,
+    out = weighted_czi_verify(torus8, rf, us, 1.5,
                               covering.weight_from_radius(rf, 1))
     assert out["classical"]
     assert out["C1"] > 0 and out["C2"] > 0

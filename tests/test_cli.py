@@ -152,6 +152,27 @@ def test_decompose_injected_failure(runner, tmp_path):
     assert checks["spectrum_p1"]["details"]["cluster_flag"]
 
 
+def test_decompose_fails_spectrum_with_every_pair_harmonic(runner, tmp_path):
+    # --harmonic-tol 2 puts all 10 pairs below the threshold though
+    # b_1 = 2: spectrum_p1 fails by name (gap infinite, flag raised), the
+    # rank identity fails, and no form of that degree is decomposed
+    cfg = _cfg(tmp_path, mesh={"kind": "flat_torus", "resolution": 12},
+               degrees=[1], num_forms=2)
+    res = runner.invoke(main, ["decompose", "--config", cfg,
+                               "--harmonic-tol", "2"])
+    assert res.exit_code == 1, res.output
+    out = Path(json.loads(Path(cfg).read_text())["out_dir"])
+    rep = json.loads((out / "decompose_report.json").read_text())
+    checks = {c["name"]: c for c in rep["checks"]}
+    assert sorted(checks) == ["rank_identity_p1", "spectrum_p1"]
+    spec = checks["spectrum_p1"]
+    assert not spec["passed"] and spec["details"]["cluster_flag"]
+    assert spec["details"]["harmonic_dim"] == 10
+    assert spec["details"]["gap"] == float("inf")
+    assert not checks["rank_identity_p1"]["passed"]
+    assert not (out / "spectrum_p1.json").exists()
+
+
 def test_decompose_rank_check_passes_on_torus3d8(runner, tmp_path):
     # 3584 edges: the rank identity runs at every size
     cfg = _cfg(tmp_path, mesh={"kind": "flat_torus_3d", "resolution": 8},
@@ -272,10 +293,19 @@ def test_report_missing_dir(runner, tmp_path):
     '{"all_passed": true, "checks": [',
     '[{"name": "overlap", "passed": true, "details": {}}]',
     '{"all_passed": false, "checks": [{"name": "overlap", "details": {}}]}',
-], ids=["unparsable", "list", "check_without_passed"])
+    '{"all_passed": true, "checks": [{"name": "overlap", "passed": null, '
+    '"details": {}}]}',
+    '{"all_passed": "no", "checks": [{"name": "overlap", "passed": false, '
+    '"details": {}}]}',
+    '{"all_passed": true, "checks": [{"name": "overlap", "passed": false, '
+    '"details": {}}]}',
+], ids=["unparsable", "list", "check_without_passed", "passed_null",
+        "all_passed_string", "all_passed_over_failed"])
 def test_report_malformed_is_usage_error(runner, tmp_path, text):
-    # a report that is no JSON, not an object or holds a check without
-    # passed is a usage error naming the file, not a traceback
+    # a report that is no JSON, not an object, holds a check without
+    # passed or a passed other than true or false, or whose all_passed is
+    # not the conjunction of its checks, is a usage error naming the file,
+    # not a traceback (nor a PASS line over a FAILED one, with exit 0)
     cfg = _cfg(tmp_path)
     out = tmp_path / "runs"
     out.mkdir()

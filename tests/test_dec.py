@@ -20,7 +20,8 @@ from hodge_rsm.geometry import (SimplicialManifold, chord_lengths,
 from conftest import (PERTURBED_MESHES, ROUNDOFF_BUDGET, Chart,
                       assert_plan_matches_step_oracle,
                       assert_ring_is_oracle_union, column, covering_of,
-                      geodesic_distance, normal_chart, oracle_column_norms,
+                      find_simplices, geodesic_distance, normal_chart,
+                      oracle_column_norms,
                       oracle_densities, oracle_operator, perturbed_mesh,
                       refused_balls, relabelled_mesh, total_volume,
                       vertex_mask_to_simplex_mask)
@@ -106,7 +107,8 @@ def cotan_stiffness(m: SimplicialManifold) -> sp.csr_matrix:
     tri, area = m.simplices[2], m.volumes[2]
 
     def squared(a, b):
-        edges = m._find(1, np.sort(np.stack([a, b], axis=1), axis=1))
+        edges = find_simplices(
+            m, 1, np.sort(np.stack([a, b], axis=1), axis=1))
         return m.edge_lengths[edges] ** 2
 
     K = sp.csr_matrix((m.num_vertices,) * 2)
@@ -285,11 +287,11 @@ def chart_norm_comparison(m: SimplicialManifold, chart: Chart, u: Cochain,
     lengths = chord_lengths(coords, m.simplices[1])
     cells = vertex_mask_to_simplex_mask(m, n, vmask)
     support = lumped_supports(
-        simplex_volumes(lengths[m._simplex_edges(m.simplices[n][cells])], n),
+        simplex_volumes(lengths[m.subfaces(n, 1)[cells]], n),
         m._cell_faces[p][cells], m.num_simplices(p))
     idx = np.flatnonzero(mask)
     vol = 1.0 if p == 0 else lengths[idx] if p == 1 else simplex_volumes(
-        lengths[m._simplex_edges(m.simplices[p][idx])], p)
+        lengths[m.subfaces(p, 1, idx)], p)
     chart_norm = float((support[idx] * (np.abs(u.values[idx]) / vol) ** r)
                        .sum()) ** (1.0 / r)
     return intrinsic, chart_norm

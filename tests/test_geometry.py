@@ -1,6 +1,6 @@
 import heapq
 import re
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -17,9 +17,9 @@ from hodge_rsm.geometry import (ChartFrames, MeshError, SimplicialManifold,
 
 from conftest import (PERTURBED_MESHES, LoopChartFrame, LoopManifold,
                       all_geodesic_distances, euler_characteristic,
-                      geodesic_distance, loop_kuhn_cells, loop_sphere_arrays,
-                      loop_torus_cells, normal_chart, perturbed_mesh,
-                      simplex_index)
+                      find_simplices, geodesic_distance, loop_kuhn_cells,
+                      loop_sphere_arrays, loop_torus_cells, normal_chart,
+                      perturbed_mesh, simplex_index)
 
 TET_OFF = """OFF
 4 4 0
@@ -582,9 +582,10 @@ def test_orientation_error_names_disagreeing_face(torus8, flip):
 
 
 def _searched_boundary(m, p):
-    """boundary[p] assembled from a key search (_find) of each face."""
+    """boundary[p] assembled from a key search of each face."""
     N = m.num_simplices(p)
-    faces = np.stack([m._find(p - 1, np.delete(m.simplices[p], i, axis=1))
+    faces = np.stack([find_simplices(m, p - 1,
+                                     np.delete(m.simplices[p], i, axis=1))
                       for i in range(p + 1)], axis=1)
     assert (faces >= 0).all()
     return sp.coo_matrix((np.tile((-1) ** np.arange(p + 1), N),
@@ -597,7 +598,7 @@ def _searched_orientation_face(m):
     each cell's n-simplex found by a key search; None when there is none."""
     cells = m.oriented_cells
     sign = np.zeros(m.num_simplices(m.n), dtype=np.int64)
-    sign[m._find(m.n, np.sort(cells, axis=1))] = \
+    sign[find_simplices(m, m.n, np.sort(cells, axis=1))] = \
         geometry._permutation_signs(cells)
     induced = _searched_boundary(m, m.n) @ sign
     if not induced.any():
@@ -645,6 +646,16 @@ def test_build_faces_match_key_search(request, tmp_path, mesh):
         for attr in ("data", "indices", "indptr"):
             assert _bitwise(getattr(m.boundary[p], attr),
                             getattr(want, attr)), (p, attr)
+    # every composed face table: all rows, and every seventh as int32
+    for p in range(m.n + 1):
+        rows = np.arange(0, m.num_simplices(p), 7, dtype=np.int32)
+        for q in range(p + 1):
+            want = np.stack([find_simplices(m, q, m.simplices[p][:, list(c)])
+                             for c in combinations(range(p + 1), q + 1)],
+                            axis=1)
+            assert (want >= 0).all()
+            assert _bitwise(m.subfaces(p, q), want), (p, q)
+            assert _bitwise(m.subfaces(p, q, rows), want[rows]), (p, q)
     assert _searched_orientation_face(m) is None
     # one cell turned over: the build names the face the search finds
     cells = m.oriented_cells.copy()
